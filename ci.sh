@@ -91,6 +91,27 @@ assert bench["overhead"]["within_3pct"] is True, "committed recovery point excee
 assert all(k["byte_identical"] for k in bench["kills"]), "a committed kill row diverged"
 PYEOF
 
+echo "== smoke: DPI sweep + tokenizer gate (self-asserting)"
+# exp_dpi writes BENCH_dpi.json to its working directory, so the smoke
+# run happens in the tmpdir and leaves the committed point untouched.
+exp_dpi="$PWD/target/release/exp_dpi"
+(cd "$tmpdir" && "$exp_dpi" >/dev/null)
+grep -q '"tokenize_speedup":' "$tmpdir/BENCH_dpi.json" \
+    || { echo "dpi bench JSON is missing the tokenizer acceptance row"; exit 1; }
+
+echo "== bench freshness: committed BENCH_dpi.json is current"
+python3 - <<'PYEOF'
+import json
+bench = json.load(open("BENCH_dpi.json"))
+assert bench["experiment"] == "dpi-fastpath-sweep", "BENCH_dpi.json is not a DPI sweep artifact"
+sizes = sorted(c["payload_bytes"] for c in bench["tokenize"])
+assert sizes == [48, 120, 900], f"BENCH_dpi.json tokenizer cells cover {sizes}"
+acceptance = bench["acceptance"]
+assert acceptance["automaton_speedup"] >= acceptance["required"], "committed automaton speedup below floor"
+assert acceptance["tokenize_speedup"] >= acceptance["tokenize_required"] >= 5, \
+    "committed tokenizer speedup below floor"
+PYEOF
+
 echo "== smoke: hierarchical scale tiers (10k homes, self-asserting)"
 ./target/release/exp_scale --homes 10000 --workers 4 --horizon 240 \
     --max-rss-mb 512 --json "$tmpdir/bench_scale.json"
@@ -134,5 +155,12 @@ ls crates/fleet/tests/golden/fleet_report_v8.json \
 if ls crates/fleet/tests/golden/*_v7.json >/dev/null 2>&1; then
     echo "stale v7 schema goldens are still checked in"; exit 1
 fi
+
+echo "== benchmark package: tests and an all-workload smoke run"
+cargo test --release --manifest-path xlf-benchmark/Cargo.toml
+cargo run --release --offline --manifest-path xlf-benchmark/Cargo.toml -- \
+    --workload all --smoke > "$tmpdir/benchmark_smoke.txt"
+tail -n 1 "$tmpdir/benchmark_smoke.txt" | grep -q '"correct":true' \
+    || { echo "benchmark smoke run reported incorrect results"; exit 1; }
 
 echo "CI OK"

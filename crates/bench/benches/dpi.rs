@@ -20,9 +20,9 @@ fn bench_dpi(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(plain.inspect(payload)));
     });
 
-    let mut enc = EncryptedDpi::new(default_rules());
-    enc.bind_session(b"bench session").expect("bind");
     let endpoint = Tokenizer::new(b"bench session").expect("tokenizer");
+    let mut enc = EncryptedDpi::new(default_rules());
+    enc.bind_session(&endpoint);
     group.bench_function("encrypted_tokenize_and_match", |b| {
         b.iter(|| {
             let tokens = endpoint.tokenize(payload);
@@ -102,9 +102,9 @@ fn bench_dpi_ruleset_sweep(c: &mut Criterion) {
         let endpoint = Tokenizer::new(b"bench sweep").expect("tokenizer");
         let streams: Vec<Vec<Token>> = refs.iter().map(|p| endpoint.tokenize(p)).collect();
         let mut enc_naive = EncryptedDpi::new(rules.clone()).with_naive_matching(true);
-        enc_naive.bind_session(b"bench sweep").expect("bind");
+        enc_naive.bind_session(&endpoint);
         let mut enc_indexed = EncryptedDpi::new(rules.clone());
-        enc_indexed.bind_session(b"bench sweep").expect("bind");
+        enc_indexed.bind_session(&endpoint);
         group.bench_with_input(
             BenchmarkId::new("encrypted_naive", rule_count),
             &rule_count,

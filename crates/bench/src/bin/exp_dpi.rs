@@ -9,7 +9,9 @@ use rand::{Rng, SeedableRng};
 use std::time::Instant;
 use xlf_bench::{prf, print_table};
 use xlf_core::dpi::{default_rules, match_batch_sharded, EncryptedDpi, PlaintextDpi, Rule};
-use xlf_lwcrypto::searchable::{Token, Tokenizer};
+use xlf_lwcrypto::ciphers::Speck128;
+use xlf_lwcrypto::kdf::derive_key;
+use xlf_lwcrypto::searchable::{Token, Tokenizer, TOKEN_SIZE, TOKEN_WINDOW};
 use xlf_simnet::SimTime;
 
 /// Builds the corpus: (payload, is_malicious).
@@ -139,13 +141,9 @@ fn fastpath_sweep() -> Vec<SweepCell> {
             let endpoint = Tokenizer::new(b"sweep session").expect("tokenizer");
             let streams: Vec<Vec<Token>> = refs.iter().map(|p| endpoint.tokenize(p)).collect();
             let mut enc_naive_engine = EncryptedDpi::new(rules.clone()).with_naive_matching(true);
-            enc_naive_engine
-                .bind_session(b"sweep session")
-                .expect("bind");
+            enc_naive_engine.bind_session(&endpoint);
             let mut enc_indexed_engine = EncryptedDpi::new(rules.clone());
-            enc_indexed_engine
-                .bind_session(b"sweep session")
-                .expect("bind");
+            enc_indexed_engine.bind_session(&endpoint);
             let enc_naive = mbps(measure(|| {
                 for t in &streams {
                     std::hint::black_box(enc_naive_engine.match_stream(t));
@@ -177,8 +175,102 @@ fn fastpath_sweep() -> Vec<SweepCell> {
     cells
 }
 
+/// Telemetry payload sizes `SimDevice` emits: idle, active, streaming.
+const TELEMETRY_SIZES: [usize; 3] = [48, 120, 900];
+
+/// Required speed-up of the tokenizer over the per-window PRF reference.
+const TOKENIZE_REQUIRED: f64 = 5.0;
+
+struct TokenizeCell {
+    payload_bytes: usize,
+    /// Nanoseconds per window: the session tokenizer, and the reference.
+    kernel_ns: f64,
+    reference_ns: f64,
+}
+
+impl TokenizeCell {
+    fn windows_per_payload(&self) -> usize {
+        self.payload_bytes + 1 - TOKEN_WINDOW
+    }
+
+    fn speedup(&self) -> f64 {
+        self.reference_ns / self.kernel_ns.max(1e-9)
+    }
+}
+
+/// The token definition as written: one CBC-MAC PRF call per sliding
+/// window, under the token key derived from the session secret.
+fn reference_tokenize(cipher: &Speck128, payload: &[u8]) -> Vec<Token> {
+    payload
+        .windows(TOKEN_WINDOW)
+        .map(|window| {
+            xlf_lwcrypto::mac::prf(cipher, "blindbox-token", window).expect("PRF over one window")
+                [..TOKEN_SIZE]
+                .try_into()
+                .expect("token-sized prefix")
+        })
+        .collect()
+}
+
+/// Endpoint tokenization cost per window at each telemetry size: the
+/// session tokenizer (reusing one token buffer) against the reference.
+/// Panics if the two disagree on any token.
+fn tokenize_sweep() -> Vec<TokenizeCell> {
+    const PAYLOADS_PER_CELL: usize = 32;
+    let secret = b"tokenize session";
+    let tokenizer = Tokenizer::new(secret).expect("tokenizer");
+    let key = derive_key(secret, "xlf-searchable-token", 16).expect("token key");
+    let cipher = Speck128::new(&key).expect("16-byte token key");
+    let mut rng = StdRng::seed_from_u64(0x70c3_11e5);
+    TELEMETRY_SIZES
+        .iter()
+        .map(|&size| {
+            let payloads: Vec<Vec<u8>> = (0..PAYLOADS_PER_CELL)
+                .map(|_| (0..size).map(|_| rng.gen_range(0x20u8..0x7f)).collect())
+                .collect();
+            for p in &payloads {
+                assert_eq!(
+                    tokenizer.tokenize(p),
+                    reference_tokenize(&cipher, p),
+                    "tokenizer diverged from the reference PRF at {size} B"
+                );
+            }
+            let mut buffer = Vec::new();
+            let kernel = measure(|| {
+                for p in &payloads {
+                    tokenizer.tokenize_into(std::hint::black_box(p), &mut buffer);
+                    std::hint::black_box(&buffer);
+                }
+            });
+            let reference = measure(|| {
+                for p in &payloads {
+                    std::hint::black_box(reference_tokenize(&cipher, std::hint::black_box(p)));
+                }
+            });
+            let windows = (PAYLOADS_PER_CELL * (size + 1 - TOKEN_WINDOW)) as f64;
+            TokenizeCell {
+                payload_bytes: size,
+                kernel_ns: kernel * 1e9 / windows,
+                reference_ns: reference * 1e9 / windows,
+            }
+        })
+        .collect()
+}
+
+/// The slowest cell's speed-up: the acceptance value.
+fn tokenize_speedup(cells: &[TokenizeCell]) -> f64 {
+    cells
+        .iter()
+        .map(TokenizeCell::speedup)
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// Hand-rolled JSON trajectory point (no serde in the tree).
-fn write_bench_json(cells: &[SweepCell], path: &str) -> std::io::Result<()> {
+fn write_bench_json(
+    cells: &[SweepCell],
+    tokenize: &[TokenizeCell],
+    path: &str,
+) -> std::io::Result<()> {
     let mut body = String::from("{\n  \"experiment\": \"dpi-fastpath-sweep\",\n  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
         body.push_str(&format!(
@@ -199,14 +291,30 @@ fn write_bench_json(cells: &[SweepCell], path: &str) -> std::io::Result<()> {
             if i + 1 == cells.len() { "" } else { "," }
         ));
     }
+    body.push_str("  ],\n  \"tokenize\": [\n");
+    for (i, c) in tokenize.iter().enumerate() {
+        body.push_str(&format!(
+            "    {{\"payload_bytes\": {}, \"windows_per_payload\": {}, \
+             \"kernel_ns_per_window\": {:.2}, \"reference_ns_per_window\": {:.2}, \
+             \"speedup\": {:.2}}}{}\n",
+            c.payload_bytes,
+            c.windows_per_payload(),
+            c.kernel_ns,
+            c.reference_ns,
+            c.speedup(),
+            if i + 1 == tokenize.len() { "" } else { "," }
+        ));
+    }
     let acceptance = cells
         .iter()
         .find(|c| c.rules == 256 && c.payload_bytes == 1024)
         .expect("acceptance cell swept");
     body.push_str(&format!(
         "  ],\n  \"acceptance\": {{\"rules\": 256, \"payload_bytes\": 1024, \
-         \"automaton_speedup\": {:.2}, \"required\": 5.0}}\n}}\n",
-        acceptance.automaton_speedup()
+         \"automaton_speedup\": {:.2}, \"required\": 5.0, \
+         \"tokenize_speedup\": {:.2}, \"tokenize_required\": {TOKENIZE_REQUIRED:.1}}}\n}}\n",
+        acceptance.automaton_speedup(),
+        tokenize_speedup(tokenize)
     ));
     std::fs::write(path, body)
 }
@@ -225,9 +333,9 @@ fn main() {
     let plain_elapsed = start.elapsed().as_secs_f64();
 
     // Encrypted DPI: the endpoint tokenizes; the middlebox matches tokens.
-    let mut enc = EncryptedDpi::new(default_rules());
-    enc.bind_session(b"exp-dpi session").expect("bind");
     let endpoint = Tokenizer::new(b"exp-dpi session").expect("tokenizer");
+    let mut enc = EncryptedDpi::new(default_rules());
+    enc.bind_session(&endpoint);
     let start = Instant::now();
     let enc_outcomes: Vec<(bool, bool)> = corpus
         .iter()
@@ -347,7 +455,43 @@ fn main() {
         acceptance.automaton_speedup(),
         acceptance.index_speedup()
     );
-    match write_bench_json(&cells, "BENCH_dpi.json") {
+
+    // Endpoint tokenization: the cost the encrypted engines above exclude
+    // (their token streams are built outside the timed region).
+    let tokenize = tokenize_sweep();
+    let rows: Vec<Vec<String>> = tokenize
+        .iter()
+        .map(|c| {
+            vec![
+                format!("{} B", c.payload_bytes),
+                format!("{}", c.windows_per_payload()),
+                format!("{:.1} ns", c.kernel_ns),
+                format!("{:.1} ns", c.reference_ns),
+                format!("{:.1}×", c.speedup()),
+            ]
+        })
+        .collect();
+    print_table(
+        "Endpoint tokenization — per window, session tokenizer vs per-window PRF",
+        &[
+            "Payload",
+            "Windows",
+            "Tokenizer",
+            "Reference PRF",
+            "Speedup",
+        ],
+        &rows,
+    );
+    let speedup = tokenize_speedup(&tokenize);
+    println!(
+        "\nAcceptance: the tokenizer is at least {speedup:.1}× the per-window PRF \
+         (required ≥ {TOKENIZE_REQUIRED}×)."
+    );
+    assert!(
+        speedup >= TOKENIZE_REQUIRED,
+        "tokenize speed-up {speedup:.2} is below the required {TOKENIZE_REQUIRED}"
+    );
+    match write_bench_json(&cells, &tokenize, "BENCH_dpi.json") {
         Ok(()) => println!("Trajectory point written to BENCH_dpi.json."),
         Err(e) => eprintln!("could not write BENCH_dpi.json: {e}"),
     }

@@ -89,7 +89,7 @@ impl SmartCloud {
             .and_then(|h| h.capability_for_attribute(attribute));
         let mut event = CloudEvent::new(at, device, attribute, value);
         if trusted_channel {
-            event = event.signed(self.bus.hub_secret().to_vec().as_slice());
+            event = self.bus.sign(event);
         }
         if self.bus.publish(event, capability).is_err() {
             return Vec::new();

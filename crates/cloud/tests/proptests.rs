@@ -7,10 +7,46 @@ use xlf_cloud::events::{CloudEvent, EventBus, EventPolicy};
 use xlf_cloud::ifttt::{Recipe, RecipeAction, RecipeEngine, ServiceTrigger, WebService};
 use xlf_cloud::oauth::TokenService;
 use xlf_cloud::Capability;
+use xlf_lwcrypto::ciphers::Speck128;
+use xlf_lwcrypto::kdf::derive_key;
+use xlf_lwcrypto::mac::CbcMac;
 use xlf_simnet::{Duration, SimTime};
 
 fn ident() -> impl Strategy<Value = String> {
     "[a-z][a-z0-9-]{0,15}"
+}
+
+/// The reference event tag: CBC-MAC over the event's canonical bytes
+/// under a key derived afresh from the hub secret, composed from the
+/// public primitives with no cache.
+fn reference_tag(hub: &[u8], device: &str, attribute: &str, value: &str, at: SimTime) -> Vec<u8> {
+    let key = derive_key(hub, &format!("event-key/{device}"), 16).unwrap();
+    let cipher = Speck128::new(&key).unwrap();
+    let mut bytes = Vec::new();
+    for field in [device, attribute, value] {
+        bytes.extend_from_slice(field.as_bytes());
+        bytes.push(0);
+    }
+    bytes.extend_from_slice(&at.as_micros().to_be_bytes());
+    CbcMac::new(&cipher).tag(&bytes).unwrap()
+}
+
+#[test]
+fn event_tag_known_answer() {
+    // Pinned from the per-event key derivation, so the cached signing
+    // path and the reference cannot drift together.
+    let at = SimTime::from_secs(1);
+    let mut bus = EventBus::new(EventPolicy::hardened(), b"hub secret");
+    let tag = bus
+        .sign(CloudEvent::new(at, "front-door", "lock", "unlocked"))
+        .mac
+        .unwrap();
+    assert_eq!(
+        tag,
+        reference_tag(b"hub secret", "front-door", "lock", "unlocked", at)
+    );
+    let hex: String = tag.iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(hex, "c173636f1eec42fbdfb5b38e355854f6");
 }
 
 proptest! {
@@ -50,36 +86,66 @@ proptest! {
             .is_err());
     }
 
-    /// Event signatures bind every field: any mutation invalidates.
+    /// Event signatures bind every field: any mutation invalidates, and
+    /// a bus under another hub secret rejects the tag.
     #[test]
     fn event_integrity_binds_fields(device in ident(),
                                     attribute in ident(),
                                     value in ident(),
                                     at_s in 0u64..100_000) {
-        let event = CloudEvent::new(SimTime::from_secs(at_s), &device, &attribute, &value)
-            .signed(b"hub secret");
-        prop_assert!(event.verify(b"hub secret"));
-        prop_assert!(!event.verify(b"other secret"));
+        let mut bus = EventBus::new(EventPolicy::hardened(), b"hub secret");
+        let mut other = EventBus::new(EventPolicy::hardened(), b"other secret");
+        let event = bus.sign(CloudEvent::new(SimTime::from_secs(at_s), &device, &attribute, &value));
+        prop_assert!(bus.verify(&event));
+        prop_assert!(!other.verify(&event));
         let mut m = event.clone();
         m.value.push('!');
-        prop_assert!(!m.verify(b"hub secret"));
+        prop_assert!(!bus.verify(&m));
         let mut m = event.clone();
         m.device.push('!');
-        prop_assert!(!m.verify(b"hub secret"));
+        prop_assert!(!bus.verify(&m));
     }
 
-    /// Hardened buses deliver exactly the signed events; spoofed
-    /// (unsigned) events are always rejected.
+    /// Tags from the bus's cached per-device key equal the reference
+    /// CBC-MAC under a freshly derived key, across repeated signings of
+    /// several devices.
     #[test]
-    fn hardened_bus_accepts_only_signed(signed in any::<bool>(), value in ident()) {
-        let mut bus = EventBus::new(EventPolicy::hardened(), b"hub secret");
-        bus.subscribe("app", "dev", "attr", true);
-        let mut event = CloudEvent::new(SimTime::ZERO, "dev", "attr", &value);
-        if signed {
-            event = event.signed(b"hub secret");
+    fn cached_event_tags_equal_reference_mac(devices in prop::collection::vec(ident(), 1..4),
+                                             values in prop::collection::vec(ident(), 1..6),
+                                             hub in prop::collection::vec(any::<u8>(), 1..24),
+                                             at_s in 0u64..100_000) {
+        let mut bus = EventBus::new(EventPolicy::hardened(), &hub);
+        for value in &values {
+            for device in &devices {
+                let at = SimTime::from_secs(at_s);
+                let event = bus.sign(CloudEvent::new(at, device, "attr", value));
+                let expected = reference_tag(&hub, device, "attr", value, at);
+                prop_assert_eq!(event.mac.as_deref(), Some(expected.as_slice()));
+            }
         }
+    }
+
+    /// Hardened buses deliver exactly the events signed under their own
+    /// hub secret; spoofed (unsigned), tampered and foreign-key events are
+    /// always rejected.
+    #[test]
+    fn hardened_bus_accepts_only_signed(signing in 0u8..4, value in ident()) {
+        let mut bus = EventBus::new(EventPolicy::hardened(), b"hub secret");
+        let mut foreign = EventBus::new(EventPolicy::hardened(), b"other secret");
+        bus.subscribe("app", "dev", "attr", true);
+        let event = CloudEvent::new(SimTime::ZERO, "dev", "attr", &value);
+        let event = match signing {
+            0 => event,
+            1 => foreign.sign(event),
+            2 => {
+                let mut tampered = bus.sign(event);
+                tampered.value.push('!');
+                tampered
+            }
+            _ => bus.sign(event),
+        };
         let outcome = bus.publish(event, Some(Capability::Switch));
-        prop_assert_eq!(outcome.is_ok(), signed);
+        prop_assert_eq!(outcome.is_ok(), signing == 3);
     }
 
     /// Recipes fire iff the trigger's service, item, and threshold all

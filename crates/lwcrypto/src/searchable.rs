@@ -17,8 +17,7 @@
 
 use crate::ciphers::Speck128;
 use crate::kdf::derive_key;
-use crate::mac::prf;
-use crate::CryptoError;
+use crate::{BlockCipher, CryptoError};
 
 /// Sliding-window width in bytes for tokenization (BlindBox uses 8).
 pub const TOKEN_WINDOW: usize = 8;
@@ -29,8 +28,29 @@ pub const TOKEN_SIZE: usize = 8;
 /// An encrypted inspection token: the PRF image of one plaintext window.
 pub type Token = [u8; TOKEN_SIZE];
 
+/// Domain-separation label of the window PRF.
+const LABEL: &[u8; 14] = b"blindbox-token";
+
+/// Length of every PRF message `LABEL ‖ 0x1F ‖ window`.
+const MESSAGE_LEN: usize = LABEL.len() + 1 + TOKEN_WINDOW;
+
 /// Per-session tokenizer shared (via the XLF Core key exchange) between
 /// the endpoint and the inspecting middlebox rule authority.
+///
+/// A window's token is the first [`TOKEN_SIZE`] bytes of the CBC-MAC PRF
+/// ([`crate::mac::prf`]) under the session token key, labelled
+/// `"blindbox-token"`. With length prepending and zero padding that MAC
+/// input is two SPECK blocks:
+///
+/// ```text
+/// block 0: len_be(23) ‖ "blindbox"
+/// block 1: "-token" ‖ 0x1F ‖ window ‖ 0x00
+/// ```
+///
+/// Every message has the same length, so block 0 — and the CBC state
+/// after it — is the same for every window of a session. The tokenizer
+/// computes that state once, and each window then costs one SPECK
+/// encryption of block 1, four windows at a time.
 ///
 /// # Example
 ///
@@ -50,6 +70,10 @@ pub type Token = [u8; TOKEN_SIZE];
 #[derive(Debug)]
 pub struct Tokenizer {
     cipher: Speck128,
+    /// CBC state after block 0, XORed with block 1's constant bytes
+    /// (`"-token" ‖ 0x1F` in `x`): block 1 only adds the window bits.
+    x0: u64,
+    y0: u64,
 }
 
 impl Tokenizer {
@@ -61,31 +85,63 @@ impl Tokenizer {
     /// Returns [`CryptoError::InvalidParameter`] if the secret is empty.
     pub fn new(session_secret: &[u8]) -> Result<Self, CryptoError> {
         let key = derive_key(session_secret, "xlf-searchable-token", 16)?;
-        Ok(Tokenizer {
-            cipher: Speck128::new(&key).expect("16-byte derived key"),
-        })
+        let cipher = Speck128::new(&key).expect("16-byte derived key");
+        let mut block = [0u8; 16];
+        block[..8].copy_from_slice(&(MESSAGE_LEN as u64).to_be_bytes());
+        block[8..].copy_from_slice(&LABEL[..8]);
+        cipher.encrypt_block(&mut block)?;
+        let mut tail = [0u8; 8];
+        tail[..6].copy_from_slice(&LABEL[8..]);
+        tail[6] = 0x1F;
+        let x0 =
+            u64::from_be_bytes(block[..8].try_into().expect("8 bytes")) ^ u64::from_be_bytes(tail);
+        let y0 = u64::from_be_bytes(block[8..].try_into().expect("8 bytes"));
+        Ok(Tokenizer { cipher, x0, y0 })
     }
 
-    fn window_token(&self, window: &[u8]) -> Token {
-        let out = prf(&self.cipher, "blindbox-token", window).expect("PRF over small input");
-        let mut token = [0u8; TOKEN_SIZE];
-        token.copy_from_slice(&out[..TOKEN_SIZE]);
-        token
+    /// Tokens of [`Speck128::LANES`] windows, each given as its
+    /// big-endian word. Block 1 carries the window's first byte in the
+    /// low byte of `x` and its other seven bytes in the top of `y`.
+    fn tokens(&self, windows: [u64; Speck128::LANES]) -> [Token; Speck128::LANES] {
+        let mut x = windows.map(|w| self.x0 ^ (w >> 56));
+        let mut y = windows.map(|w| self.y0 ^ (w << 8));
+        self.cipher.encrypt_lanes(&mut x, &mut y);
+        x.map(u64::to_be_bytes)
     }
 
-    /// Produces the token stream for an outgoing payload: one token per
-    /// sliding window (stride 1). Payloads shorter than the window emit a
-    /// single zero-padded token.
-    pub fn tokenize(&self, payload: &[u8]) -> Vec<Token> {
+    /// Writes the token stream of `payload` into `out`, replacing its
+    /// contents: one token per sliding window (stride 1). Payloads
+    /// shorter than the window emit a single zero-padded token. Reusing
+    /// `out` across payloads keeps tokenization allocation-free.
+    pub fn tokenize_into(&self, payload: &[u8], out: &mut Vec<Token>) {
+        out.clear();
         if payload.len() < TOKEN_WINDOW {
-            let mut padded = payload.to_vec();
-            padded.resize(TOKEN_WINDOW, 0);
-            return vec![self.window_token(&padded)];
+            out.push(self.rule_token(payload));
+            return;
         }
-        payload
-            .windows(TOKEN_WINDOW)
-            .map(|w| self.window_token(w))
-            .collect()
+        let count = payload.len() + 1 - TOKEN_WINDOW;
+        let word = |at: usize| {
+            u64::from_be_bytes(
+                payload[at..at + TOKEN_WINDOW]
+                    .try_into()
+                    .expect("8-byte window"),
+            )
+        };
+        out.reserve(count);
+        for start in (0..count).step_by(Speck128::LANES) {
+            // A short last batch repeats its final window in the spare lanes.
+            let lanes = (count - start).min(Speck128::LANES);
+            let windows = std::array::from_fn(|lane| word(start + lane.min(lanes - 1)));
+            out.extend_from_slice(&self.tokens(windows)[..lanes]);
+        }
+    }
+
+    /// Produces the token stream for an outgoing payload (see
+    /// [`Tokenizer::tokenize_into`]).
+    pub fn tokenize(&self, payload: &[u8]) -> Vec<Token> {
+        let mut out = Vec::new();
+        self.tokenize_into(payload, &mut out);
+        out
     }
 
     /// Produces the token for a rule keyword. Keywords shorter than the
@@ -93,9 +149,10 @@ impl Tokenizer {
     /// payloads); longer keywords use their first window — callers should
     /// split long keywords into windows via [`Tokenizer::rule_tokens`].
     pub fn rule_token(&self, keyword: &[u8]) -> Token {
-        let mut w = keyword.to_vec();
-        w.resize(TOKEN_WINDOW.max(w.len()), 0);
-        self.window_token(&w[..TOKEN_WINDOW])
+        let first = &keyword[..keyword.len().min(TOKEN_WINDOW)];
+        let mut window = [0u8; TOKEN_WINDOW];
+        window[..first.len()].copy_from_slice(first);
+        self.tokens([u64::from_be_bytes(window); Speck128::LANES])[0]
     }
 
     /// Splits a long keyword into consecutive window tokens (stride 1), so

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use xlf_lwcrypto::ciphers::{Aes, Present80, Speck128};
 use xlf_lwcrypto::hash::LightHash;
 use xlf_lwcrypto::kdf::derive_key;
-use xlf_lwcrypto::mac::CbcMac;
+use xlf_lwcrypto::mac::{prf, CbcMac};
 use xlf_lwcrypto::modes::{Cbc, Ctr};
 use xlf_lwcrypto::searchable::{match_rule, Tokenizer};
 use xlf_lwcrypto::{registry, BlockCipher};
@@ -216,5 +216,86 @@ proptest! {
             .map(|r| match_rule(&traffic, r).first().copied())
             .collect();
         prop_assert_eq!(index.find_first_per_rule(&traffic), expected);
+    }
+}
+
+/// The reference window token: the CBC-MAC PRF of one zero-padded
+/// window under the session token key, composed from the public
+/// primitives with no shared state.
+fn reference_token(secret: &[u8], window: &[u8]) -> Token {
+    let key = derive_key(secret, "xlf-searchable-token", 16).unwrap();
+    let cipher = Speck128::new(&key).unwrap();
+    let mut padded = window.to_vec();
+    padded.resize(8, 0);
+    prf(&cipher, "blindbox-token", &padded).unwrap()[..8]
+        .try_into()
+        .unwrap()
+}
+
+/// The reference token stream: one PRF call per sliding window, or one
+/// zero-padded window for payloads shorter than it.
+fn reference_tokens(secret: &[u8], payload: &[u8]) -> Vec<Token> {
+    if payload.len() < 8 {
+        return vec![reference_token(secret, payload)];
+    }
+    payload
+        .windows(8)
+        .map(|w| reference_token(secret, w))
+        .collect()
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+#[test]
+fn tokens_match_reference_prf_at_every_length_below_300() {
+    // Lengths below the window, exactly one window, and window counts on
+    // both sides of every multiple of the SPECK lane count.
+    let secret = b"equivalence session";
+    let t = Tokenizer::new(secret).unwrap();
+    let payload: Vec<u8> = (0..300u32).map(|i| (i * 131 + 7) as u8).collect();
+    let mut reused = vec![[0xEE; 8]; 3];
+    for len in 0..payload.len() {
+        let expected = reference_tokens(secret, &payload[..len]);
+        assert_eq!(t.tokenize(&payload[..len]), expected, "length {len}");
+        t.tokenize_into(&payload[..len], &mut reused);
+        assert_eq!(reused, expected, "tokenize_into, length {len}");
+    }
+}
+
+#[test]
+fn tokenizer_known_answers() {
+    // Pinned from the per-window PRF composition, so the midstate kernel
+    // and the reference cannot drift together.
+    let t = Tokenizer::new(b"xlf known-answer session").unwrap();
+    assert_eq!(hex(&t.tokenize(b"GET /bot.sh")[0]), "308fecbfea8e6dba");
+    assert_eq!(hex(&t.rule_token(b"hi")), "0b64a55a224ab2ef");
+}
+
+proptest! {
+    /// `tokenize` and `tokenize_into` equal the per-window reference PRF
+    /// for arbitrary secrets and payloads up to 1100 bytes.
+    #[test]
+    fn tokens_equal_reference_prf(secret in prop::collection::vec(any::<u8>(), 1..40),
+                                  payload in prop::collection::vec(any::<u8>(), 0..1100)) {
+        let t = Tokenizer::new(&secret).unwrap();
+        let expected = reference_tokens(&secret, &payload);
+        prop_assert_eq!(t.tokenize(&payload), expected.clone());
+        let mut reused = t.tokenize(b"previous payload in the buffer");
+        t.tokenize_into(&payload, &mut reused);
+        prop_assert_eq!(reused, expected);
+    }
+
+    /// Rule tokens equal the reference for short and long keywords: a
+    /// short keyword is zero-padded, a long one uses its first window, and
+    /// `rule_tokens` is the keyword's sliding-window stream.
+    #[test]
+    fn rule_tokens_equal_reference_prf(secret in prop::collection::vec(any::<u8>(), 1..40),
+                                       keyword in prop::collection::vec(any::<u8>(), 0..24)) {
+        let t = Tokenizer::new(&secret).unwrap();
+        let first = &keyword[..keyword.len().min(8)];
+        prop_assert_eq!(t.rule_token(&keyword), reference_token(&secret, first));
+        prop_assert_eq!(t.rule_tokens(&keyword), reference_tokens(&secret, &keyword));
     }
 }
