@@ -3,16 +3,36 @@
 //! over a mixed corpus of benign and C&C traffic. The claim under test:
 //! encrypted DPI preserves detection exactly, at a constant-factor
 //! throughput cost, without breaking end-to-end encryption.
+//!
+//! Also sweeps the DPI fast path (single-pass engines vs per-rule scans)
+//! and endpoint tokenization per window, and emits `BENCH_dpi.json`.
+//!
+//! ```text
+//! cargo run --release -p xlf-bench --bin exp_dpi -- [--smoke] [--json BENCH_dpi.json]
+//! ```
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::process::ExitCode;
 use std::time::Instant;
-use xlf_bench::{prf, print_table};
+use xlf_bench::harness::{fixed, per_call_s, Args, Row};
+use xlf_bench::{obj, prf};
 use xlf_core::dpi::{default_rules, match_batch_sharded, EncryptedDpi, PlaintextDpi, Rule};
 use xlf_lwcrypto::ciphers::Speck128;
 use xlf_lwcrypto::kdf::derive_key;
 use xlf_lwcrypto::searchable::{Token, Tokenizer, TOKEN_SIZE, TOKEN_WINDOW};
 use xlf_simnet::SimTime;
+
+// The sweep is seconds long, so the smoke run is the canonical sweep.
+const RULE_COUNTS: [usize; 4] = [8, 64, 256, 1024];
+const PAYLOAD_BYTES: [usize; 3] = [256, 1024, 4096];
+/// Telemetry payload sizes `SimDevice` emits: idle, active, streaming.
+const TOKENIZE_BYTES: [usize; 3] = [48, 120, 900];
+
+/// The fast-path acceptance cell: rules × payload bytes.
+const ACCEPTANCE_CELL: (usize, usize) = (256, 1024);
+/// Required speed-up of the automaton over the naive scan there.
+const AUTOMATON_REQUIRED: f64 = 5.0;
 
 /// Builds the corpus: (payload, is_malicious).
 fn corpus() -> Vec<(Vec<u8>, bool)> {
@@ -69,23 +89,6 @@ fn synthetic_payloads(rng: &mut StdRng, count: usize, size: usize, rules: &[Rule
         .collect()
 }
 
-/// Seconds per invocation of `f`, repeating until the sample is long
-/// enough to trust.
-fn measure<F: FnMut()>(mut f: F) -> f64 {
-    let mut reps = 1u32;
-    loop {
-        let start = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        if elapsed > 0.01 || reps >= 1 << 20 {
-            return elapsed / f64::from(reps);
-        }
-        reps *= 4;
-    }
-}
-
 struct SweepCell {
     rules: usize,
     payload_bytes: usize,
@@ -115,26 +118,26 @@ fn fastpath_sweep() -> Vec<SweepCell> {
     const SHARDS: usize = 4;
     let mut rng = StdRng::seed_from_u64(0x517f_d719);
     let mut cells = Vec::new();
-    for &rule_count in &[8usize, 64, 256, 1024] {
+    for rule_count in RULE_COUNTS {
         let rules = synthetic_rules(rule_count);
-        for &size in &[256usize, 1024, 4096] {
+        for size in PAYLOAD_BYTES {
             let payloads = synthetic_payloads(&mut rng, PAYLOADS_PER_CELL, size, &rules);
             let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
             let batch_bytes = (size * PAYLOADS_PER_CELL) as f64 / 1e6;
             let mbps = |secs_per_batch: f64| batch_bytes / secs_per_batch.max(1e-12);
 
             let plain = PlaintextDpi::new(rules.clone());
-            let naive = mbps(measure(|| {
+            let naive = mbps(per_call_s(|| {
                 for p in &refs {
                     std::hint::black_box(plain.inspect_naive(p));
                 }
             }));
-            let automaton = mbps(measure(|| {
+            let automaton = mbps(per_call_s(|| {
                 for p in &refs {
                     std::hint::black_box(plain.inspect(p));
                 }
             }));
-            let batched = mbps(measure(|| {
+            let batched = mbps(per_call_s(|| {
                 std::hint::black_box(plain.inspect_batch(&refs));
             }));
 
@@ -144,19 +147,19 @@ fn fastpath_sweep() -> Vec<SweepCell> {
             enc_naive_engine.bind_session(&endpoint);
             let mut enc_indexed_engine = EncryptedDpi::new(rules.clone());
             enc_indexed_engine.bind_session(&endpoint);
-            let enc_naive = mbps(measure(|| {
+            let enc_naive = mbps(per_call_s(|| {
                 for t in &streams {
                     std::hint::black_box(enc_naive_engine.match_stream(t));
                 }
             }));
-            let enc_indexed = mbps(measure(|| {
+            let enc_indexed = mbps(per_call_s(|| {
                 std::hint::black_box(enc_indexed_engine.inspect_batch(
                     "dev",
                     &streams,
                     SimTime::ZERO,
                 ));
             }));
-            let enc_sharded = mbps(measure(|| {
+            let enc_sharded = mbps(per_call_s(|| {
                 std::hint::black_box(match_batch_sharded(&enc_indexed_engine, &streams, SHARDS));
             }));
 
@@ -174,9 +177,6 @@ fn fastpath_sweep() -> Vec<SweepCell> {
     }
     cells
 }
-
-/// Telemetry payload sizes `SimDevice` emits: idle, active, streaming.
-const TELEMETRY_SIZES: [usize; 3] = [48, 120, 900];
 
 /// Required speed-up of the tokenizer over the per-window PRF reference.
 const TOKENIZE_REQUIRED: f64 = 5.0;
@@ -222,9 +222,9 @@ fn tokenize_sweep() -> Vec<TokenizeCell> {
     let key = derive_key(secret, "xlf-searchable-token", 16).expect("token key");
     let cipher = Speck128::new(&key).expect("16-byte token key");
     let mut rng = StdRng::seed_from_u64(0x70c3_11e5);
-    TELEMETRY_SIZES
-        .iter()
-        .map(|&size| {
+    TOKENIZE_BYTES
+        .into_iter()
+        .map(|size| {
             let payloads: Vec<Vec<u8>> = (0..PAYLOADS_PER_CELL)
                 .map(|_| (0..size).map(|_| rng.gen_range(0x20u8..0x7f)).collect())
                 .collect();
@@ -236,13 +236,13 @@ fn tokenize_sweep() -> Vec<TokenizeCell> {
                 );
             }
             let mut buffer = Vec::new();
-            let kernel = measure(|| {
+            let kernel = per_call_s(|| {
                 for p in &payloads {
                     tokenizer.tokenize_into(std::hint::black_box(p), &mut buffer);
                     std::hint::black_box(&buffer);
                 }
             });
-            let reference = measure(|| {
+            let reference = per_call_s(|| {
                 for p in &payloads {
                     std::hint::black_box(reference_tokenize(&cipher, std::hint::black_box(p)));
                 }
@@ -265,61 +265,8 @@ fn tokenize_speedup(cells: &[TokenizeCell]) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Hand-rolled JSON trajectory point (no serde in the tree).
-fn write_bench_json(
-    cells: &[SweepCell],
-    tokenize: &[TokenizeCell],
-    path: &str,
-) -> std::io::Result<()> {
-    let mut body = String::from("{\n  \"experiment\": \"dpi-fastpath-sweep\",\n  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        body.push_str(&format!(
-            "    {{\"rules\": {}, \"payload_bytes\": {}, \
-             \"naive_mbps\": {:.2}, \"automaton_mbps\": {:.2}, \"batched_mbps\": {:.2}, \
-             \"enc_naive_mbps\": {:.2}, \"enc_indexed_mbps\": {:.2}, \"enc_sharded_mbps\": {:.2}, \
-             \"automaton_speedup\": {:.2}, \"index_speedup\": {:.2}}}{}\n",
-            c.rules,
-            c.payload_bytes,
-            c.naive,
-            c.automaton,
-            c.batched,
-            c.enc_naive,
-            c.enc_indexed,
-            c.enc_sharded,
-            c.automaton_speedup(),
-            c.index_speedup(),
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    body.push_str("  ],\n  \"tokenize\": [\n");
-    for (i, c) in tokenize.iter().enumerate() {
-        body.push_str(&format!(
-            "    {{\"payload_bytes\": {}, \"windows_per_payload\": {}, \
-             \"kernel_ns_per_window\": {:.2}, \"reference_ns_per_window\": {:.2}, \
-             \"speedup\": {:.2}}}{}\n",
-            c.payload_bytes,
-            c.windows_per_payload(),
-            c.kernel_ns,
-            c.reference_ns,
-            c.speedup(),
-            if i + 1 == tokenize.len() { "" } else { "," }
-        ));
-    }
-    let acceptance = cells
-        .iter()
-        .find(|c| c.rules == 256 && c.payload_bytes == 1024)
-        .expect("acceptance cell swept");
-    body.push_str(&format!(
-        "  ],\n  \"acceptance\": {{\"rules\": 256, \"payload_bytes\": 1024, \
-         \"automaton_speedup\": {:.2}, \"required\": 5.0, \
-         \"tokenize_speedup\": {:.2}, \"tokenize_required\": {TOKENIZE_REQUIRED:.1}}}\n}}\n",
-        acceptance.automaton_speedup(),
-        tokenize_speedup(tokenize)
-    ));
-    std::fs::write(path, body)
-}
-
-fn main() {
+fn main() -> ExitCode {
+    let args = Args::from_env();
     let corpus = corpus();
     let total_bytes: usize = corpus.iter().map(|(p, _)| p.len()).sum();
 
@@ -352,147 +299,90 @@ fn main() {
     let none_outcomes: Vec<(bool, bool)> =
         corpus.iter().map(|(_, truth)| (false, *truth)).collect();
 
-    let mbps = |elapsed: f64| (total_bytes as f64 / 1e6) / elapsed.max(1e-9);
-    let rows = vec![
-        {
-            let m = prf(&none_outcomes);
-            vec![
-                "no inspection".to_string(),
-                format!("{:.2}", m.precision),
-                format!("{:.2}", m.recall),
-                format!("{:.2}", m.f1),
-                "∞".to_string(),
-                "end-to-end intact".to_string(),
-            ]
-        },
-        {
-            let m = prf(&plain_outcomes);
-            vec![
-                "plaintext DPI".to_string(),
-                format!("{:.2}", m.precision),
-                format!("{:.2}", m.recall),
-                format!("{:.2}", m.f1),
-                format!("{:.1} MB/s", mbps(plain_elapsed)),
-                "BROKEN (MitM certificates)".to_string(),
-            ]
-        },
-        {
-            let m = prf(&enc_outcomes);
-            vec![
-                "XLF encrypted DPI".to_string(),
-                format!("{:.2}", m.precision),
-                format!("{:.2}", m.recall),
-                format!("{:.2}", m.f1),
-                format!("{:.1} MB/s", mbps(enc_elapsed)),
-                "end-to-end intact".to_string(),
-            ]
-        },
-    ];
-    print_table(
-        "E-M4 — Encrypted DPI vs plaintext DPI vs none (§IV-B2)",
-        &[
-            "Engine",
-            "Precision",
-            "Recall",
-            "F1",
-            "Throughput",
-            "E2E encryption",
-        ],
-        &rows,
-    );
-    println!(
-        "\nCorpus: {} payloads ({} malicious), {} rules.\n\
-         Shape check: encrypted DPI matches plaintext detection exactly while\n\
-         preserving end-to-end encryption, at a constant-factor slowdown\n\
-         ({}× here) — the BlindBox trade the paper adopts.",
-        corpus.len(),
-        corpus.iter().filter(|(_, m)| *m).count(),
-        default_rules().len(),
-        (mbps(plain_elapsed) / mbps(enc_elapsed)).round()
-    );
+    // No inspection keeps end-to-end encryption but detects nothing;
+    // plaintext DPI breaks it (MitM certificates); encrypted DPI keeps it.
+    let mbps = |elapsed: f64| fixed((total_bytes as f64 / 1e6) / elapsed.max(1e-9), 1);
+    let detection = [
+        ("no inspection", &none_outcomes, None, true),
+        (
+            "plaintext DPI",
+            &plain_outcomes,
+            Some(mbps(plain_elapsed)),
+            false,
+        ),
+        (
+            "XLF encrypted DPI",
+            &enc_outcomes,
+            Some(mbps(enc_elapsed)),
+            true,
+        ),
+    ]
+    .map(|(engine, outcomes, mbps, e2e_intact)| {
+        let m = prf(outcomes);
+        obj! {
+            "engine" => engine,
+            "precision" => fixed(m.precision, 3),
+            "recall" => fixed(m.recall, 3),
+            "f1" => fixed(m.f1, 3),
+            "mbps" => mbps,
+            "e2e_intact" => e2e_intact,
+        }
+    });
 
     // Fast-path sweep: single-pass engines vs the per-rule scans across
     // rule-set sizes and payload sizes.
     let cells = fastpath_sweep();
-    let rows: Vec<Vec<String>> = cells
-        .iter()
-        .map(|c| {
-            vec![
-                format!("{}", c.rules),
-                format!("{} B", c.payload_bytes),
-                format!("{:.0} MB/s", c.naive),
-                format!("{:.0} MB/s", c.automaton),
-                format!("{:.0} MB/s", c.batched),
-                format!("{:.0} MB/s", c.enc_naive),
-                format!("{:.0} MB/s", c.enc_indexed),
-                format!("{:.0} MB/s", c.enc_sharded),
-                format!("{:.1}×", c.automaton_speedup()),
-            ]
-        })
-        .collect();
-    print_table(
-        "DPI fast path — rules × payload sweep (single-pass vs per-rule)",
-        &[
-            "Rules",
-            "Payload",
-            "Plain naive",
-            "Automaton",
-            "AC batched",
-            "Enc naive",
-            "Token index",
-            "Idx sharded",
-            "AC speedup",
-        ],
-        &rows,
-    );
     let acceptance = cells
         .iter()
-        .find(|c| c.rules == 256 && c.payload_bytes == 1024)
+        .find(|c| (c.rules, c.payload_bytes) == ACCEPTANCE_CELL)
         .expect("acceptance cell swept");
-    println!(
-        "\nAcceptance: automaton is {:.1}× the naive scan at 256 rules × 1 KiB \
-         (required ≥ 5×); token index is {:.1}× the naive encrypted scan there.",
-        acceptance.automaton_speedup(),
-        acceptance.index_speedup()
-    );
 
     // Endpoint tokenization: the cost the encrypted engines above exclude
     // (their token streams are built outside the timed region).
     let tokenize = tokenize_sweep();
-    let rows: Vec<Vec<String>> = tokenize
-        .iter()
-        .map(|c| {
-            vec![
-                format!("{} B", c.payload_bytes),
-                format!("{}", c.windows_per_payload()),
-                format!("{:.1} ns", c.kernel_ns),
-                format!("{:.1} ns", c.reference_ns),
-                format!("{:.1}×", c.speedup()),
-            ]
-        })
-        .collect();
-    print_table(
-        "Endpoint tokenization — per window, session tokenizer vs per-window PRF",
-        &[
-            "Payload",
-            "Windows",
-            "Tokenizer",
-            "Reference PRF",
-            "Speedup",
-        ],
-        &rows,
-    );
     let speedup = tokenize_speedup(&tokenize);
-    println!(
-        "\nAcceptance: the tokenizer is at least {speedup:.1}× the per-window PRF \
-         (required ≥ {TOKENIZE_REQUIRED}×)."
-    );
-    assert!(
-        speedup >= TOKENIZE_REQUIRED,
-        "tokenize speed-up {speedup:.2} is below the required {TOKENIZE_REQUIRED}"
-    );
-    match write_bench_json(&cells, &tokenize, "BENCH_dpi.json") {
-        Ok(()) => println!("Trajectory point written to BENCH_dpi.json."),
-        Err(e) => eprintln!("could not write BENCH_dpi.json: {e}"),
-    }
+    let rows = [
+        Row::new(
+            "encrypted_f1",
+            prf(&enc_outcomes).f1,
+            "==",
+            prf(&plain_outcomes).f1,
+        ),
+        Row::new(
+            "automaton_speedup_at_256_rules_1k",
+            acceptance.automaton_speedup(),
+            ">=",
+            AUTOMATON_REQUIRED,
+        ),
+        Row::new("tokenize_speedup", speedup, ">=", TOKENIZE_REQUIRED),
+    ];
+    let results = obj! {
+        "corpus_payloads" => corpus.len(),
+        "detection" => detection.to_vec(),
+        "cells" => cells.iter().map(|c| obj! {
+            "rules" => c.rules,
+            "payload_bytes" => c.payload_bytes,
+            "naive_mbps" => fixed(c.naive, 2),
+            "automaton_mbps" => fixed(c.automaton, 2),
+            "batched_mbps" => fixed(c.batched, 2),
+            "enc_naive_mbps" => fixed(c.enc_naive, 2),
+            "enc_indexed_mbps" => fixed(c.enc_indexed, 2),
+            "enc_sharded_mbps" => fixed(c.enc_sharded, 2),
+            "automaton_speedup" => fixed(c.automaton_speedup(), 2),
+            "index_speedup" => fixed(c.index_speedup(), 2),
+        }).collect::<Vec<_>>(),
+        "tokenize" => tokenize.iter().map(|c| obj! {
+            "payload_bytes" => c.payload_bytes,
+            "windows_per_payload" => c.windows_per_payload(),
+            "kernel_ns_per_window" => fixed(c.kernel_ns, 2),
+            "reference_ns_per_window" => fixed(c.reference_ns, 2),
+            "speedup" => fixed(c.speedup(), 2),
+        }).collect::<Vec<_>>(),
+    };
+    let config = obj! {
+        "rule_counts" => &RULE_COUNTS[..],
+        "payload_bytes" => &PAYLOAD_BYTES[..],
+        "tokenize_bytes" => &TOKENIZE_BYTES[..],
+    };
+    args.finish("dpi", config, results, &rows)
 }

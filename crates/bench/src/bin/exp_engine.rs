@@ -15,15 +15,17 @@
 //!    graph build alone and for a full community epoch.
 //!
 //! ```text
-//! cargo run --release -p xlf-bench --bin exp_engine -- \
-//!     --json BENCH_engine.json [--smoke]
+//! cargo run --release -p xlf-bench --bin exp_engine -- [--smoke] [--json BENCH_engine.json]
 //! ```
 
+use std::process::ExitCode;
 use std::time::Instant;
 use xlf_analytics::graph::{
     community_report_into, deviation_scores, label_propagation_seeded, normalize_features,
     similarity_graph_into, similarity_graph_naive, FeatureMatrix, GraphScratch,
 };
+use xlf_bench::harness::{best_of, fixed, per_call_s, Args, Json, Row};
+use xlf_bench::obj;
 use xlf_simnet::{Context, Duration, Medium, Network, Node, NodeId, Packet, SimTime, TimerId};
 
 /// Whole-engine storm throughput at 256 leaves, measured at the seed
@@ -43,36 +45,56 @@ const KNN_EPOCH_REQUIRED_SPEEDUP: f64 = 5.0;
 const CHURN_REQUIRED_RATIO: f64 = 1.3;
 const STORM_REQUIRED_RATIO: f64 = 1.08;
 
-/// Smoke runs use short batches on a shared CI core, so each floor gets
-/// 10% noise slack there; the full run (which writes the published
-/// `BENCH_engine.json`) asserts the floors verbatim.
-const SMOKE_SLACK: f64 = 0.9;
-
 /// Timer fan-out per leaf: outstanding timers per leaf node, which sets
 /// the steady-state scheduler queue depth (leaves × fanout + in-flight).
 const STORM_FANOUT: u32 = 32;
 /// Timer cadence inside one leaf's fan-out cycle.
 const STORM_INTERVAL_MS: u64 = 10;
 
-struct Args {
-    json: String,
-    smoke: bool,
+struct Config {
+    churn_depths: &'static [usize],
+    churn_ops: usize,
+    storm_leaves: &'static [usize],
+    storm_horizon_s: u64,
+    storm_tries: usize,
+    knn_homes: &'static [usize],
+    /// Multiplier on every floor. Smoke runs use short batches on a
+    /// shared core, so each floor gets 10% noise slack there.
+    slack: f64,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        json: "BENCH_engine.json".to_string(),
-        smoke: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--json" => args.json = it.next().expect("--json needs a path"),
-            "--smoke" => args.smoke = true,
-            other => panic!("unknown flag {other} (use --json --smoke)"),
+const CANONICAL: Config = Config {
+    churn_depths: &[1024, 8192, 65_536, 524_288, 2_097_152],
+    churn_ops: 2_000_000,
+    storm_leaves: &[16, 64, 256],
+    storm_horizon_s: 10,
+    storm_tries: 3,
+    knn_homes: &[128, 512, 1000],
+    slack: 1.0,
+};
+
+const SMOKE: Config = Config {
+    churn_depths: &[1024, 65_536],
+    churn_ops: 400_000,
+    storm_leaves: &[256],
+    storm_horizon_s: 3,
+    storm_tries: 2,
+    knn_homes: &[128, 1000],
+    slack: 0.9,
+};
+
+impl Config {
+    fn json(&self) -> Json {
+        obj! {
+            "churn_depths" => self.churn_depths,
+            "churn_ops" => self.churn_ops,
+            "storm_leaves" => self.storm_leaves,
+            "storm_horizon_s" => self.storm_horizon_s,
+            "storm_tries" => self.storm_tries,
+            "knn_homes" => self.knn_homes,
+            "slack" => self.slack,
         }
     }
-    args
 }
 
 // ---------------------------------------------------------------------
@@ -116,8 +138,10 @@ impl Node for StormHub {
     }
 }
 
-/// Runs the packet/timer storm to `horizon_s` and returns
-/// `(events_processed, wall_seconds)`.
+/// Runs the packet/timer storm to `horizon_s` and returns the events
+/// processed with the wall time of the run alone. Building and dropping
+/// the network stay off the clock, as they were when the pinned
+/// constant was measured.
 fn engine_storm(leaves: usize, horizon_s: u64) -> (u64, f64) {
     let mut net = Network::new(42);
     let hub = net.add_node(Box::new(StormHub));
@@ -125,11 +149,11 @@ fn engine_storm(leaves: usize, horizon_s: u64) -> (u64, f64) {
         let leaf = net.add_node(Box::new(StormLeaf { hub }));
         net.connect(leaf, hub, Medium::Wifi.link().with_loss(0.0));
     }
-    let start = Instant::now();
-    let (events, truncated) = net.run_until_capped(SimTime::from_secs(horizon_s), u64::MAX);
-    let wall = start.elapsed().as_secs_f64();
+    let ((events, truncated), wall_s) = best_of(1, || {
+        net.run_until_capped(SimTime::from_secs(horizon_s), u64::MAX)
+    });
     assert!(!truncated);
-    (events, wall)
+    (events, wall_s)
 }
 
 struct StormCell {
@@ -142,35 +166,26 @@ struct StormCell {
     vs_pinned: Option<f64>,
 }
 
-fn storm_sweep(smoke: bool) -> Vec<StormCell> {
-    let (leaf_counts, horizon_s, tries): (&[usize], u64, usize) = if smoke {
-        (&[256], 3, 2)
-    } else {
-        (&[16, 64, 256], 10, 3)
-    };
-    let mut cells = Vec::new();
-    for &leaves in leaf_counts {
-        let _ = engine_storm(leaves, 2); // warm-up
-        let mut best = f64::INFINITY;
-        let mut events = 0;
-        for _ in 0..tries {
-            let (e, w) = engine_storm(leaves, horizon_s);
-            events = e;
-            if w < best {
-                best = w;
+fn storm_sweep(cfg: &Config) -> Vec<StormCell> {
+    cfg.storm_leaves
+        .iter()
+        .map(|&leaves| {
+            let _ = engine_storm(leaves, 2); // warm-up
+            let (events, wall_s) = (0..cfg.storm_tries)
+                .map(|_| engine_storm(leaves, cfg.storm_horizon_s))
+                .min_by(|a, b| a.1.total_cmp(&b.1))
+                .expect("at least one try");
+            let events_per_sec = events as f64 / wall_s;
+            StormCell {
+                leaves,
+                events,
+                wall_s,
+                events_per_sec,
+                vs_pinned: (leaves == 256)
+                    .then_some(events_per_sec / PRE_OVERHAUL_STORM_EVENTS_PER_SEC),
             }
-        }
-        let events_per_sec = events as f64 / best;
-        cells.push(StormCell {
-            leaves,
-            events,
-            wall_s: best,
-            events_per_sec,
-            vs_pinned: (leaves == 256)
-                .then_some(events_per_sec / PRE_OVERHAUL_STORM_EVENTS_PER_SEC),
-        });
-    }
-    cells
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -237,13 +252,9 @@ impl ChurnCell {
     }
 }
 
-fn churn_sweep(smoke: bool) -> Vec<ChurnCell> {
-    let (depths, churn): (&[usize], usize) = if smoke {
-        (&[1024, 65_536], 400_000)
-    } else {
-        (&[1024, 8192, 65_536, 524_288, 2_097_152], 2_000_000)
-    };
-    depths
+fn churn_sweep(cfg: &Config) -> Vec<ChurnCell> {
+    let churn = cfg.churn_ops;
+    cfg.churn_depths
         .iter()
         .map(|&depth| {
             // Best of two per side, interleaved, to shrug off noise.
@@ -284,35 +295,6 @@ fn synthetic_features(homes: usize, dims: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// Seconds per invocation of `f`, repeating until the sample is long
-/// enough to trust.
-fn measure<F: FnMut()>(mut f: F) -> f64 {
-    // Grow the batch until one run is long enough to time reliably.
-    let mut reps = 1u32;
-    let mut batch;
-    loop {
-        let start = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        batch = start.elapsed().as_secs_f64();
-        if batch > 0.01 || reps >= 1 << 20 {
-            break;
-        }
-        reps *= 4;
-    }
-    // Best-of-3: the minimum batch wall filters scheduler noise.
-    let mut best = batch;
-    for _ in 0..2 {
-        let start = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best / f64::from(reps)
-}
-
 struct KnnCell {
     homes: usize,
     naive_graph_s: f64,
@@ -331,17 +313,12 @@ impl KnnCell {
     }
 }
 
-fn knn_sweep(smoke: bool) -> Vec<KnnCell> {
+fn knn_sweep(cfg: &Config) -> Vec<KnnCell> {
     const DIMS: usize = 20; // 2 × STREAM_FEATURES, the stream layout
     const K: usize = 8;
     const GAMMA: f64 = 8.0;
     const ITERS: usize = 100;
-    let homes_counts: &[usize] = if smoke {
-        &[128, 1000]
-    } else {
-        &[128, 512, 1000]
-    };
-    homes_counts
+    cfg.knn_homes
         .iter()
         .map(|&homes| {
             let raw = synthetic_features(homes, DIMS);
@@ -354,13 +331,13 @@ fn knn_sweep(smoke: bool) -> Vec<KnnCell> {
             // runs the way production runs it — through caller-owned
             // scratch buffers that persist across epochs — not through
             // the allocating one-shot wrapper.
-            let naive_graph_s = measure(|| {
+            let naive_graph_s = per_call_s(|| {
                 std::hint::black_box(similarity_graph_naive(&normalized, K, GAMMA));
             });
             let mut matrix = FeatureMatrix::new();
             matrix.fill_from_rows(&normalized);
             let (mut dist, mut sel, mut adj) = (Vec::new(), Vec::new(), Vec::new());
-            let blocked_graph_s = measure(|| {
+            let blocked_graph_s = per_call_s(|| {
                 similarity_graph_into(&matrix, K, GAMMA, &mut dist, &mut sel, &mut adj);
                 std::hint::black_box(&adj);
             });
@@ -369,7 +346,7 @@ fn knn_sweep(smoke: bool) -> Vec<KnnCell> {
             // naive epoch is the pre-overhaul shape (clone + normalize +
             // per-pair graph + propagation + scoring); the blocked epoch
             // is the scratch-reusing pipeline the stream tier now runs.
-            let naive_epoch_s = measure(|| {
+            let naive_epoch_s = per_call_s(|| {
                 let mut n = raw.clone();
                 normalize_features(&mut n);
                 let adj = similarity_graph_naive(&n, K, GAMMA);
@@ -377,7 +354,7 @@ fn knn_sweep(smoke: bool) -> Vec<KnnCell> {
                 std::hint::black_box(deviation_scores(&adj, &labels));
             });
             let mut scratch = GraphScratch::new();
-            let blocked_epoch_s = measure(|| {
+            let blocked_epoch_s = per_call_s(|| {
                 scratch.matrix.fill_from_flat(&flat, homes, DIMS);
                 community_report_into(K, GAMMA, ITERS, Some(&seed), &mut scratch);
                 std::hint::black_box(scratch.scores());
@@ -396,173 +373,71 @@ fn knn_sweep(smoke: bool) -> Vec<KnnCell> {
 
 // ---------------------------------------------------------------------
 
-fn write_bench_json(
-    path: &str,
-    smoke: bool,
-    churn: &[ChurnCell],
-    storm: &[StormCell],
-    knn: &[KnnCell],
-) -> std::io::Result<()> {
-    let mut body = format!(
-        "{{\n  \"experiment\": \"engine-hotpath\",\n  \"smoke\": {smoke},\n  \
-         \"pinned_pre_overhaul_storm_events_per_sec\": {PRE_OVERHAUL_STORM_EVENTS_PER_SEC:.0},\n  \
-         \"churn\": [\n"
-    );
-    for (i, c) in churn.iter().enumerate() {
-        body.push_str(&format!(
-            "    {{\"depth\": {}, \"arena_events_per_sec\": {:.0}, \
-             \"naive_events_per_sec\": {:.0}, \"ratio\": {:.3}}}{}\n",
-            c.depth,
-            c.arena_eps,
-            c.naive_eps,
-            c.ratio(),
-            if i + 1 == churn.len() { "" } else { "," }
-        ));
-    }
-    body.push_str("  ],\n  \"storm\": [\n");
-    for (i, s) in storm.iter().enumerate() {
-        body.push_str(&format!(
-            "    {{\"leaves\": {}, \"events\": {}, \"wall_s\": {:.4}, \
-             \"events_per_sec\": {:.0}, \"vs_pinned\": {}}}{}\n",
-            s.leaves,
-            s.events,
-            s.wall_s,
-            s.events_per_sec,
-            s.vs_pinned
-                .map_or("null".to_string(), |r| format!("{r:.3}")),
-            if i + 1 == storm.len() { "" } else { "," }
-        ));
-    }
-    body.push_str("  ],\n  \"knn\": [\n");
-    for (i, k) in knn.iter().enumerate() {
-        body.push_str(&format!(
-            "    {{\"homes\": {}, \"naive_graph_s\": {:.6}, \"blocked_graph_s\": {:.6}, \
-             \"graph_speedup\": {:.2}, \"naive_epoch_s\": {:.6}, \"blocked_epoch_s\": {:.6}, \
-             \"epoch_speedup\": {:.2}}}{}\n",
-            k.homes,
-            k.naive_graph_s,
-            k.blocked_graph_s,
-            k.graph_speedup(),
-            k.naive_epoch_s,
-            k.blocked_epoch_s,
-            k.epoch_speedup(),
-            if i + 1 == knn.len() { "" } else { "," }
-        ));
-    }
-    let knn_1k = knn.iter().find(|k| k.homes == 1000).expect("1k cell swept");
-    let storm_256 = storm.iter().find(|s| s.leaves == 256).expect("256 leaves");
-    let churn_gate = churn
-        .iter()
-        .find(|c| c.depth == 65_536)
-        .expect("depth 65536 swept");
-    body.push_str(&format!(
-        "  ],\n  \"acceptance\": {{\
-         \"knn_graph_speedup_at_1k\": {:.2}, \"knn_required\": {KNN_REQUIRED_SPEEDUP:.1}, \
-         \"knn_epoch_speedup_at_1k\": {:.2}, \"knn_epoch_required\": {KNN_EPOCH_REQUIRED_SPEEDUP:.1}, \
-         \"churn_ratio_at_65536\": {:.3}, \"churn_required\": {CHURN_REQUIRED_RATIO:.2}, \
-         \"storm_vs_pinned\": {:.3}, \"storm_required\": {STORM_REQUIRED_RATIO:.2}}}\n}}\n",
-        knn_1k.graph_speedup(),
-        knn_1k.epoch_speedup(),
-        churn_gate.ratio(),
-        storm_256.vs_pinned.expect("256-leaf cell carries the ratio"),
-    ));
-    std::fs::write(path, body)
-}
+fn main() -> ExitCode {
+    let args = Args::from_env();
+    let cfg = args.pick(&CANONICAL, &SMOKE);
 
-fn main() {
-    let args = parse_args();
-    println!(
-        "xlf-engine hot-path: scheduler churn, dispatch storm, kNN correlator{}",
-        if args.smoke { " (smoke)" } else { "" }
-    );
-
-    let churn = churn_sweep(args.smoke);
-    for c in &churn {
-        println!(
-            "churn depth={:7} arena={:>12.0}/s naive={:>12.0}/s ratio={:.2}",
-            c.depth,
-            c.arena_eps,
-            c.naive_eps,
-            c.ratio()
-        );
-    }
-
-    let storm = storm_sweep(args.smoke);
-    for s in &storm {
-        println!(
-            "storm leaves={:4} events={:9} wall={:.3}s events_per_sec={:>12.0}{}",
-            s.leaves,
-            s.events,
-            s.wall_s,
-            s.events_per_sec,
-            s.vs_pinned
-                .map_or(String::new(), |r| format!(" vs_pinned={r:.2}x")),
-        );
-    }
-
-    let knn = knn_sweep(args.smoke);
-    for k in &knn {
-        println!(
-            "knn homes={:5} graph naive={:.4}s blocked={:.4}s ({:.1}x)  \
-             epoch naive={:.4}s blocked={:.4}s ({:.1}x)",
-            k.homes,
-            k.naive_graph_s,
-            k.blocked_graph_s,
-            k.graph_speedup(),
-            k.naive_epoch_s,
-            k.blocked_epoch_s,
-            k.epoch_speedup(),
-        );
-    }
+    let churn = churn_sweep(cfg);
+    let storm = storm_sweep(cfg);
+    let knn = knn_sweep(cfg);
 
     // Acceptance gates (honest placement: the ≥5× algorithmic win is in
     // the kNN sweep; the scheduler gates pin the measured improvement).
     let knn_1k = knn.iter().find(|k| k.homes == 1000).expect("1k cell");
     let storm_256 = storm.iter().find(|s| s.leaves == 256).expect("256 leaves");
     let churn_gate = churn.iter().find(|c| c.depth == 65_536).expect("65536");
-    let slack = if args.smoke { SMOKE_SLACK } else { 1.0 };
-    println!(
-        "\nacceptance{}: knn_graph_speedup_at_1k={:.2} (need {:.2}) \
-         knn_epoch_speedup_at_1k={:.2} (need {:.2}) \
-         churn_ratio_at_65536={:.2} (need {:.2}) \
-         storm_vs_pinned={:.2} (need {:.2})",
-        if args.smoke { " [smoke slack 0.9]" } else { "" },
-        knn_1k.graph_speedup(),
-        KNN_REQUIRED_SPEEDUP * slack,
-        knn_1k.epoch_speedup(),
-        KNN_EPOCH_REQUIRED_SPEEDUP * slack,
-        churn_gate.ratio(),
-        CHURN_REQUIRED_RATIO * slack,
-        storm_256.vs_pinned.unwrap(),
-        STORM_REQUIRED_RATIO * slack,
-    );
-    assert!(
-        knn_1k.graph_speedup() >= KNN_REQUIRED_SPEEDUP * slack,
-        "blocked kNN sweep below {:.2}x at 1k homes: {:.2}x",
-        KNN_REQUIRED_SPEEDUP * slack,
-        knn_1k.graph_speedup()
-    );
-    assert!(
-        knn_1k.epoch_speedup() >= KNN_EPOCH_REQUIRED_SPEEDUP * slack,
-        "blocked kNN epoch below {:.2}x at 1k homes: {:.2}x",
-        KNN_EPOCH_REQUIRED_SPEEDUP * slack,
-        knn_1k.epoch_speedup()
-    );
-    assert!(
-        churn_gate.ratio() >= CHURN_REQUIRED_RATIO * slack,
-        "arena churn below {:.2}x at depth 65536: {:.2}x",
-        CHURN_REQUIRED_RATIO * slack,
-        churn_gate.ratio()
-    );
-    assert!(
-        storm_256.vs_pinned.unwrap() >= STORM_REQUIRED_RATIO * slack,
-        "storm below {:.2}x vs pinned pre-overhaul baseline: {:.2}x",
-        STORM_REQUIRED_RATIO * slack,
-        storm_256.vs_pinned.unwrap()
-    );
-
-    match write_bench_json(&args.json, args.smoke, &churn, &storm, &knn) {
-        Ok(()) => println!("Trajectory point written to {}.", args.json),
-        Err(e) => eprintln!("could not write {}: {e}", args.json),
-    }
+    let rows = [
+        Row::new(
+            "knn_graph_speedup_at_1k",
+            knn_1k.graph_speedup(),
+            ">=",
+            KNN_REQUIRED_SPEEDUP * cfg.slack,
+        ),
+        Row::new(
+            "knn_epoch_speedup_at_1k",
+            knn_1k.epoch_speedup(),
+            ">=",
+            KNN_EPOCH_REQUIRED_SPEEDUP * cfg.slack,
+        ),
+        Row::new(
+            "churn_ratio_at_65536",
+            churn_gate.ratio(),
+            ">=",
+            CHURN_REQUIRED_RATIO * cfg.slack,
+        ),
+        Row::new(
+            "storm_vs_pinned",
+            storm_256
+                .vs_pinned
+                .expect("256-leaf cell carries the ratio"),
+            ">=",
+            STORM_REQUIRED_RATIO * cfg.slack,
+        ),
+    ];
+    let results = obj! {
+        "pinned_pre_overhaul_storm_events_per_sec" => PRE_OVERHAUL_STORM_EVENTS_PER_SEC,
+        "churn" => churn.iter().map(|c| obj! {
+            "depth" => c.depth,
+            "arena_events_per_sec" => c.arena_eps.round(),
+            "naive_events_per_sec" => c.naive_eps.round(),
+            "ratio" => fixed(c.ratio(), 3),
+        }).collect::<Vec<_>>(),
+        "storm" => storm.iter().map(|s| obj! {
+            "leaves" => s.leaves,
+            "events" => s.events,
+            "wall_s" => fixed(s.wall_s, 4),
+            "events_per_sec" => s.events_per_sec.round(),
+            "vs_pinned" => s.vs_pinned.map(|r| fixed(r, 3)),
+        }).collect::<Vec<_>>(),
+        "knn" => knn.iter().map(|k| obj! {
+            "homes" => k.homes,
+            "naive_graph_s" => fixed(k.naive_graph_s, 6),
+            "blocked_graph_s" => fixed(k.blocked_graph_s, 6),
+            "graph_speedup" => fixed(k.graph_speedup(), 2),
+            "naive_epoch_s" => fixed(k.naive_epoch_s, 6),
+            "blocked_epoch_s" => fixed(k.blocked_epoch_s, 6),
+            "epoch_speedup" => fixed(k.epoch_speedup(), 2),
+        }).collect::<Vec<_>>(),
+    };
+    args.finish("engine", cfg.json(), results, &rows)
 }

@@ -12,60 +12,52 @@
 //! Emits `BENCH_faults.json`.
 //!
 //! ```text
-//! cargo run --release -p xlf-bench --bin exp_faults -- \
-//!     --homes 48 --workers 8 --json BENCH_faults.json
+//! cargo run --release -p xlf-bench --bin exp_faults -- [--smoke] [--json BENCH_faults.json]
 //! ```
 
-use std::time::Instant;
-use xlf_bench::print_table;
+use std::process::ExitCode;
+use xlf_bench::harness::{best_of, fixed, quiet_panics, Args, Json, Row};
+use xlf_bench::{active_attacked, obj};
 use xlf_fleet::{
     run_fleet, FleetAttack, FleetFault, FleetMetrics, FleetReport, FleetSpec, HomeTemplate,
 };
 
-struct Args {
+struct Config {
     homes: usize,
     workers: usize,
-    json: String,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        homes: 48,
-        workers: 8,
-        json: "BENCH_faults.json".to_string(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |what: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{flag} needs a {what} value"))
-        };
-        match flag.as_str() {
-            "--homes" => args.homes = value("count").parse().expect("--homes: integer"),
-            "--workers" => args.workers = value("count").parse().expect("--workers: integer"),
-            "--json" => args.json = value("path"),
-            other => panic!("unknown flag {other} (use --homes --workers --json)"),
-        }
+const CANONICAL: Config = Config {
+    homes: 48,
+    workers: 8,
+};
+
+const SMOKE: Config = Config {
+    homes: 18,
+    workers: 2,
+};
+
+impl Config {
+    fn json(&self) -> Json {
+        obj! { "homes" => self.homes, "workers" => self.workers }
     }
-    args
-}
 
-/// Silences panic chatter from *injected* chaos panics (they are caught
-/// by the fleet supervisor and become report rows); every other panic
-/// still reports through the default hook.
-fn quiet_chaos_panics() {
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let msg = info
-            .payload()
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| info.payload().downcast_ref::<&str>().copied())
-            .unwrap_or("");
-        if !msg.contains("chaos-panic") {
-            default_hook(info);
-        }
-    }));
+    fn spec(&self, fault_pct: u32, retry_budget: u32) -> FleetSpec {
+        FleetSpec::new(0xFA17_2019, self.homes)
+            .with_workers(self.workers)
+            .with_templates(vec![
+                HomeTemplate::apartment(),
+                HomeTemplate::house(),
+                HomeTemplate::retrofit(),
+            ])
+            .with_attacks(vec![
+                (FleetAttack::None, 6),
+                (FleetAttack::BotnetRecruit, 1),
+                (FleetAttack::FirmwareTamper, 1),
+            ])
+            .with_faults(fault_mix(fault_pct))
+            .with_retry_budget(retry_budget)
+    }
 }
 
 /// The fault mix for a total fault share of `pct` percent, spread evenly
@@ -85,23 +77,6 @@ fn fault_mix(pct: u32) -> Vec<(FleetFault, u32)> {
     ]
 }
 
-fn spec(args: &Args, fault_pct: u32, retry_budget: u32) -> FleetSpec {
-    FleetSpec::new(0xFA17_2019, args.homes)
-        .with_workers(args.workers)
-        .with_templates(vec![
-            HomeTemplate::apartment(),
-            HomeTemplate::house(),
-            HomeTemplate::retrofit(),
-        ])
-        .with_attacks(vec![
-            (FleetAttack::None, 6),
-            (FleetAttack::BotnetRecruit, 1),
-            (FleetAttack::FirmwareTamper, 1),
-        ])
-        .with_faults(fault_mix(fault_pct))
-        .with_retry_budget(retry_budget)
-}
-
 /// One cell of the sweep grid.
 struct Cell {
     fault_pct: u32,
@@ -118,20 +93,11 @@ impl Cell {
         (self.report.totals.homes_ok + self.report.totals.homes_degraded) as f64 / homes as f64
     }
 
-    fn active_attacked(&self) -> Vec<u64> {
-        self.report
-            .rows
-            .iter()
-            .filter(|r| r.attack != "none" && r.attack != "traffic-observer")
-            .map(|r| r.id)
-            .collect()
-    }
-
     /// Flagged ∩ actively-attacked over actively-attacked, counted on
     /// surviving (correlated) rows; 1.0 when no attacked home survived
     /// (nothing to miss).
     fn verdict_quality(&self) -> f64 {
-        let attacked = self.active_attacked();
+        let attacked = active_attacked(&self.report);
         if attacked.is_empty() {
             return 1.0;
         }
@@ -143,189 +109,115 @@ impl Cell {
     }
 }
 
-fn run_cell(args: &Args, fault_pct: u32, retry_budget: u32) -> Cell {
-    let metrics = FleetMetrics::new();
-    let t0 = Instant::now();
-    let report =
-        run_fleet(&spec(args, fault_pct, retry_budget), &metrics).expect("fleet engine lost work");
-    let wall_s = t0.elapsed().as_secs_f64();
-    assert!(
-        report.accounting_ok(args.homes),
-        "conservation violated at fault {fault_pct}% retry {retry_budget}: {:?}",
-        report.totals
-    );
-    Cell {
-        fault_pct,
-        retry_budget,
-        report,
-        metrics,
-        wall_s,
-    }
-}
-
-fn main() {
-    quiet_chaos_panics();
-    let args = parse_args();
-    println!(
-        "xlf-faults: {} homes, {} workers, fault share {{0,10,30}}% × retry budget {{0,1,3}}",
-        args.homes, args.workers
-    );
+fn main() -> ExitCode {
+    // Injected chaos panics are caught by the fleet supervisor and
+    // become report rows; only their chatter is silenced.
+    quiet_panics("chaos-panic");
+    let args = Args::from_env();
+    let cfg = args.pick(&CANONICAL, &SMOKE);
 
     let mut grid: Vec<Cell> = Vec::new();
     for fault_pct in [0u32, 10, 30] {
         for retry_budget in [0u32, 1, 3] {
-            grid.push(run_cell(&args, fault_pct, retry_budget));
+            let metrics = FleetMetrics::new();
+            let (report, wall_s) = best_of(1, || {
+                run_fleet(&cfg.spec(fault_pct, retry_budget), &metrics)
+                    .expect("fleet engine lost work")
+            });
+            grid.push(Cell {
+                fault_pct,
+                retry_budget,
+                report,
+                metrics,
+                wall_s,
+            });
         }
     }
-
-    print_table(
-        "Fault sweep (completion vs verdict quality)",
-        &[
-            "Fault %",
-            "Retries",
-            "Ok",
-            "Degraded",
-            "Failed",
-            "Completion",
-            "Verdict quality",
-            "Panics",
-            "Wall (s)",
-        ],
-        &grid
-            .iter()
-            .map(|c| {
-                vec![
-                    c.fault_pct.to_string(),
-                    c.retry_budget.to_string(),
-                    c.report.totals.homes_ok.to_string(),
-                    c.report.totals.homes_degraded.to_string(),
-                    c.report.totals.homes_run_failed.to_string(),
-                    format!("{:.3}", c.completion_rate(args.homes)),
-                    format!("{:.3}", c.verdict_quality()),
-                    c.metrics.panics_caught.get().to_string(),
-                    format!("{:.2}", c.wall_s),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
 
     // Degraded-mode demonstration: a tight per-home step event budget
     // truncates most homes; they still land in the report (degraded, not
     // lost) and conservation holds.
     let demo_metrics = FleetMetrics::new();
-    let demo_spec = spec(&args, 10, 1).with_step_event_budget(Some(1_000));
+    let demo_spec = cfg.spec(10, 1).with_step_event_budget(Some(1_000));
     let demo = run_fleet(&demo_spec, &demo_metrics).expect("fleet engine lost work");
-    assert!(demo.accounting_ok(args.homes));
-    print_table(
-        "Degraded-mode accounting (step budget 1000 events)",
-        &["Ok", "Degraded", "Failed", "Accounted", "Homes"],
-        &[vec![
-            demo.totals.homes_ok.to_string(),
-            demo.totals.homes_degraded.to_string(),
-            demo.totals.homes_run_failed.to_string(),
-            demo.totals.homes_accounted().to_string(),
-            args.homes.to_string(),
-        ]],
-    );
 
-    // Headline claims the sweep must support.
     let benign = &grid[0];
-    assert_eq!(
-        benign.completion_rate(args.homes),
-        1.0,
-        "fault-free fleet must complete fully"
-    );
-    assert_eq!(benign.metrics.panics_caught.get(), 0);
-    assert_eq!(
-        benign.verdict_quality(),
-        1.0,
-        "fault-free fleet must flag every active attack"
-    );
-    for c in &grid {
-        // Chaos homes fail deterministically (retries can't save a
-        // deterministic panic) — everything else completes.
-        let chaos = c.metrics.faults_injected.get(FleetFault::ChaosPanic);
-        assert_eq!(
-            c.report.totals.homes_run_failed, chaos,
-            "fault {}% retry {}: only chaos homes may fail",
-            c.fault_pct, c.retry_budget
-        );
-        // Retry accounting: a chaos home panics identically on retry,
-        // so the supervisor fails fast after one futile re-attempt —
-        // failed homes burn at most 2 attempts however large the budget.
-        for f in &c.report.run_failed {
-            assert_eq!(f.attempts, c.retry_budget.min(1) + 1);
-        }
-        if c.retry_budget >= 1 {
-            assert_eq!(
-                c.metrics.retries_futile.get(),
-                c.report.run_failed.len() as u64,
-                "every failed home's single retry was futile"
-            );
-        }
-        // Infrastructure faults never cost verdict quality on survivors.
-        assert_eq!(
-            c.verdict_quality(),
+    let rows = [
+        Row::holds(
+            "conservation",
+            grid.iter().all(|c| c.report.accounting_ok(cfg.homes)) && demo.accounting_ok(cfg.homes),
+        ),
+        Row::new(
+            "benign_completion_rate",
+            benign.completion_rate(cfg.homes),
+            "==",
             1.0,
-            "fault {}% retry {} degraded the surviving verdict",
-            c.fault_pct,
-            c.retry_budget
-        );
-    }
-    assert!(
-        demo.totals.homes_degraded > 0,
-        "a 1000-event budget must truncate homes: {:?}",
-        demo.totals
-    );
-
-    match write_bench_json(&args, &grid, &demo, &demo_metrics) {
-        Ok(()) => println!("Trajectory point written to {}.", args.json),
-        Err(e) => eprintln!("could not write {}: {e}", args.json),
-    }
-}
-
-fn write_bench_json(
-    args: &Args,
-    grid: &[Cell],
-    demo: &FleetReport,
-    demo_metrics: &FleetMetrics,
-) -> std::io::Result<()> {
-    let cells: Vec<String> = grid
-        .iter()
-        .map(|c| {
-            format!(
-                "{{\"fault_pct\": {}, \"retry_budget\": {}, \"homes_ok\": {}, \
-                 \"homes_degraded\": {}, \"homes_run_failed\": {}, \
-                 \"completion_rate\": {:.6}, \"verdict_quality\": {:.6}, \
-                 \"panics_caught\": {}, \"retries\": {}, \"retries_futile\": {}, \
-                 \"wall_s\": {:.3}}}",
-                c.fault_pct,
-                c.retry_budget,
-                c.report.totals.homes_ok,
-                c.report.totals.homes_degraded,
-                c.report.totals.homes_run_failed,
-                c.completion_rate(args.homes),
-                c.verdict_quality(),
-                c.metrics.panics_caught.get(),
-                c.metrics.retries.get(),
-                c.metrics.retries_futile.get(),
-                c.wall_s,
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"experiment\": \"faults\",\n  \"homes\": {},\n  \"workers\": {},\n  \
-         \"grid\": [\n    {}\n  ],\n  \"degraded_demo\": {{\"step_event_budget\": 1000, \
-         \"homes_ok\": {}, \"homes_degraded\": {}, \"homes_run_failed\": {}, \
-         \"deadline_truncations\": {}}},\n  \"conservation\": \"ok + degraded + failed + \
-         build_failed == homes held for every cell\"\n}}\n",
-        args.homes,
-        args.workers,
-        cells.join(",\n    "),
-        demo.totals.homes_ok,
-        demo.totals.homes_degraded,
-        demo.totals.homes_run_failed,
-        demo_metrics.deadline_truncations.get(),
-    );
-    std::fs::write(&args.json, json)
+        ),
+        Row::new(
+            "benign_panics_caught",
+            benign.metrics.panics_caught.get(),
+            "==",
+            0u64,
+        ),
+        // Chaos homes fail deterministically (retries can't save a
+        // deterministic panic); everything else completes.
+        Row::holds(
+            "only_chaos_homes_fail",
+            grid.iter().all(|c| {
+                c.report.totals.homes_run_failed
+                    == c.metrics.faults_injected.get(FleetFault::ChaosPanic)
+            }),
+        ),
+        // A chaos home panics identically on retry, so the supervisor
+        // fails fast after one futile re-attempt: failed homes burn at
+        // most 2 attempts however large the budget.
+        Row::holds(
+            "failed_homes_burn_at_most_two_attempts",
+            grid.iter().all(|c| {
+                c.report
+                    .run_failed
+                    .iter()
+                    .all(|f| f.attempts == c.retry_budget.min(1) + 1)
+            }),
+        ),
+        Row::holds(
+            "every_failed_retry_is_futile",
+            grid.iter()
+                .filter(|c| c.retry_budget >= 1)
+                .all(|c| c.metrics.retries_futile.get() == c.report.run_failed.len() as u64),
+        ),
+        // Infrastructure faults never cost verdict quality on survivors.
+        Row::new(
+            "min_verdict_quality",
+            grid.iter()
+                .map(Cell::verdict_quality)
+                .fold(f64::INFINITY, f64::min),
+            "==",
+            1.0,
+        ),
+        Row::new("degraded_demo_homes", demo.totals.homes_degraded, ">", 0u64),
+    ];
+    let results = obj! {
+        "grid" => grid.iter().map(|c| obj! {
+            "fault_pct" => c.fault_pct,
+            "retry_budget" => c.retry_budget,
+            "homes_ok" => c.report.totals.homes_ok,
+            "homes_degraded" => c.report.totals.homes_degraded,
+            "homes_run_failed" => c.report.totals.homes_run_failed,
+            "completion_rate" => fixed(c.completion_rate(cfg.homes), 6),
+            "verdict_quality" => fixed(c.verdict_quality(), 6),
+            "panics_caught" => c.metrics.panics_caught.get(),
+            "retries" => c.metrics.retries.get(),
+            "retries_futile" => c.metrics.retries_futile.get(),
+            "wall_s" => fixed(c.wall_s, 3),
+        }).collect::<Vec<_>>(),
+        "degraded_demo" => obj! {
+            "step_event_budget" => 1000u32,
+            "homes_ok" => demo.totals.homes_ok,
+            "homes_degraded" => demo.totals.homes_degraded,
+            "homes_run_failed" => demo.totals.homes_run_failed,
+            "deadline_truncations" => demo_metrics.deadline_truncations.get(),
+        },
+    };
+    args.finish("faults", cfg.json(), results, &rows)
 }

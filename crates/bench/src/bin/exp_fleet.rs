@@ -1,26 +1,22 @@
 //! E-M6 at fleet scale: stamps a sharded multi-home fleet from one
-//! master seed, runs it on 1 worker and on `--workers` workers, checks
+//! master seed, runs it on 1 worker and on `workers` workers, checks
 //! the two fleet reports are byte-identical, verifies the cross-home
 //! aggregator flags every injected deviant, sweeps the bounded
 //! evidence-bus capacity (unbounded vs 1024/256/64) to measure overload
-//! shedding vs verdict quality, and records throughput and speedup in
-//! `BENCH_fleet.json`.
+//! shedding vs verdict quality, and records throughput and the measured
+//! 1-vs-N-worker speedup in `BENCH_fleet.json`.
 //!
 //! ```text
-//! cargo run --release -p xlf-bench --bin exp_fleet -- \
-//!     --homes 1000 --workers 8 --horizon 420 --capacity 64 \
-//!     --report FLEET_report.json --json BENCH_fleet.json
+//! cargo run --release -p xlf-bench --bin exp_fleet -- [--smoke] [--json BENCH_fleet.json]
 //! ```
 
-use std::time::Instant;
-use xlf_bench::print_table;
-use xlf_fleet::{
-    run_fleet, FleetAttack, FleetMetrics, FleetReport, FleetSpec, HomeTemplate,
-    FLEET_REPORT_SCHEMA_VERSION,
-};
+use std::process::ExitCode;
+use xlf_bench::harness::{best_of, best_of_each, fixed, Args, Json, Row};
+use xlf_bench::{active_attacked, obj};
+use xlf_fleet::{run_fleet, FleetAttack, FleetMetrics, FleetReport, FleetSpec, HomeTemplate};
 use xlf_simnet::Duration;
 
-struct Args {
+struct Config {
     homes: usize,
     workers: usize,
     horizon_s: u64,
@@ -28,110 +24,75 @@ struct Args {
     capacity: Option<usize>,
     /// Timing repeats for the baseline/sharded pair (min-of-N wall time).
     repeats: usize,
-    /// Where to dump the main run's full `FleetReport::to_json` ("" = skip).
-    report: String,
-    json: String,
+    /// Floor on the measured 1-vs-N-worker speedup: sharding must never
+    /// cost real throughput. The smoke run is sub-second, so its floor
+    /// carries scheduler-noise slack.
+    speedup_floor: f64,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        homes: 1000,
-        workers: 8,
-        horizon_s: 420,
-        capacity: None,
-        repeats: 1,
-        report: String::new(),
-        json: "BENCH_fleet.json".to_string(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |what: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{flag} needs a {what} value"))
-        };
-        match flag.as_str() {
-            "--homes" => args.homes = value("count").parse().expect("--homes: integer"),
-            "--workers" => args.workers = value("count").parse().expect("--workers: integer"),
-            "--horizon" => {
-                args.horizon_s = value("seconds")
-                    .parse()
-                    .expect("--horizon: integer seconds")
-            }
-            "--capacity" => {
-                args.capacity = Some(value("count").parse().expect("--capacity: integer"))
-            }
-            "--repeats" => args.repeats = value("count").parse().expect("--repeats: integer"),
-            "--report" => args.report = value("path"),
-            "--json" => args.json = value("path"),
-            other => panic!(
-                "unknown flag {other} \
-                 (use --homes --workers --horizon --capacity --repeats --report --json)"
-            ),
+const CANONICAL: Config = Config {
+    homes: 1000,
+    workers: 8,
+    horizon_s: 420,
+    capacity: Some(64),
+    repeats: 3,
+    speedup_floor: 0.95,
+};
+
+const SMOKE: Config = Config {
+    homes: 32,
+    workers: 4,
+    horizon_s: 420,
+    capacity: None,
+    repeats: 1,
+    speedup_floor: 0.7,
+};
+
+impl Config {
+    fn json(&self) -> Json {
+        obj! {
+            "homes" => self.homes,
+            "workers" => self.workers,
+            "horizon_s" => self.horizon_s,
+            "capacity" => self.capacity,
+            "repeats" => self.repeats,
         }
     }
-    assert!(args.repeats >= 1, "--repeats must be at least 1");
-    args
-}
 
-fn spec(args: &Args, workers: usize, capacity: Option<usize>) -> FleetSpec {
-    FleetSpec::new(0xF1EE_2019, args.homes)
-        .with_workers(workers)
-        .with_horizon(Duration::from_secs(args.horizon_s))
-        .with_templates(vec![
-            HomeTemplate::apartment(),
-            HomeTemplate::house(),
-            HomeTemplate::retrofit(),
-        ])
-        .with_attacks(vec![
-            (FleetAttack::None, 30),
-            (FleetAttack::BotnetRecruit, 1),
-            (FleetAttack::FirmwareTamper, 1),
-            (FleetAttack::Replay, 1),
-            (FleetAttack::DnsPoison, 1),
-            (FleetAttack::TrafficObserver, 1),
-        ])
-        .with_evidence_capacity(capacity)
-}
-
-fn timed_run(spec: &FleetSpec) -> (FleetReport, FleetMetrics, f64) {
-    let metrics = FleetMetrics::new();
-    let t0 = Instant::now();
-    let report = run_fleet(spec, &metrics).expect("fleet engine lost work");
-    (report, metrics, t0.elapsed().as_secs_f64())
-}
-
-/// Min-of-N wall time: runs are deterministic, so only the clock varies;
-/// the minimum is the least-noise estimate on a shared CI box.
-fn best_of(repeats: usize, spec: &FleetSpec) -> (FleetReport, FleetMetrics, f64) {
-    let (report, metrics, mut wall_s) = timed_run(spec);
-    for _ in 1..repeats {
-        let (_, _, secs) = timed_run(spec);
-        wall_s = wall_s.min(secs);
+    fn spec(&self, workers: usize, capacity: Option<usize>) -> FleetSpec {
+        FleetSpec::new(0xF1EE_2019, self.homes)
+            .with_workers(workers)
+            .with_horizon(Duration::from_secs(self.horizon_s))
+            .with_templates(vec![
+                HomeTemplate::apartment(),
+                HomeTemplate::house(),
+                HomeTemplate::retrofit(),
+            ])
+            .with_attacks(vec![
+                (FleetAttack::None, 30),
+                (FleetAttack::BotnetRecruit, 1),
+                (FleetAttack::FirmwareTamper, 1),
+                (FleetAttack::Replay, 1),
+                (FleetAttack::DnsPoison, 1),
+                (FleetAttack::TrafficObserver, 1),
+            ])
+            .with_evidence_capacity(capacity)
     }
-    (report, metrics, wall_s)
 }
 
-/// Homes under an *active* attack — the ones the home/fleet tiers can be
-/// expected to flag. Passive observation (traffic-observer) injects no
-/// traffic and is invisible from inside; it is scored via
-/// `observer_accuracy` instead.
-fn attacked_ids(report: &FleetReport) -> Vec<u64> {
-    report
-        .rows
-        .iter()
-        .filter(|r| r.attack != "none" && r.attack != "traffic-observer")
-        .map(|r| r.id)
-        .collect()
+fn run(spec: &FleetSpec) -> (FleetReport, FleetMetrics) {
+    let metrics = FleetMetrics::new();
+    let report = run_fleet(spec, &metrics).expect("fleet engine lost work");
+    (report, metrics)
 }
 
 fn deviants_flagged(report: &FleetReport) -> bool {
-    let attacked = attacked_ids(report);
+    let attacked = active_attacked(report);
     !attacked.is_empty() && attacked.iter().all(|id| report.flagged.contains(id))
 }
 
 /// One row of the capacity sweep.
 struct SweepPoint {
-    label: String,
     capacity: Option<usize>,
     report: FleetReport,
     wall_s: f64,
@@ -147,178 +108,55 @@ impl SweepPoint {
     }
 }
 
-fn main() {
-    let args = parse_args();
-    println!(
-        "xlf-fleet: {} homes, horizon {} s, 1 worker vs {} workers, capacity {}",
-        args.homes,
-        args.horizon_s,
-        args.workers,
-        args.capacity
-            .map_or("unbounded".to_string(), |c| c.to_string()),
-    );
+fn main() -> ExitCode {
+    let args = Args::from_env();
+    let cfg = args.pick(&CANONICAL, &SMOKE);
 
-    let (baseline, _, baseline_s) = best_of(args.repeats, &spec(&args, 1, args.capacity));
-    let (report, metrics, sharded_s) =
-        best_of(args.repeats, &spec(&args, args.workers, args.capacity));
+    // Baseline and sharded runs interleave, so machine noise hits both.
+    let pair = best_of_each(cfg.repeats, 2, |i| {
+        run(&cfg.spec([1, cfg.workers][i], cfg.capacity))
+    });
+    let [((baseline, _), baseline_s), ((report, metrics), sharded_s)] =
+        <[_; 2]>::try_from(pair).unwrap_or_else(|_| unreachable!("two runs"));
     // The engine clamps the worker pool to the machine's hardware
     // threads (the spec value is retained for determinism stamping), so
     // the "sharded" run never pays oversubscription context-switch cost.
     let workers_effective = metrics.workers_effective.get();
-
+    let speedup = baseline_s / sharded_s;
     let deterministic = report.to_json() == baseline.to_json();
-    let attacked = attacked_ids(&report);
-    let main_deviants_flagged = deviants_flagged(&report);
 
-    print_table(
-        "Fleet run",
-        &["Config", "Wall (s)", "Homes/s"],
-        &[
-            vec![
-                "1 worker".to_string(),
-                format!("{baseline_s:.2}"),
-                format!("{:.1}", args.homes as f64 / baseline_s),
-            ],
-            vec![
-                format!("{} workers", args.workers),
-                format!("{sharded_s:.2}"),
-                format!("{:.1}", args.homes as f64 / sharded_s),
-            ],
-        ],
-    );
-    // Phase split: where the wall time actually goes. These are CPU
-    // seconds summed across workers (sum of per-home phase timings), so
-    // on >1 worker they can exceed the wall clock.
+    // Phase split: CPU seconds summed across workers (sum of per-home
+    // phase timings), so on >1 worker they can exceed the wall clock.
     let build_cpu_s = metrics.build_us.sum_us() as f64 / 1e6;
     let step_cpu_s = metrics.step_us.sum_us() as f64 / 1e6;
     let report_cpu_s = metrics.report_us.sum_us() as f64 / 1e6;
     let aggregate_cpu_s = metrics.aggregate_us.sum_us() as f64 / 1e6;
-    print_table(
-        "Phase split (CPU s, summed across workers)",
-        &["Build", "Step", "Report", "Aggregate"],
-        &[vec![
-            format!("{build_cpu_s:.2}"),
-            format!("{step_cpu_s:.2}"),
-            format!("{report_cpu_s:.2}"),
-            format!("{aggregate_cpu_s:.2}"),
-        ]],
-    );
-    println!(
-        "Steady-state homes/s (step phase only): {:.1}",
-        args.homes as f64 / step_cpu_s.max(1e-9)
-    );
-    print_table(
-        "Cross-home correlation",
-        &[
-            "Communities",
-            "Threshold",
-            "Attacked",
-            "Flagged",
-            "All deviants flagged",
-        ],
-        &[vec![
-            report.communities.to_string(),
-            format!("{:.3}", report.threshold),
-            attacked.len().to_string(),
-            report.flagged.len().to_string(),
-            main_deviants_flagged.to_string(),
-        ]],
-    );
 
     // Capacity sweep: how hard can the per-home evidence bus be bounded
     // before the fleet verdict degrades? Retrofit homes under a Mirai
     // flood burst ~300 NAC observations into one evaluation window, so
     // small capacities shed heavily there while benign homes lose
     // nothing.
-    let sweep_caps: [Option<usize>; 4] = [None, Some(1024), Some(256), Some(64)];
-    let mut sweep: Vec<SweepPoint> = Vec::new();
-    for cap in sweep_caps {
-        let label = cap.map_or("unbounded".to_string(), |c| c.to_string());
-        let (rep, wall_s) = if cap == args.capacity {
-            (report.clone(), sharded_s)
-        } else {
-            let (rep, _, secs) = timed_run(&spec(&args, args.workers, cap));
-            (rep, secs)
-        };
-        sweep.push(SweepPoint {
-            label,
-            capacity: cap,
-            report: rep,
-            wall_s,
-        });
-    }
-    print_table(
-        "Evidence-capacity sweep",
-        &[
-            "Capacity",
-            "Evidence",
-            "Shed",
-            "Shed rate",
-            "Homes shedding",
-            "Flagged",
-            "Deviants flagged",
-            "Wall (s)",
-        ],
-        &sweep
-            .iter()
-            .map(|p| {
-                vec![
-                    p.label.clone(),
-                    p.report.totals.evidence.to_string(),
-                    p.report.totals.evidence_shed.to_string(),
-                    format!("{:.4}", p.report.totals.evidence_shed_rate()),
-                    p.homes_shedding().to_string(),
-                    p.report.flagged.len().to_string(),
-                    deviants_flagged(&p.report).to_string(),
-                    format!("{:.2}", p.wall_s),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-
-    println!(
-        "\nSpeedup {}→{} workers ({} effective): {:.2}×  \
-         (deterministic across worker counts: {})",
-        1,
-        args.workers,
-        workers_effective,
-        baseline_s / sharded_s,
-        deterministic
-    );
-    println!("Fleet metrics: {}", metrics.to_json());
-
-    assert!(deterministic, "fleet report changed with worker count");
-    // Sharding must never cost real throughput: with the worker clamp in
-    // place, the sharded run is at worst the baseline plus channel and
-    // thread-spawn overhead. Gate at 0.95× with a 50 ms absolute guard
-    // so sub-second smoke runs don't trip on scheduler noise.
-    assert!(
-        sharded_s <= baseline_s / 0.95 + 0.05,
-        "sharded run slower than baseline: {sharded_s:.3}s vs {baseline_s:.3}s \
-         ({workers_effective} effective workers)"
-    );
-    assert!(
-        main_deviants_flagged,
-        "aggregator missed injected deviants: attacked={attacked:?} flagged={:?}",
-        report.flagged
-    );
-
-    // Schema guarantees: both longitudinal JSON surfaces are versioned.
-    let report_json = report.to_json();
-    assert!(
-        report_json.starts_with(&format!(
-            "{{\"schema_version\":{FLEET_REPORT_SCHEMA_VERSION},"
-        )),
-        "fleet report JSON lost its schema version"
-    );
-    assert!(
-        metrics.to_json().starts_with("{\"schema_version\":"),
-        "fleet metrics JSON lost its schema version"
-    );
+    let sweep: Vec<SweepPoint> = [None, Some(1024), Some(256), Some(64)]
+        .into_iter()
+        .map(|capacity| {
+            let (report, wall_s) = if capacity == cfg.capacity {
+                (report.clone(), sharded_s)
+            } else {
+                let ((report, _), wall_s) = best_of(1, || run(&cfg.spec(cfg.workers, capacity)));
+                (report, wall_s)
+            };
+            SweepPoint {
+                capacity,
+                report,
+                wall_s,
+            }
+        })
+        .collect();
 
     // Sweep invariants: unbounded runs never shed; bounded runs shed
-    // exactly when a flooding retrofit home is in the stamped mix, and
-    // even the tightest capacity still catches every deviant (the Core
+    // whenever a flooding retrofit home is in the stamped mix, and even
+    // the tightest capacity still catches every deviant (the Core
     // evaluates on drained evidence, and the newest observations always
     // survive a shed-oldest bus).
     let flooding_homes = report
@@ -326,120 +164,53 @@ fn main() {
         .iter()
         .filter(|r| r.template == "retrofit" && r.attack == "botnet-recruit")
         .count();
-    for p in &sweep {
-        match p.capacity {
-            None => assert_eq!(
-                p.report.totals.evidence_shed, 0,
-                "unbounded fleet must not shed"
-            ),
-            Some(cap) if cap <= 256 && flooding_homes > 0 => assert!(
-                p.report.totals.evidence_shed > 0,
-                "capacity {cap} with {flooding_homes} flooding homes must shed"
-            ),
-            Some(_) => {}
-        }
-        assert!(
-            deviants_flagged(&p.report) || attacked_ids(&p.report).is_empty(),
-            "capacity {} degraded the fleet verdict",
-            p.label
-        );
-    }
-
-    if !args.report.is_empty() {
-        match std::fs::write(&args.report, format!("{report_json}\n")) {
-            Ok(()) => println!("Fleet report written to {}.", args.report),
-            Err(e) => eprintln!("could not write {}: {e}", args.report),
-        }
-    }
-
-    match write_bench_json(
-        &args,
-        &report,
-        &metrics,
-        &sweep,
-        baseline_s,
-        sharded_s,
-        deterministic,
-        main_deviants_flagged,
-    ) {
-        Ok(()) => println!("Trajectory point written to {}.", args.json),
-        Err(e) => eprintln!("could not write {}: {e}", args.json),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn write_bench_json(
-    args: &Args,
-    report: &FleetReport,
-    metrics: &FleetMetrics,
-    sweep: &[SweepPoint],
-    baseline_s: f64,
-    sharded_s: f64,
-    deterministic: bool,
-    deviants_flagged: bool,
-) -> std::io::Result<()> {
-    let attacked = attacked_ids(report).len();
-    let sweep_json: Vec<String> = sweep
+    let unbounded_shed: u64 = sweep
         .iter()
-        .map(|p| {
-            format!(
-                "{{\"capacity\": {}, \"evidence\": {}, \"shed\": {}, \"shed_rate\": {:.6}, \
-                 \"homes_shedding\": {}, \"flagged\": {}, \"wall_s\": {:.3}}}",
-                p.capacity.map_or("null".to_string(), |c| c.to_string()),
-                p.report.totals.evidence,
-                p.report.totals.evidence_shed,
-                p.report.totals.evidence_shed_rate(),
-                p.homes_shedding(),
-                p.report.flagged.len(),
-                p.wall_s,
-            )
-        })
-        .collect();
-    // Phase-split accounting (satellite of the hot-path overhaul):
-    // homes/s as one number hid where time went — build (home stamping),
-    // step (simulation slices), and aggregate (cross-home correlation)
-    // are now reported separately, as CPU seconds summed across workers.
-    let build_cpu_s = metrics.build_us.sum_us() as f64 / 1e6;
-    let step_cpu_s = metrics.step_us.sum_us() as f64 / 1e6;
-    let report_cpu_s = metrics.report_us.sum_us() as f64 / 1e6;
-    let aggregate_cpu_s = metrics.aggregate_us.sum_us() as f64 / 1e6;
-    let json = format!(
-        "{{\n  \"experiment\": \"fleet\",\n  \"homes\": {},\n  \"workers\": {},\n  \
-         \"workers_effective\": {},\n  \"repeats\": {},\n  \
-         \"horizon_s\": {},\n  \"capacity\": {},\n  \"baseline_s\": {:.3},\n  \
-         \"sharded_s\": {:.3},\n  \"homes_per_sec\": {:.1},\n  \"speedup\": {:.2},\n  \
-         \"build_cpu_s\": {:.3},\n  \"step_cpu_s\": {:.3},\n  \"report_cpu_s\": {:.3},\n  \
-         \"aggregate_cpu_s\": {:.3},\n  \"homes_per_sec_step\": {:.1},\n  \
-         \"single_core_baseline_speedup\": 1.01,\n  \
-         \"single_core_baseline_note\": \"pre-overhaul 1-to-8-worker speedup measured on the \
-         1-hardware-thread CI container (see ROADMAP); sharding wins need a multi-core runner\",\n  \
-         \"deterministic\": {},\n  \"attacked_homes\": {},\n  \"flagged_homes\": {},\n  \
-         \"deviants_flagged\": {},\n  \"communities\": {},\n  \"threshold\": {:.6},\n  \
-         \"evidence_shed\": {},\n  \"capacity_sweep\": [\n    {}\n  ],\n  \"metrics\": {}\n}}\n",
-        args.homes,
-        args.workers,
-        metrics.workers_effective.get(),
-        args.repeats,
-        args.horizon_s,
-        args.capacity.map_or("null".to_string(), |c| c.to_string()),
-        baseline_s,
-        sharded_s,
-        args.homes as f64 / sharded_s,
-        baseline_s / sharded_s,
-        build_cpu_s,
-        step_cpu_s,
-        report_cpu_s,
-        aggregate_cpu_s,
-        args.homes as f64 / step_cpu_s.max(1e-9),
-        deterministic,
-        attacked,
-        report.flagged.len(),
-        deviants_flagged,
-        report.communities,
-        report.threshold,
-        report.totals.evidence_shed,
-        sweep_json.join(",\n    "),
-        metrics.to_json(),
-    );
-    std::fs::write(&args.json, json)
+        .filter(|p| p.capacity.is_none())
+        .map(|p| p.report.totals.evidence_shed)
+        .sum();
+    let tight_capacities_shed = flooding_homes == 0
+        || sweep
+            .iter()
+            .filter(|p| p.capacity.is_some_and(|c| c <= 256))
+            .all(|p| p.report.totals.evidence_shed > 0);
+    let sweep_verdicts_hold = sweep
+        .iter()
+        .all(|p| deviants_flagged(&p.report) || active_attacked(&p.report).is_empty());
+
+    let rows = [
+        Row::holds("deterministic_across_workers", deterministic),
+        Row::new("speedup", speedup, ">=", cfg.speedup_floor),
+        Row::holds("deviants_flagged", deviants_flagged(&report)),
+        Row::new("unbounded_evidence_shed", unbounded_shed, "==", 0u64),
+        Row::holds("tight_capacities_shed_under_flood", tight_capacities_shed),
+        Row::holds("sweep_verdicts_hold", sweep_verdicts_hold),
+    ];
+    let results = obj! {
+        "workers_effective" => workers_effective,
+        "baseline_s" => fixed(baseline_s, 3),
+        "sharded_s" => fixed(sharded_s, 3),
+        "homes_per_sec" => fixed(cfg.homes as f64 / sharded_s, 1),
+        "build_cpu_s" => fixed(build_cpu_s, 3),
+        "step_cpu_s" => fixed(step_cpu_s, 3),
+        "report_cpu_s" => fixed(report_cpu_s, 3),
+        "aggregate_cpu_s" => fixed(aggregate_cpu_s, 3),
+        "homes_per_sec_step" => fixed(cfg.homes as f64 / step_cpu_s.max(1e-9), 1),
+        "attacked_homes" => active_attacked(&report).len(),
+        "flagged_homes" => report.flagged.len(),
+        "communities" => report.communities,
+        "threshold" => fixed(report.threshold, 6),
+        "evidence_shed" => report.totals.evidence_shed,
+        "capacity_sweep" => sweep.iter().map(|p| obj! {
+            "capacity" => p.capacity,
+            "evidence" => p.report.totals.evidence,
+            "shed" => p.report.totals.evidence_shed,
+            "shed_rate" => fixed(p.report.totals.evidence_shed_rate(), 6),
+            "homes_shedding" => p.homes_shedding(),
+            "flagged" => p.report.flagged.len(),
+            "wall_s" => fixed(p.wall_s, 3),
+        }).collect::<Vec<_>>(),
+        "metrics" => Json::parse(&metrics.to_json()).expect("fleet metrics render valid JSON"),
+    };
+    args.finish("fleet", cfg.json(), results, &rows)
 }

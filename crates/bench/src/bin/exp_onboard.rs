@@ -17,382 +17,218 @@
 //!    byte-identical across worker counts *and* region-shard counts.
 //!
 //! ```text
-//! cargo run --release -p xlf-bench --bin exp_onboard -- \
-//!     --homes 64 --workers 8 --horizon 120 --json BENCH_onboard.json
+//! cargo run --release -p xlf-bench --bin exp_onboard -- [--smoke] [--json BENCH_onboard.json]
 //! ```
 
-use std::time::Instant;
-use xlf_bench::print_table;
+use std::process::ExitCode;
+use xlf_bench::harness::{best_of, fixed, Args, Json, Row};
+use xlf_bench::obj;
 use xlf_fleet::{
-    run_fleet, FleetAttack, FleetMetrics, FleetReport, FleetSpec, OnboardingSpec,
-    FLEET_REPORT_SCHEMA_VERSION,
+    run_fleet, FleetAttack, FleetMetrics, FleetReport, FleetSpec, OnboardSection, OnboardingSpec,
 };
 use xlf_onboard::sweep;
 use xlf_simnet::Duration;
 
-struct Args {
+struct Config {
     homes: usize,
     workers: usize,
     horizon_s: u64,
-    json: String,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        homes: 64,
-        workers: 8,
-        horizon_s: 120,
-        json: "BENCH_onboard.json".to_string(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |what: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{flag} needs a {what} value"))
-        };
-        match flag.as_str() {
-            "--homes" => args.homes = value("count").parse().expect("--homes: integer"),
-            "--workers" => args.workers = value("count").parse().expect("--workers: integer"),
-            "--horizon" => {
-                args.horizon_s = value("seconds")
-                    .parse()
-                    .expect("--horizon: integer seconds")
-            }
-            "--json" => args.json = value("path"),
-            other => panic!("unknown flag {other} (use --homes --workers --horizon --json)"),
+const CANONICAL: Config = Config {
+    homes: 64,
+    workers: 8,
+    horizon_s: 120,
+};
+
+const SMOKE: Config = Config {
+    homes: 64,
+    workers: 4,
+    horizon_s: 120,
+};
+
+impl Config {
+    fn json(&self) -> Json {
+        obj! {
+            "homes" => self.homes,
+            "workers" => self.workers,
+            "horizon_s" => self.horizon_s,
         }
     }
-    args
-}
 
-fn spec(args: &Args, workers: usize, attacks: Vec<(FleetAttack, u32)>) -> FleetSpec {
-    FleetSpec::new(0x0B0A_4D13, args.homes)
-        .with_workers(workers)
-        .with_horizon(Duration::from_secs(args.horizon_s))
-        .with_attacks(attacks)
-        .with_onboarding(OnboardingSpec::new())
+    fn spec(&self, workers: usize, attacks: &[(FleetAttack, u32)]) -> FleetSpec {
+        FleetSpec::new(0x0B0A_4D13, self.homes)
+            .with_workers(workers)
+            .with_horizon(Duration::from_secs(self.horizon_s))
+            .with_attacks(attacks.to_vec())
+            .with_onboarding(OnboardingSpec::new())
+    }
 }
 
 struct Variant {
     label: &'static str,
-    attacks: Vec<(FleetAttack, u32)>,
     report: FleetReport,
     metrics_json: String,
     wall_s: f64,
 }
 
-fn main() {
-    let args = parse_args();
-    println!(
-        "xlf-onboard: {} homes, horizon {} s, {} workers, CoAP over 6LoWPAN, \
-         ACE scoped tokens",
-        args.homes, args.horizon_s, args.workers,
-    );
-
-    // Part 1: the per-class negotiation record (pure sweep, no fleet).
-    let ob = OnboardingSpec::new();
-    let plans = sweep(&ob.classes);
-    print_table(
-        "Per-class cipher sweep (Table III vs Table I)",
-        &[
-            "Class",
-            "Key floor",
-            "Cipher",
-            "Throughput (B/s)",
-            "Handshake (mJ)",
-        ],
-        &plans
-            .iter()
-            .map(|p| {
-                vec![
-                    format!("{:?}", p.class),
-                    format!("{} b", p.key_floor_bits),
-                    p.choice
-                        .as_ref()
-                        .map_or("-".to_string(), |c| c.info.name.to_string()),
-                    p.choice
-                        .as_ref()
-                        .map_or("-".to_string(), |c| format!("{:.0}", c.throughput_bps)),
-                    p.choice
-                        .as_ref()
-                        .map_or("-".to_string(), |c| format!("{:.4}", c.handshake_energy_mj)),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    assert!(
-        plans.iter().all(|p| p.choice.is_some()),
-        "every default onboarding class must negotiate a cipher"
-    );
-
-    // Part 2: fleet variants with the join phase ahead of home stepping.
-    let mut variants: Vec<Variant> = Vec::new();
-    for (label, attacks) in [
-        ("benign", vec![(FleetAttack::None, 1)]),
-        (
-            "token-replay",
-            vec![(FleetAttack::None, 3), (FleetAttack::TokenReplay, 1)],
-        ),
-        (
-            "rogue-as",
-            vec![(FleetAttack::None, 3), (FleetAttack::RogueAs, 1)],
-        ),
-    ] {
-        let t0 = Instant::now();
-        let metrics = FleetMetrics::new();
-        let report = run_fleet(&spec(&args, args.workers, attacks.clone()), &metrics)
-            .expect("fleet engine lost work");
-        variants.push(Variant {
-            label,
-            attacks,
-            report,
-            metrics_json: metrics.to_json(),
-            wall_s: t0.elapsed().as_secs_f64(),
-        });
+impl Variant {
+    fn onboarding(&self) -> &OnboardSection {
+        self.report.onboarding.as_ref().expect("onboarding section")
     }
 
-    for v in &variants {
-        let s = v.report.onboarding.as_ref().expect("onboarding section");
-        let attacked = v
-            .report
+    /// Homes under an onboarding-layer attack.
+    fn attacked(&self) -> u64 {
+        self.report
             .rows
             .iter()
             .filter(|r| r.attack == "token-replay" || r.attack == "rogue-as")
-            .count() as u64;
-        // Acceptance 1: every home joins exactly once, and the admission
-        // ledger balances.
-        assert_eq!(s.joins, args.homes as u64, "{}: joins != homes", v.label);
-        assert_eq!(s.admitted + s.denied, s.joins, "{}: ledger", v.label);
-        // Acceptance 2: containment — zero rogue admissions, every
-        // attacked join denied with a structured cause and flagged.
-        assert_eq!(s.rogue_admissions, 0, "{}: rogue admission!", v.label);
-        assert_eq!(s.denied, attacked, "{}: every rogue join denied", v.label);
-        assert_eq!(
-            s.denials.iter().sum::<u64>(),
-            s.denied,
-            "{}: every denial attributed",
-            v.label
-        );
-        for id in &s.denied_homes {
-            assert!(
-                v.report.flagged.contains(id),
-                "{}: denied home {id} not flagged",
-                v.label
-            );
-        }
-        // Acceptance 3: the engine's live metrics agree with the
-        // recomputed section.
-        assert!(
-            v.metrics_json
-                .contains(&format!("\"onboard_joins\":{}", s.joins)),
-            "{}: metrics joins",
-            v.label
-        );
-        assert!(
-            v.metrics_json
-                .contains(&format!("\"onboard_denied\":{}", s.denied)),
-            "{}: metrics denied",
-            v.label
-        );
+            .count() as u64
     }
-    let benign = variants[0].report.onboarding.as_ref().expect("section");
-    assert_eq!(benign.denied, 0, "benign fleet must admit every home");
-    assert!(
-        benign.energy_mj > 0.0,
-        "battery classes pay for their joins"
-    );
+}
 
-    print_table(
-        "Onboarding fleet variants",
-        &[
-            "Variant",
-            "Joins",
-            "Admitted",
-            "Denied",
-            "Rogue adm.",
-            "Retrans",
-            "Bytes",
-            "Energy (mJ)",
-            "Wall (s)",
-        ],
-        &variants
-            .iter()
-            .map(|v| {
-                let s = v.report.onboarding.as_ref().expect("section");
-                vec![
-                    v.label.to_string(),
-                    s.joins.to_string(),
-                    s.admitted.to_string(),
-                    s.denied.to_string(),
-                    s.rogue_admissions.to_string(),
-                    s.retransmissions.to_string(),
-                    s.bytes_sent.to_string(),
-                    format!("{:.3}", s.energy_mj),
-                    format!("{:.2}", v.wall_s),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
+fn main() -> ExitCode {
+    let args = Args::from_env();
+    let cfg = args.pick(&CANONICAL, &SMOKE);
 
-    print_table(
-        "Per-class join record (benign fleet)",
-        &[
-            "Class",
-            "Cipher",
-            "Floor",
-            "Joins",
-            "Admitted",
-            "Latency (ms)",
-            "Energy (mJ)",
-        ],
-        &benign
-            .classes
-            .iter()
-            .map(|c| {
-                vec![
-                    c.class.clone(),
-                    c.cipher.map_or("-".to_string(), |n| n.to_string()),
-                    format!("{} b", c.key_floor_bits),
-                    c.joins.to_string(),
-                    c.admitted.to_string(),
-                    format!("{:.3}", c.mean_latency_ms),
-                    format!("{:.4}", c.mean_energy_mj),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
+    // Part 1: the per-class negotiation record (pure sweep, no fleet).
+    let plans = sweep(&OnboardingSpec::new().classes);
+
+    // Part 2: fleet variants with the join phase ahead of home stepping.
+    let benign_mix = [(FleetAttack::None, 1)];
+    let replay_mix = [(FleetAttack::None, 3), (FleetAttack::TokenReplay, 1)];
+    let rogue_mix = [(FleetAttack::None, 3), (FleetAttack::RogueAs, 1)];
+    let variants: Vec<Variant> = [
+        ("benign", &benign_mix[..]),
+        ("token-replay", &replay_mix[..]),
+        ("rogue-as", &rogue_mix[..]),
+    ]
+    .into_iter()
+    .map(|(label, attacks)| {
+        let metrics = FleetMetrics::new();
+        let (report, wall_s) = best_of(1, || {
+            run_fleet(&cfg.spec(cfg.workers, attacks), &metrics).expect("fleet engine lost work")
+        });
+        Variant {
+            label,
+            report,
+            metrics_json: metrics.to_json(),
+            wall_s,
+        }
+    })
+    .collect();
+    let benign = variants[0].onboarding();
 
     // Part 3: layout invariance — worker counts and region shards must
     // not change a single report byte.
     let replay_json = variants[1].report.to_json();
-    assert!(replay_json.starts_with(&format!(
-        "{{\"schema_version\":{FLEET_REPORT_SCHEMA_VERSION},"
-    )));
-    let mut byte_identical = true;
-    for workers in [1, 2] {
-        let report = run_fleet(
-            &spec(&args, workers, variants[1].attacks.clone()),
+    let rogue_layout = |regions: usize| {
+        run_fleet(
+            &cfg.spec(cfg.workers, &rogue_mix).with_regions(regions),
             &FleetMetrics::new(),
         )
-        .expect("fleet engine lost work");
-        if report.to_json() != replay_json {
-            eprintln!("worker count {workers} changed the onboarding-bearing report");
-            byte_identical = false;
-        }
-    }
-    let sharded_base = run_fleet(
-        &spec(&args, args.workers, variants[2].attacks.clone()).with_regions(1),
-        &FleetMetrics::new(),
-    )
-    .expect("fleet engine lost work")
-    .to_json();
-    for shards in [2, 8] {
-        let report = run_fleet(
-            &spec(&args, args.workers, variants[2].attacks.clone()).with_regions(shards),
-            &FleetMetrics::new(),
-        )
-        .expect("fleet engine lost work");
-        if report.to_json() != sharded_base {
-            eprintln!("region shard count {shards} changed the onboarding-bearing report");
-            byte_identical = false;
-        }
-    }
-    assert!(
-        byte_identical,
-        "onboarding reports must be layout-invariant"
-    );
+        .expect("fleet engine lost work")
+        .to_json()
+    };
+    let sharded_base = rogue_layout(1);
+    let byte_identical_layouts = [1, 2].into_iter().all(|workers| {
+        run_fleet(&cfg.spec(workers, &replay_mix), &FleetMetrics::new())
+            .expect("fleet engine lost work")
+            .to_json()
+            == replay_json
+    }) && [2, 8]
+        .into_iter()
+        .all(|shards| rogue_layout(shards) == sharded_base);
 
-    let replay = variants[1].report.onboarding.as_ref().expect("section");
-    let rogue = variants[2].report.onboarding.as_ref().expect("section");
-    println!(
-        "\nAdmission held: 0 rogue admissions across {} replayed and {} rogue-AS joins; \
-         benign fleet joined {} homes for {:.3} mJ total.",
-        replay.denied, rogue.denied, benign.admitted, benign.energy_mj,
-    );
-
-    match write_bench_json(&args, &plans, &variants, byte_identical) {
-        Ok(()) => println!("Trajectory point written to {}.", args.json),
-        Err(e) => eprintln!("could not write {}: {e}", args.json),
-    }
-}
-
-fn write_bench_json(
-    args: &Args,
-    plans: &[xlf_onboard::ClassPlan],
-    variants: &[Variant],
-    byte_identical: bool,
-) -> std::io::Result<()> {
-    let sweep_rows: Vec<String> = plans
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"class\": \"{:?}\", \"key_floor_bits\": {}, \"cipher\": {}, \
-                 \"throughput_bps\": {}, \"handshake_energy_mj\": {}}}",
-                p.class,
-                p.key_floor_bits,
-                p.choice
-                    .as_ref()
-                    .map_or("null".to_string(), |c| format!("\"{}\"", c.info.name)),
-                p.choice
-                    .as_ref()
-                    .map_or("null".to_string(), |c| format!("{:.1}", c.throughput_bps)),
-                p.choice.as_ref().map_or("null".to_string(), |c| format!(
-                    "{:.6}",
-                    c.handshake_energy_mj
-                )),
-            )
-        })
-        .collect();
-    let runs: Vec<String> = variants
-        .iter()
-        .map(|v| {
-            let s = v.report.onboarding.as_ref().expect("onboarding section");
-            let classes: Vec<String> = s
-                .classes
+    // Every home joins exactly once and the admission ledger balances;
+    // containment means zero rogue admissions with every attacked join
+    // denied, attributed to a structured cause and flagged; the engine's
+    // live metrics agree with the recomputed section.
+    let all = |pred: &dyn Fn(&Variant, &OnboardSection) -> bool| {
+        variants.iter().all(|v| pred(v, v.onboarding()))
+    };
+    let rows = [
+        Row::holds(
+            "every_class_negotiates_a_cipher",
+            plans.iter().all(|p| p.choice.is_some()),
+        ),
+        Row::holds(
+            "joins_equal_homes",
+            all(&|_, s| s.joins == cfg.homes as u64),
+        ),
+        Row::holds(
+            "admission_ledger_balances",
+            all(&|_, s| s.admitted + s.denied == s.joins),
+        ),
+        Row::new(
+            "rogue_admissions",
+            variants
                 .iter()
-                .map(|c| {
-                    format!(
-                        "{{\"class\": \"{}\", \"cipher\": {}, \"joins\": {}, \
-                         \"admitted\": {}, \"mean_latency_ms\": {:.3}, \
-                         \"mean_energy_mj\": {:.6}}}",
-                        c.class,
-                        c.cipher.map_or("null".to_string(), |n| format!("\"{n}\"")),
-                        c.joins,
-                        c.admitted,
-                        c.mean_latency_ms,
-                        c.mean_energy_mj,
-                    )
-                })
-                .collect();
-            format!(
-                "{{\"variant\": \"{}\", \"joins\": {}, \"admitted\": {}, \"denied\": {}, \
-                 \"rogue_admissions\": {}, \"retransmissions\": {}, \"bytes_sent\": {}, \
-                 \"energy_mj\": {:.6}, \"flagged\": {}, \"wall_s\": {:.3}, \
-                 \"classes\": [{}]}}",
-                v.label,
-                s.joins,
-                s.admitted,
-                s.denied,
-                s.rogue_admissions,
-                s.retransmissions,
-                s.bytes_sent,
-                s.energy_mj,
-                v.report.flagged.len(),
-                v.wall_s,
-                classes.join(", "),
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"experiment\": \"onboard\",\n  \"homes\": {},\n  \"workers\": {},\n  \
-         \"horizon_s\": {},\n  \"byte_identical_layouts\": {},\n  \"sweep\": [\n    {}\n  ],\n  \
-         \"runs\": [\n    {}\n  ]\n}}\n",
-        args.homes,
-        args.workers,
-        args.horizon_s,
-        byte_identical,
-        sweep_rows.join(",\n    "),
-        runs.join(",\n    "),
-    );
-    std::fs::write(&args.json, json)
+                .map(|v| v.onboarding().rogue_admissions)
+                .sum::<u64>(),
+            "==",
+            0u64,
+        ),
+        Row::holds(
+            "every_rogue_join_denied",
+            all(&|v, s| s.denied == v.attacked()),
+        ),
+        Row::holds(
+            "every_denial_attributed",
+            all(&|_, s| s.denials.iter().sum::<u64>() == s.denied),
+        ),
+        Row::holds(
+            "denied_homes_flagged",
+            all(&|v, s| {
+                s.denied_homes
+                    .iter()
+                    .all(|id| v.report.flagged.contains(id))
+            }),
+        ),
+        Row::holds(
+            "metrics_agree_with_report",
+            all(&|v, s| {
+                v.metrics_json
+                    .contains(&format!("\"onboard_joins\":{}", s.joins))
+                    && v.metrics_json
+                        .contains(&format!("\"onboard_denied\":{}", s.denied))
+            }),
+        ),
+        Row::new("benign_denied", benign.denied, "==", 0u64),
+        Row::new("benign_energy_mj", benign.energy_mj, ">", 0.0),
+        Row::holds("byte_identical_layouts", byte_identical_layouts),
+    ];
+    let results = obj! {
+        "sweep" => plans.iter().map(|p| obj! {
+            "class" => format!("{:?}", p.class),
+            "key_floor_bits" => p.key_floor_bits,
+            "cipher" => p.choice.as_ref().map(|c| c.info.name),
+            "throughput_bps" => p.choice.as_ref().map(|c| fixed(c.throughput_bps, 1)),
+            "handshake_energy_mj" => p.choice.as_ref().map(|c| fixed(c.handshake_energy_mj, 6)),
+        }).collect::<Vec<_>>(),
+        "runs" => variants.iter().map(|v| {
+            let s = v.onboarding();
+            obj! {
+                "variant" => v.label,
+                "joins" => s.joins,
+                "admitted" => s.admitted,
+                "denied" => s.denied,
+                "rogue_admissions" => s.rogue_admissions,
+                "retransmissions" => s.retransmissions,
+                "bytes_sent" => s.bytes_sent,
+                "energy_mj" => fixed(s.energy_mj, 6),
+                "flagged" => v.report.flagged.len(),
+                "wall_s" => fixed(v.wall_s, 3),
+                "classes" => s.classes.iter().map(|c| obj! {
+                    "class" => c.class.as_str(),
+                    "cipher" => c.cipher,
+                    "joins" => c.joins,
+                    "admitted" => c.admitted,
+                    "mean_latency_ms" => fixed(c.mean_latency_ms, 3),
+                    "mean_energy_mj" => fixed(c.mean_energy_mj, 6),
+                }).collect::<Vec<_>>(),
+            }
+        }).collect::<Vec<_>>(),
+    };
+    args.finish("onboard", cfg.json(), results, &rows)
 }

@@ -12,67 +12,59 @@
 //! reports must be byte-identical across worker counts.
 //!
 //! ```text
-//! cargo run --release -p xlf-bench --bin exp_ota -- \
-//!     --homes 64 --workers 8 --horizon 420 --json BENCH_ota.json
+//! cargo run --release -p xlf-bench --bin exp_ota -- [--smoke] [--json BENCH_ota.json]
 //! ```
 
-use std::time::Instant;
-use xlf_bench::print_table;
+use std::process::ExitCode;
+use xlf_bench::harness::{best_of, fixed, Args, Json, Row};
+use xlf_bench::obj;
 use xlf_device::firmware::Version;
 use xlf_fleet::{
-    run_fleet, scratch_dir, CampaignReport, CampaignSpec, ConfigAuditSpec, FleetMetrics,
-    FleetReport, FleetSpec, FLEET_REPORT_SCHEMA_VERSION,
+    run_fleet, CampaignReport, CampaignSpec, ConfigAuditSpec, FleetMetrics, FleetReport, FleetSpec,
 };
 use xlf_simnet::Duration;
 
-struct Args {
+struct Config {
     homes: usize,
     workers: usize,
     horizon_s: u64,
-    snapshot_every: Option<u64>,
-    json: String,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        homes: 64,
-        workers: 8,
-        horizon_s: 420,
-        snapshot_every: None,
-        json: "BENCH_ota.json".to_string(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |what: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{flag} needs a {what} value"))
-        };
-        match flag.as_str() {
-            "--homes" => args.homes = value("count").parse().expect("--homes: integer"),
-            "--workers" => args.workers = value("count").parse().expect("--workers: integer"),
-            "--horizon" => {
-                args.horizon_s = value("seconds")
-                    .parse()
-                    .expect("--horizon: integer seconds")
-            }
-            "--snapshot-every" => {
-                args.snapshot_every = Some(
-                    value("epochs")
-                        .parse()
-                        .expect("--snapshot-every: integer epochs"),
-                )
-            }
-            "--json" => args.json = value("path"),
-            other => panic!(
-                "unknown flag {other} (use --homes --workers --horizon --snapshot-every --json)"
-            ),
-        }
-    }
-    args
-}
+const CANONICAL: Config = Config {
+    homes: 64,
+    workers: 8,
+    horizon_s: 420,
+};
+
+const SMOKE: Config = Config {
+    homes: 64,
+    workers: 4,
+    horizon_s: 420,
+};
 
 const INTERVAL_S: u64 = 15;
 const WAVES: [u32; 4] = [10, 30, 60, 100];
+
+impl Config {
+    fn json(&self) -> Json {
+        obj! {
+            "homes" => self.homes,
+            "workers" => self.workers,
+            "horizon_s" => self.horizon_s,
+            "interval_s" => INTERVAL_S,
+            "waves" => &WAVES[..],
+        }
+    }
+
+    fn spec(&self, workers: usize, tampered: bool, gated: bool) -> FleetSpec {
+        FleetSpec::new(0x07A_CA4E, self.homes)
+            .with_workers(workers)
+            .with_horizon(Duration::from_secs(self.horizon_s))
+            .with_correlation_interval(INTERVAL_S)
+            .with_campaign(campaign(tampered, gated))
+            .with_config_audit(ConfigAuditSpec::new(6).with_drift(15, 10))
+    }
+}
 
 /// The campaign: a cam firmware release staged through 10/30/60/100%
 /// waves, first wave after the learning phase (epoch 8 = 120 s), one
@@ -95,22 +87,6 @@ fn campaign(tampered: bool, gated: bool) -> CampaignSpec {
     c
 }
 
-fn spec(args: &Args, workers: usize, tampered: bool, gated: bool) -> FleetSpec {
-    let mut spec = FleetSpec::new(0x07A_CA4E, args.homes)
-        .with_workers(workers)
-        .with_horizon(Duration::from_secs(args.horizon_s))
-        .with_correlation_interval(INTERVAL_S)
-        .with_campaign(campaign(tampered, gated))
-        .with_config_audit(ConfigAuditSpec::new(6).with_drift(15, 10));
-    // Optional durability rider: every variant snapshots at the same
-    // cadence (into its own scratch dir), keeping the cross-variant and
-    // cross-worker byte comparisons apples-to-apples.
-    if let Some(every) = args.snapshot_every {
-        spec = spec.with_run_snapshot_every(every, scratch_dir("exp-ota"));
-    }
-    spec
-}
-
 struct Variant {
     label: &'static str,
     report: FleetReport,
@@ -128,204 +104,118 @@ impl Variant {
     }
 }
 
-fn main() {
-    let args = parse_args();
-    println!(
-        "xlf-ota: {} homes, horizon {} s, {} workers, waves {:?} @ every 3 epochs ({} s interval)",
-        args.homes, args.horizon_s, args.workers, WAVES, INTERVAL_S,
-    );
+fn main() -> ExitCode {
+    let args = Args::from_env();
+    let cfg = args.pick(&CANONICAL, &SMOKE);
 
-    let mut variants: Vec<Variant> = Vec::new();
-    for (label, tampered, gated) in [
+    let variants: Vec<Variant> = [
         ("clean gated", false, true),
         ("tampered gated", true, true),
         ("tampered ungated", true, false),
-    ] {
-        let t0 = Instant::now();
-        let report = run_fleet(
-            &spec(&args, args.workers, tampered, gated),
-            &FleetMetrics::new(),
-        )
-        .expect("fleet engine lost work");
-        variants.push(Variant {
+    ]
+    .into_iter()
+    .map(|(label, tampered, gated)| {
+        let (report, wall_s) = best_of(1, || {
+            run_fleet(
+                &cfg.spec(cfg.workers, tampered, gated),
+                &FleetMetrics::new(),
+            )
+            .expect("fleet engine lost work")
+        });
+        Variant {
             label,
             report,
-            wall_s: t0.elapsed().as_secs_f64(),
-        });
-    }
-
-    let clean = variants[0].campaign().clone();
-    let gated = variants[1].campaign().clone();
-    let ungated = variants[2].campaign().clone();
-
-    // Acceptance 1: the clean signed release reaches the whole fleet.
-    assert_eq!(clean.rollout_pct, 100, "clean rollout stalled: {clean:?}");
-    assert_eq!(clean.halted_at_wave, None);
-    assert_eq!(clean.updated, clean.targets, "clean release must apply");
-    assert_eq!(clean.compromised, 0);
-
-    // Acceptance 2: the health gate halts the tampered release after its
-    // first wave — compromise is bounded by the first gated wave's
-    // cohort, and every compromised home is rolled back + quarantined.
-    assert_eq!(
-        gated.halted_at_wave,
-        Some(1),
-        "gate must halt at the first boundary: {gated:?}"
-    );
-    assert_eq!(gated.rollout_pct, WAVES[0], "halt bounds the rollout");
-    assert!(
-        gated.updated > 0,
-        "first wave must land for the gate to see it"
-    );
-    assert_eq!(
-        gated.compromised, gated.waves[0].applied,
-        "compromise cannot exceed the first wave"
-    );
-    assert_eq!(gated.rolled_back, gated.updated);
-    assert_eq!(gated.quarantined, gated.updated);
-    assert!(gated.contained, "containment is the whole point: {gated:?}");
-
-    // Acceptance 3: without the gate the same release owns every
-    // promiscuous target — the counterfactual the gate prevents.
-    assert_eq!(ungated.rollout_pct, 100);
-    assert!(ungated.compromised > gated.compromised);
-    assert_eq!(ungated.rolled_back, 0);
-    assert!(!ungated.contained);
-
-    // Acceptance 4: the config audit detected and remediated its
-    // deterministic drift cohort.
-    let audit = variants[0]
-        .report
-        .mgmt
-        .as_ref()
-        .and_then(|m| m.config_audit)
-        .expect("config audit section");
-    assert!(audit.drifted > 0, "drift cohort stamped empty");
-    assert_eq!(audit.detected, audit.drifted, "every drift caught");
-    assert_eq!(audit.remediated, audit.detected);
-
-    // Acceptance 5: campaign-bearing reports are byte-identical across
-    // worker counts (the control plane is part of the deterministic
-    // aggregation, not an execution detail).
-    let gated_json = variants[1].report.to_json();
-    assert!(gated_json.starts_with(&format!(
-        "{{\"schema_version\":{FLEET_REPORT_SCHEMA_VERSION},"
-    )));
-    let mut byte_identical = true;
-    for workers in [1, 2] {
-        let report = run_fleet(&spec(&args, workers, true, true), &FleetMetrics::new())
-            .expect("fleet engine lost work");
-        if report.to_json() != gated_json {
-            eprintln!("worker count {workers} changed the campaign-bearing report");
-            byte_identical = false;
+            wall_s,
         }
-    }
-    assert!(byte_identical, "campaign reports must be layout-invariant");
+    })
+    .collect();
 
-    print_table(
-        "OTA campaign variants",
-        &[
-            "Variant",
-            "Rollout %",
-            "Updated",
-            "Rejected",
-            "Compromised",
-            "Rolled back",
-            "Quarantined",
-            "Halted @",
-            "Contained",
-            "Wall (s)",
-        ],
-        &variants
-            .iter()
-            .map(|v| {
-                let c = v.campaign();
-                vec![
-                    v.label.to_string(),
-                    c.rollout_pct.to_string(),
-                    c.updated.to_string(),
-                    c.rejected.to_string(),
-                    c.compromised.to_string(),
-                    c.rolled_back.to_string(),
-                    c.quarantined.to_string(),
-                    c.halted_at_wave
-                        .map_or("-".to_string(), |w| format!("wave {w}")),
-                    c.contained.to_string(),
-                    format!("{:.2}", v.wall_s),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-
-    println!(
-        "\nGate held the tampered release to {}% of the fleet ({} compromised, all rolled \
-         back + quarantined); ungated counterfactual compromised {} home(s). Config audit \
-         remediated {} drifted home(s).",
-        gated.rollout_pct, gated.compromised, ungated.compromised, audit.remediated,
-    );
-
-    match write_bench_json(&args, &variants, byte_identical) {
-        Ok(()) => println!("Trajectory point written to {}.", args.json),
-        Err(e) => eprintln!("could not write {}: {e}", args.json),
-    }
-}
-
-fn write_bench_json(
-    args: &Args,
-    variants: &[Variant],
-    byte_identical: bool,
-) -> std::io::Result<()> {
-    let runs: Vec<String> = variants
-        .iter()
-        .map(|v| {
-            let c = v.campaign();
-            format!(
-                "{{\"variant\": \"{}\", \"tampered\": {}, \"gated\": {}, \"targets\": {}, \
-                 \"rollout_pct\": {}, \"updated\": {}, \"rejected\": {}, \"compromised\": {}, \
-                 \"rolled_back\": {}, \"quarantined\": {}, \"halted_at_wave\": {}, \
-                 \"halt_epoch\": {}, \"contained\": {}, \"waves_launched\": {}, \
-                 \"wall_s\": {:.3}}}",
-                v.label,
-                c.tampered,
-                c.gated,
-                c.targets,
-                c.rollout_pct,
-                c.updated,
-                c.rejected,
-                c.compromised,
-                c.rolled_back,
-                c.quarantined,
-                c.halted_at_wave
-                    .map_or("null".to_string(), |w| w.to_string()),
-                c.halt_epoch.map_or("null".to_string(), |e| e.to_string()),
-                c.contained,
-                c.waves.len(),
-                v.wall_s,
-            )
-        })
-        .collect();
+    let clean = variants[0].campaign();
+    let gated = variants[1].campaign();
+    let ungated = variants[2].campaign();
     let audit = variants[0]
         .report
         .mgmt
         .as_ref()
         .and_then(|m| m.config_audit)
         .expect("config audit section");
-    let json = format!(
-        "{{\n  \"experiment\": \"ota\",\n  \"homes\": {},\n  \"workers\": {},\n  \
-         \"horizon_s\": {},\n  \"interval_s\": {},\n  \"waves\": {:?},\n  \
-         \"byte_identical_workers\": {},\n  \"config_audit\": {{\"every\": {}, \
-         \"drifted\": {}, \"detected\": {}, \"remediated\": {}}},\n  \"runs\": [\n    {}\n  ]\n}}\n",
-        args.homes,
-        args.workers,
-        args.horizon_s,
-        INTERVAL_S,
-        WAVES,
-        byte_identical,
-        audit.every,
-        audit.drifted,
-        audit.detected,
-        audit.remediated,
-        runs.join(",\n    "),
-    );
-    std::fs::write(&args.json, json)
+
+    // Campaign-bearing reports are byte-identical across worker counts
+    // (the control plane is part of the deterministic aggregation, not
+    // an execution detail).
+    let gated_json = variants[1].report.to_json();
+    let byte_identical_workers = [1, 2].into_iter().all(|workers| {
+        run_fleet(&cfg.spec(workers, true, true), &FleetMetrics::new())
+            .expect("fleet engine lost work")
+            .to_json()
+            == gated_json
+    });
+
+    let rows = [
+        // The clean signed release reaches the whole fleet.
+        Row::new("clean_rollout_pct", clean.rollout_pct, "==", 100u32),
+        Row::holds("clean_never_halted", clean.halted_at_wave.is_none()),
+        Row::new("clean_updated", clean.updated, "==", clean.targets),
+        Row::new("clean_compromised", clean.compromised, "==", 0u64),
+        // The health gate halts the tampered release after its first
+        // wave: compromise is bounded by the first wave's cohort, and
+        // every compromised home is rolled back + quarantined.
+        Row::new("gated_halted_at_wave", gated.halted_at_wave, "==", 1u32),
+        Row::new("gated_rollout_pct", gated.rollout_pct, "==", WAVES[0]),
+        Row::new("gated_updated", gated.updated, ">", 0u64),
+        Row::new(
+            "gated_compromised",
+            gated.compromised,
+            "==",
+            gated.waves[0].applied,
+        ),
+        Row::new("gated_rolled_back", gated.rolled_back, "==", gated.updated),
+        Row::new("gated_quarantined", gated.quarantined, "==", gated.updated),
+        Row::holds("contained", gated.contained),
+        // Without the gate the same release owns every promiscuous
+        // target: the counterfactual the gate prevents.
+        Row::new("ungated_rollout_pct", ungated.rollout_pct, "==", 100u32),
+        Row::new(
+            "ungated_compromised",
+            ungated.compromised,
+            ">",
+            gated.compromised,
+        ),
+        Row::new("ungated_rolled_back", ungated.rolled_back, "==", 0u64),
+        Row::holds("ungated_not_contained", !ungated.contained),
+        // The config audit detects and remediates its drift cohort.
+        Row::new("audit_drifted", audit.drifted, ">", 0u64),
+        Row::new("audit_detected", audit.detected, "==", audit.drifted),
+        Row::new("audit_remediated", audit.remediated, "==", audit.detected),
+        Row::holds("byte_identical_workers", byte_identical_workers),
+    ];
+    let results = obj! {
+        "config_audit" => obj! {
+            "every" => audit.every,
+            "drifted" => audit.drifted,
+            "detected" => audit.detected,
+            "remediated" => audit.remediated,
+        },
+        "runs" => variants.iter().map(|v| {
+            let c = v.campaign();
+            obj! {
+                "variant" => v.label,
+                "tampered" => c.tampered,
+                "gated" => c.gated,
+                "targets" => c.targets,
+                "rollout_pct" => c.rollout_pct,
+                "updated" => c.updated,
+                "rejected" => c.rejected,
+                "compromised" => c.compromised,
+                "rolled_back" => c.rolled_back,
+                "quarantined" => c.quarantined,
+                "halted_at_wave" => c.halted_at_wave,
+                "halt_epoch" => c.halt_epoch,
+                "contained" => c.contained,
+                "waves_launched" => c.waves.len(),
+                "wall_s" => fixed(v.wall_s, 3),
+            }
+        }).collect::<Vec<_>>(),
+    };
+    args.finish("ota", cfg.json(), results, &rows)
 }

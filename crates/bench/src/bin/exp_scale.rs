@@ -1,108 +1,94 @@
 //! E-SCALE: the hierarchical region→global aggregation at fleet scale.
 //!
-//! Runs two fleet tiers (`--homes / 10` and `--homes`) under
+//! Runs two fleet tiers (`homes / 10` and `homes`) under
 //! candidates-only row retention and measures peak RSS per tier, proving
 //! the memory contract of the two-tier topology: peak memory grows
 //! **sublinearly** in fleet size because the region tier forwards a
 //! bounded candidate set instead of retaining every home's outcome. The
 //! large tier additionally runs with 1, 2, and 8 region-aggregator
-//! instances and asserts the three reports are **byte-identical** — the
+//! instances and checks the three reports are **byte-identical** — the
 //! shard count is an execution knob, not an input to the science.
 //!
 //! ```text
-//! cargo run --release -p xlf-bench --bin exp_scale -- \
-//!     --homes 100000 --workers 8 --horizon 240 --max-rss-mb 2048 \
-//!     --json BENCH_scale.json
+//! cargo run --release -p xlf-bench --bin exp_scale -- [--smoke] [--json BENCH_scale.json]
 //! ```
 
-use std::time::Instant;
-use xlf_bench::print_table;
+use std::process::ExitCode;
+use xlf_bench::harness::{best_of, fixed, Args, Json, Row};
+use xlf_bench::{active_attacked, obj};
 use xlf_fleet::{
     run_fleet, FleetAttack, FleetMetrics, FleetReport, FleetSpec, HomeTemplate, RowPolicy,
-    FLEET_REPORT_SCHEMA_VERSION,
 };
 use xlf_simnet::Duration;
 
-struct Args {
+struct Config {
     /// Large-tier fleet size; the small tier is a tenth of it.
     homes: usize,
     workers: usize,
     horizon_s: u64,
-    /// Hard ceiling on any run's peak RSS (0 = no ceiling).
+    /// Ceiling on any run's peak RSS.
     max_rss_mb: u64,
-    json: String,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        homes: 100_000,
-        workers: 8,
-        horizon_s: 240,
-        max_rss_mb: 0,
-        json: "BENCH_scale.json".to_string(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |what: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{flag} needs a {what} value"))
-        };
-        match flag.as_str() {
-            "--homes" => args.homes = value("count").parse().expect("--homes: integer"),
-            "--workers" => args.workers = value("count").parse().expect("--workers: integer"),
-            "--horizon" => {
-                args.horizon_s = value("seconds")
-                    .parse()
-                    .expect("--horizon: integer seconds")
-            }
-            "--max-rss-mb" => {
-                args.max_rss_mb = value("megabytes").parse().expect("--max-rss-mb: integer")
-            }
-            "--json" => args.json = value("path"),
-            other => {
-                panic!("unknown flag {other} (use --homes --workers --horizon --max-rss-mb --json)")
-            }
+const CANONICAL: Config = Config {
+    homes: 100_000,
+    workers: 8,
+    horizon_s: 240,
+    max_rss_mb: 2048,
+};
+
+const SMOKE: Config = Config {
+    homes: 10_000,
+    workers: 4,
+    horizon_s: 240,
+    max_rss_mb: 512,
+};
+
+const _: () = assert!(CANONICAL.homes >= 100 && SMOKE.homes >= 100);
+
+impl Config {
+    fn json(&self) -> Json {
+        obj! {
+            "homes_small" => self.homes / 10,
+            "homes_large" => self.homes,
+            "workers" => self.workers,
+            "horizon_s" => self.horizon_s,
+            "row_policy" => "candidates",
+            "max_rss_mb" => self.max_rss_mb,
         }
     }
-    assert!(args.homes >= 100, "--homes must be at least 100");
-    args
+
+    /// A mostly-benign fleet (~1.6% active attacks) under candidates-only
+    /// retention — the configuration the hierarchical tier exists for.
+    fn spec(&self, homes: usize, regions: usize) -> FleetSpec {
+        FleetSpec::new(0xF1EE_5CA1, homes)
+            .with_workers(self.workers)
+            .with_regions(regions)
+            .with_horizon(Duration::from_secs(self.horizon_s))
+            .with_templates(vec![
+                HomeTemplate::apartment(),
+                HomeTemplate::house(),
+                HomeTemplate::retrofit(),
+            ])
+            .with_attacks(vec![
+                (FleetAttack::None, 120),
+                (FleetAttack::BotnetRecruit, 1),
+                (FleetAttack::FirmwareTamper, 1),
+            ])
+            .with_row_policy(RowPolicy::CandidatesOnly)
+    }
 }
 
-/// A mostly-benign fleet (~1.6% active attacks) under candidates-only
-/// retention — the configuration the hierarchical tier exists for.
-fn spec(args: &Args, homes: usize, regions: usize) -> FleetSpec {
-    FleetSpec::new(0xF1EE_5CA1, homes)
-        .with_workers(args.workers)
-        .with_regions(regions)
-        .with_horizon(Duration::from_secs(args.horizon_s))
-        .with_templates(vec![
-            HomeTemplate::apartment(),
-            HomeTemplate::house(),
-            HomeTemplate::retrofit(),
-        ])
-        .with_attacks(vec![
-            (FleetAttack::None, 120),
-            (FleetAttack::BotnetRecruit, 1),
-            (FleetAttack::FirmwareTamper, 1),
-        ])
-        .with_row_policy(RowPolicy::CandidatesOnly)
-}
-
-/// Peak RSS (VmHWM) of this process in KiB, from `/proc/self/status`.
-fn peak_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
+/// Peak RSS (VmHWM) of this process in MiB, from `/proc/self/status`.
+fn peak_rss_mb() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status");
+    let kb: u64 = status
         .lines()
         .find(|l| l.starts_with("VmHWM:"))
         .and_then(|l| l.split_whitespace().nth(1))
         .and_then(|v| v.parse().ok())
-}
-
-/// Resets the kernel's peak-RSS watermark (`echo 5 > clear_refs`) so
-/// each tier's peak can be read independently. Returns false where
-/// unsupported — the sublinearity check is skipped then.
-fn reset_peak_rss() -> bool {
-    std::fs::write("/proc/self/clear_refs", "5").is_ok()
+        .expect("VmHWM in /proc/self/status");
+    kb as f64 / 1024.0
 }
 
 struct TierRun {
@@ -111,245 +97,109 @@ struct TierRun {
     report: FleetReport,
     metrics: FleetMetrics,
     wall_s: f64,
-    peak_rss_mb: Option<f64>,
+    peak_rss_mb: f64,
 }
 
-fn timed_run(args: &Args, homes: usize, regions: usize, rss_resets: bool) -> TierRun {
-    if rss_resets {
-        reset_peak_rss();
-    }
+fn tier_run(cfg: &Config, homes: usize, regions: usize) -> TierRun {
+    // Resets the kernel's peak-RSS watermark so each run's peak is its
+    // own. Where the reset is unsupported the watermark only grows, so
+    // later runs read high and the sublinearity row stays conservative.
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
     let metrics = FleetMetrics::new();
-    let t0 = Instant::now();
-    let report = run_fleet(&spec(args, homes, regions), &metrics).expect("fleet engine lost work");
-    let wall_s = t0.elapsed().as_secs_f64();
-    let peak_rss_mb = if rss_resets {
-        peak_rss_kb().map(|kb| kb as f64 / 1024.0)
-    } else {
-        None
-    };
+    let (report, wall_s) = best_of(1, || {
+        run_fleet(&cfg.spec(homes, regions), &metrics).expect("fleet engine lost work")
+    });
     TierRun {
         homes,
         regions,
         report,
         metrics,
         wall_s,
-        peak_rss_mb,
+        peak_rss_mb: peak_rss_mb(),
     }
 }
 
-/// Ids of homes under an *active* attack (the ones the fleet tier must
-/// flag) — drawn from the region tallies' ground truth: every active
-/// attack raises in-home criticals, so the home is an always-candidate
-/// and appears among the retained rows even in candidates mode.
-fn attacked_ids(report: &FleetReport) -> Vec<u64> {
-    report
-        .rows
-        .iter()
-        .filter(|r| r.attack != "none" && r.attack != "traffic-observer")
-        .map(|r| r.id)
-        .collect()
-}
+fn main() -> ExitCode {
+    let args = Args::from_env();
+    let cfg = args.pick(&CANONICAL, &SMOKE);
+    let small_homes = cfg.homes / 10;
 
-fn main() {
-    let args = parse_args();
-    let small_homes = args.homes / 10;
-    let rss_resets = reset_peak_rss();
-    if !rss_resets {
-        eprintln!("warning: /proc/self/clear_refs unavailable; memory checks skipped");
-    }
-    println!(
-        "xlf-scale: tiers {small_homes} and {} homes, horizon {} s, candidates-only rows, \
-         region shards 1/2/8 at the large tier",
-        args.homes, args.horizon_s,
-    );
-
-    // Small tier: one run (8 shards), the memory baseline.
-    let small = timed_run(&args, small_homes, 8, rss_resets);
-
-    // Large tier: three runs across region counts; byte-identity is the
-    // hierarchical contract, and the 8-shard run is the memory probe.
-    let large_r1 = timed_run(&args, args.homes, 1, rss_resets);
-    let large_r2 = timed_run(&args, args.homes, 2, rss_resets);
-    let large = timed_run(&args, args.homes, 8, rss_resets);
-
+    // Small tier: one run (8 shards), the memory baseline. Large tier:
+    // three runs across region counts; byte-identity is the hierarchical
+    // contract, and the 8-shard run is the memory probe.
+    let runs = [
+        tier_run(cfg, small_homes, 8),
+        tier_run(cfg, cfg.homes, 1),
+        tier_run(cfg, cfg.homes, 2),
+        tier_run(cfg, cfg.homes, 8),
+    ];
+    let [small, large_r1, large_r2, large] = &runs;
     let json_r8 = large.report.to_json();
     let byte_identical_regions =
         large_r1.report.to_json() == json_r8 && large_r2.report.to_json() == json_r8;
 
-    let runs = [&small, &large_r1, &large_r2, &large];
-    print_table(
-        "Scale tiers",
-        &[
-            "Homes",
-            "Regions",
-            "Wall (s)",
-            "Homes/s",
-            "Peak RSS (MB)",
-            "Candidates",
-            "Rows",
-            "Flagged",
-        ],
-        &runs
-            .iter()
-            .map(|r| {
-                vec![
-                    r.homes.to_string(),
-                    r.regions.to_string(),
-                    format!("{:.2}", r.wall_s),
-                    format!("{:.1}", r.homes as f64 / r.wall_s),
-                    r.peak_rss_mb
-                        .map_or("n/a".to_string(), |mb| format!("{mb:.1}")),
-                    r.metrics.region_candidates.get().to_string(),
-                    r.report.rows.len().to_string(),
-                    r.report.flagged.len().to_string(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-
     // Sublinearity: the large tier is 10× the homes; its peak RSS must
     // come in well under 10× the small tier's (the candidate set, not
     // the fleet, is what the global pass retains). The bar is half of
-    // linear scaling — in practice the ratio is near 1.
-    let homes_ratio = args.homes as f64 / small_homes as f64;
-    let (mem_ratio, sublinear_memory) = match (small.peak_rss_mb, large.peak_rss_mb) {
-        (Some(s), Some(l)) if s > 0.0 => {
-            let ratio = l / s;
-            (Some(ratio), ratio < homes_ratio * 0.5)
-        }
-        _ => (None, false),
-    };
-    if let Some(ratio) = mem_ratio {
-        println!(
-            "\nPeak-RSS ratio {small_homes}→{} homes: {ratio:.2}× \
-             (homes ratio {homes_ratio:.0}×, sublinear: {sublinear_memory})",
-            args.homes,
-        );
-    }
-    println!("Byte-identical across region counts 1/2/8: {byte_identical_regions}");
-
-    // Self-asserting acceptance gates.
-    assert!(
-        byte_identical_regions,
-        "region shard count changed the large-tier report"
-    );
-    for r in runs {
-        let attacked = attacked_ids(&r.report);
-        assert!(
-            !attacked.is_empty(),
-            "{} homes: attack mix stamped no active attacks",
-            r.homes
-        );
-        let missed: Vec<u64> = attacked
-            .iter()
-            .filter(|id| !r.report.flagged.contains(id))
-            .copied()
-            .collect();
-        assert!(
-            missed.is_empty(),
-            "{} homes: {} active-attacked home(s) not flagged: {missed:?}",
-            r.homes,
-            missed.len()
-        );
-        assert!(
-            r.report.accounting_ok(r.homes),
-            "{} homes: outcome conservation violated",
-            r.homes
-        );
-        // Candidates-only retention really is bounded: far fewer rows
-        // than homes at the large tier.
-        if r.homes >= 10_000 {
-            assert!(
-                r.report.rows.len() < r.homes / 4,
-                "{} homes: candidates-only retention kept {} rows",
-                r.homes,
-                r.report.rows.len()
-            );
-        }
-        if args.max_rss_mb > 0 {
-            if let Some(mb) = r.peak_rss_mb {
-                assert!(
-                    mb <= args.max_rss_mb as f64,
-                    "{} homes ({} regions): peak RSS {mb:.1} MB exceeds ceiling {} MB",
-                    r.homes,
-                    r.regions,
-                    args.max_rss_mb
-                );
-            }
-        }
-    }
-    if rss_resets {
-        assert!(
-            sublinear_memory,
-            "peak RSS scaled superlinearly: ratio {mem_ratio:?} over {homes_ratio:.0}× homes"
-        );
-    }
-
-    match write_bench_json(
-        &args,
-        small_homes,
-        &runs,
-        byte_identical_regions,
-        mem_ratio,
-        homes_ratio,
-        sublinear_memory,
-    ) {
-        Ok(()) => println!("Trajectory point written to {}.", args.json),
-        Err(e) => eprintln!("could not write {}: {e}", args.json),
-    }
-}
-
-fn write_bench_json(
-    args: &Args,
-    small_homes: usize,
-    runs: &[&TierRun; 4],
-    byte_identical_regions: bool,
-    mem_ratio: Option<f64>,
-    homes_ratio: f64,
-    sublinear_memory: bool,
-) -> std::io::Result<()> {
-    let tiers: Vec<String> = runs
+    // linear scaling.
+    let homes_ratio = cfg.homes as f64 / small_homes as f64;
+    let mem_ratio = large.peak_rss_mb / small.peak_rss_mb;
+    let missed: usize = runs
         .iter()
         .map(|r| {
-            format!(
-                "{{\"homes\": {}, \"regions\": {}, \"wall_s\": {:.3}, \
-                 \"homes_per_sec\": {:.1}, \"peak_rss_mb\": {}, \"rows\": {}, \
-                 \"candidates\": {}, \"flagged\": {}, \"attacked\": {}, \
-                 \"evidence\": {}, \"communities\": {}}}",
-                r.homes,
-                r.regions,
-                r.wall_s,
-                r.homes as f64 / r.wall_s,
-                r.peak_rss_mb
-                    .map_or("null".to_string(), |mb| format!("{mb:.1}")),
-                r.report.rows.len(),
-                r.metrics.region_candidates.get(),
-                r.report.flagged.len(),
-                attacked_ids(&r.report).len(),
-                r.report.totals.evidence,
-                r.report.communities,
-            )
+            active_attacked(&r.report)
+                .iter()
+                .filter(|id| !r.report.flagged.contains(id))
+                .count()
         })
-        .collect();
-    let large = runs[3];
-    let json = format!(
-        "{{\n  \"experiment\": \"scale\",\n  \"schema_version\": {},\n  \
-         \"homes_small\": {},\n  \"homes_large\": {},\n  \"horizon_s\": {},\n  \
-         \"workers\": {},\n  \"row_policy\": \"candidates\",\n  \
-         \"byte_identical_regions\": {},\n  \"homes_ratio\": {:.1},\n  \
-         \"mem_ratio\": {},\n  \"sublinear_memory\": {},\n  \
-         \"tiers\": [\n    {}\n  ],\n  \"metrics\": {}\n}}\n",
-        FLEET_REPORT_SCHEMA_VERSION,
-        small_homes,
-        args.homes,
-        args.horizon_s,
-        args.workers,
-        byte_identical_regions,
-        homes_ratio,
-        mem_ratio.map_or("null".to_string(), |r| format!("{r:.3}")),
-        sublinear_memory,
-        tiers.join(",\n    "),
-        large.metrics.to_json(),
-    );
-    std::fs::write(&args.json, json)
+        .sum();
+    // Candidates-only retention really is bounded: far fewer rows than
+    // homes at 10k homes and up.
+    let max_row_share = runs
+        .iter()
+        .filter(|r| r.homes >= 10_000)
+        .map(|r| r.report.rows.len() as f64 / r.homes as f64)
+        .fold(0.0, f64::max);
+    let rows = [
+        Row::holds("byte_identical_regions", byte_identical_regions),
+        Row::new(
+            "min_attacked_per_tier",
+            runs.iter()
+                .map(|r| active_attacked(&r.report).len())
+                .min()
+                .unwrap_or(0),
+            ">",
+            0u64,
+        ),
+        Row::new("attacked_homes_missed", missed, "==", 0u64),
+        Row::holds(
+            "conservation",
+            runs.iter().all(|r| r.report.accounting_ok(r.homes)),
+        ),
+        Row::new("max_row_share_at_10k_plus", max_row_share, "<", 0.25),
+        Row::new(
+            "max_peak_rss_mb",
+            runs.iter().map(|r| r.peak_rss_mb).fold(0.0, f64::max),
+            "<=",
+            cfg.max_rss_mb,
+        ),
+        Row::new("mem_ratio", mem_ratio, "<", homes_ratio * 0.5),
+    ];
+    let results = obj! {
+        "tiers" => runs.iter().map(|r| obj! {
+            "homes" => r.homes,
+            "regions" => r.regions,
+            "wall_s" => fixed(r.wall_s, 3),
+            "homes_per_sec" => fixed(r.homes as f64 / r.wall_s, 1),
+            "peak_rss_mb" => fixed(r.peak_rss_mb, 1),
+            "rows" => r.report.rows.len(),
+            "candidates" => r.metrics.region_candidates.get(),
+            "flagged" => r.report.flagged.len(),
+            "attacked" => active_attacked(&r.report).len(),
+            "evidence" => r.report.totals.evidence,
+            "communities" => r.report.communities,
+        }).collect::<Vec<_>>(),
+        "metrics" => Json::parse(&large.metrics.to_json()).expect("fleet metrics render valid JSON"),
+    };
+    args.finish("scale", cfg.json(), results, &rows)
 }

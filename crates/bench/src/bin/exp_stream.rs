@@ -10,107 +10,67 @@
 //! alert-dedup columns in `BENCH_stream.json`.
 //!
 //! ```text
-//! cargo run --release -p xlf-bench --bin exp_stream -- \
-//!     --homes 48 --workers 8 --horizon 420 --json BENCH_stream.json
+//! cargo run --release -p xlf-bench --bin exp_stream -- [--smoke] [--json BENCH_stream.json]
 //! ```
 
-use std::time::Instant;
-use xlf_bench::print_table;
-use xlf_fleet::scratch_dir;
-use xlf_fleet::{
-    run_fleet, FleetAttack, FleetMetrics, FleetReport, FleetSpec, HomeTemplate,
-    FLEET_REPORT_SCHEMA_VERSION,
-};
+use std::process::ExitCode;
+use xlf_bench::harness::{best_of, fixed, Args, Json, Row};
+use xlf_bench::{active_attacked, obj};
+use xlf_fleet::{run_fleet, FleetAttack, FleetMetrics, FleetReport, FleetSpec, HomeTemplate};
 use xlf_simnet::Duration;
 
-struct Args {
+struct Config {
     homes: usize,
     workers: usize,
     horizon_s: u64,
-    snapshot_every: Option<u64>,
-    json: String,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        homes: 48,
-        workers: 8,
-        horizon_s: 420,
-        snapshot_every: None,
-        json: "BENCH_stream.json".to_string(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |what: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{flag} needs a {what} value"))
-        };
-        match flag.as_str() {
-            "--homes" => args.homes = value("count").parse().expect("--homes: integer"),
-            "--workers" => args.workers = value("count").parse().expect("--workers: integer"),
-            "--horizon" => {
-                args.horizon_s = value("seconds")
-                    .parse()
-                    .expect("--horizon: integer seconds")
-            }
-            "--snapshot-every" => {
-                args.snapshot_every = Some(
-                    value("epochs")
-                        .parse()
-                        .expect("--snapshot-every: integer epochs"),
-                )
-            }
-            "--json" => args.json = value("path"),
-            other => panic!(
-                "unknown flag {other} (use --homes --workers --horizon --snapshot-every --json)"
-            ),
+const CANONICAL: Config = Config {
+    homes: 48,
+    workers: 8,
+    horizon_s: 420,
+};
+
+const SMOKE: Config = Config {
+    homes: 24,
+    workers: 2,
+    horizon_s: 420,
+};
+
+impl Config {
+    fn json(&self) -> Json {
+        obj! {
+            "homes" => self.homes,
+            "workers" => self.workers,
+            "horizon_s" => self.horizon_s,
         }
     }
-    args
-}
 
-fn spec(args: &Args, interval_s: Option<u64>) -> FleetSpec {
-    let mut spec = FleetSpec::new(0x57AE_2019, args.homes)
-        .with_workers(args.workers)
-        .with_horizon(Duration::from_secs(args.horizon_s))
-        .with_templates(vec![
-            HomeTemplate::apartment(),
-            HomeTemplate::house(),
-            HomeTemplate::retrofit(),
-        ])
-        .with_attacks(vec![
-            (FleetAttack::None, 12),
-            (FleetAttack::BotnetRecruit, 1),
-            (FleetAttack::FirmwareTamper, 1),
-            (FleetAttack::Replay, 1),
-            (FleetAttack::DnsPoison, 1),
-        ]);
-    if let Some(s) = interval_s {
-        spec = spec.with_correlation_interval(s);
+    fn spec(&self, interval_s: Option<u64>) -> FleetSpec {
+        let spec = FleetSpec::new(0x57AE_2019, self.homes)
+            .with_workers(self.workers)
+            .with_horizon(Duration::from_secs(self.horizon_s))
+            .with_templates(vec![
+                HomeTemplate::apartment(),
+                HomeTemplate::house(),
+                HomeTemplate::retrofit(),
+            ])
+            .with_attacks(vec![
+                (FleetAttack::None, 12),
+                (FleetAttack::BotnetRecruit, 1),
+                (FleetAttack::FirmwareTamper, 1),
+                (FleetAttack::Replay, 1),
+                (FleetAttack::DnsPoison, 1),
+            ]);
+        match interval_s {
+            Some(s) => spec.with_correlation_interval(s),
+            None => spec,
+        }
     }
-    // Optional durability rider: every sweep point snapshots at the same
-    // cadence (into a per-point scratch dir), so cross-point comparisons
-    // stay apples-to-apples while exercising the run-snapshot path.
-    if let Some(every) = args.snapshot_every {
-        spec = spec.with_run_snapshot_every(every, scratch_dir("exp-stream"));
-    }
-    spec
-}
-
-/// Homes under an *active* attack — the deviants detection latency is
-/// measured over (passive observation has no in-home signature).
-fn attacked_ids(report: &FleetReport) -> Vec<u64> {
-    report
-        .rows
-        .iter()
-        .filter(|r| r.attack != "none" && r.attack != "traffic-observer")
-        .map(|r| r.id)
-        .collect()
 }
 
 /// One row of the interval sweep.
 struct SweepPoint {
-    label: String,
     interval_s: Option<u64>,
     report: FleetReport,
     wall_s: f64,
@@ -157,183 +117,81 @@ impl SweepPoint {
     }
 }
 
-fn main() {
-    let args = parse_args();
-    println!(
-        "xlf-stream: {} homes, horizon {} s, {} workers, interval sweep {{batch, 60 s, 15 s}}",
-        args.homes, args.horizon_s, args.workers,
-    );
+fn main() -> ExitCode {
+    let args = Args::from_env();
+    let cfg = args.pick(&CANONICAL, &SMOKE);
 
-    let mut sweep: Vec<SweepPoint> = Vec::new();
-    for interval_s in [None, Some(60), Some(15)] {
-        let label = interval_s.map_or("batch".to_string(), |s| format!("{s} s"));
-        let metrics = FleetMetrics::new();
-        let t0 = Instant::now();
-        let report = run_fleet(&spec(&args, interval_s), &metrics).expect("fleet engine lost work");
-        sweep.push(SweepPoint {
-            label,
-            interval_s,
-            report,
-            wall_s: t0.elapsed().as_secs_f64(),
-        });
-    }
+    let sweep: Vec<SweepPoint> = [None, Some(60), Some(15)]
+        .into_iter()
+        .map(|interval_s| {
+            let (report, wall_s) = best_of(1, || {
+                run_fleet(&cfg.spec(interval_s), &FleetMetrics::new())
+                    .expect("fleet engine lost work")
+            });
+            SweepPoint {
+                interval_s,
+                report,
+                wall_s,
+            }
+        })
+        .collect();
 
     let batch = &sweep[0];
-    let attacked = attacked_ids(&batch.report);
-    assert!(!attacked.is_empty(), "attack mix stamped no deviants");
+    let attacked = active_attacked(&batch.report);
 
     // Streaming is pure observation: final rows/flags/totals must be
     // identical to batch at every interval.
-    for p in &sweep[1..] {
-        assert_eq!(
-            p.report.rows, batch.report.rows,
-            "interval {} perturbed the per-home rows",
-            p.label
-        );
-        assert_eq!(
-            p.report.flagged, batch.report.flagged,
-            "interval {} changed the final verdicts",
-            p.label
-        );
-        assert_eq!(p.report.totals, batch.report.totals);
-    }
+    let verdicts_match_batch = sweep[1..].iter().all(|p| {
+        p.report.rows == batch.report.rows
+            && p.report.flagged == batch.report.flagged
+            && p.report.totals == batch.report.totals
+    });
 
     // Checkpoint/resume cycling on the finest interval is invisible.
     let finest = sweep.last().expect("sweep is non-empty");
     let cycled = run_fleet(
-        &spec(&args, finest.interval_s).with_stream_checkpoint_every(1),
+        &cfg.spec(finest.interval_s).with_stream_checkpoint_every(1),
         &FleetMetrics::new(),
     )
     .expect("fleet engine lost work");
     let checkpoint_stable = cycled.to_json() == finest.report.to_json();
-    assert!(
-        checkpoint_stable,
-        "checkpoint/resume cycling changed the streamed report"
-    );
-
-    print_table(
-        "Correlation-interval sweep",
-        &[
-            "Interval",
-            "Epochs",
-            "Windows",
-            "Mean detect (s)",
-            "New alerts",
-            "Deduped",
-            "Flagged",
-            "Wall (s)",
-        ],
-        &sweep
-            .iter()
-            .map(|p| {
-                vec![
-                    p.label.clone(),
-                    p.report
-                        .epochs
-                        .as_ref()
-                        .map_or("-".to_string(), |e| e.count.to_string()),
-                    p.report
-                        .epochs
-                        .as_ref()
-                        .map_or("-".to_string(), |e| e.windows_ingested.to_string()),
-                    format!("{:.1}", p.mean_latency_s(&attacked, args.horizon_s)),
-                    p.new_alerts().to_string(),
-                    p.deduped().to_string(),
-                    p.report.flagged.len().to_string(),
-                    format!("{:.2}", p.wall_s),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
 
     // The acceptance bar: at the finest interval every injected deviant
     // is detected strictly before the horizon (i.e. strictly earlier
     // than the batch pass can possibly report it).
-    let mut all_earlier = true;
-    for id in &attacked {
-        let latency = finest.detection_latency_s(*id, args.horizon_s);
-        if latency >= args.horizon_s {
-            eprintln!(
-                "deviant {id} only detected at the horizon under {}",
-                finest.label
-            );
-            all_earlier = false;
-        }
-    }
-    assert!(
-        all_earlier,
-        "interval {} failed to beat batch detection",
-        finest.label
-    );
-
-    println!(
-        "\nAll {} deviants detected strictly before the {} s horizon at interval {} \
-         (checkpoint/resume stable: {checkpoint_stable})",
-        attacked.len(),
-        args.horizon_s,
-        finest.label,
-    );
-
-    let report_json = finest.report.to_json();
-    assert!(
-        report_json.starts_with(&format!(
-            "{{\"schema_version\":{FLEET_REPORT_SCHEMA_VERSION},"
-        )),
-        "fleet report JSON lost its schema version"
-    );
-
-    match write_bench_json(&args, &sweep, &attacked, checkpoint_stable) {
-        Ok(()) => println!("Trajectory point written to {}.", args.json),
-        Err(e) => eprintln!("could not write {}: {e}", args.json),
-    }
-}
-
-fn write_bench_json(
-    args: &Args,
-    sweep: &[SweepPoint],
-    attacked: &[u64],
-    checkpoint_stable: bool,
-) -> std::io::Result<()> {
-    let sweep_json: Vec<String> = sweep
+    let finest_max_detect_s = attacked
         .iter()
-        .map(|p| {
-            let latencies: Vec<String> = attacked
-                .iter()
-                .map(|h| {
-                    format!(
-                        "{{\"home\": {h}, \"detect_s\": {}}}",
-                        p.detection_latency_s(*h, args.horizon_s)
-                    )
-                })
-                .collect();
-            format!(
-                "{{\"interval_s\": {}, \"epochs\": {}, \"windows_ingested\": {}, \
-                 \"windows_shed\": {}, \"mean_detect_s\": {:.1}, \"new_alerts\": {}, \
-                 \"deduped\": {}, \"flagged\": {}, \"wall_s\": {:.3}, \
-                 \"detection_latency\": [{}]}}",
-                p.interval_s.map_or("null".to_string(), |s| s.to_string()),
-                p.report.epochs.as_ref().map_or(0, |e| e.count),
-                p.report.epochs.as_ref().map_or(0, |e| e.windows_ingested),
-                p.report.epochs.as_ref().map_or(0, |e| e.windows_shed),
-                p.mean_latency_s(attacked, args.horizon_s),
-                p.new_alerts(),
-                p.deduped(),
-                p.report.flagged.len(),
-                p.wall_s,
-                latencies.join(", "),
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"experiment\": \"stream\",\n  \"homes\": {},\n  \"workers\": {},\n  \
-         \"horizon_s\": {},\n  \"attacked_homes\": {},\n  \"verdicts_match_batch\": true,\n  \
-         \"checkpoint_stable\": {},\n  \"interval_sweep\": [\n    {}\n  ]\n}}\n",
-        args.homes,
-        args.workers,
-        args.horizon_s,
-        attacked.len(),
-        checkpoint_stable,
-        sweep_json.join(",\n    "),
-    );
-    std::fs::write(&args.json, json)
+        .map(|id| finest.detection_latency_s(*id, cfg.horizon_s))
+        .max()
+        .unwrap_or(0);
+    let rows = [
+        Row::new("attacked_homes", attacked.len(), ">", 0u64),
+        Row::holds("verdicts_match_batch", verdicts_match_batch),
+        Row::holds("checkpoint_stable", checkpoint_stable),
+        Row::new(
+            "max_detect_s_at_finest_interval",
+            finest_max_detect_s,
+            "<",
+            cfg.horizon_s,
+        ),
+    ];
+    let results = obj! {
+        "attacked_homes" => attacked.len(),
+        "interval_sweep" => sweep.iter().map(|p| obj! {
+            "interval_s" => p.interval_s,
+            "epochs" => p.report.epochs.as_ref().map_or(0, |e| e.count),
+            "windows_ingested" => p.report.epochs.as_ref().map_or(0, |e| e.windows_ingested),
+            "windows_shed" => p.report.epochs.as_ref().map_or(0, |e| e.windows_shed),
+            "mean_detect_s" => fixed(p.mean_latency_s(&attacked, cfg.horizon_s), 1),
+            "new_alerts" => p.new_alerts(),
+            "deduped" => p.deduped(),
+            "flagged" => p.report.flagged.len(),
+            "wall_s" => fixed(p.wall_s, 3),
+            "detection_latency" => attacked.iter().map(|&h| obj! {
+                "home" => h,
+                "detect_s" => p.detection_latency_s(h, cfg.horizon_s),
+            }).collect::<Vec<_>>(),
+        }).collect::<Vec<_>>(),
+    };
+    args.finish("stream", cfg.json(), results, &rows)
 }

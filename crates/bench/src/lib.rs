@@ -3,11 +3,13 @@
 //!
 //! Every binary in `src/bin/` regenerates one artifact of the paper (see
 //! DESIGN.md §3 for the experiment index); this library holds the
-//! scenario builders and reporting helpers they share.
+//! scenario builders and reporting helpers they share, and the
+//! [`harness`] the `BENCH_*.json` experiments run on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod harness;
 pub mod scenarios;
 
 /// Prints a Markdown-style table: header row, separator, data rows.
@@ -44,6 +46,18 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     for row in rows {
         println!("{}", fmt_row(row));
     }
+}
+
+/// Ids of homes under an *active* attack: the ones the home and fleet
+/// tiers can be expected to flag. A passive traffic observer injects no
+/// traffic and is invisible from inside the home.
+pub fn active_attacked(report: &xlf_fleet::FleetReport) -> Vec<u64> {
+    report
+        .rows
+        .iter()
+        .filter(|r| r.attack != "none" && r.attack != "traffic-observer")
+        .map(|r| r.id)
+        .collect()
 }
 
 /// Formats a byte count human-readably.
