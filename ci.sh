@@ -13,6 +13,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # Tier-1 (`cargo test -q`, the root package) includes tests/bench_gate.rs,
 # which runs the acceptance gate over every committed BENCH_*.json.
+# Rustdoc over the project's own packages: a deleted or private item
+# left behind in an intra-doc link fails here. The vendored crates are
+# workspace members too, but not ours to document.
+echo "== cargo doc --no-deps (xlf, xlf-*) with -D warnings"
+doc_packages=(-p xlf)
+for crate in crates/*/; do
+    doc_packages+=(-p "xlf-$(basename "$crate")")
+done
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${doc_packages[@]}"
+
 echo "== cargo build --release --workspace && cargo test --workspace -q"
 cargo build --release --workspace
 cargo test --workspace -q

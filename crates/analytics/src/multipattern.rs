@@ -115,19 +115,9 @@ impl AcAutomaton {
         }
     }
 
-    /// Number of compiled patterns.
-    pub fn pattern_count(&self) -> usize {
-        self.lengths.len()
-    }
-
     /// Number of automaton states (root included).
     pub fn state_count(&self) -> usize {
         self.goto.len()
-    }
-
-    /// Length of pattern `id` as compiled.
-    pub fn pattern_len(&self, id: usize) -> usize {
-        self.lengths[id]
     }
 
     /// Finds every occurrence of every pattern (overlaps included), in

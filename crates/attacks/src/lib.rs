@@ -18,6 +18,8 @@
 //!   HoMonit): infers device state from packet metadata only.
 //! * [`spoof`] — service-layer event spoofing (§IV-C2).
 //! * [`overprivilege`] — the malicious over-privileged SmartApp (§IV-C2).
+//! * [`scripted`] — the scripted WAN attacker and victim sink every
+//!   fleet and scenario home is attacked with.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,6 +32,7 @@ pub mod mitm;
 pub mod observer;
 pub mod overprivilege;
 pub mod replay;
+pub mod scripted;
 pub mod spoof;
 
 pub use catalog::{attack_catalog, AttackKind, AttackSpec, SurfaceArea};

@@ -58,9 +58,7 @@ impl Node for EventSpoofer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xlf_cloud::smartapp::{
-        Action, AppPermissions, PermissionModel, Predicate, SmartApp, Trigger,
-    };
+    use xlf_cloud::smartapp::{PermissionModel, SmartApp};
     use xlf_cloud::{Capability, CloudNode, DeviceHandler, EventPolicy, SmartCloud};
     use xlf_simnet::{Medium, Network, SimTime};
 
@@ -72,27 +70,11 @@ mod tests {
         let hub_placeholder = NodeId::from_raw(1);
         let mut cloud = SmartCloud::new(policy, PermissionModel::Scoped, b"hub secret");
         cloud.register_device(DeviceHandler::new(
-            "thermostat",
+            "thermo",
             &[Capability::TemperatureMeasurement],
         ));
         cloud.register_device(DeviceHandler::new("window", &[Capability::Switch]));
-        cloud.install_app(
-            SmartApp::new(
-                "auto-window",
-                AppPermissions::new().grant("window", Capability::Switch),
-            )
-            .rule(
-                Trigger {
-                    device: "thermostat".into(),
-                    attribute: "temperature".into(),
-                    predicate: Predicate::GreaterThan(80.0),
-                },
-                Action {
-                    device: "window".into(),
-                    command: "on".into(), // "open"
-                },
-            ),
-        );
+        cloud.install_app(SmartApp::auto_window());
         let cloud_id = net.add_node(Box::new(CloudNode::new(cloud, hub_placeholder)));
         let hub = net.add_node(Box::new(Sink));
         assert_eq!(hub, hub_placeholder);
@@ -103,7 +85,7 @@ mod tests {
     #[test]
     fn spoofed_heat_opens_the_window_on_a_permissive_cloud() {
         let (mut net, cloud) = window_home(EventPolicy::permissive());
-        let spoofer = net.add_node(Box::new(EventSpoofer::heater_attack(cloud, "thermostat")));
+        let spoofer = net.add_node(Box::new(EventSpoofer::heater_attack(cloud, "thermo")));
         net.connect(spoofer, cloud, Medium::Wan.link().with_loss(0.0));
         let (tap, records) = xlf_simnet::observer::RecordingTap::new();
         net.add_tap(Box::new(tap));
@@ -120,7 +102,7 @@ mod tests {
     #[test]
     fn hardened_cloud_ignores_the_spoof() {
         let (mut net, cloud) = window_home(EventPolicy::hardened());
-        let spoofer = net.add_node(Box::new(EventSpoofer::heater_attack(cloud, "thermostat")));
+        let spoofer = net.add_node(Box::new(EventSpoofer::heater_attack(cloud, "thermo")));
         net.connect(spoofer, cloud, Medium::Wan.link().with_loss(0.0));
         let (tap, records) = xlf_simnet::observer::RecordingTap::new();
         net.add_tap(Box::new(tap));

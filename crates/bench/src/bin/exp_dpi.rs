@@ -143,13 +143,11 @@ fn fastpath_sweep() -> Vec<SweepCell> {
 
             let endpoint = Tokenizer::new(b"sweep session").expect("tokenizer");
             let streams: Vec<Vec<Token>> = refs.iter().map(|p| endpoint.tokenize(p)).collect();
-            let mut enc_naive_engine = EncryptedDpi::new(rules.clone()).with_naive_matching(true);
-            enc_naive_engine.bind_session(&endpoint);
             let mut enc_indexed_engine = EncryptedDpi::new(rules.clone());
             enc_indexed_engine.bind_session(&endpoint);
             let enc_naive = mbps(per_call_s(|| {
                 for t in &streams {
-                    std::hint::black_box(enc_naive_engine.match_stream(t));
+                    std::hint::black_box(enc_indexed_engine.match_stream_naive(t));
                 }
             }));
             let enc_indexed = mbps(per_call_s(|| {

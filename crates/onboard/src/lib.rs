@@ -12,7 +12,7 @@
 //!   [`AuthServer`] issues scoped, expiring, MAC-sealed tokens (via
 //!   `xlf-lwcrypto`'s CBC-MAC + KDF); the gateway's [`ResourceServer`]
 //!   verifies seal, audience, scope, expiry, and freshness.
-//! * [`sweep`] — per-device-class cipher selection over the Table III
+//! * [`sweep`](mod@sweep) — per-device-class cipher selection over the Table III
 //!   catalog: the cheapest cipher meeting the class's key-length floor
 //!   within its Table I envelope.
 //! * [`join`] — the handshake itself: two confirmable exchanges over a

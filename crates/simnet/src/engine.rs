@@ -280,14 +280,6 @@ impl Network {
             .and_then(|slot| slot.as_deref())
     }
 
-    /// Mutable access to a node between runs.
-    pub fn node_mut(&mut self, id: NodeId) -> Option<&mut (dyn Node + '_)> {
-        match self.nodes.get_mut(id.raw() as usize) {
-            Some(Some(node)) => Some(node.as_mut()),
-            _ => None,
-        }
-    }
-
     /// Downcasts a node to its concrete type for inspection.
     pub fn node_as<T: 'static>(&self, id: NodeId) -> Option<&T> {
         self.node(id).and_then(|n| n.as_any().downcast_ref::<T>())

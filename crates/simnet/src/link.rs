@@ -17,12 +17,6 @@ pub struct LinkConfig {
 }
 
 impl LinkConfig {
-    /// Overrides the latency (builder-style).
-    pub fn with_latency(mut self, latency: Duration) -> Self {
-        self.latency = latency;
-        self
-    }
-
     /// Overrides the loss probability (builder-style).
     ///
     /// # Panics
@@ -31,13 +25,6 @@ impl LinkConfig {
     pub fn with_loss(mut self, loss: f64) -> Self {
         assert!((0.0..1.0).contains(&loss), "loss must be in [0,1)");
         self.loss = loss;
-        self
-    }
-
-    /// Overrides the bandwidth (builder-style).
-    pub fn with_bandwidth_bps(mut self, bps: u64) -> Self {
-        assert!(bps > 0, "bandwidth must be positive");
-        self.bandwidth_bps = bps;
         self
     }
 

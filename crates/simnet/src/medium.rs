@@ -77,11 +77,6 @@ impl Medium {
         }
     }
 
-    /// The TCP/IP stack layer this technology occupies in Figure 2.
-    pub fn stack_layer(self) -> &'static str {
-        "link/physical"
-    }
-
     /// Builds the default [`LinkConfig`] for this medium.
     pub fn link(self) -> LinkConfig {
         LinkConfig {

@@ -8,7 +8,7 @@
 //! ```
 
 use xlf::attacks::dnspoison::{poison, Position};
-use xlf::cloud::smartapp::{Action, AppPermissions, PermissionModel, Predicate, SmartApp, Trigger};
+use xlf::cloud::smartapp::{PermissionModel, SmartApp};
 use xlf::cloud::{Capability, CloudEvent, EventBus, EventPolicy};
 use xlf::core::updatevet::UpdateVetter;
 use xlf::device::firmware::{FirmwareImage, Version};
@@ -18,21 +18,7 @@ use xlf::simnet::SimTime;
 fn service_layer_demo() {
     println!("=== Service layer: spoofed-event attack (§IV-C2/C3) ===");
     // The automation: open the window when the thermostat reads > 80 °F.
-    let app = SmartApp::new(
-        "auto-window",
-        AppPermissions::new().grant("window", Capability::Switch),
-    )
-    .rule(
-        Trigger {
-            device: "thermo".into(),
-            attribute: "temperature".into(),
-            predicate: Predicate::GreaterThan(80.0),
-        },
-        Action {
-            device: "window".into(),
-            command: "on".into(),
-        },
-    );
+    let app = SmartApp::auto_window();
     let spoof = CloudEvent::new(SimTime::ZERO, "thermo", "temperature", "95");
 
     for (label, policy) in [
