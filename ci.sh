@@ -27,6 +27,16 @@ echo "== cargo build --release --workspace && cargo test --workspace -q"
 cargo build --release --workspace
 cargo test --workspace -q
 
+# The examples drive whole simulated homes through every node's packet
+# handling; botnet_takedown and quickstart assert their documented
+# outcomes and exit non-zero on any other.
+echo "== examples"
+cargo build --release --examples
+for example in quickstart botnet_takedown smart_home_defense privacy_shaping; do
+    echo "== example: $example"
+    ./target/release/examples/"$example" >/dev/null
+done
+
 # Every committed BENCH_<e>.json has an exp_<e> (tests/bench_gate.rs
 # checks one artifact per `harness::EXPERIMENTS` entry). Each exits
 # non-zero when any acceptance row fails.

@@ -49,7 +49,7 @@ impl Node for Scanner {
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
-        match packet.kind.as_str() {
+        match packet.kind {
             "probe-result" if packet.meta("open") == Some("true") => {
                 let device = packet.meta("device").unwrap_or("?").to_string();
                 self.open_telnet.borrow_mut().push(device);

@@ -111,10 +111,16 @@ impl DeviceHandler {
             .find(|c| c.attributes().contains(&attribute))
     }
 
-    /// Records a reported attribute value.
+    /// Records a reported attribute value, overwriting a known
+    /// attribute's value in place (only a new attribute allocates).
     pub fn record(&mut self, attribute: &str, value: &str) {
-        self.attributes
-            .insert(attribute.to_string(), value.to_string());
+        match self.attributes.get_mut(attribute) {
+            Some(current) => value.clone_into(current),
+            None => {
+                self.attributes
+                    .insert(attribute.to_string(), value.to_string());
+            }
+        }
     }
 
     /// Last known value of an attribute.

@@ -11,6 +11,7 @@ use crate::events::{CloudEvent, EventBus, EventPolicy};
 use crate::oauth::TokenService;
 use crate::ota_server::OtaServer;
 use crate::smartapp::{authorize_actions, Action, ActionVerdict, PermissionModel, SmartApp};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use xlf_protocols::rest::{Request, Response};
 use xlf_simnet::{Context, Node, NodeId, Packet, Protocol, SimTime};
@@ -168,6 +169,31 @@ fn command_to_action(command: &str) -> &str {
     }
 }
 
+/// Parses a telemetry payload (`Kind=value`, space-padded) into its
+/// cloud attribute and value, e.g. `b"Temperature=71.20   "` →
+/// `("temperature", "71.20")`. The five sensor kinds map to their static
+/// attribute names; any other kind is lower-cased. The value is borrowed
+/// from the payload. A payload that is not UTF-8 is read as
+/// [`String::from_utf8_lossy`] reads it, and then the value is owned.
+pub fn parse_reading(payload: &[u8]) -> Option<(Cow<'static, str>, Cow<'_, str>)> {
+    fn split(text: &str) -> Option<(Cow<'static, str>, &str)> {
+        let (kind, value) = text.trim_end().split_once('=')?;
+        let attribute = match kind {
+            "Temperature" => "temperature",
+            "Motion" => "motion",
+            "Power" => "power",
+            "Camera" => "stream",
+            "Smoke" => "smoke",
+            other => return Some((Cow::Owned(other.to_ascii_lowercase()), value)),
+        };
+        Some((Cow::Borrowed(attribute), value))
+    }
+    match String::from_utf8_lossy(payload) {
+        Cow::Borrowed(text) => split(text).map(|(a, v)| (a, Cow::Borrowed(v))),
+        Cow::Owned(text) => split(&text).map(|(a, v)| (a, Cow::Owned(v.to_string()))),
+    }
+}
+
 /// The cloud endpoint as a simulation node.
 pub struct CloudNode {
     cloud: SmartCloud,
@@ -197,21 +223,6 @@ impl CloudNode {
         &mut self.cloud
     }
 
-    fn attribute_of(payload: &[u8]) -> Option<(String, String)> {
-        let text = String::from_utf8_lossy(payload);
-        let trimmed = text.trim_end();
-        let (kind, value) = trimmed.split_once('=')?;
-        let attribute = match kind {
-            "Temperature" => "temperature",
-            "Motion" => "motion",
-            "Power" => "power",
-            "Camera" => "stream",
-            "Smoke" => "smoke",
-            other => return Some((other.to_ascii_lowercase(), value.to_string())),
-        };
-        Some((attribute.to_string(), value.to_string()))
-    }
-
     fn dispatch_actions(&mut self, ctx: &mut Context<'_>, actions: Vec<Action>) {
         for action in actions {
             let pkt = Packet::new(ctx.id(), self.hub, "cmd", Vec::new())
@@ -227,41 +238,38 @@ impl CloudNode {
 impl Node for CloudNode {
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
         let trusted = packet.src == self.hub;
-        match packet.kind.as_str() {
+        match packet.kind {
             "telemetry" => {
-                let Some(device) = packet.meta("device").map(str::to_string) else {
+                let Some(device) = packet.meta("device") else {
                     return;
                 };
-                if let Some((attribute, value)) = Self::attribute_of(&packet.payload) {
-                    let actions =
-                        self.cloud
-                            .ingest(ctx.now(), &device, &attribute, &value, trusted);
+                if let Some((attribute, value)) = parse_reading(&packet.payload) {
+                    let actions = self
+                        .cloud
+                        .ingest(ctx.now(), device, &attribute, &value, trusted);
                     self.dispatch_actions(ctx, actions);
                 }
             }
             "event" => {
-                let (Some(device), Some(to)) = (
-                    packet.meta("device").map(str::to_string),
-                    packet.meta("to").map(str::to_string),
-                ) else {
+                let (Some(device), Some(to)) = (packet.meta("device"), packet.meta("to")) else {
                     return;
                 };
-                let actions = self.cloud.ingest(ctx.now(), &device, "state", &to, trusted);
+                let actions = self.cloud.ingest(ctx.now(), device, "state", to, trusted);
                 self.dispatch_actions(ctx, actions);
             }
             "spoofed-event" => {
                 // An attacker injecting an event from outside the hub
                 // channel: always untrusted.
                 let (Some(device), Some(attribute), Some(value)) = (
-                    packet.meta("device").map(str::to_string),
-                    packet.meta("attribute").map(str::to_string),
-                    packet.meta("value").map(str::to_string),
+                    packet.meta("device"),
+                    packet.meta("attribute"),
+                    packet.meta("value"),
                 ) else {
                     return;
                 };
                 let actions = self
                     .cloud
-                    .ingest(ctx.now(), &device, &attribute, &value, false);
+                    .ingest(ctx.now(), device, attribute, value, false);
                 self.dispatch_actions(ctx, actions);
             }
             "api" => {
@@ -318,11 +326,11 @@ impl Node for HubNode {
         if let Some(final_dst) = packet.meta("final_dst").and_then(|d| d.parse::<u32>().ok()) {
             let target = NodeId::from_raw(final_dst);
             let mut fwd = packet.clone();
-            fwd.meta.remove("final_dst");
+            fwd.remove_meta("final_dst");
             ctx.send(target, fwd);
             return;
         }
-        match packet.kind.as_str() {
+        match packet.kind {
             // Upstream: device → cloud.
             "telemetry" | "event" | "ota-result" | "login-result" => {
                 ctx.send(self.cloud, packet);
@@ -400,6 +408,49 @@ mod tests {
         net.connect(hub_id, thermo, Medium::Zigbee.link().with_loss(0.0));
         net.connect(hub_id, lamp, Medium::Zigbee.link().with_loss(0.0));
         (net, cloud_id, thermo, lamp)
+    }
+
+    /// The owning parser `parse_reading` replaced, as the oracle.
+    fn owned_reading(payload: &[u8]) -> Option<(String, String)> {
+        let text = String::from_utf8_lossy(payload);
+        let (kind, value) = text.trim_end().split_once('=')?;
+        let attribute = match kind {
+            "Temperature" => "temperature",
+            "Motion" => "motion",
+            "Power" => "power",
+            "Camera" => "stream",
+            "Smoke" => "smoke",
+            other => return Some((other.to_ascii_lowercase(), value.to_string())),
+        };
+        Some((attribute.to_string(), value.to_string()))
+    }
+
+    #[test]
+    fn parse_reading_borrows_and_agrees_with_the_owning_parser() {
+        let payloads: [&[u8]; 9] = [
+            b"Temperature=71.23                  ",
+            b"Camera=912.07",
+            b"Humidity=40.5   ",
+            b"Smoke=0.02=x  ",
+            b"no equals sign   ",
+            b"",
+            b"Motion=\xff\xfe1.00  ",
+            b"\xc3=\xc3\xa9t\xc3 ",
+            b"Power=\x80",
+        ];
+        for payload in payloads {
+            let parsed = parse_reading(payload);
+            let owned = parsed.as_ref().map(|(a, v)| (a.to_string(), v.to_string()));
+            assert_eq!(owned, owned_reading(payload), "{payload:?}");
+        }
+        let (attribute, value) = parse_reading(b"Temperature=71.23   ").unwrap();
+        assert!(matches!(attribute, Cow::Borrowed("temperature")));
+        assert!(matches!(value, Cow::Borrowed("71.23")));
+        let (_, value) = parse_reading(b"Power=\x80").unwrap();
+        assert!(
+            matches!(value, Cow::Owned(_)),
+            "invalid UTF-8 is read lossily"
+        );
     }
 
     #[test]

@@ -49,7 +49,36 @@ fn event_tag_known_answer() {
     assert_eq!(hex, "c173636f1eec42fbdfb5b38e355854f6");
 }
 
+/// Strings of 1- to 4-byte UTF-8 characters.
+fn utf8_text() -> impl Strategy<Value = String> {
+    prop::collection::vec(
+        prop::sample::select(vec!['a', 'Z', '-', '=', 'é', 'ß', '→', '€', '🦀']),
+        0..12,
+    )
+    .prop_map(|chars| chars.into_iter().collect())
+}
+
 proptest! {
+    /// `EventBus::sign` streams the event fields into the CBC-MAC without
+    /// building the event bytes; its tag equals the MAC of those bytes for
+    /// multi-byte UTF-8 fields at every total length modulo the 16-byte
+    /// block, so at each block boundary and one byte either side.
+    #[test]
+    fn streamed_event_tags_equal_the_mac_of_the_event_bytes(device in utf8_text(),
+                                                            attribute in utf8_text(),
+                                                            value in utf8_text(),
+                                                            at_us in any::<u64>()) {
+        let mut bus = EventBus::new(EventPolicy::hardened(), b"hub secret");
+        let at = SimTime::from_micros(at_us);
+        for extra in 0..=17 {
+            let value = format!("{value}{}", "x".repeat(extra));
+            let event = bus.sign(CloudEvent::new(at, &device, &attribute, &value));
+            let expected = reference_tag(b"hub secret", &device, &attribute, &value, at);
+            prop_assert_eq!(event.mac.as_deref(), Some(expected.as_slice()));
+            prop_assert!(bus.verify(&event));
+        }
+    }
+
     /// Tokens validate exactly within their lifetime and scope set.
     #[test]
     fn token_lifecycle(subject in ident(),

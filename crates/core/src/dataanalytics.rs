@@ -20,8 +20,8 @@ pub struct ContextReading {
 /// Per-device telemetry analytics.
 #[derive(Debug)]
 pub struct DataAnalytics {
-    /// Seasonal baselines per (device, attribute).
-    detectors: BTreeMap<(String, String), SeasonalDetector>,
+    /// Seasonal baselines per device, then per attribute.
+    detectors: BTreeMap<String, BTreeMap<String, SeasonalDetector>>,
     /// Phases per day for seasonal models.
     pub period: usize,
     /// Absolute tolerance for seasonal deviations.
@@ -54,13 +54,16 @@ impl DataAnalytics {
     /// against the seasonal baseline. The phase is the hour of the
     /// simulated day, so arbitrary sampling rates share one baseline.
     pub fn observe(&mut self, device: &str, attribute: &str, value: f64, now: SimTime) -> bool {
-        let key = (device.to_string(), attribute.to_string());
+        if !self.detectors.contains_key(device) {
+            self.detectors.insert(device.to_string(), BTreeMap::new());
+        }
+        let attributes = self.detectors.get_mut(device).expect("inserted above");
+        if !attributes.contains_key(attribute) {
+            let detector = SeasonalDetector::new(self.period, self.tolerance);
+            attributes.insert(attribute.to_string(), detector);
+        }
+        let detector = attributes.get_mut(attribute).expect("inserted above");
         let period = self.period;
-        let tolerance = self.tolerance;
-        let detector = self
-            .detectors
-            .entry(key)
-            .or_insert_with(|| SeasonalDetector::new(period, tolerance));
         let hours_elapsed = now.as_micros() / 3_600_000_000;
         let phase = (hours_elapsed % period as u64) as usize;
         // Arm after two full simulated days.
@@ -112,9 +115,9 @@ impl DataAnalytics {
         diverges
     }
 
-    /// Devices with learned baselines.
+    /// Learned baselines, one per (device, attribute).
     pub fn tracked(&self) -> usize {
-        self.detectors.len()
+        self.detectors.values().map(BTreeMap::len).sum()
     }
 }
 

@@ -159,6 +159,8 @@ pub struct EncryptedDpi {
     compiled: Vec<Vec<Token>>,
     /// Single-pass index over `compiled` (rebuilt on each session bind).
     index: TokenIndex,
+    /// Per-rule first-match buffer reused by every inspection.
+    scratch: Vec<Option<usize>>,
     bus: Option<EvidenceBus>,
     /// Inspection counters.
     pub stats: DpiStats,
@@ -182,6 +184,7 @@ impl EncryptedDpi {
             names,
             compiled: Vec::new(),
             index: TokenIndex::default(),
+            scratch: Vec::new(),
             bus: None,
             stats: DpiStats::default(),
         }
@@ -252,29 +255,30 @@ impl EncryptedDpi {
 
     /// Inspects a traffic token stream (produced by the sending endpoint);
     /// reports matches as evidence attributed to `device`.
+    ///
+    /// The match scratch buffer is reused across calls, so a stream with
+    /// no match allocates nothing.
     pub fn inspect(&mut self, device: &str, tokens: &[Token], now: SimTime) -> Vec<DpiMatch> {
-        let out = self.match_stream(tokens);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let out = self.match_into(tokens, &mut scratch);
+        self.scratch = scratch;
         self.record(device, &out, now);
         out
     }
 
-    /// Inspects a batch of token streams from one device, reusing the
-    /// match scratch buffer across streams. Counters and evidence behave
-    /// exactly as if [`EncryptedDpi::inspect`] were called per stream.
+    /// Inspects a batch of token streams from one device. Counters and
+    /// evidence behave exactly as if [`EncryptedDpi::inspect`] were called
+    /// per stream.
     pub fn inspect_batch(
         &mut self,
         device: &str,
         streams: &[Vec<Token>],
         now: SimTime,
     ) -> Vec<Vec<DpiMatch>> {
-        let mut scratch = Vec::new();
-        let mut out = Vec::with_capacity(streams.len());
-        for tokens in streams {
-            let matches = self.match_into(tokens, &mut scratch);
-            self.record(device, &matches, now);
-            out.push(matches);
-        }
-        out
+        streams
+            .iter()
+            .map(|tokens| self.inspect(device, tokens, now))
+            .collect()
     }
 }
 

@@ -21,7 +21,7 @@ use crate::updatevet::UpdateVetter;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
-use xlf_cloud::{CloudNode, DeviceHandler, EventPolicy, SmartCloud};
+use xlf_cloud::{parse_reading, CloudNode, DeviceHandler, EventPolicy, SmartCloud};
 use xlf_device::{DeviceConfig, SensorKind, SimDevice, VulnSet};
 use xlf_lwcrypto::kdf::derive_key;
 use xlf_lwcrypto::searchable::{Token, Tokenizer};
@@ -233,7 +233,11 @@ pub struct XlfGateway {
     core: CoreHandle,
     config: XlfConfig,
     cloud: NodeId,
-    devices: BTreeMap<String, NodeId>,
+    /// Registered device name → node. The name is shared with `names`.
+    devices: BTreeMap<Rc<str>, NodeId>,
+    /// Registered device node → name: how upstream packets are
+    /// attributed without copying the name.
+    names: BTreeMap<NodeId, Rc<str>>,
     /// Network-access control + quarantine.
     pub nac: Nac,
     shaper: TrafficShaper,
@@ -282,6 +286,7 @@ impl XlfGateway {
             core,
             cloud,
             devices: BTreeMap::new(),
+            names: BTreeMap::new(),
             nac: Nac::new().with_bus(bus.clone()),
             shaper,
             monitor: NetMonitor::new().with_bus(bus.clone()),
@@ -304,7 +309,11 @@ impl XlfGateway {
     /// Registers a device behind the gateway, allowlisting its cloud path
     /// and its vendor hub name (the only destination NAC lets it resolve).
     pub fn register_device(&mut self, name: &str, node: NodeId) {
-        self.devices.insert(name.to_string(), node);
+        let shared: Rc<str> = Rc::from(name);
+        if let Some(moved_from) = self.devices.insert(shared.clone(), node) {
+            self.names.remove(&moved_from);
+        }
+        self.names.insert(node, shared);
         self.nac.allow_node(name, self.cloud);
         self.nac.allow_destination(name, VENDOR_DNS_NAME);
     }
@@ -315,15 +324,16 @@ impl XlfGateway {
     }
 
     fn dpi_for(&mut self, device: &str) -> &mut (EncryptedDpi, Tokenizer) {
-        self.dpi.entry(device.to_string()).or_insert_with(|| {
+        if !self.dpi.contains_key(device) {
             let secret = derive_key(&self.master_secret, &format!("dpi/{device}"), 16)
                 .expect("valid kdf params");
             let tokenizer = Tokenizer::new(&secret).expect("non-empty session secret");
             let mut middlebox =
                 EncryptedDpi::new(default_rules()).with_bus(self.core.borrow().bus.clone());
             middlebox.bind_session(&tokenizer);
-            (middlebox, tokenizer)
-        })
+            self.dpi.insert(device.to_string(), (middlebox, tokenizer));
+        }
+        self.dpi.get_mut(device).expect("inserted above")
     }
 
     fn scan_payload(&mut self, device: &str, payload: &[u8], now: SimTime) -> bool {
@@ -350,49 +360,47 @@ impl XlfGateway {
             .collect()
     }
 
-    fn device_name_of(&self, node: NodeId) -> Option<String> {
-        self.devices
-            .iter()
-            .find(|(_, &id)| id == node)
-            .map(|(name, _)| name.clone())
-    }
-
-    fn handle_upstream(&mut self, ctx: &mut Context<'_>, packet: Packet, device: String) {
+    fn handle_upstream(&mut self, ctx: &mut Context<'_>, packet: Packet, device: &str) {
         let now = ctx.now();
-        if self.config.nac && self.nac.is_quarantined(&device) {
+        if self.config.nac && self.nac.is_quarantined(device) {
             self.dropped += 1;
             return;
         }
         if self.config.netmonitor {
-            self.monitor.observe_packet(&device, now);
+            self.monitor.observe_packet(device, now);
         }
-        self.last_upstream.insert(device.clone(), now);
+        match self.last_upstream.get_mut(device) {
+            Some(last) => *last = now,
+            None => {
+                self.last_upstream.insert(device.to_string(), now);
+            }
+        }
         // Scan application payloads crossing the gateway.
-        self.scan_payload(&device, &packet.payload, now);
+        self.scan_payload(device, &packet.payload, now);
 
         // WAN-bound source routing (the DDoS path) goes through NAC.
         if let Some(final_dst) = packet.meta("final_dst").and_then(|d| d.parse::<u32>().ok()) {
             let target = NodeId::from_raw(final_dst);
-            if self.config.nac && self.nac.check_node(&device, target, now) != AccessDecision::Allow
+            if self.config.nac && self.nac.check_node(device, target, now) != AccessDecision::Allow
             {
                 self.dropped += 1;
                 return;
             }
             let mut fwd = packet.clone();
-            fwd.meta.remove("final_dst");
+            fwd.remove_meta("final_dst");
             self.forwarded += 1;
             ctx.send(target, fwd);
             return;
         }
 
-        match packet.kind.as_str() {
+        match packet.kind {
             "telemetry" => {
                 if let Some((attribute, value)) = parse_reading(&packet.payload) {
                     if self.config.appverify {
                         self.verifier.witness_event(WitnessedEvent {
-                            device: device.clone(),
-                            attribute: attribute.clone(),
-                            value: value.clone(),
+                            device: device.to_string(),
+                            attribute: attribute.to_string(),
+                            value: value.to_string(),
                             at: now,
                         });
                     }
@@ -400,10 +408,10 @@ impl XlfGateway {
                     // event-like attributes (motion, camera activity) are
                     // bimodal by nature and are profiled by the DFA/rate
                     // monitors instead.
-                    let seasonal = matches!(attribute.as_str(), "temperature" | "power" | "smoke");
+                    let seasonal = matches!(&*attribute, "temperature" | "power" | "smoke");
                     if self.config.dataanalytics && seasonal {
                         if let Ok(v) = value.parse::<f64>() {
-                            self.analytics.observe(&device, &attribute, v, now);
+                            self.analytics.observe(device, &attribute, v, now);
                         }
                     }
                 }
@@ -417,7 +425,7 @@ impl XlfGateway {
                         self.bus.report(crate::evidence::Evidence::new(
                             now,
                             crate::evidence::Layer::Device,
-                            &device,
+                            device,
                             crate::evidence::EvidenceKind::DfaViolation,
                             1.0,
                             "device reported transition into a compromised state",
@@ -425,11 +433,11 @@ impl XlfGateway {
                     }
                     if self.config.netmonitor {
                         self.monitor
-                            .observe_transition(&device, from, "cmd", to, now);
+                            .observe_transition(device, from, "cmd", to, now);
                     }
                     if self.config.appverify {
                         self.verifier.witness_event(WitnessedEvent {
-                            device: device.clone(),
+                            device: device.to_string(),
                             attribute: "state".to_string(),
                             value: to.to_string(),
                             at: now,
@@ -450,17 +458,18 @@ impl XlfGateway {
 
     fn handle_downstream(&mut self, ctx: &mut Context<'_>, packet: Packet) {
         let now = ctx.now();
-        let Some(device) = packet.meta("device").map(str::to_string) else {
+        let Some((device, &node)) = packet
+            .meta("device")
+            .and_then(|name| self.devices.get_key_value(name))
+        else {
             return;
         };
-        let Some(&node) = self.devices.get(&device) else {
-            return;
-        };
+        let device = Rc::clone(device);
         if self.config.nac && self.nac.is_quarantined(&device) && packet.kind != "ota" {
             self.dropped += 1;
             return;
         }
-        match packet.kind.as_str() {
+        match packet.kind {
             "cmd" => {
                 let action = packet
                     .meta("command")
@@ -528,21 +537,6 @@ impl XlfGateway {
     }
 }
 
-fn parse_reading(payload: &[u8]) -> Option<(String, String)> {
-    let text = String::from_utf8_lossy(payload);
-    let trimmed = text.trim_end();
-    let (kind, value) = trimmed.split_once('=')?;
-    let attribute = match kind {
-        "Temperature" => "temperature",
-        "Motion" => "motion",
-        "Power" => "power",
-        "Camera" => "stream",
-        "Smoke" => "smoke",
-        other => return Some((other.to_ascii_lowercase(), value.to_string())),
-    };
-    Some((attribute.to_string(), value.to_string()))
-}
-
 impl Node for XlfGateway {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         ctx.set_timer(self.config.evaluation_interval, TIMER_EVALUATE);
@@ -601,19 +595,19 @@ impl Node for XlfGateway {
                     return;
                 };
                 let now = ctx.now();
-                let devices: Vec<String> = self.devices.keys().cloned().collect();
+                let devices: Vec<Rc<str>> = self.devices.keys().cloned().collect();
                 for device in devices {
                     if self.config.nac && self.nac.is_quarantined(&device) {
                         continue;
                     }
                     let last = self
                         .last_upstream
-                        .get(&device)
+                        .get(&*device)
                         .copied()
                         .unwrap_or(SimTime::ZERO);
                     let covers = self.shaper.cover_packets_for(now.since(last));
                     if !covers.is_empty() {
-                        self.last_upstream.insert(device.clone(), now);
+                        self.last_upstream.insert(device.to_string(), now);
                     }
                     for size in covers {
                         let mut pkt = Packet::new(ctx.id(), self.cloud, "cover", Vec::new())
@@ -637,8 +631,8 @@ impl Node for XlfGateway {
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
         // Upstream = the packet came from a registered device node.
-        if let Some(device) = self.device_name_of(packet.src) {
-            self.handle_upstream(ctx, packet, device);
+        if let Some(device) = self.names.get(&packet.src).cloned() {
+            self.handle_upstream(ctx, packet, &device);
         } else {
             self.handle_downstream(ctx, packet);
         }
@@ -868,43 +862,69 @@ pub struct HomeProbe {
 /// the [`HomeReport`] across threads.
 pub struct HomeRunner {
     home: XlfHome,
-    records: Rc<RefCell<Vec<xlf_simnet::observer::PacketRecord>>>,
+    traffic: Rc<RefCell<TrafficMeter>>,
     probe_cursor: RefCell<ProbeCursor>,
 }
 
-/// Incremental probe counters. The evidence store and the tap's record
-/// log are both append-only, so each probe folds in only the entries
-/// added since the previous probe instead of rescanning from the start —
-/// at a 15 s probe cadence the per-epoch cost is proportional to the
-/// epoch's traffic, not the run's. Interior-mutable cache only:
+/// What the runner's tap keeps of each transmission: exactly the
+/// behaviour-feature samples `(seconds, wire size, bound for the cloud)`
+/// the report needs, plus the running wire-byte total probes read. No
+/// labels, endpoints or protocol tags: homes that score a passive
+/// observer install their own [`xlf_simnet::observer::RecordingTap`].
+#[derive(Debug, Default)]
+struct TrafficMeter {
+    samples: Vec<(f64, usize, bool)>,
+    wire_bytes: u64,
+}
+
+/// The runner's tap: meters transmissions into a shared
+/// [`TrafficMeter`].
+struct MeterTap {
+    cloud: NodeId,
+    meter: Rc<RefCell<TrafficMeter>>,
+}
+
+impl xlf_simnet::observer::Tap for MeterTap {
+    fn on_transmit(&mut self, at: SimTime, packet: &Packet, _link: &xlf_simnet::LinkConfig) {
+        let mut meter = self.meter.borrow_mut();
+        meter
+            .samples
+            .push((at.as_secs_f64(), packet.wire_size, packet.dst == self.cloud));
+        meter.wire_bytes += packet.wire_size as u64;
+    }
+}
+
+/// Incremental probe counters. The evidence store is append-only, so
+/// each probe folds in only the entries added since the previous probe
+/// instead of rescanning from the start. Interior-mutable cache only:
 /// [`HomeRunner::probe`] still performs no simulation side effects.
 #[derive(Debug, Default)]
 struct ProbeCursor {
     evidence_seen: usize,
     by_layer: [usize; 3],
-    records_seen: usize,
-    wire_bytes: u64,
-    packets: u64,
 }
 
 impl std::fmt::Debug for HomeRunner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HomeRunner")
             .field("devices", &self.home.devices.len())
-            .field("records", &self.records.borrow().len())
+            .field("packets", &self.traffic.borrow().samples.len())
             .finish_non_exhaustive()
     }
 }
 
 impl HomeRunner {
-    /// Wraps `home`, installing the recording tap its behaviour features
+    /// Wraps `home`, installing the traffic tap its behaviour features
     /// come from. Install before running: features cover the whole run.
     pub fn new(mut home: XlfHome) -> Self {
-        let (tap, records) = xlf_simnet::observer::RecordingTap::new();
-        home.net.add_tap(Box::new(tap));
+        let traffic = Rc::new(RefCell::new(TrafficMeter::default()));
+        home.net.add_tap(Box::new(MeterTap {
+            cloud: home.cloud,
+            meter: traffic.clone(),
+        }));
         HomeRunner {
             home,
-            records,
+            traffic,
             probe_cursor: RefCell::new(ProbeCursor::default()),
         }
     }
@@ -954,12 +974,7 @@ impl HomeRunner {
             cursor.by_layer[idx] += 1;
         }
         cursor.evidence_seen = evidence.len();
-        let records = self.records.borrow();
-        for r in &records[cursor.records_seen..] {
-            cursor.wire_bytes += r.wire_size as u64;
-            cursor.packets += 1;
-        }
-        cursor.records_seen = records.len();
+        let traffic = self.traffic.borrow();
         let gateway = self.home.gateway_ref();
         HomeProbe {
             evidence_total: core.store.len(),
@@ -968,8 +983,8 @@ impl HomeRunner {
             critical_alerts: core.alerts.count_at_least(Severity::Critical),
             forwarded: gateway.forwarded,
             dropped_packets: gateway.dropped,
-            wire_bytes: cursor.wire_bytes,
-            packets: cursor.packets,
+            wire_bytes: traffic.wire_bytes,
+            packets: traffic.samples.len() as u64,
         }
     }
 
@@ -1016,14 +1031,8 @@ impl HomeRunner {
             .cloned()
             .collect();
 
-        let cloud = self.home.cloud;
-        let samples: Vec<(f64, usize, bool)> = self
-            .records
-            .borrow()
-            .iter()
-            .map(|r| (r.at.as_secs_f64(), r.wire_size, r.dst == cloud))
-            .collect();
-        let features = xlf_analytics::features::window_features(&samples).to_vec();
+        let features =
+            xlf_analytics::features::window_features(&self.traffic.borrow().samples).to_vec();
 
         let core = self.home.core.borrow();
         HomeReport {
@@ -1074,6 +1083,21 @@ mod tests {
             core.alerts.alerts()
         );
         assert!(home.gateway_ref().forwarded > 50, "telemetry must flow");
+    }
+
+    #[test]
+    fn a_re_registered_name_leaves_its_old_node() {
+        let core: CoreHandle = Rc::new(RefCell::new(XlfCore::new(
+            CorrelationConfig::default(),
+            PolicyConfig::default(),
+        )));
+        let mut gateway = XlfGateway::new(core, XlfConfig::full(), NodeId::from_raw(0), b"k");
+        let (old, new) = (NodeId::from_raw(2), NodeId::from_raw(3));
+        gateway.register_device("cam", old);
+        gateway.register_device("cam", new);
+        assert_eq!(gateway.devices.get("cam"), Some(&new));
+        assert_eq!(gateway.names.get(&old), None, "the old node is no device");
+        assert_eq!(gateway.names.get(&new).map(|n| &**n), Some("cam"));
     }
 
     #[test]

@@ -51,11 +51,12 @@ impl NetMonitor {
     /// Feeds one outgoing packet from `device`; closes rate windows and
     /// raises anomalies as needed.
     pub fn observe_packet(&mut self, device: &str, now: SimTime) {
-        let entry = self.rate.entry(device.to_string()).or_insert_with(|| {
+        if !self.rate.contains_key(device) {
             let mut d = EwmaDetector::new(0.3, 6.0);
             d.warmup = 5;
-            (d, 0, now)
-        });
+            self.rate.insert(device.to_string(), (d, 0, now));
+        }
+        let entry = self.rate.get_mut(device).expect("inserted above");
         if now.since(entry.2) >= self.window {
             let count = entry.1 as f64;
             entry.1 = 0;
@@ -74,7 +75,7 @@ impl NetMonitor {
                 }
             }
         }
-        self.rate.get_mut(device).expect("just inserted").1 += 1;
+        entry.1 += 1;
     }
 
     /// Feeds one state-transition event (from hub-observed `event`
@@ -88,10 +89,11 @@ impl NetMonitor {
         to: &str,
         now: SimTime,
     ) {
-        let (dfa, _) = self
-            .dfa
-            .entry(device.to_string())
-            .or_insert_with(|| (Dfa::new(), String::new()));
+        if !self.dfa.contains_key(device) {
+            self.dfa
+                .insert(device.to_string(), (Dfa::new(), String::new()));
+        }
+        let (dfa, _) = self.dfa.get_mut(device).expect("inserted above");
         if self.learning {
             dfa.train(&[(from.to_string(), symbol.to_string(), to.to_string())]);
             return;

@@ -342,8 +342,7 @@ impl Node for SimDevice {
         match tag {
             TIMER_TELEMETRY => {
                 if self.state != DeviceState::Off {
-                    let mut payload = self.sensor.encode_reading(ctx.now());
-                    payload.resize(self.telemetry_size(), b' ');
+                    let payload = self.sensor.encode_reading(ctx.now(), self.telemetry_size());
                     let pkt = Packet::new(ctx.id(), self.config.hub, "telemetry", payload)
                         .with_protocol(Protocol::Tls)
                         .with_meta("device", &self.config.name)
@@ -372,7 +371,7 @@ impl Node for SimDevice {
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
-        match packet.kind.as_str() {
+        match packet.kind {
             "cmd" => self.handle_cmd(ctx, &packet),
             "login" => self.handle_login(ctx, &packet),
             "ota" => self.handle_ota(ctx, &packet),

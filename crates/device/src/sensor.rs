@@ -89,9 +89,17 @@ impl Sensor {
         base + self.environment_offset
     }
 
-    /// Serializes a reading as the telemetry payload format devices emit.
-    pub fn encode_reading(&self, at: SimTime) -> Vec<u8> {
-        format!("{:?}={:.2}", self.kind, self.read(at)).into_bytes()
+    /// Serializes a reading as the telemetry payload devices emit:
+    /// `Kind=value`, space-padded (or cut) to exactly `size` bytes, the
+    /// telemetry size of the device's state. The reading is formatted
+    /// straight into the one buffer the payload keeps.
+    pub fn encode_reading(&self, at: SimTime, size: usize) -> Vec<u8> {
+        use std::io::Write;
+        let mut payload = Vec::with_capacity(size);
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(payload, "{:?}={:.2}", self.kind, self.read(at));
+        payload.resize(size, b' ');
+        payload
     }
 }
 
@@ -146,8 +154,12 @@ mod tests {
     #[test]
     fn encoded_readings_carry_kind_and_value() {
         let s = Sensor::new(SensorKind::Power, 5);
-        let payload = s.encode_reading(SimTime::from_secs(10));
+        let payload = s.encode_reading(SimTime::from_secs(10), 48);
+        assert_eq!(payload.len(), 48);
         let text = String::from_utf8(payload).unwrap();
         assert!(text.starts_with("Power="));
+        let value = text.trim_end().strip_prefix("Power=").unwrap();
+        assert_eq!(value, format!("{:.2}", s.read(SimTime::from_secs(10))));
+        assert_eq!(s.encode_reading(SimTime::from_secs(10), 4), b"Powe");
     }
 }

@@ -113,6 +113,12 @@ impl Tokenizer {
     /// contents: one token per sliding window (stride 1). Payloads
     /// shorter than the window emit a single zero-padded token. Reusing
     /// `out` across payloads keeps tokenization allocation-free.
+    ///
+    /// A token is a function of its window alone, so only a window that
+    /// differs from its predecessor — the head of a run of equal windows
+    /// — is encrypted, four heads per SPECK call; the rest of the run
+    /// copies the head's token. Space-padded telemetry is mostly one
+    /// long run of `"        "` windows.
     pub fn tokenize_into(&self, payload: &[u8], out: &mut Vec<Token>) {
         out.clear();
         if payload.len() < TOKEN_WINDOW {
@@ -128,11 +134,53 @@ impl Tokenizer {
             )
         };
         out.reserve(count);
-        for start in (0..count).step_by(Speck128::LANES) {
-            // A short last batch repeats its final window in the spare lanes.
-            let lanes = (count - start).min(Speck128::LANES);
-            let windows = std::array::from_fn(|lane| word(start + lane.min(lanes - 1)));
-            out.extend_from_slice(&self.tokens(windows)[..lanes]);
+        // Pending run heads: each lane's window and the offset its run
+        // starts at. A run ends where the next head starts.
+        let mut head = word(0);
+        let mut windows = [head; Speck128::LANES];
+        let mut starts = [0; Speck128::LANES];
+        let mut lanes = 1;
+        for at in 1..count {
+            let window = word(at);
+            if window == head {
+                continue;
+            }
+            if lanes == Speck128::LANES {
+                self.push_runs(windows, &starts, at, out);
+                lanes = 0;
+            }
+            head = window;
+            windows[lanes] = window;
+            starts[lanes] = at;
+            lanes += 1;
+        }
+        // A short last batch repeats its final head in the spare lanes.
+        for lane in lanes..Speck128::LANES {
+            windows[lane] = windows[lanes - 1];
+            starts[lane] = count;
+        }
+        self.push_runs(windows, &starts, count, out);
+    }
+
+    /// Appends the runs headed by `windows`: lane `i`'s token, repeated
+    /// from `starts[i]` up to the next lane's start (`end` for the last
+    /// lane). Spare lanes start at `end` and so push nothing.
+    fn push_runs(
+        &self,
+        windows: [u64; Speck128::LANES],
+        starts: &[usize; Speck128::LANES],
+        end: usize,
+        out: &mut Vec<Token>,
+    ) {
+        let tokens = self.tokens(windows);
+        if end == starts[0] + Speck128::LANES && starts[Speck128::LANES - 1] + 1 == end {
+            // Four heads on consecutive windows: no repeats to copy.
+            out.extend_from_slice(&tokens);
+            return;
+        }
+        for lane in 0..Speck128::LANES {
+            let run_end = starts.get(lane + 1).copied().unwrap_or(end);
+            out.extend(std::iter::repeat_n(tokens[lane], run_end - starts[lane]));
         }
     }
 

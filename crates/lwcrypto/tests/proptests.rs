@@ -264,6 +264,70 @@ fn tokens_match_reference_prf_at_every_length_below_300() {
     }
 }
 
+/// Space-padded telemetry (the `SimDevice` payload shape), all-equal
+/// payloads, and a constant segment at every position of short
+/// payloads: runs of equal windows that start and end at every offset of
+/// a four-lane batch, at every length from 8 to 20.
+#[test]
+fn run_heavy_payloads_match_reference_prf() {
+    let secret = b"run session";
+    let t = Tokenizer::new(secret).unwrap();
+    let mut reused = Vec::new();
+    let mut check = |payload: &[u8]| {
+        t.tokenize_into(payload, &mut reused);
+        assert_eq!(reused, reference_tokens(secret, payload), "{payload:?}");
+    };
+    for size in [48, 120, 900] {
+        for reading in ["Temperature=71.23", "Camera=912.07", "Motion=1.00"] {
+            let mut payload = reading.as_bytes().to_vec();
+            payload.resize(size, b' ');
+            check(&payload);
+        }
+    }
+    for fill in [b' ', 0, 0xFF] {
+        for len in 0..=40 {
+            check(&vec![fill; len]);
+        }
+    }
+    for len in 8..=20 {
+        let distinct: Vec<u8> = (0..len as u8).map(|i| b'a' + i).collect();
+        for start in 0..len {
+            for end in start + 1..=len {
+                let mut payload = distinct.clone();
+                payload[start..end].fill(b' ');
+                check(&payload);
+            }
+        }
+    }
+}
+
+/// Payloads made of runs: each segment is one byte repeated 1–23 times.
+fn run_heavy_payload() -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec(
+        (prop::sample::select(vec![b' ', b'0', b'=', 0]), 1usize..24),
+        1..16,
+    )
+    .prop_map(|runs| {
+        runs.into_iter()
+            .flat_map(|(byte, n)| std::iter::repeat_n(byte, n))
+            .collect()
+    })
+}
+
+proptest! {
+    /// `tokenize_into`, which encrypts only the head of each run of equal
+    /// windows, equals the per-window reference PRF on payloads made of
+    /// runs, written over a buffer holding an earlier stream.
+    #[test]
+    fn run_heavy_tokens_equal_reference_prf(secret in prop::collection::vec(any::<u8>(), 1..40),
+                                            payload in run_heavy_payload()) {
+        let t = Tokenizer::new(&secret).unwrap();
+        let mut reused = t.tokenize(b"previous payload in the buffer");
+        t.tokenize_into(&payload, &mut reused);
+        prop_assert_eq!(reused, reference_tokens(&secret, &payload));
+    }
+}
+
 #[test]
 fn tokenizer_known_answers() {
     // Pinned from the per-window PRF composition, so the midstate kernel

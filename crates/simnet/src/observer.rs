@@ -107,10 +107,7 @@ impl Tap for RecordingTap {
                 return;
             }
         }
-        let label = packet
-            .meta("state")
-            .unwrap_or(packet.kind.as_str())
-            .to_string();
+        let label = packet.meta("state").unwrap_or(packet.kind).to_string();
         self.records.borrow_mut().push(PacketRecord {
             at,
             src: packet.src,

@@ -2,7 +2,6 @@
 
 use crate::node::NodeId;
 use bytes::Bytes;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Transport/application protocol tag carried by a packet.
@@ -53,21 +52,28 @@ pub struct FlowKey {
     /// Receiving node.
     pub dst: NodeId,
     /// Application-chosen flow label (e.g. `"telemetry"`).
-    pub kind: String,
+    pub kind: &'static str,
 }
 
 /// A simulated packet.
 ///
 /// `payload` carries application bytes; `wire_size` is what an observer
 /// sees on the link (payload + header overhead, or a shaped/padded size).
+///
+/// Packet kinds and metadata keys are the simulation's static protocol
+/// vocabulary (`"telemetry"`, `"device"`, `"final_dst"`, …): they are
+/// `&'static str`, so building, routing and matching a packet never
+/// copies them. Only metadata *values* (device names, readings, ids)
+/// are owned strings.
 #[derive(Debug, Clone)]
 pub struct Packet {
     /// Originating node.
     pub src: NodeId,
     /// Destination node.
     pub dst: NodeId,
-    /// Flow label chosen by the sender (e.g. `"telemetry"`, `"ota"`).
-    pub kind: String,
+    /// Flow label chosen by the sender (e.g. `"telemetry"`, `"ota"`),
+    /// one word of the static protocol vocabulary.
+    pub kind: &'static str,
     /// Protocol tag (defaults to [`Protocol::App`]).
     pub protocol: Protocol,
     /// Application payload.
@@ -76,9 +82,10 @@ pub struct Packet {
     /// `payload.len() + 40` (IP+transport overhead) and may be raised by
     /// padding (traffic shaping) but never below the payload.
     pub wire_size: usize,
-    /// Free-form metadata (header fields, auth tokens, markers) consumed
-    /// by higher layers. Kept sorted for deterministic iteration.
-    pub meta: BTreeMap<String, String>,
+    /// Metadata (header fields, auth tokens, markers) consumed by higher
+    /// layers: at most one value per static key, in insertion order. A
+    /// packet carries a handful of entries, so a linear scan beats a map.
+    meta: Vec<(&'static str, String)>,
 }
 
 /// Default per-packet header overhead included in `wire_size`.
@@ -86,17 +93,17 @@ pub const HEADER_OVERHEAD: usize = 40;
 
 impl Packet {
     /// Creates a packet with default protocol/overhead.
-    pub fn new(src: NodeId, dst: NodeId, kind: &str, payload: impl Into<Bytes>) -> Self {
+    pub fn new(src: NodeId, dst: NodeId, kind: &'static str, payload: impl Into<Bytes>) -> Self {
         let payload = payload.into();
         let wire_size = payload.len() + HEADER_OVERHEAD;
         Packet {
             src,
             dst,
-            kind: kind.to_string(),
+            kind,
             protocol: Protocol::App,
             payload,
             wire_size,
-            meta: BTreeMap::new(),
+            meta: Vec::new(),
         }
     }
 
@@ -106,10 +113,19 @@ impl Packet {
         self
     }
 
-    /// Attaches a metadata key/value (builder-style).
-    pub fn with_meta(mut self, key: &str, value: &str) -> Self {
-        self.meta.insert(key.to_string(), value.to_string());
+    /// Attaches a metadata key/value (builder-style); a key already
+    /// present has its value replaced.
+    pub fn with_meta(mut self, key: &'static str, value: &str) -> Self {
+        match self.meta.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, v)) => value.clone_into(v),
+            None => self.meta.push((key, value.to_string())),
+        }
         self
+    }
+
+    /// Removes a metadata key, if present.
+    pub fn remove_meta(&mut self, key: &str) {
+        self.meta.retain(|(k, _)| *k != key);
     }
 
     /// Pads the observable wire size up to `size` (no-op if already
@@ -123,13 +139,16 @@ impl Packet {
         FlowKey {
             src: self.src,
             dst: self.dst,
-            kind: self.kind.clone(),
+            kind: self.kind,
         }
     }
 
-    /// Metadata lookup convenience.
+    /// The value of metadata `key`, or `None` if the packet has none.
     pub fn meta(&self, key: &str) -> Option<&str> {
-        self.meta.get(key).map(String::as_str)
+        self.meta
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.as_str())
     }
 }
 
@@ -164,6 +183,37 @@ mod tests {
         assert_eq!(p.protocol, Protocol::Dns);
         assert_eq!(p.meta("qname"), Some("nest.example.com"));
         assert_eq!(p.meta("missing"), None);
+    }
+
+    #[test]
+    fn with_meta_on_an_existing_key_replaces_its_value() {
+        let p = Packet::new(node(1), node(2), "event", Vec::new())
+            .with_meta("to", "idle")
+            .with_meta("device", "cam")
+            .with_meta("to", "compromised");
+        assert_eq!(p.meta("to"), Some("compromised"));
+        assert_eq!(p.meta("device"), Some("cam"));
+        assert_eq!(p.meta.len(), 2, "a replaced key is not duplicated");
+    }
+
+    #[test]
+    fn remove_meta_removes_the_key() {
+        let mut p = Packet::new(node(1), node(2), "ddos", Vec::new())
+            .with_meta("final_dst", "9")
+            .with_meta("device", "cam");
+        p.remove_meta("final_dst");
+        assert_eq!(p.meta("final_dst"), None);
+        assert_eq!(p.meta("device"), Some("cam"));
+        p.remove_meta("absent");
+        assert_eq!(p.meta.len(), 1);
+    }
+
+    #[test]
+    fn meta_is_none_for_a_missing_key() {
+        let p = Packet::new(node(1), node(2), "telemetry", Vec::new());
+        assert_eq!(p.meta("device"), None);
+        let p = p.with_meta("device", "thermo");
+        assert_eq!(p.meta("state"), None);
     }
 
     #[test]

@@ -63,7 +63,14 @@ impl Node for Victim {
     }
 }
 
-fn run(config: XlfConfig, label: &str) {
+/// What one run ends with.
+struct Outcome {
+    cam_compromised: bool,
+    quarantined: bool,
+    flood_hits: u64,
+}
+
+fn run(config: XlfConfig, label: &str) -> Outcome {
     println!("\n=== {label} ===");
     let devices = [
         HomeDevice::new("thermo", SensorKind::Temperature),
@@ -102,11 +109,31 @@ fn run(config: XlfConfig, label: &str) {
             alert.severity, alert.device, alert.score, alert.explanation
         );
     }
+    Outcome {
+        cam_compromised,
+        quarantined,
+        flood_hits,
+    }
 }
 
 fn main() {
-    run(XlfConfig::off(), "UNDEFENDED home (XLF off)");
-    run(XlfConfig::full(), "home under FULL XLF");
+    // The example doubles as an end-to-end check: a different outcome
+    // exits non-zero.
+    let undefended = run(XlfConfig::off(), "UNDEFENDED home (XLF off)");
+    assert!(
+        undefended.cam_compromised && !undefended.quarantined,
+        "undefended: the camera must fall and stay connected"
+    );
+    assert_eq!(
+        undefended.flood_hits, 500,
+        "undefended: the whole flood lands"
+    );
+    let defended = run(XlfConfig::full(), "home under FULL XLF");
+    assert!(
+        defended.quarantined,
+        "full XLF: the camera must be quarantined"
+    );
+    assert_eq!(defended.flood_hits, 0, "full XLF: no flood packet escapes");
     println!(
         "\nThe undefended run ends with a compromised camera flooding the\n\
          victim; under XLF the recruitment is seen by three layers at once\n\

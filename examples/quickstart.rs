@@ -41,4 +41,8 @@ fn main() {
         );
     }
     println!("\nA benign home stays quiet: no alerts is the expected output.");
+    assert!(
+        core.alerts.alerts().is_empty(),
+        "a benign home must raise no alerts"
+    );
 }
