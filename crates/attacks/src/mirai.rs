@@ -9,7 +9,7 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use xlf_simnet::{Context, Duration, Node, NodeId, Packet, SimTime, TimerId};
+use xlf_simnet::{Context, Duration, Node, NodeId, Packet, SimTime};
 
 /// The C&C keyword strings the DPI signature set matches (modeled on the
 /// shell-command indicators of the cited signature-generation work).
@@ -97,7 +97,7 @@ impl Node for CommandAndControl {
         ctx.set_timer(self.start_after, 1);
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_>, _timer: TimerId, _tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Context<'_>, _tag: u64) {
         for &bot in &self.bots {
             let order = Packet::new(ctx.id(), bot, "attack-cmd", CNC_SIGNATURES[1].to_vec())
                 .with_meta("target", &self.victim.raw().to_string())

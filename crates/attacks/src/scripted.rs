@@ -10,7 +10,7 @@
 
 use crate::mirai::CNC_SIGNATURES;
 use xlf_device::firmware::{FirmwareImage, Version};
-use xlf_simnet::{Context, Duration, Medium, Network, Node, NodeId, Packet, TimerId};
+use xlf_simnet::{Context, Duration, Medium, Network, Node, NodeId, Packet};
 
 /// When every scripted attack fires (s of simulated time): 60 s after
 /// the experiment homes' learning window closes (`LEARNING_END_S` in
@@ -57,7 +57,7 @@ impl Node for ScriptedAttacker {
         ctx.set_timer(Duration::from_secs(ATTACK_AT_S), TIMER_GO);
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_>, _timer: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
         let gw = self.gateway;
         match (tag, self.attack) {
             (TIMER_GO, ScriptedAttack::BotnetRecruit) => {

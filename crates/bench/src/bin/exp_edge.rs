@@ -14,7 +14,7 @@
 use xlf_bench::print_table;
 use xlf_core::framework::{HomeDevice, XlfConfig, XlfHome};
 use xlf_device::{SensorKind, VulnSet, Vulnerability};
-use xlf_simnet::{Context, Duration, Medium, Node, NodeId, Packet, SimTime, TimerId};
+use xlf_simnet::{Context, Duration, Medium, Node, NodeId, Packet, SimTime};
 
 /// Attacker that recruits the camera and immediately orders a sustained
 /// flood — so containment speed is what decides the damage.
@@ -27,7 +27,7 @@ impl Node for FastAttacker {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         ctx.set_timer(Duration::from_secs(180), 1);
     }
-    fn on_timer(&mut self, ctx: &mut Context<'_>, _t: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
         if tag == 1 {
             let login = Packet::new(
                 ctx.id(),

@@ -17,7 +17,7 @@ use xlf_core::framework::{HomeDevice, XlfConfig, XlfHome};
 use xlf_core::shaping::ShapingMode;
 use xlf_device::SensorKind;
 use xlf_simnet::observer::{PacketRecord, RecordingTap};
-use xlf_simnet::{Context, Duration, Node, NodeId, Packet, SimTime, TimerId};
+use xlf_simnet::{Context, Duration, Node, NodeId, Packet, SimTime};
 
 /// Drives the camera through a fixed idle/streaming schedule.
 struct StateDriver {
@@ -29,7 +29,7 @@ impl Node for StateDriver {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         ctx.set_timer(Duration::from_secs(30), 1);
     }
-    fn on_timer(&mut self, ctx: &mut Context<'_>, _t: TimerId, _tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Context<'_>, _tag: u64) {
         let action = if self.phase.is_multiple_of(2) {
             "stream"
         } else {

@@ -26,7 +26,7 @@ use xlf_device::{DeviceConfig, SensorKind, SimDevice, VulnSet};
 use xlf_lwcrypto::kdf::derive_key;
 use xlf_lwcrypto::searchable::{Token, Tokenizer};
 use xlf_protocols::dns::{DnsRecord, RecordType};
-use xlf_simnet::{Context, Duration, Medium, Network, Node, NodeId, Packet, SimTime, TimerId};
+use xlf_simnet::{Context, Duration, Medium, Network, Node, NodeId, Packet, SimTime};
 
 /// The vendor hub name every registered device is allowed to resolve
 /// (the destination a DNS-poisoning attacker tries to hijack).
@@ -546,7 +546,7 @@ impl Node for XlfGateway {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_>, _timer: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
         match tag {
             TIMER_EVALUATE => {
                 let actions = self.core.borrow_mut().evaluate(ctx.now());

@@ -21,7 +21,7 @@ use crate::firmware::{FirmwareImage, FirmwareStore, UpdatePolicy};
 use crate::sensor::{Sensor, SensorKind};
 use crate::storage::{LocalStore, StorageEncryption};
 use crate::vulns::{VulnSet, Vulnerability};
-use xlf_simnet::{Context, Duration, Node, NodeId, Packet, Protocol, TimerId};
+use xlf_simnet::{Context, Duration, Node, NodeId, Packet, Protocol};
 
 /// Operational state of a device — the state machine the paper's
 /// behavioural monitoring (HoMonit-style DFA, §IV-B3) profiles.
@@ -338,7 +338,7 @@ impl Node for SimDevice {
         ctx.set_timer(self.telemetry_period(), TIMER_TELEMETRY);
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_>, _timer: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
         match tag {
             TIMER_TELEMETRY => {
                 if self.state != DeviceState::Off {

@@ -38,7 +38,7 @@ use xlf_attacks::scripted;
 use xlf_cloud::smartapp::SmartApp;
 use xlf_core::framework::{HomeProbe, HomeReport, HomeRunner, XlfHome};
 use xlf_simnet::observer::PacketRecord;
-use xlf_simnet::{Context, Duration, FaultPlan, Node, SimTime, TimerId};
+use xlf_simnet::{Context, Duration, FaultPlan, Node, SimTime};
 use xlf_stream::{WindowBuffer, WindowSummary, STREAM_FEATURES};
 
 /// A home that could not be built. Workers ship this to the aggregator
@@ -78,7 +78,7 @@ impl Node for PanicNode {
         ctx.set_timer(Duration::from_secs(CHAOS_PANIC_AT_S), TIMER_CHAOS);
     }
 
-    fn on_timer(&mut self, _ctx: &mut Context<'_>, _timer: TimerId, tag: u64) {
+    fn on_timer(&mut self, _ctx: &mut Context<'_>, tag: u64) {
         if tag == TIMER_CHAOS {
             panic!(
                 "chaos-panic: injected simulation fault in home {}",

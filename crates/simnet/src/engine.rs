@@ -3,14 +3,17 @@
 
 use crate::fault::{FaultEvent, FaultKind, FaultPlan};
 use crate::link::LinkConfig;
-use crate::node::{Node, NodeId, TimerId};
+use crate::node::{Node, NodeId};
 use crate::observer::Tap;
 use crate::packet::Packet;
-use crate::queue::EventQueue;
+use crate::queue::{EventQueue, Scheduler};
 use crate::time::{Duration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet};
+
+/// Hard cap on events one run processes, stopping runaway feedback
+/// loops.
+const MAX_EVENTS: u64 = 20_000_000;
 
 /// Aggregate counters the engine maintains.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -34,12 +37,16 @@ pub struct NetworkStats {
     pub faults_applied: u64,
 }
 
+/// A scheduled engine event. It is opaque, and public only as the
+/// payload type of the [`Scheduler`] a [`Network`] runs over.
+#[derive(Debug)]
+pub struct Event(EventKind);
+
 #[derive(Debug)]
 enum EventKind {
     Deliver(Packet),
     Timer {
         node: NodeId,
-        timer: TimerId,
         tag: u64,
         /// Crash epoch of the owning node when the timer was armed; a
         /// crash bumps the node's epoch so pre-crash timers never fire.
@@ -47,18 +54,11 @@ enum EventKind {
     },
 }
 
+/// What a callback asked for: a send with its extra sender-side delay,
+/// or a timer with its delay and tag.
 enum Effect {
-    Send {
-        packet: Packet,
-        extra_delay: Duration,
-    },
-    SetTimer {
-        node: NodeId,
-        timer: TimerId,
-        after: Duration,
-        tag: u64,
-    },
-    CancelTimer(TimerId),
+    Send(Packet, Duration),
+    SetTimer(Duration, u64),
 }
 
 /// The world a node callback can act on: send packets, arm timers, read
@@ -67,7 +67,6 @@ pub struct Context<'a> {
     id: NodeId,
     now: SimTime,
     effects: &'a mut Vec<Effect>,
-    next_timer: &'a mut u64,
 }
 
 impl<'a> Context<'a> {
@@ -83,13 +82,8 @@ impl<'a> Context<'a> {
 
     /// Sends `packet` to `to` over the direct link (must exist, else the
     /// packet is dropped and counted in [`NetworkStats::no_route`]).
-    pub fn send(&mut self, to: NodeId, mut packet: Packet) {
-        packet.src = self.id;
-        packet.dst = to;
-        self.effects.push(Effect::Send {
-            packet,
-            extra_delay: Duration::ZERO,
-        });
+    pub fn send(&mut self, to: NodeId, packet: Packet) {
+        self.send_after(to, packet, Duration::ZERO);
     }
 
     /// Sends after an additional sender-side delay (the traffic-shaping
@@ -97,48 +91,85 @@ impl<'a> Context<'a> {
     pub fn send_after(&mut self, to: NodeId, mut packet: Packet, delay: Duration) {
         packet.src = self.id;
         packet.dst = to;
-        self.effects.push(Effect::Send {
-            packet,
-            extra_delay: delay,
-        });
+        self.effects.push(Effect::Send(packet, delay));
     }
 
     /// Arms a one-shot timer that fires after `after`, delivering `tag`
     /// back to [`Node::on_timer`].
-    pub fn set_timer(&mut self, after: Duration, tag: u64) -> TimerId {
-        let timer = TimerId(*self.next_timer);
-        *self.next_timer += 1;
-        self.effects.push(Effect::SetTimer {
-            node: self.id,
-            timer,
-            after,
-            tag,
-        });
-        timer
-    }
-
-    /// Cancels a previously armed timer (no-op if already fired).
-    pub fn cancel_timer(&mut self, timer: TimerId) {
-        self.effects.push(Effect::CancelTimer(timer));
+    pub fn set_timer(&mut self, after: Duration, tag: u64) {
+        self.effects.push(Effect::SetTimer(after, tag));
     }
 }
 
-/// A deterministic simulated network.
-pub struct Network {
-    nodes: Vec<Option<Box<dyn Node>>>,
-    links: HashMap<(NodeId, NodeId), LinkConfig>,
-    /// Arena-backed 4-ary scheduler: payloads stay in the slab, only
-    /// 24-byte `(time, seq, slot, gen)` entries move during sifts, and
-    /// pop order is identical to the old `BinaryHeap<Reverse<Event>>`
-    /// because `(at, seq)` is a total order (see [`crate::queue`]).
-    queue: EventQueue<EventKind>,
+/// Where a link stands under injected faults. A degraded or downed link
+/// keeps the config it had before the fault, which a restore brings
+/// back.
+#[derive(Clone, Copy)]
+enum LinkState {
+    Up,
+    Degraded { original: LinkConfig },
+    Down { original: LinkConfig },
+}
+
+/// One direction of a link, held by its sending node.
+struct Link {
+    peer: NodeId,
+    /// The config transmissions use; meaningless while down.
+    config: LinkConfig,
+    state: LinkState,
+}
+
+impl Link {
+    fn is_down(&self) -> bool {
+        matches!(self.state, LinkState::Down { .. })
+    }
+
+    /// The config the link had before any fault, which a restore
+    /// brings back.
+    fn original(&self) -> LinkConfig {
+        match self.state {
+            LinkState::Up => self.config,
+            LinkState::Degraded { original } | LinkState::Down { original } => original,
+        }
+    }
+}
+
+/// Everything the engine keeps about one node.
+#[derive(Default)]
+struct Slot {
+    /// `None` only while one of the node's callbacks runs.
+    node: Option<Box<dyn Node>>,
+    /// Crashed nodes get no callbacks and their deliveries are dropped.
+    crashed: bool,
+    /// Bumped on each crash to void the timers armed before it.
+    epoch: u64,
+    /// Forward clock skew added to the node's [`Context::now`].
+    skew: Duration,
+    /// A jammed radio drops every packet to or from the node.
+    jammed: bool,
+    /// Outgoing links, sorted by peer.
+    links: Vec<Link>,
+}
+
+impl Slot {
+    fn link(&self, peer: NodeId) -> Option<&Link> {
+        let i = self.links.binary_search_by_key(&peer, |l| l.peer).ok()?;
+        Some(&self.links[i])
+    }
+}
+
+/// A deterministic simulated network, dispatching from the scheduler
+/// `Q`: the arena [`EventQueue`] unless a benchmark swaps in the
+/// retained [`NaiveEventQueue`](crate::queue::NaiveEventQueue).
+pub struct Network<Q = EventQueue<Event>> {
+    /// One slot per node, indexed by [`NodeId::raw`].
+    nodes: Vec<Slot>,
+    queue: Q,
     now: SimTime,
     seq: u64,
     seed: u64,
     rng: StdRng,
     taps: Vec<Box<dyn Tap>>,
-    cancelled: HashSet<u64>,
-    next_timer: u64,
     /// Reusable buffer for node-callback effects: taken by [`with_node`]
     /// for the duration of one callback and drained in place by
     /// [`apply_effects`], so steady-state dispatch allocates nothing.
@@ -146,33 +177,16 @@ pub struct Network {
     /// Nodes with index below this have had `on_start` dispatched.
     started_upto: usize,
     stats: NetworkStats,
-    /// Hard cap on processed events, preventing runaway feedback loops.
-    pub max_events: u64,
     /// Installed fault schedule, sorted; `fault_cursor` indexes the next
     /// unapplied fault.
     fault_plan: Vec<FaultEvent>,
     fault_cursor: usize,
-    /// Links severed by `LinkDown`, keyed per direction, holding the
-    /// original config for restore.
-    downed_links: HashMap<(NodeId, NodeId), LinkConfig>,
-    /// Original configs of links currently degraded by `LinkDegrade`.
-    degraded_links: HashMap<(NodeId, NodeId), LinkConfig>,
-    /// Nodes currently crashed (no callbacks, deliveries dropped).
-    crashed: HashSet<NodeId>,
-    /// Per-node crash epoch; bumped on crash to void pre-crash timers.
-    crash_epochs: HashMap<NodeId, u64>,
-    /// Per-node forward clock skew added to `Context::now`.
-    skew: HashMap<NodeId, Duration>,
-    /// Nodes whose radio is currently jammed by `RadioJam` (every packet
-    /// to or from them is a fault drop).
-    jammed: HashSet<NodeId>,
 }
 
-impl std::fmt::Debug for Network {
+impl<Q> std::fmt::Debug for Network<Q> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Network")
             .field("nodes", &self.nodes.len())
-            .field("links", &self.links.len())
             .field("now", &self.now)
             .field("stats", &self.stats)
             .finish_non_exhaustive()
@@ -183,29 +197,27 @@ impl Network {
     /// Creates an empty network with a deterministic RNG seed (drives
     /// packet loss only).
     pub fn new(seed: u64) -> Self {
+        Self::with_scheduler(seed)
+    }
+}
+
+impl<Q: Scheduler<Event>> Network<Q> {
+    /// [`Network::new`] over the scheduler `Q`. Dispatch order is the
+    /// same for every scheduler, because each orders by `(time, seq)`.
+    pub fn with_scheduler(seed: u64) -> Self {
         Network {
             nodes: Vec::new(),
-            links: HashMap::new(),
-            queue: EventQueue::new(),
+            queue: Q::default(),
             now: SimTime::ZERO,
             seq: 0,
             seed,
             rng: StdRng::seed_from_u64(seed),
             taps: Vec::new(),
-            cancelled: HashSet::new(),
-            next_timer: 0,
             effects_scratch: Vec::new(),
             started_upto: 0,
             stats: NetworkStats::default(),
-            max_events: 20_000_000,
             fault_plan: Vec::new(),
             fault_cursor: 0,
-            downed_links: HashMap::new(),
-            degraded_links: HashMap::new(),
-            crashed: HashSet::new(),
-            crash_epochs: HashMap::new(),
-            skew: HashMap::new(),
-            jammed: HashSet::new(),
         }
     }
 
@@ -226,11 +238,15 @@ impl Network {
     /// Registers a node, returning its id.
     pub fn add_node(&mut self, node: Box<dyn Node>) -> NodeId {
         let id = NodeId::from_raw(self.nodes.len() as u32);
-        self.nodes.push(Some(node));
+        self.nodes.push(Slot {
+            node: Some(node),
+            ..Slot::default()
+        });
         id
     }
 
-    /// Connects two nodes with a bidirectional link.
+    /// Connects two nodes with a bidirectional link, replacing any link
+    /// (and any fault state on it) between them.
     ///
     /// # Panics
     ///
@@ -239,8 +255,18 @@ impl Network {
         assert_ne!(a, b, "cannot self-link {a}");
         assert!((a.raw() as usize) < self.nodes.len(), "unknown node {a}");
         assert!((b.raw() as usize) < self.nodes.len(), "unknown node {b}");
-        self.links.insert((a, b), config);
-        self.links.insert((b, a), config);
+        for (from, peer) in [(a, b), (b, a)] {
+            let links = &mut self.nodes[from.raw() as usize].links;
+            let link = Link {
+                peer,
+                config,
+                state: LinkState::Up,
+            };
+            match links.binary_search_by_key(&peer, |l| l.peer) {
+                Ok(i) => links[i] = link,
+                Err(i) => links.insert(i, link),
+            }
+        }
     }
 
     /// Attaches a promiscuous tap observing every transmission.
@@ -248,9 +274,11 @@ impl Network {
         self.taps.push(tap);
     }
 
-    /// Looks up the link between two nodes.
+    /// Looks up the link between two nodes; a link severed by a fault
+    /// reads as absent.
     pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<&LinkConfig> {
-        self.links.get(&(a, b))
+        let link = self.slot(a)?.link(b)?;
+        (!link.is_down()).then_some(&link.config)
     }
 
     /// Queues a packet for delivery as if `src` had sent it (bootstraps
@@ -275,9 +303,7 @@ impl Network {
     /// Immutable access to a node (for post-run inspection via downcast
     /// helpers in higher layers).
     pub fn node(&self, id: NodeId) -> Option<&dyn Node> {
-        self.nodes
-            .get(id.raw() as usize)
-            .and_then(|slot| slot.as_deref())
+        self.slot(id)?.node.as_deref()
     }
 
     /// Downcasts a node to its concrete type for inspection.
@@ -287,27 +313,29 @@ impl Network {
 
     /// Downcasts a node mutably (e.g. to reconfigure it between runs).
     pub fn node_as_mut<T: 'static>(&mut self, id: NodeId) -> Option<&mut T> {
-        match self.nodes.get_mut(id.raw() as usize) {
-            Some(Some(node)) => node.as_any_mut().downcast_mut::<T>(),
-            _ => None,
-        }
+        let node = self.slot_mut(id)?.node.as_mut()?;
+        node.as_any_mut().downcast_mut::<T>()
+    }
+
+    fn slot(&self, id: NodeId) -> Option<&Slot> {
+        self.nodes.get(id.raw() as usize)
+    }
+
+    fn slot_mut(&mut self, id: NodeId) -> Option<&mut Slot> {
+        self.nodes.get_mut(id.raw() as usize)
     }
 
     fn transmit(&mut self, packet: Packet, extra_delay: Duration) {
-        let key = (packet.src, packet.dst);
-        if self.downed_links.contains_key(&key) {
-            // The link exists but is currently severed by a fault: this
-            // is an outage drop, not a routing error.
+        let link = self.slot(packet.src).and_then(|s| s.link(packet.dst));
+        let jammed = |id| self.slot(id).is_some_and(|s| s.jammed);
+        if link.is_some_and(Link::is_down) || jammed(packet.src) || jammed(packet.dst) {
+            // A severed link is an outage drop, not a routing error, and
+            // jammed radios drop on the wire before the loss draw, so the
+            // RNG stream for other traffic is unperturbed.
             self.stats.fault_drops += 1;
             return;
         }
-        if self.jammed.contains(&packet.src) || self.jammed.contains(&packet.dst) {
-            // Jammed radios drop on the wire before the loss draw, so
-            // the RNG stream for unjammed traffic is unperturbed.
-            self.stats.fault_drops += 1;
-            return;
-        }
-        let Some(link) = self.links.get(&key).copied() else {
+        let Some(link) = link.map(|l| l.config) else {
             self.stats.no_route += 1;
             return;
         };
@@ -327,38 +355,18 @@ impl Network {
     fn push_event(&mut self, at: SimTime, kind: EventKind) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(at, seq, kind);
+        self.queue.push(at, seq, Event(kind));
     }
 
-    /// Drains `effects` in place so the caller's buffer (and its
-    /// capacity) survives for the next dispatch.
-    fn apply_effects(&mut self, effects: &mut Vec<Effect>) {
+    /// Drains the effects of `node`'s callback in place so the caller's
+    /// buffer (and its capacity) survives for the next dispatch.
+    fn apply_effects(&mut self, node: NodeId, effects: &mut Vec<Effect>) {
         for effect in effects.drain(..) {
             match effect {
-                Effect::Send {
-                    packet,
-                    extra_delay,
-                } => self.transmit(packet, extra_delay),
-                Effect::SetTimer {
-                    node,
-                    timer,
-                    after,
-                    tag,
-                } => {
-                    let at = self.now + after;
-                    let epoch = self.crash_epochs.get(&node).copied().unwrap_or(0);
-                    self.push_event(
-                        at,
-                        EventKind::Timer {
-                            node,
-                            timer,
-                            tag,
-                            epoch,
-                        },
-                    );
-                }
-                Effect::CancelTimer(timer) => {
-                    self.cancelled.insert(timer.0);
+                Effect::Send(packet, extra_delay) => self.transmit(packet, extra_delay),
+                Effect::SetTimer(after, tag) => {
+                    let epoch = self.nodes[node.raw() as usize].epoch;
+                    self.push_event(self.now + after, EventKind::Timer { node, tag, epoch });
                 }
             }
         }
@@ -374,37 +382,34 @@ impl Network {
         }
     }
 
-    /// Runs `f` with the node temporarily removed from the registry (so
-    /// the callback can borrow the network through `Context` effects).
+    /// Runs `f` with the node temporarily removed from its slot (so the
+    /// callback can borrow the network through `Context` effects).
     fn with_node<F>(&mut self, id: NodeId, f: F)
     where
         F: FnOnce(&mut dyn Node, &mut Context<'_>),
     {
-        if self.crashed.contains(&id) {
-            return;
-        }
-        let slot = id.raw() as usize;
-        let Some(mut node) = self.nodes.get_mut(slot).and_then(Option::take) else {
+        let slot = self.nodes.get_mut(id.raw() as usize);
+        let Some(slot) = slot.filter(|s| !s.crashed) else {
             return;
         };
+        let Some(mut node) = slot.node.take() else {
+            return;
+        };
+        let now = self.now + slot.skew;
         // Reuse the scratch buffer's capacity across dispatches; `take`
         // leaves an empty Vec behind, so a (hypothetical) re-entrant
         // callback would degrade to allocating rather than aliasing.
         let mut effects = std::mem::take(&mut self.effects_scratch);
-        let mut next_timer = self.next_timer;
-        let local_now = self.now + self.skew.get(&id).copied().unwrap_or(Duration::ZERO);
-        {
-            let mut ctx = Context {
+        f(
+            node.as_mut(),
+            &mut Context {
                 id,
-                now: local_now,
+                now,
                 effects: &mut effects,
-                next_timer: &mut next_timer,
-            };
-            f(node.as_mut(), &mut ctx);
-        }
-        self.next_timer = next_timer;
-        self.nodes[slot] = Some(node);
-        self.apply_effects(&mut effects);
+            },
+        );
+        self.nodes[id.raw() as usize].node = Some(node);
+        self.apply_effects(id, &mut effects);
         self.effects_scratch = effects;
     }
 
@@ -414,64 +419,71 @@ impl Network {
         self.run_until(SimTime::from_micros(u64::MAX))
     }
 
-    /// Applies one fault to the world at `self.now`.
+    /// Applies one fault to the world at `self.now`. Faults naming an
+    /// unknown node or an unconnected pair do nothing.
     fn apply_fault(&mut self, kind: FaultKind) {
         self.stats.faults_applied += 1;
         match kind {
-            FaultKind::LinkDown { a, b } => {
-                for key in [(a, b), (b, a)] {
-                    // A degraded link goes down with its *original*
-                    // config saved, so a later restore is complete.
-                    let original = self.degraded_links.remove(&key);
-                    if let Some(cfg) = self.links.remove(&key) {
-                        let saved = original.unwrap_or(cfg);
-                        self.downed_links.entry(key).or_insert(saved);
-                    }
-                }
-            }
-            FaultKind::LinkRestore { a, b } => {
-                for key in [(a, b), (b, a)] {
-                    if let Some(cfg) = self.downed_links.remove(&key) {
-                        self.links.insert(key, cfg);
-                    } else if let Some(cfg) = self.degraded_links.remove(&key) {
-                        self.links.insert(key, cfg);
-                    }
-                }
-            }
+            FaultKind::LinkDown { a, b } => self.each_direction(a, b, |link| {
+                // A degraded link goes down with its *original* config
+                // saved, so a later restore is complete.
+                link.state = LinkState::Down {
+                    original: link.original(),
+                };
+            }),
+            FaultKind::LinkRestore { a, b } => self.each_direction(a, b, |link| {
+                link.config = link.original();
+                link.state = LinkState::Up;
+            }),
             FaultKind::LinkDegrade {
                 a,
                 b,
                 loss,
                 extra_latency,
-            } => {
-                for key in [(a, b), (b, a)] {
-                    if let Some(cfg) = self.links.get(&key).copied() {
-                        let original = *self.degraded_links.entry(key).or_insert(cfg);
-                        let mut degraded = original;
-                        degraded.loss = loss.clamp(0.0, 0.999_999);
-                        degraded.latency = original.latency + extra_latency;
-                        self.links.insert(key, degraded);
-                    }
+            } => self.each_direction(a, b, |link| {
+                if link.is_down() {
+                    return;
                 }
-            }
+                let original = link.original();
+                link.config = LinkConfig {
+                    loss: loss.clamp(0.0, 0.999_999),
+                    latency: original.latency + extra_latency,
+                    ..original
+                };
+                link.state = LinkState::Degraded { original };
+            }),
             FaultKind::NodeCrash { node } => {
-                if self.crashed.insert(node) {
-                    *self.crash_epochs.entry(node).or_insert(0) += 1;
+                if let Some(slot) = self.slot_mut(node).filter(|s| !s.crashed) {
+                    slot.crashed = true;
+                    slot.epoch += 1;
                 }
             }
             FaultKind::NodeRestart { node } => {
-                if self.crashed.remove(&node) {
+                if let Some(slot) = self.slot_mut(node).filter(|s| s.crashed) {
+                    slot.crashed = false;
                     self.with_node(node, |n, ctx| n.on_restart(ctx));
                 }
             }
             FaultKind::ClockSkew { node, ahead } => {
-                self.skew.insert(node, ahead);
+                if let Some(slot) = self.slot_mut(node) {
+                    slot.skew = ahead;
+                }
             }
-            FaultKind::RadioJam { node } => {
-                self.jammed.insert(node);
+            FaultKind::RadioJam { node } | FaultKind::RadioClear { node } => {
+                if let Some(slot) = self.slot_mut(node) {
+                    slot.jammed = matches!(kind, FaultKind::RadioJam { .. });
+                }
             }
-            FaultKind::RadioClear { node } => {
-                self.jammed.remove(&node);
+        }
+    }
+
+    /// Applies `f` to both directions of the `a`–`b` link, if connected.
+    fn each_direction(&mut self, a: NodeId, b: NodeId, mut f: impl FnMut(&mut Link)) {
+        for (from, to) in [(a, b), (b, a)] {
+            if let Some(slot) = self.slot_mut(from) {
+                if let Ok(i) = slot.links.binary_search_by_key(&to, |l| l.peer) {
+                    f(&mut slot.links[i]);
+                }
             }
         }
     }
@@ -517,46 +529,34 @@ impl Network {
             if processed >= budget {
                 return (processed, true);
             }
-            let Some((at, _seq, kind)) = self.queue.pop() else {
+            let Some((at, _seq, Event(kind))) = self.queue.pop() else {
                 break;
             };
             self.now = at;
             processed += 1;
-            if processed > self.max_events {
-                panic!(
-                    "event cap exceeded ({}) — runaway feedback loop?",
-                    self.max_events
-                );
+            if processed > MAX_EVENTS {
+                panic!("event cap exceeded ({MAX_EVENTS}) — runaway feedback loop?");
             }
             match kind {
                 EventKind::Deliver(packet) => {
                     let dst = packet.dst;
-                    if self.crashed.contains(&dst) {
+                    if self.slot(dst).is_some_and(|s| s.crashed) {
                         self.stats.fault_drops += 1;
                         continue;
                     }
                     self.stats.delivered += 1;
                     self.with_node(dst, |node, ctx| node.on_packet(ctx, packet));
                 }
-                EventKind::Timer {
-                    node,
-                    timer,
-                    tag,
-                    epoch,
-                } => {
-                    if self.cancelled.remove(&timer.0) {
-                        continue;
-                    }
-                    if self.crashed.contains(&node)
-                        || epoch != self.crash_epochs.get(&node).copied().unwrap_or(0)
-                    {
+                EventKind::Timer { node, tag, epoch } => {
+                    let slot = &self.nodes[node.raw() as usize];
+                    if slot.crashed || epoch != slot.epoch {
                         // Armed before a crash (or owner still down):
                         // the crash voided it.
                         self.stats.fault_drops += 1;
                         continue;
                     }
                     self.stats.timers_fired += 1;
-                    self.with_node(node, |n, ctx| n.on_timer(ctx, timer, tag));
+                    self.with_node(node, |n, ctx| n.on_timer(ctx, tag));
                 }
             }
         }
@@ -667,18 +667,14 @@ mod tests {
 
     struct Beeper {
         fired: Rc<RefCell<Vec<u64>>>,
-        cancel_second: bool,
     }
     impl Node for Beeper {
         fn on_start(&mut self, ctx: &mut Context<'_>) {
             ctx.set_timer(Duration::from_millis(5), 1);
-            let second = ctx.set_timer(Duration::from_millis(10), 2);
-            if self.cancel_second {
-                ctx.cancel_timer(second);
-            }
+            ctx.set_timer(Duration::from_millis(10), 2);
             ctx.set_timer(Duration::from_millis(15), 3);
         }
-        fn on_timer(&mut self, _ctx: &mut Context<'_>, _timer: TimerId, tag: u64) {
+        fn on_timer(&mut self, _ctx: &mut Context<'_>, tag: u64) {
             self.fired.borrow_mut().push(tag);
         }
     }
@@ -689,23 +685,9 @@ mod tests {
         let mut net = Network::new(1);
         net.add_node(Box::new(Beeper {
             fired: fired.clone(),
-            cancel_second: false,
         }));
         net.run();
         assert_eq!(*fired.borrow(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn cancelled_timers_do_not_fire() {
-        let fired = Rc::new(RefCell::new(Vec::new()));
-        let mut net = Network::new(1);
-        net.add_node(Box::new(Beeper {
-            fired: fired.clone(),
-            cancel_second: true,
-        }));
-        let stats = net.run();
-        assert_eq!(*fired.borrow(), vec![1, 3]);
-        assert_eq!(stats.timers_fired, 2);
     }
 
     #[test]
@@ -714,7 +696,6 @@ mod tests {
         let mut net = Network::new(1);
         net.add_node(Box::new(Beeper {
             fired: fired.clone(),
-            cancel_second: false,
         }));
         net.run_until(SimTime::from_millis(7));
         assert_eq!(*fired.borrow(), vec![1]);
@@ -722,24 +703,26 @@ mod tests {
         assert_eq!(*fired.borrow(), vec![1, 2, 3]);
     }
 
+    /// Sends one packet to `peer` every second.
+    struct Ticker {
+        peer: NodeId,
+    }
+    impl Node for Ticker {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            ctx.set_timer(Duration::from_secs(1), 1);
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_>, _tag: u64) {
+            let p = Packet::new(ctx.id(), self.peer, "tick", vec![0u8]);
+            ctx.send(self.peer, p);
+            ctx.set_timer(Duration::from_secs(1), 1);
+        }
+    }
+
     #[test]
     fn link_flap_severs_then_restores_delivery() {
         use crate::fault::FaultPlan;
         // Sender fires one packet per second for 10 s; the link is down
         // for seconds [3, 6), so exactly those sends are outage drops.
-        struct Ticker {
-            peer: NodeId,
-        }
-        impl Node for Ticker {
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                ctx.set_timer(Duration::from_secs(1), 1);
-            }
-            fn on_timer(&mut self, ctx: &mut Context<'_>, _t: TimerId, _tag: u64) {
-                let p = Packet::new(ctx.id(), self.peer, "tick", vec![0u8]);
-                ctx.send(self.peer, p);
-                ctx.set_timer(Duration::from_secs(1), 1);
-            }
-        }
         let received = Rc::new(RefCell::new(Vec::new()));
         let mut net = Network::new(1);
         let sink = net.add_node(Box::new(Sink {
@@ -767,19 +750,6 @@ mod tests {
         use crate::fault::FaultPlan;
         // Same cadence as the link-flap test: one packet per second for
         // 10 s, radio jammed for seconds [3, 6).
-        struct Ticker {
-            peer: NodeId,
-        }
-        impl Node for Ticker {
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                ctx.set_timer(Duration::from_secs(1), 1);
-            }
-            fn on_timer(&mut self, ctx: &mut Context<'_>, _t: TimerId, _tag: u64) {
-                let p = Packet::new(ctx.id(), self.peer, "tick", vec![0u8]);
-                ctx.send(self.peer, p);
-                ctx.set_timer(Duration::from_secs(1), 1);
-            }
-        }
         let received = Rc::new(RefCell::new(Vec::new()));
         let mut net = Network::new(1);
         let sink = net.add_node(Box::new(Sink {
@@ -827,7 +797,7 @@ mod tests {
             fn on_start(&mut self, ctx: &mut Context<'_>) {
                 ctx.set_timer(Duration::from_secs(2), 7);
             }
-            fn on_timer(&mut self, ctx: &mut Context<'_>, _t: TimerId, _tag: u64) {
+            fn on_timer(&mut self, ctx: &mut Context<'_>, _tag: u64) {
                 self.beats.borrow_mut().push(ctx.now());
                 ctx.set_timer(Duration::from_secs(2), 7);
             }
@@ -908,7 +878,7 @@ mod tests {
             fn on_start(&mut self, ctx: &mut Context<'_>) {
                 ctx.set_timer(Duration::from_secs(1), 1);
             }
-            fn on_timer(&mut self, ctx: &mut Context<'_>, _t: TimerId, _tag: u64) {
+            fn on_timer(&mut self, ctx: &mut Context<'_>, _tag: u64) {
                 for _ in 0..30 {
                     let p = Packet::new(ctx.id(), self.peer, "x", vec![1u8]);
                     ctx.send(self.peer, p);
@@ -965,7 +935,6 @@ mod tests {
         let mut net = Network::new(1);
         net.add_node(Box::new(Beeper {
             fired: fired.clone(),
-            cancel_second: false,
         }));
         let (n, truncated) = net.run_until_capped(SimTime::from_secs(1), 2);
         assert_eq!((n, truncated), (2, true));

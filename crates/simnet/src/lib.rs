@@ -56,10 +56,10 @@ mod packet;
 pub mod queue;
 mod time;
 
-pub use engine::{Context, Network, NetworkStats};
+pub use engine::{Context, Event, Network, NetworkStats};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use link::LinkConfig;
 pub use medium::Medium;
-pub use node::{AsAny, Node, NodeId, TimerId};
+pub use node::{AsAny, Node, NodeId};
 pub use packet::{FlowKey, Packet, Protocol};
 pub use time::{Duration, SimTime};

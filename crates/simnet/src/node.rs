@@ -29,10 +29,6 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Identifier of a pending timer, unique per network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TimerId(pub(crate) u64);
-
 /// Object-safe downcasting support, blanket-implemented for every
 /// `'static` type so [`Node`] implementors get it for free.
 pub trait AsAny {
@@ -65,8 +61,8 @@ pub trait Node: AsAny {
 
     /// Called when a timer set via [`Context::set_timer`] fires. `tag` is
     /// the caller-chosen label passed at arming time.
-    fn on_timer(&mut self, ctx: &mut Context<'_>, timer: TimerId, tag: u64) {
-        let _ = (ctx, timer, tag);
+    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
+        let _ = (ctx, tag);
     }
 
     /// Called once when the simulation starts (before any packet flows).

@@ -19,6 +19,20 @@ use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+/// What the engine needs from its scheduler. Both queues implement it,
+/// so a [`Network`](crate::Network) can dispatch from either.
+pub trait Scheduler<T>: Default {
+    /// Schedules `payload` at `(at, seq)`. Callers must keep `seq`
+    /// unique (the engine's monotonically increasing counter does).
+    fn push(&mut self, at: SimTime, seq: u64, payload: T);
+
+    /// Key of the earliest event, if any.
+    fn peek_key(&self) -> Option<(SimTime, u64)>;
+
+    /// Removes and returns the earliest event as `(at, seq, payload)`.
+    fn pop(&mut self) -> Option<(SimTime, u64, T)>;
+}
+
 /// One 24-byte heap entry; the payload stays put in the arena. The
 /// `(at, seq)` key is packed into a single `u128` so sift comparisons
 /// compile to one wide compare instead of a two-field tuple chain.
@@ -61,81 +75,15 @@ pub struct EventQueue<T> {
 
 impl<T> Default for EventQueue<T> {
     fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> EventQueue<T> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
         EventQueue {
             slots: Vec::new(),
             free: Vec::new(),
             heap: Vec::new(),
         }
     }
+}
 
-    /// Number of queued events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are queued.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Schedules `payload` at `(at, seq)`. Callers must keep `seq`
-    /// unique (the engine's monotonically increasing counter does).
-    pub fn push(&mut self, at: SimTime, seq: u64, payload: T) {
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                let s = &mut self.slots[slot as usize];
-                debug_assert!(s.payload.is_none(), "free-list slot still occupied");
-                s.payload = Some(payload);
-                slot
-            }
-            None => {
-                let slot = self.slots.len() as u32;
-                self.slots.push(Slot {
-                    gen: 0,
-                    payload: Some(payload),
-                });
-                slot
-            }
-        };
-        let gen = self.slots[slot as usize].gen;
-        self.heap.push(HeapEntry {
-            key: pack_key(at, seq),
-            slot,
-            gen,
-        });
-        self.sift_up(self.heap.len() - 1);
-    }
-
-    /// Key of the earliest event, if any.
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.heap.first().map(|e| unpack_key(e.key))
-    }
-
-    /// Removes and returns the earliest event as `(at, seq, payload)`,
-    /// recycling its arena slot.
-    pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
-        let top = *self.heap.first()?;
-        let last = self.heap.pop().expect("non-empty heap");
-        if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.sift_down(0);
-        }
-        let slot = &mut self.slots[top.slot as usize];
-        debug_assert_eq!(slot.gen, top.gen, "stale generation in heap entry");
-        let payload = slot.payload.take().expect("popped slot must be occupied");
-        slot.gen = slot.gen.wrapping_add(1);
-        self.free.push(top.slot);
-        let (at, seq) = unpack_key(top.key);
-        Some((at, seq, payload))
-    }
-
+impl<T> EventQueue<T> {
     /// 4-ary sift-up: parent of `i` is `(i - 1) / 4`.
     fn sift_up(&mut self, mut i: usize) {
         let entry = self.heap[i];
@@ -178,6 +126,55 @@ impl<T> EventQueue<T> {
     }
 }
 
+impl<T> Scheduler<T> for EventQueue<T> {
+    fn push(&mut self, at: SimTime, seq: u64, payload: T) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                let s = &mut self.slots[slot as usize];
+                debug_assert!(s.payload.is_none(), "free-list slot still occupied");
+                s.payload = Some(payload);
+                slot
+            }
+            None => {
+                let slot = self.slots.len() as u32;
+                self.slots.push(Slot {
+                    gen: 0,
+                    payload: Some(payload),
+                });
+                slot
+            }
+        };
+        let gen = self.slots[slot as usize].gen;
+        self.heap.push(HeapEntry {
+            key: pack_key(at, seq),
+            slot,
+            gen,
+        });
+        self.sift_up(self.heap.len() - 1);
+    }
+
+    fn peek_key(&self) -> Option<(SimTime, u64)> {
+        self.heap.first().map(|e| unpack_key(e.key))
+    }
+
+    /// Recycles the popped event's arena slot.
+    fn pop(&mut self) -> Option<(SimTime, u64, T)> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("non-empty heap");
+        if !self.heap.is_empty() {
+            self.heap[0] = last;
+            self.sift_down(0);
+        }
+        let slot = &mut self.slots[top.slot as usize];
+        debug_assert_eq!(slot.gen, top.gen, "stale generation in heap entry");
+        let payload = slot.payload.take().expect("popped slot must be occupied");
+        slot.gen = slot.gen.wrapping_add(1);
+        self.free.push(top.slot);
+        let (at, seq) = unpack_key(top.key);
+        Some((at, seq, payload))
+    }
+}
+
 /// An entry of the retained pre-overhaul queue: the payload is carried
 /// *inline*, so every binary-heap sift moves the whole event.
 #[derive(Debug)]
@@ -215,40 +212,22 @@ pub struct NaiveEventQueue<T> {
 
 impl<T> Default for NaiveEventQueue<T> {
     fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> NaiveEventQueue<T> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
         NaiveEventQueue {
             heap: BinaryHeap::new(),
         }
     }
+}
 
-    /// Number of queued events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are queued.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Schedules `payload` at `(at, seq)`.
-    pub fn push(&mut self, at: SimTime, seq: u64, payload: T) {
+impl<T> Scheduler<T> for NaiveEventQueue<T> {
+    fn push(&mut self, at: SimTime, seq: u64, payload: T) {
         self.heap.push(Reverse(NaiveEntry { at, seq, payload }));
     }
 
-    /// Key of the earliest event, if any.
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
+    fn peek_key(&self) -> Option<(SimTime, u64)> {
         self.heap.peek().map(|Reverse(e)| (e.at, e.seq))
     }
 
-    /// Removes and returns the earliest event as `(at, seq, payload)`.
-    pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
+    fn pop(&mut self) -> Option<(SimTime, u64, T)> {
         self.heap.pop().map(|Reverse(e)| (e.at, e.seq, e.payload))
     }
 }
@@ -263,7 +242,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_then_seq_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         q.push(t(30), 0, "a");
         q.push(t(10), 1, "b");
         q.push(t(10), 2, "c");
@@ -274,8 +253,8 @@ mod tests {
 
     #[test]
     fn matches_naive_on_interleaved_push_pop() {
-        let mut fast = EventQueue::new();
-        let mut naive = NaiveEventQueue::new();
+        let mut fast = EventQueue::default();
+        let mut naive = NaiveEventQueue::default();
         let mut seq = 0u64;
         // A deterministic but scrambled schedule with equal-time ties.
         for round in 0..50u64 {
@@ -292,12 +271,12 @@ mod tests {
         while let Some(got) = fast.pop() {
             assert_eq!(Some(got), naive.pop());
         }
-        assert!(naive.is_empty());
+        assert_eq!(naive.pop(), None);
     }
 
     #[test]
     fn free_list_recycles_slots() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         for i in 0..8u64 {
             q.push(t(i), i, i);
         }
@@ -309,13 +288,12 @@ mod tests {
             q.push(t(i), 100 + i, i);
         }
         assert_eq!(q.slots.len(), 8);
-        assert_eq!(q.len(), 8);
+        assert_eq!(q.heap.len(), 8);
     }
 
     #[test]
     fn empty_queue_behaves() {
-        let mut q: EventQueue<u8> = EventQueue::new();
-        assert!(q.is_empty());
+        let mut q: EventQueue<u8> = EventQueue::default();
         assert_eq!(q.peek_key(), None);
         assert_eq!(q.pop(), None);
     }

@@ -11,7 +11,7 @@
 use xlf::core::alerts::Severity;
 use xlf::core::framework::{HomeDevice, XlfConfig, XlfHome};
 use xlf::device::{SensorKind, VulnSet, Vulnerability};
-use xlf::simnet::{Context, Duration, Medium, Node, NodeId, Packet, SimTime, TimerId};
+use xlf::simnet::{Context, Duration, Medium, Node, NodeId, Packet, SimTime};
 
 /// The WAN attacker: recruit at t=180 s, order the flood at t=200 s.
 struct Attacker {
@@ -24,7 +24,7 @@ impl Node for Attacker {
         ctx.set_timer(Duration::from_secs(180), 1);
         ctx.set_timer(Duration::from_secs(200), 2);
     }
-    fn on_timer(&mut self, ctx: &mut Context<'_>, _t: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
         match tag {
             1 => {
                 println!("[t=180s] attacker: trying default credentials on cam (C&C bootstrap in payload)");

@@ -11,7 +11,7 @@ use xlf::core::framework::{HomeDevice, XlfConfig, XlfHome};
 use xlf::core::shaping::ShapingMode;
 use xlf::device::SensorKind;
 use xlf::simnet::observer::{PacketRecord, RecordingTap};
-use xlf::simnet::{Context, Duration, Medium, Node, NodeId, Packet, SimTime, TimerId};
+use xlf::simnet::{Context, Duration, Medium, Node, NodeId, Packet, SimTime};
 
 /// Alternates the camera between streaming and idle every 30 s.
 struct Routine {
@@ -22,7 +22,7 @@ impl Node for Routine {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         ctx.set_timer(Duration::from_secs(30), 1);
     }
-    fn on_timer(&mut self, ctx: &mut Context<'_>, _t: TimerId, _tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Context<'_>, _tag: u64) {
         let action = if self.phase.is_multiple_of(2) {
             "stream"
         } else {

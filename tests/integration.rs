@@ -7,7 +7,7 @@ use xlf::core::correlation::{CorrelationConfig, CorrelationEngine};
 use xlf::core::evidence::Layer;
 use xlf::core::framework::{HomeDevice, XlfConfig, XlfHome};
 use xlf::device::{SensorKind, VulnSet, Vulnerability};
-use xlf::simnet::{Context, Duration, Medium, Node, NodeId, Packet, SimTime, TimerId};
+use xlf::simnet::{Context, Duration, Medium, Node, NodeId, Packet, SimTime};
 
 /// WAN attacker that recruits the camera and orders a flood.
 struct BotnetAttacker {
@@ -20,7 +20,7 @@ impl Node for BotnetAttacker {
         ctx.set_timer(Duration::from_secs(180), 1);
         ctx.set_timer(Duration::from_secs(200), 2);
     }
-    fn on_timer(&mut self, ctx: &mut Context<'_>, _t: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
         match tag {
             1 => {
                 let login = Packet::new(

@@ -5,7 +5,7 @@
 use xlf::core::alerts::Severity;
 use xlf::core::framework::{HomeDevice, XlfConfig, XlfHome};
 use xlf::device::{SensorKind, VulnSet, Vulnerability};
-use xlf::simnet::{Context, Duration, Medium, Node, NodeId, Packet, SimTime, TimerId};
+use xlf::simnet::{Context, Duration, Medium, Node, NodeId, Packet, SimTime};
 
 struct Recruiter {
     gateway: NodeId,
@@ -14,7 +14,7 @@ impl Node for Recruiter {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         ctx.set_timer(Duration::from_secs(180), 1);
     }
-    fn on_timer(&mut self, ctx: &mut Context<'_>, _t: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
         if tag == 1 {
             // Retry the recruitment a few times — radios drop packets.
             for i in 0..5u64 {
@@ -123,7 +123,7 @@ fn attack_during_learning_window_is_still_contained_by_dpi() {
         fn on_start(&mut self, ctx: &mut Context<'_>) {
             ctx.set_timer(Duration::from_secs(30), 1);
         }
-        fn on_timer(&mut self, ctx: &mut Context<'_>, _t: TimerId, _tag: u64) {
+        fn on_timer(&mut self, ctx: &mut Context<'_>, _tag: u64) {
             let login = Packet::new(
                 ctx.id(),
                 self.gateway,
