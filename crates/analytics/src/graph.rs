@@ -115,14 +115,126 @@ fn neighbour_order(a: &(usize, f64), b: &(usize, f64)) -> std::cmp::Ordering {
 }
 
 /// Shared symmetrize step: if `i` lists `j`, ensure `j` lists `i`.
-fn symmetrize(adj: &mut [Vec<(usize, f64)>]) {
+///
+/// Only each node's own kNN list (its length recorded in `own` before
+/// any append) is scanned: a reverse edge appended to `adj[j]` while
+/// visiting `i` is never `i` itself at the time `j` is checked, so the
+/// prefix-only scan gives the same graph as scanning whole lists — and
+/// hub nodes with hundreds of reverse edges no longer cost a full scan
+/// per membership test.
+fn symmetrize(adj: &mut [Vec<(usize, f64)>], own: &mut Vec<usize>) {
+    own.clear();
+    own.extend(adj.iter().map(Vec::len));
     for i in 0..adj.len() {
-        for e in 0..adj[i].len() {
+        for e in 0..own[i] {
             let (j, w) = adj[i][e];
-            if !adj[j].iter().any(|&(t, _)| t == i) {
+            if !adj[j][..own[j]].iter().any(|&(t, _)| t == i) {
                 adj[j].push((i, w));
             }
         }
+    }
+}
+
+/// Groups rows by the exact bit pattern of their features: `group[i]` is
+/// row `i`'s group id, and `distinct` receives each group's first row
+/// (with its norm), in first-appearance order, so all-distinct input
+/// yields the identity grouping and a copy of the matrix. Equal bits
+/// give equal norms, dot products and distances, so any member can
+/// stand in for its group; `-0.0`/`+0.0` or distinct NaN payloads simply
+/// land in different groups. `slots` is the open-addressed hash table
+/// (group id per slot, `usize::MAX` empty), keyed by the row's norm:
+/// equal rows have equal norms, so the norm is a hash that costs
+/// nothing extra, and distinct rows sharing a norm are told apart by a
+/// full comparison (at worst one per row and same-norm group, O(n·u),
+/// within the O(n²) the gather and selection already cost).
+fn group_rows(
+    matrix: &FeatureMatrix,
+    slots: &mut Vec<usize>,
+    group: &mut Vec<usize>,
+    distinct: &mut FeatureMatrix,
+) {
+    let n = matrix.rows();
+    group.clear();
+    distinct.data.clear();
+    distinct.norms.clear();
+    distinct.rows = 0;
+    distinct.dims = matrix.dims;
+    if n == 0 {
+        return;
+    }
+    let bits = (2 * n).next_power_of_two().trailing_zeros();
+    slots.clear();
+    slots.resize(1 << bits, usize::MAX);
+    let mask = slots.len() - 1;
+    let same_bits = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+    for i in 0..n {
+        let (row, norm) = (matrix.row(i), matrix.norms[i]);
+        let h = norm.to_bits().wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let mut s = (h >> (64 - bits)) as usize;
+        loop {
+            match slots[s] {
+                usize::MAX => {
+                    slots[s] = distinct.rows;
+                    group.push(distinct.rows);
+                    distinct.data.extend_from_slice(row);
+                    distinct.norms.push(norm);
+                    distinct.rows += 1;
+                    break;
+                }
+                g if distinct.norms[g].to_bits() == norm.to_bits()
+                    && same_bits(distinct.row(g), row) =>
+                {
+                    group.push(g);
+                    break;
+                }
+                _ => s = (s + 1) & mask,
+            }
+        }
+    }
+}
+
+/// Fills `dist` with the symmetric `u × u` squared distances between the
+/// rows of `table`, every pair computed once. The diagonal is `+∞` when
+/// the rows are the whole matrix (`distinct_rows`: a row is never its
+/// own neighbour); otherwise a row stands for a group, and its diagonal
+/// entry is the distance between two of its members, by the same
+/// expression.
+fn distance_table(table: &FeatureMatrix, distinct_rows: bool, dist: &mut Vec<f64>) {
+    let u = table.rows();
+    let norms = &table.norms;
+    // No clear: every cell is overwritten (both mirror halves and the
+    // diagonal), so a bare resize avoids a memset per call.
+    dist.resize(u * u, 0.0);
+    // Blocked dot-product sweep over SIM_BLOCK × SIM_BLOCK tiles of the
+    // upper triangle: the feature-row panels stay hot across a tile,
+    // and both the row writes and the mirrored column writes land in a
+    // tile-sized (L2-resident) window instead of striding the full
+    // table. Per-pair arithmetic is unaffected by the visit order.
+    let mut ib = 0;
+    while ib < u {
+        let iend = (ib + SIM_BLOCK).min(u);
+        let mut jb = ib;
+        while jb < u {
+            let jend = (jb + SIM_BLOCK).min(u);
+            for i in ib..iend {
+                let xi = table.row(i);
+                for j in (jb.max(i + 1))..jend {
+                    let d2 = (norms[i] + norms[j] - 2.0 * dot(xi, table.row(j))).max(0.0);
+                    dist[i * u + j] = d2;
+                    dist[j * u + i] = d2;
+                }
+            }
+            jb = jend;
+        }
+        ib = iend;
+    }
+    for g in 0..u {
+        dist[g * u + g] = if distinct_rows {
+            f64::INFINITY
+        } else {
+            let x = table.row(g);
+            (norms[g] + norms[g] - 2.0 * dot(x, x)).max(0.0)
+        };
     }
 }
 
@@ -144,25 +256,34 @@ const EXP_ZERO_ARG: f64 = -746.0;
 /// Builds a symmetric kNN similarity graph: `adj[i]` lists `(j, weight)`
 /// for the `k` nearest neighbours of `i` by RBF similarity.
 pub fn similarity_graph(features: &[Vec<f64>], k: usize, gamma: f64) -> Vec<Vec<(usize, f64)>> {
-    let mut matrix = FeatureMatrix::new();
-    matrix.fill_from_rows(features);
-    let mut dist = Vec::new();
-    let mut sel = Vec::new();
-    let mut adj = Vec::new();
-    similarity_graph_into(&matrix, k, gamma, &mut dist, &mut sel, &mut adj);
-    adj
+    let mut scratch = GraphScratch::new();
+    scratch.matrix.fill_from_rows(features);
+    similarity_graph_into(k, gamma, &mut scratch);
+    std::mem::take(&mut scratch.adj)
 }
 
-/// The blocked SoA similarity sweep, writing into caller-owned buffers
-/// so epoch-by-epoch callers allocate nothing after warmup.
+/// The blocked SoA similarity sweep over the rows already loaded into
+/// `scratch.matrix` (used as is, not normalized), writing the graph into
+/// the scratch's adjacency lists ([`GraphScratch::adjacency`]) so
+/// epoch-by-epoch callers allocate nothing after warmup.
 ///
-/// Three structural wins over [`similarity_graph_naive`], with
+/// Four structural wins over [`similarity_graph_naive`], with
 /// *identical* output bits:
 ///
+/// * distances are computed once per pair of *distinct* rows. Rows are
+///   grouped by the bit pattern of their features; the sweep fills a
+///   `u × u` table over one representative per group, and row `i`'s
+///   candidate distances are its group's table row gathered through
+///   the group ids, with `+∞` at position `i` only. Equal bits give
+///   equal distances, so the gathered row is exactly the row the dense
+///   `n × n` sweep would compute. A fleet's homes run the same devices
+///   and apps, so thousands of rows collapse to a few dozen groups;
+///   when every row is distinct (`u == n`) the table *is* the dense
+///   matrix and rows are read in place;
 /// * each symmetric pair is computed once (`dot` is
 ///   commutative-safe, so mirroring the value is exact), halving the
 ///   dominant dot-product work;
-/// * per-row top-k runs as an `O(n)` value selection over the dense
+/// * per-row top-k runs as an `O(n)` value selection over the
 ///   distance row plus a threshold/tie pass in index order — no
 ///   per-candidate tuples are built or sorted;
 /// * `exp` is deferred until after selection. Similarity
@@ -176,58 +297,42 @@ pub fn similarity_graph(features: &[Vec<f64>], k: usize, gamma: f64) -> Vec<Vec<
 ///   similarity equality exactly where collisions are possible,
 ///   using cheap argument-gap and underflow bounds to skip the
 ///   `exp` calls that provably cannot collide.
-///
-/// `dist` is the dense `n × n` squared-distance scratch, `sel` the
-/// k-entry selection scratch; `adj` keeps its per-node edge capacity.
-pub fn similarity_graph_into(
-    matrix: &FeatureMatrix,
-    k: usize,
-    gamma: f64,
-    dist: &mut Vec<f64>,
-    sel: &mut Vec<(f64, usize)>,
-    adj: &mut Vec<Vec<(usize, f64)>>,
-) {
+pub fn similarity_graph_into(k: usize, gamma: f64, scratch: &mut GraphScratch) {
+    let GraphScratch {
+        matrix,
+        distinct,
+        slots,
+        group,
+        dist,
+        cand,
+        sel,
+        own,
+        adj,
+        ..
+    } = scratch;
     let n = matrix.rows();
     adj.truncate(n);
     for edges in adj.iter_mut() {
         edges.clear();
     }
     adj.resize_with(n, Vec::new);
-    let norms = &matrix.norms;
-    // Dense symmetric squared-distance matrix, every pair computed
-    // once. The diagonal gets an infinite sentinel so self-edges can
-    // never be selected as nearest. No clear: every cell is overwritten
-    // (diagonal + both mirror halves), so a bare resize avoids an
-    // 8n²-byte memset per call.
-    dist.resize(n * n, 0.0);
-    // Blocked dot-product sweep over SIM_BLOCK × SIM_BLOCK tiles of the
-    // upper triangle: the feature-row panels stay hot across a tile,
-    // and both the row writes and the mirrored column writes land in a
-    // tile-sized (L2-resident) window instead of striding the full
-    // matrix. Per-pair arithmetic is unaffected by the visit order.
-    let mut ib = 0;
-    while ib < n {
-        let iend = (ib + SIM_BLOCK).min(n);
-        let mut jb = ib;
-        while jb < n {
-            let jend = (jb + SIM_BLOCK).min(n);
-            for i in ib..iend {
-                let xi = matrix.row(i);
-                for j in (jb.max(i + 1))..jend {
-                    let d2 = (norms[i] + norms[j] - 2.0 * dot(xi, matrix.row(j))).max(0.0);
-                    dist[i * n + j] = d2;
-                    dist[j * n + i] = d2;
-                }
-            }
-            jb = jend;
-        }
-        ib = iend;
-    }
+    group_rows(matrix, slots, group, distinct);
+    let u = distinct.rows();
+    distance_table(distinct, u == n, dist);
     for i in 0..n {
-        dist[i * n + i] = f64::INFINITY;
-    }
-    for i in 0..n {
-        let row = &dist[i * n..(i + 1) * n];
+        // Row i's candidate distances: the table row itself when every
+        // row is distinct, else its group's row gathered through the
+        // group ids, with the self-sentinel at i only.
+        let row: &[f64] = if u == n {
+            &dist[i * n..(i + 1) * n]
+        } else {
+            let g = group[i];
+            let table_row = &dist[g * u..(g + 1) * u];
+            cand.clear();
+            cand.extend(group.iter().map(|&h| table_row[h]));
+            cand[i] = f64::INFINITY;
+            cand
+        };
         let edges = &mut adj[i];
         if n <= k + 1 {
             // Everyone is a neighbour.
@@ -345,7 +450,7 @@ pub fn similarity_graph_into(
         }
         edges.sort_unstable_by(neighbour_order);
     }
-    symmetrize(adj);
+    symmetrize(adj, own);
 }
 
 /// The retained pre-overhaul similarity path: per-pair `Vec` walks and a
@@ -374,7 +479,7 @@ pub fn similarity_graph_naive(
         neighbours.truncate(k);
         adj[i] = neighbours;
     }
-    symmetrize(&mut adj);
+    symmetrize(&mut adj, &mut Vec::new());
     adj
 }
 
@@ -581,16 +686,28 @@ pub fn community_report_seeded(
 }
 
 /// Reusable working set for the whole community pipeline: the SoA
-/// feature matrix, the dense distance matrix and selection-row
-/// scratch, the adjacency lists, and the label/score outputs. A long-lived correlator keeps one of
-/// these across epochs so the steady-state pipeline allocates nothing.
+/// feature matrix, the row-grouping buffers, the distinct-row distance
+/// table and selection scratch, the adjacency lists, and the
+/// label/score outputs. A long-lived correlator keeps one of these
+/// across epochs so the steady-state pipeline allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct GraphScratch {
     /// Input: callers fill this (e.g. [`FeatureMatrix::fill_from_flat`])
     /// before [`community_report_into`]; it is normalized in place.
     pub matrix: FeatureMatrix,
+    /// The first row of each group of bit-identical rows.
+    distinct: FeatureMatrix,
+    /// Row-grouping hash table (group id per slot).
+    slots: Vec<usize>,
+    /// Group id per row.
+    group: Vec<usize>,
+    /// `u × u` squared distances between group representatives.
     dist: Vec<f64>,
+    /// One row's candidate distances, gathered through the group ids.
+    cand: Vec<f64>,
     sel: Vec<(f64, usize)>,
+    /// Own kNN-list length per node, recorded before symmetrizing.
+    own: Vec<usize>,
     votes: Vec<(usize, f64)>,
     dirty: Vec<bool>,
     adj: Vec<Vec<(usize, f64)>>,
@@ -602,6 +719,11 @@ impl GraphScratch {
     /// Creates an empty working set.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The kNN graph from the last run: `(neighbour, weight)` per node.
+    pub fn adjacency(&self) -> &[Vec<(usize, f64)>] {
+        &self.adj
     }
 
     /// Community label per node from the last run.
@@ -641,14 +763,7 @@ pub fn community_report_into(
     }
     scratch.matrix.normalize();
     let k = k.min(n.saturating_sub(1)).max(1);
-    similarity_graph_into(
-        &scratch.matrix,
-        k,
-        gamma,
-        &mut scratch.dist,
-        &mut scratch.sel,
-        &mut scratch.adj,
-    );
+    similarity_graph_into(k, gamma, scratch);
     match seed_labels {
         Some(seed) => {
             assert_eq!(seed.len(), n, "one seed label per node");

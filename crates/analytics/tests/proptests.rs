@@ -152,21 +152,63 @@ proptest! {
         k in 1usize..8,
         gamma in 0.001f64..4.0,
     ) {
-        let blocked = similarity_graph(&features, k, gamma);
-        let naive = similarity_graph_naive(&features, k, gamma);
-        prop_assert_eq!(blocked.len(), naive.len());
-        for (i, (b, n)) in blocked.iter().zip(&naive).enumerate() {
-            prop_assert_eq!(b.len(), n.len(), "node {} degree differs", i);
-            for (eb, en) in b.iter().zip(n) {
-                prop_assert_eq!(eb.0, en.0, "node {} neighbour differs", i);
-                prop_assert!(
-                    eb.1 == en.1 && eb.1.to_bits() == en.1.to_bits(),
-                    "node {} edge ({}, {}) weight differs bitwise: {:x} vs {:x}",
-                    i, eb.0, en.0, eb.1.to_bits(), en.1.to_bits()
-                );
-            }
+        assert_graphs_bit_equal(
+            &similarity_graph(&features, k, gamma),
+            &similarity_graph_naive(&features, k, gamma),
+        )?;
+    }
+
+    /// Bit-equality on fleet-shaped input: rows drawn from a pool of a
+    /// few distinct vectors, so the blocked sweep's distinct-row groups
+    /// (one table row per bit pattern, gathered back per row) carry
+    /// most of the graph. The pool values include both zeros (distinct
+    /// bit patterns, equal distances) and a huge `gamma` under which
+    /// weights underflow and the exact tie protocol decides.
+    #[test]
+    fn duplicate_heavy_similarity_bit_equals_naive(
+        pool in prop::collection::vec(
+            prop::collection::vec(
+                prop::sample::select(vec![0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 300.0]),
+                4,
+            ),
+            1..7,
+        ),
+        dims in 1usize..5,
+        picks in prop::collection::vec(0usize..6, 1..41),
+        k in 1usize..10,
+        gamma in prop::sample::select(vec![0.01, 0.5, 8.0, 1e6]),
+    ) {
+        let features: Vec<Vec<f64>> =
+            picks.iter().map(|&p| pool[p % pool.len()][..dims].to_vec()).collect();
+        assert_graphs_bit_equal(
+            &similarity_graph(&features, k, gamma),
+            &similarity_graph_naive(&features, k, gamma),
+        )?;
+    }
+}
+
+/// Edge lists equal index-for-index and weight-for-weight, bitwise.
+fn assert_graphs_bit_equal(
+    blocked: &[Vec<(usize, f64)>],
+    naive: &[Vec<(usize, f64)>],
+) -> Result<(), String> {
+    prop_assert_eq!(blocked.len(), naive.len());
+    for (i, (b, n)) in blocked.iter().zip(naive).enumerate() {
+        prop_assert_eq!(b.len(), n.len(), "node {} degree differs", i);
+        for (eb, en) in b.iter().zip(n) {
+            prop_assert_eq!(eb.0, en.0, "node {} neighbour differs", i);
+            prop_assert!(
+                eb.1 == en.1 && eb.1.to_bits() == en.1.to_bits(),
+                "node {} edge ({}, {}) weight differs bitwise: {:x} vs {:x}",
+                i,
+                eb.0,
+                en.0,
+                eb.1.to_bits(),
+                en.1.to_bits()
+            );
         }
     }
+    Ok(())
 }
 
 use xlf_analytics::multipattern::{naive_first_per_pattern, AcAutomaton};

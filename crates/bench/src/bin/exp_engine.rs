@@ -12,7 +12,8 @@
 //!    one process.
 //! 3. **kNN correlator** — blocked SoA similarity sweep vs the retained
 //!    per-pair naive path at fleet sizes up to 1k homes, both for the
-//!    graph build alone and for a full community epoch.
+//!    graph build alone and for a full community epoch, plus one
+//!    fleet-shaped cell whose rows repeat a few distinct vectors.
 //!
 //! ```text
 //! cargo run --release -p xlf-bench --bin exp_engine -- [--smoke] [--json BENCH_engine.json]
@@ -22,7 +23,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 use xlf_analytics::graph::{
     community_report_into, deviation_scores, label_propagation_seeded, normalize_features,
-    similarity_graph_into, similarity_graph_naive, FeatureMatrix, GraphScratch,
+    similarity_graph_into, similarity_graph_naive, GraphScratch,
 };
 use xlf_bench::harness::{best_of, fixed, per_call_s, Args, Json, Row};
 use xlf_bench::obj;
@@ -324,64 +325,95 @@ impl KnnCell {
     fn epoch_speedup(&self) -> f64 {
         self.naive_epoch_s / self.blocked_epoch_s.max(1e-12)
     }
+
+    fn json(&self) -> Json {
+        obj! {
+            "homes" => self.homes,
+            "naive_graph_s" => fixed(self.naive_graph_s, 6),
+            "blocked_graph_s" => fixed(self.blocked_graph_s, 6),
+            "graph_speedup" => fixed(self.graph_speedup(), 2),
+            "naive_epoch_s" => fixed(self.naive_epoch_s, 6),
+            "blocked_epoch_s" => fixed(self.blocked_epoch_s, 6),
+            "epoch_speedup" => fixed(self.epoch_speedup(), 2),
+        }
+    }
+}
+
+/// The fleet-shaped kNN cell: fleet-streamed's home count, and the most
+/// distinct rows any of its epochs shows.
+const KNN_FLEET_HOMES: usize = 2000;
+const KNN_FLEET_DISTINCT: usize = 20;
+
+/// Fleet-shaped features: `KNN_FLEET_HOMES` rows, each a copy of one of
+/// `KNN_FLEET_DISTINCT` stream-shaped vectors. Homes running the same
+/// devices and apps present bit-identical rows; fleet-streamed's epochs
+/// show 2–20 distinct rows across 2000 homes.
+fn fleet_features() -> Vec<Vec<f64>> {
+    let pool = synthetic_features(KNN_FLEET_DISTINCT, KNN_DIMS);
+    let mut state = 0xf1ee_7000_u64;
+    (0..KNN_FLEET_HOMES)
+        .map(|_| pool[(splitmix(&mut state) % pool.len() as u64) as usize].clone())
+        .collect()
 }
 
 fn knn_sweep(cfg: &Config) -> Vec<KnnCell> {
-    const DIMS: usize = 20; // 2 × STREAM_FEATURES, the stream layout
+    cfg.knn_homes
+        .iter()
+        .map(|&homes| knn_cell(synthetic_features(homes, KNN_DIMS)))
+        .collect()
+}
+
+const KNN_DIMS: usize = 20; // 2 × STREAM_FEATURES, the stream layout
+
+fn knn_cell(raw: Vec<Vec<f64>>) -> KnnCell {
     const K: usize = 8;
     const GAMMA: f64 = 8.0;
     const ITERS: usize = 100;
-    cfg.knn_homes
-        .iter()
-        .map(|&homes| {
-            let raw = synthetic_features(homes, DIMS);
-            let mut normalized = raw.clone();
-            normalize_features(&mut normalized);
-            let flat: Vec<f64> = raw.iter().flatten().copied().collect();
-            let seed: Vec<usize> = (0..homes).collect();
+    let homes = raw.len();
+    let mut normalized = raw.clone();
+    normalize_features(&mut normalized);
+    let flat: Vec<f64> = raw.iter().flatten().copied().collect();
+    let seed: Vec<usize> = (0..homes).collect();
 
-            // Graph build alone: the kNN sweep itself. The blocked side
-            // runs the way production runs it — through caller-owned
-            // scratch buffers that persist across epochs — not through
-            // the allocating one-shot wrapper.
-            let naive_graph_s = per_call_s(|| {
-                std::hint::black_box(similarity_graph_naive(&normalized, K, GAMMA));
-            });
-            let mut matrix = FeatureMatrix::new();
-            matrix.fill_from_rows(&normalized);
-            let (mut dist, mut sel, mut adj) = (Vec::new(), Vec::new(), Vec::new());
-            let blocked_graph_s = per_call_s(|| {
-                similarity_graph_into(&matrix, K, GAMMA, &mut dist, &mut sel, &mut adj);
-                std::hint::black_box(&adj);
-            });
+    // Graph build alone: the kNN sweep itself. The blocked side runs
+    // the way production runs it — through caller-owned scratch
+    // buffers that persist across epochs — not through the allocating
+    // one-shot wrapper.
+    let naive_graph_s = per_call_s(|| {
+        std::hint::black_box(similarity_graph_naive(&normalized, K, GAMMA));
+    });
+    let mut graph = GraphScratch::new();
+    graph.matrix.fill_from_rows(&normalized);
+    let blocked_graph_s = per_call_s(|| {
+        similarity_graph_into(K, GAMMA, &mut graph);
+        std::hint::black_box(graph.adjacency());
+    });
 
-            // Full community epoch: what one stream epoch pays. The
-            // naive epoch is the pre-overhaul shape (clone + normalize +
-            // per-pair graph + propagation + scoring); the blocked epoch
-            // is the scratch-reusing pipeline the stream tier now runs.
-            let naive_epoch_s = per_call_s(|| {
-                let mut n = raw.clone();
-                normalize_features(&mut n);
-                let adj = similarity_graph_naive(&n, K, GAMMA);
-                let labels = label_propagation_seeded(&adj, ITERS, &seed);
-                std::hint::black_box(deviation_scores(&adj, &labels));
-            });
-            let mut scratch = GraphScratch::new();
-            let blocked_epoch_s = per_call_s(|| {
-                scratch.matrix.fill_from_flat(&flat, homes, DIMS);
-                community_report_into(K, GAMMA, ITERS, Some(&seed), &mut scratch);
-                std::hint::black_box(scratch.scores());
-            });
+    // Full community epoch: what one stream epoch pays. The naive epoch
+    // is the pre-overhaul shape (clone + normalize + per-pair graph +
+    // propagation + scoring); the blocked epoch is the scratch-reusing
+    // pipeline the stream tier now runs.
+    let naive_epoch_s = per_call_s(|| {
+        let mut n = raw.clone();
+        normalize_features(&mut n);
+        let adj = similarity_graph_naive(&n, K, GAMMA);
+        let labels = label_propagation_seeded(&adj, ITERS, &seed);
+        std::hint::black_box(deviation_scores(&adj, &labels));
+    });
+    let mut scratch = GraphScratch::new();
+    let blocked_epoch_s = per_call_s(|| {
+        scratch.matrix.fill_from_flat(&flat, homes, KNN_DIMS);
+        community_report_into(K, GAMMA, ITERS, Some(&seed), &mut scratch);
+        std::hint::black_box(scratch.scores());
+    });
 
-            KnnCell {
-                homes,
-                naive_graph_s,
-                blocked_graph_s,
-                naive_epoch_s,
-                blocked_epoch_s,
-            }
-        })
-        .collect()
+    KnnCell {
+        homes,
+        naive_graph_s,
+        blocked_graph_s,
+        naive_epoch_s,
+        blocked_epoch_s,
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -393,6 +425,7 @@ fn main() -> ExitCode {
     let churn = churn_sweep(cfg);
     let storm = storm_sweep(cfg);
     let knn = knn_sweep(cfg);
+    let knn_fleet = knn_cell(fleet_features());
 
     // Acceptance gates (honest placement: the ≥5× algorithmic win is in
     // the kNN sweep; the scheduler gates pin the measured improvement).
@@ -440,15 +473,9 @@ fn main() -> ExitCode {
             "naive_events_per_sec" => s.naive_eps.round(),
             "ratio" => fixed(s.ratio(), 3),
         }).collect::<Vec<_>>(),
-        "knn" => knn.iter().map(|k| obj! {
-            "homes" => k.homes,
-            "naive_graph_s" => fixed(k.naive_graph_s, 6),
-            "blocked_graph_s" => fixed(k.blocked_graph_s, 6),
-            "graph_speedup" => fixed(k.graph_speedup(), 2),
-            "naive_epoch_s" => fixed(k.naive_epoch_s, 6),
-            "blocked_epoch_s" => fixed(k.blocked_epoch_s, 6),
-            "epoch_speedup" => fixed(k.epoch_speedup(), 2),
-        }).collect::<Vec<_>>(),
+        "knn" => knn.iter().map(KnnCell::json).collect::<Vec<_>>(),
+        "knn_fleet_distinct" => KNN_FLEET_DISTINCT,
+        "knn_fleet" => knn_fleet.json(),
     };
     args.finish("engine", cfg.json(), results, &rows)
 }

@@ -7,10 +7,14 @@
 //! accumulators must equal computing the batch statistic over the
 //! concatenated samples, byte for byte, or checkpoint/resume could not
 //! be byte-identical. So this is not a sketch: the accumulator retains
-//! its samples in sorted order (insertion by binary search, merge by
-//! sorted-merge) and answers median/MAD queries exactly. Fleet-scale
-//! populations are small enough (tens of homes × tens of windows) that
-//! exactness costs nothing here.
+//! its samples in sorted order (a batch is sorted once, a single sample
+//! is inserted by binary search, accumulators merge by sorted-merge)
+//! and answers median/MAD queries exactly. Exactness costs memory
+//! linear in the samples: a home's per-feature profile holds one
+//! sample per window (tens to a few hundred), while the stream
+//! correlator's per-epoch threshold and the batch aggregator's
+//! fleet-wide statistics hold one value per home (thousands to tens of
+//! thousands in the fleet runs).
 
 /// An exact, mergeable streaming median/MAD accumulator over `f64`
 /// samples. Ordering uses `total_cmp`, so non-finite samples are
@@ -30,11 +34,15 @@ impl RobustAccumulator {
     /// Builds an accumulator from a batch of samples (the reference the
     /// merge property test compares against).
     pub fn from_samples(samples: &[f64]) -> Self {
-        let mut acc = RobustAccumulator::new();
-        for &x in samples {
-            acc.push(x);
-        }
-        acc
+        RobustAccumulator::from_vec(samples.to_vec())
+    }
+
+    /// Sorts an owned batch once. Bit-identical to pushing the samples
+    /// one by one: values that compare equal under `total_cmp` have
+    /// equal bits, so their relative order is invisible.
+    fn from_vec(mut samples: Vec<f64>) -> Self {
+        samples.sort_unstable_by(f64::total_cmp);
+        RobustAccumulator { samples }
     }
 
     /// Folds one sample in (O(log n) search + O(n) insert).
@@ -107,14 +115,7 @@ impl RobustAccumulator {
             return 0.0;
         }
         let m = self.median();
-        RobustAccumulator::from_samples(
-            &self
-                .samples
-                .iter()
-                .map(|x| (x - m).abs())
-                .collect::<Vec<f64>>(),
-        )
-        .median()
+        RobustAccumulator::from_vec(self.samples.iter().map(|x| (x - m).abs()).collect()).median()
     }
 
     /// The retained samples, sorted (for serialization).
@@ -203,6 +204,31 @@ mod tests {
             parts.reverse();
             let reversed = RobustAccumulator::merge_many(&parts);
             prop_assert_eq!(reversed.samples(), batch.samples());
+        }
+
+        /// Sorting a batch once is bit-identical to pushing it sample by
+        /// sample, NaN payloads, signed zeros and repeats included.
+        #[test]
+        fn batch_build_equals_push_by_push(
+            samples in proptest::collection::vec(
+                proptest::sample::select(vec![
+                    f64::NAN, -f64::NAN, -0.0, 0.0, 3.0, -2.5,
+                    f64::INFINITY, f64::NEG_INFINITY,
+                ]),
+                0..40,
+            ),
+        ) {
+            let mut pushed = RobustAccumulator::new();
+            for &x in &samples {
+                pushed.push(x);
+            }
+            let batch = RobustAccumulator::from_samples(&samples);
+            let bits = |acc: &RobustAccumulator| -> Vec<u64> {
+                acc.samples().iter().map(|x| x.to_bits()).collect()
+            };
+            prop_assert_eq!(bits(&batch), bits(&pushed));
+            prop_assert_eq!(batch.median().to_bits(), pushed.median().to_bits());
+            prop_assert_eq!(batch.mad().to_bits(), pushed.mad().to_bits());
         }
 
         /// Push order never matters.
