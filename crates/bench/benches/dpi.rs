@@ -2,7 +2,8 @@
 //! The rule-set × payload fast-path sweep lives in `exp_dpi`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use xlf_core::dpi::{default_rules, EncryptedDpi, PlaintextDpi};
+use std::sync::Arc;
+use xlf_core::dpi::{default_rules, DpiSession, EncryptedDpi, PlaintextDpi};
 use xlf_lwcrypto::searchable::Tokenizer;
 use xlf_simnet::SimTime;
 
@@ -18,8 +19,10 @@ fn bench_dpi(c: &mut Criterion) {
     });
 
     let endpoint = Tokenizer::new(b"bench session").expect("tokenizer");
-    let mut enc = EncryptedDpi::new(default_rules());
-    enc.bind_session(&endpoint);
+    let mut enc = EncryptedDpi::new(Arc::new(DpiSession::bind(
+        &default_rules(),
+        endpoint.clone(),
+    )));
     group.bench_function("encrypted_tokenize_and_match", |b| {
         b.iter(|| {
             let tokens = endpoint.tokenize(payload);

@@ -15,10 +15,13 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Instant;
 use xlf_bench::harness::{fixed, per_call_s, Args, Row};
 use xlf_bench::{obj, prf};
-use xlf_core::dpi::{default_rules, match_batch_sharded, EncryptedDpi, PlaintextDpi, Rule};
+use xlf_core::dpi::{
+    default_rules, match_batch_sharded, DpiSession, EncryptedDpi, PlaintextDpi, Rule,
+};
 use xlf_device::{Sensor, SensorKind};
 use xlf_lwcrypto::ciphers::Speck128;
 use xlf_lwcrypto::kdf::derive_key;
@@ -145,8 +148,8 @@ fn fastpath_sweep() -> Vec<SweepCell> {
 
             let endpoint = Tokenizer::new(b"sweep session").expect("tokenizer");
             let streams: Vec<Vec<Token>> = refs.iter().map(|p| endpoint.tokenize(p)).collect();
-            let mut enc_indexed_engine = EncryptedDpi::new(rules.clone());
-            enc_indexed_engine.bind_session(&endpoint);
+            let mut enc_indexed_engine =
+                EncryptedDpi::new(Arc::new(DpiSession::bind(&rules, endpoint.clone())));
             let enc_naive = mbps(per_call_s(|| {
                 for t in &streams {
                     std::hint::black_box(enc_indexed_engine.match_stream_naive(t));
@@ -325,8 +328,10 @@ fn main() -> ExitCode {
 
     // Encrypted DPI: the endpoint tokenizes; the middlebox matches tokens.
     let endpoint = Tokenizer::new(b"exp-dpi session").expect("tokenizer");
-    let mut enc = EncryptedDpi::new(default_rules());
-    enc.bind_session(&endpoint);
+    let mut enc = EncryptedDpi::new(Arc::new(DpiSession::bind(
+        &default_rules(),
+        endpoint.clone(),
+    )));
     let start = Instant::now();
     let enc_outcomes: Vec<(bool, bool)> = corpus
         .iter()

@@ -7,12 +7,13 @@
 
 use crate::api::{ApiCall, ApiGateway};
 use crate::capability::DeviceHandler;
-use crate::events::{CloudEvent, EventBus, EventPolicy};
+use crate::events::{CloudEvent, EventBus, EventKeys, EventPolicy};
 use crate::oauth::TokenService;
 use crate::ota_server::OtaServer;
 use crate::smartapp::{authorize_actions, Action, ActionVerdict, PermissionModel, SmartApp};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use xlf_protocols::rest::{Request, Response};
 use xlf_simnet::{Context, Node, NodeId, Packet, Protocol, SimTime};
 
@@ -44,9 +45,20 @@ impl SmartCloud {
         permission_model: PermissionModel,
         hub_secret: &[u8],
     ) -> Self {
+        let keys = Arc::new(EventKeys::new(hub_secret, []));
+        Self::with_event_keys(event_policy, permission_model, keys)
+    }
+
+    /// As [`SmartCloud::new`], with the event bus over shared event keys
+    /// (see [`EventBus::with_keys`]).
+    pub fn with_event_keys(
+        event_policy: EventPolicy,
+        permission_model: PermissionModel,
+        keys: Arc<EventKeys>,
+    ) -> Self {
         SmartCloud {
             handlers: BTreeMap::new(),
-            bus: EventBus::new(event_policy, hub_secret),
+            bus: EventBus::with_keys(event_policy, keys),
             apps: Vec::new(),
             permission_model,
             tokens: TokenService::new(),

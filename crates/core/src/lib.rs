@@ -68,4 +68,4 @@ pub use alerts::{Alert, AlertSink, Severity};
 pub use bus::EvidenceBus;
 pub use correlation::{CorrelationEngine, Verdict};
 pub use evidence::{Evidence, EvidenceKind, EvidenceStore, Layer};
-pub use framework::{HomeReport, HomeRunner, XlfConfig, XlfCore, XlfGateway, XlfHome};
+pub use framework::{HomeKit, HomeReport, HomeRunner, XlfConfig, XlfCore, XlfGateway, XlfHome};

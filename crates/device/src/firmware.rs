@@ -7,6 +7,7 @@
 //! firmware-integrity vulnerability is reproduced by disabling checks.
 
 use std::fmt;
+use std::sync::Arc;
 use xlf_lwcrypto::ciphers::Speck128;
 use xlf_lwcrypto::hash::LightHash;
 use xlf_lwcrypto::kdf::derive_key;
@@ -75,7 +76,9 @@ pub struct FirmwareImage {
     pub signature: Option<Vec<u8>>,
 }
 
-fn vendor_cipher(vendor: &str, vendor_secret: &[u8]) -> Speck128 {
+/// The firmware signing key of `vendor`: SPECK under
+/// `derive_key(vendor_secret, "fw-sign/{vendor}")`.
+pub fn vendor_key(vendor: &str, vendor_secret: &[u8]) -> Speck128 {
     let key = derive_key(vendor_secret, &format!("fw-sign/{vendor}"), 16)
         .unwrap_or_else(|_| unreachable!("non-empty label and length"));
     Speck128::new(&key).unwrap_or_else(|_| unreachable!("derive_key returned 16 bytes"))
@@ -107,9 +110,14 @@ impl FirmwareImage {
 
     /// Builds a vendor-signed image.
     pub fn signed(version: Version, vendor: &str, payload: Vec<u8>, vendor_secret: &[u8]) -> Self {
+        Self::signed_with(version, vendor, payload, &vendor_key(vendor, vendor_secret))
+    }
+
+    /// Builds an image signed under `key`, the already-derived
+    /// [`vendor_key`] of `vendor`.
+    pub fn signed_with(version: Version, vendor: &str, payload: Vec<u8>, key: &Speck128) -> Self {
         let mut image = Self::unsigned(version, vendor, payload);
-        let cipher = vendor_cipher(vendor, vendor_secret);
-        let mac = CbcMac::new(&cipher);
+        let mac = CbcMac::new(key);
         let sig = mac
             .tag(&signing_input(image.version, &image.vendor, &image.digest))
             .unwrap_or_else(|_| unreachable!("CBC-MAC tagging is total"));
@@ -128,7 +136,7 @@ impl FirmwareImage {
             return Err(FirmwareError::CorruptImage);
         }
         if let Some(sig) = &self.signature {
-            let cipher = vendor_cipher(&self.vendor, vendor_secret);
+            let cipher = vendor_key(&self.vendor, vendor_secret);
             let mac = CbcMac::new(&cipher);
             let ok = mac
                 .verify(
@@ -273,7 +281,9 @@ impl UpdatePolicy {
 /// The on-device firmware slot.
 #[derive(Debug, Clone)]
 pub struct FirmwareStore {
-    installed: FirmwareImage,
+    /// Shared until replaced: devices built from one kit all start from
+    /// one factory image.
+    installed: Arc<FirmwareImage>,
     policy: UpdatePolicy,
     vendor_secret: Vec<u8>,
     /// History of applied versions (newest last).
@@ -282,7 +292,12 @@ pub struct FirmwareStore {
 
 impl FirmwareStore {
     /// Initializes the store with a factory image.
-    pub fn new(factory: FirmwareImage, policy: UpdatePolicy, vendor_secret: &[u8]) -> Self {
+    pub fn new(
+        factory: impl Into<Arc<FirmwareImage>>,
+        policy: UpdatePolicy,
+        vendor_secret: &[u8],
+    ) -> Self {
+        let factory = factory.into();
         let v = factory.version;
         FirmwareStore {
             installed: factory,
@@ -315,7 +330,7 @@ impl FirmwareStore {
             });
         }
         self.history.push(image.version);
-        self.installed = image;
+        self.installed = Arc::new(image);
         Ok(())
     }
 
@@ -338,7 +353,7 @@ impl FirmwareStore {
         }
         image.verify(&self.vendor_secret)?;
         self.history.push(image.version);
-        self.installed = image;
+        self.installed = Arc::new(image);
         Ok(())
     }
 
@@ -349,7 +364,7 @@ impl FirmwareStore {
     /// functions of the spec and are rebuilt by the caller; only the
     /// mutable slot state travels through the snapshot.
     pub fn restore_state(&mut self, installed: FirmwareImage, history: Vec<Version>) {
-        self.installed = installed;
+        self.installed = Arc::new(installed);
         self.history = history;
     }
 
@@ -371,6 +386,25 @@ mod tests {
 
     fn factory() -> FirmwareImage {
         FirmwareImage::signed(Version(1, 0, 0), "acme", b"factory fw".to_vec(), SECRET)
+    }
+
+    #[test]
+    fn factory_image_signature_is_pinned() {
+        let hex = |b: &[u8]| b.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        let image = FirmwareImage::signed(
+            Version(1, 0, 0),
+            "acme",
+            b"factory firmware for cam".to_vec(),
+            b"acme vendor secret",
+        );
+        assert_eq!(
+            hex(&image.digest),
+            "222dc5ab3dd1114ff4f88d841af2a4f205688d97aa8558abe5f54b764828f97b"
+        );
+        assert_eq!(
+            hex(image.signature.as_deref().unwrap()),
+            "ba101e2cf9c026ebf2eed81e4a9cc1d3"
+        );
     }
 
     #[test]

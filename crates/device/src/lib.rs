@@ -25,7 +25,7 @@ pub use catalog::{catalog, DeviceClass, DeviceSpec, PowerSource};
 pub use credentials::{CredentialStore, LoginOutcome};
 pub use firmware::{FirmwareError, FirmwareImage, FirmwareStore, UpdatePolicy};
 pub use resources::{CryptoFeasibility, ResourceModel};
-pub use runtime::{DeviceConfig, DeviceState, SimDevice};
+pub use runtime::{DeviceConfig, DeviceKit, DeviceState, SimDevice};
 pub use sensor::{Sensor, SensorKind};
 pub use storage::{LocalStore, StorageEncryption};
 pub use vulns::{VulnSet, Vulnerability};

@@ -17,10 +17,12 @@
 //! | `ddos` | device → victim | flood packet (via hub, `final_dst` meta) |
 
 use crate::credentials::{CredentialStore, LoginOutcome};
-use crate::firmware::{FirmwareImage, FirmwareStore, UpdatePolicy};
+use crate::firmware::{vendor_key, FirmwareImage, FirmwareStore, UpdatePolicy};
 use crate::sensor::{Sensor, SensorKind};
 use crate::storage::{LocalStore, StorageEncryption};
 use crate::vulns::{VulnSet, Vulnerability};
+use std::sync::Arc;
+use xlf_lwcrypto::ciphers::Speck128;
 use xlf_simnet::{Context, Duration, Node, NodeId, Packet, Protocol};
 
 /// Operational state of a device — the state machine the paper's
@@ -106,7 +108,7 @@ const TIMER_DDOS: u64 = 2;
 
 /// A simulated IoT device.
 pub struct SimDevice {
-    config: DeviceConfig,
+    config: Arc<DeviceConfig>,
     sensor: Sensor,
     state: DeviceState,
     firmware: FirmwareStore,
@@ -127,21 +129,57 @@ impl std::fmt::Debug for SimDevice {
     }
 }
 
-impl SimDevice {
-    /// Builds a device from its configuration.
-    pub fn new(config: DeviceConfig) -> Self {
-        let factory = FirmwareImage::signed(
+/// What a device's configuration fixes before it first runs: the
+/// vendor-signed factory image, the hashed login credentials and the
+/// local store with the sealed WiFi key. Each is a pure function of the
+/// configuration (name, vulnerability profile, vendor and its secret),
+/// so any number of devices built from one configuration share one kit
+/// ([`SimDevice::from_kit`]) instead of re-deriving its keys.
+#[derive(Debug)]
+pub struct DeviceKit {
+    config: Arc<DeviceConfig>,
+    factory: Arc<FirmwareImage>,
+    credentials: CredentialStore,
+    storage: LocalStore,
+}
+
+impl DeviceKit {
+    /// Derives the kit of `config`: one signed factory image, one
+    /// credential hash and one sealed store.
+    pub fn derive(config: DeviceConfig) -> Self {
+        Self::derive_all([config])
+            .pop()
+            .unwrap_or_else(|| unreachable!("one kit per configuration"))
+    }
+
+    /// Derives the kits of `configs`, in order. Devices of one vendor
+    /// (and vendor secret) share its signing key, derived once here.
+    pub fn derive_all(configs: impl IntoIterator<Item = DeviceConfig>) -> Vec<Self> {
+        let mut keys: Vec<(String, Vec<u8>, Speck128)> = Vec::new();
+        configs
+            .into_iter()
+            .map(|config| {
+                let known = keys
+                    .iter()
+                    .position(|(v, s, _)| *v == config.vendor && *s == config.vendor_secret);
+                let at = known.unwrap_or_else(|| {
+                    let key = vendor_key(&config.vendor, &config.vendor_secret);
+                    keys.push((config.vendor.clone(), config.vendor_secret.clone(), key));
+                    keys.len() - 1
+                });
+                Self::signed_with(config, &keys[at].2)
+            })
+            .collect()
+    }
+
+    /// The kit of `config`, its factory image signed under `key`.
+    fn signed_with(config: DeviceConfig, key: &Speck128) -> Self {
+        let factory = FirmwareImage::signed_with(
             crate::firmware::Version(1, 0, 0),
             &config.vendor,
             format!("factory firmware for {}", config.name).into_bytes(),
-            &config.vendor_secret,
+            key,
         );
-        let policy = if config.vulns.has(Vulnerability::UnsignedFirmware) {
-            UpdatePolicy::promiscuous()
-        } else {
-            UpdatePolicy::strict()
-        };
-        let firmware = FirmwareStore::new(factory, policy, &config.vendor_secret);
 
         let credentials = if config.vulns.has(Vulnerability::StaticPassword)
             || config.vulns.has(Vulnerability::GenericAuth)
@@ -153,26 +191,51 @@ impl SimDevice {
             c
         };
 
-        let storage = if config.vulns.has(Vulnerability::PlaintextStorage) {
-            let mut s = LocalStore::new(StorageEncryption::None);
-            s.put("wifi-psk", b"home-network-password-123");
-            s
+        let encryption = if config.vulns.has(Vulnerability::PlaintextStorage) {
+            StorageEncryption::None
         } else {
-            let mut s = LocalStore::new(StorageEncryption::Encrypted {
+            StorageEncryption::Encrypted {
                 device_secret: format!("{}-device-secret", config.name).into_bytes(),
-            });
-            s.put("wifi-psk", b"home-network-password-123");
-            s
+            }
         };
+        let mut storage = LocalStore::new(encryption);
+        storage.put("wifi-psk", b"home-network-password-123");
 
+        DeviceKit {
+            config: Arc::new(config),
+            factory: Arc::new(factory),
+            credentials,
+            storage,
+        }
+    }
+}
+
+impl SimDevice {
+    /// Builds a device from its configuration, deriving its kit.
+    pub fn new(config: DeviceConfig) -> Self {
+        Self::from_kit(&DeviceKit::derive(config))
+    }
+
+    /// Builds a fresh device from a kit: the device shares the kit's
+    /// configuration and factory image (neither is ever written) and
+    /// starts from copies of its credentials and store, so nothing it
+    /// does reaches the kit or a sibling device.
+    pub fn from_kit(kit: &DeviceKit) -> Self {
+        let config = Arc::clone(&kit.config);
+        let policy = if config.vulns.has(Vulnerability::UnsignedFirmware) {
+            UpdatePolicy::promiscuous()
+        } else {
+            UpdatePolicy::strict()
+        };
+        let firmware = FirmwareStore::new(Arc::clone(&kit.factory), policy, &config.vendor_secret);
         let sensor = Sensor::new(config.sensor, config.seed);
         SimDevice {
             config,
             sensor,
             state: DeviceState::Idle,
             firmware,
-            credentials,
-            storage,
+            credentials: kit.credentials.clone(),
+            storage: kit.storage.clone(),
             ddos_order: None,
             transitions: Vec::new(),
         }

@@ -27,44 +27,48 @@ pub enum StorageEncryption {
 #[derive(Debug, Clone)]
 pub struct LocalStore {
     entries: BTreeMap<String, Vec<u8>>,
-    encryption: StorageEncryption,
+    /// The at-rest cipher, derived once from the device secret (`None`
+    /// stores plaintext).
+    cipher: Option<Speck128>,
     counter: u64,
 }
 
 impl LocalStore {
     /// Creates a store with the given at-rest policy.
+    ///
+    /// # Panics
+    ///
+    /// If `encryption` carries an empty device secret.
     pub fn new(encryption: StorageEncryption) -> Self {
-        LocalStore {
-            entries: BTreeMap::new(),
-            encryption,
-            counter: 0,
-        }
-    }
-
-    fn cipher(&self) -> Option<Speck128> {
-        match &self.encryption {
+        let cipher = match encryption {
             StorageEncryption::None => None,
             StorageEncryption::Encrypted { device_secret } => {
-                let key = derive_key(device_secret, "storage-at-rest", 16)
-                    .unwrap_or_else(|_| unreachable!("non-empty label and length"));
+                let key = derive_key(&device_secret, "storage-at-rest", 16).unwrap_or_else(|_| {
+                    panic!("storage encryption needs a non-empty device secret")
+                });
                 Some(
                     Speck128::new(&key)
                         .unwrap_or_else(|_| unreachable!("derive_key returned 16 bytes")),
                 )
             }
+        };
+        LocalStore {
+            entries: BTreeMap::new(),
+            cipher,
+            counter: 0,
         }
     }
 
     /// Stores a value under `key`.
     pub fn put(&mut self, key: &str, value: &[u8]) {
-        let stored = match self.cipher() {
+        let stored = match &self.cipher {
             None => value.to_vec(),
             Some(cipher) => {
                 self.counter += 1;
                 let mut nonce = [0u8; 16];
                 nonce[..8].copy_from_slice(&self.counter.to_be_bytes());
                 let mut data = value.to_vec();
-                Ctr::new(&cipher, &nonce).apply(&mut data);
+                Ctr::new(cipher, &nonce).apply(&mut data);
                 let mut framed = nonce.to_vec();
                 framed.extend_from_slice(&data);
                 framed
@@ -76,7 +80,7 @@ impl LocalStore {
     /// Retrieves and (if applicable) decrypts the value under `key`.
     pub fn get(&self, key: &str) -> Option<Vec<u8>> {
         let raw = self.entries.get(key)?;
-        match self.cipher() {
+        match &self.cipher {
             None => Some(raw.clone()),
             Some(cipher) => {
                 if raw.len() < 16 {
@@ -84,7 +88,7 @@ impl LocalStore {
                 }
                 let (nonce, data) = raw.split_at(16);
                 let mut out = data.to_vec();
-                Ctr::new(&cipher, nonce).apply(&mut out);
+                Ctr::new(cipher, nonce).apply(&mut out);
                 Some(out)
             }
         }

@@ -1076,8 +1076,9 @@ impl FleetAggregator {
     /// The global tier of the two-tier aggregation: gathers the logical
     /// region slots from the shards (in ascending region order — the
     /// merged state is therefore independent of how many shards the
-    /// engine ran), merges each template's per-region robust statistics
-    /// *exactly* ([`RobustAccumulator::merge_many`]), correlates the
+    /// engine ran), merges each template's per-region sample columns
+    /// *exactly* (one sort of their concatenation, bit-equal to
+    /// [`RobustAccumulator::merge_many`] over the regions), correlates the
     /// forwarded candidates with the graph pass, and scores every
     /// retained home against its own template's merged median/MAD. The
     /// report is byte-identical for any shard count because every input
@@ -1160,12 +1161,14 @@ impl FleetAggregator {
             let mut medians = Vec::with_capacity(dims);
             let mut mads = Vec::with_capacity(dims);
             for d in 0..dims {
-                let acc = RobustAccumulator::merge_many(
-                    slots
-                        .iter()
-                        .filter_map(|s| s.stats.get(&t))
-                        .filter_map(|st| st.features.get(d)),
-                );
+                let column: Vec<f64> = slots
+                    .iter()
+                    .filter_map(|s| s.stats.get(&t))
+                    .filter_map(|st| st.features.get(d))
+                    .flatten()
+                    .copied()
+                    .collect();
+                let acc = RobustAccumulator::from_vec(column);
                 medians.push(acc.median());
                 mads.push(acc.mad());
             }
@@ -1194,7 +1197,7 @@ impl FleetAggregator {
         // shape the stream pass and the report sections consume).
         let mut items: Vec<(HomeSpec, HomeOutcome, HomeStream)> = Vec::new();
         for slot in &mut slots {
-            items.extend(std::mem::take(&mut slot.retained).into_values());
+            items.extend(std::mem::take(&mut slot.retained).into_values().map(|b| *b));
         }
         items.sort_by_key(|(hs, _, _)| hs.id);
 

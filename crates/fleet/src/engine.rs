@@ -24,7 +24,7 @@ use crate::aggregate::{FleetAggregator, FleetReport};
 use crate::metrics::FleetMetrics;
 use crate::region::RegionAggregator;
 use crate::snapshot::{KillPoint, ResumePhase, RunCtx, SnapshotError, SnapshotIdentity};
-use crate::spec::{FleetAttack, FleetFault, FleetSpec, HomeSpec, LEARNING_END_S};
+use crate::spec::{FleetAttack, FleetFault, FleetSpec, HomeSpec, HomeTemplate, LEARNING_END_S};
 use crate::supervise::{panic_message, FleetError, HomeOutcome, HomeRunError, ShardError};
 use crossbeam::channel::{Receiver, Sender};
 use std::cell::RefCell;
@@ -32,11 +32,12 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
+use std::sync::Arc;
 use std::time::Instant;
 use xlf_attacks::observer::TrafficAnalyst;
 use xlf_attacks::scripted;
 use xlf_cloud::smartapp::SmartApp;
-use xlf_core::framework::{HomeProbe, HomeReport, HomeRunner, XlfHome};
+use xlf_core::framework::{HomeKit, HomeProbe, HomeReport, HomeRunner, XlfHome};
 use xlf_simnet::observer::PacketRecord;
 use xlf_simnet::{Context, Duration, FaultPlan, Node, SimTime};
 use xlf_stream::{WindowBuffer, WindowSummary, STREAM_FEATURES};
@@ -131,11 +132,24 @@ struct BuiltHome {
 /// §IV-C3 automation recipe, the injected attacker, and the stamped
 /// fault plan. Structural problems (template index out of range, missing
 /// cloud node) come back as a [`HomeBuildError`] instead of a panic.
+///
+/// Every home of a template shares the template's key material (its
+/// [`HomeKit`]), derived by the first build of the template in `spec`.
 pub fn build_home(spec: &FleetSpec, hs: &HomeSpec) -> Result<HomeRunner, HomeBuildError> {
     build_home_inner(spec, hs).map(|b| b.runner)
 }
 
 fn build_home_inner(spec: &FleetSpec, hs: &HomeSpec) -> Result<BuiltHome, HomeBuildError> {
+    build_home_with(spec, hs, |template| spec.kit(hs.template, template))
+}
+
+/// As [`build_home_inner`], with the home's kit taken from
+/// `kit_of(template)` (tests pass a kit derived for the one home).
+fn build_home_with(
+    spec: &FleetSpec,
+    hs: &HomeSpec,
+    kit_of: impl FnOnce(&HomeTemplate) -> Arc<HomeKit>,
+) -> Result<BuiltHome, HomeBuildError> {
     let template = spec
         .templates
         .get(hs.template)
@@ -150,7 +164,7 @@ fn build_home_inner(spec: &FleetSpec, hs: &HomeSpec) -> Result<BuiltHome, HomeBu
     let mut config = template.config.clone();
     config.learning_period = Duration::from_secs(LEARNING_END_S);
     config.evidence_capacity = spec.evidence_capacity;
-    let mut home = XlfHome::build(hs.seed, config, &template.devices);
+    let mut home = XlfHome::from_kit(hs.seed, config, &kit_of(template));
 
     if template.automation {
         install_auto_window(&mut home).map_err(|reason| HomeBuildError {
@@ -1100,5 +1114,96 @@ mod tests {
         assert!(unbounded.evidence_total > bounded.evidence_total);
         // Shed or not, the attack is still caught by the home's own Core.
         assert!(bounded.warning_alerts > 0, "report: {bounded:?}");
+    }
+
+    /// What a home leaves behind: its report, every transmission its tap
+    /// recorded, its evidence and its observer score.
+    type HomeTrace = (HomeReport, Vec<PacketRecord>, Vec<String>, Option<f64>);
+
+    /// Runs a built home to the spec's horizon with a recording tap.
+    fn trace(spec: &FleetSpec, built: BuiltHome) -> HomeTrace {
+        let mut runner = built.runner;
+        let (tap, records) = xlf_simnet::observer::RecordingTap::new();
+        runner.home_mut().net.add_tap(Box::new(tap));
+        let horizon = SimTime::from_micros(spec.horizon.as_micros());
+        runner.run_until(horizon);
+        runner.home().core.borrow_mut().drain_pending(usize::MAX);
+        let evidence = runner
+            .home()
+            .core
+            .borrow()
+            .store
+            .all()
+            .iter()
+            .map(|e| format!("{e:?}"))
+            .collect();
+        let report = runner.finish(horizon);
+        let observer = built.observer.map(|r| observer_accuracy(&r.borrow()));
+        let records = records.borrow().clone();
+        (report, records, evidence, observer)
+    }
+
+    const ALL_ATTACKS: [FleetAttack; 8] = [
+        FleetAttack::None,
+        FleetAttack::BotnetRecruit,
+        FleetAttack::FirmwareTamper,
+        FleetAttack::Replay,
+        FleetAttack::DnsPoison,
+        FleetAttack::TrafficObserver,
+        FleetAttack::TokenReplay,
+        FleetAttack::RogueAs,
+    ];
+
+    fn three_template_spec() -> FleetSpec {
+        FleetSpec::new(3, 0)
+            .with_horizon(Duration::from_secs(300))
+            .with_templates(vec![
+                HomeTemplate::apartment(),
+                HomeTemplate::house(),
+                HomeTemplate::retrofit(),
+            ])
+    }
+
+    #[test]
+    fn kit_built_homes_equal_homes_that_derive_their_own_keys() {
+        // One spec for every home, so later homes reuse kits (and DPI
+        // sessions) that attacked homes before them already used.
+        let spec = three_template_spec();
+        for template in 0..spec.templates.len() {
+            for (i, attack) in ALL_ATTACKS.into_iter().enumerate() {
+                let hs = HomeSpec {
+                    id: i as u64,
+                    seed: 40 + i as u64,
+                    template,
+                    attack,
+                    fault: FleetFault::None,
+                    region: 0,
+                };
+                let shared = trace(&spec, build_home_inner(&spec, &hs).expect("builds"));
+                let own = build_home_with(&spec, &hs, |t| Arc::new(HomeKit::derive(&t.devices)));
+                let own = trace(&spec, own.expect("builds"));
+                assert_eq!(shared, own, "template {template}, {attack:?}");
+                assert!(!shared.1.is_empty(), "the home ran");
+            }
+        }
+    }
+
+    #[test]
+    fn a_template_keeps_its_kit_until_its_devices_change() {
+        let mut spec = three_template_spec();
+        let apartment = spec.kit(0, &spec.templates[0]);
+        assert!(Arc::ptr_eq(&apartment, &spec.kit(0, &spec.templates[0])));
+        let house = spec.kit(1, &spec.templates[1]);
+
+        spec.templates[0].devices[0].telemetry_period = Duration::from_secs(7);
+        let changed = spec.kit(0, &spec.templates[0]);
+        assert!(!Arc::ptr_eq(&apartment, &changed), "stale kit reused");
+        assert!(changed.is_for(&spec.templates[0].devices));
+        assert!(Arc::ptr_eq(&changed, &spec.kit(0, &spec.templates[0])));
+        assert!(Arc::ptr_eq(&house, &spec.kit(1, &spec.templates[1])));
+
+        // A clone derives its own kits.
+        let clone = spec.clone();
+        assert!(!Arc::ptr_eq(&house, &clone.kit(1, &clone.templates[1])));
     }
 }

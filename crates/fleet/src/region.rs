@@ -10,12 +10,14 @@
 //! forwarded candidates instead of all homes.
 //!
 //! **Determinism.** Everything a slot accumulates is a *set* property of
-//! the homes routed to it: tallies are commutative, the accumulators are
-//! order-independent (sorted retention), and the candidate pre-filter
-//! selects the K magnitude extremes under a strict total order
-//! (magnitude, then home id). So the gathered slot state — and therefore
-//! the fleet report — is byte-identical for any worker count, any arrival
-//! order, and any number of aggregator instances. A home's *logical*
+//! the homes routed to it: tallies are commutative, the sample columns
+//! are sorted by `total_cmp` once the slot is gathered (values that
+//! compare equal have equal bits, so arrival order is invisible), and
+//! the candidate pre-filter selects the K magnitude extremes under a
+//! strict total order (magnitude, then home id). So the gathered slot
+//! state — and therefore the fleet report — is byte-identical for any
+//! worker count, any arrival order, and any number of aggregator
+//! instances. A home's *logical*
 //! region is data (a pure hash, like its template/attack/fault);
 //! [`FleetSpec::regions`] only decides how many aggregator instances the
 //! logical slots are sharded across.
@@ -46,16 +48,23 @@ use xlf_stream::{CheckpointError, Reader, RobustAccumulator, Writer};
 /// cannot poison the merged statistics (the home is scored on what it
 /// did report).
 pub(crate) fn fleet_features(report: &HomeReport) -> Vec<f64> {
-    let mut f = report.features.clone();
-    f.push(report.evidence_total as f64);
-    f.push(report.dropped_packets as f64);
-    f.push(report.top_score);
-    for v in &mut f {
+    let mut f = Vec::with_capacity(report.features.len() + 3);
+    push_fleet_features(report, &mut f);
+    f
+}
+
+/// Appends the [`fleet_features`] of `report` to `out`.
+fn push_fleet_features(report: &HomeReport, out: &mut Vec<f64>) {
+    let start = out.len();
+    out.extend_from_slice(&report.features);
+    out.push(report.evidence_total as f64);
+    out.push(report.dropped_packets as f64);
+    out.push(report.top_score);
+    for v in &mut out[start..] {
         if !v.is_finite() {
             *v = 0.0;
         }
     }
-    f
 }
 
 /// Scalar magnitude ordering homes within a region for the extreme-K
@@ -148,12 +157,19 @@ impl ExtremeK {
     }
 }
 
-/// Per-(region, template) mergeable state: exact per-feature robust
-/// accumulators plus the two extreme-K candidate lists.
+/// Per-(region, template) mergeable state: one sample column per
+/// feature plus the two extreme-K candidate lists.
 #[derive(Debug, Clone)]
 pub(crate) struct TemplateStats {
-    /// One exact median/MAD accumulator per feature dimension.
-    pub(crate) features: Vec<RobustAccumulator>,
+    /// One sample column per feature dimension, sorted once the slot is
+    /// gathered ([`RegionSlot::gathered`]).
+    pub(crate) features: Vec<Vec<f64>>,
+    /// Feature rows consumed since, back to back, and each row's length.
+    /// One append per home touches a line or two of memory where a push
+    /// per column touched one per feature; gathering moves the rows into
+    /// the columns.
+    rows: Vec<f64>,
+    row_lens: Vec<usize>,
     top: ExtremeK,
     bottom: ExtremeK,
 }
@@ -162,8 +178,31 @@ impl TemplateStats {
     fn new(k: usize) -> Self {
         TemplateStats {
             features: Vec::new(),
+            rows: Vec::new(),
+            row_lens: Vec::new(),
             top: ExtremeK::new(Keep::Largest, k),
             bottom: ExtremeK::new(Keep::Smallest, k),
+        }
+    }
+
+    /// Moves the consumed rows into the columns and sorts each column by
+    /// `total_cmp`.
+    fn gather(&mut self) {
+        let width = self.row_lens.iter().copied().max().unwrap_or(0);
+        if self.features.len() < width {
+            self.features.resize_with(width, Vec::new);
+        }
+        for column in &mut self.features {
+            column.reserve_exact(self.row_lens.len());
+        }
+        let mut rows = std::mem::take(&mut self.rows).into_iter();
+        for len in std::mem::take(&mut self.row_lens) {
+            for (column, x) in self.features.iter_mut().zip(rows.by_ref().take(len)) {
+                column.push(x);
+            }
+        }
+        for column in &mut self.features {
+            column.sort_unstable_by(f64::total_cmp);
         }
     }
 }
@@ -221,16 +260,19 @@ pub(crate) struct RegionSlot {
     /// Mergeable per-template statistics (keyed by template index —
     /// BTreeMap so gathering iterates in stable order).
     pub(crate) stats: BTreeMap<usize, TemplateStats>,
-    /// Region-wide magnitude distribution (reported in the summary).
-    pub(crate) magnitude: RobustAccumulator,
+    /// Region-wide magnitude samples (their median/MAD are reported in
+    /// the summary); ordered like [`TemplateStats::features`].
+    pub(crate) magnitude: Vec<f64>,
     /// Always-candidates: criticals / quarantine / evidence shed.
     always: BTreeSet<u64>,
     /// Retained outcome triples, keyed by home id. Under
     /// [`RowPolicy::Full`] every triple; under
     /// [`RowPolicy::CandidatesOnly`] only candidates and
     /// degraded/failed/build-failed homes (those always reach their
-    /// report sections).
-    pub(crate) retained: BTreeMap<u64, (HomeSpec, HomeOutcome, HomeStream)>,
+    /// report sections). Boxed: when homes tie in magnitude, nearly every
+    /// arrival enters a top-K list and evicts another, and the tree then
+    /// shifts pointers instead of ~270-byte triples.
+    pub(crate) retained: BTreeMap<u64, Box<(HomeSpec, HomeOutcome, HomeStream)>>,
 }
 
 impl RegionSlot {
@@ -249,7 +291,7 @@ impl RegionSlot {
             homes_with_critical: 0,
             homes_with_quarantine: 0,
             stats: BTreeMap::new(),
-            magnitude: RobustAccumulator::new(),
+            magnitude: Vec::new(),
             always: BTreeSet::new(),
             retained: BTreeMap::new(),
         }
@@ -300,18 +342,15 @@ impl RegionSlot {
                 if !report.quarantined.is_empty() {
                     self.homes_with_quarantine += 1;
                 }
-                let f = fleet_features(report);
                 let stats = self
                     .stats
                     .entry(template)
                     .or_insert_with(|| TemplateStats::new(k));
-                while stats.features.len() < f.len() {
-                    stats.features.push(RobustAccumulator::new());
-                }
-                for (d, &x) in f.iter().enumerate() {
-                    stats.features[d].push(x);
-                }
-                let mag = feature_magnitude(&f);
+                let start = stats.rows.len();
+                push_fleet_features(report, &mut stats.rows);
+                let f = &stats.rows[start..];
+                stats.row_lens.push(f.len());
+                let mag = feature_magnitude(f);
                 self.magnitude.push(mag);
                 if report.critical_alerts > 0
                     || !report.quarantined.is_empty()
@@ -343,13 +382,26 @@ impl RegionSlot {
             _ => true,
         };
         if retain {
-            self.retained.insert(id, (hs, outcome, stream));
+            self.retained.insert(id, Box::new((hs, outcome, stream)));
         }
+    }
+
+    /// Sorts every sample column once, by `total_cmp`: the slot is read
+    /// from here on (global merge, summary, snapshot encode). Keeping
+    /// columns sorted on every consume would make region consume
+    /// quadratic in the region's home count.
+    fn gathered(mut self) -> Self {
+        for stats in self.stats.values_mut() {
+            stats.gather();
+        }
+        self.magnitude.sort_unstable_by(f64::total_cmp);
+        self
     }
 
     /// The compact summary the global pass (and the report's `regions`
     /// section) sees.
     pub(crate) fn summary(&self, region: u32) -> RegionSummary {
+        let magnitude = RobustAccumulator::from_samples(&self.magnitude);
         RegionSummary {
             region,
             homes: self.homes,
@@ -362,14 +414,14 @@ impl RegionSlot {
             evidence_shed: self.evidence_shed,
             homes_with_critical: self.homes_with_critical,
             homes_with_quarantine: self.homes_with_quarantine,
-            samples: self.magnitude.len() as u64,
-            magnitude_median: self.magnitude.median(),
-            magnitude_mad: self.magnitude.mad(),
+            samples: magnitude.len() as u64,
+            magnitude_median: magnitude.median(),
+            magnitude_mad: magnitude.mad(),
         }
     }
 
     /// Serializes the slot's full mergeable state into a run snapshot.
-    /// The [`HomeSpec`]s of retained triples are *not* serialized — they
+    /// The slot must be gathered (its columns sorted). The [`HomeSpec`]s of retained triples are *not* serialized — they
     /// are pure functions of `(master_seed, id)` and are re-stamped at
     /// restore.
     pub(crate) fn checkpoint_into(&self, w: &mut Writer) {
@@ -391,21 +443,23 @@ impl RegionSlot {
         }
         w.usize(self.stats.len());
         for (&template, stats) in &self.stats {
+            debug_assert!(stats.rows.is_empty(), "only gathered slots are serialized");
             w.usize(template);
             w.usize(stats.features.len());
-            for acc in &stats.features {
-                write_acc(w, acc);
+            for column in &stats.features {
+                write_samples(w, column);
             }
             stats.top.checkpoint_into(w);
             stats.bottom.checkpoint_into(w);
         }
-        write_acc(w, &self.magnitude);
+        write_samples(w, &self.magnitude);
         w.usize(self.always.len());
         for &id in &self.always {
             w.u64(id);
         }
         w.usize(self.retained.len());
-        for (&id, (_, outcome, stream)) in &self.retained {
+        for (&id, retained) in &self.retained {
+            let (_, outcome, stream) = &**retained;
             w.u64(id);
             snapshot::write_outcome(w, outcome);
             snapshot::write_stream(w, stream);
@@ -440,13 +494,13 @@ impl RegionSlot {
             let dims = r.usize()?;
             let mut stats = TemplateStats::new(candidates);
             for _ in 0..dims {
-                stats.features.push(read_acc(r)?);
+                stats.features.push(read_samples(r)?);
             }
             stats.top = ExtremeK::restore_from(r, Keep::Largest, candidates)?;
             stats.bottom = ExtremeK::restore_from(r, Keep::Smallest, candidates)?;
             slot.stats.insert(template, stats);
         }
-        slot.magnitude = read_acc(r)?;
+        slot.magnitude = read_samples(r)?;
         let n_always = r.usize()?;
         for _ in 0..n_always {
             slot.always.insert(r.u64()?);
@@ -457,30 +511,33 @@ impl RegionSlot {
             let outcome = snapshot::read_outcome(r)?;
             let stream = snapshot::read_stream(r)?;
             let hs = specs.get(&id).cloned().ok_or(CheckpointError::Truncated)?;
-            slot.retained.insert(id, (hs, outcome, stream));
+            slot.retained.insert(id, Box::new((hs, outcome, stream)));
         }
-        Ok(slot)
+        Ok(slot.gathered())
     }
 }
 
-/// Bit-exact accumulator serde: the retained sorted samples, each as its
-/// f64 bit pattern. Restore re-pushes, which keeps the sorted invariant
-/// even on corrupted (re-ordered) input.
-fn write_acc(w: &mut Writer, acc: &RobustAccumulator) {
-    let samples = acc.samples();
+/// Bit-exact sample-column serde: the sorted samples, each as its f64
+/// bit pattern. Restore sorts once more, which keeps the sorted
+/// invariant even on corrupted (re-ordered) input.
+fn write_samples(w: &mut Writer, samples: &[f64]) {
+    debug_assert!(
+        samples.is_sorted_by(|a, b| a.total_cmp(b).is_le()),
+        "only gathered slots are serialized"
+    );
     w.usize(samples.len());
     for &x in samples {
         w.f64(x);
     }
 }
 
-fn read_acc(r: &mut Reader) -> Result<RobustAccumulator, CheckpointError> {
+fn read_samples(r: &mut Reader) -> Result<Vec<f64>, CheckpointError> {
     let n = r.usize()?;
-    let mut acc = RobustAccumulator::new();
+    let mut samples = Vec::new();
     for _ in 0..n {
-        acc.push(r.f64()?);
+        samples.push(r.f64()?);
     }
-    Ok(acc)
+    Ok(samples)
 }
 
 /// One region-aggregation shard: owns the logical slots `s` with
@@ -558,7 +615,10 @@ impl RegionAggregator {
     /// ascending region order, so the merged state is independent of how
     /// slots were sharded across instances.
     pub(crate) fn take_slot(&mut self, region: u32) -> RegionSlot {
-        self.slots.remove(&region).unwrap_or_else(RegionSlot::new)
+        self.slots
+            .remove(&region)
+            .unwrap_or_else(RegionSlot::new)
+            .gathered()
     }
 
     /// Number of logical regions this tier was configured with.
@@ -668,10 +728,7 @@ mod tests {
         let b = rev.take_slot(0);
         assert_eq!(a.summary(0), b.summary(0));
         assert_eq!(a.candidate_ids(), b.candidate_ids());
-        assert_eq!(
-            a.stats[&0].features[0].samples(),
-            b.stats[&0].features[0].samples()
-        );
+        assert_eq!(a.stats[&0].features[0], b.stats[&0].features[0]);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 
 use crate::snapshot::RunSnapshotPolicy;
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 use xlf_attacks::scripted::ScriptedAttack;
-use xlf_core::framework::{HomeDevice, XlfConfig, VENDOR_DNS_NAME};
+use xlf_core::framework::{HomeDevice, HomeKit, XlfConfig, VENDOR_DNS_NAME};
 use xlf_device::{SensorKind, VulnSet, Vulnerability};
 use xlf_mgmt::{CampaignSpec, ConfigAuditSpec};
 use xlf_onboard::OnboardingSpec;
@@ -416,6 +417,28 @@ pub struct FleetSpec {
     /// `(OnboardingSpec, HomeSpec)`, so the report's v8 `onboarding`
     /// section is byte-identical for any worker or region-shard count.
     pub onboarding: Option<OnboardingSpec>,
+    /// Each template's key material, derived on first use.
+    kits: KitCache,
+}
+
+/// One [`HomeKit`] per template index, derived when a home of the
+/// template is first built and shared by every later one. `templates`
+/// is a public field, so a cached kit is checked against the template's
+/// devices on every lookup and rebuilt when they differ. A cloned spec
+/// starts with an empty cache.
+#[derive(Default)]
+struct KitCache(Mutex<Vec<Option<Arc<HomeKit>>>>);
+
+impl Clone for KitCache {
+    fn clone(&self) -> Self {
+        KitCache::default()
+    }
+}
+
+impl std::fmt::Debug for KitCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("KitCache")
+    }
 }
 
 impl FleetSpec {
@@ -453,6 +476,26 @@ impl FleetSpec {
             run_snapshot: None,
             shard_chaos: None,
             onboarding: None,
+            kits: KitCache::default(),
+        }
+    }
+
+    /// The key material of template `index`, derived at most once per
+    /// template (and again only after its devices changed).
+    pub(crate) fn kit(&self, index: usize, template: &HomeTemplate) -> Arc<HomeKit> {
+        // A panic while holding the lock (only possible inside a
+        // derivation) leaves every entry whole, so the cache stays usable.
+        let mut kits = self.kits.0.lock().unwrap_or_else(|e| e.into_inner());
+        if kits.len() <= index {
+            kits.resize(index + 1, None);
+        }
+        match &kits[index] {
+            Some(kit) if kit.is_for(&template.devices) => Arc::clone(kit),
+            _ => {
+                let kit = Arc::new(HomeKit::derive(&template.devices));
+                kits[index] = Some(Arc::clone(&kit));
+                kit
+            }
         }
     }
 

@@ -30,7 +30,10 @@ pub const DIGEST_SIZE: usize = 32;
 pub struct LightHash {
     /// Two chaining halves of 16 bytes each.
     state: [[u8; 16]; 2],
-    buffer: Vec<u8>,
+    /// The partial block awaiting more input: its first `buffered`
+    /// bytes (always fewer than 16).
+    buffer: [u8; 16],
+    buffered: usize,
     total_len: u64,
 }
 
@@ -45,35 +48,51 @@ impl LightHash {
     pub fn new() -> Self {
         LightHash {
             state: [*b"XLF light hash A", *b"XLF light hash B"],
-            buffer: Vec::new(),
+            buffer: [0; 16],
+            buffered: 0,
             total_len: 0,
         }
     }
 
-    /// Absorbs `data` into the hash state.
-    pub fn update(&mut self, data: &[u8]) {
+    /// Absorbs `data` into the hash state. Whole blocks are compressed
+    /// straight from `data`; only a tail of fewer than 16 bytes is
+    /// buffered, so the cost is linear in the input length.
+    pub fn update(&mut self, mut data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        self.buffer.extend_from_slice(data);
-        while self.buffer.len() >= 16 {
-            let block: [u8; 16] = self.buffer[..16].try_into().expect("16 bytes");
+        if self.buffered > 0 {
+            let take = (16 - self.buffered).min(data.len());
+            self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
+            self.buffered += take;
+            data = &data[take..];
+            if self.buffered < 16 {
+                return;
+            }
+            let block = self.buffer;
             self.compress(&block);
-            self.buffer.drain(..16);
+            self.buffered = 0;
         }
+        let mut blocks = data.chunks_exact(16);
+        for block in &mut blocks {
+            self.compress(block.try_into().expect("16-byte chunk"));
+        }
+        let tail = blocks.remainder();
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffered = tail.len();
     }
 
     /// Finalizes and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_SIZE] {
-        // Pad: 0x80, zeros, 8-byte big-endian length.
-        let mut tail = self.buffer.clone();
-        tail.push(0x80);
-        while tail.len() % 16 != 8 {
-            tail.push(0);
-        }
-        tail.extend_from_slice(&self.total_len.to_be_bytes());
-        self.buffer.clear();
-        for chunk in tail.chunks(16) {
-            let block: [u8; 16] = chunk.try_into().expect("16 bytes");
-            self.compress(&block);
+        // Pad: 0x80, zeros up to 8 bytes short of a block boundary, then
+        // the 8-byte big-endian length — one block when the 0x80 fits in
+        // the first 8 bytes, two otherwise.
+        let n = self.buffered;
+        let mut tail = [0u8; 32];
+        tail[..n].copy_from_slice(&self.buffer[..n]);
+        tail[n] = 0x80;
+        let end = if n < 8 { 16 } else { 32 };
+        tail[end - 8..end].copy_from_slice(&self.total_len.to_be_bytes());
+        for chunk in tail[..end].chunks_exact(16) {
+            self.compress(chunk.try_into().expect("16-byte chunk"));
         }
         let mut out = [0u8; DIGEST_SIZE];
         out[..16].copy_from_slice(&self.state[0]);

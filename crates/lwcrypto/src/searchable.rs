@@ -67,7 +67,7 @@ const MESSAGE_LEN: usize = LABEL.len() + 1 + TOKEN_WINDOW;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Tokenizer {
     cipher: Speck128,
     /// CBC state after block 0, XORed with block 1's constant bytes

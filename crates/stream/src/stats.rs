@@ -38,9 +38,10 @@ impl RobustAccumulator {
     }
 
     /// Sorts an owned batch once. Bit-identical to pushing the samples
-    /// one by one: values that compare equal under `total_cmp` have
-    /// equal bits, so their relative order is invisible.
-    fn from_vec(mut samples: Vec<f64>) -> Self {
+    /// one by one, or to merging accumulators over any partition of
+    /// them: values that compare equal under `total_cmp` have equal
+    /// bits, so their relative order is invisible.
+    pub fn from_vec(mut samples: Vec<f64>) -> Self {
         samples.sort_unstable_by(f64::total_cmp);
         RobustAccumulator { samples }
     }

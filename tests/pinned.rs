@@ -5,8 +5,9 @@
 //! behaviour change updates the constant and says why.
 
 use xlf::core::framework::XlfConfig;
-use xlf::fleet::spec::{FleetAttack, FleetSpec, HomeTemplate};
+use xlf::fleet::spec::{FleetAttack, FleetSpec, HomeTemplate, RowPolicy};
 use xlf::fleet::{run_fleet, FleetMetrics};
+use xlf::simnet::Duration;
 use xlf_bench::scenarios::{run_scenario, AttackScenario};
 
 fn fnv64(bytes: &[u8]) -> u64 {
@@ -47,6 +48,28 @@ fn attacked_fleet_report_bytes_are_pinned() {
     assert_eq!(
         format!("{:016x}", fnv64(report.to_json().as_bytes())),
         "c413a15145973eb0"
+    );
+}
+
+/// The fleet-wide benchmark's shape at tier-1 size: many short benign
+/// homes, candidates-only rows, two region shards. Region consume and
+/// the per-template key material every home shares both run here.
+#[test]
+fn wide_candidates_only_fleet_report_bytes_are_pinned() {
+    let spec = FleetSpec::new(0xF1EE_5CA1, 300)
+        .with_workers(2)
+        .with_regions(2)
+        .with_horizon(Duration::from_secs(20))
+        .with_templates(vec![
+            HomeTemplate::apartment(),
+            HomeTemplate::house(),
+            HomeTemplate::retrofit(),
+        ])
+        .with_row_policy(RowPolicy::CandidatesOnly);
+    let report = run_fleet(&spec, &FleetMetrics::new()).expect("fleet runs");
+    assert_eq!(
+        format!("{:016x}", fnv64(report.to_json().as_bytes())),
+        "72435422ec9f8c2f"
     );
 }
 
