@@ -271,11 +271,10 @@ pub fn similarity_graph(features: &[Vec<f64>], k: usize, gamma: f64) -> Vec<Vec<
 /// *identical* output bits:
 ///
 /// * distances are computed once per pair of *distinct* rows. Rows are
-///   grouped by the bit pattern of their features; the sweep fills a
-///   `u × u` table over one representative per group, and row `i`'s
-///   candidate distances are its group's table row gathered through
-///   the group ids, with `+∞` at position `i` only. Equal bits give
-///   equal distances, so the gathered row is exactly the row the dense
+///   grouped by the bit pattern of their features and the sweep fills
+///   a `u × u` table over one representative per group. Equal bits
+///   give equal distances, so row `i`'s distance to row `j` is its
+///   group's table entry for `j`'s group — exactly what the dense
 ///   `n × n` sweep would compute. A fleet's homes run the same devices
 ///   and apps, so thousands of rows collapse to a few dozen groups;
 ///   when every row is distinct (`u == n`) the table *is* the dense
@@ -283,9 +282,15 @@ pub fn similarity_graph(features: &[Vec<f64>], k: usize, gamma: f64) -> Vec<Vec<
 /// * each symmetric pair is computed once (`dot` is
 ///   commutative-safe, so mirroring the value is exact), halving the
 ///   dominant dot-product work;
-/// * per-row top-k runs as an `O(n)` value selection over the
+/// * per-row top-k runs as an `O(n)` value selection over the dense
 ///   distance row plus a threshold/tie pass in index order — no
-///   per-candidate tuples are built or sorted;
+///   per-candidate tuples are built or sorted. With `u < n` groups it
+///   costs about `O(u + k)`: all members of a group see the same `u`
+///   distances, so each group's groups are ordered by distance once
+///   per call, a row's k + 1 nearest are read off its group's order
+///   (groups at one distance merged by row index, from member lists
+///   kept in ascending index), and the tie pass classifies each group
+///   once and merges the tied groups' members by row index;
 /// * `exp` is deferred until after selection. Similarity
 ///   `exp(−γ·d²)` is monotone non-increasing in `d²`, so the k largest
 ///   similarities are the k smallest squared distances *as a value
@@ -304,7 +309,10 @@ pub fn similarity_graph_into(k: usize, gamma: f64, scratch: &mut GraphScratch) {
         slots,
         group,
         dist,
-        cand,
+        members,
+        starts,
+        order,
+        cursors,
         sel,
         own,
         adj,
@@ -319,100 +327,100 @@ pub fn similarity_graph_into(k: usize, gamma: f64, scratch: &mut GraphScratch) {
     group_rows(matrix, slots, group, distinct);
     let u = distinct.rows();
     distance_table(distinct, u == n, dist);
+    let grouped = u < n;
+    if grouped {
+        index_members(group, u, starts, members);
+        order_groups(dist, u, order);
+    }
     for i in 0..n {
-        // Row i's candidate distances: the table row itself when every
-        // row is distinct, else its group's row gathered through the
-        // group ids, with the self-sentinel at i only.
-        let row: &[f64] = if u == n {
-            &dist[i * n..(i + 1) * n]
-        } else {
-            let g = group[i];
-            let table_row = &dist[g * u..(g + 1) * u];
-            cand.clear();
-            cand.extend(group.iter().map(|&h| table_row[h]));
-            cand[i] = f64::INFINITY;
-            cand
-        };
+        // Row i's distance to row j is its group's table row at j's
+        // group. When every row is distinct, group ids are row indices
+        // and this is the dense row, read in place (its +∞ at i is
+        // skipped by every consumer).
+        let g = group[i];
+        let row = &dist[g * u..(g + 1) * u];
         let edges = &mut adj[i];
         if n <= k + 1 {
             // Everyone is a neighbour.
-            for (j, &d2) in row.iter().enumerate() {
-                if j != i {
-                    edges.push((j, (-gamma * d2).exp()));
-                }
+            for j in (0..n).filter(|&j| j != i) {
+                edges.push((j, (-gamma * row[group[j]]).exp()));
             }
+            edges.sort_unstable_by(neighbour_order);
+            continue;
+        }
+        // `sel` receives the k + 1 smallest candidate distances, in
+        // order; the extra slot witnesses the nearest *excluded* one.
+        if grouped {
+            let order = &order[g * u..(g + 1) * u];
+            select_grouped(row, order, starts, members, i, k, sel);
         } else {
-            // Bounded (k+1)-smallest scan: one compare per candidate in
-            // the common case, instead of copying and partitioning the
-            // whole row (the infinite diagonal sentinel sorts last, so
-            // with k ≤ n − 2 the threshold entry is always a real
-            // candidate). Equal distances keep ascending-index order —
-            // insertion lands after equal values and eviction pops the
-            // largest index among the worst value — so the array's
-            // first k entries are exactly the naive path's stable
-            // (weight desc, index asc) selection whenever no exp
-            // collision can cross the threshold. The extra slot
-            // witnesses the nearest *excluded* distance.
-            sel.clear();
-            for (j, &d2) in row.iter().enumerate() {
-                if sel.len() <= k {
-                    let pos = sel.partition_point(|&(v, _)| v <= d2);
-                    sel.insert(pos, (d2, j));
-                } else if d2 < sel[k].0 {
-                    sel.pop();
-                    let pos = sel.partition_point(|&(v, _)| v <= d2);
-                    sel.insert(pos, (d2, j));
-                }
-            }
-            let dk = sel[k - 1].0;
-            let d_next = sel[k].0;
-            let a_k = -gamma * dk;
-            let s_star = a_k.exp();
-            // Fast path — sound when (a) the threshold similarity is a
-            // normal double and the nearest excluded distance is too
-            // far (in exp-argument terms) to collide onto it, and (b)
-            // no nearer candidate collides *down* onto it (checked
-            // while taking the k exps). Then similarity ties are
-            // distance ties, all retained, already index-ordered.
-            let mut fast = s_star > EXP_NORMAL_FLOOR && gamma * (d_next - dk) > EXP_COLLISION_GAP;
-            if fast {
-                for &(d2, j) in &sel[..k] {
-                    let s = if d2 == dk {
-                        s_star
-                    } else {
-                        let s = (-gamma * d2).exp();
-                        if s == s_star {
-                            fast = false; // collided down: index tie-break needed
-                            break;
-                        }
-                        s
-                    };
-                    edges.push((j, s));
-                }
-                if !fast {
-                    edges.clear();
-                }
+            select_dense(row, k, sel);
+        }
+        let dk = sel[k - 1].0;
+        let d_next = sel[k].0;
+        let a_k = -gamma * dk;
+        let s_star = a_k.exp();
+        // Fast path — sound when (a) the threshold similarity is a
+        // normal double and the nearest excluded distance is too far
+        // (in exp-argument terms) to collide onto it, and (b) no nearer
+        // candidate collides *down* onto it (checked while taking the k
+        // exps). Then similarity ties are distance ties, all retained,
+        // already index-ordered.
+        let mut fast = s_star > EXP_NORMAL_FLOOR && gamma * (d_next - dk) > EXP_COLLISION_GAP;
+        if fast {
+            for &(d2, j) in &sel[..k] {
+                let s = if d2 == dk {
+                    s_star
+                } else {
+                    let s = (-gamma * d2).exp();
+                    if s == s_star {
+                        fast = false; // collided down: index tie-break needed
+                        break;
+                    }
+                    s
+                };
+                edges.push((j, s));
             }
             if !fast {
-                // Exact tie protocol. Strictly-better candidates first:
-                // nearer than the threshold AND strictly more similar.
-                // Every strictly-nearer candidate survives the bounded
-                // scan — eviction pops the current worst, so a value
-                // below the final threshold would need k values below
-                // it to be evicted, contradicting the threshold being
-                // kth-smallest. At most k − 1 exps.
-                for &(d2, j) in sel.iter() {
-                    if d2 < dk {
-                        let s = (-gamma * d2).exp();
-                        if s > s_star {
-                            edges.push((j, s));
-                        }
+                edges.clear();
+            }
+        }
+        if !fast {
+            // Exact tie protocol. Strictly-better candidates first:
+            // nearer than the threshold AND strictly more similar.
+            // Every strictly-nearer candidate is in `sel` (at most
+            // k − 1 of them, so at most k − 1 exps).
+            for &(d2, j) in sel.iter() {
+                if d2 < dk {
+                    let s = (-gamma * d2).exp();
+                    if s > s_star {
+                        edges.push((j, s));
                     }
                 }
-                // Fill the remaining slots with threshold-similarity
-                // ties in ascending index order — exactly the set a
-                // stable descending weight sort + truncate(k) keeps.
-                let mut remaining = k - edges.len();
+            }
+            // Fill the remaining slots with threshold-similarity ties in
+            // ascending index order — exactly the set a stable
+            // descending weight sort + truncate(k) keeps. Whether a
+            // candidate ties depends on its distance alone, so the
+            // grouped path classifies each group once and merges the
+            // tied groups' members by row index.
+            let tie = Threshold {
+                gamma,
+                dk,
+                a_k,
+                s_star,
+            };
+            let mut remaining = k - edges.len();
+            if grouped {
+                cursors.clear();
+                for (h, &d2) in row.iter().enumerate() {
+                    if let Some(weight) = tie.weight(d2) {
+                        let (pos, end) = (starts[h], starts[h + 1]);
+                        cursors.push(Cursor { pos, end, weight });
+                    }
+                }
+                merge_members(cursors, members, i, remaining, |j, s| edges.push((j, s)));
+            } else {
                 for (j, &d2) in row.iter().enumerate() {
                     if remaining == 0 {
                         break;
@@ -420,28 +428,7 @@ pub fn similarity_graph_into(k: usize, gamma: f64, scratch: &mut GraphScratch) {
                     if j == i {
                         continue;
                     }
-                    if d2 == dk {
-                        edges.push((j, s_star));
-                        remaining -= 1;
-                        continue;
-                    }
-                    let a = -gamma * d2;
-                    if d2 > dk {
-                        if s_star > EXP_NORMAL_FLOOR {
-                            if a_k - a > EXP_COLLISION_GAP {
-                                continue; // provably below the threshold
-                            }
-                        } else if a < EXP_ZERO_ARG {
-                            // Deep underflow: exp(a) is exactly +0.
-                            if s_star == 0.0 {
-                                edges.push((j, 0.0));
-                                remaining -= 1;
-                            }
-                            continue;
-                        }
-                    }
-                    let s = a.exp();
-                    if s == s_star {
+                    if let Some(s) = tie.weight(d2) {
                         edges.push((j, s));
                         remaining -= 1;
                     }
@@ -451,6 +438,177 @@ pub fn similarity_graph_into(k: usize, gamma: f64, scratch: &mut GraphScratch) {
         edges.sort_unstable_by(neighbour_order);
     }
     symmetrize(adj, own);
+}
+
+/// Bounded (k+1)-smallest scan over a dense distance row: one compare
+/// per candidate in the common case, instead of copying and
+/// partitioning the whole row (the infinite diagonal sentinel sorts
+/// last, so with k ≤ n − 2 the threshold entry is a real candidate).
+/// Equal distances keep ascending-index order — insertion lands after
+/// equal values and eviction pops the largest index among the worst
+/// value — so `sel` ends as the first k + 1 candidates in (distance,
+/// index) order.
+fn select_dense(row: &[f64], k: usize, sel: &mut Vec<(f64, usize)>) {
+    sel.clear();
+    for (j, &d2) in row.iter().enumerate() {
+        if sel.len() <= k {
+            let pos = sel.partition_point(|&(v, _)| v <= d2);
+            sel.insert(pos, (d2, j));
+        } else if d2 < sel[k].0 {
+            sel.pop();
+            let pos = sel.partition_point(|&(v, _)| v <= d2);
+            sel.insert(pos, (d2, j));
+        }
+    }
+}
+
+/// The k + 1 nearest candidates of row `skip`, read off its group's
+/// order (its groups nearest first) and the groups' member lists, in
+/// O(groups visited + k). `sel` holds the same k + 1 smallest
+/// distances as [`select_dense`] finds, in order; it may differ only in
+/// which members of one distance (a run) it names, and in the sign of
+/// a zero distance within a run. No consumer can tell:
+///
+/// * every run below the threshold `dk` is taken whole by both, so the
+///   entries below `dk` name the same rows, and they are all the exact
+///   tie protocol reads from `sel`;
+/// * the fast path reads `sel[..k]` only when `d_next > dk`, and then
+///   the threshold run ends at position k − 1 and is taken whole too;
+/// * `±0` compare equal and `exp(−γ·±0)` is `1` either way.
+///
+/// The same argument covers the dense row's `+∞` sentinel at `skip`,
+/// which this walk leaves out: it can only fall in a run of `+∞`
+/// distances, which is never below a threshold and never lets the fast
+/// path run.
+fn select_grouped(
+    row: &[f64],
+    order: &[usize],
+    starts: &[usize],
+    members: &[usize],
+    skip: usize,
+    k: usize,
+    sel: &mut Vec<(f64, usize)>,
+) {
+    sel.clear();
+    // The other n − 1 ≥ k + 1 rows fill `sel` before the groups run out.
+    for &h in order {
+        for &j in &members[starts[h]..starts[h + 1]] {
+            if j != skip {
+                sel.push((row[h], j));
+                if sel.len() > k {
+                    return;
+                }
+            }
+        }
+    }
+}
+
+/// The exact tie protocol's threshold: the k-th smallest distance `dk`,
+/// its exp argument `a_k` and similarity `s_star`.
+struct Threshold {
+    gamma: f64,
+    dk: f64,
+    a_k: f64,
+    s_star: f64,
+}
+
+impl Threshold {
+    /// The weight a candidate at squared distance `d2` fills a slot
+    /// with when its similarity equals the threshold's, else `None`.
+    /// Cheap argument-gap and underflow bounds skip the `exp` calls
+    /// that provably cannot collide.
+    fn weight(&self, d2: f64) -> Option<f64> {
+        if d2 == self.dk {
+            return Some(self.s_star);
+        }
+        let a = -self.gamma * d2;
+        if d2 > self.dk {
+            if self.s_star > EXP_NORMAL_FLOOR {
+                if self.a_k - a > EXP_COLLISION_GAP {
+                    return None; // provably below the threshold
+                }
+            } else if a < EXP_ZERO_ARG {
+                // Deep underflow: exp(a) is exactly +0.
+                return (self.s_star == 0.0).then_some(0.0);
+            }
+        }
+        let s = a.exp();
+        (s == self.s_star).then_some(s)
+    }
+}
+
+/// A read position in one group's member list, carrying the weight
+/// every member of the group fills a slot with.
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    pos: usize,
+    end: usize,
+    weight: f64,
+}
+
+/// Emits up to `take` rows of the cursors' member lists, ascending by
+/// row index, leaving out row `skip`, each with its group's weight.
+fn merge_members(
+    cursors: &mut [Cursor],
+    members: &[usize],
+    skip: usize,
+    mut take: usize,
+    mut emit: impl FnMut(usize, f64),
+) {
+    while take > 0 {
+        let mut next: Option<usize> = None;
+        for (c, cursor) in cursors.iter().enumerate() {
+            if cursor.pos < cursor.end
+                && next.is_none_or(|b| members[cursor.pos] < members[cursors[b].pos])
+            {
+                next = Some(c);
+            }
+        }
+        let Some(c) = next else { return };
+        let cursor = &mut cursors[c];
+        let j = members[cursor.pos];
+        cursor.pos += 1;
+        if j != skip {
+            emit(j, cursor.weight);
+            take -= 1;
+        }
+    }
+}
+
+/// Lists each group's rows: `members[starts[h]..starts[h + 1]]` are
+/// group `h`'s rows in ascending index (a counting sort of `group`).
+fn index_members(group: &[usize], u: usize, starts: &mut Vec<usize>, members: &mut Vec<usize>) {
+    starts.clear();
+    starts.resize(u + 1, 0);
+    for &g in group {
+        starts[g + 1] += 1;
+    }
+    for h in 0..u {
+        starts[h + 1] += starts[h];
+    }
+    members.clear();
+    members.resize(group.len(), 0);
+    // Each group's start serves as its write position; afterwards it
+    // holds the group's end, so shifting by one restores the starts.
+    for (i, &g) in group.iter().enumerate() {
+        members[starts[g]] = i;
+        starts[g] += 1;
+    }
+    starts.rotate_right(1);
+    starts[0] = 0;
+}
+
+/// Fills `order` with each group's `u` groups nearest first
+/// (`order[g * u..(g + 1) * u]`, by the distance table; the order
+/// within one distance is immaterial, see [`select_grouped`]).
+fn order_groups(dist: &[f64], u: usize, order: &mut Vec<usize>) {
+    order.clear();
+    for g in 0..u {
+        let row = &dist[g * u..(g + 1) * u];
+        let start = order.len();
+        order.extend(0..u);
+        order[start..].sort_unstable_by(|&a, &b| row[a].total_cmp(&row[b]));
+    }
 }
 
 /// The retained pre-overhaul similarity path: per-pair `Vec` walks and a
@@ -703,8 +861,14 @@ pub struct GraphScratch {
     group: Vec<usize>,
     /// `u × u` squared distances between group representatives.
     dist: Vec<f64>,
-    /// One row's candidate distances, gathered through the group ids.
-    cand: Vec<f64>,
+    /// Each group's rows in ascending index, `starts` apart.
+    members: Vec<usize>,
+    /// Offset of each group's rows in `members` (`u + 1` entries).
+    starts: Vec<usize>,
+    /// Each group's groups by distance, `u` per group.
+    order: Vec<usize>,
+    /// The tie-fill merge buffer: one cursor per tied group.
+    cursors: Vec<Cursor>,
     sel: Vec<(f64, usize)>,
     /// Own kNN-list length per node, recorded before symmetrizing.
     own: Vec<usize>,

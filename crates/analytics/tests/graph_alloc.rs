@@ -2,7 +2,11 @@
 //! correlator reruns `community_report_into` on every epoch over the
 //! same fleet, so after one warm-up call at a fixed row count the whole
 //! pipeline (grouping, distance table, selection, symmetrize,
-//! propagation, scoring) must reuse its scratch buffers.
+//! propagation, scoring) must reuse its scratch buffers. The
+//! duplicate-heavy input takes the grouped selection (20 groups over
+//! 300 rows, more rows than k + 1, each row's nearest a tie at distance
+//! 0, so the tie fill merges member lists); the all-distinct input
+//! takes the dense one.
 //!
 //! A counting wrapper around the system allocator measures allocations
 //! across one call. The counter is per thread, so the test harness's
@@ -52,6 +56,11 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 const ROWS: usize = 300;
 const DIMS: usize = 20;
+const K: usize = 8;
+/// Distinct rows of the duplicate-heavy input: fewer than the rows, so
+/// the grouped path runs, and each group holds more than k + 1 rows.
+const GROUPS: usize = 20;
+const _: () = assert!(GROUPS < ROWS && ROWS / GROUPS > K + 1);
 
 /// Row `i` of a flat `ROWS × DIMS` matrix whose rows take `distinct`
 /// different values (`distinct == ROWS` makes every row distinct).
@@ -70,7 +79,7 @@ fn warm_epoch_allocs(flat: &[f64]) -> u64 {
     let mut scratch = GraphScratch::new();
     let epoch = |scratch: &mut GraphScratch| {
         scratch.matrix.fill_from_flat(flat, ROWS, DIMS);
-        community_report_into(8, 8.0, 100, Some(&seed), scratch);
+        community_report_into(K, 8.0, 100, Some(&seed), scratch);
     };
     epoch(&mut scratch);
     let before = allocs();
@@ -82,7 +91,7 @@ fn warm_epoch_allocs(flat: &[f64]) -> u64 {
 
 #[test]
 fn warm_community_epoch_allocates_nothing() {
-    let duplicate_heavy = flat_features(20);
+    let duplicate_heavy = flat_features(GROUPS);
     let all_distinct = flat_features(ROWS);
     assert_eq!(
         warm_epoch_allocs(&duplicate_heavy),

@@ -100,8 +100,8 @@ impl Node for CommandAndControl {
     fn on_timer(&mut self, ctx: &mut Context<'_>, _tag: u64) {
         for &bot in &self.bots {
             let order = Packet::new(ctx.id(), bot, "attack-cmd", CNC_SIGNATURES[1].to_vec())
-                .with_meta("target", &self.victim.raw().to_string())
-                .with_meta("count", &self.packets_per_bot.to_string());
+                .with_meta("target", self.victim.raw().to_string())
+                .with_meta("count", self.packets_per_bot.to_string());
             ctx.send(bot, order);
         }
     }

@@ -110,7 +110,7 @@ impl TrafficAnalyst {
         for burst in segment_bursts(records, self.max_gap) {
             let label = majority_kind(records, &burst);
             if !label.is_empty() {
-                self.classifier.train(&label, burst.sizes);
+                self.classifier.train(label, burst.sizes);
             }
         }
     }
@@ -155,21 +155,26 @@ impl TrafficAnalyst {
     }
 }
 
-fn majority_kind(records: &[PacketRecord], burst: &Burst) -> String {
+/// The most frequent ground-truth kind among the burst's stream records,
+/// borrowed from the records (ties go to the greatest kind, `""` when
+/// none match).
+///
+/// The window is every record of the stream from the burst's start on,
+/// not just the burst's own records: later bursts of the same stream
+/// are counted too. Scores depend on that, so narrowing the window to
+/// the burst would change report bytes; it is left for a change that
+/// may change them.
+fn majority_kind<'r>(records: &'r [PacketRecord], burst: &Burst) -> &'r str {
     let mut counts = std::collections::BTreeMap::new();
     for rec in records {
         if rec.src == burst.src && rec.dst == burst.dst && rec.at >= burst.start {
-            if let Some(&first) = burst.sizes.first() {
-                let _ = first;
-            }
-            *counts.entry(rec.ground_truth_kind.clone()).or_insert(0u32) += 1;
+            *counts.entry(rec.ground_truth_kind.as_str()).or_insert(0u32) += 1;
         }
     }
     counts
         .into_iter()
         .max_by_key(|&(_, c)| c)
-        .map(|(k, _)| k)
-        .unwrap_or_default()
+        .map_or("", |(k, _)| k)
 }
 
 #[cfg(test)]

@@ -71,7 +71,7 @@ impl Node for ScriptedAttacker {
             (TIMER_FLOOD_ORDER, ScriptedAttack::BotnetRecruit) => {
                 let order = Packet::new(ctx.id(), gw, "attack-cmd", CNC_SIGNATURES[1].to_vec())
                     .with_meta("device", "cam")
-                    .with_meta("target", &self.victim.raw().to_string())
+                    .with_meta("target", self.victim.raw().to_string())
                     .with_meta("count", "300");
                 ctx.send(gw, order);
             }
@@ -111,7 +111,7 @@ impl Node for ScriptedAttacker {
                         .with_meta("device", "cam")
                         .with_meta("name", name)
                         .with_meta("value", "n666")
-                        .with_meta("txid", &txid.to_string());
+                        .with_meta("txid", txid.to_string());
                     ctx.send_after(gw, spoof, Duration::from_secs(i));
                 }
             }
@@ -120,7 +120,7 @@ impl Node for ScriptedAttacker {
                     let spoof = Packet::new(ctx.id(), self.cloud, "spoofed-event", Vec::new())
                         .with_meta("device", "thermo")
                         .with_meta("attribute", "temperature")
-                        .with_meta("value", &format!("{}", 95 + i));
+                        .with_meta("value", format!("{}", 95 + i));
                     ctx.send(self.cloud, spoof);
                 }
             }

@@ -47,9 +47,9 @@ impl Node for EventSpoofer {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         for event in &self.events {
             let pkt = Packet::new(ctx.id(), self.cloud, "spoofed-event", Vec::new())
-                .with_meta("device", &event.device)
-                .with_meta("attribute", &event.attribute)
-                .with_meta("value", &event.value);
+                .with_meta("device", event.device.clone())
+                .with_meta("attribute", event.attribute.clone())
+                .with_meta("value", event.value.clone());
             ctx.send(self.cloud, pkt);
         }
     }

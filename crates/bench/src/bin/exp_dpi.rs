@@ -216,7 +216,8 @@ impl Shape {
             .map(|i| match self {
                 Shape::Random => (0..size).map(|_| rng.gen_range(0x20u8..0x7f)).collect(),
                 Shape::Padded => Sensor::new(KINDS[i % KINDS.len()], i as u64)
-                    .encode_reading(SimTime::from_secs(rng.gen_range(0..86_400)), size),
+                    .encode_reading(SimTime::from_secs(rng.gen_range(0..86_400)), size)
+                    .to_vec(),
             })
             .collect()
     }

@@ -43,7 +43,7 @@ impl Node for FastAttacker {
         } else {
             let order = Packet::new(ctx.id(), self.gateway, "attack-cmd", Vec::new())
                 .with_meta("device", "cam")
-                .with_meta("target", &self.flood_target.raw().to_string())
+                .with_meta("target", self.flood_target.raw().to_string())
                 .with_meta("count", "5000");
             ctx.send(self.gateway, order);
         }

@@ -7,15 +7,16 @@
 
 use crate::api::{ApiCall, ApiGateway};
 use crate::capability::DeviceHandler;
-use crate::events::{CloudEvent, EventBus, EventKeys, EventPolicy};
+use crate::events::{CloudEvent, EventBus, EventKeys, EventPolicy, EventSource};
 use crate::oauth::TokenService;
 use crate::ota_server::OtaServer;
 use crate::smartapp::{authorize_actions, Action, ActionVerdict, PermissionModel, SmartApp};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 use std::sync::Arc;
 use xlf_protocols::rest::{Request, Response};
-use xlf_simnet::{Context, Node, NodeId, Packet, Protocol, SimTime};
+use xlf_simnet::{Context, MetaValue, Node, NodeId, Packet, Protocol, SimTime};
 
 /// The cloud's pure logic (testable without a network).
 #[derive(Debug)]
@@ -84,23 +85,32 @@ impl SmartCloud {
     }
 
     /// Ingests a device attribute report, runs the event/app pipeline, and
-    /// returns the authorized commands to dispatch.
+    /// returns the authorized commands to dispatch. The event keeps the
+    /// device's shared name and the attribute as given; only the value
+    /// is copied.
     pub fn ingest(
         &mut self,
         at: SimTime,
-        device: &str,
-        attribute: &str,
+        device: Rc<str>,
+        attribute: Cow<'static, str>,
         value: &str,
         trusted_channel: bool,
     ) -> Vec<Action> {
-        if let Some(handler) = self.handlers.get_mut(device) {
-            handler.record(attribute, value);
+        if let Some(handler) = self.handlers.get_mut(&*device) {
+            handler.record(&attribute, value);
         }
         let capability = self
             .handlers
-            .get(device)
-            .and_then(|h| h.capability_for_attribute(attribute));
-        let mut event = CloudEvent::new(at, device, attribute, value);
+            .get(&*device)
+            .and_then(|h| h.capability_for_attribute(&attribute));
+        let mut event = CloudEvent {
+            at,
+            device,
+            attribute,
+            value: value.to_string(),
+            source: EventSource::Device,
+            mac: None,
+        };
         if trusted_channel {
             event = self.bus.sign(event);
         }
@@ -170,14 +180,15 @@ impl SmartCloud {
 }
 
 /// Maps a device command to the packet `action` meta the device runtime
-/// understands.
-fn command_to_action(command: &str) -> &str {
+/// understands: a static word for the commands it knows, else the
+/// command itself.
+fn command_to_action(command: &str) -> MetaValue {
     match command {
-        "on" | "lock" => "on",
-        "off" | "unlock" => "off",
-        "stream" => "stream",
-        "idle" => "idle",
-        _ => command,
+        "on" | "lock" => "on".into(),
+        "off" | "unlock" => "off".into(),
+        "stream" => "stream".into(),
+        "idle" => "idle".into(),
+        _ => command.to_string().into(),
     }
 }
 
@@ -187,6 +198,12 @@ fn command_to_action(command: &str) -> &str {
 /// attribute names; any other kind is lower-cased. The value is borrowed
 /// from the payload. A payload that is not UTF-8 is read as
 /// [`String::from_utf8_lossy`] reads it, and then the value is owned.
+///
+/// The space padding is skipped as bytes, eight at a time, before the
+/// payload is decoded. That is exact: an ASCII byte is never part of a
+/// multi-byte sequence and ends any invalid one, so the lossy decode of
+/// `prefix ‖ ascii` is the decode of `prefix` followed by `ascii`, and
+/// trailing whitespace is trimmed either way.
 pub fn parse_reading(payload: &[u8]) -> Option<(Cow<'static, str>, Cow<'_, str>)> {
     fn split(text: &str) -> Option<(Cow<'static, str>, &str)> {
         let (kind, value) = text.trim_end().split_once('=')?;
@@ -200,10 +217,26 @@ pub fn parse_reading(payload: &[u8]) -> Option<(Cow<'static, str>, Cow<'_, str>)
         };
         Some((Cow::Borrowed(attribute), value))
     }
-    match String::from_utf8_lossy(payload) {
+    match String::from_utf8_lossy(trim_ascii_whitespace(payload)) {
         Cow::Borrowed(text) => split(text).map(|(a, v)| (a, Cow::Borrowed(v))),
         Cow::Owned(text) => split(&text).map(|(a, v)| (a, Cow::Owned(v.to_string()))),
     }
+}
+
+/// `bytes` without its trailing ASCII whitespace (the bytes below 0x80
+/// that [`str::trim_end`] trims, `\x0B` included): whole words of
+/// spaces first, then byte by byte.
+fn trim_ascii_whitespace(mut bytes: &[u8]) -> &[u8] {
+    while let Some((rest, b"        ")) = bytes.split_last_chunk::<8>() {
+        bytes = rest;
+    }
+    while let Some((&last, rest)) = bytes.split_last() {
+        if !(last.is_ascii() && char::from(last).is_whitespace()) {
+            break;
+        }
+        bytes = rest;
+    }
+    bytes
 }
 
 /// The cloud endpoint as a simulation node.
@@ -236,12 +269,12 @@ impl CloudNode {
     }
 
     fn dispatch_actions(&mut self, ctx: &mut Context<'_>, actions: Vec<Action>) {
-        for action in actions {
+        for Action { device, command } in actions {
             let pkt = Packet::new(ctx.id(), self.hub, "cmd", Vec::new())
                 .with_protocol(Protocol::Tls)
-                .with_meta("device", &action.device)
-                .with_meta("action", command_to_action(&action.command))
-                .with_meta("command", &action.command);
+                .with_meta("device", device)
+                .with_meta("action", command_to_action(&command))
+                .with_meta("command", command);
             ctx.send(self.hub, pkt);
         }
     }
@@ -252,21 +285,29 @@ impl Node for CloudNode {
         let trusted = packet.src == self.hub;
         match packet.kind {
             "telemetry" => {
-                let Some(device) = packet.meta("device") else {
+                let Some(device) = packet.meta_value("device") else {
                     return;
                 };
                 if let Some((attribute, value)) = parse_reading(&packet.payload) {
-                    let actions = self
-                        .cloud
-                        .ingest(ctx.now(), device, &attribute, &value, trusted);
+                    let actions = self.cloud.ingest(
+                        ctx.now(),
+                        device.to_shared(),
+                        attribute,
+                        &value,
+                        trusted,
+                    );
                     self.dispatch_actions(ctx, actions);
                 }
             }
             "event" => {
-                let (Some(device), Some(to)) = (packet.meta("device"), packet.meta("to")) else {
+                let (Some(device), Some(to)) = (packet.meta_value("device"), packet.meta("to"))
+                else {
                     return;
                 };
-                let actions = self.cloud.ingest(ctx.now(), device, "state", to, trusted);
+                let state = Cow::Borrowed("state");
+                let actions = self
+                    .cloud
+                    .ingest(ctx.now(), device.to_shared(), state, to, trusted);
                 self.dispatch_actions(ctx, actions);
             }
             "spoofed-event" => {
@@ -279,6 +320,7 @@ impl Node for CloudNode {
                 ) else {
                     return;
                 };
+                let (device, attribute) = (Rc::from(device), Cow::Owned(attribute.to_string()));
                 let actions = self
                     .cloud
                     .ingest(ctx.now(), device, attribute, value, false);
@@ -463,6 +505,50 @@ mod tests {
             matches!(value, Cow::Owned(_)),
             "invalid UTF-8 is read lossily"
         );
+    }
+
+    /// Payload pieces: sensor text, invalid and truncated UTF-8, and the
+    /// whitespace `trim_end` trims — ASCII (`\x0B` included, which
+    /// `u8::is_ascii_whitespace` leaves out) and not (U+00A0, U+3000,
+    /// U+0085).
+    const PIECES: [&[u8]; 16] = [
+        b"Temperature=",
+        b"Motion=",
+        b"Humidity=",
+        b"=",
+        b"71.23",
+        b"x",
+        b"\xff",
+        b"\x80",
+        b"\xc3",
+        b"\xe3\x80",
+        b"\xc3\xa9",
+        b"\xc2\xa0",
+        b"\xe3\x80\x80",
+        b"\xc2\x85",
+        b"\x0b",
+        b"\t\r\n\x0c",
+    ];
+
+    proptest::proptest! {
+        /// Skipping the padding as bytes reads every payload exactly as
+        /// the decode-then-trim parser does: arbitrary text (invalid or
+        /// truncated UTF-8 right before the padding included), then
+        /// padding of spaces and other whitespace.
+        #[test]
+        fn parse_reading_equals_decode_then_trim(
+            text in proptest::collection::vec(0..PIECES.len(), 0..8),
+            padding in proptest::collection::vec(0..PIECES.len() + 3, 0..40),
+        ) {
+            let mut payload: Vec<u8> = text.iter().flat_map(|&p| PIECES[p]).copied().collect();
+            for p in padding {
+                // Mostly spaces, as devices pad; sometimes any piece.
+                payload.extend_from_slice(PIECES.get(p).copied().unwrap_or(b"        "));
+            }
+            let parsed = parse_reading(&payload);
+            let owned = parsed.as_ref().map(|(a, v)| (a.to_string(), v.to_string()));
+            proptest::prop_assert_eq!(owned, owned_reading(&payload));
+        }
     }
 
     #[test]

@@ -158,7 +158,7 @@ impl SmartApp {
         self.rules
             .iter()
             .filter(|(t, _)| {
-                t.device == event.device
+                *t.device == *event.device
                     && t.attribute == event.attribute
                     && t.predicate.matches(&event.value)
             })

@@ -7,17 +7,21 @@
 
 use crate::bus::EvidenceBus;
 use crate::evidence::{Evidence, EvidenceKind, Layer};
+use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::rc::Rc;
 use xlf_simnet::{Duration, SimTime};
 
 /// A witnessed trigger: the gateway saw this device report this attribute
-/// value at this time.
+/// value at this time. The device is the gateway's shared name for it
+/// and a standard attribute is a static name, so only the value is a
+/// copy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WitnessedEvent {
     /// Reporting device.
-    pub device: String,
+    pub device: Rc<str>,
     /// Attribute.
-    pub attribute: String,
+    pub attribute: Cow<'static, str>,
     /// Value reported.
     pub value: String,
     /// When witnessed.
@@ -87,7 +91,7 @@ impl AppVerifier {
 
     fn recent_trigger(&self, rule: &CausalRule, now: SimTime) -> bool {
         self.witnessed.iter().rev().any(|e| {
-            e.device == rule.trigger_device
+            *e.device == *rule.trigger_device
                 && e.attribute == rule.trigger_attribute
                 && now.since(e.at) <= self.causality_window
         })
@@ -106,8 +110,8 @@ impl AppVerifier {
                 .find(|e| now.since(e.at) <= self.causality_window)
             {
                 let rule = CausalRule {
-                    trigger_device: e.device.clone(),
-                    trigger_attribute: e.attribute.clone(),
+                    trigger_device: e.device.to_string(),
+                    trigger_attribute: e.attribute.to_string(),
                     target_device: target_device.to_string(),
                     command: command.to_string(),
                 };
@@ -159,8 +163,8 @@ mod tests {
 
     fn event(device: &str, attribute: &str, value: &str, at_s: u64) -> WitnessedEvent {
         WitnessedEvent {
-            device: device.to_string(),
-            attribute: attribute.to_string(),
+            device: Rc::from(device),
+            attribute: Cow::Owned(attribute.to_string()),
             value: value.to_string(),
             at: SimTime::from_secs(at_s),
         }

@@ -18,6 +18,7 @@ use crate::netmonitor::NetMonitor;
 use crate::policy::{PolicyConfig, PolicyEngine, ResponseAction};
 use crate::shaping::{ShapingMode, TrafficShaper};
 use crate::updatevet::UpdateVetter;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -311,14 +312,16 @@ impl XlfGateway {
 
     /// Registers a device behind the gateway, allowlisting its cloud path
     /// and its vendor hub name (the only destination NAC lets it resolve).
-    pub fn register_device(&mut self, name: &str, node: NodeId) {
-        let shared: Rc<str> = Rc::from(name);
-        if let Some(moved_from) = self.devices.insert(shared.clone(), node) {
+    /// The gateway keeps `name` as given: a device's own `Rc` name is
+    /// shared, not copied.
+    pub fn register_device(&mut self, name: impl Into<Rc<str>>, node: NodeId) {
+        let name: Rc<str> = name.into();
+        if let Some(moved_from) = self.devices.insert(Rc::clone(&name), node) {
             self.names.remove(&moved_from);
         }
-        self.names.insert(node, shared);
-        self.nac.allow_node(name, self.cloud);
-        self.nac.allow_destination(name, VENDOR_DNS_NAME);
+        self.nac.allow_node(&name, self.cloud);
+        self.nac.allow_destination(&name, VENDOR_DNS_NAME);
+        self.names.insert(node, name);
     }
 
     /// Shaping cost so far (the E-M3 overhead axis).
@@ -364,7 +367,7 @@ impl XlfGateway {
             .collect()
     }
 
-    fn handle_upstream(&mut self, ctx: &mut Context<'_>, packet: Packet, device: &str) {
+    fn handle_upstream(&mut self, ctx: &mut Context<'_>, packet: Packet, device: &Rc<str>) {
         let now = ctx.now();
         if self.config.nac && self.nac.is_quarantined(device) {
             self.dropped += 1;
@@ -373,7 +376,7 @@ impl XlfGateway {
         if self.config.netmonitor {
             self.monitor.observe_packet(device, now);
         }
-        match self.last_upstream.get_mut(device) {
+        match self.last_upstream.get_mut(&**device) {
             Some(last) => *last = now,
             None => {
                 self.last_upstream.insert(device.to_string(), now);
@@ -402,8 +405,8 @@ impl XlfGateway {
                 if let Some((attribute, value)) = parse_reading(&packet.payload) {
                     if self.config.appverify {
                         self.verifier.witness_event(WitnessedEvent {
-                            device: device.to_string(),
-                            attribute: attribute.to_string(),
+                            device: Rc::clone(device),
+                            attribute: attribute.clone(),
                             value: value.to_string(),
                             at: now,
                         });
@@ -441,8 +444,8 @@ impl XlfGateway {
                     }
                     if self.config.appverify {
                         self.verifier.witness_event(WitnessedEvent {
-                            device: device.to_string(),
-                            attribute: "state".to_string(),
+                            device: Rc::clone(device),
+                            attribute: Cow::Borrowed("state"),
                             value: to.to_string(),
                             at: now,
                         });
@@ -831,17 +834,25 @@ impl XlfHome {
         let actual_cloud = net.add_node(Box::new(CloudNode::new(cloud, gateway_id)));
         assert_eq!(actual_cloud, cloud_id);
 
+        // Each device's name is made once, by the device, and shared
+        // with the gateway and every packet that names the device.
+        let sims: Vec<SimDevice> = kit
+            .devices
+            .iter()
+            .map(|d| SimDevice::from_kit(&d.kit))
+            .collect();
         let mut gateway = XlfGateway::new(core.clone(), config, cloud_id, Arc::clone(kit));
         let first_device_raw = GATEWAY_RAW + 1;
-        for (i, d) in kit.devices.iter().enumerate() {
-            gateway.register_device(&d.spec.name, NodeId::from_raw(first_device_raw + i as u32));
+        for (i, sim) in sims.iter().enumerate() {
+            let id = NodeId::from_raw(first_device_raw + i as u32);
+            gateway.register_device(Rc::clone(sim.name()), id);
         }
         let actual_gateway = net.add_node(Box::new(gateway));
         assert_eq!(actual_gateway, gateway_id);
 
         let mut devices = BTreeMap::new();
-        for d in &kit.devices {
-            let id = net.add_node(Box::new(SimDevice::from_kit(&d.kit)));
+        for (d, sim) in kit.devices.iter().zip(sims) {
+            let id = net.add_node(Box::new(sim));
             let medium = match d.spec.sensor {
                 SensorKind::Camera => Medium::Wifi,
                 _ => Medium::Zigbee,

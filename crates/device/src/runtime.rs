@@ -21,6 +21,7 @@ use crate::firmware::{vendor_key, FirmwareImage, FirmwareStore, UpdatePolicy};
 use crate::sensor::{Sensor, SensorKind};
 use crate::storage::{LocalStore, StorageEncryption};
 use crate::vulns::{VulnSet, Vulnerability};
+use std::rc::Rc;
 use std::sync::Arc;
 use xlf_lwcrypto::ciphers::Speck128;
 use xlf_simnet::{Context, Duration, Node, NodeId, Packet, Protocol};
@@ -109,6 +110,9 @@ const TIMER_DDOS: u64 = 2;
 /// A simulated IoT device.
 pub struct SimDevice {
     config: Arc<DeviceConfig>,
+    /// The configuration's name, shared by every packet that names the
+    /// device and by whoever else holds it ([`SimDevice::name`]).
+    name: Rc<str>,
     sensor: Sensor,
     state: DeviceState,
     firmware: FirmwareStore,
@@ -219,7 +223,8 @@ impl SimDevice {
     /// Builds a fresh device from a kit: the device shares the kit's
     /// configuration and factory image (neither is ever written) and
     /// starts from copies of its credentials and store, so nothing it
-    /// does reaches the kit or a sibling device.
+    /// does reaches the kit or a sibling device. Its name is its own
+    /// (never shared with a sibling built from the same kit).
     pub fn from_kit(kit: &DeviceKit) -> Self {
         let config = Arc::clone(&kit.config);
         let policy = if config.vulns.has(Vulnerability::UnsignedFirmware) {
@@ -230,6 +235,7 @@ impl SimDevice {
         let firmware = FirmwareStore::new(Arc::clone(&kit.factory), policy, &config.vendor_secret);
         let sensor = Sensor::new(config.sensor, config.seed);
         SimDevice {
+            name: Rc::from(config.name.as_str()),
             config,
             sensor,
             state: DeviceState::Idle,
@@ -249,6 +255,11 @@ impl SimDevice {
     /// The device's configuration.
     pub fn config(&self) -> &DeviceConfig {
         &self.config
+    }
+
+    /// The device's name, as the one shared `Rc` its packets carry.
+    pub fn name(&self) -> &Rc<str> {
+        &self.name
     }
 
     /// Firmware store (inspection).
@@ -274,7 +285,7 @@ impl SimDevice {
         self.state = next;
         self.transitions.push((prev, next));
         let event = Packet::new(ctx.id(), self.config.hub, "event", Vec::new())
-            .with_meta("device", &self.config.name)
+            .with_meta("device", &self.name)
             .with_meta("from", prev.label())
             .with_meta("to", next.label());
         ctx.send(self.config.hub, event);
@@ -334,7 +345,7 @@ impl SimDevice {
         }
         let reply = Packet::new(ctx.id(), packet.src, "login-result", Vec::new())
             .with_meta("outcome", outcome_str)
-            .with_meta("device", &self.config.name);
+            .with_meta("device", &self.name);
         ctx.send(packet.src, reply);
     }
 
@@ -350,8 +361,8 @@ impl SimDevice {
         }
         let reply = Packet::new(ctx.id(), packet.src, "ota-result", Vec::new())
             .with_meta("ok", if ok { "true" } else { "false" })
-            .with_meta("detail", &detail)
-            .with_meta("device", &self.config.name);
+            .with_meta("detail", detail)
+            .with_meta("device", &self.name);
         ctx.send(packet.src, reply);
     }
 
@@ -370,9 +381,9 @@ impl SimDevice {
             _ => false,
         };
         let reply = Packet::new(ctx.id(), packet.src, "probe-result", Vec::new())
-            .with_meta("port", port)
+            .with_meta("port", port.to_string())
             .with_meta("open", if open { "true" } else { "false" })
-            .with_meta("device", &self.config.name);
+            .with_meta("device", &self.name);
         ctx.send(packet.src, reply);
     }
 
@@ -408,7 +419,7 @@ impl Node for SimDevice {
                     let payload = self.sensor.encode_reading(ctx.now(), self.telemetry_size());
                     let pkt = Packet::new(ctx.id(), self.config.hub, "telemetry", payload)
                         .with_protocol(Protocol::Tls)
-                        .with_meta("device", &self.config.name)
+                        .with_meta("device", &self.name)
                         .with_meta("state", self.state.label());
                     ctx.send(self.config.hub, pkt);
                 }
@@ -418,8 +429,8 @@ impl Node for SimDevice {
                 if let Some((target, remaining)) = self.ddos_order {
                     let flood = Packet::new(ctx.id(), self.config.hub, "ddos", vec![0u8; 512])
                         .with_protocol(Protocol::Udp)
-                        .with_meta("final_dst", &target.raw().to_string())
-                        .with_meta("device", &self.config.name);
+                        .with_meta("final_dst", target.raw().to_string())
+                        .with_meta("device", &self.name);
                     ctx.send(self.config.hub, flood);
                     if remaining > 1 {
                         self.ddos_order = Some((target, remaining - 1));
@@ -446,7 +457,7 @@ impl Node for SimDevice {
             "deauth" if self.config.vulns.has(Vulnerability::RickrollReconnect) => {
                 self.set_state(ctx, DeviceState::Compromised);
                 let reconnect = Packet::new(ctx.id(), packet.src, "reconnect", Vec::new())
-                    .with_meta("device", &self.config.name);
+                    .with_meta("device", &self.name);
                 ctx.send(packet.src, reconnect);
             }
             _ => {}

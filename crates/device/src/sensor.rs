@@ -2,7 +2,8 @@
 //! paper's Figure 1. Readings are reproducible functions of (seed, time),
 //! so experiments that learn behaviour profiles are exactly repeatable.
 
-use xlf_simnet::SimTime;
+use std::fmt::{self, Write};
+use xlf_simnet::{Bytes, SimTime};
 
 /// The sensing modality of a device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -90,17 +91,70 @@ impl Sensor {
     }
 
     /// Serializes a reading as the telemetry payload devices emit:
-    /// `Kind=value`, space-padded (or cut) to exactly `size` bytes, the
-    /// telemetry size of the device's state. The reading is formatted
+    /// `Kind=value` (the value as `{:.2}` formats it), space-padded (or
+    /// cut) to exactly `size` bytes, the telemetry size of the device's
+    /// state. The text is formatted on the stack and then written
     /// straight into the one buffer the payload keeps.
-    pub fn encode_reading(&self, at: SimTime, size: usize) -> Vec<u8> {
-        use std::io::Write;
-        let mut payload = Vec::with_capacity(size);
-        // Writing into a `Vec` cannot fail.
-        let _ = write!(payload, "{:?}={:.2}", self.kind, self.read(at));
-        payload.resize(size, b' ');
-        payload
+    pub fn encode_reading(&self, at: SimTime, size: usize) -> Bytes {
+        let mut text = ReadingText {
+            bytes: [0; READING_TEXT_MAX],
+            len: 0,
+        };
+        write!(text, "{:?}=", self.kind)
+            .and_then(|()| write_fixed2(&mut text, self.read(at)))
+            .unwrap_or_else(|fmt::Error| {
+                unreachable!("the buffer holds the longest kind name and `{{:.2}}` of any f64")
+            });
+        let text = &text.bytes[..text.len];
+        // An exact-length iterator: the payload is allocated once.
+        text.iter()
+            .copied()
+            .chain(std::iter::repeat(b' '))
+            .take(size)
+            .collect()
     }
+}
+
+/// Room for `Temperature=` plus `{:.2}` of any f64 (at most 309
+/// integer digits, a sign, a point and two decimals).
+const READING_TEXT_MAX: usize = 12 + 313;
+
+/// A stack buffer a reading is formatted into.
+struct ReadingText {
+    bytes: [u8; READING_TEXT_MAX],
+    len: usize,
+}
+
+impl fmt::Write for ReadingText {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let end = self.len + s.len();
+        let slot = self.bytes.get_mut(self.len..end).ok_or(fmt::Error)?;
+        slot.copy_from_slice(s.as_bytes());
+        self.len = end;
+        Ok(())
+    }
+}
+
+/// Writes `value` exactly as `{:.2}` formats it. Finite values in
+/// `[0.001, 1e13)` take an integer path: `value = mant · 2^-shift` with
+/// `9 ≤ shift ≤ 62`, so `value · 100` is `mant · 100 >> shift` with the
+/// exact remainder, rounded half to even as the float formatter rounds
+/// exact ties. Everything else goes through the float formatter.
+fn write_fixed2(out: &mut impl fmt::Write, value: f64) -> fmt::Result {
+    if !(0.001..1e13).contains(&value) {
+        return write!(out, "{value:.2}");
+    }
+    // In this range the value is normal: an implicit leading bit and a
+    // biased exponent in 1013..=1066.
+    let bits = value.to_bits();
+    let mant = u128::from((bits & ((1 << 52) - 1)) | (1 << 52));
+    let shift = 1075 - (bits >> 52) as u32;
+    let scaled = mant * 100;
+    let (quotient, remainder) = (scaled >> shift, scaled & ((1 << shift) - 1));
+    let half = 1 << (shift - 1);
+    let round_up = remainder > half || (remainder == half && quotient & 1 == 1);
+    let cents = quotient + u128::from(round_up);
+    write!(out, "{}.{:02}", cents / 100, cents % 100)
 }
 
 #[cfg(test)]
@@ -156,10 +210,60 @@ mod tests {
         let s = Sensor::new(SensorKind::Power, 5);
         let payload = s.encode_reading(SimTime::from_secs(10), 48);
         assert_eq!(payload.len(), 48);
-        let text = String::from_utf8(payload).unwrap();
+        let text = String::from_utf8(payload.to_vec()).unwrap();
         assert!(text.starts_with("Power="));
         let value = text.trim_end().strip_prefix("Power=").unwrap();
         assert_eq!(value, format!("{:.2}", s.read(SimTime::from_secs(10))));
-        assert_eq!(s.encode_reading(SimTime::from_secs(10), 4), b"Powe");
+        assert_eq!(s.encode_reading(SimTime::from_secs(10), 4), b"Powe"[..]);
+    }
+
+    fn fixed2(value: f64) -> String {
+        let mut out = String::new();
+        write_fixed2(&mut out, value).unwrap();
+        out
+    }
+
+    #[test]
+    fn fixed_point_rounds_ties_like_the_float_formatter() {
+        // Exact binary ties round half to even; the decimal "ties"
+        // 2.675, 1.005 and 999.995 are not ties in binary.
+        let cases = [
+            (0.125, "0.12"),
+            (0.375, "0.38"),
+            (1.125, "1.12"),
+            (70.125, "70.12"),
+            (2.675, "2.67"),
+            (1.005, "1.00"),
+            (999.995, "1000.00"),
+            (0.005, "0.01"),
+            (0.0, "0.00"),
+            (-1.5, "-1.50"),
+        ];
+        for (value, expected) in cases {
+            assert_eq!(fixed2(value), expected, "{value:?}");
+            assert_eq!(format!("{value:.2}"), expected, "{value:?}");
+        }
+    }
+
+    proptest::proptest! {
+        /// The integer path writes what the float formatter writes: on
+        /// every k/200 (each a decimal tie) and k/8 (binary ties), on
+        /// random bit patterns, and across the path's range edges.
+        #[test]
+        fn fixed_point_equals_float_formatting(
+            k in 0u64..4_000_000_000,
+            bits in proptest::prelude::any::<u64>(),
+            scale in proptest::sample::select(vec![1e-4, 1e-3, 1.0, 1e6, 1e12, 1e13, 1e14]),
+            unit in 0.0f64..10.0,
+        ) {
+            for value in [
+                k as f64 / 200.0,
+                k as f64 / 8.0,
+                f64::from_bits(bits),
+                scale * unit,
+            ] {
+                proptest::prop_assert_eq!(fixed2(value), format!("{value:.2}"), "{:?}", value);
+            }
+        }
     }
 }

@@ -43,21 +43,43 @@ impl<'c, C: BlockCipher + ?Sized> CbcMac<'c, C> {
     }
 
     /// Computes the tag of the concatenation of `parts` without building
-    /// it: the same bytes as `tag(&parts.concat())`. The length prefix
-    /// and the parts are XORed into the CBC state block by block as they
-    /// arrive; the zero padding of the last block is a no-op on the XOR,
-    /// so a partial last block is encrypted as it stands. The only
-    /// allocation is the returned tag.
+    /// it: the same bytes as `tag(&parts.concat())`. The only
+    /// allocation is the returned tag; [`CbcMac::tag_parts_into`]
+    /// writes it into a caller's block instead.
     ///
     /// # Errors
     ///
     /// Propagates cipher errors (none occur for well-formed internal
     /// blocks).
     pub fn tag_parts(&self, parts: &[&[u8]]) -> Result<Vec<u8>, CryptoError> {
+        let mut state = vec![0u8; self.cipher.block_size()];
+        self.tag_parts_into(parts, &mut state)?;
+        Ok(state)
+    }
+
+    /// Writes the tag of the concatenation of `parts` into `tag`, which
+    /// must be one cipher block long. The length prefix and the parts
+    /// are XORed into the CBC state block by block as they arrive; the
+    /// zero padding of the last block is a no-op on the XOR, so a
+    /// partial last block is encrypted as it stands.
+    ///
+    /// # Errors
+    ///
+    /// [`CryptoError::InvalidBlockLength`] when `tag` is not one block
+    /// long; otherwise propagates cipher errors (none occur for
+    /// well-formed internal blocks).
+    pub fn tag_parts_into(&self, parts: &[&[u8]], tag: &mut [u8]) -> Result<(), CryptoError> {
         let bs = self.cipher.block_size();
+        if tag.len() != bs {
+            return Err(CryptoError::InvalidBlockLength {
+                block_size: bs,
+                actual: tag.len(),
+            });
+        }
         let len: usize = parts.iter().map(|p| p.len()).sum();
         let prefix = (len as u64).to_be_bytes();
-        let mut state = vec![0u8; bs];
+        let state = tag;
+        state.fill(0);
         let mut fill = 0;
         for part in std::iter::once(&prefix[..]).chain(parts.iter().copied()) {
             let mut rest = part;
@@ -69,15 +91,15 @@ impl<'c, C: BlockCipher + ?Sized> CbcMac<'c, C> {
                 fill += n;
                 rest = &rest[n..];
                 if fill == bs {
-                    self.cipher.encrypt_block(&mut state)?;
+                    self.cipher.encrypt_block(state)?;
                     fill = 0;
                 }
             }
         }
         if fill != 0 {
-            self.cipher.encrypt_block(&mut state)?;
+            self.cipher.encrypt_block(state)?;
         }
-        Ok(state)
+        Ok(())
     }
 
     /// Verifies a tag in constant time with respect to tag contents.

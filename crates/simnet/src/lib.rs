@@ -56,10 +56,12 @@ mod packet;
 pub mod queue;
 mod time;
 
+/// The payload buffer type of [`Packet::payload`].
+pub use bytes::Bytes;
 pub use engine::{Context, Event, Network, NetworkStats};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use link::LinkConfig;
 pub use medium::Medium;
 pub use node::{AsAny, Node, NodeId};
-pub use packet::{FlowKey, Packet, Protocol};
+pub use packet::{FlowKey, MetaValue, Packet, Protocol};
 pub use time::{Duration, SimTime};

@@ -3,6 +3,7 @@
 use crate::node::NodeId;
 use bytes::Bytes;
 use std::fmt;
+use std::rc::Rc;
 
 /// Transport/application protocol tag carried by a packet.
 ///
@@ -63,8 +64,9 @@ pub struct FlowKey {
 /// Packet kinds and metadata keys are the simulation's static protocol
 /// vocabulary (`"telemetry"`, `"device"`, `"final_dst"`, …): they are
 /// `&'static str`, so building, routing and matching a packet never
-/// copies them. Only metadata *values* (device names, readings, ids)
-/// are owned strings.
+/// copies them. Metadata *values* say by their [`MetaValue`] type
+/// whether they are static words, names shared with their owner, or
+/// owned text (readings, ids).
 #[derive(Debug, Clone)]
 pub struct Packet {
     /// Originating node.
@@ -85,7 +87,58 @@ pub struct Packet {
     /// Metadata (header fields, auth tokens, markers) consumed by higher
     /// layers: at most one value per static key, in insertion order. A
     /// packet carries a handful of entries, so a linear scan beats a map.
-    meta: Vec<(&'static str, String)>,
+    meta: Vec<(&'static str, MetaValue)>,
+}
+
+/// A packet metadata value. Static protocol words (`"idle"`, `"true"`)
+/// and names shared with the node that owns them (a device's
+/// `Rc<str>` name) are carried without a copy; anything else is owned.
+#[derive(Debug, Clone)]
+pub enum MetaValue {
+    /// A word of the static protocol vocabulary.
+    Static(&'static str),
+    /// A name shared with its owner (a reference-count bump per packet).
+    Shared(Rc<str>),
+    /// Text made for this packet.
+    Owned(String),
+}
+
+impl MetaValue {
+    /// The value as text.
+    pub fn as_str(&self) -> &str {
+        match self {
+            MetaValue::Static(s) => s,
+            MetaValue::Shared(s) => s,
+            MetaValue::Owned(s) => s,
+        }
+    }
+
+    /// The value as a shared name: the same `Rc` when it is one,
+    /// otherwise a new one.
+    pub fn to_shared(&self) -> Rc<str> {
+        match self {
+            MetaValue::Shared(s) => Rc::clone(s),
+            other => Rc::from(other.as_str()),
+        }
+    }
+}
+
+impl From<&'static str> for MetaValue {
+    fn from(value: &'static str) -> Self {
+        MetaValue::Static(value)
+    }
+}
+
+impl From<&Rc<str>> for MetaValue {
+    fn from(value: &Rc<str>) -> Self {
+        MetaValue::Shared(Rc::clone(value))
+    }
+}
+
+impl From<String> for MetaValue {
+    fn from(value: String) -> Self {
+        MetaValue::Owned(value)
+    }
 }
 
 /// Default per-packet header overhead included in `wire_size`.
@@ -114,11 +167,14 @@ impl Packet {
     }
 
     /// Attaches a metadata key/value (builder-style); a key already
-    /// present has its value replaced.
-    pub fn with_meta(mut self, key: &'static str, value: &str) -> Self {
+    /// present has its value replaced. The value's type says how it is
+    /// carried: a `&'static str` as is, a `&Rc<str>` shared, a `String`
+    /// owned.
+    pub fn with_meta(mut self, key: &'static str, value: impl Into<MetaValue>) -> Self {
+        let value = value.into();
         match self.meta.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, v)) => value.clone_into(v),
-            None => self.meta.push((key, value.to_string())),
+            Some((_, v)) => *v = value,
+            None => self.meta.push((key, value)),
         }
         self
     }
@@ -145,10 +201,13 @@ impl Packet {
 
     /// The value of metadata `key`, or `None` if the packet has none.
     pub fn meta(&self, key: &str) -> Option<&str> {
-        self.meta
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| v.as_str())
+        self.meta_value(key).map(MetaValue::as_str)
+    }
+
+    /// The value of metadata `key` as carried, or `None` if the packet
+    /// has none.
+    pub fn meta_value(&self, key: &str) -> Option<&MetaValue> {
+        self.meta.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
     }
 }
 

@@ -43,7 +43,7 @@ impl Node for Attacker {
                 println!("[t=200s] attacker: ordering the flood");
                 let order = Packet::new(ctx.id(), self.gateway, "attack-cmd", Vec::new())
                     .with_meta("device", "cam")
-                    .with_meta("target", &self.victim.raw().to_string())
+                    .with_meta("target", self.victim.raw().to_string())
                     .with_meta("count", "500");
                 ctx.send(self.gateway, order);
             }

@@ -93,7 +93,8 @@ fn overprivileged_app_contained_by_scoped_permissions() {
         cloud.install_app(malicious_unlock_app("hall-motion", "lamp", "front-door"));
 
         // Motion stops — the hidden rule tries to unlock the door.
-        let actions = cloud.ingest(SimTime::from_secs(1), "hall-motion", "motion", "0", true);
+        let device = std::rc::Rc::from("hall-motion");
+        let actions = cloud.ingest(SimTime::from_secs(1), device, "motion".into(), "0", true);
         let unlocked = actions
             .iter()
             .any(|a| a.device == "front-door" && a.command == "unlock");

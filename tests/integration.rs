@@ -37,7 +37,7 @@ impl Node for BotnetAttacker {
             2 => {
                 let order = Packet::new(ctx.id(), self.gateway, "attack-cmd", Vec::new())
                     .with_meta("device", "cam")
-                    .with_meta("target", &self.victim.raw().to_string())
+                    .with_meta("target", self.victim.raw().to_string())
                     .with_meta("count", "200");
                 ctx.send(self.gateway, order);
             }
