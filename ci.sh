@@ -29,14 +29,16 @@ cargo test --workspace -q
 
 # The exactness oracles of the fast paths, at more cases than the
 # default: the kNN graph against the naive graph, the padding-skipping
-# telemetry parser against decode-then-trim, and the fixed-point
-# reading format against the float formatter.
+# telemetry parser against decode-then-trim, the fixed-point reading
+# format against the float formatter, and the observer's one-pass burst
+# majorities against the scan of every record.
 echo "== proptest oracles, release, PROPTEST_CASES=5000"
 export PROPTEST_CASES=5000
 cargo test --release -q -p xlf-analytics --test proptests -- \
     blocked_similarity_bit_equals_naive duplicate_heavy_similarity_bit_equals_naive
 cargo test --release -q -p xlf-cloud --lib -- parse_reading_equals_decode_then_trim
 cargo test --release -q -p xlf-device --lib -- fixed_point_equals_float_formatting
+cargo test --release -q -p xlf-attacks --lib -- one_pass_majorities_equal_the_scan
 unset PROPTEST_CASES
 
 # The examples drive whole simulated homes through every node's packet

@@ -47,18 +47,19 @@ pub fn window_features(samples: &[(f64, usize, bool)]) -> FeatureWindow {
             upstream_fraction: 0.0,
         };
     }
-    let sizes: Vec<f64> = samples.iter().map(|&(_, s, _)| s as f64).collect();
-    let bytes: f64 = sizes.iter().sum();
+    let sizes = samples.iter().map(|&(_, s, _)| s as f64);
+    let bytes: f64 = sizes.clone().sum();
     let mean_size = bytes / count as f64;
     let var = sizes
-        .iter()
         .map(|s| (s - mean_size) * (s - mean_size))
         .sum::<f64>()
         / count as f64;
-    let mut times: Vec<f64> = samples.iter().map(|&(t, _, _)| t).collect();
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     let mean_gap = if count > 1 {
-        (times[count - 1] - times[0]) / (count - 1) as f64
+        let (first, last) = samples.iter().fold(
+            (f64::INFINITY, f64::NEG_INFINITY),
+            |(lo, hi), &(t, _, _)| (lo.min(t), hi.max(t)),
+        );
+        (last - first) / (count - 1) as f64
     } else {
         0.0
     };

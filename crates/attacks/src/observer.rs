@@ -31,32 +31,88 @@ pub struct Burst {
 
 /// Segments records into bursts per (src, dst) stream.
 pub fn segment_bursts(records: &[PacketRecord], max_gap: Duration) -> Vec<Burst> {
+    segment_sorted(&stream_order(records), max_gap)
+        .into_iter()
+        .map(|(burst, _)| burst)
+        .collect()
+}
+
+/// The records in stream order: by (src, dst), then time, equal keys
+/// in input order.
+fn stream_order(records: &[PacketRecord]) -> Vec<&PacketRecord> {
     let mut sorted: Vec<&PacketRecord> = records.iter().collect();
     sorted.sort_by_key(|r| (r.src, r.dst, r.at));
-    let mut bursts: Vec<Burst> = Vec::new();
-    for rec in sorted {
-        let extend = bursts.last().is_some_and(|b| {
-            b.src == rec.src && b.dst == rec.dst && rec.at.since(last_time(b, rec)) <= max_gap
+    sorted
+}
+
+/// Segments stream-ordered records into bursts, each with the index of
+/// its first record in `sorted`.
+fn segment_sorted(sorted: &[&PacketRecord], max_gap: Duration) -> Vec<(Burst, usize)> {
+    let mut bursts: Vec<(Burst, usize)> = Vec::new();
+    for (i, rec) in sorted.iter().enumerate() {
+        let extend = bursts.last().is_some_and(|(b, _)| {
+            b.src == rec.src && b.dst == rec.dst && rec.at.since(b.end_hint) <= max_gap
         });
         if extend {
-            let b = bursts.last_mut().expect("just checked");
+            let (b, _) = bursts.last_mut().expect("just checked");
             b.sizes.push(rec.wire_size as i64);
             b.end_hint = rec.at;
         } else {
-            bursts.push(Burst {
+            let burst = Burst {
                 src: rec.src,
                 dst: rec.dst,
                 start: rec.at,
                 sizes: vec![rec.wire_size as i64],
                 end_hint: rec.at,
-            });
+            };
+            bursts.push((burst, i));
         }
     }
     bursts
 }
 
-fn last_time(b: &Burst, _rec: &PacketRecord) -> SimTime {
-    b.end_hint
+/// Segments records into bursts, each with its majority ground-truth
+/// kind as [`majority_kind`] defines it: the most frequent kind among
+/// the stream's records from the burst's start on, ties to the greatest
+/// kind.
+///
+/// A burst opens only on a gap longer than `max_gap`, so every earlier
+/// record of its stream is strictly older than its start, and the
+/// window is exactly the stream's sorted records from the burst's first
+/// one to the stream's end. Walking each stream from its end, the
+/// counts of that suffix only grow, so the leading kind is kept as they
+/// do: one pass over the records.
+fn bursts_with_majority(records: &[PacketRecord], max_gap: Duration) -> Vec<(Burst, &str)> {
+    let sorted = stream_order(records);
+    let bursts = segment_sorted(&sorted, max_gap);
+    let mut majorities = vec![""; bursts.len()];
+    let mut counts: std::collections::BTreeMap<&str, u32> = std::collections::BTreeMap::new();
+    let mut lead: (&str, u32) = ("", 0);
+    let mut next = bursts.len();
+    for (i, rec) in sorted.iter().enumerate().rev() {
+        let stream_ends = sorted
+            .get(i + 1)
+            .is_none_or(|after| (after.src, after.dst) != (rec.src, rec.dst));
+        if stream_ends {
+            counts.clear();
+            lead = ("", 0);
+        }
+        let kind = rec.ground_truth_kind.as_str();
+        let count = counts.entry(kind).or_insert(0);
+        *count += 1;
+        if (*count, kind) > (lead.1, lead.0) {
+            lead = (kind, *count);
+        }
+        if next > 0 && bursts[next - 1].1 == i {
+            next -= 1;
+            majorities[next] = lead.0;
+        }
+    }
+    bursts
+        .into_iter()
+        .zip(majorities)
+        .map(|((burst, _), majority)| (burst, majority))
+        .collect()
 }
 
 /// The state-inference adversary.
@@ -107,8 +163,7 @@ impl TrafficAnalyst {
     /// [`TrafficAnalyst::train`] when the victim traffic will be
     /// burst-segmented.
     pub fn train_bursts(&mut self, records: &[PacketRecord]) {
-        for burst in segment_bursts(records, self.max_gap) {
-            let label = majority_kind(records, &burst);
+        for (burst, label) in bursts_with_majority(records, self.max_gap) {
             if !label.is_empty() {
                 self.classifier.train(label, burst.sizes);
             }
@@ -132,17 +187,16 @@ impl TrafficAnalyst {
     /// classified bursts whose inferred label matches the majority
     /// ground-truth kind of the burst's packets.
     pub fn accuracy(&self, records: &[PacketRecord]) -> f64 {
-        let bursts = segment_bursts(records, self.max_gap);
+        let bursts = bursts_with_majority(records, self.max_gap);
         if bursts.is_empty() {
             return 0.0;
         }
         let mut correct = 0usize;
         let mut total = 0usize;
-        for burst in &bursts {
-            let truth = majority_kind(records, burst);
+        for (burst, truth) in &bursts {
             if let Some((label, _)) = self.classifier.classify(&burst.sizes) {
                 total += 1;
-                if label == truth {
+                if label == *truth {
                     correct += 1;
                 }
             }
@@ -157,13 +211,15 @@ impl TrafficAnalyst {
 
 /// The most frequent ground-truth kind among the burst's stream records,
 /// borrowed from the records (ties go to the greatest kind, `""` when
-/// none match).
+/// none match), by a scan of every record: the definition
+/// [`bursts_with_majority`] computes in one pass, kept as its oracle.
 ///
 /// The window is every record of the stream from the burst's start on,
 /// not just the burst's own records: later bursts of the same stream
 /// are counted too. Scores depend on that, so narrowing the window to
 /// the burst would change report bytes; it is left for a change that
 /// may change them.
+#[cfg(test)]
 fn majority_kind<'r>(records: &'r [PacketRecord], burst: &Burst) -> &'r str {
     let mut counts = std::collections::BTreeMap::new();
     for rec in records {
@@ -263,6 +319,32 @@ mod tests {
             acc + acc2 <= 1.0 + 1e-9,
             "indistinguishable classes cannot both be right (acc={acc}, acc2={acc2})"
         );
+    }
+
+    proptest::proptest! {
+        /// Over random streams (few endpoints and kinds, so ties and
+        /// shared streams are common; coarse times, so equal timestamps
+        /// are too), each burst's one-pass majority equals the scan of
+        /// every record.
+        #[test]
+        fn one_pass_majorities_equal_the_scan(
+            raw in proptest::collection::vec((0u64..40, 1u32..4, 8u32..10, 0usize..4), 0..120),
+            gap_ms in 0u64..3000,
+        ) {
+            const KINDS: [&str; 4] = ["a", "b", "idle", "streaming"];
+            let records: Vec<PacketRecord> = raw
+                .iter()
+                .map(|&(at, src, dst, kind)| rec(at * 250, src, dst, 100, KINDS[kind]))
+                .collect();
+            let gap = Duration::from_millis(gap_ms);
+            let fast = bursts_with_majority(&records, gap);
+            let bursts = segment_bursts(&records, gap);
+            proptest::prop_assert_eq!(fast.len(), bursts.len());
+            for ((burst, majority), expected) in fast.iter().zip(&bursts) {
+                proptest::prop_assert_eq!(burst, expected);
+                proptest::prop_assert_eq!(*majority, majority_kind(&records, expected));
+            }
+        }
     }
 
     #[test]

@@ -43,23 +43,22 @@ pub fn malicious_unlock_app(motion_sensor: &str, lamp: &str, lock: &str) -> Smar
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
     use xlf_cloud::smartapp::{authorize_actions, ActionVerdict, PermissionModel};
-    use xlf_cloud::{CloudEvent, DeviceHandler};
+    use xlf_cloud::{CloudEvent, DeviceHandler, DeviceHandlers};
     use xlf_simnet::SimTime;
 
-    fn handlers() -> BTreeMap<String, DeviceHandler> {
-        let mut m = BTreeMap::new();
+    fn handlers() -> DeviceHandlers {
+        let mut m = DeviceHandlers::new();
         m.insert(
-            "lamp".to_string(),
+            "lamp".into(),
             DeviceHandler::new("lamp", &[Capability::Switch]),
         );
         m.insert(
-            "front-door".to_string(),
+            "front-door".into(),
             DeviceHandler::new("front-door", &[Capability::Lock]),
         );
         m.insert(
-            "hall-motion".to_string(),
+            "hall-motion".into(),
             DeviceHandler::new("hall-motion", &[Capability::MotionSensor]),
         );
         m

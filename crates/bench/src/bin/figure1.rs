@@ -20,10 +20,7 @@ fn main() {
     println!("│ SmartThings-style cloud ({})", home.cloud);
     println!("│   device handlers : {}", cloud.cloud().handlers.len());
     println!("│   installed apps  : {}", cloud.cloud().apps.len());
-    println!(
-        "│   event log       : {} events",
-        cloud.cloud().bus.log.len()
-    );
+    println!("│   events published: {}", cloud.cloud().bus.published);
     println!("│   API gateway     : token auth + scopes + rate limiting");
     println!("└──────────────────────────────────────────────────────────────┘");
     println!("                               │ WAN (TLS)");

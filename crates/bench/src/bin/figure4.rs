@@ -32,7 +32,7 @@ fn main() {
     for &scenario in AttackScenario::all() {
         for &seed in &SEEDS {
             let home = run_scenario(seed, XlfConfig::full(), scenario);
-            let devices: Vec<String> = home.devices.keys().cloned().collect();
+            let devices: Vec<String> = home.devices.keys().map(|d| d.to_string()).collect();
             runs.push((home, scenario, devices));
         }
     }

@@ -3,7 +3,7 @@
 //! should not be allowed to access an endpoint providing administration
 //! functionality", "each API call should be assigned an API token").
 
-use crate::capability::DeviceHandler;
+use crate::capability::DeviceHandlers;
 use crate::oauth::{TokenError, TokenService};
 use std::collections::BTreeMap;
 use xlf_protocols::rest::{Method, Request, Response};
@@ -164,7 +164,7 @@ impl ApiGateway {
     }
 
     /// Renders the device list for [`ApiCall::ListDevices`].
-    pub fn render_devices(handlers: &BTreeMap<String, DeviceHandler>) -> Response {
+    pub fn render_devices(handlers: &DeviceHandlers) -> Response {
         let mut body = String::new();
         for (name, handler) in handlers {
             body.push_str(name);
@@ -297,10 +297,10 @@ mod tests {
 
     #[test]
     fn render_devices_lists_attributes() {
-        let mut handlers = BTreeMap::new();
-        let mut h = DeviceHandler::new("lamp", &[crate::capability::Capability::Switch]);
-        h.record("switch", "on");
-        handlers.insert("lamp".to_string(), h);
+        let mut handlers = DeviceHandlers::new();
+        let mut h = crate::DeviceHandler::new("lamp", &[crate::capability::Capability::Switch]);
+        h.record("switch".into(), "on");
+        handlers.insert("lamp".into(), h);
         let resp = ApiGateway::render_devices(&handlers);
         let body = String::from_utf8(resp.body).unwrap();
         assert!(body.contains("lamp: switch=on"));

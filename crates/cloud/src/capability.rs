@@ -2,8 +2,11 @@
 //! from their distinct capabilities and attributes in a way that allows
 //! developers to build applications" (§II-C).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::rc::Rc;
+use std::sync::Arc;
 
 /// A device capability (what commands/attributes it exposes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -72,19 +75,29 @@ impl fmt::Display for Capability {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceHandler {
     /// Device identity (matches the simulated device's name).
-    pub device: String,
+    pub device: Rc<str>,
     /// Declared capabilities.
-    pub capabilities: Vec<Capability>,
-    /// Last reported attribute values.
-    pub attributes: BTreeMap<String, String>,
+    pub capabilities: Arc<[Capability]>,
+    /// Last reported attribute values, keyed by the attribute as
+    /// reported (static for the standard capabilities).
+    pub attributes: BTreeMap<Cow<'static, str>, String>,
 }
+
+/// Registered device handlers by device name.
+pub type DeviceHandlers = BTreeMap<Rc<str>, DeviceHandler>;
 
 impl DeviceHandler {
     /// Creates a handler for `device` with the given capabilities.
     pub fn new(device: &str, capabilities: &[Capability]) -> Self {
+        Self::shared(Rc::from(device), Arc::from(capabilities))
+    }
+
+    /// Creates a handler that shares the device's name and its
+    /// capability table with whoever else holds them.
+    pub fn shared(device: Rc<str>, capabilities: Arc<[Capability]>) -> Self {
         DeviceHandler {
-            device: device.to_string(),
-            capabilities: capabilities.to_vec(),
+            device,
+            capabilities,
             attributes: BTreeMap::new(),
         }
     }
@@ -112,13 +125,14 @@ impl DeviceHandler {
     }
 
     /// Records a reported attribute value, overwriting a known
-    /// attribute's value in place (only a new attribute allocates).
-    pub fn record(&mut self, attribute: &str, value: &str) {
-        match self.attributes.get_mut(attribute) {
+    /// attribute's value in place (only a new attribute allocates, and
+    /// then only its entry and value: a static attribute name is kept
+    /// borrowed).
+    pub fn record(&mut self, attribute: Cow<'static, str>, value: &str) {
+        match self.attributes.get_mut(&*attribute) {
             Some(current) => value.clone_into(current),
             None => {
-                self.attributes
-                    .insert(attribute.to_string(), value.to_string());
+                self.attributes.insert(attribute, value.to_string());
             }
         }
     }
@@ -166,9 +180,9 @@ mod tests {
     fn attribute_recording() {
         let mut h = DeviceHandler::new("lamp", &[Capability::Switch]);
         assert_eq!(h.value("switch"), None);
-        h.record("switch", "on");
+        h.record("switch".into(), "on");
         assert_eq!(h.value("switch"), Some("on"));
-        h.record("switch", "off");
+        h.record("switch".into(), "off");
         assert_eq!(h.value("switch"), Some("off"));
     }
 }

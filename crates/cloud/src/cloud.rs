@@ -6,8 +6,8 @@
 //! execution, the API gateway, and the OTA server.
 
 use crate::api::{ApiCall, ApiGateway};
-use crate::capability::DeviceHandler;
-use crate::events::{CloudEvent, EventBus, EventKeys, EventPolicy, EventSource};
+use crate::capability::{DeviceHandler, DeviceHandlers};
+use crate::events::{CloudEvent, EventBus, EventKeys, EventPolicy, EventSource, Subscription};
 use crate::oauth::TokenService;
 use crate::ota_server::OtaServer;
 use crate::smartapp::{authorize_actions, Action, ActionVerdict, PermissionModel, SmartApp};
@@ -18,15 +18,47 @@ use std::sync::Arc;
 use xlf_protocols::rest::{Request, Response};
 use xlf_simnet::{Context, MetaValue, Node, NodeId, Packet, Protocol, SimTime};
 
+/// Installed apps and the event subscriptions they hold, as one value
+/// any number of clouds share: a cloud given the set
+/// ([`SmartCloud::with_apps`]) holds it by reference and copies it only
+/// when it installs an app of its own.
+#[derive(Debug, Clone, Default)]
+pub struct AppSet {
+    apps: Arc<Vec<SmartApp>>,
+    subscriptions: Arc<Vec<Subscription>>,
+}
+
+impl AppSet {
+    /// The set of `apps`, installed in order.
+    pub fn new(apps: impl IntoIterator<Item = SmartApp>) -> Self {
+        let mut set = AppSet::default();
+        for app in apps {
+            let subscriptions = Arc::make_mut(&mut set.subscriptions);
+            subscriptions.extend(subscriptions_of(&app));
+            Arc::make_mut(&mut set.apps).push(app);
+        }
+        set
+    }
+}
+
+/// The bus subscriptions installing `app` makes.
+fn subscriptions_of(app: &SmartApp) -> impl Iterator<Item = Subscription> + '_ {
+    app.subscriptions().into_iter().map(|(device, attribute)| {
+        let sensitive = app.permissions.sensitive_grant(&device);
+        Subscription::new(&app.name, &device, &attribute, sensitive)
+    })
+}
+
 /// The cloud's pure logic (testable without a network).
 #[derive(Debug)]
 pub struct SmartCloud {
     /// Registered device handlers.
-    pub handlers: BTreeMap<String, DeviceHandler>,
+    pub handlers: DeviceHandlers,
     /// The event subsystem.
     pub bus: EventBus,
-    /// Installed SmartApps.
-    pub apps: Vec<SmartApp>,
+    /// Installed SmartApps, shared with the [`AppSet`] they came from
+    /// until this cloud installs one of its own.
+    pub apps: Arc<Vec<SmartApp>>,
     /// Permission posture for app actions.
     pub permission_model: PermissionModel,
     /// Token authority.
@@ -57,10 +89,22 @@ impl SmartCloud {
         permission_model: PermissionModel,
         keys: Arc<EventKeys>,
     ) -> Self {
+        Self::with_apps(event_policy, permission_model, keys, &AppSet::default())
+    }
+
+    /// As [`SmartCloud::with_event_keys`], with `apps` installed: the
+    /// cloud shares the set until it installs an app of its own.
+    pub fn with_apps(
+        event_policy: EventPolicy,
+        permission_model: PermissionModel,
+        keys: Arc<EventKeys>,
+        apps: &AppSet,
+    ) -> Self {
+        let subscriptions = Arc::clone(&apps.subscriptions);
         SmartCloud {
-            handlers: BTreeMap::new(),
-            bus: EventBus::with_keys(event_policy, keys),
-            apps: Vec::new(),
+            handlers: DeviceHandlers::new(),
+            bus: EventBus::with_subscriptions(event_policy, keys, subscriptions),
+            apps: Arc::clone(&apps.apps),
             permission_model,
             tokens: TokenService::new(),
             gateway: ApiGateway::new(),
@@ -71,17 +115,19 @@ impl SmartCloud {
 
     /// Registers a device handler.
     pub fn register_device(&mut self, handler: DeviceHandler) {
-        self.handlers.insert(handler.device.clone(), handler);
+        self.handlers.insert(Rc::clone(&handler.device), handler);
     }
 
     /// Installs an app: wires its subscriptions into the bus.
     pub fn install_app(&mut self, app: SmartApp) {
-        for (device, attribute) in app.subscriptions() {
-            let sensitive = app.permissions.sensitive_grant(&device);
-            self.bus
-                .subscribe(&app.name, &device, &attribute, sensitive);
-        }
-        self.apps.push(app);
+        self.bus.extend_subscriptions(subscriptions_of(&app));
+        Arc::make_mut(&mut self.apps).push(app);
+    }
+
+    /// Whether the cloud still holds `set`'s apps and subscriptions by
+    /// reference (it installed none of its own since it was given them).
+    pub fn shares_apps(&self, set: &AppSet) -> bool {
+        Arc::ptr_eq(&self.apps, &set.apps) && self.bus.has_subscriptions(&set.subscriptions)
     }
 
     /// Ingests a device attribute report, runs the event/app pipeline, and
@@ -97,7 +143,7 @@ impl SmartCloud {
         trusted_channel: bool,
     ) -> Vec<Action> {
         if let Some(handler) = self.handlers.get_mut(&*device) {
-            handler.record(&attribute, value);
+            handler.record(attribute.clone(), value);
         }
         let capability = self
             .handlers
@@ -119,7 +165,7 @@ impl SmartCloud {
         }
 
         let mut commands = Vec::new();
-        for app in &self.apps {
+        for app in self.apps.iter() {
             let inbox = self.bus.drain(&app.name);
             for event in inbox {
                 let proposed = app.execute(&event);
@@ -145,7 +191,7 @@ impl SmartCloud {
         match self.gateway.route(request, &mut self.tokens, now) {
             Err(response) => (response, Vec::new()),
             Ok(ApiCall::ListDevices) => (ApiGateway::render_devices(&self.handlers), Vec::new()),
-            Ok(ApiCall::GetDevice(device)) => match self.handlers.get(&device) {
+            Ok(ApiCall::GetDevice(device)) => match self.handlers.get(device.as_str()) {
                 Some(handler) => {
                     let mut body = String::new();
                     for (attr, value) in &handler.attributes {
@@ -156,7 +202,7 @@ impl SmartCloud {
                 None => (Response::not_found(), Vec::new()),
             },
             Ok(ApiCall::CommandDevice(device, command)) => {
-                let Some(handler) = self.handlers.get(&device) else {
+                let Some(handler) = self.handlers.get(device.as_str()) else {
                     return (Response::not_found(), Vec::new());
                 };
                 if !handler.accepts_command(&command) {

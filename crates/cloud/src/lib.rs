@@ -32,8 +32,8 @@ pub mod ota_server;
 pub mod smartapp;
 
 pub use api::{ApiGateway, Scope};
-pub use capability::{Capability, DeviceHandler};
-pub use cloud::{parse_reading, CloudNode, HubNode, SmartCloud};
+pub use capability::{Capability, DeviceHandler, DeviceHandlers};
+pub use cloud::{parse_reading, AppSet, CloudNode, HubNode, SmartCloud};
 pub use events::{CloudEvent, EventBus, EventKeys, EventPolicy, EventSource};
 pub use ifttt::{Recipe, RecipeEngine, WebService};
 pub use oauth::{Token, TokenService};

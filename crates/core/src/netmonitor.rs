@@ -6,17 +6,19 @@
 use crate::bus::EvidenceBus;
 use crate::evidence::{Evidence, EvidenceKind, Layer};
 use std::collections::BTreeMap;
+use std::rc::Rc;
 use xlf_analytics::dfa::Dfa;
 use xlf_analytics::timeseries::EwmaDetector;
 use xlf_simnet::{Duration, SimTime};
 
-/// Per-device network monitor.
+/// Per-device network monitor. Its tables are keyed by the device's
+/// shared name, so a device's first packet copies no text.
 #[derive(Debug)]
 pub struct NetMonitor {
     /// Packet-rate detectors per device (packets per window).
-    rate: BTreeMap<String, (EwmaDetector, u64, SimTime)>,
+    rate: BTreeMap<Rc<str>, (EwmaDetector, u64, SimTime)>,
     /// Behavioural DFA per device.
-    dfa: BTreeMap<String, (Dfa, String)>,
+    dfa: BTreeMap<Rc<str>, Dfa>,
     /// Rate window.
     pub window: Duration,
     /// Whether the DFA is in training (benign period) or enforcement.
@@ -50,13 +52,12 @@ impl NetMonitor {
 
     /// Feeds one outgoing packet from `device`; closes rate windows and
     /// raises anomalies as needed.
-    pub fn observe_packet(&mut self, device: &str, now: SimTime) {
-        if !self.rate.contains_key(device) {
+    pub fn observe_packet(&mut self, device: &Rc<str>, now: SimTime) {
+        let entry = self.rate.entry(Rc::clone(device)).or_insert_with(|| {
             let mut d = EwmaDetector::new(0.3, 6.0);
             d.warmup = 5;
-            self.rate.insert(device.to_string(), (d, 0, now));
-        }
-        let entry = self.rate.get_mut(device).expect("inserted above");
+            (d, 0, now)
+        });
         if now.since(entry.2) >= self.window {
             let count = entry.1 as f64;
             entry.1 = 0;
@@ -83,17 +84,13 @@ impl NetMonitor {
     /// unknown transitions raise evidence.
     pub fn observe_transition(
         &mut self,
-        device: &str,
+        device: &Rc<str>,
         from: &str,
         symbol: &str,
         to: &str,
         now: SimTime,
     ) {
-        if !self.dfa.contains_key(device) {
-            self.dfa
-                .insert(device.to_string(), (Dfa::new(), String::new()));
-        }
-        let (dfa, _) = self.dfa.get_mut(device).expect("inserted above");
+        let dfa = self.dfa.entry(Rc::clone(device)).or_default();
         if self.learning {
             dfa.train(&[(from.to_string(), symbol.to_string(), to.to_string())]);
             return;
@@ -152,13 +149,13 @@ mod tests {
         // Learn for 30 windows, then enforce 30 more at the same rate.
         for s in 0..30 {
             for _ in 0..3 {
-                mon.observe_packet("lamp", SimTime::from_secs(s));
+                mon.observe_packet(&"lamp".into(), SimTime::from_secs(s));
             }
         }
         mon.finish_learning();
         for s in 30..60 {
             for _ in 0..3 {
-                mon.observe_packet("lamp", SimTime::from_secs(s));
+                mon.observe_packet(&"lamp".into(), SimTime::from_secs(s));
             }
         }
         assert!(drain_kinds(&drain).is_empty());
@@ -170,14 +167,14 @@ mod tests {
         let mut mon = NetMonitor::new().with_bus(bus);
         for s in 0..30 {
             for _ in 0..3 {
-                mon.observe_packet("cam", SimTime::from_secs(s));
+                mon.observe_packet(&"cam".into(), SimTime::from_secs(s));
             }
         }
         mon.finish_learning();
         // Flood: 500 packets/window.
         for s in 30..35 {
             for _ in 0..500 {
-                mon.observe_packet("cam", SimTime::from_secs(s));
+                mon.observe_packet(&"cam".into(), SimTime::from_secs(s));
             }
         }
         let kinds = drain_kinds(&drain);
@@ -192,13 +189,19 @@ mod tests {
         let (bus, drain) = EvidenceBus::new();
         let mut mon = NetMonitor::new().with_bus(bus);
         for _ in 0..5 {
-            mon.observe_transition("cam", "idle", "cmd", "streaming", SimTime::ZERO);
-            mon.observe_transition("cam", "streaming", "cmd", "idle", SimTime::ZERO);
+            mon.observe_transition(&"cam".into(), "idle", "cmd", "streaming", SimTime::ZERO);
+            mon.observe_transition(&"cam".into(), "streaming", "cmd", "idle", SimTime::ZERO);
         }
         mon.finish_learning();
-        mon.observe_transition("cam", "idle", "cmd", "streaming", SimTime::from_secs(1));
         mon.observe_transition(
-            "cam",
+            &"cam".into(),
+            "idle",
+            "cmd",
+            "streaming",
+            SimTime::from_secs(1),
+        );
+        mon.observe_transition(
+            &"cam".into(),
             "idle",
             "exploit",
             "compromised",
@@ -226,9 +229,9 @@ mod tests {
     fn learning_mode_is_silent() {
         let (bus, drain) = EvidenceBus::new();
         let mut mon = NetMonitor::new().with_bus(bus);
-        mon.observe_transition("cam", "idle", "weird", "compromised", SimTime::ZERO);
+        mon.observe_transition(&"cam".into(), "idle", "weird", "compromised", SimTime::ZERO);
         for _ in 0..1000 {
-            mon.observe_packet("cam", SimTime::ZERO);
+            mon.observe_packet(&"cam".into(), SimTime::ZERO);
         }
         assert!(drain_kinds(&drain).is_empty());
     }

@@ -5,6 +5,7 @@
 
 use crate::bus::EvidenceBus;
 use crate::evidence::{Evidence, EvidenceKind, Layer};
+use std::sync::Arc;
 use xlf_device::firmware::FirmwareImage;
 use xlf_simnet::SimTime;
 
@@ -29,13 +30,22 @@ pub enum VetRejection {
     },
 }
 
-/// The gateway's update vetter.
-#[derive(Debug)]
-pub struct UpdateVetter {
+/// What a vetter checks images against.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VetPolicy {
     /// (vendor, secret) trust anchors.
     trusted_vendors: Vec<(String, Vec<u8>)>,
     /// Malware byte signatures scanned in payloads.
     signatures: Vec<Vec<u8>>,
+}
+
+/// The gateway's update vetter.
+#[derive(Debug)]
+pub struct UpdateVetter {
+    /// Shared with every vetter built over the same policy
+    /// ([`UpdateVetter::with_policy`]) until this one trusts a vendor of
+    /// its own.
+    policy: Arc<VetPolicy>,
     bus: Option<EvidenceBus>,
     /// (passed, blocked) counters.
     pub decisions: (u64, u64),
@@ -44,17 +54,31 @@ pub struct UpdateVetter {
 impl UpdateVetter {
     /// Creates a vetter with the given malware signature set.
     pub fn new(signatures: &[&[u8]]) -> Self {
-        UpdateVetter {
+        Self::with_policy(Arc::new(VetPolicy {
             trusted_vendors: Vec::new(),
             signatures: signatures.iter().map(|s| s.to_vec()).collect(),
+        }))
+    }
+
+    /// Creates a vetter checking against `policy`, shared with whoever
+    /// else holds it until this vetter trusts a vendor of its own.
+    pub fn with_policy(policy: Arc<VetPolicy>) -> Self {
+        UpdateVetter {
+            policy,
             bus: None,
             decisions: (0, 0),
         }
     }
 
+    /// The policy this vetter checks against.
+    pub fn policy(&self) -> &Arc<VetPolicy> {
+        &self.policy
+    }
+
     /// Trusts a vendor's signing secret.
     pub fn trust_vendor(&mut self, vendor: &str, secret: &[u8]) {
-        self.trusted_vendors
+        Arc::make_mut(&mut self.policy)
+            .trusted_vendors
             .push((vendor.to_string(), secret.to_vec()));
     }
 
@@ -103,6 +127,7 @@ impl UpdateVetter {
             return Err(VetRejection::Unsigned);
         }
         let Some((_, secret)) = self
+            .policy
             .trusted_vendors
             .iter()
             .find(|(v, _)| *v == image.vendor)
@@ -114,7 +139,7 @@ impl UpdateVetter {
         if image.verify(secret).is_err() {
             return Err(VetRejection::BadSignature);
         }
-        for sig in &self.signatures {
+        for sig in &self.policy.signatures {
             if image
                 .payload
                 .windows(sig.len().max(1))

@@ -115,9 +115,12 @@ pub struct SimDevice {
     name: Rc<str>,
     sensor: Sensor,
     state: DeviceState,
-    firmware: FirmwareStore,
-    credentials: CredentialStore,
-    storage: LocalStore,
+    /// The firmware slot, credentials and local store start shared with
+    /// the device's kit (and every sibling built from it); the device's
+    /// first write to one copies it (`Arc::make_mut`).
+    firmware: Arc<FirmwareStore>,
+    credentials: Arc<CredentialStore>,
+    storage: Arc<LocalStore>,
     /// Target and packet budget for an active botnet order.
     ddos_order: Option<(NodeId, u32)>,
     /// Count of state transitions, for test inspection.
@@ -134,17 +137,19 @@ impl std::fmt::Debug for SimDevice {
 }
 
 /// What a device's configuration fixes before it first runs: the
-/// vendor-signed factory image, the hashed login credentials and the
-/// local store with the sealed WiFi key. Each is a pure function of the
+/// firmware slot holding the vendor-signed factory image under the
+/// device's update policy, the hashed login credentials and the local
+/// store with the sealed WiFi key. Each is a pure function of the
 /// configuration (name, vulnerability profile, vendor and its secret),
 /// so any number of devices built from one configuration share one kit
-/// ([`SimDevice::from_kit`]) instead of re-deriving its keys.
+/// ([`SimDevice::from_kit`]) instead of re-deriving its keys or copying
+/// its stores.
 #[derive(Debug)]
 pub struct DeviceKit {
     config: Arc<DeviceConfig>,
-    factory: Arc<FirmwareImage>,
-    credentials: CredentialStore,
-    storage: LocalStore,
+    firmware: Arc<FirmwareStore>,
+    credentials: Arc<CredentialStore>,
+    storage: Arc<LocalStore>,
 }
 
 impl DeviceKit {
@@ -205,11 +210,17 @@ impl DeviceKit {
         let mut storage = LocalStore::new(encryption);
         storage.put("wifi-psk", b"home-network-password-123");
 
+        let policy = if config.vulns.has(Vulnerability::UnsignedFirmware) {
+            UpdatePolicy::promiscuous()
+        } else {
+            UpdatePolicy::strict()
+        };
+        let firmware = FirmwareStore::new(factory, policy, &config.vendor_secret);
         DeviceKit {
             config: Arc::new(config),
-            factory: Arc::new(factory),
-            credentials,
-            storage,
+            firmware: Arc::new(firmware),
+            credentials: Arc::new(credentials),
+            storage: Arc::new(storage),
         }
     }
 }
@@ -221,27 +232,22 @@ impl SimDevice {
     }
 
     /// Builds a fresh device from a kit: the device shares the kit's
-    /// configuration and factory image (neither is ever written) and
-    /// starts from copies of its credentials and store, so nothing it
-    /// does reaches the kit or a sibling device. Its name is its own
-    /// (never shared with a sibling built from the same kit).
+    /// configuration (never written) and its firmware slot, credentials
+    /// and store until its first write to one, which copies it, so
+    /// nothing the device does reaches the kit or a sibling device. Its
+    /// name is its own (never shared with a sibling built from the same
+    /// kit).
     pub fn from_kit(kit: &DeviceKit) -> Self {
         let config = Arc::clone(&kit.config);
-        let policy = if config.vulns.has(Vulnerability::UnsignedFirmware) {
-            UpdatePolicy::promiscuous()
-        } else {
-            UpdatePolicy::strict()
-        };
-        let firmware = FirmwareStore::new(Arc::clone(&kit.factory), policy, &config.vendor_secret);
         let sensor = Sensor::new(config.sensor, config.seed);
         SimDevice {
             name: Rc::from(config.name.as_str()),
             config,
             sensor,
             state: DeviceState::Idle,
-            firmware,
-            credentials: kit.credentials.clone(),
-            storage: kit.storage.clone(),
+            firmware: Arc::clone(&kit.firmware),
+            credentials: Arc::clone(&kit.credentials),
+            storage: Arc::clone(&kit.storage),
             ddos_order: None,
             transitions: Vec::new(),
         }
@@ -270,6 +276,11 @@ impl SimDevice {
     /// Local storage (inspection).
     pub fn storage(&self) -> &LocalStore {
         &self.storage
+    }
+
+    /// Credential store (inspection).
+    pub fn credentials(&self) -> &CredentialStore {
+        &self.credentials
     }
 
     /// Whether the device is under attacker control.
@@ -328,7 +339,7 @@ impl SimDevice {
     fn handle_login(&mut self, ctx: &mut Context<'_>, packet: &Packet) {
         let user = packet.meta("user").unwrap_or_default().to_string();
         let pass = packet.meta("pass").unwrap_or_default().to_string();
-        let outcome = self.credentials.login(&user, &pass);
+        let outcome = Arc::make_mut(&mut self.credentials).login(&user, &pass);
         let outcome_str = match outcome {
             LoginOutcome::Success => "success",
             LoginOutcome::UnknownUser => "unknown-user",
@@ -350,8 +361,8 @@ impl SimDevice {
     }
 
     fn handle_ota(&mut self, ctx: &mut Context<'_>, packet: &Packet) {
-        let result =
-            FirmwareImage::from_bytes(&packet.payload).and_then(|image| self.firmware.apply(image));
+        let result = FirmwareImage::from_bytes(&packet.payload)
+            .and_then(|image| Arc::make_mut(&mut self.firmware).apply(image));
         let (ok, detail) = match &result {
             Ok(()) => (true, String::from("applied")),
             Err(e) => (false, e.to_string()),

@@ -36,7 +36,6 @@ use std::sync::Arc;
 use std::time::Instant;
 use xlf_attacks::observer::TrafficAnalyst;
 use xlf_attacks::scripted;
-use xlf_cloud::smartapp::SmartApp;
 use xlf_core::framework::{HomeKit, HomeProbe, HomeReport, HomeRunner, XlfHome};
 use xlf_simnet::observer::PacketRecord;
 use xlf_simnet::{Context, Duration, FaultPlan, Node, SimTime};
@@ -130,11 +129,12 @@ struct BuiltHome {
 /// Builds one home from its stamped spec: template device mix + config
 /// (evidence bus bounded per [`FleetSpec::evidence_capacity`]), the
 /// §IV-C3 automation recipe, the injected attacker, and the stamped
-/// fault plan. Structural problems (template index out of range, missing
-/// cloud node) come back as a [`HomeBuildError`] instead of a panic.
+/// fault plan. A template index out of range comes back as a
+/// [`HomeBuildError`] instead of a panic.
 ///
-/// Every home of a template shares the template's key material (its
-/// [`HomeKit`]), derived by the first build of the template in `spec`.
+/// Every home of a template holds the template's [`HomeKit`] (key
+/// material, device stores, gateway tables and installed apps) by
+/// reference; the first build of the template in `spec` derives it.
 pub fn build_home(spec: &FleetSpec, hs: &HomeSpec) -> Result<HomeRunner, HomeBuildError> {
     build_home_inner(spec, hs).map(|b| b.runner)
 }
@@ -166,13 +166,6 @@ fn build_home_with(
     config.evidence_capacity = spec.evidence_capacity;
     let mut home = XlfHome::from_kit(hs.seed, config, &kit_of(template));
 
-    if template.automation {
-        install_auto_window(&mut home).map_err(|reason| HomeBuildError {
-            home: hs.id,
-            reason,
-        })?;
-    }
-
     if let Some(attack) = hs.attack.scripted() {
         scripted::install(&mut home.net, home.gateway, home.cloud, attack);
     }
@@ -202,27 +195,21 @@ fn build_home_with(
     })
 }
 
-/// Installs the §IV-C3 auto-window automation. Fails (instead of
-/// panicking) when the home has no cloud node to host the app.
-fn install_auto_window(home: &mut XlfHome) -> Result<(), String> {
-    let cloud = home
-        .net
-        .node_as_mut::<xlf_cloud::CloudNode>(home.cloud)
-        .ok_or_else(|| format!("no cloud node at {:?} to host automation", home.cloud))?;
-    cloud.cloud_mut().install_app(SmartApp::auto_window());
-    Ok(())
-}
-
 /// Scores a passive traffic analyst on one home's tap records: trained
 /// on the learning window (the adversary labeling their own devices'
 /// traffic), judged on everything after it.
-fn observer_accuracy(records: &[PacketRecord]) -> f64 {
+///
+/// The records are split at the cut in place: a stable sort by time
+/// keeps records of one instant in tap order, and the analyst orders
+/// each side by stream and time (stably) anyway, so both sides see what
+/// filtering copies of the records gave them.
+fn observer_accuracy(mut records: Vec<PacketRecord>) -> f64 {
     let cut = SimTime::from_secs(LEARNING_END_S);
-    let train: Vec<PacketRecord> = records.iter().filter(|r| r.at <= cut).cloned().collect();
-    let test: Vec<PacketRecord> = records.iter().filter(|r| r.at > cut).cloned().collect();
+    records.sort_by_key(|r| r.at);
+    let (train, test) = records.split_at(records.partition_point(|r| r.at <= cut));
     let mut analyst = TrafficAnalyst::new();
-    analyst.train(&train);
-    analyst.accuracy(&test)
+    analyst.train(train);
+    analyst.accuracy(test)
 }
 
 /// The window summaries one home emitted through its bounded
@@ -388,7 +375,7 @@ fn attempt_home(
     metrics.report_us.observe(t2.elapsed().as_micros() as u64);
     let observer_accuracy = built
         .observer
-        .map(|records| observer_accuracy(&records.borrow()));
+        .map(|records| observer_accuracy(records.take()));
     let (windows, shed) = buffer.into_parts();
     metrics.windows_emitted.add(windows.len() as u64);
     metrics.windows_shed.add(shed);
@@ -1138,7 +1125,7 @@ mod tests {
             .map(|e| format!("{e:?}"))
             .collect();
         let report = runner.finish(horizon);
-        let observer = built.observer.map(|r| observer_accuracy(&r.borrow()));
+        let observer = built.observer.map(|r| observer_accuracy(r.take()));
         let records = records.borrow().clone();
         (report, records, evidence, observer)
     }
@@ -1169,6 +1156,7 @@ mod tests {
         // One spec for every home, so later homes reuse kits (and DPI
         // sessions) that attacked homes before them already used.
         let spec = three_template_spec();
+        let fresh_kit = |t: &HomeTemplate| Arc::new(t.kit());
         for template in 0..spec.templates.len() {
             for (i, attack) in ALL_ATTACKS.into_iter().enumerate() {
                 let hs = HomeSpec {
@@ -1179,11 +1167,28 @@ mod tests {
                     fault: FleetFault::None,
                     region: 0,
                 };
+                // A benign sibling from the same kit, built before the
+                // attacked home writes what it shares (a login, an
+                // image, a quarantine, cloud attribute records) and run
+                // after it.
+                let benign = HomeSpec {
+                    attack: FleetAttack::None,
+                    ..hs.clone()
+                };
+                let sibling = build_home_inner(&spec, &benign).expect("builds");
                 let shared = trace(&spec, build_home_inner(&spec, &hs).expect("builds"));
-                let own = build_home_with(&spec, &hs, |t| Arc::new(HomeKit::derive(&t.devices)));
-                let own = trace(&spec, own.expect("builds"));
+                let own = trace(
+                    &spec,
+                    build_home_with(&spec, &hs, fresh_kit).expect("builds"),
+                );
                 assert_eq!(shared, own, "template {template}, {attack:?}");
                 assert!(!shared.1.is_empty(), "the home ran");
+                let sibling = trace(&spec, sibling);
+                let alone = trace(
+                    &spec,
+                    build_home_with(&spec, &benign, fresh_kit).expect("builds"),
+                );
+                assert_eq!(sibling, alone, "sibling of template {template}, {attack:?}");
             }
         }
     }

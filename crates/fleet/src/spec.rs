@@ -8,6 +8,7 @@ use crate::snapshot::RunSnapshotPolicy;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use xlf_attacks::scripted::ScriptedAttack;
+use xlf_cloud::smartapp::SmartApp;
 use xlf_core::framework::{HomeDevice, HomeKit, XlfConfig, VENDOR_DNS_NAME};
 use xlf_device::{SensorKind, VulnSet, Vulnerability};
 use xlf_mgmt::{CampaignSpec, ConfigAuditSpec};
@@ -257,6 +258,18 @@ impl HomeTemplate {
         }
     }
 
+    /// Derives the kit every home of the template is built from: the
+    /// devices' key material and, with `automation`, the §IV-C3
+    /// auto-window app installed.
+    pub(crate) fn kit(&self) -> HomeKit {
+        let kit = HomeKit::derive(&self.devices);
+        if self.automation {
+            kit.with_apps([SmartApp::auto_window()])
+        } else {
+            kit
+        }
+    }
+
     /// Replaces the fleet share (builder-style).
     pub fn with_share(mut self, share: u32) -> Self {
         self.share = share;
@@ -424,10 +437,13 @@ pub struct FleetSpec {
 /// One [`HomeKit`] per template index, derived when a home of the
 /// template is first built and shared by every later one. `templates`
 /// is a public field, so a cached kit is checked against the template's
-/// devices on every lookup and rebuilt when they differ. A cloned spec
-/// starts with an empty cache.
+/// devices and automation flag on every lookup and rebuilt when they
+/// differ. A cloned spec starts with an empty cache.
 #[derive(Default)]
-struct KitCache(Mutex<Vec<Option<Arc<HomeKit>>>>);
+struct KitCache(Mutex<Vec<Option<CachedKit>>>);
+
+/// A template's kit and the automation flag it was derived with.
+type CachedKit = (bool, Arc<HomeKit>);
 
 impl Clone for KitCache {
     fn clone(&self) -> Self {
@@ -480,8 +496,8 @@ impl FleetSpec {
         }
     }
 
-    /// The key material of template `index`, derived at most once per
-    /// template (and again only after its devices changed).
+    /// The kit of template `index`, derived at most once per template
+    /// (and again only after its devices or automation changed).
     pub(crate) fn kit(&self, index: usize, template: &HomeTemplate) -> Arc<HomeKit> {
         // A panic while holding the lock (only possible inside a
         // derivation) leaves every entry whole, so the cache stays usable.
@@ -490,10 +506,14 @@ impl FleetSpec {
             kits.resize(index + 1, None);
         }
         match &kits[index] {
-            Some(kit) if kit.is_for(&template.devices) => Arc::clone(kit),
+            Some((automation, kit))
+                if *automation == template.automation && kit.is_for(&template.devices) =>
+            {
+                Arc::clone(kit)
+            }
             _ => {
-                let kit = Arc::new(HomeKit::derive(&template.devices));
-                kits[index] = Some(Arc::clone(&kit));
+                let kit = Arc::new(template.kit());
+                kits[index] = Some((template.automation, Arc::clone(&kit)));
                 kit
             }
         }

@@ -111,8 +111,10 @@ enum LinkState {
     Down { original: LinkConfig },
 }
 
-/// One direction of a link, held by its sending node.
+/// One direction of a link.
 struct Link {
+    /// The sending node.
+    from: NodeId,
     peer: NodeId,
     /// The config transmissions use; meaningless while down.
     config: LinkConfig,
@@ -147,15 +149,6 @@ struct Slot {
     skew: Duration,
     /// A jammed radio drops every packet to or from the node.
     jammed: bool,
-    /// Outgoing links, sorted by peer.
-    links: Vec<Link>,
-}
-
-impl Slot {
-    fn link(&self, peer: NodeId) -> Option<&Link> {
-        let i = self.links.binary_search_by_key(&peer, |l| l.peer).ok()?;
-        Some(&self.links[i])
-    }
 }
 
 /// A deterministic simulated network, dispatching from the scheduler
@@ -164,6 +157,8 @@ impl Slot {
 pub struct Network<Q = EventQueue<Event>> {
     /// One slot per node, indexed by [`NodeId::raw`].
     nodes: Vec<Slot>,
+    /// Both directions of every link, sorted by `(from, peer)`.
+    links: Vec<Link>,
     queue: Q,
     now: SimTime,
     seq: u64,
@@ -199,15 +194,27 @@ impl Network {
     pub fn new(seed: u64) -> Self {
         Self::with_scheduler(seed)
     }
+
+    /// As [`Network::new`], with room for `nodes` nodes, `links`
+    /// [`Network::connect`]ed pairs and two pending events per node, so
+    /// a network of known shape is not grown by doubling.
+    pub fn with_capacity(seed: u64, nodes: usize, links: usize) -> Self {
+        Self::sized(seed, nodes, links)
+    }
 }
 
 impl<Q: Scheduler<Event>> Network<Q> {
     /// [`Network::new`] over the scheduler `Q`. Dispatch order is the
     /// same for every scheduler, because each orders by `(time, seq)`.
     pub fn with_scheduler(seed: u64) -> Self {
+        Self::sized(seed, 0, 0)
+    }
+
+    fn sized(seed: u64, nodes: usize, links: usize) -> Self {
         Network {
-            nodes: Vec::new(),
-            queue: Q::default(),
+            nodes: Vec::with_capacity(nodes),
+            links: Vec::with_capacity(2 * links),
+            queue: Q::with_capacity(2 * nodes),
             now: SimTime::ZERO,
             seq: 0,
             seed,
@@ -256,15 +263,15 @@ impl<Q: Scheduler<Event>> Network<Q> {
         assert!((a.raw() as usize) < self.nodes.len(), "unknown node {a}");
         assert!((b.raw() as usize) < self.nodes.len(), "unknown node {b}");
         for (from, peer) in [(a, b), (b, a)] {
-            let links = &mut self.nodes[from.raw() as usize].links;
             let link = Link {
+                from,
                 peer,
                 config,
                 state: LinkState::Up,
             };
-            match links.binary_search_by_key(&peer, |l| l.peer) {
-                Ok(i) => links[i] = link,
-                Err(i) => links.insert(i, link),
+            match self.link_index(from, peer) {
+                Ok(i) => self.links[i] = link,
+                Err(i) => self.links.insert(i, link),
             }
         }
     }
@@ -277,8 +284,22 @@ impl<Q: Scheduler<Event>> Network<Q> {
     /// Looks up the link between two nodes; a link severed by a fault
     /// reads as absent.
     pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<&LinkConfig> {
-        let link = self.slot(a)?.link(b)?;
+        let link = self.link(a, b)?;
         (!link.is_down()).then_some(&link.config)
+    }
+
+    /// Where the `from` → `peer` direction is, or would be inserted.
+    fn link_index(&self, from: NodeId, peer: NodeId) -> Result<usize, usize> {
+        // `(from, peer)` order, compared as one word.
+        let key =
+            |from: NodeId, peer: NodeId| (u64::from(from.raw()) << 32) | u64::from(peer.raw());
+        let target = key(from, peer);
+        self.links
+            .binary_search_by_key(&target, |l| key(l.from, l.peer))
+    }
+
+    fn link(&self, from: NodeId, peer: NodeId) -> Option<&Link> {
+        self.link_index(from, peer).ok().map(|i| &self.links[i])
     }
 
     /// Queues a packet for delivery as if `src` had sent it (bootstraps
@@ -326,7 +347,7 @@ impl<Q: Scheduler<Event>> Network<Q> {
     }
 
     fn transmit(&mut self, packet: Packet, extra_delay: Duration) {
-        let link = self.slot(packet.src).and_then(|s| s.link(packet.dst));
+        let link = self.link(packet.src, packet.dst);
         let jammed = |id| self.slot(id).is_some_and(|s| s.jammed);
         if link.is_some_and(Link::is_down) || jammed(packet.src) || jammed(packet.dst) {
             // A severed link is an outage drop, not a routing error, and
@@ -480,10 +501,8 @@ impl<Q: Scheduler<Event>> Network<Q> {
     /// Applies `f` to both directions of the `a`–`b` link, if connected.
     fn each_direction(&mut self, a: NodeId, b: NodeId, mut f: impl FnMut(&mut Link)) {
         for (from, to) in [(a, b), (b, a)] {
-            if let Some(slot) = self.slot_mut(from) {
-                if let Ok(i) = slot.links.binary_search_by_key(&to, |l| l.peer) {
-                    f(&mut slot.links[i]);
-                }
+            if let Ok(i) = self.link_index(from, to) {
+                f(&mut self.links[i]);
             }
         }
     }

@@ -22,6 +22,9 @@ use std::collections::BinaryHeap;
 /// What the engine needs from its scheduler. Both queues implement it,
 /// so a [`Network`](crate::Network) can dispatch from either.
 pub trait Scheduler<T>: Default {
+    /// An empty scheduler with room for `capacity` pending events.
+    fn with_capacity(capacity: usize) -> Self;
+
     /// Schedules `payload` at `(at, seq)`. Callers must keep `seq`
     /// unique (the engine's monotonically increasing counter does).
     fn push(&mut self, at: SimTime, seq: u64, payload: T);
@@ -127,6 +130,14 @@ impl<T> EventQueue<T> {
 }
 
 impl<T> Scheduler<T> for EventQueue<T> {
+    fn with_capacity(capacity: usize) -> Self {
+        EventQueue {
+            slots: Vec::with_capacity(capacity),
+            free: Vec::with_capacity(capacity),
+            heap: Vec::with_capacity(capacity),
+        }
+    }
+
     fn push(&mut self, at: SimTime, seq: u64, payload: T) {
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -219,6 +230,12 @@ impl<T> Default for NaiveEventQueue<T> {
 }
 
 impl<T> Scheduler<T> for NaiveEventQueue<T> {
+    fn with_capacity(capacity: usize) -> Self {
+        NaiveEventQueue {
+            heap: BinaryHeap::with_capacity(capacity),
+        }
+    }
+
     fn push(&mut self, at: SimTime, seq: u64, payload: T) {
         self.heap.push(Reverse(NaiveEntry { at, seq, payload }));
     }
