@@ -30,8 +30,9 @@ cargo test --workspace -q
 # The exactness oracles of the fast paths, at more cases than the
 # default: the kNN graph against the naive graph, the padding-skipping
 # telemetry parser against decode-then-trim, the fixed-point reading
-# format against the float formatter, and the observer's one-pass burst
-# majorities against the scan of every record.
+# format against the float formatter, the observer's one-pass burst
+# majorities against the scan of every record, and the count-keyed
+# robust accumulator against the sorted-vector accumulator.
 echo "== proptest oracles, release, PROPTEST_CASES=5000"
 export PROPTEST_CASES=5000
 cargo test --release -q -p xlf-analytics --test proptests -- \
@@ -39,6 +40,7 @@ cargo test --release -q -p xlf-analytics --test proptests -- \
 cargo test --release -q -p xlf-cloud --lib -- parse_reading_equals_decode_then_trim
 cargo test --release -q -p xlf-device --lib -- fixed_point_equals_float_formatting
 cargo test --release -q -p xlf-attacks --lib -- one_pass_majorities_equal_the_scan
+cargo test --release -q -p xlf-stream --lib -- runs_equal_the_sorted_vector_oracle
 unset PROPTEST_CASES
 
 # The examples drive whole simulated homes through every node's packet

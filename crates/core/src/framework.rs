@@ -263,6 +263,8 @@ pub struct XlfGateway {
     dpi: BTreeMap<Rc<str>, EncryptedDpi>,
     /// Token buffer reused by every DPI scan.
     tokens: Vec<Token>,
+    /// Per-rule match buffer every middlebox borrows for its scans.
+    dpi_firsts: Vec<Option<usize>>,
     /// The §IV-A1 authentication delegation proxy; its token lifetime is
     /// steered by the Core's correlation results.
     pub auth_proxy: DelegationProxy,
@@ -309,6 +311,7 @@ impl XlfGateway {
             kit,
             dpi: BTreeMap::new(),
             tokens: Vec::new(),
+            dpi_firsts: Vec::new(),
             auth_proxy: DelegationProxy::new(LatencyModel::default()),
             last_upstream: BTreeMap::new(),
             bus,
@@ -350,6 +353,7 @@ impl XlfGateway {
             return false;
         }
         let mut tokens = std::mem::take(&mut self.tokens);
+        let mut firsts = std::mem::take(&mut self.dpi_firsts);
         let middlebox = self.dpi_for(device);
         // The gateway plays the endpoint too: it tokenizes the payload
         // under the session the middlebox inspects.
@@ -357,8 +361,11 @@ impl XlfGateway {
             .session()
             .tokenizer()
             .tokenize_into(payload, &mut tokens);
-        let hit = !middlebox.inspect(device, &tokens, now).is_empty();
+        let hit = !middlebox
+            .inspect(device, &tokens, &mut firsts, now)
+            .is_empty();
         self.tokens = tokens;
+        self.dpi_firsts = firsts;
         hit
     }
 

@@ -34,7 +34,7 @@ use xlf_mgmt::{
     CampaignEngine, CampaignReport, CampaignSpec, CommandBus, ConfigAuditReport, ConfigAuditSpec,
     ConfigAuditor, TargetHome, COMMAND_KINDS,
 };
-use xlf_onboard::{OnboardingSpec, DENY_CAUSES};
+use xlf_onboard::DENY_CAUSES;
 use xlf_simnet::SimTime;
 use xlf_stream::{
     EpochRecord, Reader, RobustAccumulator, StreamConfig, StreamCorrelator, WindowSummary,
@@ -723,10 +723,11 @@ pub struct FleetAggregator {
     row_policy: RowPolicy,
     /// Run-snapshot cadence from the spec (reported in `recovery`).
     run_snapshot_every: Option<u64>,
-    /// Onboarding spec plus the stamped homes it joined — the section is
-    /// recomputed here purely (never stored in slots), so resumed and
-    /// region-sharded runs report identical bytes.
-    onboard: Option<(OnboardingSpec, Vec<HomeSpec>)>,
+    /// The onboarding section plus the stamped attack of each denied
+    /// home, in `denied_causes` order — recomputed here purely from the
+    /// spec (never stored in slots), so resumed and region-sharded runs
+    /// report identical bytes.
+    onboard: Option<(OnboardSection, Vec<&'static str>)>,
     /// The identity passive contexts are stamped with (only ever read
     /// when a snapshot is written, which a passive ctx never does).
     identity: SnapshotIdentity,
@@ -755,7 +756,15 @@ impl FleetAggregator {
             region_candidates: spec.region_candidates.max(1),
             row_policy: spec.row_policy,
             run_snapshot_every: spec.run_snapshot.as_ref().map(|p| p.every),
-            onboard: spec.onboarding.as_ref().map(|o| (o.clone(), spec.stamp())),
+            onboard: spec.onboarding.as_ref().map(|o| {
+                let section = OnboardSection::compute(o, spec.stamped());
+                let attacks = section
+                    .denied_causes
+                    .iter()
+                    .map(|&(id, _)| spec.stamp_one(id).attack.name())
+                    .collect();
+                (section, attacks)
+            }),
             identity: SnapshotIdentity::of(spec),
             alerts: AlertSink::new(),
         }
@@ -1076,9 +1085,9 @@ impl FleetAggregator {
     /// The global tier of the two-tier aggregation: gathers the logical
     /// region slots from the shards (in ascending region order — the
     /// merged state is therefore independent of how many shards the
-    /// engine ran), merges each template's per-region sample columns
-    /// *exactly* (one sort of their concatenation, bit-equal to
-    /// [`RobustAccumulator::merge_many`] over the regions), correlates the
+    /// engine ran), merges each template's per-region feature columns
+    /// *exactly* ([`RobustAccumulator::merge_many`] over the regions: the
+    /// merged runs hold every home's sample), correlates the
     /// forwarded candidates with the graph pass, and scores every
     /// retained home against its own template's merged median/MAD. The
     /// report is byte-identical for any shard count because every input
@@ -1161,14 +1170,12 @@ impl FleetAggregator {
             let mut medians = Vec::with_capacity(dims);
             let mut mads = Vec::with_capacity(dims);
             for d in 0..dims {
-                let column: Vec<f64> = slots
-                    .iter()
-                    .filter_map(|s| s.stats.get(&t))
-                    .filter_map(|st| st.features.get(d))
-                    .flatten()
-                    .copied()
-                    .collect();
-                let acc = RobustAccumulator::from_vec(column);
+                let acc = RobustAccumulator::merge_many(
+                    slots
+                        .iter()
+                        .filter_map(|s| s.stats.get(&t))
+                        .filter_map(|st| st.features.get(d)),
+                );
                 medians.push(acc.median());
                 mads.push(acc.mad());
             }
@@ -1243,7 +1250,7 @@ impl FleetAggregator {
         let cand: Vec<(u64, Vec<f64>)> = ok_items
             .iter()
             .filter(|(hs, _, _)| candidates.contains(&hs.id))
-            .map(|(hs, report, _)| (hs.id, fleet_features(report)))
+            .map(|(hs, report, _)| (hs.id, fleet_features(report).collect()))
             .collect();
         let cand_features: Vec<Vec<f64>> = cand.iter().map(|(_, f)| f.clone()).collect();
         let graph = community_report(
@@ -1269,7 +1276,7 @@ impl FleetAggregator {
         let mut flagged_ids = Vec::new();
         let mut rows = Vec::with_capacity(ok_items.len());
         for (hs, report, observer_accuracy) in ok_items {
-            let f = fleet_features(&report);
+            let f: Vec<f64> = fleet_features(&report).collect();
             let deviation = merged
                 .get(&hs.template)
                 .map(|(med, mad)| robust_z(&f, med, mad))
@@ -1395,11 +1402,8 @@ impl FleetAggregator {
         // denial raises one warning with its structured cause. The fixed
         // position (after every quarantine/fault alert) keeps the alert
         // stream deterministic.
-        let onboarding = self.onboard.take().map(|(o, homes)| {
-            let section = OnboardSection::compute(&o, &homes);
-            let attack_of: BTreeMap<u64, &'static str> =
-                homes.iter().map(|h| (h.id, h.attack.name())).collect();
-            for &(id, cause) in &section.denied_causes {
+        let onboarding = self.onboard.take().map(|(section, attacks)| {
+            for (&(id, cause), attack) in section.denied_causes.iter().zip(attacks) {
                 self.alerts.raise(Alert {
                     at: self.horizon,
                     device: format!("home-{:06}", id),
@@ -1409,7 +1413,7 @@ impl FleetAggregator {
                         "fleet onboarding: join denied ({}) under attack {} — \
                          device refused admission",
                         cause.label(),
-                        attack_of.get(&id).copied().unwrap_or("none"),
+                        attack,
                     ),
                 });
             }

@@ -1,7 +1,8 @@
-//! The sharded fleet execution engine: a crossbeam channel-fed worker
-//! pool. Home specs flow down an unbounded MPMC job channel; each worker
-//! builds its homes locally (a home's Core is `Rc`-shared and never
-//! crosses threads), steps their event loops in slices, drains their
+//! The sharded fleet execution engine: a worker pool that claims home ids
+//! from one shared atomic counter and stamps each home as it claims it,
+//! so no tier holds the stamped fleet. Each worker builds its homes
+//! locally (a home's Core is `Rc`-shared and never crosses threads),
+//! steps their event loops in slices, drains their
 //! evidence buses between slices with a bounded batch, and ships the
 //! finished [`HomeOutcome`]s to the aggregator over a *bounded* channel —
 //! a slow aggregator back-pressures the workers instead of buffering
@@ -24,14 +25,17 @@ use crate::aggregate::{FleetAggregator, FleetReport};
 use crate::metrics::FleetMetrics;
 use crate::region::RegionAggregator;
 use crate::snapshot::{KillPoint, ResumePhase, RunCtx, SnapshotError, SnapshotIdentity};
-use crate::spec::{FleetAttack, FleetFault, FleetSpec, HomeSpec, HomeTemplate, LEARNING_END_S};
+use crate::spec::{
+    FleetAttack, FleetFault, FleetSpec, HomeSpec, HomeTemplate, Stamper, LEARNING_END_S,
+};
 use crate::supervise::{panic_message, FleetError, HomeOutcome, HomeRunError, ShardError};
-use crossbeam::channel::{Receiver, Sender};
+use crossbeam::channel::Sender;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use xlf_attacks::observer::TrafficAnalyst;
@@ -476,23 +480,33 @@ fn supervised_attempt(
     }
 }
 
+/// Claims home ids from `next` until the fleet runs out, stamping each
+/// home as it is claimed, then works off its own retries.
 fn worker_loop(
     spec: &FleetSpec,
-    jobs: Receiver<HomeSpec>,
+    stamper: &Stamper,
+    next: &AtomicU64,
     results: Sender<(HomeSpec, HomeOutcome, HomeStream)>,
     metrics: &FleetMetrics,
 ) {
+    let homes = spec.homes as u64;
     // Deterministic attempt-count backoff: a panicked home waits at the
-    // back of this queue behind every fresh job (and every earlier
-    // retry) its worker still has — no wall-clock involved.
+    // back of this queue behind every fresh home (and every earlier
+    // retry) its worker still claims — no wall-clock involved.
     let mut retries: VecDeque<(HomeSpec, u32, String)> = VecDeque::new();
     loop {
-        let (hs, attempts_done, prev_panic) = match jobs.recv() {
-            Ok(hs) => (hs, 0, None),
-            Err(_) => match retries.pop_front() {
+        // Relaxed: the counter hands out ids and publishes nothing else;
+        // each worker stamps the home from its id alone.
+        let id = next.fetch_add(1, Ordering::Relaxed);
+        let (hs, attempts_done, prev_panic) = if id < homes {
+            let hs = stamper.home(id);
+            metrics.faults_injected.inc(hs.fault);
+            (hs, 0, None)
+        } else {
+            match retries.pop_front() {
                 Some((hs, attempts, panic)) => (hs, attempts, Some(panic)),
                 None => break,
-            },
+            }
         };
         match supervised_attempt(spec, &hs, attempts_done, prev_panic.as_deref(), metrics) {
             Supervised::Done(outcome, stream) => {
@@ -660,8 +674,7 @@ fn run_fleet_inner(
     metrics: &FleetMetrics,
     kill: Option<KillPoint>,
 ) -> Result<FleetReport, FleetError> {
-    let homes = spec.stamp();
-    let n = homes.len();
+    let n = spec.homes;
 
     // Join phase: every home's secure-onboarding handshake runs before
     // any simulation steps. The outcome is a pure function of
@@ -670,21 +683,12 @@ fn run_fleet_inner(
     // report's `onboarding` section, keeping report bytes independent of
     // worker count.
     if let Some(ob) = spec.onboarding.as_ref() {
-        let section = crate::onboard::OnboardSection::compute(ob, &homes);
+        let section = crate::onboard::OnboardSection::compute(ob, spec.stamped());
         metrics.onboard_joins.add(section.joins);
         metrics.onboard_admitted.add(section.admitted);
         metrics.onboard_denied.add(section.denied);
         metrics.onboard_retransmissions.add(section.retransmissions);
     }
-
-    let (job_tx, job_rx) = crossbeam::channel::unbounded::<HomeSpec>();
-    for (sent, hs) in homes.into_iter().enumerate() {
-        metrics.faults_injected.inc(hs.fault);
-        if job_tx.send(hs).is_err() {
-            return Err(FleetError::JobFeed { sent, homes: n });
-        }
-    }
-    drop(job_tx); // workers exit once the queue runs dry
 
     // Oversubscribing the machine only adds contention (on a 1-core CI
     // container, enough to make the "sharded" run *slower* than the
@@ -712,16 +716,17 @@ fn run_fleet_inner(
         crossbeam::channel::bounded::<WorkerResult>(spec.report_capacity.max(1));
 
     let shards = &mut aggs;
+    let stamper = spec.stamper();
+    let next = AtomicU64::new(0);
     let (received, dirty, shard_errors) = crossbeam::thread::scope(|s| {
         for _ in 0..workers {
-            let jobs = job_rx.clone();
             let results = report_tx.clone();
-            s.spawn(move || worker_loop(spec, jobs, results, metrics));
+            let (stamper, next) = (&stamper, &next);
+            s.spawn(move || worker_loop(spec, stamper, next, results, metrics));
         }
-        // Drop the originals so the report channel disconnects once the
+        // Drop the original so the report channel disconnects once the
         // last worker finishes.
         drop(report_tx);
-        drop(job_rx);
 
         // The collector supervises the region tier the way workers
         // supervise homes: a panicking `consume` (injected via
@@ -776,10 +781,10 @@ fn run_fleet_inner(
         let shard = RegionAggregator::shard_of(region, instances);
         let rebuilt = catch_unwind(AssertUnwindSafe(|| {
             let _torn = aggs[shard].take_slot(region);
-            for hs in spec.stamp() {
-                if hs.region % region_slots != region {
-                    continue;
-                }
+            for hs in spec
+                .stamped()
+                .filter(|hs| hs.region % region_slots == region)
+            {
                 let (outcome, stream) = rerun_home(spec, &hs, metrics);
                 aggs[shard].consume(hs, outcome, stream);
             }

@@ -11,15 +11,16 @@
 //!
 //! Pipeline:
 //!
-//! 1. [`FleetSpec`] + [`HomeTemplate`]s → [`FleetSpec::stamp`] derives a
-//!    [`HomeSpec`] per home (template, attack, fault, seed) by pure
-//!    hashing.
-//! 2. [`run_fleet`] feeds the specs down an MPMC job channel to
-//!    `workers` threads; each worker builds its homes locally (a home's
-//!    Core is `Rc`-shared and never crosses threads), steps them in
-//!    slices with bounded evidence drains — under `catch_unwind`
-//!    supervision with bounded retries and optional step event budgets —
-//!    and ships [`HomeOutcome`]s back over a bounded channel.
+//! 1. [`FleetSpec`] + [`HomeTemplate`]s → [`FleetSpec::stamp_one`]
+//!    derives a [`HomeSpec`] per home id (template, attack, fault, seed)
+//!    by pure hashing.
+//! 2. [`run_fleet`]'s `workers` threads claim home ids from one atomic
+//!    counter and stamp each home as they claim it; each worker builds
+//!    its homes locally (a home's Core is `Rc`-shared and never crosses
+//!    threads), steps them in slices with bounded evidence drains —
+//!    under `catch_unwind` supervision with bounded retries and optional
+//!    step event budgets — and ships [`HomeOutcome`]s back over a
+//!    bounded channel.
 //! 3. [`FleetAggregator`] sorts the outcomes, correlates the completed
 //!    homes with [`xlf_analytics::graph::community_report`], quarantines
 //!    degraded/failed homes into their own report sections under the

@@ -15,6 +15,7 @@
 //! structured cause.
 
 use crate::spec::{FleetAttack, HomeSpec};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use xlf_onboard::{
     candidate_infos, join_with_choice, select_cipher, DenyCause, JoinAttack, JoinResult,
@@ -91,7 +92,11 @@ impl OnboardSection {
     /// Recomputes every stamped home's join and folds the outcomes into
     /// the section. Pure in its arguments: the engine and the aggregator
     /// call this with the same `(spec, homes)` and get identical bytes.
-    pub fn compute(spec: &OnboardingSpec, homes: &[HomeSpec]) -> OnboardSection {
+    /// `homes` may be borrowed or stamped as they are reached.
+    pub fn compute(
+        spec: &OnboardingSpec,
+        homes: impl IntoIterator<Item = impl Borrow<HomeSpec>>,
+    ) -> OnboardSection {
         struct ClassAcc {
             cipher: Option<&'static str>,
             key_floor_bits: usize,
@@ -116,6 +121,7 @@ impl OnboardSection {
             denied_causes: Vec::new(),
         };
         for hs in homes {
+            let hs = hs.borrow();
             let class = spec.class_for(hs.seed);
             let choice = select_cipher(class, &candidates);
             let r = match &choice {

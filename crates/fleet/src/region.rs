@@ -10,15 +10,15 @@
 //! forwarded candidates instead of all homes.
 //!
 //! **Determinism.** Everything a slot accumulates is a *set* property of
-//! the homes routed to it: tallies are commutative, the sample columns
-//! are sorted by `total_cmp` once the slot is gathered (values that
-//! compare equal have equal bits, so arrival order is invisible), and
-//! the candidate pre-filter selects the K magnitude extremes under a
-//! strict total order (magnitude, then home id). So the gathered slot
-//! state — and therefore the fleet report — is byte-identical for any
-//! worker count, any arrival order, and any number of aggregator
-//! instances. A home's *logical*
-//! region is data (a pure hash, like its template/attack/fault);
+//! the homes routed to it: tallies are commutative, each feature column
+//! and the magnitudes are count-keyed accumulators whose runs are
+//! sorted by `total_cmp` (values that compare equal have equal bits, so
+//! arrival order is invisible), and the candidate pre-filter selects the
+//! K magnitude extremes under a strict total order (magnitude, then home
+//! id). So the gathered slot state — and therefore the fleet report —
+//! is byte-identical for any worker count, any arrival order, and any
+//! number of aggregator instances. A home's *logical* region is data (a
+//! pure hash, like its template/attack/fault);
 //! [`FleetSpec::regions`] only decides how many aggregator instances the
 //! logical slots are sharded across.
 //!
@@ -32,6 +32,11 @@
 //! self-reporting home and every behavioural outlier, but never the
 //! benign bulk — which is what makes candidates-only retention
 //! ([`RowPolicy::CandidatesOnly`]) sublinear in fleet size.
+//!
+//! **Memory.** A slot holds no per-home state beyond its retained
+//! triples: each feature column keeps one `(value, count)` run per
+//! distinct value, so a slot fed ten times the homes with the same
+//! feature rows holds exactly the same runs.
 
 use crate::engine::HomeStream;
 use crate::snapshot;
@@ -47,32 +52,26 @@ use xlf_stream::{CheckpointError, Reader, RobustAccumulator, Writer};
 /// layer", one tier up. Non-finite components are zeroed so one NaN
 /// cannot poison the merged statistics (the home is scored on what it
 /// did report).
-pub(crate) fn fleet_features(report: &HomeReport) -> Vec<f64> {
-    let mut f = Vec::with_capacity(report.features.len() + 3);
-    push_fleet_features(report, &mut f);
-    f
-}
-
-/// Appends the [`fleet_features`] of `report` to `out`.
-fn push_fleet_features(report: &HomeReport, out: &mut Vec<f64>) {
-    let start = out.len();
-    out.extend_from_slice(&report.features);
-    out.push(report.evidence_total as f64);
-    out.push(report.dropped_packets as f64);
-    out.push(report.top_score);
-    for v in &mut out[start..] {
-        if !v.is_finite() {
-            *v = 0.0;
-        }
-    }
+pub(crate) fn fleet_features(report: &HomeReport) -> impl Iterator<Item = f64> + '_ {
+    let tail = [
+        report.evidence_total as f64,
+        report.dropped_packets as f64,
+        report.top_score,
+    ];
+    report
+        .features
+        .iter()
+        .copied()
+        .chain(tail)
+        .map(|v| if v.is_finite() { v } else { 0.0 })
 }
 
 /// Scalar magnitude ordering homes within a region for the extreme-K
 /// pre-filter: `Σ_d ln(1 + |x_d|)` — log-compressed so one huge
 /// dimension cannot completely drown the rest, monotone in every
 /// dimension so genuine outliers land at the extremes.
-pub(crate) fn feature_magnitude(features: &[f64]) -> f64 {
-    features.iter().map(|x| (1.0 + x.abs()).ln()).sum()
+fn feature_magnitude(features: impl IntoIterator<Item = f64>) -> f64 {
+    features.into_iter().map(|x| (1.0 + x.abs()).ln()).sum()
 }
 
 /// Which side of the magnitude order an extreme-K list keeps.
@@ -157,19 +156,12 @@ impl ExtremeK {
     }
 }
 
-/// Per-(region, template) mergeable state: one sample column per
-/// feature plus the two extreme-K candidate lists.
+/// Per-(region, template) mergeable state: one accumulator per feature
+/// column plus the two extreme-K candidate lists.
 #[derive(Debug, Clone)]
 pub(crate) struct TemplateStats {
-    /// One sample column per feature dimension, sorted once the slot is
-    /// gathered ([`RegionSlot::gathered`]).
-    pub(crate) features: Vec<Vec<f64>>,
-    /// Feature rows consumed since, back to back, and each row's length.
-    /// One append per home touches a line or two of memory where a push
-    /// per column touched one per feature; gathering moves the rows into
-    /// the columns.
-    rows: Vec<f64>,
-    row_lens: Vec<usize>,
+    /// One accumulator per feature dimension.
+    pub(crate) features: Vec<RobustAccumulator>,
     top: ExtremeK,
     bottom: ExtremeK,
 }
@@ -178,31 +170,8 @@ impl TemplateStats {
     fn new(k: usize) -> Self {
         TemplateStats {
             features: Vec::new(),
-            rows: Vec::new(),
-            row_lens: Vec::new(),
             top: ExtremeK::new(Keep::Largest, k),
             bottom: ExtremeK::new(Keep::Smallest, k),
-        }
-    }
-
-    /// Moves the consumed rows into the columns and sorts each column by
-    /// `total_cmp`.
-    fn gather(&mut self) {
-        let width = self.row_lens.iter().copied().max().unwrap_or(0);
-        if self.features.len() < width {
-            self.features.resize_with(width, Vec::new);
-        }
-        for column in &mut self.features {
-            column.reserve_exact(self.row_lens.len());
-        }
-        let mut rows = std::mem::take(&mut self.rows).into_iter();
-        for len in std::mem::take(&mut self.row_lens) {
-            for (column, x) in self.features.iter_mut().zip(rows.by_ref().take(len)) {
-                column.push(x);
-            }
-        }
-        for column in &mut self.features {
-            column.sort_unstable_by(f64::total_cmp);
         }
     }
 }
@@ -260,9 +229,9 @@ pub(crate) struct RegionSlot {
     /// Mergeable per-template statistics (keyed by template index —
     /// BTreeMap so gathering iterates in stable order).
     pub(crate) stats: BTreeMap<usize, TemplateStats>,
-    /// Region-wide magnitude samples (their median/MAD are reported in
-    /// the summary); ordered like [`TemplateStats::features`].
-    pub(crate) magnitude: Vec<f64>,
+    /// Region-wide feature magnitudes (their median/MAD are reported in
+    /// the summary).
+    pub(crate) magnitude: RobustAccumulator,
     /// Always-candidates: criticals / quarantine / evidence shed.
     always: BTreeSet<u64>,
     /// Retained outcome triples, keyed by home id. Under
@@ -291,7 +260,7 @@ impl RegionSlot {
             homes_with_critical: 0,
             homes_with_quarantine: 0,
             stats: BTreeMap::new(),
-            magnitude: Vec::new(),
+            magnitude: RobustAccumulator::new(),
             always: BTreeSet::new(),
             retained: BTreeMap::new(),
         }
@@ -346,11 +315,14 @@ impl RegionSlot {
                     .stats
                     .entry(template)
                     .or_insert_with(|| TemplateStats::new(k));
-                let start = stats.rows.len();
-                push_fleet_features(report, &mut stats.rows);
-                let f = &stats.rows[start..];
-                stats.row_lens.push(f.len());
-                let mag = feature_magnitude(f);
+                let width = report.features.len() + 3;
+                if stats.features.len() < width {
+                    stats.features.resize_with(width, RobustAccumulator::new);
+                }
+                for (column, x) in stats.features.iter_mut().zip(fleet_features(report)) {
+                    column.push(x);
+                }
+                let mag = feature_magnitude(fleet_features(report));
                 self.magnitude.push(mag);
                 if report.critical_alerts > 0
                     || !report.quarantined.is_empty()
@@ -386,22 +358,19 @@ impl RegionSlot {
         }
     }
 
-    /// Sorts every sample column once, by `total_cmp`: the slot is read
-    /// from here on (global merge, summary, snapshot encode). Keeping
-    /// columns sorted on every consume would make region consume
-    /// quadratic in the region's home count.
+    /// Settles every accumulator: the slot is only read from here on
+    /// (global merge, summary, snapshot encode).
     fn gathered(mut self) -> Self {
-        for stats in self.stats.values_mut() {
-            stats.gather();
-        }
-        self.magnitude.sort_unstable_by(f64::total_cmp);
+        let columns = self.stats.values_mut().flat_map(|s| &mut s.features);
+        columns
+            .chain([&mut self.magnitude])
+            .for_each(RobustAccumulator::settle);
         self
     }
 
     /// The compact summary the global pass (and the report's `regions`
     /// section) sees.
     pub(crate) fn summary(&self, region: u32) -> RegionSummary {
-        let magnitude = RobustAccumulator::from_samples(&self.magnitude);
         RegionSummary {
             region,
             homes: self.homes,
@@ -414,14 +383,14 @@ impl RegionSlot {
             evidence_shed: self.evidence_shed,
             homes_with_critical: self.homes_with_critical,
             homes_with_quarantine: self.homes_with_quarantine,
-            samples: magnitude.len() as u64,
-            magnitude_median: magnitude.median(),
-            magnitude_mad: magnitude.mad(),
+            samples: self.magnitude.len() as u64,
+            magnitude_median: self.magnitude.median(),
+            magnitude_mad: self.magnitude.mad(),
         }
     }
 
     /// Serializes the slot's full mergeable state into a run snapshot.
-    /// The slot must be gathered (its columns sorted). The [`HomeSpec`]s of retained triples are *not* serialized — they
+    /// The [`HomeSpec`]s of retained triples are *not* serialized — they
     /// are pure functions of `(master_seed, id)` and are re-stamped at
     /// restore.
     pub(crate) fn checkpoint_into(&self, w: &mut Writer) {
@@ -443,16 +412,15 @@ impl RegionSlot {
         }
         w.usize(self.stats.len());
         for (&template, stats) in &self.stats {
-            debug_assert!(stats.rows.is_empty(), "only gathered slots are serialized");
             w.usize(template);
             w.usize(stats.features.len());
             for column in &stats.features {
-                write_samples(w, column);
+                column.checkpoint_into(w);
             }
             stats.top.checkpoint_into(w);
             stats.bottom.checkpoint_into(w);
         }
-        write_samples(w, &self.magnitude);
+        self.magnitude.checkpoint_into(w);
         w.usize(self.always.len());
         for &id in &self.always {
             w.u64(id);
@@ -466,15 +434,14 @@ impl RegionSlot {
         }
     }
 
-    /// Restores a slot serialized with [`RegionSlot::checkpoint_into`].
-    /// `candidates` is the configured extreme-K width and `specs` the
-    /// re-stamped home specs by id (a retained id the spec did not stamp
-    /// is a framing error).
+    /// Restores a slot serialized with [`RegionSlot::checkpoint_into`]
+    /// under `spec`, re-stamping only the retained homes (an id past the
+    /// fleet's `homes` is a framing error).
     pub(crate) fn restore_from(
         r: &mut Reader,
-        candidates: usize,
-        specs: &BTreeMap<u64, HomeSpec>,
+        spec: &FleetSpec,
     ) -> Result<RegionSlot, CheckpointError> {
+        let candidates = spec.region_candidates;
         let mut slot = RegionSlot::new();
         slot.homes = r.u64()?;
         slot.ok = r.u64()?;
@@ -494,13 +461,13 @@ impl RegionSlot {
             let dims = r.usize()?;
             let mut stats = TemplateStats::new(candidates);
             for _ in 0..dims {
-                stats.features.push(read_samples(r)?);
+                stats.features.push(RobustAccumulator::restore_from(r)?);
             }
             stats.top = ExtremeK::restore_from(r, Keep::Largest, candidates)?;
             stats.bottom = ExtremeK::restore_from(r, Keep::Smallest, candidates)?;
             slot.stats.insert(template, stats);
         }
-        slot.magnitude = read_samples(r)?;
+        slot.magnitude = RobustAccumulator::restore_from(r)?;
         let n_always = r.usize()?;
         for _ in 0..n_always {
             slot.always.insert(r.u64()?);
@@ -510,34 +477,14 @@ impl RegionSlot {
             let id = r.u64()?;
             let outcome = snapshot::read_outcome(r)?;
             let stream = snapshot::read_stream(r)?;
-            let hs = specs.get(&id).cloned().ok_or(CheckpointError::Truncated)?;
+            if id >= spec.homes as u64 {
+                return Err(CheckpointError::Truncated);
+            }
+            let hs = spec.stamp_one(id);
             slot.retained.insert(id, Box::new((hs, outcome, stream)));
         }
-        Ok(slot.gathered())
+        Ok(slot)
     }
-}
-
-/// Bit-exact sample-column serde: the sorted samples, each as its f64
-/// bit pattern. Restore sorts once more, which keeps the sorted
-/// invariant even on corrupted (re-ordered) input.
-fn write_samples(w: &mut Writer, samples: &[f64]) {
-    debug_assert!(
-        samples.is_sorted_by(|a, b| a.total_cmp(b).is_le()),
-        "only gathered slots are serialized"
-    );
-    w.usize(samples.len());
-    for &x in samples {
-        w.f64(x);
-    }
-}
-
-fn read_samples(r: &mut Reader) -> Result<Vec<f64>, CheckpointError> {
-    let n = r.usize()?;
-    let mut samples = Vec::new();
-    for _ in 0..n {
-        samples.push(r.f64()?);
-    }
-    Ok(samples)
 }
 
 /// One region-aggregation shard: owns the logical slots `s` with
@@ -763,6 +710,37 @@ mod tests {
         // The merge statistics still cover every home.
         assert_eq!(slot.summary(0).samples, 30);
         assert_eq!(slot.stats[&0].features[0].len(), 30);
+    }
+
+    #[test]
+    fn a_slot_holds_runs_per_distinct_row_not_per_home() {
+        let runs = |homes: u64| {
+            let mut spec = FleetSpec::new(1, 0);
+            spec.row_policy = RowPolicy::CandidatesOnly;
+            let mut agg = RegionAggregator::new(&spec, 0, 1);
+            // Four distinct feature rows, repeated across the homes.
+            for i in 0..homes {
+                agg.consume(
+                    home(i, 0),
+                    ok(report(i, 50.0 + (i % 4) as f64, 0, 0)),
+                    HomeStream::default(),
+                );
+            }
+            let slot = agg.take_slot(0);
+            assert_eq!(slot.summary(0).samples, homes);
+            let mut counts: Vec<usize> = slot.stats[&0]
+                .features
+                .iter()
+                .map(RobustAccumulator::distinct)
+                .collect();
+            counts.push(slot.magnitude.distinct());
+            (counts, slot.summary(0))
+        };
+        let (few, few_summary) = runs(400);
+        let (many, many_summary) = runs(4_000);
+        assert_eq!(few, many);
+        assert!(few.iter().all(|&n| n <= 4), "{few:?}");
+        assert_eq!(few_summary.magnitude_median, many_summary.magnitude_median);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! homes→stream boundary and the end of the epoch loop:
 //!
 //! - the per-region mergeable slot state — tallies, robust accumulators
-//!   (bit-exact via their retained f64 samples), candidate extreme-k
+//!   (bit-exact via their `(value, count)` runs), candidate extreme-k
 //!   lists, and the retained home rows (outcome + stream windows; the
 //!   [`crate::spec::HomeSpec`] itself is **not** serialized — it is a
 //!   pure function of `(master_seed, id)` and is re-stamped at load);
@@ -30,9 +30,8 @@
 
 use crate::engine::{HomeBuildError, HomeStream};
 use crate::region::RegionSlot;
-use crate::spec::{FleetSpec, HomeSpec, FLEET_FAULT_KINDS};
+use crate::spec::{FleetSpec, FLEET_FAULT_KINDS};
 use crate::supervise::{HomeOutcome, HomeRunError};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -45,7 +44,7 @@ use xlf_stream::{
 /// Magic prefix of a run-level snapshot file.
 pub const RUN_SNAPSHOT_MAGIC: &[u8; 4] = b"XLFR";
 /// Current run-snapshot format version.
-pub const RUN_SNAPSHOT_VERSION: u32 = 1;
+pub const RUN_SNAPSHOT_VERSION: u32 = 2;
 
 const PHASE_HOMES: u8 = 0;
 const PHASE_STREAM: u8 = 1;
@@ -385,7 +384,6 @@ pub(crate) fn encode_slots(slots: &[RegionSlot]) -> Vec<u8> {
 }
 
 fn decode_slots(bytes: &[u8], spec: &FleetSpec) -> Result<Vec<RegionSlot>, SnapshotError> {
-    let specs: BTreeMap<u64, HomeSpec> = spec.stamp().into_iter().map(|hs| (hs.id, hs)).collect();
     let mut r = Reader::new(bytes);
     let n = r.usize()?;
     if n != spec.region_slots.max(1) {
@@ -393,11 +391,7 @@ fn decode_slots(bytes: &[u8], spec: &FleetSpec) -> Result<Vec<RegionSlot>, Snaps
     }
     let mut slots = Vec::new();
     for _ in 0..n {
-        slots.push(RegionSlot::restore_from(
-            &mut r,
-            spec.region_candidates,
-            &specs,
-        )?);
+        slots.push(RegionSlot::restore_from(&mut r, spec)?);
     }
     r.finish()?;
     Ok(slots)

@@ -719,50 +719,86 @@ impl FleetSpec {
     /// Stamps the concrete per-home specs. Pure function of the spec —
     /// independent of worker count, scheduling, and wall-clock.
     pub fn stamp(&self) -> Vec<HomeSpec> {
+        self.stamped().collect()
+    }
+
+    /// Stamps one home: `stamp_one(id) == stamp()[id]`, without stamping
+    /// the others.
+    pub fn stamp_one(&self, id: u64) -> HomeSpec {
+        self.stamper().home(id)
+    }
+
+    /// The stamped homes in id order, each stamped as it is reached.
+    pub(crate) fn stamped(&self) -> impl Iterator<Item = HomeSpec> + '_ {
+        let stamper = self.stamper();
+        (0..self.homes as u64).map(move |id| stamper.home(id))
+    }
+
+    /// A stamper with this spec's share totals summed once.
+    pub(crate) fn stamper(&self) -> Stamper<'_> {
         // Zero-share templates are excluded outright (consistent with the
         // attack mix) — `with_share(0)` must mean "none of these", not
         // a silent promotion to share 1.
         let template_total: u64 = self.templates.iter().map(|t| t.share as u64).sum();
-        let attack_total: u64 = self.attacks.iter().map(|&(_, s)| s as u64).sum();
-        let fault_total: u64 = self.faults.iter().map(|&(_, s)| s as u64).sum();
         assert!(
             template_total > 0,
             "template mix needs at least one positive share"
         );
-        (0..self.homes as u64)
-            .map(|id| {
-                let h0 = splitmix64(self.master_seed ^ splitmix64(id));
-                let template = weighted_pick(
-                    h0 % template_total,
-                    self.templates.iter().map(|t| t.share as u64),
-                );
-                let h1 = splitmix64(h0);
-                let attack_idx = weighted_pick(
-                    h1 % attack_total,
-                    self.attacks.iter().map(|&(_, s)| s as u64),
-                );
-                let seed = splitmix64(h1 ^ 0xF1EE_7000_0000_0000);
-                // Faults draw from an independent mix of h1 so a fleet
-                // with `faults = [(None, 1)]` stamps the exact same
-                // layout (seed/template/attack) as a pre-fault fleet.
-                let h2 = splitmix64(h1 ^ 0xFA17_0000_0000_0001);
-                let fault_idx =
-                    weighted_pick(h2 % fault_total, self.faults.iter().map(|&(_, s)| s as u64));
-                // Regions draw from their own hash word like faults do,
-                // so adding region stamping never relayouts
-                // seeds/templates/attacks/faults stamped by older specs.
-                let h3 = splitmix64(h2 ^ 0x4E61_0000_0000_0002);
-                let region = (h3 % self.region_slots as u64) as u32;
-                HomeSpec {
-                    id,
-                    seed,
-                    template,
-                    attack: self.attacks[attack_idx].0,
-                    fault: self.faults[fault_idx].0,
-                    region,
-                }
-            })
-            .collect()
+        Stamper {
+            spec: self,
+            template_total,
+            attack_total: self.attacks.iter().map(|&(_, s)| s as u64).sum(),
+            fault_total: self.faults.iter().map(|&(_, s)| s as u64).sum(),
+        }
+    }
+}
+
+/// Stamps homes of one spec on demand; see [`FleetSpec::stamp_one`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Stamper<'a> {
+    spec: &'a FleetSpec,
+    template_total: u64,
+    attack_total: u64,
+    fault_total: u64,
+}
+
+impl Stamper<'_> {
+    /// The stamped spec of home `id`.
+    #[inline]
+    pub(crate) fn home(&self, id: u64) -> HomeSpec {
+        let spec = self.spec;
+        let h0 = splitmix64(spec.master_seed ^ splitmix64(id));
+        let template = weighted_pick(
+            h0 % self.template_total,
+            spec.templates.iter().map(|t| t.share as u64),
+        );
+        let h1 = splitmix64(h0);
+        let attack_idx = weighted_pick(
+            h1 % self.attack_total,
+            spec.attacks.iter().map(|&(_, s)| s as u64),
+        );
+        let seed = splitmix64(h1 ^ 0xF1EE_7000_0000_0000);
+        // Faults draw from an independent mix of h1 so a fleet with
+        // `faults = [(None, 1)]` stamps the exact same layout
+        // (seed/template/attack) as a pre-fault fleet.
+        let h2 = splitmix64(h1 ^ 0xFA17_0000_0000_0001);
+        let fault_idx = weighted_pick(
+            h2 % self.fault_total,
+            spec.faults.iter().map(|&(_, s)| s as u64),
+        );
+        // Regions draw from their own hash word like faults do, so
+        // adding region stamping never relayouts seeds/templates/
+        // attacks/faults stamped by older specs.
+        let h3 = splitmix64(h2 ^ 0x4E61_0000_0000_0002);
+        let region = (h3 % spec.region_slots as u64) as u32;
+        HomeSpec {
+            id,
+            seed,
+            template,
+            attack: spec.attacks[attack_idx].0,
+            fault: spec.faults[fault_idx].0,
+            region,
+        }
     }
 }
 
@@ -796,6 +832,30 @@ pub struct HomeSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Stamping one home on demand equals the whole-fleet stamp at
+        /// its id, for any seed, size, region count and mix.
+        #[test]
+        fn stamp_one_equals_the_fleet_stamp(
+            seed in any::<u64>(),
+            homes in 1usize..200,
+            slots in 1usize..16,
+            attacked in 0u32..4,
+            faulted in 0u32..4,
+        ) {
+            let spec = FleetSpec::new(seed, homes)
+                .with_region_slots(slots)
+                .with_attacks(vec![(FleetAttack::None, 3), (FleetAttack::BotnetRecruit, attacked)])
+                .with_faults(vec![(FleetFault::None, 5), (FleetFault::WanFlap, faulted)]);
+            let all = spec.stamp();
+            prop_assert_eq!(all.len(), homes);
+            for (id, hs) in all.iter().enumerate() {
+                prop_assert_eq!(&spec.stamp_one(id as u64), hs);
+            }
+        }
+    }
 
     #[test]
     fn stamping_is_deterministic_and_seed_sensitive() {

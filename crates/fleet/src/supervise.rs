@@ -86,14 +86,6 @@ impl HomeOutcome {
 /// (those become report rows): these mean the *engine itself* lost work.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FleetError {
-    /// The job channel disconnected before every home was enqueued
-    /// (all workers died while the feed loop was still running).
-    JobFeed {
-        /// Homes enqueued before the channel closed.
-        sent: usize,
-        /// Homes the spec stamped.
-        homes: usize,
-    },
     /// A worker thread itself panicked outside the per-home supervisor
     /// (the supervisor catches home panics, so this is engine-level).
     WorkerPanic(String),
@@ -121,10 +113,6 @@ pub enum FleetError {
 impl fmt::Display for FleetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FleetError::JobFeed { sent, homes } => write!(
-                f,
-                "job channel closed after {sent}/{homes} homes: all workers died during the feed"
-            ),
             FleetError::WorkerPanic(msg) => write!(f, "fleet worker thread panicked: {msg}"),
             FleetError::Accounting {
                 expected,

@@ -11,9 +11,11 @@
 //! a home, 93 to step it and 15 to finish it (252): per-device copies of
 //! credential stores, allowlists, handler capability tables and the
 //! automation app, a `String` key copied on each per-device table's
-//! first touch, and containers grown by doubling. The budget sits just
-//! above what a home makes now, so one more copied key per device
-//! (five per home) fails it.
+//! first touch, and containers grown by doubling. A home now makes 93.6
+//! (build 29, step 62.6, finish 2): its cloud borrows the constant OTA
+//! vendor name and secret, and its DPI middleboxes borrow the gateway's
+//! per-rule match buffer. The budget sits just above that, so one more
+//! copied key per device (five per home) fails it.
 //!
 //! A counting wrapper around the system allocator measures allocations.
 //! The counter is per thread, so the test harness's own bookkeeping on
@@ -65,7 +67,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Allocations allowed per home, build to finish, in the fleet-wide mix.
-const MAX_ALLOCS_PER_HOME: f64 = 100.0;
+const MAX_ALLOCS_PER_HOME: f64 = 95.0;
 
 /// The fleet-wide horizon.
 const HORIZON: Duration = Duration::from_secs(20);

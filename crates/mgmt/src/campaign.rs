@@ -255,8 +255,8 @@ impl CampaignEngine {
         spec: CampaignSpec,
         master_seed: u64,
         targets: &[TargetHome],
-        vendor: &str,
-        vendor_secret: &[u8],
+        vendor: &'static str,
+        vendor_secret: &'static [u8],
     ) -> Self {
         let factory = FirmwareImage::signed(
             Version(1, 0, 0),

@@ -10,7 +10,7 @@ use xlf_analytics::graph::{community_report_into, GraphScratch};
 
 /// Checkpoint header.
 const MAGIC: &[u8; 4] = b"XLFS";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// Feature index of the per-window critical-alert delta (see
 /// [`crate::window::STREAM_FEATURES`]).
@@ -229,7 +229,10 @@ impl StreamCorrelator {
             for (d, &raw) in s.features.iter().enumerate() {
                 let v = if raw.is_finite() { raw } else { 0.0 };
                 state.cumulative[d] += v;
+                // Settled per window: the epoch pass reads every
+                // profile's median.
                 state.stats[d].push(v);
+                state.stats[d].settle();
             }
             self.windows_ingested += 1;
         }
@@ -357,10 +360,7 @@ impl StreamCorrelator {
                 w.f64(v);
             }
             for acc in &state.stats {
-                w.usize(acc.len());
-                for &s in acc.samples() {
-                    w.f64(s);
-                }
+                acc.checkpoint_into(&mut w);
             }
         }
         w.usize(self.labels.len());
@@ -422,14 +422,7 @@ impl StreamCorrelator {
             }
             let mut stats = Vec::with_capacity(STREAM_FEATURES);
             for _ in 0..STREAM_FEATURES {
-                let len = r.usize()?;
-                let mut samples = Vec::with_capacity(len.min(1 << 20));
-                for _ in 0..len {
-                    samples.push(r.f64()?);
-                }
-                // Samples were written sorted; re-folding keeps the
-                // accumulator's invariant without trusting the buffer.
-                stats.push(RobustAccumulator::from_samples(&samples));
+                stats.push(RobustAccumulator::restore_from(&mut r)?);
             }
             homes.insert(
                 id,
