@@ -23,6 +23,10 @@ for crate in crates/*/; do
 done
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${doc_packages[@]}"
 
+# The workspace tests include the two allocation budgets: a warm home's
+# telemetry at most 1.05 allocations per dispatched event
+# (crates/core/tests/telemetry_alloc.rs) and a fleet-wide home at most
+# 85 over its lifecycle (crates/fleet/tests/home_alloc.rs).
 echo "== cargo build --release --workspace && cargo test --workspace -q"
 cargo build --release --workspace
 cargo test --workspace -q

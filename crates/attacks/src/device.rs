@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use xlf_device::firmware::{FirmwareImage, Version};
 use xlf_protocols::ssdp::SsdpMessage;
-use xlf_simnet::{Context, Node, NodeId, Packet};
+use xlf_simnet::{Body, Context, Node, NodeId, Packet};
 
 /// Outcome log shared between an attack node and the experiment harness.
 pub type SharedLog = Rc<RefCell<Vec<String>>>;
@@ -32,19 +32,19 @@ impl CredentialAttacker {
 impl Node for CredentialAttacker {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         for &target in &self.targets {
-            let pkt = Packet::new(ctx.id(), target, "login", Vec::new())
-                .with_meta("user", "admin")
-                .with_meta("pass", "admin");
-            ctx.send(target, pkt);
+            let (device, user, pass) = (None, "admin", "admin");
+            let body = Body::Login { device, user, pass };
+            ctx.send(target, Packet::new(ctx.id(), target, body, Vec::new()));
         }
     }
 
     fn on_packet(&mut self, _ctx: &mut Context<'_>, packet: Packet) {
-        if packet.kind == "login-result" && packet.meta("outcome") == Some("success") {
-            self.log.borrow_mut().push(format!(
-                "default-credential takeover of {}",
-                packet.meta("device").unwrap_or("?")
-            ));
+        let Body::LoginResult { device, outcome } = packet.body else {
+            return;
+        };
+        if outcome == "success" {
+            let line = format!("default-credential takeover of {device}");
+            self.log.borrow_mut().push(line);
         }
     }
 }
@@ -72,7 +72,10 @@ impl Node for OverflowAttacker {
         // Shellcode-shaped payload: NOP sled + marker.
         let mut payload = vec![0x90u8; self.payload_len];
         payload.extend_from_slice(b"SHELLCODE");
-        let pkt = Packet::new(ctx.id(), self.target, "cmd", payload);
+        // The exploit is the payload; the command word is empty.
+        let (device, command) = (None, "".into());
+        let body = Body::Cmd { device, command };
+        let pkt = Packet::new(ctx.id(), self.target, body, payload);
         ctx.send(self.target, pkt);
     }
 }
@@ -114,23 +117,15 @@ pub const IMPLANT_MARKER: &[u8] = b"BOTNET";
 
 impl Node for FirmwareTamperer {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        let pkt = Packet::new(
-            ctx.id(),
-            self.target,
-            "ota",
-            Self::malicious_image().to_bytes(),
-        );
+        let (body, image) = (Body::Ota { device: None }, Self::malicious_image());
+        let pkt = Packet::new(ctx.id(), self.target, body, image.to_bytes());
         ctx.send(self.target, pkt);
     }
 
     fn on_packet(&mut self, _ctx: &mut Context<'_>, packet: Packet) {
-        if packet.kind == "ota-result" {
-            self.log.borrow_mut().push(format!(
-                "ota on {}: ok={} ({})",
-                packet.meta("device").unwrap_or("?"),
-                packet.meta("ok").unwrap_or("?"),
-                packet.meta("detail").unwrap_or("?"),
-            ));
+        if let Body::OtaResult { device, ok, detail } = packet.body {
+            let line = format!("ota on {device}: ok={ok} ({detail})");
+            self.log.borrow_mut().push(line);
         }
     }
 }
@@ -157,11 +152,9 @@ impl Node for RickrollAttacker {
     }
 
     fn on_packet(&mut self, _ctx: &mut Context<'_>, packet: Packet) {
-        if packet.kind == "reconnect" {
-            self.log.borrow_mut().push(format!(
-                "hijacked session of {}",
-                packet.meta("device").unwrap_or("?")
-            ));
+        if let Body::Reconnect { device } = packet.body {
+            let line = format!("hijacked session of {device}");
+            self.log.borrow_mut().push(line);
         }
     }
 }

@@ -9,7 +9,7 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use xlf_simnet::{Context, Duration, Node, NodeId, Packet, SimTime};
+use xlf_simnet::{Body, Context, Duration, Node, NodeId, Packet, SimTime};
 
 /// The C&C keyword strings the DPI signature set matches (modeled on the
 /// shell-command indicators of the cited signature-generation work).
@@ -43,27 +43,29 @@ impl Scanner {
 impl Node for Scanner {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         for &target in &self.targets {
-            let probe = Packet::new(ctx.id(), target, "probe", Vec::new()).with_meta("port", "23");
+            let probe = Packet::new(ctx.id(), target, Body::Probe { port: 23 }, Vec::new());
             ctx.send(target, probe);
         }
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
-        match packet.kind {
-            "probe-result" if packet.meta("open") == Some("true") => {
-                let device = packet.meta("device").unwrap_or("?").to_string();
-                self.open_telnet.borrow_mut().push(device);
+        match packet.body {
+            Body::ProbeResult { device, open, .. } if open => {
+                self.open_telnet.borrow_mut().push(device.to_string());
                 // Phase 2: login with the default credential list, carrying
                 // the C&C bootstrap command in the payload.
-                let login = Packet::new(ctx.id(), packet.src, "login", CNC_SIGNATURES[0].to_vec())
-                    .with_meta("user", "admin")
-                    .with_meta("pass", "admin");
+                let (device, user, pass) = (None, "admin", "admin");
+                let body = Body::Login { device, user, pass };
+                let login = Packet::new(ctx.id(), packet.src, body, CNC_SIGNATURES[0]);
                 ctx.send(packet.src, login);
             }
-            "login-result" if packet.meta("outcome") == Some("success") => {
+            Body::LoginResult {
+                device,
+                outcome: "success",
+            } => {
                 self.recruited
                     .borrow_mut()
-                    .push((packet.meta("device").unwrap_or("?").to_string(), packet.src));
+                    .push((device.to_string(), packet.src));
             }
             _ => {}
         }
@@ -99,10 +101,12 @@ impl Node for CommandAndControl {
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, _tag: u64) {
         for &bot in &self.bots {
-            let order = Packet::new(ctx.id(), bot, "attack-cmd", CNC_SIGNATURES[1].to_vec())
-                .with_meta("target", self.victim.raw().to_string())
-                .with_meta("count", self.packets_per_bot.to_string());
-            ctx.send(bot, order);
+            let body = Body::AttackCmd {
+                device: None,
+                target: self.victim,
+                count: self.packets_per_bot,
+            };
+            ctx.send(bot, Packet::new(ctx.id(), bot, body, CNC_SIGNATURES[1]));
         }
     }
 }
@@ -140,7 +144,7 @@ impl Victim {
 
 impl Node for Victim {
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
-        if packet.kind == "ddos" {
+        if packet.kind() == "ddos" {
             self.hits.push((ctx.now(), packet.wire_size));
         }
     }

@@ -82,12 +82,12 @@ fn segment_sorted(sorted: &[&PacketRecord], max_gap: Duration) -> Vec<(Burst, us
 /// one to the stream's end. Walking each stream from its end, the
 /// counts of that suffix only grow, so the leading kind is kept as they
 /// do: one pass over the records.
-fn bursts_with_majority(records: &[PacketRecord], max_gap: Duration) -> Vec<(Burst, &str)> {
+fn bursts_with_majority(records: &[PacketRecord], max_gap: Duration) -> Vec<(Burst, &'static str)> {
     let sorted = stream_order(records);
     let bursts = segment_sorted(&sorted, max_gap);
     let mut majorities = vec![""; bursts.len()];
     let mut counts: std::collections::BTreeMap<&str, u32> = std::collections::BTreeMap::new();
-    let mut lead: (&str, u32) = ("", 0);
+    let mut lead: (&'static str, u32) = ("", 0);
     let mut next = bursts.len();
     for (i, rec) in sorted.iter().enumerate().rev() {
         let stream_ends = sorted
@@ -97,7 +97,7 @@ fn bursts_with_majority(records: &[PacketRecord], max_gap: Duration) -> Vec<(Bur
             counts.clear();
             lead = ("", 0);
         }
-        let kind = rec.ground_truth_kind.as_str();
+        let kind = rec.ground_truth_kind;
         let count = counts.entry(kind).or_insert(0);
         *count += 1;
         if (*count, kind) > (lead.1, lead.0) {
@@ -138,22 +138,9 @@ impl TrafficAnalyst {
         // Group consecutive same-kind records into training bursts.
         let mut sorted: Vec<&PacketRecord> = records.iter().collect();
         sorted.sort_by_key(|r| (r.src, r.dst, r.at));
-        let mut current: Option<(String, Vec<i64>)> = None;
-        for rec in sorted {
-            match &mut current {
-                Some((label, sizes)) if *label == rec.ground_truth_kind => {
-                    sizes.push(rec.wire_size as i64);
-                }
-                _ => {
-                    if let Some((label, sizes)) = current.take() {
-                        self.classifier.train(&label, sizes);
-                    }
-                    current = Some((rec.ground_truth_kind.clone(), vec![rec.wire_size as i64]));
-                }
-            }
-        }
-        if let Some((label, sizes)) = current {
-            self.classifier.train(&label, sizes);
+        for run in sorted.chunk_by(|a, b| a.ground_truth_kind == b.ground_truth_kind) {
+            let sizes = run.iter().map(|r| r.wire_size as i64).collect();
+            self.classifier.train(run[0].ground_truth_kind, sizes);
         }
     }
 
@@ -220,11 +207,11 @@ impl TrafficAnalyst {
 /// the burst would change report bytes; it is left for a change that
 /// may change them.
 #[cfg(test)]
-fn majority_kind<'r>(records: &'r [PacketRecord], burst: &Burst) -> &'r str {
+fn majority_kind(records: &[PacketRecord], burst: &Burst) -> &'static str {
     let mut counts = std::collections::BTreeMap::new();
     for rec in records {
         if rec.src == burst.src && rec.dst == burst.dst && rec.at >= burst.start {
-            *counts.entry(rec.ground_truth_kind.as_str()).or_insert(0u32) += 1;
+            *counts.entry(rec.ground_truth_kind).or_insert(0u32) += 1;
         }
     }
     counts
@@ -238,14 +225,14 @@ mod tests {
     use super::*;
     use xlf_simnet::Protocol;
 
-    fn rec(at_ms: u64, src: u32, dst: u32, size: usize, kind: &str) -> PacketRecord {
+    fn rec(at_ms: u64, src: u32, dst: u32, size: usize, kind: &'static str) -> PacketRecord {
         PacketRecord {
             at: SimTime::from_millis(at_ms),
             src: NodeId::from_raw(src),
             dst: NodeId::from_raw(dst),
             wire_size: size,
             protocol: Protocol::Tls,
-            ground_truth_kind: kind.to_string(),
+            ground_truth_kind: kind,
         }
     }
 

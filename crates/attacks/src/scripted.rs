@@ -10,7 +10,7 @@
 
 use crate::mirai::CNC_SIGNATURES;
 use xlf_device::firmware::{FirmwareImage, Version};
-use xlf_simnet::{Context, Duration, Medium, Network, Node, NodeId, Packet};
+use xlf_simnet::{Body, Bytes, Context, Duration, Medium, Network, Node, NodeId, Packet};
 
 /// When every scripted attack fires (s of simulated time): 60 s after
 /// the experiment homes' learning window closes (`LEARNING_END_S` in
@@ -58,28 +58,32 @@ impl Node for ScriptedAttacker {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
-        let gw = self.gateway;
+        let (gw, cam) = (self.gateway, || "cam".into());
         match (tag, self.attack) {
             (TIMER_GO, ScriptedAttack::BotnetRecruit) => {
-                let login = Packet::new(ctx.id(), gw, "login", CNC_SIGNATURES[0].to_vec())
-                    .with_meta("device", "cam")
-                    .with_meta("user", "admin")
-                    .with_meta("pass", "admin");
-                ctx.send(gw, login);
+                let (device, user, pass) = (Some(cam()), "admin", "admin");
+                send(
+                    ctx,
+                    gw,
+                    Body::Login { device, user, pass },
+                    CNC_SIGNATURES[0],
+                    0,
+                );
                 ctx.set_timer(Duration::from_secs(20), TIMER_FLOOD_ORDER);
             }
             (TIMER_FLOOD_ORDER, ScriptedAttack::BotnetRecruit) => {
-                let order = Packet::new(ctx.id(), gw, "attack-cmd", CNC_SIGNATURES[1].to_vec())
-                    .with_meta("device", "cam")
-                    .with_meta("target", self.victim.raw().to_string())
-                    .with_meta("count", "300");
-                ctx.send(gw, order);
+                let order = Body::AttackCmd {
+                    device: Some(cam()),
+                    target: self.victim,
+                    count: 300,
+                };
+                send(ctx, gw, order, CNC_SIGNATURES[1], 0);
             }
             (TIMER_GO, ScriptedAttack::BufferOverflow) => {
-                for i in 0..3u64 {
-                    let smash = Packet::new(ctx.id(), gw, "cmd", vec![0x90u8; 300])
-                        .with_meta("device", "wallpad");
-                    ctx.send_after(gw, smash, Duration::from_secs(i));
+                for i in 0..3 {
+                    // The exploit is the payload; the command word is empty.
+                    let (device, command) = (Some("wallpad".into()), "".into());
+                    send(ctx, gw, Body::Cmd { device, command }, [0x90u8; 300], i);
                 }
             }
             (TIMER_GO, ScriptedAttack::FirmwareTamper) => {
@@ -88,45 +92,56 @@ impl Node for ScriptedAttacker {
                     "mallory",
                     b"BOTNET implant".to_vec(),
                 );
-                for i in 0..3u64 {
-                    let ota = Packet::new(ctx.id(), gw, "ota", image.to_bytes())
-                        .with_meta("device", "cam");
-                    ctx.send_after(gw, ota, Duration::from_secs(i));
+                for i in 0..3 {
+                    send(
+                        ctx,
+                        gw,
+                        Body::Ota {
+                            device: Some(cam()),
+                        },
+                        image.to_bytes(),
+                        i,
+                    );
                 }
             }
             (TIMER_GO, ScriptedAttack::Replay) => {
-                for i in 0..20u64 {
-                    let cmd = Packet::new(ctx.id(), gw, "cmd", b"on".to_vec())
-                        .with_meta("device", "window")
-                        .with_meta("command", "on");
-                    ctx.send_after(gw, cmd, Duration::from_secs(i));
+                for i in 0..20 {
+                    let (device, command) = (Some("window".into()), "on".into());
+                    send(ctx, gw, Body::Cmd { device, command }, *b"on", i);
                 }
             }
             (TIMER_GO, ScriptedAttack::DnsPoison(name)) => {
                 // Off-path: the attacker cannot see the resolver's txids,
                 // so it guesses.
-                for i in 0..30u64 {
-                    let txid = 40_000 + 17 * i;
-                    let spoof = Packet::new(ctx.id(), gw, "dns-response", b"A 6.6.6.6".to_vec())
-                        .with_meta("device", "cam")
-                        .with_meta("name", name)
-                        .with_meta("value", "n666")
-                        .with_meta("txid", txid.to_string());
-                    ctx.send_after(gw, spoof, Duration::from_secs(i));
+                for i in 0..30 {
+                    let spoof = Body::DnsResponse {
+                        device: cam(),
+                        name,
+                        value: "n666",
+                        txid: 40_000 + 17 * i,
+                    };
+                    send(ctx, gw, spoof, *b"A 6.6.6.6", i.into());
                 }
             }
             (TIMER_GO, ScriptedAttack::SpoofedEvents) => {
                 for i in 0..10 {
-                    let spoof = Packet::new(ctx.id(), self.cloud, "spoofed-event", Vec::new())
-                        .with_meta("device", "thermo")
-                        .with_meta("attribute", "temperature")
-                        .with_meta("value", format!("{}", 95 + i));
-                    ctx.send(self.cloud, spoof);
+                    let spoof = Body::SpoofedEvent {
+                        device: "thermo".into(),
+                        attribute: "temperature".into(),
+                        value: format!("{}", 95 + i),
+                    };
+                    send(ctx, self.cloud, spoof, [], 0);
                 }
             }
             _ => {}
         }
     }
+}
+
+/// Sends `body` carrying `payload` to `dst`, `after_s` seconds from now.
+fn send(ctx: &mut Context<'_>, dst: NodeId, body: Body, payload: impl Into<Bytes>, after_s: u64) {
+    let packet = Packet::new(ctx.id(), dst, body, payload);
+    ctx.send_after(dst, packet, Duration::from_secs(after_s));
 }
 
 /// Passive WAN sink standing in for a DDoS victim.
@@ -164,7 +179,7 @@ mod tests {
 
     /// What one arm puts on the wire: `(kind, send time in s, sent to the
     /// cloud)` per packet, in send order.
-    fn schedule(attack: ScriptedAttack) -> Vec<(String, u64, bool)> {
+    fn schedule(attack: ScriptedAttack) -> Vec<(&'static str, u64, bool)> {
         let mut net = Network::new(1);
         let gateway = net.add_node(Box::new(VictimSink));
         let cloud = net.add_node(Box::new(VictimSink));
@@ -180,7 +195,7 @@ mod tests {
             .map(|r| {
                 assert!(r.dst == gateway || r.dst == cloud);
                 (
-                    r.ground_truth_kind.clone(),
+                    r.ground_truth_kind,
                     r.at.as_micros() / 1_000_000,
                     r.dst == cloud,
                 )
@@ -189,20 +204,15 @@ mod tests {
         sent
     }
 
-    fn each_second(kind: &str, from: u64, n: u64) -> Vec<(String, u64, bool)> {
-        (from..from + n)
-            .map(|t| (kind.to_string(), t, false))
-            .collect()
+    fn each_second(kind: &'static str, from: u64, n: u64) -> Vec<(&'static str, u64, bool)> {
+        (from..from + n).map(|t| (kind, t, false)).collect()
     }
 
     #[test]
     fn botnet_logs_in_then_orders_the_flood_20s_later() {
         assert_eq!(
             schedule(ScriptedAttack::BotnetRecruit),
-            vec![
-                ("login".to_string(), 180, false),
-                ("attack-cmd".to_string(), 200, false),
-            ]
+            vec![("login", 180, false), ("attack-cmd", 200, false),]
         );
     }
 
@@ -242,7 +252,7 @@ mod tests {
     fn spoofed_events_go_to_the_cloud_at_once() {
         assert_eq!(
             schedule(ScriptedAttack::SpoofedEvents),
-            vec![("spoofed-event".to_string(), 180, true); 10]
+            vec![("spoofed-event", 180, true); 10]
         );
     }
 }

@@ -4,7 +4,7 @@
 //! straight at the cloud, trying to trigger automations (e.g. fake a high
 //! temperature so the window-opening app fires).
 
-use xlf_simnet::{Context, Node, NodeId, Packet};
+use xlf_simnet::{Body, Context, Node, NodeId, Packet};
 
 /// One fabricated event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,10 +46,12 @@ impl EventSpoofer {
 impl Node for EventSpoofer {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         for event in &self.events {
-            let pkt = Packet::new(ctx.id(), self.cloud, "spoofed-event", Vec::new())
-                .with_meta("device", event.device.clone())
-                .with_meta("attribute", event.attribute.clone())
-                .with_meta("value", event.value.clone());
+            let body = Body::SpoofedEvent {
+                device: event.device.as_str().into(),
+                attribute: event.attribute.clone().into(),
+                value: event.value.clone(),
+            };
+            let pkt = Packet::new(ctx.id(), self.cloud, body, Vec::new());
             ctx.send(self.cloud, pkt);
         }
     }

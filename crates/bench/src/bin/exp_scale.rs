@@ -13,12 +13,12 @@
 //! cargo run --release -p xlf-bench --bin exp_scale -- [--smoke] [--json BENCH_scale.json]
 //! ```
 
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use std::process::ExitCode;
 use xlf_bench::harness::{best_of, fixed, Args, Json, Row};
 use xlf_bench::{active_attacked, obj};
-use xlf_fleet::{
-    run_fleet, FleetAttack, FleetMetrics, FleetReport, FleetSpec, HomeTemplate, RowPolicy,
-};
+use xlf_fleet::{run_fleet, FleetAttack, FleetMetrics, FleetSpec, HomeTemplate, RowPolicy};
 use xlf_simnet::Duration;
 
 struct Config {
@@ -91,13 +91,25 @@ fn peak_rss_mb() -> f64 {
     kb as f64 / 1024.0
 }
 
+/// What a tier run reports. Its `FleetReport` and metrics are dropped
+/// before the next tier starts, so no tier's peak RSS holds an earlier
+/// tier's state.
 struct TierRun {
     homes: usize,
     regions: usize,
-    report: FleetReport,
-    metrics: FleetMetrics,
     wall_s: f64,
     peak_rss_mb: f64,
+    /// Hash of the report JSON, for the byte-identity row.
+    report_hash: u64,
+    rows: usize,
+    candidates: u64,
+    flagged: usize,
+    attacked: usize,
+    missed: usize,
+    evidence: u64,
+    communities: usize,
+    accounting_ok: bool,
+    metrics_json: String,
 }
 
 fn tier_run(cfg: &Config, homes: usize, regions: usize) -> TierRun {
@@ -109,13 +121,28 @@ fn tier_run(cfg: &Config, homes: usize, regions: usize) -> TierRun {
     let (report, wall_s) = best_of(1, || {
         run_fleet(&cfg.spec(homes, regions), &metrics).expect("fleet engine lost work")
     });
+    let peak_rss_mb = peak_rss_mb();
+    let attacked = active_attacked(&report);
+    let mut hasher = DefaultHasher::new();
+    report.to_json().hash(&mut hasher);
     TierRun {
         homes,
         regions,
-        report,
-        metrics,
         wall_s,
-        peak_rss_mb: peak_rss_mb(),
+        peak_rss_mb,
+        report_hash: hasher.finish(),
+        rows: report.rows.len(),
+        candidates: metrics.region_candidates.get(),
+        flagged: report.flagged.len(),
+        attacked: attacked.len(),
+        missed: attacked
+            .iter()
+            .filter(|id| !report.flagged.contains(id))
+            .count(),
+        evidence: report.totals.evidence,
+        communities: report.communities,
+        accounting_ok: report.accounting_ok(homes),
+        metrics_json: metrics.to_json(),
     }
 }
 
@@ -134,9 +161,8 @@ fn main() -> ExitCode {
         tier_run(cfg, cfg.homes, 8),
     ];
     let [small, large_r1, large_r2, large] = &runs;
-    let json_r8 = large.report.to_json();
     let byte_identical_regions =
-        large_r1.report.to_json() == json_r8 && large_r2.report.to_json() == json_r8;
+        large_r1.report_hash == large.report_hash && large_r2.report_hash == large.report_hash;
 
     // Sublinearity: the large tier is 10× the homes; its peak RSS must
     // come in well under 10× the small tier's (the candidate set, not
@@ -144,38 +170,24 @@ fn main() -> ExitCode {
     // linear scaling.
     let homes_ratio = cfg.homes as f64 / small_homes as f64;
     let mem_ratio = large.peak_rss_mb / small.peak_rss_mb;
-    let missed: usize = runs
-        .iter()
-        .map(|r| {
-            active_attacked(&r.report)
-                .iter()
-                .filter(|id| !r.report.flagged.contains(id))
-                .count()
-        })
-        .sum();
+    let missed: usize = runs.iter().map(|r| r.missed).sum();
     // Candidates-only retention really is bounded: far fewer rows than
     // homes at 10k homes and up.
     let max_row_share = runs
         .iter()
         .filter(|r| r.homes >= 10_000)
-        .map(|r| r.report.rows.len() as f64 / r.homes as f64)
+        .map(|r| r.rows as f64 / r.homes as f64)
         .fold(0.0, f64::max);
     let rows = [
         Row::holds("byte_identical_regions", byte_identical_regions),
         Row::new(
             "min_attacked_per_tier",
-            runs.iter()
-                .map(|r| active_attacked(&r.report).len())
-                .min()
-                .unwrap_or(0),
+            runs.iter().map(|r| r.attacked).min().unwrap_or(0),
             ">",
             0u64,
         ),
         Row::new("attacked_homes_missed", missed, "==", 0u64),
-        Row::holds(
-            "conservation",
-            runs.iter().all(|r| r.report.accounting_ok(r.homes)),
-        ),
+        Row::holds("conservation", runs.iter().all(|r| r.accounting_ok)),
         Row::new("max_row_share_at_10k_plus", max_row_share, "<", 0.25),
         Row::new(
             "max_peak_rss_mb",
@@ -192,14 +204,14 @@ fn main() -> ExitCode {
             "wall_s" => fixed(r.wall_s, 3),
             "homes_per_sec" => fixed(r.homes as f64 / r.wall_s, 1),
             "peak_rss_mb" => fixed(r.peak_rss_mb, 1),
-            "rows" => r.report.rows.len(),
-            "candidates" => r.metrics.region_candidates.get(),
-            "flagged" => r.report.flagged.len(),
-            "attacked" => active_attacked(&r.report).len(),
-            "evidence" => r.report.totals.evidence,
-            "communities" => r.report.communities,
+            "rows" => r.rows,
+            "candidates" => r.candidates,
+            "flagged" => r.flagged,
+            "attacked" => r.attacked,
+            "evidence" => r.evidence,
+            "communities" => r.communities,
         }).collect::<Vec<_>>(),
-        "metrics" => Json::parse(&large.metrics.to_json()).expect("fleet metrics render valid JSON"),
+        "metrics" => Json::parse(&large.metrics_json).expect("fleet metrics render valid JSON"),
     };
     args.finish("scale", cfg.json(), results, &rows)
 }

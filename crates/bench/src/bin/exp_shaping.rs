@@ -17,7 +17,7 @@ use xlf_core::framework::{HomeDevice, XlfConfig, XlfHome};
 use xlf_core::shaping::ShapingMode;
 use xlf_device::SensorKind;
 use xlf_simnet::observer::{PacketRecord, RecordingTap};
-use xlf_simnet::{Context, Duration, Node, NodeId, Packet, SimTime};
+use xlf_simnet::{Body, Context, Duration, Node, NodeId, Packet, SimTime};
 
 /// Drives the camera through a fixed idle/streaming schedule.
 struct StateDriver {
@@ -36,9 +36,8 @@ impl Node for StateDriver {
             "idle"
         };
         self.phase += 1;
-        let cmd = Packet::new(ctx.id(), self.gateway, "cmd", Vec::new())
-            .with_meta("device", "cam")
-            .with_meta("action", action);
+        let (device, command) = (Some("cam".into()), action.into());
+        let cmd = Packet::new(ctx.id(), self.gateway, Body::Cmd { device, command }, []);
         ctx.send(self.gateway, cmd);
         ctx.set_timer(Duration::from_secs(30), 1);
     }

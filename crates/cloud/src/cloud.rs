@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 use xlf_protocols::rest::{Request, Response};
-use xlf_simnet::{Context, MetaValue, Node, NodeId, Packet, Protocol, SimTime};
+use xlf_simnet::{Body, Context, Node, NodeId, Packet, Protocol, SimTime};
 
 /// Installed apps and the event subscriptions they hold, as one value
 /// any number of clouds share: a cloud given the set
@@ -225,19 +225,6 @@ impl SmartCloud {
     }
 }
 
-/// Maps a device command to the packet `action` meta the device runtime
-/// understands: a static word for the commands it knows, else the
-/// command itself.
-fn command_to_action(command: &str) -> MetaValue {
-    match command {
-        "on" | "lock" => "on".into(),
-        "off" | "unlock" => "off".into(),
-        "stream" => "stream".into(),
-        "idle" => "idle".into(),
-        _ => command.to_string().into(),
-    }
-}
-
 /// Parses a telemetry payload (`Kind=value`, space-padded) into its
 /// cloud attribute and value, e.g. `b"Temperature=71.20   "` →
 /// `("temperature", "71.20")`. The five sensor kinds map to their static
@@ -316,11 +303,14 @@ impl CloudNode {
 
     fn dispatch_actions(&mut self, ctx: &mut Context<'_>, actions: Vec<Action>) {
         for Action { device, command } in actions {
-            let pkt = Packet::new(ctx.id(), self.hub, "cmd", Vec::new())
-                .with_protocol(Protocol::Tls)
-                .with_meta("device", device)
-                .with_meta("action", command_to_action(&command))
-                .with_meta("command", command);
+            // The registered handler's shared name, else a name of its own.
+            let device = match self.cloud.handlers.get_key_value(device.as_str()) {
+                Some((name, _)) => Rc::clone(name),
+                None => Rc::from(device),
+            };
+            let (device, command) = (Some(device), Cow::Owned(command));
+            let pkt = Packet::new(ctx.id(), self.hub, Body::Cmd { device, command }, [])
+                .with_protocol(Protocol::Tls);
             ctx.send(self.hub, pkt);
         }
     }
@@ -328,62 +318,38 @@ impl CloudNode {
 
 impl Node for CloudNode {
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
-        let trusted = packet.src == self.hub;
-        match packet.kind {
-            "telemetry" => {
-                let Some(device) = packet.meta_value("device") else {
+        let (now, trusted) = (ctx.now(), packet.src == self.hub);
+        let actions = match packet.body {
+            Body::Telemetry { device, .. } => {
+                let Some((attribute, value)) = parse_reading(&packet.payload) else {
                     return;
                 };
-                if let Some((attribute, value)) = parse_reading(&packet.payload) {
-                    let actions = self.cloud.ingest(
-                        ctx.now(),
-                        device.to_shared(),
-                        attribute,
-                        &value,
-                        trusted,
-                    );
-                    self.dispatch_actions(ctx, actions);
-                }
+                self.cloud.ingest(now, device, attribute, &value, trusted)
             }
-            "event" => {
-                let (Some(device), Some(to)) = (packet.meta_value("device"), packet.meta("to"))
-                else {
-                    return;
-                };
+            Body::Event { device, to, .. } => {
                 let state = Cow::Borrowed("state");
-                let actions = self
-                    .cloud
-                    .ingest(ctx.now(), device.to_shared(), state, to, trusted);
-                self.dispatch_actions(ctx, actions);
+                self.cloud.ingest(now, device, state, to, trusted)
             }
-            "spoofed-event" => {
-                // An attacker injecting an event from outside the hub
-                // channel: always untrusted.
-                let (Some(device), Some(attribute), Some(value)) = (
-                    packet.meta("device"),
-                    packet.meta("attribute"),
-                    packet.meta("value"),
-                ) else {
-                    return;
-                };
-                let (device, attribute) = (Rc::from(device), Cow::Owned(attribute.to_string()));
-                let actions = self
-                    .cloud
-                    .ingest(ctx.now(), device, attribute, value, false);
-                self.dispatch_actions(ctx, actions);
-            }
-            "api" => {
+            // An attacker injecting an event from outside the hub
+            // channel: always untrusted.
+            Body::SpoofedEvent {
+                device,
+                attribute,
+                value,
+            } => self.cloud.ingest(now, device, attribute, &value, false),
+            Body::Bare("api") => {
                 let Some(request) = Request::from_bytes(&packet.payload) else {
                     return;
                 };
-                let (response, actions) = self.cloud.serve(&request, ctx.now());
+                let (response, actions) = self.cloud.serve(&request, now);
                 let reply = Packet::new(ctx.id(), packet.src, "api-response", response.to_bytes())
                     .with_protocol(Protocol::Http);
                 ctx.send(packet.src, reply);
-                self.dispatch_actions(ctx, actions);
+                actions
             }
-            _ => {}
-        }
+            _ => return,
+        };
+        self.dispatch_actions(ctx, actions);
     }
 }
 
@@ -421,24 +387,22 @@ impl HubNode {
 }
 
 impl Node for HubNode {
-    fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
+    fn on_packet(&mut self, ctx: &mut Context<'_>, mut packet: Packet) {
         // WAN-bound routing for compromised-device floods etc.
-        if let Some(final_dst) = packet.meta("final_dst").and_then(|d| d.parse::<u32>().ok()) {
-            let target = NodeId::from_raw(final_dst);
-            let mut fwd = packet.clone();
-            fwd.remove_meta("final_dst");
-            ctx.send(target, fwd);
+        if let Some(target) = packet.take_final_dst() {
+            ctx.send(target, packet);
             return;
         }
-        match packet.kind {
+        match &packet.body {
             // Upstream: device → cloud.
-            "telemetry" | "event" | "ota-result" | "login-result" => {
-                ctx.send(self.cloud, packet);
-            }
+            Body::Telemetry { .. }
+            | Body::Event { .. }
+            | Body::OtaResult { .. }
+            | Body::LoginResult { .. } => ctx.send(self.cloud, packet),
             // Downstream: cloud → device (addressed by name).
-            "cmd" | "ota" | "login" | "probe" => {
-                if let Some(node) = packet.meta("device").and_then(|d| self.devices.get(d)) {
-                    ctx.send(*node, packet);
+            Body::Cmd { .. } | Body::Ota { .. } | Body::Login { .. } => {
+                if let Some(&node) = packet.body.addressee().and_then(|d| self.devices.get(&**d)) {
+                    ctx.send(node, packet);
                 }
             }
             _ => {}
@@ -628,10 +592,16 @@ mod tests {
             net.inject(
                 attacker,
                 cloud,
-                Packet::new(attacker, cloud, "spoofed-event", Vec::new())
-                    .with_meta("device", "thermo")
-                    .with_meta("attribute", "temperature")
-                    .with_meta("value", "99"),
+                Packet::new(
+                    attacker,
+                    cloud,
+                    Body::SpoofedEvent {
+                        device: Rc::from("thermo"),
+                        attribute: Cow::Borrowed("temperature"),
+                        value: "99".to_string(),
+                    },
+                    Vec::new(),
+                ),
             );
             net.run_until(SimTime::from_secs(5));
             let cmds = records

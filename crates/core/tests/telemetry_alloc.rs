@@ -3,10 +3,15 @@
 //! gateway's DPI, NAC and app verification into the cloud's event bus
 //! and automation) makes at most [`MAX_ALLOCS_PER_EVENT`] allocations
 //! per dispatched event. What is left per telemetry report is the
-//! payload buffer, the packet's metadata list, and the copies of the
-//! value the witnessed and the cloud event keep; the device name, the
-//! attribute, the event tag and the app's inbox name are shared or
-//! inline.
+//! payload buffer and the copies of the value the witnessed and the
+//! cloud event keep; the device name and state travel in the packet's
+//! typed body, and the attribute, the event tag and the app's inbox name
+//! are shared or inline.
+//!
+//! The run makes 1,956 allocations over 1,950 events (1.003 per event).
+//! Its 550 telemetry packets are over a quarter of its events, so one
+//! more heap allocation per telemetry packet (1.285) fails the bound,
+//! which leaves a 5% margin over the measured value.
 //!
 //! A counting wrapper around the system allocator measures allocations
 //! across the run. The counter is per thread, so the test harness's own
@@ -59,7 +64,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Allocations allowed per dispatched event.
-const MAX_ALLOCS_PER_EVENT: f64 = 1.5;
+const MAX_ALLOCS_PER_EVENT: f64 = 1.05;
 
 /// The fleet's standard five-device home.
 fn devices() -> Vec<HomeDevice> {

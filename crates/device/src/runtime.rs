@@ -1,20 +1,7 @@
 //! The simulated device runtime: a [`Node`] gluing together sensor,
 //! firmware store, credential store, local storage, and vulnerability
-//! profile, speaking the small packet vocabulary the rest of the system
-//! (hub, cloud, attacks, XLF) shares.
-//!
-//! ## Wire vocabulary (packet `kind` + metadata)
-//!
-//! | kind | direction | meaning |
-//! |---|---|---|
-//! | `telemetry` | device → hub | periodic sensor reading |
-//! | `event` | device → hub | state transition notification |
-//! | `cmd` | hub → device | `action` meta: `on`/`off`/`stream`/`idle` |
-//! | `login` | any → device | `user`/`pass` meta; replies `login-result` |
-//! | `ota` | hub → device | firmware image payload; replies `ota-result` |
-//! | `probe` | any → device | port probe; replies `probe-result` |
-//! | `attack-cmd` | C&C → device | botnet order (only if compromised) |
-//! | `ddos` | device → victim | flood packet (via hub, `final_dst` meta) |
+//! profile, speaking the packet vocabulary ([`Body`]) the rest of the
+//! system (hub, cloud, attacks, XLF) shares.
 
 use crate::credentials::{CredentialStore, LoginOutcome};
 use crate::firmware::{vendor_key, FirmwareImage, FirmwareStore, UpdatePolicy};
@@ -24,7 +11,7 @@ use crate::vulns::{VulnSet, Vulnerability};
 use std::rc::Rc;
 use std::sync::Arc;
 use xlf_lwcrypto::ciphers::Speck128;
-use xlf_simnet::{Context, Duration, Node, NodeId, Packet, Protocol};
+use xlf_simnet::{Body, Context, Duration, Node, NodeId, Packet, Protocol};
 
 /// Operational state of a device — the state machine the paper's
 /// behavioural monitoring (HoMonit-style DFA, §IV-B3) profiles.
@@ -295,11 +282,9 @@ impl SimDevice {
         let prev = self.state;
         self.state = next;
         self.transitions.push((prev, next));
-        let event = Packet::new(ctx.id(), self.config.hub, "event", Vec::new())
-            .with_meta("device", &self.name)
-            .with_meta("from", prev.label())
-            .with_meta("to", next.label());
-        ctx.send(self.config.hub, event);
+        let (device, from, to) = (Rc::clone(&self.name), prev.label(), next.label());
+        let (hub, event) = (self.config.hub, Body::Event { device, from, to });
+        ctx.send(hub, Packet::new(ctx.id(), hub, event, []));
     }
 
     fn telemetry_period(&self) -> Duration {
@@ -320,32 +305,25 @@ impl SimDevice {
         }
     }
 
-    fn handle_cmd(&mut self, ctx: &mut Context<'_>, packet: &Packet) {
+    fn handle_cmd(&mut self, ctx: &mut Context<'_>, payload: &[u8], command: &str) {
         // Table II "wall pad" row: oversized command payloads smash the
         // parser buffer and execute attacker shellcode.
-        if self.config.vulns.has(Vulnerability::BufferOverflow) && packet.payload.len() > 64 {
+        if self.config.vulns.has(Vulnerability::BufferOverflow) && payload.len() > 64 {
             self.set_state(ctx, DeviceState::Compromised);
             return;
         }
-        match packet.meta("action") {
-            Some("on") => self.set_state(ctx, DeviceState::Active),
-            Some("off") => self.set_state(ctx, DeviceState::Off),
-            Some("stream") => self.set_state(ctx, DeviceState::Streaming),
-            Some("idle") => self.set_state(ctx, DeviceState::Idle),
+        // A lock is an actuator: `lock` and `unlock` drive it on and off.
+        match command {
+            "on" | "lock" => self.set_state(ctx, DeviceState::Active),
+            "off" | "unlock" => self.set_state(ctx, DeviceState::Off),
+            "stream" => self.set_state(ctx, DeviceState::Streaming),
+            "idle" => self.set_state(ctx, DeviceState::Idle),
             _ => {}
         }
     }
 
-    fn handle_login(&mut self, ctx: &mut Context<'_>, packet: &Packet) {
-        let user = packet.meta("user").unwrap_or_default().to_string();
-        let pass = packet.meta("pass").unwrap_or_default().to_string();
-        let outcome = Arc::make_mut(&mut self.credentials).login(&user, &pass);
-        let outcome_str = match outcome {
-            LoginOutcome::Success => "success",
-            LoginOutcome::UnknownUser => "unknown-user",
-            LoginOutcome::WrongPassword => "wrong-password",
-            LoginOutcome::LockedOut => "locked-out",
-        };
+    fn handle_login(&mut self, ctx: &mut Context<'_>, src: NodeId, user: &str, pass: &str) {
+        let outcome = Arc::make_mut(&mut self.credentials).login(user, pass);
         // A successful login by the default credentials on a vulnerable
         // device hands over control (Table II smart-bulb / fridge rows).
         if outcome == LoginOutcome::Success
@@ -354,14 +332,19 @@ impl SimDevice {
         {
             self.set_state(ctx, DeviceState::Compromised);
         }
-        let reply = Packet::new(ctx.id(), packet.src, "login-result", Vec::new())
-            .with_meta("outcome", outcome_str)
-            .with_meta("device", &self.name);
-        ctx.send(packet.src, reply);
+        let outcome = match outcome {
+            LoginOutcome::Success => "success",
+            LoginOutcome::UnknownUser => "unknown-user",
+            LoginOutcome::WrongPassword => "wrong-password",
+            LoginOutcome::LockedOut => "locked-out",
+        };
+        let device = Rc::clone(&self.name);
+        let reply = Packet::new(ctx.id(), src, Body::LoginResult { device, outcome }, []);
+        ctx.send(src, reply);
     }
 
-    fn handle_ota(&mut self, ctx: &mut Context<'_>, packet: &Packet) {
-        let result = FirmwareImage::from_bytes(&packet.payload)
+    fn handle_ota(&mut self, ctx: &mut Context<'_>, src: NodeId, payload: &[u8]) {
+        let result = FirmwareImage::from_bytes(payload)
             .and_then(|image| Arc::make_mut(&mut self.firmware).apply(image));
         let (ok, detail) = match &result {
             Ok(()) => (true, String::from("applied")),
@@ -370,51 +353,27 @@ impl SimDevice {
         if ok && self.firmware.payload_contains(b"BOTNET") {
             self.set_state(ctx, DeviceState::Compromised);
         }
-        let reply = Packet::new(ctx.id(), packet.src, "ota-result", Vec::new())
-            .with_meta("ok", if ok { "true" } else { "false" })
-            .with_meta("detail", detail)
-            .with_meta("device", &self.name);
-        ctx.send(packet.src, reply);
+        let device = Rc::clone(&self.name);
+        let reply = Packet::new(ctx.id(), src, Body::OtaResult { device, ok, detail }, []);
+        ctx.send(src, reply);
     }
 
-    fn handle_probe(&mut self, ctx: &mut Context<'_>, packet: &Packet) {
-        let port = packet.meta("port").unwrap_or("23");
+    fn handle_probe(&mut self, ctx: &mut Context<'_>, src: NodeId, port: u16) {
         let open = match port {
-            "23" => {
+            23 => {
                 // Telnet open on weak-credential devices (the Mirai vector).
                 self.config.vulns.has(Vulnerability::StaticPassword)
                     || self.config.vulns.has(Vulnerability::GenericAuth)
             }
-            "1900" => {
+            1900 => {
                 self.config.vulns.has(Vulnerability::OpenUpnpPorts)
                     || self.config.vulns.has(Vulnerability::UnprotectedChannel)
             }
             _ => false,
         };
-        let reply = Packet::new(ctx.id(), packet.src, "probe-result", Vec::new())
-            .with_meta("port", port.to_string())
-            .with_meta("open", if open { "true" } else { "false" })
-            .with_meta("device", &self.name);
-        ctx.send(packet.src, reply);
-    }
-
-    fn handle_attack_cmd(&mut self, ctx: &mut Context<'_>, packet: &Packet) {
-        if !self.is_compromised() {
-            return; // healthy devices ignore C&C traffic
-        }
-        let Some(target) = packet
-            .meta("target")
-            .and_then(|t| t.parse::<u32>().ok())
-            .map(NodeId::from_raw)
-        else {
-            return;
-        };
-        let count = packet
-            .meta("count")
-            .and_then(|c| c.parse::<u32>().ok())
-            .unwrap_or(100);
-        self.ddos_order = Some((target, count));
-        ctx.set_timer(Duration::from_millis(10), TIMER_DDOS);
+        let device = Rc::clone(&self.name);
+        let reply = Packet::new(ctx.id(), src, Body::ProbeResult { device, port, open }, []);
+        ctx.send(src, reply);
     }
 }
 
@@ -428,20 +387,20 @@ impl Node for SimDevice {
             TIMER_TELEMETRY => {
                 if self.state != DeviceState::Off {
                     let payload = self.sensor.encode_reading(ctx.now(), self.telemetry_size());
-                    let pkt = Packet::new(ctx.id(), self.config.hub, "telemetry", payload)
-                        .with_protocol(Protocol::Tls)
-                        .with_meta("device", &self.name)
-                        .with_meta("state", self.state.label());
+                    let (device, state) = (Rc::clone(&self.name), self.state.label());
+                    let body = Body::Telemetry { device, state };
+                    let pkt = Packet::new(ctx.id(), self.config.hub, body, payload)
+                        .with_protocol(Protocol::Tls);
                     ctx.send(self.config.hub, pkt);
                 }
                 ctx.set_timer(self.telemetry_period(), TIMER_TELEMETRY);
             }
             TIMER_DDOS => {
                 if let Some((target, remaining)) = self.ddos_order {
-                    let flood = Packet::new(ctx.id(), self.config.hub, "ddos", vec![0u8; 512])
-                        .with_protocol(Protocol::Udp)
-                        .with_meta("final_dst", target.raw().to_string())
-                        .with_meta("device", &self.name);
+                    let (device, final_dst) = (Rc::clone(&self.name), Some(target));
+                    let body = Body::Flood { device, final_dst };
+                    let flood = Packet::new(ctx.id(), self.config.hub, body, vec![0u8; 512])
+                        .with_protocol(Protocol::Udp);
                     ctx.send(self.config.hub, flood);
                     if remaining > 1 {
                         self.ddos_order = Some((target, remaining - 1));
@@ -456,20 +415,27 @@ impl Node for SimDevice {
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
-        match packet.kind {
-            "cmd" => self.handle_cmd(ctx, &packet),
-            "login" => self.handle_login(ctx, &packet),
-            "ota" => self.handle_ota(ctx, &packet),
-            "probe" => self.handle_probe(ctx, &packet),
-            "attack-cmd" => self.handle_attack_cmd(ctx, &packet),
+        let src = packet.src;
+        match packet.body {
+            Body::Cmd { command, .. } => self.handle_cmd(ctx, &packet.payload, &command),
+            Body::Login { user, pass, .. } => self.handle_login(ctx, src, user, pass),
+            Body::Ota { .. } => self.handle_ota(ctx, src, &packet.payload),
+            Body::Probe { port } => self.handle_probe(ctx, src, port),
+            // Healthy devices ignore C&C traffic.
+            Body::AttackCmd { target, count, .. } if self.is_compromised() => {
+                self.ddos_order = Some((target, count));
+                ctx.set_timer(Duration::from_millis(10), TIMER_DDOS);
+            }
             // Table II "Chromecast" row: a forged deauthentication makes a
             // rickroll-vulnerable device drop its session and reconnect to
             // the sender, handing over the stream.
-            "deauth" if self.config.vulns.has(Vulnerability::RickrollReconnect) => {
+            Body::Bare("deauth") if self.config.vulns.has(Vulnerability::RickrollReconnect) => {
                 self.set_state(ctx, DeviceState::Compromised);
-                let reconnect = Packet::new(ctx.id(), packet.src, "reconnect", Vec::new())
-                    .with_meta("device", &self.name);
-                ctx.send(packet.src, reconnect);
+                let device = Rc::clone(&self.name);
+                ctx.send(
+                    src,
+                    Packet::new(ctx.id(), src, Body::Reconnect { device }, []),
+                );
             }
             _ => {}
         }
@@ -509,6 +475,36 @@ mod tests {
         (net, hub, dev, heard)
     }
 
+    const LOGIN: Body = Body::Login {
+        device: None,
+        user: "admin",
+        pass: "admin",
+    };
+
+    fn cmd(command: &'static str) -> Body {
+        Body::Cmd {
+            device: None,
+            command: command.into(),
+        }
+    }
+
+    /// The state an event packet reports entering.
+    fn entered(p: &Packet) -> Option<&'static str> {
+        match p.body {
+            Body::Event { to, .. } => Some(to),
+            _ => None,
+        }
+    }
+
+    fn attack_cmd(count: u32) -> Body {
+        let (device, target) = (None, NodeId::from_raw(0));
+        Body::AttackCmd {
+            device,
+            target,
+            count,
+        }
+    }
+
     fn device_state(net: &Network, dev: NodeId) -> Vec<Packet> {
         // Inspect through emitted events instead of downcasting.
         let _ = (net, dev);
@@ -522,47 +518,63 @@ mod tests {
         let telemetry: Vec<_> = heard
             .borrow()
             .iter()
-            .filter(|p| p.kind == "telemetry")
+            .filter(|p| p.kind() == "telemetry")
             .cloned()
             .collect();
         assert!(telemetry.len() >= 5, "got {}", telemetry.len());
-        assert_eq!(telemetry[0].meta("device"), Some("lamp"));
+        let Body::Telemetry { device, state } = &telemetry[0].body else {
+            panic!("{:?}", telemetry[0].body);
+        };
+        assert_eq!((&**device, *state), ("lamp", "idle"));
     }
 
     #[test]
     fn commands_drive_state_machine_and_events() {
         let (mut net, hub, dev, heard) = setup(VulnSet::hardened());
-        net.inject(
-            hub,
-            dev,
-            Packet::new(hub, dev, "cmd", Vec::new()).with_meta("action", "stream"),
-        );
+        net.inject(hub, dev, Packet::new(hub, dev, cmd("stream"), Vec::new()));
         net.run_until(SimTime::from_secs(2));
         let events: Vec<_> = heard
             .borrow()
             .iter()
-            .filter(|p| p.kind == "event")
+            .filter(|p| p.kind() == "event")
             .cloned()
             .collect();
         assert_eq!(events.len(), 1);
-        assert_eq!(events[0].meta("from"), Some("idle"));
-        assert_eq!(events[0].meta("to"), Some("streaming"));
+        let Body::Event { from, to, .. } = events[0].body else {
+            panic!("{:?}", events[0].body);
+        };
+        assert_eq!((from, to), ("idle", "streaming"));
         let _ = device_state(&net, dev);
+    }
+
+    /// The cloud's capability words reach the device as sent: `lock` and
+    /// `unlock` switch it on and off, and a word it has no state for
+    /// changes nothing.
+    #[test]
+    fn cloud_command_words_drive_the_state_machine() {
+        let (mut net, hub, dev, heard) = setup(VulnSet::hardened());
+        for (at, word) in [(1, "lock"), (2, "setLevel"), (3, "unlock")] {
+            net.inject(hub, dev, Packet::new(hub, dev, cmd(word), Vec::new()));
+            net.run_until(SimTime::from_secs(at));
+        }
+        let transitions: Vec<_> = (heard.borrow().iter())
+            .filter_map(|p| match p.body {
+                Body::Event { from, to, .. } => Some((from, to)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(transitions, [("idle", "active"), ("active", "off")]);
     }
 
     #[test]
     fn streaming_raises_telemetry_rate_and_size() {
         let (mut net, hub, dev, heard) = setup(VulnSet::hardened());
-        net.inject(
-            hub,
-            dev,
-            Packet::new(hub, dev, "cmd", Vec::new()).with_meta("action", "stream"),
-        );
+        net.inject(hub, dev, Packet::new(hub, dev, cmd("stream"), Vec::new()));
         net.run_until(SimTime::from_secs(10));
         let telemetry: Vec<_> = heard
             .borrow()
             .iter()
-            .filter(|p| p.kind == "telemetry")
+            .filter(|p| p.kind() == "telemetry")
             .cloned()
             .collect();
         // 200 ms period → tens of packets in 10 s, with streaming size.
@@ -576,18 +588,12 @@ mod tests {
         let (mut net, _hub, dev, heard) = setup(VulnSet::of(&[Vulnerability::StaticPassword]));
         let attacker = net.add_node(Box::new(HubStub::default()));
         net.connect(attacker, dev, Medium::Wifi.link().with_loss(0.0));
-        net.inject(
-            attacker,
-            dev,
-            Packet::new(attacker, dev, "login", Vec::new())
-                .with_meta("user", "admin")
-                .with_meta("pass", "admin"),
-        );
+        net.inject(attacker, dev, Packet::new(attacker, dev, LOGIN, Vec::new()));
         net.run_until(SimTime::from_secs(2));
         let compromised_event = heard
             .borrow()
             .iter()
-            .any(|p| p.kind == "event" && p.meta("to") == Some("compromised"));
+            .any(|p| entered(p) == Some("compromised"));
         assert!(compromised_event);
 
         // Hardened path.
@@ -597,15 +603,13 @@ mod tests {
         net2.inject(
             attacker2,
             dev2,
-            Packet::new(attacker2, dev2, "login", Vec::new())
-                .with_meta("user", "admin")
-                .with_meta("pass", "admin"),
+            Packet::new(attacker2, dev2, LOGIN, Vec::new()),
         );
         net2.run_until(SimTime::from_secs(2));
         let compromised2 = heard2
             .borrow()
             .iter()
-            .any(|p| p.kind == "event" && p.meta("to") == Some("compromised"));
+            .any(|p| entered(p) == Some("compromised"));
         assert!(!compromised2);
     }
 
@@ -614,17 +618,17 @@ mod tests {
         let oversized = vec![b'A'; 200];
 
         let (mut net, hub, dev, heard) = setup(VulnSet::of(&[Vulnerability::BufferOverflow]));
-        net.inject(hub, dev, Packet::new(hub, dev, "cmd", oversized.clone()));
+        net.inject(hub, dev, Packet::new(hub, dev, cmd(""), oversized.clone()));
         net.run_until(SimTime::from_secs(1));
         assert!(heard
             .borrow()
             .iter()
-            .any(|p| p.kind == "event" && p.meta("to") == Some("compromised")));
+            .any(|p| entered(p) == Some("compromised")));
 
         let (mut net2, hub2, dev2, heard2) = setup(VulnSet::hardened());
-        net2.inject(hub2, dev2, Packet::new(hub2, dev2, "cmd", oversized));
+        net2.inject(hub2, dev2, Packet::new(hub2, dev2, cmd(""), oversized));
         net2.run_until(SimTime::from_secs(1));
-        assert!(!heard2.borrow().iter().any(|p| p.kind == "event"));
+        assert!(!heard2.borrow().iter().any(|p| p.kind() == "event"));
     }
 
     #[test]
@@ -632,24 +636,32 @@ mod tests {
         let evil = FirmwareImage::unsigned(Version(9, 9, 9), "mallory", b"BOTNET code".to_vec());
 
         let (mut net, hub, dev, heard) = setup(VulnSet::of(&[Vulnerability::UnsignedFirmware]));
-        net.inject(hub, dev, Packet::new(hub, dev, "ota", evil.to_bytes()));
+        net.inject(
+            hub,
+            dev,
+            Packet::new(hub, dev, Body::Ota { device: None }, evil.to_bytes()),
+        );
         net.run_until(SimTime::from_secs(1));
         assert!(heard
             .borrow()
             .iter()
-            .any(|p| p.kind == "ota-result" && p.meta("ok") == Some("true")));
+            .any(|p| matches!(p.body, Body::OtaResult { ok: true, .. })));
         assert!(heard
             .borrow()
             .iter()
-            .any(|p| p.kind == "event" && p.meta("to") == Some("compromised")));
+            .any(|p| entered(p) == Some("compromised")));
 
         let (mut net2, hub2, dev2, heard2) = setup(VulnSet::hardened());
-        net2.inject(hub2, dev2, Packet::new(hub2, dev2, "ota", evil.to_bytes()));
+        net2.inject(
+            hub2,
+            dev2,
+            Packet::new(hub2, dev2, Body::Ota { device: None }, evil.to_bytes()),
+        );
         net2.run_until(SimTime::from_secs(1));
         assert!(heard2
             .borrow()
             .iter()
-            .any(|p| p.kind == "ota-result" && p.meta("ok") == Some("false")));
+            .any(|p| matches!(p.body, Body::OtaResult { ok: false, .. })));
     }
 
     #[test]
@@ -658,43 +670,35 @@ mod tests {
         net.inject(
             hub,
             dev,
-            Packet::new(hub, dev, "probe", Vec::new()).with_meta("port", "23"),
+            Packet::new(hub, dev, Body::Probe { port: 23 }, Vec::new()),
         );
         net.run_until(SimTime::from_secs(1));
-        assert!(heard
-            .borrow()
-            .iter()
-            .any(|p| p.kind == "probe-result" && p.meta("open") == Some("true")));
+        assert!(heard.borrow().iter().any(|p| matches!(
+            p.body,
+            Body::ProbeResult {
+                port: 23,
+                open: true,
+                ..
+            }
+        )));
     }
 
     #[test]
     fn healthy_devices_ignore_cnc_orders() {
         let (mut net, hub, dev, heard) = setup(VulnSet::hardened());
-        net.inject(
-            hub,
-            dev,
-            Packet::new(hub, dev, "attack-cmd", Vec::new())
-                .with_meta("target", "0")
-                .with_meta("count", "10"),
-        );
+        net.inject(hub, dev, Packet::new(hub, dev, attack_cmd(10), Vec::new()));
         net.run_until(SimTime::from_secs(2));
-        assert!(!heard.borrow().iter().any(|p| p.kind == "ddos"));
+        assert!(!heard.borrow().iter().any(|p| p.kind() == "ddos"));
     }
 
     #[test]
     fn compromised_devices_flood_on_command() {
         let (mut net, hub, dev, heard) = setup(VulnSet::of(&[Vulnerability::BufferOverflow]));
-        net.inject(hub, dev, Packet::new(hub, dev, "cmd", vec![b'A'; 200]));
+        net.inject(hub, dev, Packet::new(hub, dev, cmd(""), vec![b'A'; 200]));
         net.run_until(SimTime::from_secs(1));
-        net.inject(
-            hub,
-            dev,
-            Packet::new(hub, dev, "attack-cmd", Vec::new())
-                .with_meta("target", "0")
-                .with_meta("count", "25"),
-        );
+        net.inject(hub, dev, Packet::new(hub, dev, attack_cmd(25), Vec::new()));
         net.run_until(SimTime::from_secs(5));
-        let floods = heard.borrow().iter().filter(|p| p.kind == "ddos").count();
+        let floods = heard.borrow().iter().filter(|p| p.kind() == "ddos").count();
         assert_eq!(floods, 25);
     }
 }

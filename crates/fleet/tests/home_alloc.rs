@@ -11,11 +11,13 @@
 //! a home, 93 to step it and 15 to finish it (252): per-device copies of
 //! credential stores, allowlists, handler capability tables and the
 //! automation app, a `String` key copied on each per-device table's
-//! first touch, and containers grown by doubling. A home now makes 93.6
-//! (build 29, step 62.6, finish 2): its cloud borrows the constant OTA
-//! vendor name and secret, and its DPI middleboxes borrow the gateway's
-//! per-rule match buffer. The budget sits just above that, so one more
-//! copied key per device (five per home) fails it.
+//! first touch, and containers grown by doubling. With its cloud
+//! borrowing the constant OTA vendor name and secret and its DPI
+//! middleboxes the gateway's per-rule match buffer, a home made 93.6
+//! (build 29, step 62.6, finish 2). Typed packet bodies dropped each
+//! telemetry and event packet's metadata list: a home now makes 82.0
+//! (build 29, step 51, finish 2). The budget sits just above that, so one
+//! more copied key per device (five per home) fails it.
 //!
 //! A counting wrapper around the system allocator measures allocations.
 //! The counter is per thread, so the test harness's own bookkeeping on
@@ -67,7 +69,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Allocations allowed per home, build to finish, in the fleet-wide mix.
-const MAX_ALLOCS_PER_HOME: f64 = 95.0;
+const MAX_ALLOCS_PER_HOME: f64 = 85.0;
 
 /// The fleet-wide horizon.
 const HORIZON: Duration = Duration::from_secs(20);

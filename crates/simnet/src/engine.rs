@@ -621,7 +621,7 @@ mod tests {
         let stats = net.run();
         assert_eq!(stats.delivered, 2);
         assert_eq!(received.borrow().len(), 1);
-        assert_eq!(received.borrow()[0].1.kind, "echo");
+        assert_eq!(received.borrow()[0].1.kind(), "echo");
     }
 
     #[test]

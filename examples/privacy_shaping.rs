@@ -11,7 +11,7 @@ use xlf::core::framework::{HomeDevice, XlfConfig, XlfHome};
 use xlf::core::shaping::ShapingMode;
 use xlf::device::SensorKind;
 use xlf::simnet::observer::{PacketRecord, RecordingTap};
-use xlf::simnet::{Context, Duration, Medium, Node, NodeId, Packet, SimTime};
+use xlf::simnet::{Body, Context, Duration, Medium, Node, NodeId, Packet, SimTime};
 
 /// Alternates the camera between streaming and idle every 30 s.
 struct Routine {
@@ -29,9 +29,8 @@ impl Node for Routine {
             "idle"
         };
         self.phase += 1;
-        let cmd = Packet::new(ctx.id(), self.gateway, "cmd", Vec::new())
-            .with_meta("device", "cam")
-            .with_meta("action", action);
+        let (device, command) = (Some("cam".into()), action.into());
+        let cmd = Packet::new(ctx.id(), self.gateway, Body::Cmd { device, command }, []);
         ctx.send(self.gateway, cmd);
         ctx.set_timer(Duration::from_secs(30), 1);
     }

