@@ -26,7 +26,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${doc_packages[@]}"
 # The workspace tests include the two allocation budgets: a warm home's
 # telemetry at most 1.05 allocations per dispatched event
 # (crates/core/tests/telemetry_alloc.rs) and a fleet-wide home at most
-# 85 over its lifecycle (crates/fleet/tests/home_alloc.rs).
+# 85 over its lifecycle (crates/fleet/tests/home_alloc.rs). Beside them,
+# a memory guard bounds the bytes a small streamed fleet's calling thread
+# (region consume and the global pass) allocates at 240,000
+# (crates/fleet/tests/stream_alloc.rs).
 echo "== cargo build --release --workspace && cargo test --workspace -q"
 cargo build --release --workspace
 cargo test --workspace -q
@@ -35,8 +38,9 @@ cargo test --workspace -q
 # default: the kNN graph against the naive graph, the padding-skipping
 # telemetry parser against decode-then-trim, the fixed-point reading
 # format against the float formatter, the observer's one-pass burst
-# majorities against the scan of every record, and the count-keyed
-# robust accumulator against the sorted-vector accumulator.
+# majorities against the scan of every record, the count-keyed
+# robust accumulator against the sorted-vector accumulator, and the
+# stream pass's borrowed epoch index against the clone-and-regroup.
 echo "== proptest oracles, release, PROPTEST_CASES=5000"
 export PROPTEST_CASES=5000
 cargo test --release -q -p xlf-analytics --test proptests -- \
@@ -45,6 +49,7 @@ cargo test --release -q -p xlf-cloud --lib -- parse_reading_equals_decode_then_t
 cargo test --release -q -p xlf-device --lib -- fixed_point_equals_float_formatting
 cargo test --release -q -p xlf-attacks --lib -- one_pass_majorities_equal_the_scan
 cargo test --release -q -p xlf-stream --lib -- runs_equal_the_sorted_vector_oracle
+cargo test --release -q -p xlf-fleet --lib -- epoch_index_matches_the_regroup_oracle
 unset PROPTEST_CASES
 
 # The examples drive whole simulated homes through every node's packet

@@ -396,7 +396,9 @@ impl Node for SimDevice {
                 ctx.set_timer(self.telemetry_period(), TIMER_TELEMETRY);
             }
             TIMER_DDOS => {
-                if let Some((target, remaining)) = self.ddos_order {
+                // The budget is checked before anything is sent: an order
+                // for zero packets sends none.
+                if let Some((target, remaining)) = self.ddos_order.take().filter(|&(_, n)| n > 0) {
                     let (device, final_dst) = (Rc::clone(&self.name), Some(target));
                     let body = Body::Flood { device, final_dst };
                     let flood = Packet::new(ctx.id(), self.config.hub, body, vec![0u8; 512])
@@ -405,8 +407,6 @@ impl Node for SimDevice {
                     if remaining > 1 {
                         self.ddos_order = Some((target, remaining - 1));
                         ctx.set_timer(Duration::from_millis(2), TIMER_DDOS);
-                    } else {
-                        self.ddos_order = None;
                     }
                 }
             }
@@ -700,5 +700,16 @@ mod tests {
         net.run_until(SimTime::from_secs(5));
         let floods = heard.borrow().iter().filter(|p| p.kind() == "ddos").count();
         assert_eq!(floods, 25);
+    }
+
+    #[test]
+    fn a_zero_count_flood_order_sends_nothing() {
+        let (mut net, hub, dev, heard) = setup(VulnSet::of(&[Vulnerability::BufferOverflow]));
+        net.inject(hub, dev, Packet::new(hub, dev, cmd(""), vec![b'A'; 200]));
+        net.run_until(SimTime::from_secs(1));
+        net.inject(hub, dev, Packet::new(hub, dev, attack_cmd(0), Vec::new()));
+        net.run_until(SimTime::from_secs(5));
+        let floods = heard.borrow().iter().filter(|p| p.kind() == "ddos").count();
+        assert_eq!(floods, 0);
     }
 }

@@ -703,6 +703,28 @@ impl FleetReport {
     }
 }
 
+/// Indexes the stream pass's windows by epoch without copying them:
+/// entry `e` borrows, in `streams` order, every window numbered `e`.
+/// Windows numbered at or past `epochs` are left out, since the pass
+/// never reaches them. A counting pass sizes each entry exactly, so the
+/// index costs one pointer per window.
+fn epoch_index<'a>(streams: &[&'a HomeStream], epochs: u64) -> Vec<Vec<&'a WindowSummary>> {
+    let slot = |w: &WindowSummary| (w.window < epochs).then_some(w.window as usize);
+    let mut counts = vec![0usize; epochs as usize];
+    for w in streams.iter().flat_map(|s| &s.windows) {
+        if let Some(e) = slot(w) {
+            counts[e] += 1;
+        }
+    }
+    let mut index: Vec<Vec<&WindowSummary>> = counts.into_iter().map(Vec::with_capacity).collect();
+    for w in streams.iter().flat_map(|s| &s.windows) {
+        if let Some(e) = slot(w) {
+            index[e].push(w);
+        }
+    }
+    index
+}
+
 /// Collects per-home outcomes and fuses them into fleet intelligence.
 pub struct FleetAggregator {
     master_seed: u64,
@@ -809,9 +831,9 @@ impl FleetAggregator {
         let Some(interval) = self.correlation_interval else {
             return Ok((None, None));
         };
-        let mut windows: Vec<WindowSummary> = Vec::new();
         let mut shed = 0u64;
         let mut managed: Vec<&HomeSpec> = Vec::new();
+        let mut streams: Vec<&HomeStream> = Vec::new();
         for (hs, outcome, stream) in items {
             let eligible = match outcome {
                 HomeOutcome::Ok { .. } => true,
@@ -824,7 +846,7 @@ impl FleetAggregator {
                 continue;
             }
             managed.push(hs);
-            windows.extend(stream.windows.iter().cloned());
+            streams.push(stream);
             shed += stream.shed;
         }
 
@@ -897,11 +919,12 @@ impl FleetAggregator {
             start_epoch = sr.next_epoch;
         }
 
-        let mut by_epoch: BTreeMap<u64, Vec<WindowSummary>> = BTreeMap::new();
-        for w in windows {
-            by_epoch.entry(w.window).or_default().push(w);
-        }
-        for epoch in 0..self.stream_epochs {
+        // The homes keep the only copy of each window; the index borrows
+        // them, and one batch is refilled per epoch because the implant
+        // perturbation needs owned summaries.
+        let index = epoch_index(&streams, self.stream_epochs);
+        let mut batch: Vec<WindowSummary> = Vec::new();
+        for (epoch, windows) in (0u64..).zip(&index) {
             // Epochs before the resume cursor are already inside the
             // restored state: skip them without touching anything.
             if epoch < start_epoch {
@@ -913,7 +936,8 @@ impl FleetAggregator {
             if ctx.kill == Some(KillPoint::Epoch(epoch)) {
                 return Err(FleetError::ChaosKilled(KillPoint::Epoch(epoch)));
             }
-            let mut batch = by_epoch.remove(&epoch).unwrap_or_default();
+            batch.clear();
+            batch.extend(windows.iter().map(|&w| w.clone()));
             for engine in &mut engines {
                 engine.epoch_begin(epoch, correlator.flagged(), &mut bus);
             }
@@ -1450,6 +1474,75 @@ impl FleetAggregator {
 mod tests {
     use super::*;
     use crate::spec::{FleetAttack, FleetFault};
+    use proptest::prelude::*;
+    use xlf_stream::{WindowBuffer, STREAM_FEATURES};
+
+    /// The stream pass's former window grouping, kept as the oracle for
+    /// [`epoch_index`]: every window cloned into one vector, then moved
+    /// into a per-epoch map.
+    fn regroup_oracle(streams: &[&HomeStream]) -> BTreeMap<u64, Vec<WindowSummary>> {
+        let mut windows: Vec<WindowSummary> = Vec::new();
+        for stream in streams {
+            windows.extend(stream.windows.iter().cloned());
+        }
+        let mut by_epoch: BTreeMap<u64, Vec<WindowSummary>> = BTreeMap::new();
+        for w in windows {
+            by_epoch.entry(w.window).or_default().push(w);
+        }
+        by_epoch
+    }
+
+    /// One home's stream as its worker hands it over: `emitted` windows
+    /// through a buffer of `cap`, the last a partial fragment when the
+    /// home is `degraded`.
+    fn emitted_stream(home: u64, emitted: u64, cap: usize, degraded: bool) -> HomeStream {
+        let mut buffer = WindowBuffer::new(cap);
+        for window in 0..emitted {
+            buffer.push(WindowSummary {
+                home,
+                window,
+                partial: degraded && window + 1 == emitted,
+                features: [(home * 100 + window) as f64; STREAM_FEATURES],
+            });
+        }
+        let (windows, shed) = buffer.into_parts();
+        HomeStream { windows, shed }
+    }
+
+    proptest! {
+        /// The borrowed epoch index gives every epoch the windows the
+        /// clone-and-regroup gave it, in the same order: with shed
+        /// prefixes, degraded homes' partial fragments, windows numbered
+        /// past the last epoch, and the homes in any order.
+        #[test]
+        fn epoch_index_matches_the_regroup_oracle(
+            homes in proptest::collection::vec(
+                (any::<u64>(), 0u64..16, 1usize..10, any::<bool>()),
+                0..24,
+            ),
+            epochs in 1u64..14,
+        ) {
+            let mut homes: Vec<(u64, HomeStream)> = (0u64..)
+                .zip(homes)
+                .map(|(id, (order, emitted, cap, degraded))| {
+                    (order, emitted_stream(id, emitted, cap, degraded))
+                })
+                .collect();
+            homes.sort_by_key(|&(order, _)| order);
+            let streams: Vec<&HomeStream> = homes.iter().map(|(_, s)| s).collect();
+            let index = epoch_index(&streams, epochs);
+            let mut oracle = regroup_oracle(&streams);
+            prop_assert_eq!(index.len() as u64, epochs);
+            for (epoch, windows) in (0u64..).zip(&index) {
+                prop_assert_eq!(windows.len(), windows.capacity());
+                let batch: Vec<WindowSummary> = windows.iter().map(|&w| w.clone()).collect();
+                prop_assert_eq!(batch, oracle.remove(&epoch).unwrap_or_default());
+            }
+            // All the oracle still holds lies past the last epoch, which
+            // the pass never reaches.
+            prop_assert!(oracle.keys().all(|&w| w >= epochs));
+        }
+    }
 
     fn fake_report(seed: u64, traffic: f64, criticals: usize) -> HomeReport {
         HomeReport {

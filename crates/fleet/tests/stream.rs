@@ -42,6 +42,49 @@ fn streamed_reports_are_byte_identical_across_worker_counts() {
 }
 
 #[test]
+fn window_buffers_shorter_than_the_run_shed_each_homes_oldest_windows() {
+    // Eight windows buffered of the 28 each home emits: every home loses
+    // its 20 oldest, the stream pass sees only windows 20..28, and how
+    // many workers ran the homes still changes no byte.
+    fn spec(workers: usize) -> FleetSpec {
+        let mut spec = streamed_spec(workers, 15);
+        spec.window_capacity = 8;
+        spec
+    }
+    let metrics = FleetMetrics::new();
+    let baseline = run_fleet(&spec(1), &metrics).expect("fleet runs");
+    assert!(
+        baseline.degraded.is_empty(),
+        "every home ran its 28 windows"
+    );
+    let homes = baseline.rows.len() as u64;
+    assert_eq!(homes, 24);
+    let epochs = baseline.epochs.as_ref().expect("streamed run has epochs");
+    assert_eq!(epochs.count, 28);
+    assert_eq!(epochs.windows_shed, homes * 20, "each home lost 20 windows");
+    assert_eq!(epochs.windows_ingested, homes * 8);
+    assert_eq!(metrics.windows_shed.get(), epochs.windows_shed);
+    assert_eq!(metrics.windows_emitted.get(), epochs.windows_ingested);
+    // The shed windows are the oldest: no home shows up before epoch 20.
+    for record in &epochs.per_epoch {
+        let expected = if record.epoch < 20 { 0 } else { homes };
+        assert_eq!(record.homes, expected, "epoch {}", record.epoch);
+    }
+
+    let json = baseline.to_json();
+    for workers in [2, 8] {
+        let metrics = FleetMetrics::new();
+        let report = run_fleet(&spec(workers), &metrics).expect("fleet runs");
+        assert_eq!(
+            report.to_json(),
+            json,
+            "worker count {workers} changed the shedding fleet's report"
+        );
+        assert_eq!(metrics.windows_shed.get(), epochs.windows_shed);
+    }
+}
+
+#[test]
 fn checkpoint_resume_cycling_is_byte_identical() {
     // Serializing the correlator and resuming from the checkpoint after
     // every epoch — or every fifth — must reproduce the uncheckpointed

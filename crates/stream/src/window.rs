@@ -87,9 +87,14 @@ impl WindowBuffer {
     }
 
     /// Consumes the buffer into its surviving windows (oldest first) and
-    /// the shed count.
+    /// the shed count. The vector holds exactly the surviving windows:
+    /// the deque grows by doubling, and a home keeps its windows until
+    /// the fleet's stream pass has run, so its slack would stay resident
+    /// (4 slots of 32 for a 28-window home).
     pub fn into_parts(self) -> (Vec<WindowSummary>, u64) {
-        (self.windows.into(), self.shed)
+        let mut windows = Vec::with_capacity(self.windows.len());
+        windows.extend(self.windows);
+        (windows, self.shed)
     }
 }
 
@@ -114,6 +119,7 @@ mod tests {
         }
         let (windows, shed) = buf.into_parts();
         assert_eq!(windows.len(), 5);
+        assert_eq!(windows.capacity(), 5, "no slack survives the buffer");
         assert_eq!(shed, 0);
         assert_eq!(windows[0].window, 0);
     }
@@ -129,6 +135,7 @@ mod tests {
         assert_eq!(shed, 4);
         let kept: Vec<u64> = windows.iter().map(|s| s.window).collect();
         assert_eq!(kept, vec![4, 5, 6], "newest windows survive");
+        assert_eq!(windows.capacity(), 3);
     }
 
     #[test]
