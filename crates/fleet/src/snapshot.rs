@@ -638,6 +638,10 @@ pub(crate) fn read_stream(r: &mut Reader) -> Result<HomeStream, CheckpointError>
             features,
         });
     }
+    // `n` is untrusted, so the vector grows as windows are read and is
+    // trimmed afterwards: a restored home holds its windows exactly, as a
+    // freshly run one does (see `WindowBuffer::into_parts`).
+    windows.shrink_to_fit();
     Ok(HomeStream { windows, shed })
 }
 
