@@ -29,7 +29,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${doc_packages[@]}"
 # 85 over its lifecycle (crates/fleet/tests/home_alloc.rs). Beside them,
 # a memory guard bounds the bytes a small streamed fleet's calling thread
 # (region consume and the global pass) allocates at 240,000
-# (crates/fleet/tests/stream_alloc.rs).
+# (crates/fleet/tests/stream_alloc.rs), and a handoff-count guard checks
+# that one worker hands 70 homes to the region tier in 3 messages at the
+# default report capacity and in 70 at capacity 1
+# (engine::tests::a_worker_hands_its_homes_over_in_messages_of_half_the_capacity).
 echo "== cargo build --release --workspace && cargo test --workspace -q"
 cargo build --release --workspace
 cargo test --workspace -q

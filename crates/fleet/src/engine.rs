@@ -480,16 +480,36 @@ fn supervised_attempt(
     }
 }
 
+/// A finished home on its way from a worker to the region tier.
+type Finished = (HomeSpec, HomeOutcome, HomeStream);
+
+/// Finished homes per report-channel message: half the queued-homes
+/// bound, so at the default the channel holds two messages and a worker
+/// fills one while the collector drains the other. A capacity of 1 is a
+/// per-home handoff.
+fn homes_per_message(spec: &FleetSpec) -> usize {
+    (spec.report_capacity / 2).max(1)
+}
+
 /// Claims home ids from `next` until the fleet runs out, stamping each
-/// home as it is claimed, then works off its own retries.
+/// home as it is claimed, then works off its own retries. Finished homes
+/// leave in messages of [`homes_per_message`]; the last, partial one
+/// once the worker has nothing left to run.
 fn worker_loop(
     spec: &FleetSpec,
     stamper: &Stamper,
     next: &AtomicU64,
-    results: Sender<(HomeSpec, HomeOutcome, HomeStream)>,
+    results: Sender<Vec<Finished>>,
     metrics: &FleetMetrics,
 ) {
     let homes = spec.homes as u64;
+    let per_message = homes_per_message(spec);
+    let mut batch: Vec<Finished> = Vec::with_capacity(per_message);
+    // False once the aggregator is gone.
+    let ship = |message: Vec<Finished>| {
+        metrics.report_channel_depth.set(results.len() as u64);
+        results.send(message).is_ok()
+    };
     // Deterministic attempt-count backoff: a panicked home waits at the
     // back of this queue behind every fresh home (and every earlier
     // retry) its worker still claims — no wall-clock involved.
@@ -510,14 +530,20 @@ fn worker_loop(
         };
         match supervised_attempt(spec, &hs, attempts_done, prev_panic.as_deref(), metrics) {
             Supervised::Done(outcome, stream) => {
-                metrics.report_channel_depth.set(results.len() as u64);
-                if results.send((hs, outcome, stream)).is_err() {
-                    // Aggregator gone — nothing left to do.
-                    break;
+                batch.push((hs, outcome, stream));
+                if batch.len() == per_message {
+                    let full = std::mem::replace(&mut batch, Vec::with_capacity(per_message));
+                    if !ship(full) {
+                        // Aggregator gone — nothing left to do.
+                        return;
+                    }
                 }
             }
             Supervised::Retry(panic) => retries.push_back((hs, attempts_done + 1, panic)),
         }
+    }
+    if !batch.is_empty() {
+        ship(batch);
     }
 }
 
@@ -711,9 +737,11 @@ fn run_fleet_inner(
         .collect();
     let region_slots = spec.region_slots.max(1) as u32;
 
-    type WorkerResult = (HomeSpec, HomeOutcome, HomeStream);
-    let (report_tx, report_rx) =
-        crossbeam::channel::bounded::<WorkerResult>(spec.report_capacity.max(1));
+    // At most `report_capacity` finished homes wait in the channel, in
+    // messages of `homes_per_message` each.
+    let (report_tx, report_rx) = crossbeam::channel::bounded::<Vec<Finished>>(
+        (spec.report_capacity / homes_per_message(spec)).max(1),
+    );
 
     let shards = &mut aggs;
     let stamper = spec.stamper();
@@ -738,35 +766,37 @@ fn run_fleet_inner(
         let mut dirty: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
         let mut shard_errors: Vec<ShardError> = Vec::new();
         let mut received = 0usize;
-        while let Ok((hs, outcome, stream)) = report_rx.recv() {
-            metrics.reports_received.inc();
-            received += 1;
-            let region = hs.region % region_slots;
-            if dirty.contains(&region) {
-                continue;
-            }
-            let shard = RegionAggregator::shard_of(region, instances);
-            let home = hs.id;
-            let inject = chaos_armed && spec.shard_chaos == Some(home);
-            if inject {
-                chaos_armed = false;
-            }
-            let consumed = catch_unwind(AssertUnwindSafe(|| {
-                assert!(
-                    !inject,
-                    "shard-chaos: injected region-shard fault at home {home}"
-                );
-                shards[shard].consume(hs, outcome, stream);
-            }));
-            if let Err(payload) = consumed {
-                metrics.shard_panics.inc();
-                shard_errors.push(ShardError {
-                    shard,
-                    region,
-                    home,
-                    panic: panic_message(payload),
-                });
-                dirty.insert(region);
+        while let Ok(message) = report_rx.recv() {
+            for (hs, outcome, stream) in message {
+                metrics.reports_received.inc();
+                received += 1;
+                let region = hs.region % region_slots;
+                if dirty.contains(&region) {
+                    continue;
+                }
+                let shard = RegionAggregator::shard_of(region, instances);
+                let home = hs.id;
+                let inject = chaos_armed && spec.shard_chaos == Some(home);
+                if inject {
+                    chaos_armed = false;
+                }
+                let consumed = catch_unwind(AssertUnwindSafe(|| {
+                    assert!(
+                        !inject,
+                        "shard-chaos: injected region-shard fault at home {home}"
+                    );
+                    shards[shard].consume(hs, outcome, stream);
+                }));
+                if let Err(payload) = consumed {
+                    metrics.shard_panics.inc();
+                    shard_errors.push(ShardError {
+                        shard,
+                        region,
+                        home,
+                        panic: panic_message(payload),
+                    });
+                    dirty.insert(region);
+                }
             }
         }
         (received, dirty, shard_errors)
@@ -1215,5 +1245,36 @@ mod tests {
         // A clone derives its own kits.
         let clone = spec.clone();
         assert!(!Arc::ptr_eq(&house, &clone.kit(1, &clone.templates[1])));
+    }
+
+    /// The handoff-count guard: one worker hands `n` finished homes to
+    /// the collector in `ceil(n / 32)` messages at the default capacity
+    /// of 64, and in `n` messages at a capacity of 1. Each message wakes
+    /// the collector once, so the count stands in for the thread wakes
+    /// without timing anything.
+    #[test]
+    fn a_worker_hands_its_homes_over_in_messages_of_half_the_capacity() {
+        fn message_sizes(spec: &FleetSpec) -> Vec<usize> {
+            let (tx, rx) = crossbeam::channel::unbounded();
+            let next = AtomicU64::new(0);
+            worker_loop(spec, &spec.stamper(), &next, tx, &FleetMetrics::new());
+            std::iter::from_fn(|| rx.recv().ok())
+                .map(|message| message.len())
+                .collect()
+        }
+        let n = 70;
+        let spec = FleetSpec::new(11, n)
+            .with_horizon(Duration::from_secs(20))
+            .with_attacks(vec![(FleetAttack::None, 1)]);
+        assert_eq!(spec.report_capacity, 64);
+        let batched = message_sizes(&spec);
+        assert_eq!(batched.len(), n.div_ceil(32));
+        assert_eq!(batched, [32, 32, 6], "full messages, then one partial");
+
+        let mut per_home = spec.clone();
+        per_home.report_capacity = 1;
+        let sizes = message_sizes(&per_home);
+        assert_eq!(sizes.len(), n);
+        assert!(sizes.iter().all(|&len| len == 1));
     }
 }

@@ -274,7 +274,8 @@ pub struct FleetMetrics {
     pub shard_panics: Counter,
     /// Home reports received by the aggregator.
     pub reports_received: Counter,
-    /// Depth of the bounded report channel, sampled at each send.
+    /// Depth of the bounded report channel in messages (each of up to
+    /// half `report_capacity` homes), sampled at each send.
     pub report_channel_depth: Gauge,
     /// Per-home build time (µs).
     pub build_us: Histogram,

@@ -344,8 +344,11 @@ pub struct FleetSpec {
     /// shed stale observations instead of growing without bound. Sheds
     /// are charged to per-home and fleet-wide drop accounting.
     pub evidence_capacity: Option<usize>,
-    /// Capacity of the bounded report channel (worker → aggregator
-    /// backpressure).
+    /// Most finished homes waiting in the bounded report channel
+    /// (worker → aggregator backpressure). Workers send them in messages
+    /// of `(report_capacity / 2).max(1)` homes, so the channel holds
+    /// `report_capacity / that` messages; `1` hands over one home per
+    /// message.
     pub report_capacity: usize,
     /// kNN graph degree for cross-home correlation.
     pub graph_k: usize,

@@ -5,8 +5,9 @@
 use xlf_device::firmware::Version;
 use xlf_fleet::{
     run_fleet, CampaignSpec, ConfigAuditSpec, FleetAttack, FleetMetrics, FleetSpec, HomeTemplate,
-    OnboardingSpec,
+    OnboardingSpec, RowPolicy,
 };
+use xlf_simnet::Duration;
 
 fn spec(workers: usize) -> FleetSpec {
     FleetSpec::new(0xF1EE_7001, 24)
@@ -72,6 +73,48 @@ fn bounded_capacity_sheds_are_byte_identical_across_worker_counts() {
             "worker count {workers} changed the bounded fleet report"
         );
         assert_eq!(metrics.evidence_shed.get(), baseline.totals.evidence_shed);
+    }
+}
+
+#[test]
+fn multi_message_handoffs_are_byte_identical_across_workers_and_message_sizes() {
+    // A thin-home fleet in the fleet-wide shape, large enough that a
+    // worker hands the region tier several full messages of 32 homes
+    // (the default capacity of 64, halved) and then a partial one: 200
+    // homes are 6 full messages and 8 homes on one worker, about 3 full
+    // messages and a partial one each on two. Message boundaries are an
+    // execution detail, so neither the worker count nor a per-home
+    // handoff (capacity 1) may change a byte, and no home may be lost.
+    const HOMES: usize = 200;
+    fn thin_spec(workers: usize) -> FleetSpec {
+        FleetSpec::new(0xF1EE_7003, HOMES)
+            .with_workers(workers)
+            .with_regions(2)
+            .with_horizon(Duration::from_secs(20))
+            .with_attacks(vec![
+                (FleetAttack::None, 30),
+                (FleetAttack::BotnetRecruit, 1),
+                (FleetAttack::Replay, 1),
+            ])
+            .with_row_policy(RowPolicy::CandidatesOnly)
+    }
+    let metrics = FleetMetrics::new();
+    let baseline = run_fleet(&thin_spec(1), &metrics).expect("fleet runs");
+    assert_eq!(metrics.reports_received.get(), HOMES as u64);
+    assert!(baseline.accounting_ok(HOMES), "{:?}", baseline.totals);
+    let json = baseline.to_json();
+
+    let mut per_home = thin_spec(2);
+    per_home.report_capacity = 1;
+    for (label, spec) in [
+        ("2 workers", thin_spec(2)),
+        ("8 workers", thin_spec(8)),
+        ("capacity 1", per_home),
+    ] {
+        let metrics = FleetMetrics::new();
+        let report = run_fleet(&spec, &metrics).expect("fleet runs");
+        assert_eq!(report.to_json(), json, "{label} changed the fleet report");
+        assert_eq!(metrics.reports_received.get(), HOMES as u64, "{label}");
     }
 }
 

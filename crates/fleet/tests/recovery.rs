@@ -17,6 +17,7 @@ use xlf_fleet::{
     kill_points, run_fleet, run_fleet_resume, run_killed_and_resumed, scratch_dir, CampaignSpec,
     ConfigAuditSpec, FleetAttack, FleetFault, FleetMetrics, FleetSpec, KillPoint,
 };
+use xlf_simnet::Duration;
 
 /// A fleet exercising every kind of state the snapshot must carry:
 /// faulted homes (failed outcomes in the slots), an attack mix, a
@@ -233,16 +234,26 @@ fn a_snapshot_directory_from_a_different_fleet_is_ignored() {
 fn a_shard_panic_is_rebuilt_without_changing_the_report() {
     // Same spec, with and without an injected region-shard fault on one
     // home's consume: the torn region is rebuilt deterministically, so
-    // the report stays byte-identical and conservation holds.
-    let baseline = run_fleet(&base_spec(2, 2), &FleetMetrics::new()).expect("baseline runs");
-    let metrics = FleetMetrics::new();
-    let chaotic =
-        run_fleet(&base_spec(2, 2).with_shard_chaos(5), &metrics).expect("shard chaos survives");
-    assert_eq!(metrics.shard_panics.get(), 1, "the shard fault must fire");
-    assert!(chaotic.accounting_ok(12), "{:?}", chaotic.totals);
-    assert_eq!(
-        chaotic.to_json(),
-        baseline.to_json(),
-        "region rebuild after a shard panic changed the report"
-    );
+    // the report stays byte-identical and conservation holds. The second
+    // input hands its homes over in several messages: one worker sends
+    // 100 thin homes in messages of 32, so home 40 is the ninth of the
+    // second message, and the region tears mid-message while the rest
+    // of that message still arrives.
+    let multi_message = FleetSpec::new(0x5EC0_4E28, 100)
+        .with_workers(1)
+        .with_regions(2)
+        .with_horizon(Duration::from_secs(20));
+    for (spec, chaos_home, homes) in [(base_spec(2, 2), 5, 12), (multi_message, 40, 100)] {
+        let baseline = run_fleet(&spec, &FleetMetrics::new()).expect("baseline runs");
+        let metrics = FleetMetrics::new();
+        let chaotic =
+            run_fleet(&spec.with_shard_chaos(chaos_home), &metrics).expect("shard chaos survives");
+        assert_eq!(metrics.shard_panics.get(), 1, "the shard fault must fire");
+        assert!(chaotic.accounting_ok(homes), "{:?}", chaotic.totals);
+        assert_eq!(
+            chaotic.to_json(),
+            baseline.to_json(),
+            "region rebuild after a shard panic at home {chaos_home} changed the report"
+        );
+    }
 }
