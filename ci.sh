@@ -44,6 +44,8 @@ cargo test --workspace -q
 # majorities against the scan of every record, the count-keyed
 # robust accumulator against the sorted-vector accumulator, and the
 # stream pass's borrowed epoch index against the clone-and-regroup.
+# Beside them, the checkpoint-robustness proptests: restoring corrupted
+# or arbitrary XLFS checkpoint bytes never panics.
 echo "== proptest oracles, release, PROPTEST_CASES=5000"
 export PROPTEST_CASES=5000
 cargo test --release -q -p xlf-analytics --test proptests -- \
@@ -53,6 +55,7 @@ cargo test --release -q -p xlf-device --lib -- fixed_point_equals_float_formatti
 cargo test --release -q -p xlf-attacks --lib -- one_pass_majorities_equal_the_scan
 cargo test --release -q -p xlf-stream --lib -- runs_equal_the_sorted_vector_oracle
 cargo test --release -q -p xlf-fleet --lib -- epoch_index_matches_the_regroup_oracle
+cargo test --release -q -p xlf-stream --test checkpoint_robustness
 unset PROPTEST_CASES
 
 # The examples drive whole simulated homes through every node's packet

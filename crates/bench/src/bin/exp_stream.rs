@@ -5,18 +5,23 @@
 //! Sweeps the correlation interval over {batch, 60 s, 15 s} on the same
 //! stamped fleet, checks the final verdicts are byte-stable across the
 //! sweep (streaming is pure observation), measures per-home detection
-//! latency in simulated seconds, verifies checkpoint/resume cycling is
-//! invisible in the output bytes, and records detection-latency and
-//! alert-dedup columns in `BENCH_stream.json`.
+//! latency in simulated seconds, verifies that killing the finest run at
+//! every kill point and resuming it from its snapshots is invisible in
+//! the output bytes, and records detection-latency and alert-dedup
+//! columns in `BENCH_stream.json`.
 //!
 //! ```text
 //! cargo run --release -p xlf-bench --bin exp_stream -- [--smoke] [--json BENCH_stream.json]
 //! ```
 
+use std::path::Path;
 use std::process::ExitCode;
 use xlf_bench::harness::{best_of, fixed, Args, Json, Row};
 use xlf_bench::{active_attacked, obj};
-use xlf_fleet::{run_fleet, FleetAttack, FleetMetrics, FleetReport, FleetSpec, HomeTemplate};
+use xlf_fleet::{
+    kill_points, run_fleet, run_killed_and_resumed, scratch_dir, FleetAttack, FleetMetrics,
+    FleetReport, FleetSpec, HomeTemplate,
+};
 use xlf_simnet::Duration;
 
 struct Config {
@@ -147,14 +152,26 @@ fn main() -> ExitCode {
             && p.report.totals == batch.report.totals
     });
 
-    // Checkpoint/resume cycling on the finest interval is invisible.
+    // Kill-and-resume on the finest interval is invisible: killed at
+    // every kill point and resumed from its on-disk snapshots, the fleet
+    // reports the bytes of a straight run with the same every-1 snapshot
+    // policy (the report's `recovery` section carries the cadence). Each
+    // leg snapshots into a fresh directory.
     let finest = sweep.last().expect("sweep is non-empty");
-    let cycled = run_fleet(
-        &cfg.spec(finest.interval_s).with_stream_checkpoint_every(1),
-        &FleetMetrics::new(),
-    )
-    .expect("fleet engine lost work");
-    let checkpoint_stable = cycled.to_json() == finest.report.to_json();
+    let snapshotting = |dir: &Path| cfg.spec(finest.interval_s).with_run_snapshot_every(1, dir);
+    let straight_dir = scratch_dir("stream-straight");
+    let straight = run_fleet(&snapshotting(&straight_dir), &FleetMetrics::new())
+        .expect("fleet engine lost work")
+        .to_json();
+    let _ = std::fs::remove_dir_all(&straight_dir);
+    let checkpoint_stable = kill_points(&cfg.spec(finest.interval_s))
+        .into_iter()
+        .all(|kill| {
+            let dir = scratch_dir("stream-kill");
+            let resumed = run_killed_and_resumed(&snapshotting(&dir), kill, &FleetMetrics::new());
+            let _ = std::fs::remove_dir_all(&dir);
+            resumed.is_ok_and(|report| report.to_json() == straight)
+        });
 
     // The acceptance bar: at the finest interval every injected deviant
     // is detected strictly before the horizon (i.e. strictly earlier

@@ -22,7 +22,7 @@ use crate::engine::{HomeBuildError, HomeStream};
 use crate::onboard::OnboardSection;
 use crate::region::{fleet_features, RegionAggregator, RegionSlot, RegionSummary};
 use crate::snapshot::{self, KillPoint, ResumePhase, RunCtx, SnapshotIdentity};
-use crate::spec::{FleetSpec, HomeSpec, HomeTemplate, RowPolicy, FLEET_FAULT_KINDS};
+use crate::spec::{FleetSpec, HomeSpec, RowPolicy, FLEET_FAULT_KINDS};
 use crate::supervise::{FleetError, HomeOutcome, HomeRunError};
 use std::collections::{BTreeMap, BTreeSet};
 use xlf_analytics::graph::community_report;
@@ -31,13 +31,14 @@ use xlf_core::alerts::{Alert, AlertSink, Severity};
 use xlf_core::framework::HomeReport;
 use xlf_device::Vulnerability;
 use xlf_mgmt::{
-    CampaignEngine, CampaignReport, CampaignSpec, CommandBus, ConfigAuditReport, ConfigAuditSpec,
-    ConfigAuditor, TargetHome, COMMAND_KINDS,
+    CampaignEngine, CampaignReport, CommandBus, ConfigAuditReport, ConfigAuditor, TargetHome,
+    COMMAND_KINDS,
 };
 use xlf_onboard::DENY_CAUSES;
 use xlf_simnet::SimTime;
 use xlf_stream::{
-    EpochRecord, Reader, RobustAccumulator, StreamConfig, StreamCorrelator, WindowSummary,
+    EpochRecord, Reader, RobustAccumulator, StreamCorrelator, WindowSummary, GRAPH_GAMMA,
+    GRAPH_ITERS, GRAPH_K, MIN_DEVIATION, SIGMA,
 };
 
 /// Vendor the control plane's campaigns sign as. Matches the vendor the
@@ -81,7 +82,7 @@ const FEAT_PACKETS: usize = 9;
 /// `region`/`candidate` fields, `community` nullable (only forwarded
 /// candidates join the graph pass), `deviation` re-based to the robust
 /// z-score against per-template merged median/MAD statistics (so
-/// `threshold` is now in robust-σ units, `max(sigma, min_deviation)`),
+/// `threshold` is now in robust-σ units, `SIGMA.max(MIN_DEVIATION)`),
 /// and the top-level `homes` count drawn from the outcome tallies (the
 /// `rows` section no longer lists every home in candidates mode); v7 —
 /// durable aggregation & recovery: the `recovery` section
@@ -721,58 +722,24 @@ fn epoch_index<'a>(streams: &[&'a HomeStream], epochs: u64) -> Vec<Vec<&'a Windo
 }
 
 /// Collects per-home outcomes and fuses them into fleet intelligence.
-pub struct FleetAggregator {
-    master_seed: u64,
-    templates: Vec<HomeTemplate>,
+pub struct FleetAggregator<'a> {
+    spec: &'a FleetSpec,
     horizon: SimTime,
-    graph_k: usize,
-    graph_gamma: f64,
-    graph_iters: usize,
-    min_deviation: f64,
-    sigma: f64,
-    correlation_interval: Option<u64>,
-    stream_epochs: u64,
-    stream_checkpoint_every: Option<u64>,
-    campaigns: Vec<CampaignSpec>,
-    config_audit: Option<ConfigAuditSpec>,
-    region_slots: usize,
-    region_candidates: usize,
-    row_policy: RowPolicy,
-    /// Run-snapshot cadence from the spec (reported in `recovery`).
-    run_snapshot_every: Option<u64>,
     /// The onboarding section plus the stamped attack of each denied
     /// home, in `denied_causes` order — recomputed here purely from the
     /// spec (never stored in slots), so resumed and region-sharded runs
     /// report identical bytes.
     onboard: Option<(OnboardSection, Vec<&'static str>)>,
-    /// The identity passive contexts are stamped with (only ever read
-    /// when a snapshot is written, which a passive ctx never does).
-    identity: SnapshotIdentity,
     /// The fleet-level alert pipeline (same sink the per-home Cores use).
     pub alerts: AlertSink,
 }
 
-impl FleetAggregator {
-    /// Creates an aggregator tuned from the fleet spec.
-    pub fn new(spec: &FleetSpec) -> Self {
+impl<'a> FleetAggregator<'a> {
+    /// Creates an aggregator over the fleet spec.
+    pub fn new(spec: &'a FleetSpec) -> Self {
         FleetAggregator {
-            master_seed: spec.master_seed,
-            templates: spec.templates.clone(),
+            spec,
             horizon: SimTime::from_micros(spec.horizon.as_micros()),
-            graph_k: spec.graph_k,
-            graph_gamma: spec.graph_gamma,
-            graph_iters: spec.graph_iters,
-            min_deviation: spec.min_deviation,
-            sigma: spec.sigma,
-            correlation_interval: spec.correlation_interval,
-            stream_epochs: spec.stream_epochs(),
-            stream_checkpoint_every: spec.stream_checkpoint_every,
-            campaigns: spec.campaigns.clone(),
-            config_audit: spec.config_audit,
-            region_slots: spec.region_slots.max(1),
-            region_candidates: spec.region_candidates.max(1),
-            row_policy: spec.row_policy,
-            run_snapshot_every: spec.run_snapshot.as_ref().map(|p| p.every),
             onboard: spec.onboarding.as_ref().map(|o| {
                 let section = OnboardSection::compute(o, spec.stamped());
                 let attacks = section
@@ -782,7 +749,6 @@ impl FleetAggregator {
                     .collect();
                 (section, attacks)
             }),
-            identity: SnapshotIdentity::of(spec),
             alerts: AlertSink::new(),
         }
     }
@@ -808,9 +774,7 @@ impl FleetAggregator {
     /// C&C-beaconing implant does to a home's traffic window) before the
     /// correlator ingests the batch. Detection therefore feeds the next
     /// boundary's gate, which is exactly the §IV-D detection→response
-    /// loop. The engines live *outside* the correlator checkpoint: the
-    /// checkpoint/resume cycle restores correlator state only, and the
-    /// report stays byte-identical either way.
+    /// loop.
     ///
     /// **Recovery.** The `ctx` threads the run-snapshot machinery
     /// through the loop: a chaos kill point aborts at the top of its
@@ -823,9 +787,11 @@ impl FleetAggregator {
         items: &[(HomeSpec, HomeOutcome, HomeStream)],
         ctx: &mut RunCtx,
     ) -> Result<(Option<StreamSection>, Option<MgmtSection>), FleetError> {
-        let Some(interval) = self.correlation_interval else {
+        let spec = self.spec;
+        let Some(interval) = spec.correlation_interval else {
             return Ok((None, None));
         };
+        let stream_epochs = spec.stream_epochs();
         let mut shed = 0u64;
         let mut managed: Vec<&HomeSpec> = Vec::new();
         let mut streams: Vec<&HomeStream> = Vec::new();
@@ -852,14 +818,14 @@ impl FleetAggregator {
         // device's own vulnerability profile — the same ground truth the
         // simulations use.
         let mut bus = CommandBus::new();
-        let mut engines: Vec<CampaignEngine> = self
+        let mut engines: Vec<CampaignEngine> = spec
             .campaigns
             .iter()
             .map(|c| {
                 let targets: Vec<TargetHome> = managed
                     .iter()
                     .filter_map(|hs| {
-                        let template = self.templates.get(hs.template)?;
+                        let template = spec.templates.get(hs.template)?;
                         let device = template.devices.iter().find(|d| d.name == c.device)?;
                         Some(TargetHome {
                             home: hs.id,
@@ -869,25 +835,19 @@ impl FleetAggregator {
                     .collect();
                 CampaignEngine::new(
                     c.clone(),
-                    self.master_seed,
+                    spec.master_seed,
                     &targets,
                     CAMPAIGN_VENDOR,
                     CAMPAIGN_VENDOR_SECRET,
                 )
             })
             .collect();
-        let mut auditor = self.config_audit.map(|spec| {
+        let mut auditor = spec.config_audit.map(|audit| {
             let homes: Vec<u64> = managed.iter().map(|hs| hs.id).collect();
-            ConfigAuditor::new(spec, self.master_seed, &homes)
+            ConfigAuditor::new(audit, spec.master_seed, &homes)
         });
 
-        let mut correlator = StreamCorrelator::new(StreamConfig {
-            graph_k: self.graph_k,
-            graph_gamma: self.graph_gamma,
-            graph_iters: self.graph_iters,
-            min_deviation: self.min_deviation,
-            sigma: self.sigma,
-        });
+        let mut correlator = StreamCorrelator::new();
         correlator.note_shed(shed);
 
         // Resume overlay: everything pure was just rebuilt from the spec
@@ -917,7 +877,7 @@ impl FleetAggregator {
         // The homes keep the only copy of each window; the index borrows
         // them, and one batch is refilled per epoch because the implant
         // perturbation needs owned summaries.
-        let index = epoch_index(&streams, self.stream_epochs);
+        let index = epoch_index(&streams, stream_epochs);
         let mut batch: Vec<WindowSummary> = Vec::new();
         for (epoch, windows) in (0u64..).zip(&index) {
             // Epochs before the resume cursor are already inside the
@@ -951,18 +911,6 @@ impl FleetAggregator {
                 }
             }
             correlator.ingest_epoch(&batch);
-            // In-line production resume: at the configured cadence the
-            // pass continues from its own serialized checkpoint. The
-            // report is byte-identical with or without this — that IS
-            // the checkpoint/resume guarantee, and the determinism
-            // tests pin it.
-            if let Some(every) = self.stream_checkpoint_every {
-                if (epoch + 1) % every == 0 {
-                    if let Ok(resumed) = StreamCorrelator::restore(&correlator.checkpoint()) {
-                        correlator = resumed;
-                    }
-                }
-            }
             // Durable run snapshot at the cadence: the epoch boundary
             // state (cursor `epoch + 1`) lands atomically on disk.
             if let Some(every) = ctx.snapshot_every() {
@@ -991,7 +939,7 @@ impl FleetAggregator {
                 explanation: format!(
                     "stream correlation: home first detected at epoch {epoch} (t={at_s}s), \
                      {} epoch(s) before the horizon",
-                    self.stream_epochs.saturating_sub(epoch + 1),
+                    stream_epochs.saturating_sub(epoch + 1),
                 ),
             });
         }
@@ -1048,7 +996,7 @@ impl FleetAggregator {
         Ok((
             Some(StreamSection {
                 interval_secs: interval,
-                count: self.stream_epochs,
+                count: stream_epochs,
                 windows_ingested: outcome.windows_ingested,
                 windows_shed: outcome.windows_shed,
                 partial_homes: outcome.partial_homes,
@@ -1060,45 +1008,11 @@ impl FleetAggregator {
     }
 
     fn template_name(&self, idx: usize) -> String {
-        self.templates
+        self.spec
+            .templates
             .get(idx)
             .map(|t| t.name.clone())
             .unwrap_or_else(|| format!("template-{idx}"))
-    }
-
-    /// Fuses the collected `(spec, outcome)` pairs into the fleet report
-    /// without any streamed windows — the batch path. Equivalent to
-    /// [`FleetAggregator::aggregate_streamed`] with empty streams.
-    pub fn aggregate(self, items: Vec<(HomeSpec, HomeOutcome)>) -> FleetReport {
-        self.aggregate_streamed(
-            items
-                .into_iter()
-                .map(|(hs, outcome)| (hs, outcome, HomeStream::default()))
-                .collect(),
-        )
-    }
-
-    /// Fuses the collected `(spec, outcome, stream)` triples into the
-    /// fleet report by routing every triple through a single
-    /// [`RegionAggregator`] instance and running the region→global pass
-    /// — the one-instance degenerate case of the hierarchical topology
-    /// ([`FleetAggregator::aggregate_regions`] is the general entry).
-    /// Input order does not matter.
-    pub fn aggregate_streamed(
-        self,
-        items: Vec<(HomeSpec, HomeOutcome, HomeStream)>,
-    ) -> FleetReport {
-        let mut shard = RegionAggregator::from_parts(
-            self.region_slots,
-            self.region_candidates,
-            self.row_policy,
-            0,
-            1,
-        );
-        for (hs, outcome, stream) in items {
-            shard.consume(hs, outcome, stream);
-        }
-        self.aggregate_regions(vec![shard])
     }
 
     /// The global tier of the two-tier aggregation: gathers the logical
@@ -1115,11 +1029,11 @@ impl FleetAggregator {
     ///
     /// Flagging: a home is *deviant* when its region forwarded it as a
     /// candidate **and** its robust z-score clears
-    /// `max(sigma, min_deviation)`; it is *flagged* when it is deviant
+    /// `SIGMA.max(MIN_DEVIATION)`; it is *flagged* when it is deviant
     /// or its own Core raised criticals (criticals force candidacy, so
     /// the criticals-always-flag invariant survives the pre-filter).
     pub fn aggregate_regions(self, shards: Vec<RegionAggregator>) -> FleetReport {
-        let mut ctx = RunCtx::passive(self.identity);
+        let mut ctx = RunCtx::passive(SnapshotIdentity::of(self.spec));
         match self.aggregate_regions_run(shards, &mut ctx) {
             Ok(report) => report,
             // A passive ctx snapshots nothing, kills nothing, and
@@ -1138,7 +1052,7 @@ impl FleetAggregator {
         assert!(!shards.is_empty(), "at least one region shard required");
         let instances = shards.len();
         // Gather every logical slot in ascending region order.
-        let slots: Vec<RegionSlot> = (0..self.region_slots)
+        let slots: Vec<RegionSlot> = (0..self.spec.region_slots.max(1))
             .map(|r| shards[RegionAggregator::shard_of(r as u32, instances)].take_slot(r as u32))
             .collect();
         self.aggregate_slots(slots, ctx)
@@ -1272,12 +1186,7 @@ impl FleetAggregator {
             .map(|(hs, report, _)| (hs.id, fleet_features(report).collect()))
             .collect();
         let cand_features: Vec<Vec<f64>> = cand.iter().map(|(_, f)| f.clone()).collect();
-        let graph = community_report(
-            &cand_features,
-            self.graph_k,
-            self.graph_gamma,
-            self.graph_iters,
-        );
+        let graph = community_report(&cand_features, GRAPH_K, GRAPH_GAMMA, GRAPH_ITERS);
         let label_of: BTreeMap<u64, usize> = cand
             .iter()
             .zip(graph.labels.iter())
@@ -1290,7 +1199,7 @@ impl FleetAggregator {
         // The flag threshold is an absolute robust-σ bar, not a quantile
         // of this run's score distribution — merged statistics make the
         // scores comparable across fleets and region layouts.
-        let threshold = self.sigma.max(self.min_deviation);
+        let threshold = SIGMA.max(MIN_DEVIATION);
 
         let mut flagged_ids = Vec::new();
         let mut rows = Vec::with_capacity(ok_items.len());
@@ -1344,7 +1253,7 @@ impl FleetAggregator {
                 template: self.template_name(hs.template),
                 attack: hs.attack.name(),
                 fault: hs.fault.name(),
-                region: hs.region % self.region_slots as u32,
+                region: hs.region % self.spec.region_slots.max(1) as u32,
                 candidate,
                 community: label_of.get(&hs.id).copied(),
                 deviation,
@@ -1445,8 +1354,8 @@ impl FleetAggregator {
         }
 
         Ok(FleetReport {
-            master_seed: self.master_seed,
-            rows_mode: self.row_policy,
+            master_seed: self.spec.master_seed,
+            rows_mode: self.spec.row_policy,
             rows,
             regions,
             degraded,
@@ -1458,7 +1367,7 @@ impl FleetAggregator {
             epochs,
             mgmt,
             onboarding,
-            snapshot_every: self.run_snapshot_every,
+            snapshot_every: self.spec.run_snapshot.as_ref().map(|p| p.every),
             totals,
             alerts: self.alerts.alerts().to_vec(),
         })
@@ -1563,6 +1472,15 @@ mod tests {
         }
     }
 
+    /// Batch aggregation through one region shard and the global pass.
+    fn aggregate(spec: &FleetSpec, items: Vec<(HomeSpec, HomeOutcome)>) -> FleetReport {
+        let mut shard = RegionAggregator::new(spec, 0, 1);
+        for (hs, outcome) in items {
+            shard.consume(hs, outcome, HomeStream::default());
+        }
+        FleetAggregator::new(spec).aggregate_regions(vec![shard])
+    }
+
     fn items(n: usize, outlier: Option<usize>) -> Vec<(HomeSpec, HomeOutcome)> {
         (0..n)
             .map(|i| {
@@ -1589,17 +1507,17 @@ mod tests {
     #[test]
     fn aggregation_is_input_order_independent() {
         let spec = FleetSpec::new(1, 12);
-        let forward = FleetAggregator::new(&spec).aggregate(items(12, Some(3)));
+        let forward = aggregate(&spec, items(12, Some(3)));
         let mut reversed_items = items(12, Some(3));
         reversed_items.reverse();
-        let reversed = FleetAggregator::new(&spec).aggregate(reversed_items);
+        let reversed = aggregate(&spec, reversed_items);
         assert_eq!(forward.to_json(), reversed.to_json());
     }
 
     #[test]
     fn behavioural_outlier_is_flagged_with_a_fleet_alert() {
         let spec = FleetSpec::new(1, 16);
-        let report = FleetAggregator::new(&spec).aggregate(items(16, Some(5)));
+        let report = aggregate(&spec, items(16, Some(5)));
         assert!(report.flagged.contains(&5), "report: {:?}", report.flagged);
         assert!(report
             .alerts
@@ -1614,7 +1532,7 @@ mod tests {
         let spec = FleetSpec::new(1, 8);
         let mut all = items(8, None);
         all[2].1 = ok(fake_report(2, 52.0, 3));
-        let report = FleetAggregator::new(&spec).aggregate(all);
+        let report = aggregate(&spec, all);
         assert!(report.flagged.contains(&2));
         assert!(report
             .alerts
@@ -1626,7 +1544,7 @@ mod tests {
     #[test]
     fn json_shape_is_stable_and_versioned() {
         let spec = FleetSpec::new(9, 4);
-        let report = FleetAggregator::new(&spec).aggregate(items(4, None));
+        let report = aggregate(&spec, items(4, None));
         let json = report.to_json();
         assert!(
             json.starts_with(&format!(
@@ -1647,7 +1565,7 @@ mod tests {
         let spec = FleetSpec::new(1, 12);
         let mut all = items(12, Some(3));
         all[7].1 = ok(fake_report(7, f64::NAN, 0));
-        let report = FleetAggregator::new(&spec).aggregate(all);
+        let report = aggregate(&spec, all);
         assert_eq!(report.rows.len(), 12);
         assert!(
             report.threshold.is_finite(),
@@ -1675,7 +1593,7 @@ mod tests {
             home: 5,
             reason: "no cloud node to host automation".to_string(),
         });
-        let report = FleetAggregator::new(&spec).aggregate(all);
+        let report = aggregate(&spec, all);
         assert_eq!(report.rows.len(), 11, "failed home must not get a row");
         assert_eq!(report.build_failed.len(), 1);
         assert_eq!(report.build_failed[0].home, 5);
@@ -1712,7 +1630,7 @@ mod tests {
             fault: "chaos-panic",
             panic: "chaos-panic: injected simulation fault in home 9".to_string(),
         });
-        let report = FleetAggregator::new(&spec).aggregate(all);
+        let report = aggregate(&spec, all);
         assert_eq!(report.rows.len(), 10);
         assert_eq!(report.degraded.len(), 1);
         assert_eq!(report.run_failed.len(), 1);
@@ -1755,7 +1673,7 @@ mod tests {
         let mut all = items(8, None);
         all[2].0.fault = FleetFault::WanFlap;
         all[2].1 = ok(fake_report(2, 52.0, 3));
-        let report = FleetAggregator::new(&spec).aggregate(all);
+        let report = aggregate(&spec, all);
         let alert = report
             .alerts
             .iter()
@@ -1777,7 +1695,7 @@ mod tests {
             report: fake_report(1, 51.0, 0),
             observer_accuracy: Some(0.75),
         };
-        let report = FleetAggregator::new(&spec).aggregate(all);
+        let report = aggregate(&spec, all);
         let json = report.to_json();
         assert!(json.contains("\"observer_accuracy\":0.750000"), "{json}");
         assert!(json.contains("\"observer_accuracy\":null"), "{json}");
@@ -1791,7 +1709,7 @@ mod tests {
             report.evidence_dropped = 30; // 10 aggregated + 30 lost
             report.evidence_shed = 20;
         }
-        let report = FleetAggregator::new(&spec).aggregate(all);
+        let report = aggregate(&spec, all);
         assert_eq!(report.totals.evidence, 80);
         assert_eq!(report.totals.evidence_dropped, 30);
         assert_eq!(report.totals.evidence_shed, 20);
@@ -1813,9 +1731,7 @@ mod tests {
         // byte-identical (slot state is a set property; gathering is in
         // ascending region order either way).
         let spec = FleetSpec::new(1, 24);
-        let baseline = FleetAggregator::new(&spec)
-            .aggregate(items(24, Some(9)))
-            .to_json();
+        let baseline = aggregate(&spec, items(24, Some(9))).to_json();
         for instances in [2usize, 8] {
             let mut shards: Vec<RegionAggregator> = (0..instances)
                 .map(|i| RegionAggregator::new(&spec, i, instances))
@@ -1835,7 +1751,7 @@ mod tests {
     #[test]
     fn regions_section_tallies_cover_the_fleet() {
         let spec = FleetSpec::new(1, 16);
-        let report = FleetAggregator::new(&spec).aggregate(items(16, Some(5)));
+        let report = aggregate(&spec, items(16, Some(5)));
         assert_eq!(report.regions.len(), spec.region_slots);
         let homes: u64 = report.regions.iter().map(|r| r.homes).sum();
         assert_eq!(homes, 16);

@@ -1097,17 +1097,14 @@ mod tests {
         let mut homes = spec.stamp();
         homes[1].template = 99;
         let metrics = FleetMetrics::new();
-        let results: Vec<_> = homes
-            .iter()
-            .map(|hs| {
-                let outcome = match supervised_attempt(&spec, hs, 0, None, &metrics) {
-                    Supervised::Done(o, _) => o,
-                    Supervised::Retry(_) => panic!("unexpected retry"),
-                };
-                (hs.clone(), outcome)
-            })
-            .collect();
-        let report = FleetAggregator::new(&spec).aggregate(results);
+        let mut shard = RegionAggregator::new(&spec, 0, 1);
+        for hs in &homes {
+            match supervised_attempt(&spec, hs, 0, None, &metrics) {
+                Supervised::Done(o, stream) => shard.consume(hs.clone(), o, stream),
+                Supervised::Retry(_) => panic!("unexpected retry"),
+            }
+        }
+        let report = FleetAggregator::new(&spec).aggregate_regions(vec![shard]);
         assert_eq!(report.rows.len(), 2);
         assert_eq!(report.build_failed.len(), 1);
         assert_eq!(report.totals.homes_build_failed, 1);

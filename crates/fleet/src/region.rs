@@ -46,6 +46,12 @@ use std::collections::{BTreeMap, BTreeSet};
 use xlf_core::framework::HomeReport;
 use xlf_stream::{CheckpointError, Reader, RobustAccumulator, Writer};
 
+/// How many magnitude extremes each logical region forwards to the
+/// global pass as candidate deviants, *per side* (top-K largest and
+/// bottom-K smallest feature magnitudes). Homes with criticals,
+/// quarantines or evidence shed are always forwarded regardless.
+const REGION_CANDIDATES: usize = 16;
+
 /// Feature vector the fleet tier correlates: the home's
 /// traffic-behaviour window plus its evidence-store summary and fused
 /// verdict — "aggregates the raw and the detection results … from each
@@ -441,7 +447,6 @@ impl RegionSlot {
         r: &mut Reader,
         spec: &FleetSpec,
     ) -> Result<RegionSlot, CheckpointError> {
-        let candidates = spec.region_candidates;
         let mut slot = RegionSlot::new();
         slot.homes = r.u64()?;
         slot.ok = r.u64()?;
@@ -459,12 +464,12 @@ impl RegionSlot {
         for _ in 0..n_stats {
             let template = r.usize()?;
             let dims = r.usize()?;
-            let mut stats = TemplateStats::new(candidates);
+            let mut stats = TemplateStats::new(REGION_CANDIDATES);
             for _ in 0..dims {
                 stats.features.push(RobustAccumulator::restore_from(r)?);
             }
-            stats.top = ExtremeK::restore_from(r, Keep::Largest, candidates)?;
-            stats.bottom = ExtremeK::restore_from(r, Keep::Smallest, candidates)?;
+            stats.top = ExtremeK::restore_from(r, Keep::Largest, REGION_CANDIDATES)?;
+            stats.bottom = ExtremeK::restore_from(r, Keep::Smallest, REGION_CANDIDATES)?;
             slot.stats.insert(template, stats);
         }
         slot.magnitude = RobustAccumulator::restore_from(r)?;
@@ -494,7 +499,6 @@ impl RegionSlot {
 #[derive(Debug)]
 pub struct RegionAggregator {
     region_slots: usize,
-    region_candidates: usize,
     row_policy: RowPolicy,
     index: usize,
     instances: usize,
@@ -505,31 +509,11 @@ impl RegionAggregator {
     /// One shard of a `instances`-way region tier (this is shard
     /// `index`), configured from the fleet spec.
     pub fn new(spec: &FleetSpec, index: usize, instances: usize) -> Self {
-        Self::from_parts(
-            spec.region_slots,
-            spec.region_candidates,
-            spec.row_policy,
-            index,
-            instances,
-        )
-    }
-
-    /// As [`RegionAggregator::new`] but from the raw knobs (the batch
-    /// aggregation wrapper builds its single instance without a spec in
-    /// hand).
-    pub fn from_parts(
-        region_slots: usize,
-        region_candidates: usize,
-        row_policy: RowPolicy,
-        index: usize,
-        instances: usize,
-    ) -> Self {
         let instances = instances.max(1);
         assert!(index < instances, "shard index out of range");
         RegionAggregator {
-            region_slots: region_slots.max(1),
-            region_candidates: region_candidates.max(1),
-            row_policy,
+            region_slots: spec.region_slots.max(1),
+            row_policy: spec.row_policy,
             index,
             instances,
             slots: BTreeMap::new(),
@@ -549,12 +533,11 @@ impl RegionAggregator {
             self.index,
             "home routed to the wrong region shard"
         );
-        let k = self.region_candidates;
         let policy = self.row_policy;
         self.slots
             .entry(region)
             .or_insert_with(RegionSlot::new)
-            .consume(hs, outcome, stream, k, policy);
+            .consume(hs, outcome, stream, REGION_CANDIDATES, policy);
     }
 
     /// Removes and returns one logical slot's state (an empty slot for
@@ -680,13 +663,11 @@ mod tests {
 
     #[test]
     fn candidates_only_retention_keeps_extremes_and_always_candidates() {
-        let mut spec = FleetSpec::new(1, 0).with_region_candidates(2);
-        spec.row_policy = RowPolicy::CandidatesOnly;
-        let mut agg = RegionAggregator::new(&spec, 0, 1);
+        let mut slot = RegionSlot::new();
         // 30 benign homes with increasing traffic, one critical home in
         // the middle of the pack, one shedding home.
         for i in 0..30u64 {
-            agg.consume(
+            slot.consume(
                 home(i, 0),
                 ok(report(
                     i,
@@ -695,9 +676,11 @@ mod tests {
                     u64::from(i == 17),
                 )),
                 HomeStream::default(),
+                2,
+                RowPolicy::CandidatesOnly,
             );
         }
-        let slot = agg.take_slot(0);
+        let slot = slot.gathered();
         let candidates = slot.candidate_ids();
         // Top-2 by magnitude (ids 28, 29), bottom-2 (ids 0, 1), plus the
         // critical home 13 and the shedding home 17.
@@ -745,16 +728,17 @@ mod tests {
 
     #[test]
     fn full_retention_keeps_every_triple() {
-        let spec = FleetSpec::new(1, 0).with_region_candidates(2);
-        let mut agg = RegionAggregator::new(&spec, 0, 1);
+        let mut slot = RegionSlot::new();
         for i in 0..10u64 {
-            agg.consume(
+            slot.consume(
                 home(i, 0),
                 ok(report(i, 50.0 + i as f64, 0, 0)),
                 HomeStream::default(),
+                2,
+                RowPolicy::Full,
             );
         }
-        assert_eq!(agg.take_slot(0).retained.len(), 10);
+        assert_eq!(slot.gathered().retained.len(), 10);
     }
 
     #[test]

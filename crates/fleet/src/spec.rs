@@ -350,20 +350,6 @@ pub struct FleetSpec {
     /// `report_capacity / that` messages; `1` hands over one home per
     /// message.
     pub report_capacity: usize,
-    /// kNN graph degree for cross-home correlation.
-    pub graph_k: usize,
-    /// RBF kernel width for the similarity graph.
-    pub graph_gamma: f64,
-    /// Label-propagation iteration cap.
-    pub graph_iters: usize,
-    /// Deviation threshold floor for flagging (the effective threshold
-    /// is `max(min_deviation, median + sigma·MAD)` over the fleet —
-    /// median/MAD so deviants can't inflate the spread they are
-    /// compared against).
-    pub min_deviation: f64,
-    /// How many (robust) standard deviations above the fleet median a
-    /// home's deviation score must sit to be flagged.
-    pub sigma: f64,
     /// Streaming correlation interval in simulated seconds. `None` =
     /// batch mode (correlate once at the horizon, schema's `epochs`
     /// section is `null`); `Some(secs)` makes every home emit one
@@ -376,13 +362,6 @@ pub struct FleetSpec {
     /// shed-oldest; see [`xlf_stream::WindowBuffer`]). Irrelevant in
     /// batch mode.
     pub window_capacity: usize,
-    /// When set, the stream pass checkpoints the correlator every this
-    /// many epochs and resumes from the serialized bytes — the
-    /// production resume path, exercised in-line. `None` runs the pass
-    /// uninterrupted. Either way the report bytes are identical (that is
-    /// the checkpoint/resume guarantee, and the determinism tests pin
-    /// it).
-    pub stream_checkpoint_every: Option<u64>,
     /// OTA rollout campaigns the control plane drives during the stream
     /// pass (one [`xlf_mgmt::CampaignEngine`] each). Campaigns consume
     /// the correlator's flagged set as their between-wave health gate,
@@ -406,11 +385,6 @@ pub struct FleetSpec {
     /// one aggregator and the global pass gathers logical regions in
     /// stable order.
     pub regions: usize,
-    /// How many magnitude extremes each logical region forwards to the
-    /// global pass as candidate deviants, *per side* (top-K largest and
-    /// bottom-K smallest feature magnitudes). Homes with criticals,
-    /// quarantines or evidence shed are always forwarded regardless.
-    pub region_candidates: usize,
     /// Row retention policy; see [`RowPolicy`].
     pub row_policy: RowPolicy,
     /// When set, the run cuts durable `XLFR` snapshots (the aggregation
@@ -478,19 +452,12 @@ impl FleetSpec {
             drain_batch: 256,
             evidence_capacity: None,
             report_capacity: 64,
-            graph_k: 8,
-            graph_gamma: 8.0,
-            graph_iters: 100,
-            min_deviation: 0.15,
-            sigma: 4.0,
             correlation_interval: None,
             window_capacity: 256,
-            stream_checkpoint_every: None,
             campaigns: Vec::new(),
             config_audit: None,
             region_slots: 8,
             regions: 1,
-            region_candidates: 16,
             row_policy: RowPolicy::Full,
             run_snapshot: None,
             shard_chaos: None,
@@ -565,14 +532,6 @@ impl FleetSpec {
         self
     }
 
-    /// Sets the per-region candidate forwarding budget (builder-style);
-    /// see [`FleetSpec::region_candidates`].
-    pub fn with_region_candidates(mut self, k: usize) -> Self {
-        assert!(k > 0, "each region must forward at least one candidate");
-        self.region_candidates = k;
-        self
-    }
-
     /// Sets the row retention policy (builder-style); see [`RowPolicy`].
     /// Candidates-only retention is a batch-mode scale configuration:
     /// the stream pass (and therefore campaigns and config audits)
@@ -626,15 +585,6 @@ impl FleetSpec {
             "streamed correlation requires full row retention"
         );
         self.correlation_interval = Some(secs);
-        self
-    }
-
-    /// Makes the stream pass checkpoint + resume itself every `epochs`
-    /// epochs (builder-style); see
-    /// [`FleetSpec::stream_checkpoint_every`].
-    pub fn with_stream_checkpoint_every(mut self, epochs: u64) -> Self {
-        assert!(epochs > 0, "checkpoint cadence must be positive");
-        self.stream_checkpoint_every = Some(epochs);
         self
     }
 
@@ -793,7 +743,7 @@ impl Stamper<'_> {
         // adding region stamping never relayouts seeds/templates/
         // attacks/faults stamped by older specs.
         let h3 = splitmix64(h2 ^ 0x4E61_0000_0000_0002);
-        let region = (h3 % spec.region_slots as u64) as u32;
+        let region = (h3 % spec.region_slots.max(1) as u64) as u32;
         HomeSpec {
             id,
             seed,

@@ -119,6 +119,22 @@ fn multi_message_handoffs_are_byte_identical_across_workers_and_message_sizes() 
 }
 
 #[test]
+fn zero_region_slots_run_as_one_slot() {
+    // `region_slots` is a public field: 0 must mean one region, as it
+    // does everywhere the field is read, never a division by zero.
+    let mut zero = spec(2);
+    zero.region_slots = 0;
+    let one = spec(2).with_region_slots(1);
+    assert_eq!(zero.stamp(), one.stamp());
+    let json = |s: &FleetSpec| {
+        run_fleet(s, &FleetMetrics::new())
+            .expect("fleet runs")
+            .to_json()
+    };
+    assert_eq!(json(&zero), json(&one));
+}
+
+#[test]
 fn different_master_seed_changes_the_report() {
     let a = run_fleet(&spec(2), &FleetMetrics::new()).expect("fleet runs");
     let mut other = spec(2);

@@ -15,8 +15,8 @@ use xlf_core::framework::HomeReport;
 use xlf_device::firmware::Version;
 use xlf_fleet::{
     CampaignSpec, ConfigAuditSpec, FleetAggregator, FleetAttack, FleetFault, FleetMetrics,
-    FleetSpec, HomeBuildError, HomeOutcome, HomeRunError, HomeSpec, HomeStream, OnboardingSpec,
-    FLEET_METRICS_SCHEMA_VERSION, FLEET_REPORT_SCHEMA_VERSION,
+    FleetReport, FleetSpec, HomeBuildError, HomeOutcome, HomeRunError, HomeSpec, HomeStream,
+    OnboardingSpec, RegionAggregator, FLEET_METRICS_SCHEMA_VERSION, FLEET_REPORT_SCHEMA_VERSION,
 };
 use xlf_stream::{WindowSummary, STREAM_FEATURES};
 
@@ -49,6 +49,18 @@ fn assert_matches_golden(name: &str, actual: &str) {
          if the change is intentional, bump the schema version and regenerate \
          with XLF_UPDATE_GOLDENS=1"
     );
+}
+
+/// Aggregates `items` through one region shard and the global pass.
+fn aggregate(
+    spec: &FleetSpec,
+    items: impl IntoIterator<Item = (HomeSpec, HomeOutcome, HomeStream)>,
+) -> FleetReport {
+    let mut shard = RegionAggregator::new(spec, 0, 1);
+    for (hs, outcome, stream) in items {
+        shard.consume(hs, outcome, stream);
+    }
+    FleetAggregator::new(spec).aggregate_regions(vec![shard])
 }
 
 fn fake_report(seed: u64, traffic: f64, criticals: usize) -> HomeReport {
@@ -131,7 +143,13 @@ fn synthetic_report_json() -> String {
         fault: "chaos-panic",
         panic: "chaos-panic: injected simulation fault in home 10".to_string(),
     });
-    FleetAggregator::new(&spec).aggregate(items).to_json()
+    aggregate(
+        &spec,
+        items
+            .into_iter()
+            .map(|(hs, o)| (hs, o, HomeStream::default())),
+    )
+    .to_json()
 }
 
 /// A small streamed fleet with a tampered, gated campaign plus a config
@@ -177,9 +195,7 @@ fn synthetic_campaign_report_json() -> String {
             )
         })
         .collect();
-    FleetAggregator::new(&spec)
-        .aggregate_streamed(items)
-        .to_json()
+    aggregate(&spec, items).to_json()
 }
 
 #[test]
@@ -228,7 +244,13 @@ fn synthetic_onboard_report_json() -> String {
             (hs, ok(fake_report(seed, 50.0, 0)))
         })
         .collect();
-    FleetAggregator::new(&spec).aggregate(items).to_json()
+    aggregate(
+        &spec,
+        items
+            .into_iter()
+            .map(|(hs, o)| (hs, o, HomeStream::default())),
+    )
+    .to_json()
 }
 
 #[test]

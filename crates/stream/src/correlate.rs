@@ -10,39 +10,22 @@ use xlf_analytics::graph::{community_report_into, GraphScratch};
 
 /// Checkpoint header.
 const MAGIC: &[u8; 4] = b"XLFS";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 /// Feature index of the per-window critical-alert delta (see
 /// [`crate::window::STREAM_FEATURES`]).
 const CRITICAL_DELTA: usize = 5;
 
-/// Tuning for the streaming correlation pass. Defaults mirror the batch
-/// fleet aggregator so streamed and batch verdicts are comparable.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamConfig {
-    /// kNN graph degree.
-    pub graph_k: usize,
-    /// RBF similarity bandwidth.
-    pub graph_gamma: f64,
-    /// Label-propagation iteration cap per epoch.
-    pub graph_iters: usize,
-    /// Deviation-score floor below which nothing is flagged.
-    pub min_deviation: f64,
-    /// Robust z-score multiplier for the adaptive threshold.
-    pub sigma: f64,
-}
-
-impl Default for StreamConfig {
-    fn default() -> Self {
-        StreamConfig {
-            graph_k: 8,
-            graph_gamma: 8.0,
-            graph_iters: 100,
-            min_deviation: 0.15,
-            sigma: 4.0,
-        }
-    }
-}
+/// kNN graph degree of the community pass.
+pub const GRAPH_K: usize = 8;
+/// RBF similarity bandwidth of the community pass.
+pub const GRAPH_GAMMA: f64 = 8.0;
+/// Label-propagation iteration cap per community pass.
+pub const GRAPH_ITERS: usize = 100;
+/// Deviation-score floor below which nothing is flagged.
+pub const MIN_DEVIATION: f64 = 0.15;
+/// Robust z-score multiplier of the adaptive flag threshold.
+pub const SIGMA: f64 = 4.0;
 
 /// What one correlation epoch observed fleet-wide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,9 +116,8 @@ struct CorrelatorScratch {
 /// labels, and records epoch-stamped detections with dedup. All folding
 /// happens in home-id order, so the outcome is independent of summary
 /// arrival order — and of how many workers produced them.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StreamCorrelator {
-    cfg: StreamConfig,
     epoch: u64,
     next_label: u64,
     windows_ingested: u64,
@@ -157,8 +139,7 @@ impl PartialEq for StreamCorrelator {
     /// what [`StreamCorrelator::checkpoint`] captures. The scratch
     /// buffers are warm caches, not state.
     fn eq(&self, other: &Self) -> bool {
-        self.cfg == other.cfg
-            && self.epoch == other.epoch
+        self.epoch == other.epoch
             && self.next_label == other.next_label
             && self.windows_ingested == other.windows_ingested
             && self.windows_shed == other.windows_shed
@@ -172,20 +153,8 @@ impl PartialEq for StreamCorrelator {
 
 impl StreamCorrelator {
     /// A fresh correlator at epoch 0.
-    pub fn new(cfg: StreamConfig) -> Self {
-        StreamCorrelator {
-            cfg,
-            epoch: 0,
-            next_label: 0,
-            windows_ingested: 0,
-            windows_shed: 0,
-            homes: BTreeMap::new(),
-            labels: BTreeMap::new(),
-            flagged: BTreeSet::new(),
-            first_detection: BTreeMap::new(),
-            epochs: Vec::new(),
-            scratch: CorrelatorScratch::default(),
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// The next epoch to be ingested (== epochs completed so far).
@@ -267,13 +236,7 @@ impl StreamCorrelator {
         graph
             .matrix
             .fill_from_flat(features, ids.len(), 2 * STREAM_FEATURES);
-        community_report_into(
-            self.cfg.graph_k,
-            self.cfg.graph_gamma,
-            self.cfg.graph_iters,
-            Some(seed),
-            graph,
-        );
+        community_report_into(GRAPH_K, GRAPH_GAMMA, GRAPH_ITERS, Some(seed), graph);
         for (id, &label) in ids.iter().zip(graph.labels()) {
             self.labels.insert(*id, label as u64);
         }
@@ -283,10 +246,7 @@ impl StreamCorrelator {
         finite.clear();
         finite.extend(graph.scores().iter().copied().filter(|s| s.is_finite()));
         let stats = RobustAccumulator::from_samples(finite);
-        let threshold = self
-            .cfg
-            .min_deviation
-            .max(stats.median() + self.cfg.sigma * 1.4826 * stats.mad());
+        let threshold = MIN_DEVIATION.max(stats.median() + SIGMA * 1.4826 * stats.mad());
 
         // Epoch-stamped detection with dedup: a home fires at most one
         // alert across the whole run; repeats are counted, not re-raised.
@@ -342,11 +302,6 @@ impl StreamCorrelator {
         let mut w = Writer::new();
         w.bytes(MAGIC);
         w.u32(VERSION);
-        w.usize(self.cfg.graph_k);
-        w.f64(self.cfg.graph_gamma);
-        w.usize(self.cfg.graph_iters);
-        w.f64(self.cfg.min_deviation);
-        w.f64(self.cfg.sigma);
         w.u64(self.epoch);
         w.u64(self.next_label);
         w.u64(self.windows_ingested);
@@ -399,13 +354,6 @@ impl StreamCorrelator {
         if version != VERSION {
             return Err(CheckpointError::UnsupportedVersion(version));
         }
-        let cfg = StreamConfig {
-            graph_k: r.usize()?,
-            graph_gamma: r.f64()?,
-            graph_iters: r.usize()?,
-            min_deviation: r.f64()?,
-            sigma: r.f64()?,
-        };
         let epoch = r.u64()?;
         let next_label = r.u64()?;
         let windows_ingested = r.u64()?;
@@ -463,7 +411,6 @@ impl StreamCorrelator {
         }
         r.finish()?;
         Ok(StreamCorrelator {
-            cfg,
             epoch,
             next_label,
             windows_ingested,
@@ -478,32 +425,27 @@ impl StreamCorrelator {
     }
 }
 
-/// Replays a full window set epoch by epoch: groups `windows` by window
-/// index, ingests epochs `0..epochs` in order, and returns the outcome.
-/// `shed` is the fleet-wide count of windows evicted by the bounded
-/// per-home buffers before reaching the correlator.
-pub fn correlate_windows(
-    cfg: StreamConfig,
-    epochs: u64,
-    windows: &[WindowSummary],
-    shed: u64,
-) -> StreamOutcome {
-    let mut correlator = StreamCorrelator::new(cfg);
-    correlator.note_shed(shed);
-    let mut by_epoch: BTreeMap<u64, Vec<WindowSummary>> = BTreeMap::new();
-    for w in windows {
-        by_epoch.entry(w.window).or_default().push(w.clone());
-    }
-    for epoch in 0..epochs {
-        let batch = by_epoch.remove(&epoch).unwrap_or_default();
-        correlator.ingest_epoch(&batch);
-    }
-    correlator.outcome()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Replays a full window set epoch by epoch: groups `windows` by window
+    /// index, ingests epochs `0..epochs` in order, and returns the outcome.
+    /// `shed` is the fleet-wide count of windows evicted by the bounded
+    /// per-home buffers before reaching the correlator.
+    fn correlate_windows(epochs: u64, windows: &[WindowSummary], shed: u64) -> StreamOutcome {
+        let mut correlator = StreamCorrelator::new();
+        correlator.note_shed(shed);
+        let mut by_epoch: BTreeMap<u64, Vec<WindowSummary>> = BTreeMap::new();
+        for w in windows {
+            by_epoch.entry(w.window).or_default().push(w.clone());
+        }
+        for epoch in 0..epochs {
+            let batch = by_epoch.remove(&epoch).unwrap_or_default();
+            correlator.ingest_epoch(&batch);
+        }
+        correlator.outcome()
+    }
 
     /// Two clusters of quiet homes plus one home that turns critical
     /// from window `attack_from` on.
@@ -534,7 +476,7 @@ mod tests {
 
     #[test]
     fn deviant_home_is_first_detected_at_its_attack_epoch_and_deduped_after() {
-        let outcome = correlate_windows(StreamConfig::default(), 10, &synthetic_fleet(10, 4, 3), 0);
+        let outcome = correlate_windows(10, &synthetic_fleet(10, 4, 3), 0);
         assert_eq!(outcome.epochs.len(), 10);
         assert!(outcome.flagged.contains(&3), "{outcome:?}");
         assert_eq!(outcome.first_detection.get(&3), Some(&4), "{outcome:?}");
@@ -551,8 +493,8 @@ mod tests {
         let windows = synthetic_fleet(6, 2, 5);
         let mut reversed = windows.clone();
         reversed.reverse();
-        let a = correlate_windows(StreamConfig::default(), 6, &windows, 0);
-        let b = correlate_windows(StreamConfig::default(), 6, &reversed, 0);
+        let a = correlate_windows(6, &windows, 0);
+        let b = correlate_windows(6, &reversed, 0);
         assert_eq!(a, b);
     }
 
@@ -563,7 +505,7 @@ mod tests {
         // shed before reaching the correlator.
         windows.retain(|w| !(w.home == 4 && w.window >= 2));
         windows.retain(|w| !(w.home == 0 && w.window == 3));
-        let outcome = correlate_windows(StreamConfig::default(), 5, &windows, 1);
+        let outcome = correlate_windows(5, &windows, 1);
         assert_eq!(outcome.windows_shed, 1);
         assert_eq!(outcome.windows_ingested, windows.len() as u64);
         assert_eq!(outcome.epochs.len(), 5);
@@ -577,7 +519,7 @@ mod tests {
                 w.partial = true;
             }
         }
-        let outcome = correlate_windows(StreamConfig::default(), 4, &windows, 0);
+        let outcome = correlate_windows(4, &windows, 0);
         assert_eq!(outcome.partial_homes, vec![1]);
     }
 
@@ -590,14 +532,14 @@ mod tests {
             by_epoch.entry(w.window).or_default().push(w.clone());
         }
         // Uninterrupted reference.
-        let mut reference = StreamCorrelator::new(StreamConfig::default());
+        let mut reference = StreamCorrelator::new();
         for e in 0..n_epochs {
             reference.ingest_epoch(&by_epoch[&e]);
         }
         let reference_bytes = reference.checkpoint();
 
         for split in 0..=n_epochs {
-            let mut first = StreamCorrelator::new(StreamConfig::default());
+            let mut first = StreamCorrelator::new();
             for e in 0..split {
                 first.ingest_epoch(&by_epoch[&e]);
             }
@@ -618,7 +560,7 @@ mod tests {
 
     #[test]
     fn restore_rejects_malformed_buffers() {
-        let correlator = StreamCorrelator::new(StreamConfig::default());
+        let correlator = StreamCorrelator::new();
         let bytes = correlator.checkpoint();
         assert_eq!(
             StreamCorrelator::restore(&bytes[..bytes.len() - 1]),

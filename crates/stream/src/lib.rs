@@ -34,7 +34,8 @@ pub mod window;
 
 pub use checkpoint::{CheckpointError, Reader, Writer};
 pub use correlate::{
-    correlate_windows, EpochRecord, StreamConfig, StreamCorrelator, StreamOutcome,
+    EpochRecord, StreamCorrelator, StreamOutcome, GRAPH_GAMMA, GRAPH_ITERS, GRAPH_K, MIN_DEVIATION,
+    SIGMA,
 };
 pub use stats::RobustAccumulator;
 pub use window::{WindowBuffer, WindowSummary, STREAM_FEATURES};

@@ -4,21 +4,11 @@
 //! never a panic, never a silently-wrong correlator.
 
 use proptest::prelude::*;
-use xlf_stream::{CheckpointError, StreamConfig, StreamCorrelator, WindowSummary, STREAM_FEATURES};
-
-fn config() -> StreamConfig {
-    StreamConfig {
-        graph_k: 4,
-        graph_gamma: 8.0,
-        graph_iters: 50,
-        min_deviation: 0.15,
-        sigma: 4.0,
-    }
-}
+use xlf_stream::{CheckpointError, StreamCorrelator, WindowSummary, STREAM_FEATURES};
 
 /// A checkpoint with real state in it: 6 homes × 5 epochs ingested.
 fn populated_checkpoint() -> Vec<u8> {
-    let mut correlator = StreamCorrelator::new(config());
+    let mut correlator = StreamCorrelator::new();
     for epoch in 0..5u64 {
         let batch: Vec<WindowSummary> = (0..6u64)
             .map(|home| {
@@ -56,6 +46,19 @@ fn wrong_magic_is_a_structured_error() {
 #[test]
 fn unsupported_version_reports_the_version_it_found() {
     let mut bytes = populated_checkpoint();
+    // Version 2 carried the correlation tuning (kNN degree, bandwidth,
+    // iteration cap, deviation floor, sigma) after the version word;
+    // restoring it would let the bytes pick the flag threshold.
+    let mut v2 = bytes[..4].to_vec();
+    v2.extend_from_slice(&2u32.to_le_bytes());
+    for word in [8, 8f64.to_bits(), 100, 0.15f64.to_bits(), 4f64.to_bits()] {
+        v2.extend_from_slice(&word.to_le_bytes());
+    }
+    v2.extend_from_slice(&bytes[8..]);
+    assert_eq!(
+        StreamCorrelator::restore(&v2).err(),
+        Some(CheckpointError::UnsupportedVersion(2))
+    );
     // Header layout: 4 magic bytes, then the format version as LE u32.
     bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
     assert_eq!(
