@@ -42,20 +42,29 @@ cargo test --workspace -q
 # telemetry parser against decode-then-trim, the fixed-point reading
 # format against the float formatter, the observer's one-pass burst
 # majorities against the scan of every record, the count-keyed
-# robust accumulator against the sorted-vector accumulator, and the
-# stream pass's borrowed epoch index against the clone-and-regroup.
-# Beside them, the checkpoint-robustness proptests: restoring corrupted
-# or arbitrary XLFS checkpoint bytes never panics.
+# robust accumulator against the sorted-vector accumulator, the
+# stream pass's borrowed epoch index against the clone-and-regroup,
+# and the one DPI inspection path's engines: the Aho–Corasick
+# automaton's first matches and the token index (on arbitrary tokens
+# and on tokenized payloads) against the naive per-rule scans.
+# Beside them, the never-panic proptests: restoring corrupted or
+# arbitrary XLFS checkpoint bytes, and the protocol parsers and
+# receivers (TLS open, the 802.15.4 receiver, the DNS resolver) on
+# arbitrary input.
 echo "== proptest oracles, release, PROPTEST_CASES=5000"
 export PROPTEST_CASES=5000
 cargo test --release -q -p xlf-analytics --test proptests -- \
-    blocked_similarity_bit_equals_naive duplicate_heavy_similarity_bit_equals_naive
+    blocked_similarity_bit_equals_naive duplicate_heavy_similarity_bit_equals_naive \
+    automaton_first_matches_equal_naive
+cargo test --release -q -p xlf-lwcrypto --test proptests -- \
+    token_index_equals_naive_scan token_index_equals_naive_scan_via_tokenizer
 cargo test --release -q -p xlf-cloud --lib -- parse_reading_equals_decode_then_trim
 cargo test --release -q -p xlf-device --lib -- fixed_point_equals_float_formatting
 cargo test --release -q -p xlf-attacks --lib -- one_pass_majorities_equal_the_scan
 cargo test --release -q -p xlf-stream --lib -- runs_equal_the_sorted_vector_oracle
 cargo test --release -q -p xlf-fleet --lib -- epoch_index_matches_the_regroup_oracle
 cargo test --release -q -p xlf-stream --test checkpoint_robustness
+cargo test --release -q -p xlf-protocols --test proptests -- parsers_are_panic_free
 unset PROPTEST_CASES
 
 # The examples drive whole simulated homes through every node's packet

@@ -140,7 +140,7 @@ impl AcAutomaton {
 
     /// Finds the leftmost occurrence of each pattern in one pass,
     /// stopping early once every pattern has been seen. `out` is
-    /// resized/reset by the callee so batch callers can reuse it.
+    /// resized/reset by the callee, so one buffer serves every call.
     pub fn find_first_per_pattern_into(&self, haystack: &[u8], out: &mut Vec<Option<usize>>) {
         out.clear();
         out.resize(self.lengths.len(), None);

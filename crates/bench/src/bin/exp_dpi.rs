@@ -19,9 +19,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use xlf_bench::harness::{fixed, per_call_s, Args, Row};
 use xlf_bench::{obj, prf};
-use xlf_core::dpi::{
-    default_rules, match_batch_sharded, DpiSession, EncryptedDpi, PlaintextDpi, Rule,
-};
+use xlf_core::dpi::{default_rules, DpiSession, EncryptedDpi, PlaintextDpi, Rule};
 use xlf_device::{Sensor, SensorKind};
 use xlf_lwcrypto::ciphers::Speck128;
 use xlf_lwcrypto::kdf::derive_key;
@@ -100,10 +98,8 @@ struct SweepCell {
     /// MB/s per engine over the same payload batch.
     naive: f64,
     automaton: f64,
-    batched: f64,
     enc_naive: f64,
     enc_indexed: f64,
-    enc_sharded: f64,
 }
 
 impl SweepCell {
@@ -117,10 +113,10 @@ impl SweepCell {
 }
 
 /// The fast-path sweep: rule-set size × payload size, naive vs automaton
-/// vs batched (plaintext) and naive vs token-index vs sharded (encrypted).
+/// (plaintext) and naive vs token index (encrypted), each engine called
+/// once per payload as the gateway calls it.
 fn fastpath_sweep() -> Vec<SweepCell> {
     const PAYLOADS_PER_CELL: usize = 48;
-    const SHARDS: usize = 4;
     let mut rng = StdRng::seed_from_u64(0x517f_d719);
     let mut cells = Vec::new();
     for rule_count in RULE_COUNTS {
@@ -142,28 +138,20 @@ fn fastpath_sweep() -> Vec<SweepCell> {
                     std::hint::black_box(plain.inspect(p));
                 }
             }));
-            let batched = mbps(per_call_s(|| {
-                std::hint::black_box(plain.inspect_batch(&refs));
-            }));
 
             let endpoint = Tokenizer::new(b"sweep session").expect("tokenizer");
             let streams: Vec<Vec<Token>> = refs.iter().map(|p| endpoint.tokenize(p)).collect();
-            let mut enc_indexed_engine =
-                EncryptedDpi::new(Arc::new(DpiSession::bind(&rules, endpoint.clone())));
+            let mut enc = EncryptedDpi::new(Arc::new(DpiSession::bind(&rules, endpoint.clone())));
             let enc_naive = mbps(per_call_s(|| {
                 for t in &streams {
-                    std::hint::black_box(enc_indexed_engine.match_stream_naive(t));
+                    std::hint::black_box(enc.match_stream_naive(t));
                 }
             }));
+            let mut firsts = Vec::new();
             let enc_indexed = mbps(per_call_s(|| {
-                std::hint::black_box(enc_indexed_engine.inspect_batch(
-                    "dev",
-                    &streams,
-                    SimTime::ZERO,
-                ));
-            }));
-            let enc_sharded = mbps(per_call_s(|| {
-                std::hint::black_box(match_batch_sharded(&enc_indexed_engine, &streams, SHARDS));
+                for t in &streams {
+                    std::hint::black_box(enc.inspect("dev", t, &mut firsts, SimTime::ZERO));
+                }
             }));
 
             cells.push(SweepCell {
@@ -171,10 +159,8 @@ fn fastpath_sweep() -> Vec<SweepCell> {
                 payload_bytes: size,
                 naive,
                 automaton,
-                batched,
                 enc_naive,
                 enc_indexed,
-                enc_sharded,
             });
         }
     }
@@ -416,10 +402,8 @@ fn main() -> ExitCode {
             "payload_bytes" => c.payload_bytes,
             "naive_mbps" => fixed(c.naive, 2),
             "automaton_mbps" => fixed(c.automaton, 2),
-            "batched_mbps" => fixed(c.batched, 2),
             "enc_naive_mbps" => fixed(c.enc_naive, 2),
             "enc_indexed_mbps" => fixed(c.enc_indexed, 2),
-            "enc_sharded_mbps" => fixed(c.enc_sharded, 2),
             "automaton_speedup" => fixed(c.automaton_speedup(), 2),
             "index_speedup" => fixed(c.index_speedup(), 2),
         }).collect::<Vec<_>>(),

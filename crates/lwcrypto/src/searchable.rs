@@ -298,7 +298,7 @@ impl TokenIndex {
 
     /// Finds the first match offset of each rule in one traffic pass,
     /// stopping early once every rule has matched. `out` is reset by the
-    /// callee so batch callers can reuse the allocation.
+    /// callee, so one buffer serves every call.
     pub fn find_first_per_rule_into(&self, traffic: &[Token], out: &mut Vec<Option<usize>>) {
         out.clear();
         out.resize(self.rules.len(), None);

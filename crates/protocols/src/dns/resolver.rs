@@ -9,6 +9,11 @@ use super::records::{DnsRecord, RecordType};
 use std::collections::BTreeMap;
 use xlf_simnet::SimTime;
 
+/// The largest TTL a resolver honours: RFC 2181 §8 caps TTLs at 2³¹ − 1
+/// seconds. A response carries its TTL as sent, spoofed or not, so
+/// clamping it keeps the cache expiry from overflowing.
+const MAX_TTL_SECS: u64 = (1 << 31) - 1;
+
 /// Hardening knobs of a resolver.
 #[derive(Debug, Clone)]
 pub struct ResolverConfig {
@@ -133,7 +138,8 @@ impl Resolver {
             }
         }
         self.pending.remove(&key);
-        let expires = now + xlf_simnet::Duration::from_secs(record.ttl_secs);
+        let ttl = record.ttl_secs.min(MAX_TTL_SECS);
+        let expires = now + xlf_simnet::Duration::from_secs(ttl);
         self.cache.insert(key, CacheEntry { record, expires });
         ResolveOutcome::Accepted
     }
@@ -233,6 +239,21 @@ mod tests {
         assert!(r
             .cached("hub.vendor.example", RecordType::A, SimTime::from_secs(301))
             .is_none());
+    }
+
+    #[test]
+    fn a_ttl_past_the_rfc_maximum_is_clamped_not_wrapped() {
+        let (name, mut r) = ("hub.vendor.example", Resolver::new(ResolverConfig::naive()));
+        let txid = r.start_query(name, RecordType::A);
+        let forever = DnsRecord::new(name, RecordType::A, "n666", u64::MAX);
+        let outcome = r.handle_response(forever, txid, SimTime::ZERO);
+        assert_eq!(outcome, ResolveOutcome::Accepted);
+        let cached = |secs| {
+            r.cached(name, RecordType::A, SimTime::from_secs(secs))
+                .is_some()
+        };
+        let ends = [1, MAX_TTL_SECS - 1, MAX_TTL_SECS].map(cached);
+        assert_eq!(ends, [true, true, false]);
     }
 
     #[test]

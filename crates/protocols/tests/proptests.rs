@@ -3,11 +3,15 @@
 //! their invariants under arbitrary payloads.
 
 use proptest::prelude::*;
-use xlf_protocols::dns::{encode_query, encode_response, DnsRecord, DnsTransport, RecordType};
-use xlf_protocols::ieee802154::{FrameReceiver, FrameSender, SecurityLevel};
+use xlf_protocols::dns::{
+    encode_query, encode_response, DnsRecord, DnsTransport, RecordType, ResolveOutcome, Resolver,
+    ResolverConfig,
+};
+use xlf_protocols::ieee802154::{FrameReceiver, FrameSender, SecuredFrame, SecurityLevel};
 use xlf_protocols::rest::{Method, Request, Response};
 use xlf_protocols::ssdp::SsdpMessage;
 use xlf_protocols::tls::{Role, Session, TlsError};
+use xlf_simnet::{Duration, SimTime};
 
 fn qname_strategy() -> impl Strategy<Value = String> {
     "[a-z0-9]{1,12}(\\.[a-z0-9]{1,12}){0,3}"
@@ -15,6 +19,68 @@ fn qname_strategy() -> impl Strategy<Value = String> {
 
 fn token_text() -> impl Strategy<Value = String> {
     "[a-zA-Z0-9_-]{1,24}"
+}
+
+const LEVELS: [SecurityLevel; 3] = [
+    SecurityLevel::None,
+    SecurityLevel::Mic,
+    SecurityLevel::EncMic,
+];
+
+/// Any 802.15.4 frame fields: sender, counter, level, body, and a MIC
+/// that is absent or of any length.
+fn frame_strategy() -> impl Strategy<Value = SecuredFrame> {
+    (
+        any::<u16>(),
+        any::<u32>(),
+        prop::sample::select(LEVELS.to_vec()),
+        prop::collection::vec(any::<u8>(), 0..64),
+        proptest::option::of(prop::collection::vec(any::<u8>(), 0..24)),
+    )
+        .prop_map(|(sender, counter, level, body, mic)| SecuredFrame {
+            sender,
+            counter,
+            level,
+            body,
+            mic,
+        })
+}
+
+/// The name the resolver under test has a query pending for.
+const QUERIED: &str = "hub.vendor.example";
+/// The zone secret of the resolver's trust anchor for `vendor.example`.
+const ZONE: &[u8] = b"vendor zone";
+
+/// Any DNS answer: the queried name or another, either record type, any
+/// value, a TTL that is small, within 100,000 of `u64::MAX` or any, and
+/// a signature that is valid, absent, or arbitrary bytes.
+fn answer_strategy() -> impl Strategy<Value = DnsRecord> {
+    (
+        (any::<bool>(), qname_strategy()),
+        prop::sample::select(vec![RecordType::A, RecordType::Txt]),
+        "[ -~]{0,16}",
+        (0u8..3, any::<u64>()),
+        (0u8..3, prop::collection::vec(any::<u8>(), 0..24)),
+    )
+        .prop_map(
+            |((queried, other), rtype, value, (span, ttl), (sig, rrsig))| {
+                let name = if queried { QUERIED } else { &other };
+                let ttl = match span {
+                    0 => ttl % 100_000,
+                    1 => u64::MAX - ttl % 100_000,
+                    _ => ttl,
+                };
+                let record = DnsRecord::new(name, rtype, &value, ttl);
+                match sig {
+                    0 => record.sign(ZONE),
+                    1 => record,
+                    _ => DnsRecord {
+                        rrsig: Some(rrsig),
+                        ..record
+                    },
+                }
+            },
+        )
 }
 
 proptest! {
@@ -136,12 +202,46 @@ proptest! {
         prop_assert_eq!(SsdpMessage::from_bytes(&msg.to_bytes()).unwrap(), msg);
     }
 
-    /// Parsers never panic on arbitrary bytes (fuzz-shaped property).
+    /// Parsers and receivers never panic on arbitrary input
+    /// (fuzz-shaped property): the byte decoders and TLS `open` on any
+    /// bytes, the 802.15.4 receiver on any frame fields at every minimum
+    /// level, and both resolver configs on any answer to a pending
+    /// query. An accepted answer whose TTL outlasts a second is still
+    /// cached a second later.
     #[test]
-    fn parsers_are_panic_free(garbage in prop::collection::vec(any::<u8>(), 0..256)) {
+    fn parsers_are_panic_free(garbage in prop::collection::vec(any::<u8>(), 0..256),
+                              frame in frame_strategy(),
+                              sender_on_acl in any::<bool>(),
+                              answer in answer_strategy(),
+                              (echo_txid, txid) in (any::<bool>(), any::<u16>()),
+                              now in (0u64..10 * 365 * 86_400).prop_map(SimTime::from_secs)) {
         let _ = Request::from_bytes(&garbage);
         let _ = Response::from_bytes(&garbage);
         let _ = SsdpMessage::from_bytes(&garbage);
         let _ = xlf_device::firmware::FirmwareImage::from_bytes(&garbage);
+        let _ = Session::establish(b"psk", "prop", Role::Server).open(&garbage);
+
+        let acl = if sender_on_acl { vec![frame.sender] } else { Vec::new() };
+        for minimum_level in LEVELS {
+            let mut receiver = FrameReceiver::new(b"network key", &acl);
+            receiver.minimum_level = minimum_level;
+            let _ = receiver.receive(&frame);
+        }
+
+        for config in [ResolverConfig::naive(), ResolverConfig::hardened()] {
+            let mut resolver = Resolver::new(config);
+            resolver.add_trust_anchor("vendor.example", ZONE);
+            let pending = resolver.start_query(QUERIED, answer.rtype);
+            let txid = if echo_txid { pending } else { txid };
+            let outcome = resolver.handle_response(answer.clone(), txid, now);
+            if outcome == ResolveOutcome::Accepted && answer.ttl_secs > 1 {
+                let later = now + Duration::from_secs(1);
+                prop_assert!(
+                    resolver.cached(&answer.name, answer.rtype, later).is_some(),
+                    "TTL {} expired within a second",
+                    answer.ttl_secs
+                );
+            }
+        }
     }
 }
