@@ -46,7 +46,9 @@ cargo test --workspace -q
 # stream pass's borrowed epoch index against the clone-and-regroup,
 # and the one DPI inspection path's engines: the Aho–Corasick
 # automaton's first matches and the token index (on arbitrary tokens
-# and on tokenized payloads) against the naive per-rule scans.
+# and on tokenized payloads) against the naive per-rule scans, and the
+# evidence bus's conservation of observations (drained + pending + shed
+# == reported) at every capacity, zero included.
 # Beside them, the never-panic proptests: restoring corrupted or
 # arbitrary XLFS checkpoint bytes, and the protocol parsers and
 # receivers (TLS open, the 802.15.4 receiver, the DNS resolver) on
@@ -63,6 +65,7 @@ cargo test --release -q -p xlf-device --lib -- fixed_point_equals_float_formatti
 cargo test --release -q -p xlf-attacks --lib -- one_pass_majorities_equal_the_scan
 cargo test --release -q -p xlf-stream --lib -- runs_equal_the_sorted_vector_oracle
 cargo test --release -q -p xlf-fleet --lib -- epoch_index_matches_the_regroup_oracle
+cargo test --release -q -p xlf-core --test proptests -- bounded_bus_conserves_observations
 cargo test --release -q -p xlf-stream --test checkpoint_robustness
 cargo test --release -q -p xlf-protocols --test proptests -- parsers_are_panic_free
 unset PROPTEST_CASES

@@ -3,9 +3,12 @@
 //! layers do not work individually, but interact with each other whenever
 //! possible through the XLF Core in the center").
 //!
-//! Built on a crossbeam MPSC channel: every mechanism holds a cheap
-//! cloneable [`EvidenceBus`] sender; the Core drains the receiver when it
-//! evaluates. The bus comes in two flavours:
+//! One shared FIFO queue per home: every mechanism holds a cheap
+//! cloneable [`EvidenceBus`] handle; the Core drains the queue through
+//! its [`EvidenceDrain`] when it evaluates. A home's mechanisms and its
+//! Core live on one thread, so the queue is a plain `Rc<RefCell<…>>`
+//! and the bus is neither `Send` nor `Sync`. The bus comes in two
+//! flavours:
 //!
 //! - [`EvidenceBus::new`] — unbounded: every observation queues until the
 //!   Core drains it (the single-home deployments, where one Core serves
@@ -24,72 +27,85 @@
 //! and overload-sheds stay distinguishable.
 
 use crate::evidence::{Evidence, EvidenceStore};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::rc::Rc;
 
 /// A cloneable handle mechanisms use to report evidence. Every clone
-/// shares one sender and one pair of loss counters, so a clone costs a
-/// reference count.
+/// shares one queue and its loss counters, so a clone costs a reference
+/// count.
 #[derive(Debug, Clone)]
 pub struct EvidenceBus {
-    shared: Arc<SharedSender>,
+    queue: Rc<RefCell<Queue>>,
 }
 
-/// What every clone of one [`EvidenceBus`] shares.
+/// What every clone of one [`EvidenceBus`] and its [`EvidenceDrain`]
+/// share.
 #[derive(Debug)]
-struct SharedSender {
-    tx: Sender<Evidence>,
+struct Queue {
+    items: VecDeque<Evidence>,
+    /// `None` = unbounded.
+    cap: Option<usize>,
     /// Observations lost for any reason — drain end gone *or* shed under
     /// overload.
-    dropped: AtomicU64,
+    dropped: u64,
     /// The overload-shed subset of `dropped` (oldest observations
     /// evicted by [`EvidenceBus::report`] on a full bounded bus).
-    shed: AtomicU64,
+    shed: u64,
+    /// False once the [`EvidenceDrain`] is dropped.
+    open: bool,
 }
 
 impl EvidenceBus {
-    /// Creates an unbounded bus, returning the shared sender handle and
-    /// the Core's drain end.
+    /// Creates an unbounded bus, returning the shared handle and the
+    /// Core's drain end.
     pub fn new() -> (EvidenceBus, EvidenceDrain) {
-        Self::over(unbounded())
+        Self::over(None)
     }
 
     /// Creates a bounded bus holding at most `cap` queued observations.
     /// When a report arrives on a full queue the **oldest** queued
     /// observation is shed to make room (see [`EvidenceBus::shed`]).
-    /// `cap` must be at least 1.
+    /// A `cap` of 0 is clamped to 1: the bus always holds the newest
+    /// observation.
     pub fn bounded(cap: usize) -> (EvidenceBus, EvidenceDrain) {
-        Self::over(bounded(cap))
+        Self::over(Some(cap.max(1)))
     }
 
-    fn over((tx, rx): (Sender<Evidence>, Receiver<Evidence>)) -> (EvidenceBus, EvidenceDrain) {
-        let shared = Arc::new(SharedSender {
-            tx,
-            dropped: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-        });
-        (EvidenceBus { shared }, EvidenceDrain { rx })
+    fn over(cap: Option<usize>) -> (EvidenceBus, EvidenceDrain) {
+        let queue = Rc::new(RefCell::new(Queue {
+            items: VecDeque::new(),
+            cap,
+            dropped: 0,
+            shed: 0,
+            open: true,
+        }));
+        (
+            EvidenceBus {
+                queue: Rc::clone(&queue),
+            },
+            EvidenceDrain { queue },
+        )
     }
 
     /// Reports one observation (never blocks). On a full bounded bus the
     /// oldest queued observation is evicted in its favour and the
     /// eviction is charged to both [`EvidenceBus::dropped`] and
-    /// [`EvidenceBus::shed`]. A send failure means the Core is gone and
-    /// the observation itself is lost; that loss is counted in
+    /// [`EvidenceBus::shed`]. Once the Core's drain end is gone the
+    /// observation itself is lost; that loss is counted in
     /// [`EvidenceBus::dropped`] only.
     pub fn report(&self, evidence: Evidence) {
-        let shared = &*self.shared;
-        match shared.tx.force_send(evidence) {
-            Ok(None) => {}
-            Ok(Some(_evicted_oldest)) => {
-                shared.dropped.fetch_add(1, Ordering::Relaxed);
-                shared.shed.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                shared.dropped.fetch_add(1, Ordering::Relaxed);
-            }
+        let mut q = self.queue.borrow_mut();
+        if !q.open {
+            q.dropped += 1;
+            return;
         }
+        if q.cap.is_some_and(|cap| q.items.len() >= cap) {
+            q.items.pop_front();
+            q.dropped += 1;
+            q.shed += 1;
+        }
+        q.items.push_back(evidence);
     }
 
     /// How many observations were lost, for any reason (drain end gone
@@ -97,38 +113,34 @@ impl EvidenceBus {
     /// across all clones of this bus. Always `>=` [`EvidenceBus::shed`];
     /// the difference is the disconnect-loss count.
     pub fn dropped(&self) -> u64 {
-        self.shared.dropped.load(Ordering::Relaxed)
+        self.queue.borrow().dropped
     }
 
     /// How many queued observations were shed (evicted oldest-first) to
     /// make room for newer ones on a full bounded bus. Always 0 for an
     /// unbounded bus.
     pub fn shed(&self) -> u64 {
-        self.shared.shed.load(Ordering::Relaxed)
+        self.queue.borrow().shed
     }
 
     /// The queue capacity (`None` for an unbounded bus).
     pub fn capacity(&self) -> Option<usize> {
-        self.shared.tx.capacity()
+        self.queue.borrow().cap
     }
 }
 
-/// The Core's receiving end.
+/// The Core's receiving end. Dropping it closes the bus: later reports
+/// are counted in [`EvidenceBus::dropped`].
 #[derive(Debug)]
 pub struct EvidenceDrain {
-    rx: Receiver<Evidence>,
+    queue: Rc<RefCell<Queue>>,
 }
 
 impl EvidenceDrain {
     /// Moves every pending observation into the store; returns how many
     /// arrived.
     pub fn drain_into(&self, store: &mut EvidenceStore) -> usize {
-        let mut n = 0;
-        while let Ok(evidence) = self.rx.try_recv() {
-            store.push(evidence);
-            n += 1;
-        }
-        n
+        self.drain_up_to(store, usize::MAX)
     }
 
     /// Moves at most `max` pending observations into the store; returns
@@ -136,22 +148,23 @@ impl EvidenceDrain {
     /// drain — a fleet worker multiplexing many homes uses this so one
     /// chatty home cannot stall its whole shard.
     pub fn drain_up_to(&self, store: &mut EvidenceStore, max: usize) -> usize {
-        let mut n = 0;
-        while n < max {
-            match self.rx.try_recv() {
-                Ok(evidence) => {
-                    store.push(evidence);
-                    n += 1;
-                }
-                Err(_) => break,
-            }
+        let mut q = self.queue.borrow_mut();
+        let n = max.min(q.items.len());
+        for evidence in q.items.drain(..n) {
+            store.push(evidence);
         }
         n
     }
 
     /// Observations queued but not yet drained.
     pub fn pending(&self) -> usize {
-        self.rx.len()
+        self.queue.borrow().items.len()
+    }
+}
+
+impl Drop for EvidenceDrain {
+    fn drop(&mut self) {
+        self.queue.borrow_mut().open = false;
     }
 }
 

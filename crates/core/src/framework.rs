@@ -65,7 +65,8 @@ pub struct XlfConfig {
     /// Evidence-bus queue capacity. `None` = unbounded (the single-home
     /// default); `Some(cap)` bounds the queue with a shed-oldest policy
     /// (see [`EvidenceBus::bounded`]) — fleet workers multiplexing many
-    /// homes use this so one chatty home cannot OOM its shard.
+    /// homes use this so one chatty home cannot OOM its shard. A
+    /// capacity of 0 is clamped to 1.
     pub evidence_capacity: Option<usize>,
     /// Delay between a policy decision and its enforcement at the
     /// gateway. Zero when the Core runs *on* the gateway (the paper's
@@ -1401,9 +1402,11 @@ mod tests {
 
     #[test]
     fn bounded_evidence_capacity_reaches_the_home_core_bus() {
-        let config = XlfConfig::full().with_evidence_capacity(Some(16));
-        let home = basic_home(config);
-        assert_eq!(home.core.borrow().bus.capacity(), Some(16));
+        for (asked, held) in [(16, 16), (0, 1)] {
+            let config = XlfConfig::full().with_evidence_capacity(Some(asked));
+            let home = basic_home(config);
+            assert_eq!(home.core.borrow().bus.capacity(), Some(held));
+        }
         // The unbounded default is preserved.
         let home = basic_home(XlfConfig::full());
         assert_eq!(home.core.borrow().bus.capacity(), None);

@@ -11,7 +11,8 @@
 //! **The Core** (§IV-D)
 //! * [`evidence`] — the cross-layer observation records every mechanism
 //!   emits, and the store the Core aggregates them in.
-//! * [`bus`] — the channel fabric connecting layer mechanisms to the Core.
+//! * [`bus`] — the per-home evidence queue connecting layer mechanisms to
+//!   the Core.
 //! * [`correlation`] — rule- and MKL-based fusion of per-layer evidence
 //!   into per-device verdicts.
 //! * [`alerts`] — the alert pipeline.

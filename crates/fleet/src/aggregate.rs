@@ -753,6 +753,12 @@ impl<'a> FleetAggregator<'a> {
         }
     }
 
+    /// The run's onboarding section (`None` when the spec configures no
+    /// onboarding), computed once by [`FleetAggregator::new`].
+    pub(crate) fn onboarding(&self) -> Option<&OnboardSection> {
+        self.onboard.as_ref().map(|(section, _)| section)
+    }
+
     /// The epoch-by-epoch stream pass (the `epochs` section) plus the
     /// control plane riding on it (the v5 `campaigns` section). Runs
     /// only when the spec streams; batch mode returns `(None, None)`.

@@ -609,9 +609,12 @@ pub fn run_fleet_resume(
         // run.
         let mut ctx = RunCtx::new(SnapshotIdentity::of(spec), None, None, Some(snap.resume));
         let slots = snap.slots;
-        match finish_aggregation(spec, metrics, &mut ctx, move |agg, ctx| {
-            agg.aggregate_slots(slots, ctx)
-        }) {
+        match finish_aggregation(
+            FleetAggregator::new(spec),
+            metrics,
+            &mut ctx,
+            move |agg, ctx| agg.aggregate_slots(slots, ctx),
+        ) {
             Ok(report) => {
                 metrics.resumes.inc();
                 metrics
@@ -652,14 +655,14 @@ fn rerun_home(
 /// Runs the aggregation under `ctx` and flushes the pass's snapshot and
 /// campaign tallies into `metrics` — shared by the straight-through,
 /// chaos, and resume entry points.
-fn finish_aggregation(
-    spec: &FleetSpec,
+fn finish_aggregation<'a>(
+    aggregator: FleetAggregator<'a>,
     metrics: &FleetMetrics,
     ctx: &mut RunCtx,
-    aggregate: impl FnOnce(FleetAggregator, &mut RunCtx) -> Result<FleetReport, FleetError>,
+    aggregate: impl FnOnce(FleetAggregator<'a>, &mut RunCtx) -> Result<FleetReport, FleetError>,
 ) -> Result<FleetReport, FleetError> {
     let t0 = Instant::now();
-    let result = aggregate(FleetAggregator::new(spec), ctx);
+    let result = aggregate(aggregator, ctx);
     metrics
         .aggregate_us
         .observe(t0.elapsed().as_micros() as u64);
@@ -704,12 +707,11 @@ fn run_fleet_inner(
 
     // Join phase: every home's secure-onboarding handshake runs before
     // any simulation steps. The outcome is a pure function of
-    // `(OnboardingSpec, HomeSpec)`, so only the live metrics are charged
-    // here — the aggregator recomputes the identical outcomes for the
-    // report's `onboarding` section, keeping report bytes independent of
-    // worker count.
-    if let Some(ob) = spec.onboarding.as_ref() {
-        let section = crate::onboard::OnboardSection::compute(ob, spec.stamped());
+    // `(OnboardingSpec, HomeSpec)`, so the aggregator computes it once
+    // from the spec — for the report's `onboarding` section (whose bytes
+    // stay independent of worker count) and for the live metrics here.
+    let aggregator = FleetAggregator::new(spec);
+    if let Some(section) = aggregator.onboarding() {
         metrics.onboard_joins.add(section.joins);
         metrics.onboard_admitted.add(section.admitted);
         metrics.onboard_denied.add(section.denied);
@@ -841,7 +843,7 @@ fn run_fleet_inner(
         kill,
         None,
     );
-    finish_aggregation(spec, metrics, &mut ctx, move |agg, ctx| {
+    finish_aggregation(aggregator, metrics, &mut ctx, move |agg, ctx| {
         agg.aggregate_regions_run(aggs, ctx)
     })
 }

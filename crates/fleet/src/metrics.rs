@@ -283,7 +283,9 @@ pub struct FleetMetrics {
     pub step_us: Histogram,
     /// Per-home summary-extraction time (µs).
     pub report_us: Histogram,
-    /// Cross-home aggregation time (µs) — one observation per run.
+    /// Cross-home aggregation time (µs) — one observation per run. The
+    /// onboarding join phase, computed before the homes run, is not
+    /// included.
     pub aggregate_us: Histogram,
 }
 

@@ -90,8 +90,8 @@ pub struct OnboardSection {
 
 impl OnboardSection {
     /// Recomputes every stamped home's join and folds the outcomes into
-    /// the section. Pure in its arguments: the engine and the aggregator
-    /// call this with the same `(spec, homes)` and get identical bytes.
+    /// the section. Pure in its arguments: the same `(spec, homes)` give
+    /// identical bytes, however the homes are split across workers.
     /// `homes` may be borrowed or stamped as they are reached.
     pub fn compute(
         spec: &OnboardingSpec,

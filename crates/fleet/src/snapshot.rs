@@ -500,28 +500,6 @@ pub(crate) fn generation_paths(dir: &Path) -> Vec<PathBuf> {
 
 // ---- shared serde helpers (length-prefixed, little-endian) ----
 
-pub(crate) fn write_string(w: &mut Writer, s: &str) {
-    w.usize(s.len());
-    w.bytes(s.as_bytes());
-}
-
-pub(crate) fn read_string(r: &mut Reader) -> Result<String, CheckpointError> {
-    let len = r.usize()?;
-    String::from_utf8(r.bytes(len)?.to_vec()).map_err(|_| CheckpointError::Truncated)
-}
-
-pub(crate) fn write_bool(w: &mut Writer, b: bool) {
-    w.u8(u8::from(b));
-}
-
-pub(crate) fn read_bool(r: &mut Reader) -> Result<bool, CheckpointError> {
-    match r.u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(CheckpointError::Truncated),
-    }
-}
-
 fn write_opt_f64(w: &mut Writer, v: Option<f64>) {
     match v {
         Some(x) => {
@@ -552,9 +530,9 @@ fn write_report(w: &mut Writer, rep: &HomeReport) {
     w.usize(rep.critical_alerts);
     w.usize(rep.quarantined.len());
     for q in &rep.quarantined {
-        write_string(w, q);
+        w.str(q);
     }
-    write_string(w, &rep.top_device);
+    w.str(&rep.top_device);
     w.f64(rep.top_score);
     w.u64(rep.forwarded);
     w.u64(rep.dropped_packets);
@@ -578,9 +556,9 @@ fn read_report(r: &mut Reader) -> Result<HomeReport, CheckpointError> {
     let n_quarantined = r.usize()?;
     let mut quarantined = Vec::new();
     for _ in 0..n_quarantined {
-        quarantined.push(read_string(r)?);
+        quarantined.push(r.string()?);
     }
-    let top_device = read_string(r)?;
+    let top_device = r.string()?;
     let top_score = r.f64()?;
     let forwarded = r.u64()?;
     let dropped_packets = r.u64()?;
@@ -612,7 +590,7 @@ pub(crate) fn write_stream(w: &mut Writer, s: &HomeStream) {
     for win in &s.windows {
         w.u64(win.home);
         w.u64(win.window);
-        write_bool(w, win.partial);
+        w.bool(win.partial);
         for &f in &win.features {
             w.f64(f);
         }
@@ -626,7 +604,7 @@ pub(crate) fn read_stream(r: &mut Reader) -> Result<HomeStream, CheckpointError>
     for _ in 0..n {
         let home = r.u64()?;
         let window = r.u64()?;
-        let partial = read_bool(r)?;
+        let partial = r.bool()?;
         let mut features = [0.0f64; STREAM_FEATURES];
         for f in &mut features {
             *f = r.f64()?;
@@ -669,13 +647,13 @@ pub(crate) fn write_outcome(w: &mut Writer, outcome: &HomeOutcome) {
             w.u8(2);
             w.u64(e.home);
             w.u32(e.attempts);
-            write_string(w, e.fault);
-            write_string(w, &e.panic);
+            w.str(e.fault);
+            w.str(&e.panic);
         }
         HomeOutcome::BuildFailed(e) => {
             w.u8(3);
             w.u64(e.home);
-            write_string(w, &e.reason);
+            w.str(&e.reason);
         }
     }
 }
@@ -703,7 +681,7 @@ pub(crate) fn read_outcome(r: &mut Reader) -> Result<HomeOutcome, CheckpointErro
         2 => {
             let home = r.u64()?;
             let attempts = r.u32()?;
-            let fault_name = read_string(r)?;
+            let fault_name = r.string()?;
             // `HomeRunError::fault` is a `&'static str` drawn from the
             // fault-kind table; restore by name lookup.
             let fault = FLEET_FAULT_KINDS
@@ -711,7 +689,7 @@ pub(crate) fn read_outcome(r: &mut Reader) -> Result<HomeOutcome, CheckpointErro
                 .map(|f| f.name())
                 .find(|n| *n == fault_name)
                 .ok_or(CheckpointError::Truncated)?;
-            let panic = read_string(r)?;
+            let panic = r.string()?;
             Ok(HomeOutcome::Failed(HomeRunError {
                 home,
                 attempts,
@@ -721,7 +699,7 @@ pub(crate) fn read_outcome(r: &mut Reader) -> Result<HomeOutcome, CheckpointErro
         }
         3 => {
             let home = r.u64()?;
-            let reason = read_string(r)?;
+            let reason = r.string()?;
             Ok(HomeOutcome::BuildFailed(HomeBuildError { home, reason }))
         }
         _ => Err(CheckpointError::Truncated),
@@ -826,8 +804,8 @@ mod tests {
         w.u8(2);
         w.u64(1);
         w.u32(1);
-        write_string(&mut w, "not-a-fault-kind");
-        write_string(&mut w, "boom");
+        w.str("not-a-fault-kind");
+        w.str("boom");
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(read_outcome(&mut r), Err(CheckpointError::Truncated));

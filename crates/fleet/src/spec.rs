@@ -342,7 +342,8 @@ pub struct FleetSpec {
     /// runs every home on a bounded shed-oldest bus
     /// ([`xlf_core::bus::EvidenceBus::bounded`]) so overloaded homes
     /// shed stale observations instead of growing without bound. Sheds
-    /// are charged to per-home and fleet-wide drop accounting.
+    /// are charged to per-home and fleet-wide drop accounting. A
+    /// capacity of 0 is clamped to 1.
     pub evidence_capacity: Option<usize>,
     /// Most finished homes waiting in the bounded report channel
     /// (worker → aggregator backpressure). Workers send them in messages

@@ -470,7 +470,7 @@ impl CampaignEngine {
         w.usize(self.slots.len());
         for (&home, slot) in &self.slots {
             w.u64(home);
-            w.u8(u8::from(slot.offered));
+            w.bool(slot.offered);
             match slot.updated_epoch {
                 Some(e) => {
                     w.u8(1);
@@ -478,9 +478,9 @@ impl CampaignEngine {
                 }
                 None => w.u8(0),
             }
-            w.u8(u8::from(slot.compromised));
-            w.u8(u8::from(slot.rolled_back));
-            w.u8(u8::from(slot.quarantined));
+            w.bool(slot.compromised);
+            w.bool(slot.rolled_back);
+            w.bool(slot.quarantined);
             let image = slot.store.installed().to_bytes();
             w.usize(image.len());
             w.bytes(&image);
@@ -507,7 +507,7 @@ impl CampaignEngine {
             }
             None => w.u8(0),
         }
-        w.u8(u8::from(self.done));
+        w.bool(self.done);
     }
 
     /// Restores state serialized with [`CampaignEngine::checkpoint_into`]
@@ -528,15 +528,15 @@ impl CampaignEngine {
                 .slots
                 .get_mut(&home)
                 .ok_or(CheckpointError::Truncated)?;
-            slot.offered = read_bool(r)?;
+            slot.offered = r.bool()?;
             slot.updated_epoch = match r.u8()? {
                 0 => None,
                 1 => Some(r.u64()?),
                 _ => return Err(CheckpointError::Truncated),
             };
-            slot.compromised = read_bool(r)?;
-            slot.rolled_back = read_bool(r)?;
-            slot.quarantined = read_bool(r)?;
+            slot.compromised = r.bool()?;
+            slot.rolled_back = r.bool()?;
+            slot.quarantined = r.bool()?;
             let ilen = r.usize()?;
             let image = FirmwareImage::from_bytes(r.bytes(ilen)?)
                 .map_err(|_| CheckpointError::Truncated)?;
@@ -564,7 +564,7 @@ impl CampaignEngine {
             1 => Some((r.usize()?, r.u64()?, r.f64()?)),
             _ => return Err(CheckpointError::Truncated),
         };
-        self.done = read_bool(r)?;
+        self.done = r.bool()?;
         Ok(())
     }
 
@@ -617,14 +617,6 @@ fn read_version(r: &mut Reader) -> Result<Version, CheckpointError> {
     let v1 = u16::try_from(r.u32()?).map_err(|_| CheckpointError::Truncated)?;
     let v2 = u16::try_from(r.u32()?).map_err(|_| CheckpointError::Truncated)?;
     Ok(Version(v0, v1, v2))
-}
-
-fn read_bool(r: &mut Reader) -> Result<bool, CheckpointError> {
-    match r.u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(CheckpointError::Truncated),
-    }
 }
 
 #[cfg(test)]

@@ -157,7 +157,7 @@ impl CommandBus {
         w.usize(self.log.len());
         for rec in &self.log {
             w.u64(rec.home);
-            write_str(w, &rec.device);
+            w.str(&rec.device);
             w.u64(rec.epoch);
             let kind = COMMAND_KINDS
                 .iter()
@@ -168,7 +168,7 @@ impl CommandBus {
                 Disposition::Applied => w.u8(0),
                 Disposition::Rejected(reason) => {
                     w.u8(1);
-                    write_str(w, reason);
+                    w.str(reason);
                 }
                 Disposition::Issued => w.u8(2),
             }
@@ -186,14 +186,14 @@ impl CommandBus {
         let mut log = Vec::new();
         for _ in 0..n {
             let home = r.u64()?;
-            let device = read_string(r)?;
+            let device = r.string()?;
             let epoch = r.u64()?;
             let kind = *COMMAND_KINDS
                 .get(usize::from(r.u8()?))
                 .ok_or(CheckpointError::Truncated)?;
             let disposition = match r.u8()? {
                 0 => Disposition::Applied,
-                1 => Disposition::Rejected(read_string(r)?),
+                1 => Disposition::Rejected(r.string()?),
                 2 => Disposition::Issued,
                 _ => return Err(CheckpointError::Truncated),
             };
@@ -210,16 +210,6 @@ impl CommandBus {
 }
 
 /// Length-prefixed UTF-8 string encoding shared by the snapshot sections.
-fn write_str(w: &mut Writer, s: &str) {
-    w.usize(s.len());
-    w.bytes(s.as_bytes());
-}
-
-fn read_string(r: &mut Reader) -> Result<String, CheckpointError> {
-    let len = r.usize()?;
-    String::from_utf8(r.bytes(len)?.to_vec()).map_err(|_| CheckpointError::Truncated)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -70,6 +70,17 @@ impl Writer {
         self.u64(v.to_bits());
     }
 
+    /// A length-prefixed UTF-8 string.
+    pub fn str(&mut self, s: &str) {
+        self.usize(s.len());
+        self.bytes(s.as_bytes());
+    }
+
+    /// A bool as one byte, `0` or `1`.
+    pub fn bool(&mut self, b: bool) {
+        self.u8(u8::from(b));
+    }
+
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
@@ -128,6 +139,22 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    /// A string written by [`Writer::str`]; invalid UTF-8 is an error.
+    pub fn string(&mut self) -> Result<String, CheckpointError> {
+        let len = self.usize()?;
+        String::from_utf8(self.take(len)?.to_vec()).map_err(|_| CheckpointError::Truncated)
+    }
+
+    /// A bool written by [`Writer::bool`]; any tag but `0` or `1` is an
+    /// error.
+    pub fn bool(&mut self) -> Result<bool, CheckpointError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(CheckpointError::Truncated),
+        }
+    }
+
     pub fn finish(self) -> Result<(), CheckpointError> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -162,6 +189,35 @@ mod tests {
         assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert!(r.f64().unwrap().is_nan());
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn strings_and_bools_round_trip_and_reject_bad_bytes() {
+        let mut w = Writer::new();
+        w.str("cam-ü");
+        w.str("");
+        w.bool(true);
+        w.bool(false);
+        let bytes = w.into_bytes();
+        assert_eq!(&bytes[..8], &6u64.to_le_bytes());
+        assert_eq!(&bytes[bytes.len() - 2..], &[1, 0]);
+
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.string().unwrap(), "cam-ü");
+        assert_eq!(r.string().unwrap(), "");
+        assert!(r.bool().unwrap());
+        assert!(!r.bool().unwrap());
+        r.finish().unwrap();
+
+        assert_eq!(Reader::new(&[2]).bool(), Err(CheckpointError::Truncated));
+        let mut w = Writer::new();
+        w.usize(1);
+        w.u8(0xFF);
+        let bytes = w.into_bytes();
+        assert_eq!(
+            Reader::new(&bytes).string(),
+            Err(CheckpointError::Truncated)
+        );
     }
 
     #[test]
