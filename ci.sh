@@ -30,12 +30,16 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${doc_packages[@]}"
 # a memory guard bounds the bytes a small streamed fleet's calling thread
 # (region consume and the global pass) allocates at 240,000
 # (crates/fleet/tests/stream_alloc.rs), and a handoff-count guard checks
-# that one worker hands 70 homes to the region tier in 3 messages at the
-# default report capacity and in 70 at capacity 1
-# (engine::tests::a_worker_hands_its_homes_over_in_messages_of_half_the_capacity).
+# that one worker hands 70 homes to the region tier in messages of 32,
+# 32 and 6 (engine::tests::a_worker_hands_its_homes_over_in_messages_of_32).
 echo "== cargo build --release --workspace && cargo test --workspace -q"
 cargo build --release --workspace
 cargo test --workspace -q
+
+# The five micro-benches (ciphers, dpi, auth, shaping, crosslayer) run,
+# not only compile: each prints one timing line per closure.
+echo "== cargo bench -p xlf-bench"
+cargo bench -q -p xlf-bench
 
 # The exactness oracles of the fast paths, at more cases than the
 # default: the kNN graph against the naive graph, the padding-skipping

@@ -1,7 +1,7 @@
 //! E-M1 bench — per-request authentication cost (compute, not modeled
 //! network latency): delegation proxy cache hit vs cloud-only validation.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use xlf_bench::harness::micro_bench;
 use xlf_core::auth::{
     AccessOrigin, AuthRequest, CloudOnlyAuth, DelegationProxy, LatencyModel, PrivilegeTier,
 };
@@ -16,20 +16,14 @@ fn request() -> AuthRequest {
     }
 }
 
-fn bench_auth(c: &mut Criterion) {
-    let mut group = c.benchmark_group("auth_per_request");
-    group.sample_size(20);
-    group.bench_function("delegation_proxy_cached", |b| {
-        let mut proxy = DelegationProxy::new(LatencyModel::default());
-        proxy.authenticate(&request(), SimTime::ZERO);
-        b.iter(|| std::hint::black_box(proxy.authenticate(&request(), SimTime::from_secs(1))));
+fn main() {
+    let mut proxy = DelegationProxy::new(LatencyModel::default());
+    proxy.authenticate(&request(), SimTime::ZERO);
+    micro_bench("auth_per_request/delegation_proxy_cached", None, || {
+        proxy.authenticate(&request(), SimTime::from_secs(1))
     });
-    group.bench_function("cloud_only", |b| {
-        let mut cloud = CloudOnlyAuth::new(LatencyModel::default());
-        b.iter(|| std::hint::black_box(cloud.authenticate(&request(), SimTime::from_secs(1))));
+    let mut cloud = CloudOnlyAuth::new(LatencyModel::default());
+    micro_bench("auth_per_request/cloud_only", None, || {
+        cloud.authenticate(&request(), SimTime::from_secs(1))
     });
-    group.finish();
 }
-
-criterion_group!(benches, bench_auth);
-criterion_main!(benches);

@@ -1,14 +1,11 @@
 //! E-T3 bench — per-cipher CTR throughput over the full Table III
-//! registry (the measured column of the table3 harness, under Criterion
-//! statistics).
+//! registry (the measured column of the table3 harness).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use xlf_bench::harness::micro_bench;
 use xlf_lwcrypto::modes::Ctr;
 use xlf_lwcrypto::registry;
 
-fn bench_ciphers(c: &mut Criterion) {
-    let mut group = c.benchmark_group("table3_ctr_throughput");
-    group.sample_size(10);
+fn main() {
     let mut seen = Vec::new();
     for cipher in registry(b"bench") {
         let info = cipher.info();
@@ -18,13 +15,10 @@ fn bench_ciphers(c: &mut Criterion) {
         seen.push(info.name);
         let mut data = vec![0xA5u8; 16 * 1024];
         let nonce = vec![7u8; cipher.block_size()];
-        group.throughput(Throughput::Bytes(data.len() as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(info.name), &(), |b, _| {
-            b.iter(|| Ctr::new(cipher.as_ref(), &nonce).apply(&mut data));
-        });
+        micro_bench(
+            &format!("table3_ctr_throughput/{}", info.name),
+            Some(data.len()),
+            || Ctr::new(cipher.as_ref(), &nonce).apply(&mut data),
+        );
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_ciphers);
-criterion_main!(benches);

@@ -1,35 +1,22 @@
 //! E-F4 bench — end-to-end cost of a full scenario simulation and of one
 //! Core correlation sweep over a populated evidence store.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use xlf_bench::harness::micro_bench;
 use xlf_bench::scenarios::{run_scenario, AttackScenario, SCENARIO_END_S};
 use xlf_core::correlation::{CorrelationConfig, CorrelationEngine};
 use xlf_core::framework::XlfConfig;
 use xlf_simnet::SimTime;
 
-fn bench_crosslayer(c: &mut Criterion) {
-    let mut group = c.benchmark_group("crosslayer");
-    group.sample_size(10);
-
-    group.bench_function("full_botnet_scenario_simulation", |b| {
-        b.iter(|| {
-            std::hint::black_box(run_scenario(
-                1,
-                XlfConfig::full(),
-                AttackScenario::BotnetRecruitFlood,
-            ))
-        });
+fn main() {
+    micro_bench("crosslayer/full_botnet_scenario_simulation", None, || {
+        run_scenario(1, XlfConfig::full(), AttackScenario::BotnetRecruitFlood)
     });
 
     let home = run_scenario(1, XlfConfig::full(), AttackScenario::BotnetRecruitFlood);
     let engine = CorrelationEngine::new(CorrelationConfig::default());
     let now = SimTime::from_secs(SCENARIO_END_S);
-    group.bench_function("correlation_sweep", |b| {
-        let core = home.core.borrow();
-        b.iter(|| std::hint::black_box(engine.evaluate_all(&core.store, now)));
+    let core = home.core.borrow();
+    micro_bench("crosslayer/correlation_sweep", None, || {
+        engine.evaluate_all(&core.store, now)
     });
-    group.finish();
 }
-
-criterion_group!(benches, bench_crosslayer);
-criterion_main!(benches);

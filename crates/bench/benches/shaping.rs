@@ -1,11 +1,11 @@
 //! E-M3 bench — shaping decision cost per packet across modes.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use xlf_bench::harness::micro_bench;
 use xlf_core::shaping::{ShapingMode, TrafficShaper};
 use xlf_simnet::Duration;
 
-fn bench_shaping(c: &mut Criterion) {
-    let modes: Vec<(&str, ShapingMode)> = vec![
+fn main() {
+    let modes = [
         ("off", ShapingMode::Off),
         ("pad256", ShapingMode::PadOnly { bucket: 256 }),
         (
@@ -16,16 +16,10 @@ fn bench_shaping(c: &mut Criterion) {
             },
         ),
     ];
-    let mut group = c.benchmark_group("shaping_per_packet");
-    group.sample_size(20);
     for (name, mode) in modes {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &mode, |b, mode| {
-            let mut shaper = TrafficShaper::new(*mode, 7);
-            b.iter(|| std::hint::black_box(shaper.shape(333)));
+        let mut shaper = TrafficShaper::new(mode, 7);
+        micro_bench(&format!("shaping_per_packet/{name}"), None, || {
+            shaper.shape(333)
         });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_shaping);
-criterion_main!(benches);

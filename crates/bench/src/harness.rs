@@ -1,6 +1,8 @@
 //! The one harness behind the nine artifact experiments (`exp_fleet`,
 //! `exp_faults`, `exp_stream`, `exp_ota`, `exp_recovery`, `exp_scale`,
-//! `exp_onboard`, `exp_engine`, `exp_dpi`).
+//! `exp_onboard`, `exp_engine`, `exp_dpi`). The five micro-benches in
+//! `benches/` time their closures with the same [`per_call_s`] loop,
+//! through [`micro_bench`].
 //!
 //! Each experiment declares two constant configs — `canonical`, which
 //! produces the committed `BENCH_<experiment>.json`, and `smoke`, the
@@ -616,6 +618,24 @@ pub fn per_call_s(mut f: impl FnMut()) -> f64 {
     }
     let ((), best) = best_of(3, || (0..reps).for_each(|_| f()));
     best / f64::from(reps)
+}
+
+/// Times one micro-bench closure with [`per_call_s`] and prints one
+/// line: `name`, the time per call and, when a call handles `bytes`
+/// bytes, the throughput in MB/s.
+pub fn micro_bench<T>(name: &str, bytes: Option<usize>, mut f: impl FnMut() -> T) {
+    let secs = per_call_s(|| {
+        std::hint::black_box(f());
+    });
+    let time = match secs {
+        s if s >= 1e-3 => format!("{:.3} ms", s * 1e3),
+        s if s >= 1e-6 => format!("{:.3} us", s * 1e6),
+        s => format!("{:.1} ns", s * 1e9),
+    };
+    match bytes {
+        Some(n) => println!("{name:<56} {time:>12} {:>10.1} MB/s", n as f64 / secs / 1e6),
+        None => println!("{name:<56} {time:>12}"),
+    }
 }
 
 /// Silences the default panic report for panics whose message contains

@@ -1,5 +1,5 @@
 //! Shared harness utilities for the XLF table/figure regeneration
-//! binaries and Criterion benches.
+//! binaries and micro-benches.
 //!
 //! Every binary in `src/bin/` regenerates one artifact of the paper (see
 //! DESIGN.md §3 for the experiment index); this library holds the

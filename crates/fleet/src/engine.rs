@@ -4,9 +4,12 @@
 //! locally (a home's Core is `Rc`-shared and never crosses threads),
 //! steps their event loops in slices, drains their
 //! evidence buses between slices with a bounded batch, and ships the
-//! finished [`HomeOutcome`]s to the aggregator over a *bounded* channel —
-//! a slow aggregator back-pressures the workers instead of buffering
-//! unboundedly.
+//! finished [`HomeOutcome`]s to the region tier in messages of up to 32
+//! homes over a *bounded* `std::sync::mpsc::sync_channel` of two
+//! messages — a slow aggregator back-pressures the workers instead of
+//! buffering unboundedly. The workers are `std::thread::scope` threads;
+//! a worker that panics outside the home supervisor is joined and its
+//! panic returned as [`FleetError::WorkerPanic`].
 //!
 //! **Supervision.** Every home attempt runs under `catch_unwind`: a
 //! panicking home becomes a structured [`HomeRunError`] row instead of
@@ -29,13 +32,13 @@ use crate::spec::{
     FleetAttack, FleetFault, FleetSpec, HomeSpec, HomeTemplate, Stamper, LEARNING_END_S,
 };
 use crate::supervise::{panic_message, FleetError, HomeOutcome, HomeRunError, ShardError};
-use crossbeam::channel::Sender;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::time::Instant;
 use xlf_attacks::observer::TrafficAnalyst;
@@ -483,31 +486,35 @@ fn supervised_attempt(
 /// A finished home on its way from a worker to the region tier.
 type Finished = (HomeSpec, HomeOutcome, HomeStream);
 
-/// Finished homes per report-channel message: half the queued-homes
-/// bound, so at the default the channel holds two messages and a worker
-/// fills one while the collector drains the other. A capacity of 1 is a
-/// per-home handoff.
-fn homes_per_message(spec: &FleetSpec) -> usize {
-    (spec.report_capacity / 2).max(1)
-}
+/// Finished homes per report-channel message: one thread wake of the
+/// collector carries this many homes.
+const HOMES_PER_MESSAGE: usize = 32;
+
+/// Messages the report channel queues before a sending worker blocks:
+/// a worker fills one while the collector drains the other.
+const QUEUED_MESSAGES: usize = 2;
 
 /// Claims home ids from `next` until the fleet runs out, stamping each
 /// home as it is claimed, then works off its own retries. Finished homes
-/// leave in messages of [`homes_per_message`]; the last, partial one
-/// once the worker has nothing left to run.
+/// leave in messages of [`HOMES_PER_MESSAGE`]; the last, partial one
+/// once the worker has nothing left to run. `in_flight` counts the
+/// messages sent and not yet received: the worker adds one before each
+/// send and samples the count it found into
+/// [`FleetMetrics::report_channel_depth`].
 fn worker_loop(
     spec: &FleetSpec,
     stamper: &Stamper,
     next: &AtomicU64,
-    results: Sender<Vec<Finished>>,
+    results: SyncSender<Vec<Finished>>,
+    in_flight: &AtomicU64,
     metrics: &FleetMetrics,
 ) {
     let homes = spec.homes as u64;
-    let per_message = homes_per_message(spec);
-    let mut batch: Vec<Finished> = Vec::with_capacity(per_message);
+    let mut batch: Vec<Finished> = Vec::with_capacity(HOMES_PER_MESSAGE);
     // False once the aggregator is gone.
     let ship = |message: Vec<Finished>| {
-        metrics.report_channel_depth.set(results.len() as u64);
+        let ahead = in_flight.fetch_add(1, Ordering::Relaxed);
+        metrics.report_channel_depth.set(ahead);
         results.send(message).is_ok()
     };
     // Deterministic attempt-count backoff: a panicked home waits at the
@@ -531,8 +538,8 @@ fn worker_loop(
         match supervised_attempt(spec, &hs, attempts_done, prev_panic.as_deref(), metrics) {
             Supervised::Done(outcome, stream) => {
                 batch.push((hs, outcome, stream));
-                if batch.len() == per_message {
-                    let full = std::mem::replace(&mut batch, Vec::with_capacity(per_message));
+                if batch.len() == HOMES_PER_MESSAGE {
+                    let full = std::mem::replace(&mut batch, Vec::with_capacity(HOMES_PER_MESSAGE));
                     if !ship(full) {
                         // Aggregator gone — nothing left to do.
                         return;
@@ -739,21 +746,22 @@ fn run_fleet_inner(
         .collect();
     let region_slots = spec.region_slots.max(1) as u32;
 
-    // At most `report_capacity` finished homes wait in the channel, in
-    // messages of `homes_per_message` each.
-    let (report_tx, report_rx) = crossbeam::channel::bounded::<Vec<Finished>>(
-        (spec.report_capacity / homes_per_message(spec)).max(1),
-    );
+    // At most `QUEUED_MESSAGES` messages of `HOMES_PER_MESSAGE` homes
+    // wait in the channel; a worker sending into a full one blocks.
+    let (report_tx, report_rx) = sync_channel::<Vec<Finished>>(QUEUED_MESSAGES);
+    let in_flight = AtomicU64::new(0);
 
     let shards = &mut aggs;
     let stamper = spec.stamper();
     let next = AtomicU64::new(0);
-    let (received, dirty, shard_errors) = crossbeam::thread::scope(|s| {
-        for _ in 0..workers {
-            let results = report_tx.clone();
-            let (stamper, next) = (&stamper, &next);
-            s.spawn(move || worker_loop(spec, stamper, next, results, metrics));
-        }
+    let (received, dirty, shard_errors) = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let results = report_tx.clone();
+                let (stamper, next, in_flight) = (&stamper, &next, &in_flight);
+                s.spawn(move || worker_loop(spec, stamper, next, results, in_flight, metrics))
+            })
+            .collect();
         // Drop the original so the report channel disconnects once the
         // last worker finishes.
         drop(report_tx);
@@ -769,6 +777,7 @@ fn run_fleet_inner(
         let mut shard_errors: Vec<ShardError> = Vec::new();
         let mut received = 0usize;
         while let Ok(message) = report_rx.recv() {
+            in_flight.fetch_sub(1, Ordering::Relaxed);
             for (hs, outcome, stream) in message {
                 metrics.reports_received.inc();
                 received += 1;
@@ -801,9 +810,14 @@ fn run_fleet_inner(
                 }
             }
         }
-        (received, dirty, shard_errors)
-    })
-    .map_err(|payload| FleetError::WorkerPanic(panic_message(payload)))?;
+        // Join every worker before reporting a panic: `scope` itself
+        // panics when a thread that panicked was never joined.
+        let panics: Vec<_> = handles.into_iter().filter_map(|h| h.join().err()).collect();
+        match panics.into_iter().next() {
+            Some(payload) => Err(FleetError::WorkerPanic(panic_message(payload))),
+            None => Ok((received, dirty, shard_errors)),
+        }
+    })?;
 
     // Rebuild torn regions: discard the half-mutated slot and re-run
     // every one of the region's homes from the spec. Slot state is
@@ -1247,33 +1261,28 @@ mod tests {
     }
 
     /// The handoff-count guard: one worker hands `n` finished homes to
-    /// the collector in `ceil(n / 32)` messages at the default capacity
-    /// of 64, and in `n` messages at a capacity of 1. Each message wakes
-    /// the collector once, so the count stands in for the thread wakes
+    /// the collector in `ceil(n / 32)` messages. Each message wakes the
+    /// collector once, so the count stands in for the thread wakes
     /// without timing anything.
     #[test]
-    fn a_worker_hands_its_homes_over_in_messages_of_half_the_capacity() {
-        fn message_sizes(spec: &FleetSpec) -> Vec<usize> {
-            let (tx, rx) = crossbeam::channel::unbounded();
-            let next = AtomicU64::new(0);
-            worker_loop(spec, &spec.stamper(), &next, tx, &FleetMetrics::new());
-            std::iter::from_fn(|| rx.recv().ok())
-                .map(|message| message.len())
-                .collect()
-        }
+    fn a_worker_hands_its_homes_over_in_messages_of_32() {
         let n = 70;
         let spec = FleetSpec::new(11, n)
             .with_horizon(Duration::from_secs(20))
             .with_attacks(vec![(FleetAttack::None, 1)]);
-        assert_eq!(spec.report_capacity, 64);
-        let batched = message_sizes(&spec);
-        assert_eq!(batched.len(), n.div_ceil(32));
-        assert_eq!(batched, [32, 32, 6], "full messages, then one partial");
-
-        let mut per_home = spec.clone();
-        per_home.report_capacity = 1;
-        let sizes = message_sizes(&per_home);
-        assert_eq!(sizes.len(), n);
-        assert!(sizes.iter().all(|&len| len == 1));
+        let (tx, rx) = sync_channel(n);
+        let (next, in_flight) = (AtomicU64::new(0), AtomicU64::new(0));
+        worker_loop(
+            &spec,
+            &spec.stamper(),
+            &next,
+            tx,
+            &in_flight,
+            &FleetMetrics::new(),
+        );
+        let sizes: Vec<usize> = rx.iter().map(|message| message.len()).collect();
+        assert_eq!(sizes.len(), n.div_ceil(HOMES_PER_MESSAGE));
+        assert_eq!(sizes, [32, 32, 6], "full messages, then one partial");
+        assert_eq!(in_flight.load(Ordering::Relaxed), 3, "none received yet");
     }
 }

@@ -20,9 +20,9 @@
 //!    threads), steps them in slices with bounded evidence drains —
 //!    under `catch_unwind` supervision with bounded retries and optional
 //!    step event budgets — and ships [`HomeOutcome`]s back to the
-//!    region tier over a bounded channel, in messages of up to half
-//!    [`FleetSpec::report_capacity`] homes, so one thread wake carries
-//!    many homes.
+//!    region tier over a bounded `std::sync::mpsc::sync_channel`, in
+//!    messages of up to 32 homes, so one thread wake carries many
+//!    homes.
 //! 3. [`FleetAggregator`] sorts the outcomes, correlates the completed
 //!    homes with [`xlf_analytics::graph::community_report`], quarantines
 //!    degraded/failed homes into their own report sections under the

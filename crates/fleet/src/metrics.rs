@@ -274,8 +274,10 @@ pub struct FleetMetrics {
     pub shard_panics: Counter,
     /// Home reports received by the aggregator.
     pub reports_received: Counter,
-    /// Depth of the bounded report channel in messages (each of up to
-    /// half `report_capacity` homes), sampled at each send.
+    /// Report-channel messages (each of up to 32 homes) sent and not
+    /// yet received, sampled by a worker at each send before counting
+    /// its own: the queued messages plus those of other blocked
+    /// senders, so at most `2 + workers - 1`.
     pub report_channel_depth: Gauge,
     /// Per-home build time (µs).
     pub build_us: Histogram,
@@ -391,7 +393,7 @@ mod tests {
     #[test]
     fn concurrent_updates_are_not_lost() {
         let m = FleetMetrics::new();
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..1000 {
@@ -400,8 +402,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(m.homes_stepped.get(), 4000);
         assert_eq!(m.build_us.count(), 4000);
     }

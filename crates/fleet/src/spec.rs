@@ -345,12 +345,6 @@ pub struct FleetSpec {
     /// are charged to per-home and fleet-wide drop accounting. A
     /// capacity of 0 is clamped to 1.
     pub evidence_capacity: Option<usize>,
-    /// Most finished homes waiting in the bounded report channel
-    /// (worker → aggregator backpressure). Workers send them in messages
-    /// of `(report_capacity / 2).max(1)` homes, so the channel holds
-    /// `report_capacity / that` messages; `1` hands over one home per
-    /// message.
-    pub report_capacity: usize,
     /// Streaming correlation interval in simulated seconds. `None` =
     /// batch mode (correlate once at the horizon, schema's `epochs`
     /// section is `null`); `Some(secs)` makes every home emit one
@@ -452,7 +446,6 @@ impl FleetSpec {
             slices: 8,
             drain_batch: 256,
             evidence_capacity: None,
-            report_capacity: 64,
             correlation_interval: None,
             window_capacity: 256,
             campaigns: Vec::new(),

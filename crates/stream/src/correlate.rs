@@ -310,7 +310,7 @@ impl StreamCorrelator {
         for (id, state) in &self.homes {
             w.u64(*id);
             w.u64(state.windows);
-            w.u8(state.partial as u8);
+            w.bool(state.partial);
             for v in state.cumulative {
                 w.f64(v);
             }
@@ -363,7 +363,7 @@ impl StreamCorrelator {
         for _ in 0..n_homes {
             let id = r.u64()?;
             let windows = r.u64()?;
-            let partial = r.u8()? != 0;
+            let partial = r.bool()?;
             let mut cumulative = [0.0; STREAM_FEATURES];
             for v in cumulative.iter_mut() {
                 *v = r.f64()?;
@@ -587,5 +587,21 @@ mod tests {
         // And the empty round trip works.
         let restored = StreamCorrelator::restore(&bytes).expect("restore");
         assert_eq!(restored, correlator);
+
+        // A home's `partial` flag is a bool: a tag of 2 does not restore.
+        // It follows the header (magic, version, four counters), the home
+        // count, and the first home's id and window count.
+        let mut populated = StreamCorrelator::new();
+        populated.ingest_epoch(&synthetic_fleet(1, 1, 0));
+        let mut bad_partial = populated.checkpoint();
+        let tag = 4 + 4 + 4 * 8 + 8 + 8 + 8;
+        assert_eq!(bad_partial[tag], 0, "the first home is not partial");
+        bad_partial[tag] = 2;
+        assert_eq!(
+            StreamCorrelator::restore(&bad_partial),
+            Err(CheckpointError::Truncated)
+        );
+        bad_partial[tag] = 1;
+        assert!(StreamCorrelator::restore(&bad_partial).is_ok());
     }
 }
