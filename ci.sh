@@ -37,9 +37,11 @@ cargo build --release --workspace
 cargo test --workspace -q
 
 # The five micro-benches (ciphers, dpi, auth, shaping, crosslayer) run,
-# not only compile: each prints one timing line per closure.
-echo "== cargo bench -p xlf-bench"
-cargo bench -q -p xlf-bench
+# not only compile: each prints one timing line per closure. `--bench '*'`
+# selects the bench targets only; without it the library's and every
+# binary's test harness would run in bench mode too.
+echo "== cargo bench -p xlf-bench --bench '*'"
+cargo bench -q -p xlf-bench --bench '*'
 
 # The exactness oracles of the fast paths, at more cases than the
 # default: the kNN graph against the naive graph, the padding-skipping
@@ -53,8 +55,9 @@ cargo bench -q -p xlf-bench
 # and on tokenized payloads) against the naive per-rule scans, and the
 # evidence bus's conservation of observations (drained + pending + shed
 # == reported) at every capacity, zero included.
-# Beside them, the never-panic proptests: restoring corrupted or
-# arbitrary XLFS checkpoint bytes, and the protocol parsers and
+# Beside them, the never-panic proptests: restoring the stream
+# correlator from corrupted or arbitrary checkpoint bytes (the
+# correlator's part of an XLFR run snapshot), and the protocol parsers and
 # receivers (TLS open, the 802.15.4 receiver, the DNS resolver) on
 # arbitrary input.
 echo "== proptest oracles, release, PROPTEST_CASES=5000"

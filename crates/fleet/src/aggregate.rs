@@ -37,8 +37,8 @@ use xlf_mgmt::{
 use xlf_onboard::DENY_CAUSES;
 use xlf_simnet::SimTime;
 use xlf_stream::{
-    EpochRecord, Reader, RobustAccumulator, StreamCorrelator, WindowSummary, GRAPH_GAMMA,
-    GRAPH_ITERS, GRAPH_K, MIN_DEVIATION, SIGMA,
+    EpochRecord, RobustAccumulator, StreamCorrelator, WindowSummary, GRAPH_GAMMA, GRAPH_ITERS,
+    GRAPH_K, MIN_DEVIATION, SIGMA,
 };
 
 /// Vendor the control plane's campaigns sign as. Matches the vendor the
@@ -864,19 +864,9 @@ impl<'a> FleetAggregator<'a> {
         // checkpointed with.
         let mut start_epoch = 0u64;
         if let Some(ResumePhase::Stream(sr)) = ctx.resume.take() {
-            let snap_err = |e: xlf_stream::CheckpointError| FleetError::Snapshot(e.into());
-            correlator = StreamCorrelator::restore(&sr.correlator).map_err(snap_err)?;
-            for (engine, blob) in engines.iter_mut().zip(&sr.engines) {
-                let mut er = Reader::new(blob);
-                engine.restore_state(&mut er).map_err(snap_err)?;
-                er.finish().map_err(snap_err)?;
-            }
-            if let (Some(auditor), Some(blob)) = (auditor.as_mut(), sr.auditor.as_ref()) {
-                let mut ar = Reader::new(blob);
-                auditor.restore_state(&mut ar).map_err(snap_err)?;
-                ar.finish().map_err(snap_err)?;
-            }
-            bus = sr.bus;
+            (correlator, bus) = sr
+                .restore(&mut engines, auditor.as_mut())
+                .map_err(FleetError::Snapshot)?;
             start_epoch = sr.next_epoch;
         }
 

@@ -629,8 +629,8 @@ pub fn run_fleet_resume(
                     .add(spec.stream_epochs().saturating_sub(next_epoch));
                 return Ok(report);
             }
-            // Deeper corruption (an engine or auditor blob that only
-            // fails against the live objects): fall back a generation.
+            // A stream section that fails to restore against the live
+            // objects: fall back a generation.
             Err(FleetError::Snapshot(_)) => continue,
             Err(e) => return Err(e),
         }

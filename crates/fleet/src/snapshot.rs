@@ -1,25 +1,29 @@
-//! Durable run-level checkpoint/resume: the `XLFR` snapshot.
+//! Durable run-level checkpoint/resume: the `XLFR` snapshot, the one
+//! on-disk format of a run.
 //!
-//! The stream layer's `XLFS` checkpoint makes the *correlator*
-//! resumable; this module promotes that to the whole run. A run-level
-//! snapshot captures everything the aggregation tier holds between the
-//! homes→stream boundary and the end of the epoch loop:
+//! A run-level snapshot captures everything the aggregation tier holds
+//! between the homes→stream boundary and the end of the epoch loop:
 //!
 //! - the per-region mergeable slot state — tallies, robust accumulators
 //!   (bit-exact via their `(value, count)` runs), candidate extreme-k
 //!   lists, and the retained home rows (outcome + stream windows; the
 //!   [`crate::spec::HomeSpec`] itself is **not** serialized — it is a
 //!   pure function of `(master_seed, id)` and is re-stamped at load);
-//! - once the stream pass starts: the epoch cursor, the embedded `XLFS`
-//!   correlator checkpoint, each campaign engine's mutable state, the
-//!   config auditor's observed fingerprints, and the full command bus.
+//! - once the stream pass starts: the epoch cursor, then the stream
+//!   correlator, each campaign engine's mutable state, the config
+//!   auditor's observed fingerprints, and the full command bus, each
+//!   written inline by the component itself.
 //!
 //! Resume rebuilds every pure derivation from the spec and overlays the
 //! serialized mutable state, then replays only the post-snapshot epochs
 //! — the resumed report is **byte-identical** to the uninterrupted run.
+//! Decoding checks the framing and reads the slots and the epoch
+//! cursor; the stream section is read once, by `StreamResume::restore`
+//! against the objects the stream pass rebuilt from the spec.
 //!
-//! Framing reuses the stream layer's little-endian [`Writer`]/[`Reader`]
-//! so a snapshot is one self-describing byte string, sealed with a
+//! Every component writes into one little-endian [`Writer`] and reads
+//! from one [`Reader`], so a snapshot is one self-describing byte
+//! string with one magic and one version, sealed with a
 //! trailing FNV-1a checksum — any byte flipped at rest is rejected as
 //! [`SnapshotError::Corrupted`] before a single field is parsed. Files
 //! are written atomically (tmp + rename) as numbered generations
@@ -44,7 +48,7 @@ use xlf_stream::{
 /// Magic prefix of a run-level snapshot file.
 pub const RUN_SNAPSHOT_MAGIC: &[u8; 4] = b"XLFR";
 /// Current run-snapshot format version.
-pub const RUN_SNAPSHOT_VERSION: u32 = 2;
+pub const RUN_SNAPSHOT_VERSION: u32 = 3;
 
 const PHASE_HOMES: u8 = 0;
 const PHASE_STREAM: u8 = 1;
@@ -96,8 +100,6 @@ impl From<CheckpointError> for SnapshotError {
     fn from(e: CheckpointError) -> Self {
         match e {
             CheckpointError::Truncated => SnapshotError::Truncated,
-            CheckpointError::BadMagic => SnapshotError::BadMagic,
-            CheckpointError::UnsupportedVersion(v) => SnapshotError::UnsupportedVersion(v),
             CheckpointError::TrailingBytes => SnapshotError::TrailingBytes,
         }
     }
@@ -208,19 +210,42 @@ pub(crate) enum ResumePhase {
 }
 
 /// The stream-phase state a resume overlays onto freshly rebuilt
-/// engines (blobs stay opaque here; the stream pass decodes them against
-/// the live objects it just constructed from the spec).
+/// engines.
 pub(crate) struct StreamResume {
     /// First epoch the resumed loop actually runs.
     pub(crate) next_epoch: u64,
-    /// Embedded `XLFS` correlator checkpoint.
-    pub(crate) correlator: Vec<u8>,
-    /// Per-campaign mutable engine state, in spec order.
-    pub(crate) engines: Vec<Vec<u8>>,
-    /// Config-auditor mutable state, iff the spec audits.
-    pub(crate) auditor: Option<Vec<u8>>,
-    /// The full command bus at the snapshot point.
-    pub(crate) bus: CommandBus,
+    /// The rest of the stream section, undecoded until
+    /// [`StreamResume::restore`] reads it against the live objects.
+    state: Vec<u8>,
+}
+
+impl StreamResume {
+    /// Reads the stream section once, in write order: restores the
+    /// correlator and the command bus, and overlays each engine's and
+    /// the auditor's mutable state onto the objects the stream pass
+    /// just rebuilt from the spec.
+    pub(crate) fn restore(
+        &self,
+        engines: &mut [CampaignEngine],
+        auditor: Option<&mut ConfigAuditor>,
+    ) -> Result<(StreamCorrelator, CommandBus), SnapshotError> {
+        let mut r = Reader::new(&self.state);
+        let correlator = StreamCorrelator::restore_from(&mut r)?;
+        if r.usize()? != engines.len() {
+            return Err(SnapshotError::Truncated);
+        }
+        for engine in engines {
+            engine.restore_state(&mut r)?;
+        }
+        match (r.bool()?, auditor) {
+            (true, Some(auditor)) => auditor.restore_state(&mut r)?,
+            (false, None) => {}
+            _ => return Err(SnapshotError::Truncated),
+        }
+        let bus = CommandBus::restore_from(&mut r)?;
+        r.finish()?;
+        Ok((correlator, bus))
+    }
 }
 
 /// A decoded, spec-verified run snapshot.
@@ -316,27 +341,14 @@ impl RunCtx {
         let mut w = self.header();
         w.u8(PHASE_STREAM);
         w.u64(next_epoch);
-        let corr = correlator.checkpoint();
-        w.usize(corr.len());
-        w.bytes(&corr);
+        correlator.checkpoint_into(&mut w);
         w.usize(engines.len());
         for engine in engines {
-            let mut ew = Writer::new();
-            engine.checkpoint_into(&mut ew);
-            let blob = ew.into_bytes();
-            w.usize(blob.len());
-            w.bytes(&blob);
+            engine.checkpoint_into(&mut w);
         }
-        match auditor {
-            Some(a) => {
-                w.u8(1);
-                let mut aw = Writer::new();
-                a.checkpoint_into(&mut aw);
-                let blob = aw.into_bytes();
-                w.usize(blob.len());
-                w.bytes(&blob);
-            }
-            None => w.u8(0),
+        w.bool(auditor.is_some());
+        if let Some(auditor) = auditor {
+            auditor.checkpoint_into(&mut w);
         }
         bus.checkpoint_into(&mut w);
         self.write_generation(w.into_bytes())
@@ -428,40 +440,11 @@ pub(crate) fn decode(bytes: &[u8], spec: &FleetSpec) -> Result<RunSnapshot, Snap
             if next_epoch > identity.stream_epochs {
                 return Err(SnapshotError::Truncated);
             }
-            let len = r.usize()?;
-            let correlator = r.bytes(len)?.to_vec();
-            // Validate the embedded XLFS checkpoint now: a corrupted
-            // correlator blob fails decode here, so the generation
-            // walker can fall back to an earlier file instead of the
-            // resume failing halfway into the stream pass.
-            StreamCorrelator::restore(&correlator)?;
-            let n = r.usize()?;
-            if n != spec.campaigns.len() {
-                return Err(SnapshotError::Truncated);
-            }
-            let mut engines = Vec::new();
-            for _ in 0..n {
-                let len = r.usize()?;
-                engines.push(r.bytes(len)?.to_vec());
-            }
-            let auditor = match r.u8()? {
-                0 => None,
-                1 => {
-                    let len = r.usize()?;
-                    Some(r.bytes(len)?.to_vec())
-                }
-                _ => return Err(SnapshotError::Truncated),
-            };
-            if auditor.is_some() != spec.config_audit.is_some() {
-                return Err(SnapshotError::Truncated);
-            }
-            let bus = CommandBus::restore_from(&mut r)?;
+            // Kept as bytes: the stream pass reads them once, against
+            // the objects it rebuilds from the spec.
             ResumePhase::Stream(StreamResume {
                 next_epoch,
-                correlator,
-                engines,
-                auditor,
-                bus,
+                state: r.rest().to_vec(),
             })
         }
         _ => return Err(SnapshotError::Truncated),
@@ -811,6 +794,17 @@ mod tests {
         assert_eq!(read_outcome(&mut r), Err(CheckpointError::Truncated));
     }
 
+    /// Decodes `bytes` and restores a stream section the way a resume
+    /// does. The specs here run no campaigns and no audit, so there are
+    /// no engines to overlay.
+    fn restore(bytes: &[u8], spec: &FleetSpec) -> Result<(), SnapshotError> {
+        assert!(spec.campaigns.is_empty() && spec.config_audit.is_none());
+        match decode(bytes, spec)?.resume {
+            ResumePhase::HomesDone => Ok(()),
+            ResumePhase::Stream(sr) => sr.restore(&mut [], None).map(|_| ()),
+        }
+    }
+
     proptest! {
         /// Arbitrary bytes fed to the run-snapshot decoder must come
         /// back as a structured error (or, vanishingly, a decode) —
@@ -818,19 +812,25 @@ mod tests {
         #[test]
         fn arbitrary_bytes_never_panic_the_decoder(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
             let spec = FleetSpec::new(7, 4);
-            let _ = decode(&bytes, &spec);
+            let _ = restore(&bytes, &spec);
         }
     }
 
-    /// Runs a tiny streamed fleet under a snapshot policy and returns
-    /// the newest on-disk generation's bytes plus its spec — real prey
-    /// for the corruption tests below.
-    fn sealed_snapshot(seed: u64) -> (Vec<u8>, FleetSpec) {
-        let dir = crate::chaos::scratch_dir("snapunit");
-        let spec = FleetSpec::new(seed, 4)
+    /// A tiny streamed fleet (3 epochs) that cuts a run snapshot at
+    /// every epoch into `dir`.
+    fn snapshotting_spec(seed: u64, dir: &Path) -> FleetSpec {
+        FleetSpec::new(seed, 4)
             .with_horizon(xlf_simnet::Duration::from_secs(180))
             .with_correlation_interval(60)
-            .with_run_snapshot_every(1, &dir);
+            .with_run_snapshot_every(1, dir)
+    }
+
+    /// Runs [`snapshotting_spec`] and returns the newest on-disk
+    /// generation's bytes plus its spec — real prey for the corruption
+    /// tests below.
+    fn sealed_snapshot(seed: u64) -> (Vec<u8>, FleetSpec) {
+        let dir = crate::chaos::scratch_dir("snapunit");
+        let spec = snapshotting_spec(seed, &dir);
         crate::engine::run_fleet(&spec, &crate::metrics::FleetMetrics::new()).expect("fleet runs");
         let path = generation_paths(&dir)
             .into_iter()
@@ -856,7 +856,7 @@ mod tests {
     #[test]
     fn a_pristine_generation_file_decodes() {
         let (bytes, spec) = sealed_snapshot(0xC0DE_0001);
-        assert!(decode(&bytes, &spec).is_ok());
+        assert!(restore(&bytes, &spec).is_ok());
     }
 
     #[test]
@@ -878,16 +878,17 @@ mod tests {
         let (bytes, spec) = sealed_snapshot(0xC0DE_0003);
         // Raw truncation (checksum torn off or mismatched).
         for len in sampled_positions(bytes.len()) {
-            assert!(decode(&bytes[..len], &spec).is_err(), "raw cut at {len}");
+            assert!(restore(&bytes[..len], &spec).is_err(), "raw cut at {len}");
         }
         // Re-sealed truncation: a valid checksum over a cut payload
-        // exercises the framing-level truncation paths in the decoder.
+        // exercises the framing-level truncation paths in the decoder
+        // and, past the epoch cursor, in the stream section's restore.
         let payload = unseal(&bytes).expect("pristine snapshot unseals");
         for len in sampled_positions(payload.len()) {
             let cut = seal(payload[..len].to_vec());
             assert!(
-                decode(&cut, &spec).is_err(),
-                "re-sealed cut at {len} decoded"
+                restore(&cut, &spec).is_err(),
+                "re-sealed cut at {len} restored"
             );
         }
     }
@@ -910,6 +911,82 @@ mod tests {
             decode(&seal(version), &spec).err(),
             Some(SnapshotError::UnsupportedVersion(999))
         );
+    }
+
+    /// Rewrites every generation file in `dir` through `edit` on its
+    /// payload and re-seals it, so the checksum passes.
+    fn reseal_generations(dir: &Path, edit: impl Fn(&mut Vec<u8>)) {
+        for path in generation_paths(dir) {
+            let bytes = fs::read(&path).expect("read generation");
+            let mut payload = unseal(&bytes).expect("pristine generation").to_vec();
+            edit(&mut payload);
+            fs::write(&path, seal(payload)).expect("write generation");
+        }
+    }
+
+    #[test]
+    fn a_version_2_snapshot_is_unsupported_and_resume_runs_in_full() {
+        let dir = crate::chaos::scratch_dir("snapv2");
+        let spec = snapshotting_spec(0xC0DE_0006, &dir);
+        let golden = crate::engine::run_fleet(&spec, &crate::metrics::FleetMetrics::new())
+            .expect("fleet runs")
+            .to_json();
+        reseal_generations(&dir, |payload| {
+            payload[4..8].copy_from_slice(&2u32.to_le_bytes());
+        });
+        for path in generation_paths(&dir) {
+            let bytes = fs::read(&path).expect("read generation");
+            assert_eq!(
+                decode(&bytes, &spec).err(),
+                Some(SnapshotError::UnsupportedVersion(2))
+            );
+        }
+        let metrics = crate::metrics::FleetMetrics::new();
+        let report = crate::engine::run_fleet_resume(&spec, &metrics).expect("full re-run");
+        assert_eq!(report.to_json(), golden);
+        assert_eq!(metrics.resumes.get(), 0);
+        assert_eq!(metrics.replayed_epochs.get(), spec.stream_epochs());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_stream_section_that_fails_to_restore_falls_back_a_generation() {
+        let dir = crate::chaos::scratch_dir("snapstream");
+        let spec = snapshotting_spec(0xC0DE_0007, &dir);
+        let golden = crate::engine::run_fleet(&spec, &crate::metrics::FleetMetrics::new())
+            .expect("fleet runs")
+            .to_json();
+        let newest = generation_paths(&dir)
+            .into_iter()
+            .next()
+            .expect("a generation exists");
+        let bytes = fs::read(&newest).expect("read generation");
+        let mut payload = unseal(&bytes).expect("pristine generation").to_vec();
+        // The first correlator home's `partial` flag: after the header
+        // (magic, version, identity), the slots, the phase tag and the
+        // epoch cursor come the correlator's four counters, its home
+        // count and the home's id.
+        let mut r = Reader::new(&payload[4 + 4 + 4 * 8..]);
+        let slots_len = r.usize().expect("slots length");
+        let tag = 4 + 4 + 4 * 8 + 8 + slots_len + 1 + 8 + 4 * 8 + 8 + 8;
+        assert_eq!(payload[tag], 0, "the first home is not partial");
+        payload[tag] = 2;
+        let corrupt = seal(payload);
+        // The checksum and the framing pass; only the restore fails.
+        assert!(decode(&corrupt, &spec).is_ok());
+        assert_eq!(restore(&corrupt, &spec), Err(SnapshotError::Truncated));
+        fs::write(&newest, corrupt).expect("write generation");
+
+        let metrics = crate::metrics::FleetMetrics::new();
+        let report = crate::engine::run_fleet_resume(&spec, &metrics).expect("resume falls back");
+        assert_eq!(report.to_json(), golden, "fallback resume diverged");
+        assert_eq!(metrics.resumes.get(), 1);
+        assert_eq!(
+            metrics.replayed_epochs.get(),
+            1,
+            "the previous generation's cursor is one epoch earlier"
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -18,20 +18,12 @@
 //! firmware-modulation attack met with detection *and* response.
 
 use crate::command::{CommandBus, CommandKind, Disposition};
+use crate::splitmix64;
 use std::collections::{BTreeMap, BTreeSet};
 use xlf_attacks::device::{FirmwareTamperer, IMPLANT_MARKER};
 use xlf_cloud::OtaServer;
 use xlf_device::firmware::{FirmwareImage, FirmwareStore, UpdatePolicy, Version};
 use xlf_stream::{CheckpointError, Reader, Writer};
-
-/// SplitMix64 (same mixer as the fleet stamping pipeline — kept local so
-/// the control plane depends only on device/cloud primitives).
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Salt for the campaign-cohort hash word. Like the fleet's fault word,
 /// it branches off the stamping chain's `h1` so campaign membership

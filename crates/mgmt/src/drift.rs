@@ -10,16 +10,9 @@
 //! resets the observed fingerprint to the golden one.
 
 use crate::command::{CommandBus, CommandKind, Disposition};
+use crate::splitmix64;
 use std::collections::BTreeMap;
 use xlf_stream::{CheckpointError, Reader, Writer};
-
-/// SplitMix64 (same mixer as the campaign cohort hash).
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Salt for the drift-cohort hash word (independent of the campaign
 /// salt so drift and rollout cohorts don't correlate).

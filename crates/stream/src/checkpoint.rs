@@ -1,21 +1,19 @@
-//! Deterministic byte serialization for correlator checkpoints.
+//! Deterministic byte serialization for checkpointed state.
 //!
 //! The format is deliberately primitive: little-endian fixed-width
-//! integers and `f64::to_bits`, length-prefixed collections, a magic +
-//! version header, and nothing platform- or allocation-dependent — the
-//! same correlator state always serializes to the same bytes, which is
-//! what makes "resume is byte-identical to uninterrupted" testable as a
-//! byte comparison of checkpoints.
+//! integers and `f64::to_bits`, length-prefixed collections, and nothing
+//! platform- or allocation-dependent — the same state always serializes
+//! to the same bytes, which is what makes "resume is byte-identical to
+//! uninterrupted" testable as a byte comparison of checkpoints. Every
+//! component writes into and reads from one shared [`Writer`]/[`Reader`];
+//! the framing around them (magic, version, checksum) belongs to the
+//! fleet's run snapshot, the one on-disk format.
 
 /// Why a checkpoint buffer failed to restore.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
     /// The buffer ended before the encoded state did.
     Truncated,
-    /// The buffer does not start with the checkpoint magic.
-    BadMagic,
-    /// The buffer is a checkpoint, but of an unsupported format version.
-    UnsupportedVersion(u32),
     /// The encoded state ended before the buffer did.
     TrailingBytes,
 }
@@ -24,10 +22,6 @@ impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CheckpointError::Truncated => write!(f, "checkpoint truncated"),
-            CheckpointError::BadMagic => write!(f, "not a stream checkpoint (bad magic)"),
-            CheckpointError::UnsupportedVersion(v) => {
-                write!(f, "unsupported checkpoint version {v}")
-            }
             CheckpointError::TrailingBytes => write!(f, "trailing bytes after checkpoint"),
         }
     }
@@ -111,6 +105,13 @@ impl<'a> Reader<'a> {
 
     pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
         self.take(n)
+    }
+
+    /// Every byte not yet read, leaving the reader at the end.
+    pub fn rest(&mut self) -> &'a [u8] {
+        let rest = &self.buf[self.pos..];
+        self.pos = self.buf.len();
+        rest
     }
 
     pub fn u8(&mut self) -> Result<u8, CheckpointError> {
@@ -227,6 +228,10 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes[..4]);
         assert_eq!(r.u64(), Err(CheckpointError::Truncated));
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.u32().unwrap(), 1);
+        assert_eq!(r.rest(), &[0, 0, 0, 0]);
+        r.finish().unwrap();
         let mut r = Reader::new(&bytes);
         assert_eq!(r.u32().unwrap(), 1);
         assert_eq!(r.finish(), Err(CheckpointError::TrailingBytes));

@@ -7,10 +7,7 @@ use crate::stats::RobustAccumulator;
 use crate::window::{WindowSummary, STREAM_FEATURES};
 use std::collections::{BTreeMap, BTreeSet};
 use xlf_analytics::graph::{community_report_into, GraphScratch};
-
-/// Checkpoint header.
-const MAGIC: &[u8; 4] = b"XLFS";
-const VERSION: u32 = 3;
+use xlf_analytics::robust::MAD_SIGMA;
 
 /// Feature index of the per-window critical-alert delta (see
 /// [`crate::window::STREAM_FEATURES`]).
@@ -64,8 +61,6 @@ pub struct StreamOutcome {
 /// Per-home streaming state.
 #[derive(Debug, Clone, PartialEq)]
 struct HomeState {
-    /// Windows folded in so far.
-    windows: u64,
     /// Whether any summary was marked partial.
     partial: bool,
     /// Cumulative sum per feature (== the home's batch counters up to
@@ -78,7 +73,6 @@ struct HomeState {
 impl HomeState {
     fn new() -> Self {
         HomeState {
-            windows: 0,
             partial: false,
             cumulative: [0.0; STREAM_FEATURES],
             stats: vec![RobustAccumulator::new(); STREAM_FEATURES],
@@ -136,7 +130,7 @@ pub struct StreamCorrelator {
 
 impl PartialEq for StreamCorrelator {
     /// Equality covers the correlator's logical state only — exactly
-    /// what [`StreamCorrelator::checkpoint`] captures. The scratch
+    /// what [`StreamCorrelator::checkpoint_into`] captures. The scratch
     /// buffers are warm caches, not state.
     fn eq(&self, other: &Self) -> bool {
         self.epoch == other.epoch
@@ -193,7 +187,6 @@ impl StreamCorrelator {
         ordered.sort_by_key(|s| (s.home, s.window));
         for s in ordered {
             let state = self.homes.entry(s.home).or_insert_with(HomeState::new);
-            state.windows += 1;
             state.partial |= s.partial;
             for (d, &raw) in s.features.iter().enumerate() {
                 let v = if raw.is_finite() { raw } else { 0.0 };
@@ -246,7 +239,7 @@ impl StreamCorrelator {
         finite.clear();
         finite.extend(graph.scores().iter().copied().filter(|s| s.is_finite()));
         let stats = RobustAccumulator::from_samples(finite);
-        let threshold = MIN_DEVIATION.max(stats.median() + SIGMA * 1.4826 * stats.mad());
+        let threshold = MIN_DEVIATION.max(stats.median() + SIGMA * MAD_SIGMA * stats.mad());
 
         // Epoch-stamped detection with dedup: a home fires at most one
         // alert across the whole run; repeats are counted, not re-raised.
@@ -294,14 +287,11 @@ impl StreamCorrelator {
         }
     }
 
-    /// Serializes the complete correlator state into a deterministic,
-    /// versioned byte buffer. Same state → same bytes, always: the
-    /// checkpoint of a resumed run byte-equals the checkpoint of an
-    /// uninterrupted one.
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.bytes(MAGIC);
-        w.u32(VERSION);
+    /// Appends the complete correlator state to `w`. Same state → same
+    /// bytes, always: the checkpoint of a resumed run byte-equals the
+    /// checkpoint of an uninterrupted one. The caller's framing (the
+    /// fleet's run snapshot) carries the magic, version and checksum.
+    pub fn checkpoint_into(&self, w: &mut Writer) {
         w.u64(self.epoch);
         w.u64(self.next_label);
         w.u64(self.windows_ingested);
@@ -309,13 +299,12 @@ impl StreamCorrelator {
         w.usize(self.homes.len());
         for (id, state) in &self.homes {
             w.u64(*id);
-            w.u64(state.windows);
             w.bool(state.partial);
             for v in state.cumulative {
                 w.f64(v);
             }
             for acc in &state.stats {
-                acc.checkpoint_into(&mut w);
+                acc.checkpoint_into(w);
             }
         }
         w.usize(self.labels.len());
@@ -339,21 +328,12 @@ impl StreamCorrelator {
             w.u64(e.alerts);
             w.u64(e.deduped);
         }
-        w.into_bytes()
     }
 
-    /// Restores a correlator from [`StreamCorrelator::checkpoint`]
-    /// bytes. Continuing a restored correlator produces byte-identical
+    /// Reads a correlator written by [`StreamCorrelator::checkpoint_into`]
+    /// from `r`. Continuing a restored correlator produces byte-identical
     /// state and outcome to never having checkpointed.
-    pub fn restore(bytes: &[u8]) -> Result<StreamCorrelator, CheckpointError> {
-        let mut r = Reader::new(bytes);
-        if r.bytes(MAGIC.len())? != MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let version = r.u32()?;
-        if version != VERSION {
-            return Err(CheckpointError::UnsupportedVersion(version));
-        }
+    pub fn restore_from(r: &mut Reader) -> Result<StreamCorrelator, CheckpointError> {
         let epoch = r.u64()?;
         let next_label = r.u64()?;
         let windows_ingested = r.u64()?;
@@ -362,7 +342,6 @@ impl StreamCorrelator {
         let mut homes = BTreeMap::new();
         for _ in 0..n_homes {
             let id = r.u64()?;
-            let windows = r.u64()?;
             let partial = r.bool()?;
             let mut cumulative = [0.0; STREAM_FEATURES];
             for v in cumulative.iter_mut() {
@@ -370,12 +349,11 @@ impl StreamCorrelator {
             }
             let mut stats = Vec::with_capacity(STREAM_FEATURES);
             for _ in 0..STREAM_FEATURES {
-                stats.push(RobustAccumulator::restore_from(&mut r)?);
+                stats.push(RobustAccumulator::restore_from(r)?);
             }
             homes.insert(
                 id,
                 HomeState {
-                    windows,
                     partial,
                     cumulative,
                     stats,
@@ -409,7 +387,6 @@ impl StreamCorrelator {
                 deduped: r.u64()?,
             });
         }
-        r.finish()?;
         Ok(StreamCorrelator {
             epoch,
             next_label,
@@ -523,6 +500,20 @@ mod tests {
         assert_eq!(outcome.partial_homes, vec![1]);
     }
 
+    fn checkpoint(correlator: &StreamCorrelator) -> Vec<u8> {
+        let mut w = Writer::new();
+        correlator.checkpoint_into(&mut w);
+        w.into_bytes()
+    }
+
+    /// Restores a correlator that must fill `bytes` exactly.
+    fn restore(bytes: &[u8]) -> Result<StreamCorrelator, CheckpointError> {
+        let mut r = Reader::new(bytes);
+        let correlator = StreamCorrelator::restore_from(&mut r)?;
+        r.finish()?;
+        Ok(correlator)
+    }
+
     #[test]
     fn checkpoint_resume_is_byte_identical_at_every_split() {
         let n_epochs = 8u64;
@@ -536,21 +527,21 @@ mod tests {
         for e in 0..n_epochs {
             reference.ingest_epoch(&by_epoch[&e]);
         }
-        let reference_bytes = reference.checkpoint();
+        let reference_bytes = checkpoint(&reference);
 
         for split in 0..=n_epochs {
             let mut first = StreamCorrelator::new();
             for e in 0..split {
                 first.ingest_epoch(&by_epoch[&e]);
             }
-            let mid = first.checkpoint();
-            let mut resumed = StreamCorrelator::restore(&mid).expect("restore");
+            let mid = checkpoint(&first);
+            let mut resumed = restore(&mid).expect("restore");
             assert_eq!(resumed.epoch(), split);
             for e in split..n_epochs {
                 resumed.ingest_epoch(&by_epoch[&e]);
             }
             assert_eq!(
-                resumed.checkpoint(),
+                checkpoint(&resumed),
                 reference_bytes,
                 "split at epoch {split} diverged"
             );
@@ -561,47 +552,29 @@ mod tests {
     #[test]
     fn restore_rejects_malformed_buffers() {
         let correlator = StreamCorrelator::new();
-        let bytes = correlator.checkpoint();
+        let bytes = checkpoint(&correlator);
         assert_eq!(
-            StreamCorrelator::restore(&bytes[..bytes.len() - 1]),
+            restore(&bytes[..bytes.len() - 1]),
             Err(CheckpointError::Truncated)
-        );
-        let mut bad_magic = bytes.clone();
-        bad_magic[0] = b'Y';
-        assert_eq!(
-            StreamCorrelator::restore(&bad_magic),
-            Err(CheckpointError::BadMagic)
-        );
-        let mut bad_version = bytes.clone();
-        bad_version[4] = 99;
-        assert_eq!(
-            StreamCorrelator::restore(&bad_version),
-            Err(CheckpointError::UnsupportedVersion(99))
         );
         let mut trailing = bytes.clone();
         trailing.push(0);
-        assert_eq!(
-            StreamCorrelator::restore(&trailing),
-            Err(CheckpointError::TrailingBytes)
-        );
+        assert_eq!(restore(&trailing), Err(CheckpointError::TrailingBytes));
         // And the empty round trip works.
-        let restored = StreamCorrelator::restore(&bytes).expect("restore");
+        let restored = restore(&bytes).expect("restore");
         assert_eq!(restored, correlator);
 
         // A home's `partial` flag is a bool: a tag of 2 does not restore.
-        // It follows the header (magic, version, four counters), the home
-        // count, and the first home's id and window count.
+        // It follows the four counters, the home count, and the first
+        // home's id.
         let mut populated = StreamCorrelator::new();
         populated.ingest_epoch(&synthetic_fleet(1, 1, 0));
-        let mut bad_partial = populated.checkpoint();
-        let tag = 4 + 4 + 4 * 8 + 8 + 8 + 8;
+        let mut bad_partial = checkpoint(&populated);
+        let tag = 4 * 8 + 8 + 8;
         assert_eq!(bad_partial[tag], 0, "the first home is not partial");
         bad_partial[tag] = 2;
-        assert_eq!(
-            StreamCorrelator::restore(&bad_partial),
-            Err(CheckpointError::Truncated)
-        );
+        assert_eq!(restore(&bad_partial), Err(CheckpointError::Truncated));
         bad_partial[tag] = 1;
-        assert!(StreamCorrelator::restore(&bad_partial).is_ok());
+        assert!(restore(&bad_partial).is_ok());
     }
 }

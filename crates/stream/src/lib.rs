@@ -19,11 +19,13 @@
 //! workspace: epochs are simulated-time barriers, summaries are folded
 //! in home-id order regardless of arrival order, and there is no wall
 //! clock anywhere. On top of that the correlator supports
-//! **checkpoint/resume**: [`StreamCorrelator::checkpoint`] serializes
-//! the full correlator state at an epoch boundary into a versioned,
-//! byte-deterministic buffer and [`StreamCorrelator::restore`] continues
-//! from it such that the resumed run is byte-identical to an
-//! uninterrupted one.
+//! **checkpoint/resume**: [`StreamCorrelator::checkpoint_into`] appends
+//! the full correlator state at an epoch boundary to a byte-deterministic
+//! [`Writer`] and [`StreamCorrelator::restore_from`] continues from a
+//! [`Reader`] over those bytes such that the resumed run is
+//! byte-identical to an uninterrupted one. The fleet's `XLFR` run
+//! snapshot is the only framing: it writes the correlator inline and
+//! carries the magic, version and checksum.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

@@ -1,10 +1,27 @@
-//! Checkpoint restore robustness: a checkpoint buffer is an untrusted
-//! input (it may come off disk, a KV store, or the wire), so `restore`
+//! Checkpoint restore robustness: checkpoint bytes are an untrusted
+//! input (they come off disk inside a run snapshot), so `restore_from`
 //! must map every malformed buffer to a structured [`CheckpointError`] —
 //! never a panic, never a silently-wrong correlator.
 
 use proptest::prelude::*;
-use xlf_stream::{CheckpointError, StreamCorrelator, WindowSummary, STREAM_FEATURES};
+use xlf_stream::{
+    CheckpointError, Reader, StreamCorrelator, WindowSummary, Writer, STREAM_FEATURES,
+};
+
+fn checkpoint(correlator: &StreamCorrelator) -> Vec<u8> {
+    let mut w = Writer::new();
+    correlator.checkpoint_into(&mut w);
+    w.into_bytes()
+}
+
+/// Restores a correlator that must fill `bytes` exactly, as the run
+/// snapshot's reader ends on the last component it wrote.
+fn restore(bytes: &[u8]) -> Result<StreamCorrelator, CheckpointError> {
+    let mut r = Reader::new(bytes);
+    let correlator = StreamCorrelator::restore_from(&mut r)?;
+    r.finish()?;
+    Ok(correlator)
+}
 
 /// A checkpoint with real state in it: 6 homes × 5 epochs ingested.
 fn populated_checkpoint() -> Vec<u8> {
@@ -25,58 +42,20 @@ fn populated_checkpoint() -> Vec<u8> {
             .collect();
         correlator.ingest_epoch(&batch);
     }
-    correlator.checkpoint()
-}
-
-#[test]
-fn wrong_magic_is_a_structured_error() {
-    let mut bytes = populated_checkpoint();
-    bytes[0] ^= 0xFF;
-    assert_eq!(
-        StreamCorrelator::restore(&bytes).err(),
-        Some(CheckpointError::BadMagic)
-    );
-    // A buffer that is some other format entirely is BadMagic too.
-    assert_eq!(
-        StreamCorrelator::restore(b"PK\x03\x04not a checkpoint").err(),
-        Some(CheckpointError::BadMagic)
-    );
-}
-
-#[test]
-fn unsupported_version_reports_the_version_it_found() {
-    let mut bytes = populated_checkpoint();
-    // Version 2 carried the correlation tuning (kNN degree, bandwidth,
-    // iteration cap, deviation floor, sigma) after the version word;
-    // restoring it would let the bytes pick the flag threshold.
-    let mut v2 = bytes[..4].to_vec();
-    v2.extend_from_slice(&2u32.to_le_bytes());
-    for word in [8, 8f64.to_bits(), 100, 0.15f64.to_bits(), 4f64.to_bits()] {
-        v2.extend_from_slice(&word.to_le_bytes());
-    }
-    v2.extend_from_slice(&bytes[8..]);
-    assert_eq!(
-        StreamCorrelator::restore(&v2).err(),
-        Some(CheckpointError::UnsupportedVersion(2))
-    );
-    // Header layout: 4 magic bytes, then the format version as LE u32.
-    bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
-    assert_eq!(
-        StreamCorrelator::restore(&bytes).err(),
-        Some(CheckpointError::UnsupportedVersion(99))
-    );
+    checkpoint(&correlator)
 }
 
 #[test]
 fn every_truncation_is_a_structured_error() {
     let bytes = populated_checkpoint();
-    assert!(StreamCorrelator::restore(&bytes).is_ok());
+    assert!(restore(&bytes).is_ok());
     for len in 0..bytes.len() {
-        let err = StreamCorrelator::restore(&bytes[..len])
+        let err = restore(&bytes[..len])
             .err()
             .unwrap_or_else(|| panic!("truncation to {len} bytes restored successfully"));
-        assert!(
-            matches!(err, CheckpointError::Truncated | CheckpointError::BadMagic),
+        assert_eq!(
+            err,
+            CheckpointError::Truncated,
             "truncation to {len} bytes: unexpected error {err:?}"
         );
     }
@@ -86,10 +65,7 @@ fn every_truncation_is_a_structured_error() {
 fn trailing_bytes_are_rejected() {
     let mut bytes = populated_checkpoint();
     bytes.push(0);
-    assert_eq!(
-        StreamCorrelator::restore(&bytes).err(),
-        Some(CheckpointError::TrailingBytes)
-    );
+    assert_eq!(restore(&bytes).err(), Some(CheckpointError::TrailingBytes));
 }
 
 proptest! {
@@ -101,18 +77,18 @@ proptest! {
         let mut bytes = populated_checkpoint();
         let idx = idx % bytes.len();
         bytes[idx] ^= xor;
-        if let Ok(restored) = StreamCorrelator::restore(&bytes) {
+        if let Ok(restored) = restore(&bytes) {
             // Corruption in value bytes can still decode; the restored
             // correlator must at least be internally consistent enough
             // to checkpoint again.
-            let rechecked = restored.checkpoint();
-            prop_assert!(StreamCorrelator::restore(&rechecked).is_ok());
+            let rechecked = checkpoint(&restored);
+            prop_assert!(restore(&rechecked).is_ok());
         }
     }
 
-    /// Arbitrary byte soup never panics `restore`.
+    /// Arbitrary byte soup never panics `restore_from`.
     #[test]
     fn arbitrary_bytes_never_panic(data in prop::collection::vec(any::<u8>(), 0..512)) {
-        let _ = StreamCorrelator::restore(&data);
+        let _ = restore(&data);
     }
 }
