@@ -48,8 +48,10 @@ cargo bench -q -p xlf-bench --bench '*'
 # telemetry parser against decode-then-trim, the fixed-point reading
 # format against the float formatter, the observer's one-pass burst
 # majorities against the scan of every record, the count-keyed
-# robust accumulator against the sorted-vector accumulator, the
-# stream pass's borrowed epoch index against the clone-and-regroup,
+# robust accumulator against the sorted-vector accumulator, the stream
+# correlator's one-vector home profile against per-feature
+# accumulators, the stream pass's per-epoch batch fill against the
+# clone-and-regroup,
 # and the one DPI inspection path's engines: the Aho–Corasick
 # automaton's first matches and the token index (on arbitrary tokens
 # and on tokenized payloads) against the naive per-rule scans, and the
@@ -70,7 +72,8 @@ cargo test --release -q -p xlf-lwcrypto --test proptests -- \
 cargo test --release -q -p xlf-cloud --lib -- parse_reading_equals_decode_then_trim
 cargo test --release -q -p xlf-device --lib -- fixed_point_equals_float_formatting
 cargo test --release -q -p xlf-attacks --lib -- one_pass_majorities_equal_the_scan
-cargo test --release -q -p xlf-stream --lib -- runs_equal_the_sorted_vector_oracle
+cargo test --release -q -p xlf-stream --lib -- runs_equal_the_sorted_vector_oracle \
+    window_profile_equals_per_feature_accumulators
 cargo test --release -q -p xlf-fleet --lib -- epoch_index_matches_the_regroup_oracle
 cargo test --release -q -p xlf-core --test proptests -- bounded_bus_conserves_observations
 cargo test --release -q -p xlf-stream --test checkpoint_robustness

@@ -69,9 +69,20 @@ impl FeatureMatrix {
     ///
     /// Panics if `flat.len() != rows * dims`.
     pub fn fill_from_flat(&mut self, flat: &[f64], rows: usize, dims: usize) {
-        assert_eq!(flat.len(), rows * dims, "flat feature matrix shape");
+        self.refill(rows, dims, |data| data.extend_from_slice(flat));
+    }
+
+    /// Rebuilds in place: `fill` appends `rows × dims` values, row-major,
+    /// straight to the emptied flat storage, so a caller that computes its
+    /// rows keeps no buffer of its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fill` appends other than `rows * dims` values.
+    pub fn refill(&mut self, rows: usize, dims: usize, fill: impl FnOnce(&mut Vec<f64>)) {
         self.data.clear();
-        self.data.extend_from_slice(flat);
+        fill(&mut self.data);
+        assert_eq!(self.data.len(), rows * dims, "flat feature matrix shape");
         self.rows = rows;
         self.dims = dims;
         self.recompute_norms();
@@ -850,7 +861,7 @@ pub fn community_report_seeded(
 /// across epochs so the steady-state pipeline allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct GraphScratch {
-    /// Input: callers fill this (e.g. [`FeatureMatrix::fill_from_flat`])
+    /// Input: callers fill this (e.g. [`FeatureMatrix::refill`])
     /// before [`community_report_into`]; it is normalized in place.
     pub matrix: FeatureMatrix,
     /// The first row of each group of bit-identical rows.

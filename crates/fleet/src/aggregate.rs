@@ -25,6 +25,7 @@ use crate::snapshot::{self, KillPoint, ResumePhase, RunCtx, SnapshotIdentity};
 use crate::spec::{FleetSpec, HomeSpec, RowPolicy, FLEET_FAULT_KINDS};
 use crate::supervise::{FleetError, HomeOutcome, HomeRunError};
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::{self, Display, Write};
 use xlf_analytics::graph::community_report;
 use xlf_analytics::robust::robust_z;
 use xlf_core::alerts::{Alert, AlertSink, Severity};
@@ -320,64 +321,62 @@ pub struct FleetReport {
 
 /// Fixed-precision float for the stable schema: 6 decimal places,
 /// `null` for non-finite values (raw NaN/inf would not be valid JSON).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
+/// Like every helper here it formats straight into the buffer the
+/// caller's `write!` targets, so no row builds a temporary `String`.
+fn json_f64(v: f64) -> impl Display {
+    fmt::from_fn(move |f| {
+        if v.is_finite() {
+            write!(f, "{v:.6}")
+        } else {
+            f.write_str("null")
+        }
+    })
 }
 
 /// `json_f64` lifted over `Option`: `None` serializes as `null`.
-fn json_opt_f64(v: Option<f64>) -> String {
-    match v {
-        Some(v) => json_f64(v),
-        None => "null".to_string(),
-    }
+fn json_opt_f64(v: Option<f64>) -> impl Display {
+    json_opt(v.map(json_f64))
 }
 
-/// `Option<u64>` as a JSON number or `null`.
-fn json_opt_u64(v: Option<u64>) -> String {
-    match v {
-        Some(v) => v.to_string(),
-        None => "null".to_string(),
-    }
-}
-
-/// Joins a section into one pre-sized `String`: each item is formatted
-/// straight into the section buffer (comma-separated) instead of
-/// allocating a `String` per item and `join`ing afterwards. Bytes are
-/// identical to the old per-item `format!` + `join(",")`.
-fn join_section<T>(
-    items: impl ExactSizeIterator<Item = T>,
-    per_item_hint: usize,
-    mut write_item: impl FnMut(&mut String, T),
-) -> String {
-    let mut out = String::with_capacity(items.len() * per_item_hint);
-    for (i, item) in items.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_item(&mut out, item);
-    }
-    out
+/// A present value as itself (a JSON number, or a string already
+/// wrapped by `json_str`), an absent one as `null`.
+fn json_opt<T: Display>(v: Option<T>) -> impl Display {
+    fmt::from_fn(move |f| match &v {
+        Some(v) => write!(f, "{v}"),
+        None => f.write_str("null"),
+    })
 }
 
 /// Minimal JSON string escaping for the deterministic serializer.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+fn json_str(s: &str) -> impl Display + '_ {
+    fmt::from_fn(move |f| {
+        f.write_char('"')?;
+        for c in s.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
+            }
         }
+        f.write_char('"')
+    })
+}
+
+/// Writes a section's items comma-separated into the report buffer.
+fn write_section<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut write_item: impl FnMut(&mut String, T) -> fmt::Result,
+) -> fmt::Result {
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_item(out, item)?;
     }
-    out.push('"');
-    out
+    Ok(())
 }
 
 impl FleetReport {
@@ -403,136 +402,96 @@ impl FleetReport {
 
     /// Serializes the report as deterministic JSON, schema version
     /// [`FLEET_REPORT_SCHEMA_VERSION`] (stable field order, fixed float
-    /// precision, rows and failures sorted by home id).
+    /// precision, rows and failures sorted by home id). Every section is
+    /// written straight into one output buffer, reserved up front from
+    /// the section sizes.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let rows = join_section(self.rows.iter(), 256, |out, r| {
-            let _ = write!(
-                out,
-                "{{\"id\":{},\"seed\":{},\"template\":{},\"attack\":\"{}\",\
-                 \"fault\":\"{}\",\"region\":{},\"candidate\":{},\
-                 \"community\":{},\"deviation\":{},\"flagged\":{},\
-                 \"observer_accuracy\":{},\
-                 \"evidence\":{},\"evidence_dropped\":{},\"evidence_shed\":{},\
-                 \"evidence_drop_rate\":{},\"warnings\":{},\
-                 \"criticals\":{},\"quarantined\":{},\"top_device\":{},\
-                 \"top_score\":{},\"forwarded\":{},\"dropped\":{}}}",
-                r.id,
-                r.report.seed,
-                json_str(&r.template),
-                r.attack,
-                r.fault,
-                r.region,
-                r.candidate,
-                match r.community {
-                    Some(c) => c.to_string(),
-                    None => "null".to_string(),
-                },
-                json_f64(r.deviation),
-                r.flagged,
-                json_opt_f64(r.observer_accuracy),
-                r.report.evidence_total,
-                r.report.evidence_dropped,
-                r.report.evidence_shed,
-                json_f64(r.evidence_drop_rate()),
-                r.report.warning_alerts,
-                r.report.critical_alerts,
-                r.report.quarantined.len(),
-                json_str(&r.report.top_device),
-                json_f64(r.report.top_score),
-                r.report.forwarded,
-                r.report.dropped_packets,
-            );
+        let mut out = String::with_capacity(self.json_capacity());
+        // Writing into a `String` cannot fail.
+        let _ = self.write_json(&mut out);
+        out
+    }
+
+    /// A generous estimate of [`FleetReport::to_json`]'s length, so the
+    /// buffer is not regrown while the rows are written.
+    fn json_capacity(&self) -> usize {
+        let epochs = self.epochs.as_ref().map_or(0, |s| {
+            8 * s.partial_homes.len() + 64 * s.per_epoch.len() + 32 * s.first_detection.len()
         });
-        let degraded = join_section(self.degraded.iter(), 160, |out, d| {
-            let _ = write!(
-                out,
-                "{{\"id\":{},\"template\":{},\"attack\":\"{}\",\"fault\":\"{}\",\
-                 \"events_used\":{},\"evidence\":{},\"warnings\":{},\"criticals\":{},\
-                 \"forwarded\":{},\"dropped\":{}}}",
-                d.id,
-                json_str(&d.template),
-                d.attack,
-                d.fault,
-                d.events_used,
-                d.report.evidence_total,
-                d.report.warning_alerts,
-                d.report.critical_alerts,
-                d.report.forwarded,
-                d.report.dropped_packets,
-            );
+        let mgmt = self.mgmt.as_ref().map_or(0, |m| {
+            1024 + m
+                .campaigns
+                .iter()
+                .map(|c| 512 + 96 * c.waves.len())
+                .sum::<usize>()
         });
-        let run_failed = join_section(self.run_failed.iter(), 96, |out, f| {
-            let _ = write!(
-                out,
-                "{{\"id\":{},\"attempts\":{},\"fault\":\"{}\",\"panic\":{}}}",
-                f.home,
-                f.attempts,
-                f.fault,
-                json_str(&f.panic)
-            );
+        let onboarding = self.onboarding.as_ref().map_or(0, |o| {
+            1024 + 160 * o.classes.len() + 8 * o.denied_homes.len()
         });
-        let build_failed = join_section(self.build_failed.iter(), 48, |out, f| {
-            let _ = write!(
-                out,
-                "{{\"id\":{},\"reason\":{}}}",
-                f.home,
-                json_str(&f.reason)
-            );
-        });
-        let flagged = join_section(self.flagged.iter(), 8, |out, id| {
-            let _ = write!(out, "{id}");
-        });
-        let epochs = match &self.epochs {
-            None => "null".to_string(),
+        1024 + epochs
+            + mgmt
+            + onboarding
+            + 448 * self.rows.len()
+            + 320 * self.regions.len()
+            + 224 * self.degraded.len()
+            + 128 * self.run_failed.len()
+            + 64 * self.build_failed.len()
+            + 8 * self.flagged.len()
+            + 96 * self.alerts.len()
+    }
+
+    fn write_json(&self, out: &mut String) -> fmt::Result {
+        write!(
+            out,
+            "{{\"schema_version\":{},\"master_seed\":{},\"homes\":{},\"communities\":{},\
+             \"threshold\":{},\"flagged\":[",
+            FLEET_REPORT_SCHEMA_VERSION,
+            self.master_seed,
+            self.homes_accounted(),
+            self.communities,
+            json_f64(self.threshold),
+        )?;
+        write_section(out, &self.flagged, |out, id| write!(out, "{id}"))?;
+        out.push_str("],\"epochs\":");
+        match &self.epochs {
+            None => out.push_str("null"),
             Some(s) => {
-                let partial = join_section(s.partial_homes.iter(), 8, |out, id| {
-                    let _ = write!(out, "{id}");
-                });
-                let per_epoch = join_section(s.per_epoch.iter(), 64, |out, e| {
-                    let _ = write!(
+                write!(
+                    out,
+                    "{{\"interval_secs\":{},\"count\":{},\"windows_ingested\":{},\
+                     \"windows_shed\":{},\"partial_homes\":[",
+                    s.interval_secs, s.count, s.windows_ingested, s.windows_shed,
+                )?;
+                write_section(out, &s.partial_homes, |out, id| write!(out, "{id}"))?;
+                out.push_str("],\"per_epoch\":[");
+                write_section(out, &s.per_epoch, |out, e| {
+                    write!(
                         out,
                         "{{\"epoch\":{},\"homes\":{},\"alerts\":{},\"deduped\":{}}}",
                         e.epoch, e.homes, e.alerts, e.deduped
-                    );
-                });
-                let first = join_section(s.first_detection.iter(), 32, |out, (home, epoch)| {
-                    let _ = write!(out, "{{\"home\":{home},\"epoch\":{epoch}}}");
-                });
-                format!(
-                    "{{\"interval_secs\":{},\"count\":{},\"windows_ingested\":{},\
-                     \"windows_shed\":{},\"partial_homes\":[{}],\"per_epoch\":[{}],\
-                     \"first_detection\":[{}]}}",
-                    s.interval_secs,
-                    s.count,
-                    s.windows_ingested,
-                    s.windows_shed,
-                    partial,
-                    per_epoch,
-                    first,
-                )
+                    )
+                })?;
+                out.push_str("],\"first_detection\":[");
+                write_section(out, &s.first_detection, |out, (home, epoch)| {
+                    write!(out, "{{\"home\":{home},\"epoch\":{epoch}}}")
+                })?;
+                out.push_str("]}");
             }
-        };
-        let campaigns = match &self.mgmt {
-            None => "null".to_string(),
+        }
+        out.push_str(",\"campaigns\":");
+        match &self.mgmt {
+            None => out.push_str("null"),
             Some(m) => {
-                let runs = join_section(m.campaigns.iter(), 384, |out, c| {
-                    let waves = join_section(c.waves.iter(), 96, |wout, w| {
-                        let _ = write!(
-                            wout,
-                            "{{\"wave\":{},\"share_pct\":{},\"epoch\":{},\"cohort\":{},\
-                             \"applied\":{},\"rejected\":{}}}",
-                            w.wave, w.share_pct, w.epoch, w.cohort, w.applied, w.rejected
-                        );
-                    });
-                    let _ = write!(
+                out.push_str("{\"runs\":[");
+                write_section(out, &m.campaigns, |out, c| {
+                    write!(
                         out,
                         "{{\"name\":{},\"device\":{},\"version\":\"{}\",\"tampered\":{},\
                          \"gated\":{},\"max_deviation_rate\":{},\"targets\":{},\
                          \"updated\":{},\"rejected\":{},\"compromised\":{},\
                          \"rolled_back\":{},\"quarantined\":{},\"rollout_pct\":{},\
                          \"halted_at_wave\":{},\"halt_epoch\":{},\"halt_rate\":{},\
-                         \"contained\":{},\"waves\":[{}]}}",
+                         \"contained\":{},\"waves\":[",
                         json_str(&c.name),
                         json_str(&c.device),
                         c.version,
@@ -546,72 +505,59 @@ impl FleetReport {
                         c.rolled_back,
                         c.quarantined,
                         c.rollout_pct,
-                        json_opt_u64(c.halted_at_wave.map(|w| w as u64)),
-                        json_opt_u64(c.halt_epoch),
+                        json_opt(c.halted_at_wave),
+                        json_opt(c.halt_epoch),
                         json_opt_f64(c.halt_rate),
                         c.contained,
-                        waves,
-                    );
-                });
-                let kinds = join_section(COMMAND_KINDS.iter(), 64, |out, k| {
-                    let _ = write!(
+                    )?;
+                    write_section(out, &c.waves, |out, w| {
+                        write!(
+                            out,
+                            "{{\"wave\":{},\"share_pct\":{},\"epoch\":{},\"cohort\":{},\
+                             \"applied\":{},\"rejected\":{}}}",
+                            w.wave, w.share_pct, w.epoch, w.cohort, w.applied, w.rejected
+                        )
+                    })?;
+                    out.push_str("]}");
+                    Ok(())
+                })?;
+                write!(out, "],\"commands\":{{\"total\":{},", m.commands.total())?;
+                write_section(out, COMMAND_KINDS.iter(), |out, k| {
+                    write!(
                         out,
                         "\"{}\":{{\"applied\":{},\"rejected\":{},\"issued\":{}}}",
                         k.name().replace('-', "_"),
                         m.commands.applied(*k),
                         m.commands.rejected(*k),
                         m.commands.issued(*k),
-                    );
-                });
-                let audit = match &m.config_audit {
-                    None => "null".to_string(),
-                    Some(a) => format!(
+                    )
+                })?;
+                out.push_str("},\"config_audit\":");
+                match &m.config_audit {
+                    None => out.push_str("null"),
+                    Some(a) => write!(
+                        out,
                         "{{\"every\":{},\"audits\":{},\"drifted\":{},\"detected\":{},\
                          \"remediated\":{}}}",
                         a.every, a.audits, a.drifted, a.detected, a.remediated
-                    ),
-                };
-                format!(
-                    "{{\"runs\":[{}],\"commands\":{{\"total\":{},{}}},\"config_audit\":{}}}",
-                    runs,
-                    m.commands.total(),
-                    kinds,
-                    audit,
-                )
+                    )?,
+                }
+                out.push('}');
             }
-        };
-        let onboarding = match &self.onboarding {
-            None => "null".to_string(),
+        }
+        write!(
+            out,
+            ",\"recovery\":{{\"snapshot_every\":{}}},\"onboarding\":",
+            json_opt(self.snapshot_every),
+        )?;
+        match &self.onboarding {
+            None => out.push_str("null"),
             Some(o) => {
-                let denials = join_section(DENY_CAUSES.iter().enumerate(), 24, |out, (i, c)| {
-                    let _ = write!(out, "\"{}\":{}", c.label(), o.denials[i]);
-                });
-                let classes = join_section(o.classes.iter(), 160, |out, c| {
-                    let _ = write!(
-                        out,
-                        "{{\"class\":{},\"cipher\":{},\"key_floor_bits\":{},\
-                         \"joins\":{},\"admitted\":{},\"mean_latency_ms\":{},\
-                         \"mean_energy_mj\":{}}}",
-                        json_str(&c.class),
-                        match c.cipher {
-                            Some(name) => json_str(name),
-                            None => "null".to_string(),
-                        },
-                        c.key_floor_bits,
-                        c.joins,
-                        c.admitted,
-                        json_f64(c.mean_latency_ms),
-                        json_f64(c.mean_energy_mj),
-                    );
-                });
-                let denied_homes = join_section(o.denied_homes.iter(), 8, |out, id| {
-                    let _ = write!(out, "{id}");
-                });
-                format!(
+                write!(
+                    out,
                     "{{\"joins\":{},\"admitted\":{},\"denied\":{},\
                      \"rogue_admissions\":{},\"retransmissions\":{},\
-                     \"bytes_sent\":{},\"energy_mj\":{},\"denials\":{{{}}},\
-                     \"classes\":[{}],\"denied_homes\":[{}]}}",
+                     \"bytes_sent\":{},\"energy_mj\":{},\"denials\":{{",
                     o.joins,
                     o.admitted,
                     o.denied,
@@ -619,23 +565,34 @@ impl FleetReport {
                     o.retransmissions,
                     o.bytes_sent,
                     json_f64(o.energy_mj),
-                    denials,
-                    classes,
-                    denied_homes,
-                )
+                )?;
+                write_section(out, DENY_CAUSES.iter().zip(&o.denials), |out, (c, n)| {
+                    write!(out, "\"{}\":{}", c.label(), n)
+                })?;
+                out.push_str("},\"classes\":[");
+                write_section(out, &o.classes, |out, c| {
+                    write!(
+                        out,
+                        "{{\"class\":{},\"cipher\":{},\"key_floor_bits\":{},\
+                         \"joins\":{},\"admitted\":{},\"mean_latency_ms\":{},\
+                         \"mean_energy_mj\":{}}}",
+                        json_str(&c.class),
+                        json_opt(c.cipher.map(json_str)),
+                        c.key_floor_bits,
+                        c.joins,
+                        c.admitted,
+                        json_f64(c.mean_latency_ms),
+                        json_f64(c.mean_energy_mj),
+                    )
+                })?;
+                out.push_str("],\"denied_homes\":[");
+                write_section(out, &o.denied_homes, |out, id| write!(out, "{id}"))?;
+                out.push_str("]}");
             }
-        };
-        let alerts = join_section(self.alerts.iter(), 96, |out, a| {
-            let _ = write!(
-                out,
-                "{{\"device\":{},\"severity\":\"{}\",\"score\":{}}}",
-                json_str(&a.device),
-                a.severity,
-                json_f64(a.score)
-            );
-        });
-        let regions = join_section(self.regions.iter(), 192, |out, r| {
-            let _ = write!(
+        }
+        out.push_str(",\"regions\":[");
+        write_section(out, &self.regions, |out, r| {
+            write!(
                 out,
                 "{{\"region\":{},\"homes\":{},\"ok\":{},\"degraded\":{},\
                  \"run_failed\":{},\"build_failed\":{},\"candidates\":{},\
@@ -656,31 +613,17 @@ impl FleetReport {
                 r.samples,
                 json_f64(r.magnitude_median),
                 json_f64(r.magnitude_mad),
-            );
-        });
-        format!(
-            "{{\"schema_version\":{},\"master_seed\":{},\"homes\":{},\"communities\":{},\
-             \"threshold\":{},\"flagged\":[{}],\"epochs\":{},\"campaigns\":{},\
-             \"recovery\":{{\"snapshot_every\":{}}},\"onboarding\":{},\
-             \"regions\":[{}],\"rows_mode\":{},\
+            )
+        })?;
+        write!(
+            out,
+            "],\"rows_mode\":{},\
              \"totals\":{{\"evidence\":{},\"evidence_dropped\":{},\"evidence_shed\":{},\
              \"evidence_drop_rate\":{},\"evidence_shed_rate\":{},\"forwarded\":{},\
              \"dropped_packets\":{},\"homes_with_critical\":{},\
              \"homes_with_quarantine\":{},\"homes_ok\":{},\"homes_degraded\":{},\
              \"homes_run_failed\":{},\"homes_build_failed\":{}}},\
-             \"degraded\":[{}],\"run_failed\":[{}],\"build_failed\":[{}],\
-             \"alerts\":[{}],\"rows\":[{}]}}",
-            FLEET_REPORT_SCHEMA_VERSION,
-            self.master_seed,
-            self.homes_accounted(),
-            self.communities,
-            json_f64(self.threshold),
-            flagged,
-            epochs,
-            campaigns,
-            json_opt_u64(self.snapshot_every),
-            onboarding,
-            regions,
+             \"degraded\":[",
             json_str(self.rows_mode.name()),
             self.totals.evidence,
             self.totals.evidence_dropped,
@@ -695,30 +638,109 @@ impl FleetReport {
             self.totals.homes_degraded,
             self.totals.homes_run_failed,
             self.totals.homes_build_failed,
-            degraded,
-            run_failed,
-            build_failed,
-            alerts,
-            rows,
-        )
+        )?;
+        write_section(out, &self.degraded, |out, d| {
+            write!(
+                out,
+                "{{\"id\":{},\"template\":{},\"attack\":\"{}\",\"fault\":\"{}\",\
+                 \"events_used\":{},\"evidence\":{},\"warnings\":{},\"criticals\":{},\
+                 \"forwarded\":{},\"dropped\":{}}}",
+                d.id,
+                json_str(&d.template),
+                d.attack,
+                d.fault,
+                d.events_used,
+                d.report.evidence_total,
+                d.report.warning_alerts,
+                d.report.critical_alerts,
+                d.report.forwarded,
+                d.report.dropped_packets,
+            )
+        })?;
+        out.push_str("],\"run_failed\":[");
+        write_section(out, &self.run_failed, |out, f| {
+            write!(
+                out,
+                "{{\"id\":{},\"attempts\":{},\"fault\":\"{}\",\"panic\":{}}}",
+                f.home,
+                f.attempts,
+                f.fault,
+                json_str(&f.panic)
+            )
+        })?;
+        out.push_str("],\"build_failed\":[");
+        write_section(out, &self.build_failed, |out, f| {
+            write!(
+                out,
+                "{{\"id\":{},\"reason\":{}}}",
+                f.home,
+                json_str(&f.reason)
+            )
+        })?;
+        out.push_str("],\"alerts\":[");
+        write_section(out, &self.alerts, |out, a| {
+            write!(
+                out,
+                "{{\"device\":{},\"severity\":\"{}\",\"score\":{}}}",
+                json_str(&a.device),
+                a.severity,
+                json_f64(a.score)
+            )
+        })?;
+        out.push_str("],\"rows\":[");
+        write_section(out, &self.rows, |out, r| {
+            write!(
+                out,
+                "{{\"id\":{},\"seed\":{},\"template\":{},\"attack\":\"{}\",\
+                 \"fault\":\"{}\",\"region\":{},\"candidate\":{},\
+                 \"community\":{},\"deviation\":{},\"flagged\":{},\
+                 \"observer_accuracy\":{},\
+                 \"evidence\":{},\"evidence_dropped\":{},\"evidence_shed\":{},\
+                 \"evidence_drop_rate\":{},\"warnings\":{},\
+                 \"criticals\":{},\"quarantined\":{},\"top_device\":{},\
+                 \"top_score\":{},\"forwarded\":{},\"dropped\":{}}}",
+                r.id,
+                r.report.seed,
+                json_str(&r.template),
+                r.attack,
+                r.fault,
+                r.region,
+                r.candidate,
+                json_opt(r.community),
+                json_f64(r.deviation),
+                r.flagged,
+                json_opt_f64(r.observer_accuracy),
+                r.report.evidence_total,
+                r.report.evidence_dropped,
+                r.report.evidence_shed,
+                json_f64(r.evidence_drop_rate()),
+                r.report.warning_alerts,
+                r.report.critical_alerts,
+                r.report.quarantined.len(),
+                json_str(&r.report.top_device),
+                json_f64(r.report.top_score),
+                r.report.forwarded,
+                r.report.dropped_packets,
+            )
+        })?;
+        out.push_str("]}");
+        Ok(())
     }
 }
 
-/// Indexes the stream pass's windows by epoch without copying them:
-/// entry `e` borrows, in `streams` order, every window numbered `e`.
-/// Windows numbered at or past `epochs` are left out, since the pass
-/// never reaches them. A home streams at most one window per epoch, so
-/// each entry reserves one pointer per home.
-fn epoch_index<'a>(streams: &[&'a HomeStream], epochs: u64) -> Vec<Vec<&'a WindowSummary>> {
-    let mut index: Vec<Vec<&WindowSummary>> = (0..epochs)
-        .map(|_| Vec::with_capacity(streams.len()))
-        .collect();
-    for w in streams.iter().flat_map(|s| &s.windows) {
-        if w.window < epochs {
-            index[w.window as usize].push(w);
-        }
-    }
-    index
+/// Refills the stream pass's batch with epoch `epoch`'s windows: every
+/// window numbered `epoch`, cloned from the homes in `streams` order.
+/// The homes keep the only long-lived copy, and walking all their
+/// windows costs a few integer compares per window and epoch.
+fn fill_epoch(batch: &mut Vec<WindowSummary>, streams: &[&HomeStream], epoch: u64) {
+    batch.clear();
+    batch.extend(
+        streams
+            .iter()
+            .flat_map(|s| &s.windows)
+            .filter(|w| w.window == epoch)
+            .cloned(),
+    );
 }
 
 /// Collects per-home outcomes and fuses them into fleet intelligence.
@@ -870,25 +892,20 @@ impl<'a> FleetAggregator<'a> {
             start_epoch = sr.next_epoch;
         }
 
-        // The homes keep the only copy of each window; the index borrows
-        // them, and one batch is refilled per epoch because the implant
-        // perturbation needs owned summaries.
-        let index = epoch_index(&streams, stream_epochs);
-        let mut batch: Vec<WindowSummary> = Vec::new();
-        for (epoch, windows) in (0u64..).zip(&index) {
-            // Epochs before the resume cursor are already inside the
-            // restored state: skip them without touching anything.
-            if epoch < start_epoch {
-                continue;
-            }
+        // The homes keep the only copy of each window. One batch is
+        // refilled from them per epoch, because the implant perturbation
+        // needs owned summaries; a home streams at most one window per
+        // epoch, so one slot per home never grows. Epochs before the
+        // resume cursor are already inside the restored state.
+        let mut batch: Vec<WindowSummary> = Vec::with_capacity(streams.len());
+        for epoch in start_epoch..stream_epochs {
             // The chaos kill fires before any of this epoch's work — the
             // newest durable generation is the one cut at an earlier
             // epoch boundary, exactly what a mid-epoch crash leaves.
             if ctx.kill == Some(KillPoint::Epoch(epoch)) {
                 return Err(FleetError::ChaosKilled(KillPoint::Epoch(epoch)));
             }
-            batch.clear();
-            batch.extend(windows.iter().map(|&w| w.clone()));
+            fill_epoch(&mut batch, &streams, epoch);
             for engine in &mut engines {
                 engine.epoch_begin(epoch, correlator.flagged(), &mut bus);
             }
@@ -1378,7 +1395,7 @@ mod tests {
     use xlf_stream::{WindowBuffer, STREAM_FEATURES};
 
     /// The stream pass's former window grouping, kept as the oracle for
-    /// [`epoch_index`]: every window cloned into one vector, then moved
+    /// [`fill_epoch`]: every window cloned into one vector, then moved
     /// into a per-epoch map.
     fn regroup_oracle(streams: &[&HomeStream]) -> BTreeMap<u64, Vec<WindowSummary>> {
         let mut windows: Vec<WindowSummary> = Vec::new();
@@ -1410,10 +1427,11 @@ mod tests {
     }
 
     proptest! {
-        /// The borrowed epoch index gives every epoch the windows the
+        /// The per-epoch batch fill gives every epoch the windows the
         /// clone-and-regroup gave it, in the same order: with shed
         /// prefixes, degraded homes' partial fragments, windows numbered
-        /// past the last epoch, and the homes in any order.
+        /// past the last epoch, and the homes in any order. (The name is
+        /// the former pointer index's, which the fill replaced.)
         #[test]
         fn epoch_index_matches_the_regroup_oracle(
             homes in proptest::collection::vec(
@@ -1430,12 +1448,14 @@ mod tests {
                 .collect();
             homes.sort_by_key(|&(order, _)| order);
             let streams: Vec<&HomeStream> = homes.iter().map(|(_, s)| s).collect();
-            let index = epoch_index(&streams, epochs);
             let mut oracle = regroup_oracle(&streams);
-            prop_assert_eq!(index.len() as u64, epochs);
-            for (epoch, windows) in (0u64..).zip(&index) {
-                let batch: Vec<WindowSummary> = windows.iter().map(|&w| w.clone()).collect();
-                prop_assert_eq!(batch, oracle.remove(&epoch).unwrap_or_default());
+            let mut batch = Vec::with_capacity(streams.len());
+            for epoch in 0..epochs {
+                fill_epoch(&mut batch, &streams, epoch);
+                prop_assert_eq!(&batch, &oracle.remove(&epoch).unwrap_or_default());
+                // One window per home at most: the pass's reservation
+                // holds every batch.
+                prop_assert!(batch.len() <= streams.len());
             }
             // All the oracle still holds lies past the last epoch, which
             // the pass never reaches.

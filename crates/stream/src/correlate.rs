@@ -3,7 +3,7 @@
 //! and fires epoch-stamped, deduplicated fleet detections mid-run.
 
 use crate::checkpoint::{CheckpointError, Reader, Writer};
-use crate::stats::RobustAccumulator;
+use crate::stats::{RobustAccumulator, WindowProfile};
 use crate::window::{WindowSummary, STREAM_FEATURES};
 use std::collections::{BTreeMap, BTreeSet};
 use xlf_analytics::graph::{community_report_into, GraphScratch};
@@ -67,7 +67,7 @@ struct HomeState {
     /// the last ingested window).
     cumulative: [f64; STREAM_FEATURES],
     /// Per-feature robust profile over the home's window deltas.
-    stats: Vec<RobustAccumulator>,
+    profile: WindowProfile,
 }
 
 impl HomeState {
@@ -75,29 +75,32 @@ impl HomeState {
         HomeState {
             partial: false,
             cumulative: [0.0; STREAM_FEATURES],
-            stats: vec![RobustAccumulator::new(); STREAM_FEATURES],
+            profile: WindowProfile::default(),
         }
     }
 
     /// Appends the feature vector this home contributes to the epoch
     /// graph: cumulative counters plus the robust (median) per-window
     /// profile, so both *how much* a home has done and *what its typical
-    /// window looks like* separate it from its community. Appending into
-    /// the caller's flat buffer keeps the per-epoch pass allocation-free.
+    /// window looks like* separate it from its community. The caller
+    /// passes the graph matrix's own storage, so the per-epoch pass
+    /// neither allocates nor copies a second feature buffer.
     fn graph_features_into(&self, out: &mut Vec<f64>) {
         out.extend_from_slice(&self.cumulative);
-        out.extend(self.stats.iter().map(|a| a.median()));
+        out.extend(self.profile.medians());
     }
 }
 
-/// Reusable per-epoch working buffers: the id/seed staging vectors, the
-/// flat feature buffer, and the whole graph-pipeline scratch. Transient
-/// working state only — excluded from equality and from checkpoints, so
-/// checkpoint bytes are identical to the pre-scratch format.
+/// Reusable per-epoch working buffers: the fold order and id/seed
+/// staging vectors and the whole graph-pipeline scratch, whose matrix
+/// the homes' features are written into. Transient working state only —
+/// excluded from equality and from checkpoints, so checkpoint bytes are
+/// identical to the pre-scratch format.
 #[derive(Debug, Clone, Default)]
 struct CorrelatorScratch {
+    /// Indices into the epoch's summaries, in `(home, window)` order.
+    order: Vec<usize>,
     ids: Vec<u64>,
-    features: Vec<f64>,
     seed: Vec<usize>,
     graph: GraphScratch,
     finite: Vec<f64>,
@@ -182,39 +185,41 @@ impl StreamCorrelator {
     /// simply absent); folding is by home id, so the result is
     /// arrival-order-independent. Returns this epoch's record.
     pub fn ingest_epoch(&mut self, summaries: &[WindowSummary]) -> EpochRecord {
+        let CorrelatorScratch {
+            order,
+            ids,
+            seed,
+            graph,
+            finite,
+        } = &mut self.scratch;
         // Fold in id order for determinism.
-        let mut ordered: Vec<&WindowSummary> = summaries.iter().collect();
-        ordered.sort_by_key(|s| (s.home, s.window));
-        for s in ordered {
+        order.clear();
+        order.extend(0..summaries.len());
+        order.sort_by_key(|&i| (summaries[i].home, summaries[i].window));
+        for &i in order.iter() {
+            let s = &summaries[i];
             let state = self.homes.entry(s.home).or_insert_with(HomeState::new);
             state.partial |= s.partial;
-            for (d, &raw) in s.features.iter().enumerate() {
-                let v = if raw.is_finite() { raw } else { 0.0 };
-                state.cumulative[d] += v;
-                // Settled per window: the epoch pass reads every
-                // profile's median.
-                state.stats[d].push(v);
-                state.stats[d].settle();
+            let window = s
+                .features
+                .map(|raw| if raw.is_finite() { raw } else { 0.0 });
+            for (sum, v) in state.cumulative.iter_mut().zip(window) {
+                *sum += v;
             }
+            state.profile.push(&window);
             self.windows_ingested += 1;
         }
 
         // Incremental community pass over every home seen so far, run
         // entirely in the reusable scratch buffers: after the first
         // epoch at a given fleet size this allocates nothing.
-        let CorrelatorScratch {
-            ids,
-            features,
-            seed,
-            graph,
-            finite,
-        } = &mut self.scratch;
         ids.clear();
         ids.extend(self.homes.keys().copied());
-        features.clear();
-        for state in self.homes.values() {
-            state.graph_features_into(features);
-        }
+        graph.matrix.refill(ids.len(), 2 * STREAM_FEATURES, |out| {
+            for state in self.homes.values() {
+                state.graph_features_into(out);
+            }
+        });
         seed.clear();
         for id in ids.iter() {
             seed.push(match self.labels.get(id) {
@@ -226,9 +231,6 @@ impl StreamCorrelator {
                 }
             });
         }
-        graph
-            .matrix
-            .fill_from_flat(features, ids.len(), 2 * STREAM_FEATURES);
         community_report_into(GRAPH_K, GRAPH_GAMMA, GRAPH_ITERS, Some(seed), graph);
         for (id, &label) in ids.iter().zip(graph.labels()) {
             self.labels.insert(*id, label as u64);
@@ -303,9 +305,7 @@ impl StreamCorrelator {
             for v in state.cumulative {
                 w.f64(v);
             }
-            for acc in &state.stats {
-                acc.checkpoint_into(w);
-            }
+            state.profile.checkpoint_into(w);
         }
         w.usize(self.labels.len());
         for (id, label) in &self.labels {
@@ -347,16 +347,13 @@ impl StreamCorrelator {
             for v in cumulative.iter_mut() {
                 *v = r.f64()?;
             }
-            let mut stats = Vec::with_capacity(STREAM_FEATURES);
-            for _ in 0..STREAM_FEATURES {
-                stats.push(RobustAccumulator::restore_from(r)?);
-            }
+            let profile = WindowProfile::restore_from(r)?;
             homes.insert(
                 id,
                 HomeState {
                     partial,
                     cumulative,
-                    stats,
+                    profile,
                 },
             );
         }

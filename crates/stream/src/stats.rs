@@ -14,21 +14,23 @@
 //!
 //! Memory is linear in the *distinct* samples, not in the samples. A
 //! home's per-feature profile holds at most one run per window (tens to
-//! a few hundred). The fleet tiers' per-(region, template) feature
-//! columns hold one run per distinct feature value, which in the fleet
-//! workloads is 1–5 per column however many homes a region serves; only
-//! an all-distinct input (the stream correlator's per-epoch deviation
-//! scores) grows one run per sample.
+//! a few hundred), all ten features in one `WindowProfile` vector. The
+//! fleet tiers' per-(region, template) feature columns hold one run per
+//! distinct feature value, which in the fleet workloads is 1–5 per
+//! column however many homes a region serves; only an all-distinct
+//! input (the stream correlator's per-epoch deviation scores) grows one
+//! run per sample.
 //!
-//! Pushes are buffered: a sample lands in an unsorted pending buffer,
-//! which is sorted and merged into the runs once it outgrows them. A
-//! push therefore costs amortised O(log n). Samples are sorted as
-//! integer keys that order like `total_cmp`, so 30 000 all-distinct
-//! pushes take less time than appending them to a vector and sorting it
-//! once by `total_cmp` (1.5–1.6 vs 1.7–1.9 ms, medians of 101 rounds on
-//! a 2-core x86-64 host).
+//! An accumulator's pushes are buffered: a sample lands in an unsorted
+//! pending buffer, which is sorted and merged into the runs once it
+//! outgrows them. A push therefore costs amortised O(log n). Samples
+//! are sorted as integer keys that order like `total_cmp`, so 30 000
+//! all-distinct pushes take less time than appending them to a vector
+//! and sorting it once by `total_cmp` (1.5–1.6 vs 1.7–1.9 ms, medians
+//! of 101 rounds on a 2-core x86-64 host).
 
 use crate::checkpoint::{CheckpointError, Reader, Writer};
+use crate::window::STREAM_FEATURES;
 use std::borrow::Cow;
 
 /// One run: a sample's [`key`] and how many times it was folded in.
@@ -194,39 +196,17 @@ impl RobustAccumulator {
     }
 
     /// Serializes the runs: their number, then each value's bits and
-    /// count. When every run holds one sample, the number carries a flag
-    /// bit and the counts are left out, so an all-distinct accumulator
-    /// costs what its sample vector did.
+    /// count, the counts left out when every run holds one sample.
     pub fn checkpoint_into(&self, w: &mut Writer) {
-        let runs = self.settled();
-        let singles = runs.iter().all(|&(_, n)| n == 1);
-        w.u64(runs.len() as u64 | if singles { SINGLES } else { 0 });
-        for &(k, n) in runs.iter() {
-            w.f64(value(k));
-            if !singles {
-                w.u64(n);
-            }
-        }
+        write_runs(w, &self.settled());
     }
 
     /// Restores an accumulator serialized with
     /// [`RobustAccumulator::checkpoint_into`]. Runs out of order, a zero
     /// count or a total count past `u64::MAX` are framing errors.
     pub fn restore_from(r: &mut Reader) -> Result<Self, CheckpointError> {
-        let header = r.u64()?;
-        let singles = header & SINGLES != 0;
-        let len = usize::try_from(header & !SINGLES).map_err(|_| CheckpointError::Truncated)?;
-        let mut runs: Vec<Run> = Vec::with_capacity(len.min(1 << 16));
-        let mut total = 0u64;
-        for _ in 0..len {
-            let k = key(r.f64()?);
-            let n = if singles { 1 } else { r.u64()? };
-            total = total.checked_add(n).ok_or(CheckpointError::Truncated)?;
-            if n == 0 || runs.last().is_some_and(|&(prev, _)| prev >= k) {
-                return Err(CheckpointError::Truncated);
-            }
-            runs.push((k, n));
-        }
+        let mut runs = Vec::new();
+        read_runs(r, &mut runs)?;
         Ok(RobustAccumulator {
             runs,
             pending: Vec::new(),
@@ -265,6 +245,116 @@ fn median_of(runs: &[Run]) -> f64 {
         upper
     } else {
         (nth(runs, n / 2 - 1) + upper) / 2.0
+    }
+}
+
+/// The one run codec, shared by [`RobustAccumulator`] and
+/// [`WindowProfile`]: the number of runs, then each value's bits and
+/// count. When every run holds one sample, the number carries a flag
+/// bit and the counts are left out, so an all-distinct set of runs
+/// costs what its sample vector did.
+fn write_runs(w: &mut Writer, runs: &[Run]) {
+    let singles = runs.iter().all(|&(_, n)| n == 1);
+    w.u64(runs.len() as u64 | if singles { SINGLES } else { 0 });
+    for &(k, n) in runs {
+        w.f64(value(k));
+        if !singles {
+            w.u64(n);
+        }
+    }
+}
+
+/// Appends runs written by [`write_runs`] to `runs`. Runs out of order,
+/// a zero count or a total count past `u64::MAX` are framing errors; a
+/// run number too large for memory is one too, since the buffer ends
+/// first (the reservation is capped, not trusted).
+fn read_runs(r: &mut Reader, runs: &mut Vec<Run>) -> Result<(), CheckpointError> {
+    let header = r.u64()?;
+    let singles = header & SINGLES != 0;
+    let len = usize::try_from(header & !SINGLES).map_err(|_| CheckpointError::Truncated)?;
+    runs.reserve_exact(len.min(1 << 16));
+    let start = runs.len();
+    let mut total = 0u64;
+    for _ in 0..len {
+        let k = key(r.f64()?);
+        let n = if singles { 1 } else { r.u64()? };
+        total = total.checked_add(n).ok_or(CheckpointError::Truncated)?;
+        if n == 0 || runs[start..].last().is_some_and(|&(prev, _)| prev >= k) {
+            return Err(CheckpointError::Truncated);
+        }
+        runs.push((k, n));
+    }
+    Ok(())
+}
+
+/// A home's per-feature robust profile over its window deltas: every
+/// feature's runs in one vector, feature after feature. Feature `d`'s
+/// runs are `runs[ends[d - 1]..ends[d]]` (from 0 for the first), sorted
+/// and counted exactly as a settled [`RobustAccumulator`] over that
+/// feature's samples holds them, so medians and checkpoint bytes are
+/// the accumulator's. A window's value is placed by binary search within
+/// its feature's range: its run's count goes up, or a run is inserted.
+/// There is no pending buffer and no per-feature vector, so a home that
+/// has streamed one window holds ten runs in one allocation.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct WindowProfile {
+    runs: Vec<Run>,
+    /// End offset of each feature's runs in `runs`; `usize`, so no
+    /// offset a live or restored profile holds can overflow.
+    ends: [usize; STREAM_FEATURES],
+}
+
+impl WindowProfile {
+    /// Feature `d`'s runs.
+    fn feature(&self, d: usize) -> &[Run] {
+        let start = if d == 0 { 0 } else { self.ends[d - 1] };
+        &self.runs[start..self.ends[d]]
+    }
+
+    /// Folds one window's (sanitised) feature values in.
+    pub(crate) fn push(&mut self, window: &[f64; STREAM_FEATURES]) {
+        if self.runs.is_empty() {
+            self.runs.reserve_exact(STREAM_FEATURES);
+        }
+        let mut start = 0;
+        for (d, &x) in window.iter().enumerate() {
+            let k = key(x);
+            let at = start + self.runs[start..self.ends[d]].partition_point(|&(run, _)| run < k);
+            if at < self.ends[d] && self.runs[at].0 == k {
+                self.runs[at].1 += 1;
+            } else {
+                self.runs.insert(at, (k, 1));
+                for end in &mut self.ends[d..] {
+                    *end += 1;
+                }
+            }
+            start = self.ends[d];
+        }
+    }
+
+    /// Each feature's exact median, in feature order.
+    pub(crate) fn medians(&self) -> impl Iterator<Item = f64> + '_ {
+        (0..STREAM_FEATURES).map(|d| median_of(self.feature(d)))
+    }
+
+    /// Serializes each feature's runs in turn, in the
+    /// [`RobustAccumulator::checkpoint_into`] encoding.
+    pub(crate) fn checkpoint_into(&self, w: &mut Writer) {
+        for d in 0..STREAM_FEATURES {
+            write_runs(w, self.feature(d));
+        }
+    }
+
+    /// Restores a profile serialized with
+    /// [`WindowProfile::checkpoint_into`], with the accumulator's
+    /// framing checks per feature.
+    pub(crate) fn restore_from(r: &mut Reader) -> Result<Self, CheckpointError> {
+        let mut profile = WindowProfile::default();
+        for d in 0..STREAM_FEATURES {
+            read_runs(r, &mut profile.runs)?;
+            profile.ends[d] = profile.runs.len();
+        }
+        Ok(profile)
     }
 }
 
@@ -496,6 +586,52 @@ mod tests {
     }
 
     #[test]
+    fn profile_runs_restore_per_feature_and_bad_runs_do_not() {
+        // Feature 0 holds 5.0 twice, feature 1 holds 1.0 and 2.0, the
+        // rest 1.0 twice. Feature 0's run sorts after feature 1's first,
+        // so the restore's order check must stay within a feature.
+        let mut profile = WindowProfile::default();
+        let mut window = [1.0; STREAM_FEATURES];
+        window[0] = 5.0;
+        profile.push(&window);
+        window[1] = 2.0;
+        profile.push(&window);
+        let medians: Vec<f64> = profile.medians().collect();
+        assert_eq!(&medians[..3], &[5.0, 1.5, 1.0]);
+        let mut w = Writer::new();
+        profile.checkpoint_into(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        assert_eq!(WindowProfile::restore_from(&mut r).as_ref(), Ok(&profile));
+        r.finish().expect("no trailing bytes");
+
+        let restore = |features: &[&[(f64, u64)]], header: Option<u64>| {
+            let mut w = Writer::new();
+            for runs in features {
+                w.u64(header.unwrap_or(runs.len() as u64));
+                for &(x, n) in *runs {
+                    w.f64(x);
+                    w.u64(n);
+                }
+            }
+            let bytes = w.into_bytes();
+            WindowProfile::restore_from(&mut Reader::new(&bytes))
+        };
+        let mut features: Vec<&[(f64, u64)]> = vec![&[(1.0, 1)]; STREAM_FEATURES];
+        assert!(restore(&features, None).is_ok());
+        features[3] = &[(2.0, 1), (1.0, 1)];
+        assert_eq!(restore(&features, None), Err(CheckpointError::Truncated));
+        features[3] = &[(1.0, 0)];
+        assert_eq!(restore(&features, None), Err(CheckpointError::Truncated));
+        // A run number no buffer can hold fails as truncated, without
+        // reserving for it or overflowing an offset.
+        assert_eq!(
+            restore(&features[..1], Some(u64::MAX >> 1)),
+            Err(CheckpointError::Truncated)
+        );
+    }
+
+    #[test]
     fn distinct_samples_serialize_without_counts() {
         let encoded = |samples: &[f64]| {
             let mut w = Writer::new();
@@ -590,6 +726,53 @@ mod tests {
             prop_assert_eq!(&acc, &batch);
             prop_assert_eq!(answer(acc.median()), answer(batch.median()));
             prop_assert_eq!(answer(acc.mad()), answer(batch.mad()));
+        }
+
+        /// The one-vector profile against the per-feature accumulators
+        /// it replaced, pushed and settled once per window as the
+        /// correlator did: after every window each feature's median is
+        /// bit-equal, and the checkpoint bytes are byte-equal and
+        /// restore to the same profile. Values repeat within and across
+        /// windows, include ±0 and arrive sanitised as `ingest_epoch`
+        /// sanitises them (non-finite → 0).
+        #[test]
+        fn window_profile_equals_per_feature_accumulators(
+            values in proptest::collection::vec(
+                (0usize..3, 0u8..4, sample()).prop_map(|(pick, small, x)| match pick {
+                    0 => f64::from(small) - 1.5,
+                    1 => [0.0, -0.0, 2.0, 7.25][usize::from(small)],
+                    _ => x,
+                }),
+                0..400,
+            ),
+        ) {
+            let mut profile = WindowProfile::default();
+            let mut oracle = vec![RobustAccumulator::new(); STREAM_FEATURES];
+            for chunk in values.chunks_exact(STREAM_FEATURES) {
+                let window: [f64; STREAM_FEATURES] = std::array::from_fn(|d| {
+                    if chunk[d].is_finite() { chunk[d] } else { 0.0 }
+                });
+                profile.push(&window);
+                for (acc, &v) in oracle.iter_mut().zip(&window) {
+                    acc.push(v);
+                    acc.settle();
+                }
+                let medians: Vec<u64> = profile.medians().map(f64::to_bits).collect();
+                let expected: Vec<u64> = oracle.iter().map(|a| a.median().to_bits()).collect();
+                prop_assert_eq!(medians, expected);
+            }
+            let mut w = Writer::new();
+            profile.checkpoint_into(&mut w);
+            let bytes = w.into_bytes();
+            let mut w = Writer::new();
+            for acc in &oracle {
+                acc.checkpoint_into(&mut w);
+            }
+            prop_assert_eq!(&bytes, &w.into_bytes());
+            let mut r = Reader::new(&bytes);
+            let restored = WindowProfile::restore_from(&mut r).expect("own bytes restore");
+            r.finish().expect("no trailing bytes");
+            prop_assert_eq!(&restored, &profile);
         }
 
         /// Push order never matters.
