@@ -824,30 +824,9 @@ pub fn community_report(
     gamma: f64,
     max_iters: usize,
 ) -> CommunityReport {
-    community_report_seeded(features, k, gamma, max_iters, None)
-}
-
-/// Incremental variant of [`community_report`]: when `seed_labels` is
-/// given (one label per row), label propagation starts from those labels
-/// instead of from the identity assignment. An epoch-by-epoch correlator
-/// feeds the previous epoch's labels back in so community structure is
-/// refined, not rebuilt, at each step. With `None` this is exactly the
-/// batch pipeline.
-///
-/// # Panics
-///
-/// Panics if `seed_labels` is `Some` with a length other than
-/// `features.len()`.
-pub fn community_report_seeded(
-    features: &[Vec<f64>],
-    k: usize,
-    gamma: f64,
-    max_iters: usize,
-    seed_labels: Option<&[usize]>,
-) -> CommunityReport {
     let mut scratch = GraphScratch::new();
     scratch.matrix.fill_from_rows(features);
-    community_report_into(k, gamma, max_iters, seed_labels, &mut scratch);
+    community_report_into(k, gamma, max_iters, None, &mut scratch);
     CommunityReport {
         labels: std::mem::take(&mut scratch.labels),
         scores: std::mem::take(&mut scratch.scores),
@@ -916,8 +895,12 @@ impl GraphScratch {
 /// already loaded into `scratch.matrix` (normalizing them in place),
 /// rebuilds the kNN graph, propagates labels, and scores deviation,
 /// leaving the results in `scratch.labels()` / `scratch.scores()`.
-/// Output is identical to [`community_report_seeded`]; the only
-/// difference is buffer reuse.
+/// With `seed_labels` `None` the output is [`community_report`]'s; the
+/// only difference is buffer reuse. When `seed_labels` is given (one
+/// label per row), label propagation starts from those labels instead of
+/// from the identity assignment: an epoch-by-epoch correlator feeds the
+/// previous epoch's labels back in so community structure is refined,
+/// not rebuilt, at each step.
 ///
 /// # Panics
 ///
@@ -1066,11 +1049,13 @@ mod tests {
         let converged = label_propagation(&adj, 50);
         let again = label_propagation_seeded(&adj, 50, &converged);
         assert_eq!(again, converged);
-        // And the seeded batch entry point agrees end-to-end.
+        // And the seeded scratch pipeline agrees end-to-end.
         let batch = community_report(&features(), 3, 0.5, 50);
-        let seeded = community_report_seeded(&features(), 3, 0.5, 50, Some(&batch.labels));
-        assert_eq!(seeded.labels, batch.labels);
-        assert_eq!(seeded.scores, batch.scores);
+        let mut seeded = GraphScratch::new();
+        seeded.matrix.fill_from_rows(&features());
+        community_report_into(3, 0.5, 50, Some(&batch.labels), &mut seeded);
+        assert_eq!(seeded.labels(), &batch.labels[..]);
+        assert_eq!(seeded.scores(), &batch.scores[..]);
     }
 
     #[test]

@@ -28,7 +28,9 @@ use xlf_analytics::graph::{
 use xlf_bench::harness::{best_of, fixed, per_call_s, Args, Json, Row};
 use xlf_bench::obj;
 use xlf_simnet::queue::{EventQueue, NaiveEventQueue, Scheduler};
-use xlf_simnet::{Context, Duration, Event, Medium, Network, Node, NodeId, Packet, SimTime};
+use xlf_simnet::{
+    splitmix64, Context, Duration, Event, Medium, Network, Node, NodeId, Packet, SimTime,
+};
 
 /// Whole-engine storm throughput at 256 leaves, measured at the seed
 /// commit (pre-overhaul `BinaryHeap<Reverse<Event>>` scheduler with
@@ -216,12 +218,12 @@ struct FatPayload {
     _pad: [u64; 16],
 }
 
+/// The SplitMix64 stream: each call mixes the state, then steps it by
+/// the generator's increment.
 fn splitmix(state: &mut u64) -> u64 {
+    let z = splitmix64(*state);
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    z
 }
 
 /// Steady-state scheduler churn at constant queue depth: pop the

@@ -26,7 +26,7 @@ use crate::spec::{FleetSpec, HomeSpec, RowPolicy, FLEET_FAULT_KINDS};
 use crate::supervise::{FleetError, HomeOutcome, HomeRunError};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::{self, Display, Write};
-use xlf_analytics::graph::community_report;
+use xlf_analytics::graph::{community_report_into, GraphScratch};
 use xlf_analytics::robust::robust_z;
 use xlf_core::alerts::{Alert, AlertSink, Severity};
 use xlf_core::framework::HomeReport;
@@ -1192,20 +1192,27 @@ impl<'a> FleetAggregator<'a> {
         // Graph pass over the forwarded candidates only: the community
         // structure of the homes the regions found interesting. Rows are
         // id-sorted, so candidate order — and thus the labelling — is
-        // deterministic.
-        let cand: Vec<(u64, Vec<f64>)> = ok_items
+        // deterministic. The candidates' features are written straight
+        // into the kNN matrix's storage.
+        let cand: Vec<(u64, &HomeReport)> = ok_items
             .iter()
             .filter(|(hs, _, _)| candidates.contains(&hs.id))
-            .map(|(hs, report, _)| (hs.id, fleet_features(report).collect()))
+            .map(|(hs, report, _)| (hs.id, report))
             .collect();
-        let cand_features: Vec<Vec<f64>> = cand.iter().map(|(_, f)| f.clone()).collect();
-        let graph = community_report(&cand_features, GRAPH_K, GRAPH_GAMMA, GRAPH_ITERS);
+        let dims = cand
+            .first()
+            .map_or(0, |(_, report)| fleet_features(report).count());
+        let mut graph = GraphScratch::new();
+        graph.matrix.refill(cand.len(), dims, |out| {
+            out.extend(cand.iter().flat_map(|(_, report)| fleet_features(report)));
+        });
+        community_report_into(GRAPH_K, GRAPH_GAMMA, GRAPH_ITERS, None, &mut graph);
         let label_of: BTreeMap<u64, usize> = cand
             .iter()
-            .zip(graph.labels.iter())
-            .map(|((id, _), &label)| (*id, label))
+            .zip(graph.labels())
+            .map(|(&(id, _), &label)| (id, label))
             .collect();
-        let mut communities: Vec<usize> = graph.labels.clone();
+        let mut communities: Vec<usize> = graph.labels().to_vec();
         communities.sort_unstable();
         communities.dedup();
 

@@ -24,7 +24,7 @@
 //!    messages of up to 32 homes, so one thread wake carries many
 //!    homes.
 //! 3. [`FleetAggregator`] sorts the outcomes, correlates the completed
-//!    homes with [`xlf_analytics::graph::community_report`], quarantines
+//!    homes with [`xlf_analytics::graph::community_report_into`], quarantines
 //!    degraded/failed homes into their own report sections under the
 //!    conservation law `ok + degraded + failed + build_failed == homes`,
 //!    flags deviants, and publishes fleet alerts through the standard

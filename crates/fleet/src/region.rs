@@ -364,16 +364,6 @@ impl RegionSlot {
         }
     }
 
-    /// Settles every accumulator: the slot is only read from here on
-    /// (global merge, summary, snapshot encode).
-    fn gathered(mut self) -> Self {
-        let columns = self.stats.values_mut().flat_map(|s| &mut s.features);
-        columns
-            .chain([&mut self.magnitude])
-            .for_each(RobustAccumulator::settle);
-        self
-    }
-
     /// The compact summary the global pass (and the report's `regions`
     /// section) sees.
     pub(crate) fn summary(&self, region: u32) -> RegionSummary {
@@ -545,10 +535,7 @@ impl RegionAggregator {
     /// ascending region order, so the merged state is independent of how
     /// slots were sharded across instances.
     pub(crate) fn take_slot(&mut self, region: u32) -> RegionSlot {
-        self.slots
-            .remove(&region)
-            .unwrap_or_else(RegionSlot::new)
-            .gathered()
+        self.slots.remove(&region).unwrap_or_else(RegionSlot::new)
     }
 
     /// Number of logical regions this tier was configured with.
@@ -680,7 +667,6 @@ mod tests {
                 RowPolicy::CandidatesOnly,
             );
         }
-        let slot = slot.gathered();
         let candidates = slot.candidate_ids();
         // Top-2 by magnitude (ids 28, 29), bottom-2 (ids 0, 1), plus the
         // critical home 13 and the shedding home 17.
@@ -738,7 +724,7 @@ mod tests {
                 RowPolicy::Full,
             );
         }
-        assert_eq!(slot.gathered().retained.len(), 10);
+        assert_eq!(slot.retained.len(), 10);
     }
 
     #[test]

@@ -13,18 +13,7 @@ use xlf_core::framework::{HomeDevice, HomeKit, XlfConfig, VENDOR_DNS_NAME};
 use xlf_device::{SensorKind, VulnSet, Vulnerability};
 use xlf_mgmt::{CampaignSpec, ConfigAuditSpec};
 use xlf_onboard::OnboardingSpec;
-use xlf_simnet::Duration;
-
-/// SplitMix64: the stateless mixer the stamping pipeline is built on.
-/// Every derived quantity (template pick, attack pick, per-home seed) is
-/// one more mix of the previous word, so the whole fleet layout is a
-/// pure function of `(master_seed, home id)`.
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use xlf_simnet::{splitmix64, Duration};
 
 /// The attack injected into one home of the fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -18,11 +18,11 @@
 //! firmware-modulation attack met with detection *and* response.
 
 use crate::command::{CommandBus, CommandKind, Disposition};
-use crate::splitmix64;
 use std::collections::{BTreeMap, BTreeSet};
 use xlf_attacks::device::{FirmwareTamperer, IMPLANT_MARKER};
 use xlf_cloud::OtaServer;
 use xlf_device::firmware::{FirmwareImage, FirmwareStore, UpdatePolicy, Version};
+use xlf_simnet::splitmix64;
 use xlf_stream::{CheckpointError, Reader, Writer};
 
 /// Salt for the campaign-cohort hash word. Like the fleet's fault word,

@@ -10,8 +10,8 @@
 //! resets the observed fingerprint to the golden one.
 
 use crate::command::{CommandBus, CommandKind, Disposition};
-use crate::splitmix64;
 use std::collections::BTreeMap;
+use xlf_simnet::splitmix64;
 use xlf_stream::{CheckpointError, Reader, Writer};
 
 /// Salt for the drift-cohort hash word (independent of the campaign

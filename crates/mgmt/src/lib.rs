@@ -43,13 +43,3 @@ pub use campaign::{
 };
 pub use command::{CommandBus, CommandKind, CommandRecord, Disposition, COMMAND_KINDS};
 pub use drift::{ConfigAuditReport, ConfigAuditSpec, ConfigAuditor};
-
-/// SplitMix64, the mixer of the campaign cohort and config-drift hashes
-/// (the same one the fleet stamping pipeline uses — kept local so the
-/// control plane depends only on device/cloud primitives).
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}

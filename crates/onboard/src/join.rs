@@ -15,7 +15,7 @@ use crate::coap::{option, CoapMessage, Code, MsgType};
 use crate::sweep::{select_cipher, CipherChoice};
 use xlf_device::{DeviceClass, DeviceSpec, ResourceModel};
 use xlf_lwcrypto::CipherInfo;
-use xlf_simnet::{Duration, Medium};
+use xlf_simnet::{splitmix64, Duration, Medium};
 
 /// RFC 7252 ACK_TIMEOUT.
 const ACK_TIMEOUT_US: u64 = 2_000_000;
@@ -123,15 +123,6 @@ impl JoinResult {
             bytes_sent: 0,
         }
     }
-}
-
-/// SplitMix64 — the same generator the fleet stamps with; local copy so
-/// the crate stays dependency-light.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 struct Rng(u64);

@@ -16,41 +16,31 @@
 //! home's per-feature profile holds at most one run per window (tens to
 //! a few hundred), all ten features in one `WindowProfile` vector. The
 //! fleet tiers' per-(region, template) feature columns hold one run per
-//! distinct feature value, which in the fleet workloads is 1–5 per
-//! column however many homes a region serves; only an all-distinct
-//! input (the stream correlator's per-epoch deviation scores) grows one
-//! run per sample.
+//! distinct feature value however many homes a region serves: at most
+//! 5 per column on fleet-batch and fleet-streamed, 1 on fleet-wide and
+//! 16–18 on a 2000-home fleet with 60% of its homes faulted (the count
+//! follows the fault mix); a region's magnitude column at most 11 (2 on
+//! fleet-wide, 26–32 faulted).
 //!
-//! An accumulator's pushes are buffered: a sample lands in an unsorted
-//! pending buffer, which is sorted and merged into the runs once it
-//! outgrows them. A push therefore costs amortised O(log n). Samples
-//! are sorted as integer keys that order like `total_cmp`, so 30 000
-//! all-distinct pushes take less time than appending them to a vector
-//! and sorting it once by `total_cmp` (1.5–1.6 vs 1.7–1.9 ms, medians
-//! of 101 rounds on a 2-core x86-64 host).
+//! Every push, the accumulator's and the profile's alike, goes through
+//! one insert: a binary search finds the sample's run, O(log d) for `d`
+//! distinct samples, and the run's count goes up or a new run is
+//! inserted, shifting the runs after it, O(d). That is cheap at the run
+//! counts above. The one all-distinct input, the stream correlator's
+//! per-epoch deviation scores, arrives as a batch, which
+//! [`RobustAccumulator::from_samples`] sorts once. Samples are sorted
+//! and searched as integer keys that order like `total_cmp`.
 
 use crate::checkpoint::{CheckpointError, Reader, Writer};
 use crate::window::STREAM_FEATURES;
-use std::borrow::Cow;
+use std::ops::Range;
 
 /// One run: a sample's [`key`] and how many times it was folded in.
 type Run = (i64, u64);
 
-/// Pending samples are merged into the runs once they outnumber the runs
-/// this many times over: each merge then at least triples an
-/// all-distinct input's runs, so its samples are sorted in a few large
-/// batches (one run per pending sample would re-merge the runs on every
-/// other push).
-const PENDING_PER_RUN: usize = 2;
-
 /// Flag bit of a serialized run number: every run holds one sample, and
 /// the counts are not written.
 const SINGLES: u64 = 1 << 63;
-
-/// The pending buffer may hold this many samples however few the runs
-/// are, so a column of a few distinct values merges once per
-/// `MIN_PENDING` pushes.
-const MIN_PENDING: usize = 8;
 
 /// A sample's sort key: its bits, flipped so that integer order is
 /// `f64::total_cmp` order (the transform `total_cmp` itself applies).
@@ -66,20 +56,31 @@ fn value(key: i64) -> f64 {
     f64::from_bits((key ^ (((key >> 63) as u64) >> 1) as i64) as u64)
 }
 
+/// Folds the sample keyed `k` into `runs[range]`, a strictly ascending
+/// range of runs: the run holding `k` counts one more, or a run is
+/// inserted where the binary search placed it. Returns whether a run was
+/// inserted. The one insert path of [`RobustAccumulator::push`] and
+/// [`WindowProfile::push`].
+fn insert(runs: &mut Vec<Run>, range: Range<usize>, k: i64) -> bool {
+    let at = range.start + runs[range.clone()].partition_point(|&(run, _)| run < k);
+    if at < range.end && runs[at].0 == k {
+        runs[at].1 += 1;
+        false
+    } else {
+        runs.insert(at, (k, 1));
+        true
+    }
+}
+
 /// An exact, mergeable streaming median/MAD accumulator over `f64`
 /// samples. Ordering uses `total_cmp`, so non-finite samples are
-/// tolerated (callers sanitize anyway).
-///
-/// Queries read the runs after folding in any pending samples. A
-/// caller that queries between pushes calls
-/// [`RobustAccumulator::settle`] first, or each query folds a copy.
-#[derive(Debug, Clone, Default)]
+/// tolerated (callers sanitize anyway). Two accumulators are equal when
+/// they hold the same samples, bit for bit.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RobustAccumulator {
     /// Distinct samples with their counts, strictly ascending by key;
     /// every count is positive.
     runs: Vec<Run>,
-    /// Keys of the samples pushed since the last settle, unsorted.
-    pending: Vec<i64>,
 }
 
 impl RobustAccumulator {
@@ -88,104 +89,75 @@ impl RobustAccumulator {
         RobustAccumulator::default()
     }
 
-    /// Builds a settled accumulator from a batch of samples.
+    /// Builds an accumulator from a batch of samples: one run per sample,
+    /// sorted once, then equal keys folded into one run in place.
     pub fn from_samples(samples: &[f64]) -> Self {
-        let mut acc = RobustAccumulator {
-            runs: Vec::new(),
-            pending: samples.iter().map(|&x| key(x)).collect(),
-        };
-        acc.settle();
-        acc
+        let mut runs: Vec<Run> = samples.iter().map(|&x| (key(x), 1)).collect();
+        runs.sort_unstable_by_key(|&(k, _)| k);
+        runs.dedup_by(|next, run| {
+            let equal = next.0 == run.0;
+            if equal {
+                run.1 += next.1;
+            }
+            equal
+        });
+        RobustAccumulator { runs }
     }
 
-    /// Folds one sample in (amortised O(log n)).
+    /// Folds one sample in: O(log d) to find its run among the `d`
+    /// distinct samples, O(d) to insert a new one.
     pub fn push(&mut self, x: f64) {
-        self.pending.push(key(x));
-        self.settle_if_outgrown();
+        let all = 0..self.runs.len();
+        insert(&mut self.runs, all, key(x));
     }
 
     /// Merges another accumulator in. Exact for any partition of the
     /// samples: the result holds the union of both sample multisets.
     pub fn merge(&mut self, other: &RobustAccumulator) {
-        self.pending.extend_from_slice(&other.pending);
         merge_runs(&mut self.runs, other.runs.iter().copied(), other.runs.len());
-        self.settle_if_outgrown();
     }
 
-    /// Merges a whole set of accumulators into one settled accumulator
-    /// (the region→global reduction: each logical region keeps one
-    /// accumulator per feature and the global pass folds them in stable
-    /// region order). Exact — the result is bit-equal to the batch
-    /// accumulator over the concatenated samples, for *any* partition of
-    /// the samples into parts.
+    /// Merges a whole set of accumulators into one (the region→global
+    /// reduction: each logical region keeps one accumulator per feature
+    /// and the global pass folds them in stable region order). Exact —
+    /// the result is bit-equal to the batch accumulator over the
+    /// concatenated samples, for *any* partition of the samples into
+    /// parts.
     pub fn merge_many<'a>(parts: impl IntoIterator<Item = &'a RobustAccumulator>) -> Self {
         let mut acc = RobustAccumulator::new();
         for part in parts {
             acc.merge(part);
         }
-        acc.settle();
         acc
-    }
-
-    /// Sorts the pending samples and merges them into the runs, so later
-    /// queries read the runs in place.
-    pub fn settle(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        self.pending.sort_unstable();
-        let sorted = self
-            .pending
-            .chunk_by(|a, b| a == b)
-            .map(|equal| (equal[0], equal.len() as u64));
-        merge_runs(&mut self.runs, sorted, self.pending.len());
-        self.pending.clear();
-    }
-
-    fn settle_if_outgrown(&mut self) {
-        if self.pending.len() > (PENDING_PER_RUN * self.runs.len()).max(MIN_PENDING) {
-            self.settle();
-        }
-    }
-
-    /// The runs with any pending samples folded in.
-    fn settled(&self) -> Cow<'_, [Run]> {
-        if self.pending.is_empty() {
-            Cow::Borrowed(&self.runs)
-        } else {
-            let mut settled = self.clone();
-            settled.settle();
-            Cow::Owned(settled.runs)
-        }
     }
 
     /// Distinct samples folded in so far: the accumulator's size.
     pub fn distinct(&self) -> usize {
-        self.settled().len()
+        self.runs.len()
     }
 
     /// Samples folded in so far.
     pub fn len(&self) -> usize {
-        self.runs.iter().map(|&(_, n)| n as usize).sum::<usize>() + self.pending.len()
+        self.runs.iter().map(|&(_, n)| n as usize).sum()
     }
 
     /// Whether no samples have been folded in.
     pub fn is_empty(&self) -> bool {
-        self.runs.is_empty() && self.pending.is_empty()
+        self.runs.is_empty()
     }
 
     /// The exact median (mean of the two middle samples for even counts;
     /// 0.0 when empty).
     pub fn median(&self) -> f64 {
-        median_of(&self.settled())
+        median_of(&self.runs)
     }
 
     /// The exact median absolute deviation from the median (0.0 when
     /// empty).
     pub fn mad(&self) -> f64 {
-        let runs = self.settled();
-        let m = median_of(&runs);
-        let mut deviations: Vec<Run> = runs
+        let m = median_of(&self.runs);
+        let mut deviations: Vec<Run> = self
+            .runs
             .iter()
             .map(|&(k, n)| (key((value(k) - m).abs()), n))
             .collect();
@@ -198,7 +170,7 @@ impl RobustAccumulator {
     /// Serializes the runs: their number, then each value's bits and
     /// count, the counts left out when every run holds one sample.
     pub fn checkpoint_into(&self, w: &mut Writer) {
-        write_runs(w, &self.settled());
+        write_runs(w, &self.runs);
     }
 
     /// Restores an accumulator serialized with
@@ -207,17 +179,7 @@ impl RobustAccumulator {
     pub fn restore_from(r: &mut Reader) -> Result<Self, CheckpointError> {
         let mut runs = Vec::new();
         read_runs(r, &mut runs)?;
-        Ok(RobustAccumulator {
-            runs,
-            pending: Vec::new(),
-        })
-    }
-}
-
-/// Equal when both hold the same samples, bit for bit.
-impl PartialEq for RobustAccumulator {
-    fn eq(&self, other: &Self) -> bool {
-        self.settled() == other.settled()
+        Ok(RobustAccumulator { runs })
     }
 }
 
@@ -290,12 +252,11 @@ fn read_runs(r: &mut Reader, runs: &mut Vec<Run>) -> Result<(), CheckpointError>
 /// A home's per-feature robust profile over its window deltas: every
 /// feature's runs in one vector, feature after feature. Feature `d`'s
 /// runs are `runs[ends[d - 1]..ends[d]]` (from 0 for the first), sorted
-/// and counted exactly as a settled [`RobustAccumulator`] over that
-/// feature's samples holds them, so medians and checkpoint bytes are
-/// the accumulator's. A window's value is placed by binary search within
-/// its feature's range: its run's count goes up, or a run is inserted.
-/// There is no pending buffer and no per-feature vector, so a home that
-/// has streamed one window holds ten runs in one allocation.
+/// and counted exactly as a [`RobustAccumulator`] over that feature's
+/// samples holds them, so medians and checkpoint bytes are the
+/// accumulator's. A window's value goes through the accumulator's insert
+/// within its feature's range. There is no per-feature vector, so a home
+/// that has streamed one window holds ten runs in one allocation.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct WindowProfile {
     runs: Vec<Run>,
@@ -318,12 +279,7 @@ impl WindowProfile {
         }
         let mut start = 0;
         for (d, &x) in window.iter().enumerate() {
-            let k = key(x);
-            let at = start + self.runs[start..self.ends[d]].partition_point(|&(run, _)| run < k);
-            if at < self.ends[d] && self.runs[at].0 == k {
-                self.runs[at].1 += 1;
-            } else {
-                self.runs.insert(at, (k, 1));
+            if insert(&mut self.runs, start..self.ends[d], key(x)) {
                 for end in &mut self.ends[d..] {
                     *end += 1;
                 }
@@ -451,11 +407,31 @@ mod tests {
         fn bits(&self) -> Vec<u64> {
             self.samples.iter().map(|x| x.to_bits()).collect()
         }
+
+        /// The run codec's bytes, built from the sorted samples: the
+        /// number of bit-equal groups (flagged when each holds one
+        /// sample), then each group's value and, unless flagged, size.
+        fn checkpoint(&self) -> Vec<u8> {
+            let groups: Vec<&[f64]> = self
+                .samples
+                .chunk_by(|a, b| a.to_bits() == b.to_bits())
+                .collect();
+            let singles = groups.iter().all(|g| g.len() == 1);
+            let mut w = Writer::new();
+            w.u64(groups.len() as u64 | if singles { SINGLES } else { 0 });
+            for g in groups {
+                w.f64(g[0]);
+                if !singles {
+                    w.usize(g.len());
+                }
+            }
+            w.into_bytes()
+        }
     }
 
     /// The accumulator's samples, expanded from its runs, as bits.
     fn bits(acc: &RobustAccumulator) -> Vec<u64> {
-        acc.settled()
+        acc.runs
             .iter()
             .flat_map(|&(k, n)| std::iter::repeat_n(value(k).to_bits(), n as usize))
             .collect()
@@ -463,7 +439,13 @@ mod tests {
 
     /// The accumulator's runs as `(value, count)`.
     fn values(acc: &RobustAccumulator) -> Vec<(f64, u64)> {
-        acc.settled().iter().map(|&(k, n)| (value(k), n)).collect()
+        acc.runs.iter().map(|&(k, n)| (value(k), n)).collect()
+    }
+
+    fn checkpoint(acc: &RobustAccumulator) -> Vec<u8> {
+        let mut w = Writer::new();
+        acc.checkpoint_into(&mut w);
+        w.into_bytes()
     }
 
     /// A median or MAD answer as bits, every NaN as one. Samples keep
@@ -480,9 +462,7 @@ mod tests {
     }
 
     fn round_trip(acc: &RobustAccumulator) -> RobustAccumulator {
-        let mut w = Writer::new();
-        acc.checkpoint_into(&mut w);
-        let bytes = w.into_bytes();
+        let bytes = checkpoint(acc);
         let mut r = Reader::new(&bytes);
         let restored = RobustAccumulator::restore_from(&mut r).expect("own bytes restore");
         r.finish().expect("no trailing bytes");
@@ -545,7 +525,6 @@ mod tests {
         for i in 0..10_000 {
             acc.push(f64::from(i % 3));
         }
-        acc.settle();
         assert_eq!(values(&acc), &[(0.0, 3334), (1.0, 3333), (2.0, 3333)]);
         assert_eq!(acc.distinct(), 3);
         assert_eq!(acc.len(), 10_000);
@@ -648,8 +627,10 @@ mod tests {
         /// the same samples pushed one by one, split across any number of
         /// parts and merged, and round-tripped through the codec, hold
         /// the oracle's samples bit for bit and answer its median and MAD
-        /// bit for bit. Inputs are repeat-heavy, all-distinct, or one
-        /// then the other.
+        /// bit for bit. After every single push, too, the pushed
+        /// accumulator answers the oracle's median and MAD and writes the
+        /// oracle's checkpoint bytes. Inputs are repeat-heavy,
+        /// all-distinct, or one then the other.
         #[test]
         fn runs_equal_the_sorted_vector_oracle(
             mixed in proptest::collection::vec(sample(), 0..200),
@@ -670,10 +651,12 @@ mod tests {
             for (i, &x) in samples.iter().enumerate() {
                 oracle.push(x);
                 pushed.push(x);
+                prop_assert_eq!(answer(pushed.median()), answer(oracle.median()));
+                prop_assert_eq!(answer(pushed.mad()), answer(oracle.mad()));
+                prop_assert_eq!(checkpoint(&pushed), oracle.checkpoint());
                 split[assignment[i] % parts].push(x);
                 oracle_split[assignment[i] % parts].push(x);
             }
-            // Parts are merged unsettled, so pending samples merge too.
             let merged = RobustAccumulator::merge_many(&split);
             let mut oracle_merged = SortedAccumulator::default();
             for part in &oracle_split {
@@ -691,11 +674,6 @@ mod tests {
                 prop_assert_eq!(answer(acc.mad()), answer(oracle.mad()));
                 prop_assert_eq!(acc, &batch);
             }
-            // Settling changes no answer.
-            let mut settled = pushed.clone();
-            settled.settle();
-            prop_assert_eq!(answer(settled.median()), answer(oracle.median()));
-            prop_assert_eq!(bits(&round_trip(&settled)), oracle.bits());
         }
 
         /// Merging push-built accumulators one at a time, with pushes
@@ -729,10 +707,10 @@ mod tests {
         }
 
         /// The one-vector profile against the per-feature accumulators
-        /// it replaced, pushed and settled once per window as the
-        /// correlator did: after every window each feature's median is
-        /// bit-equal, and the checkpoint bytes are byte-equal and
-        /// restore to the same profile. Values repeat within and across
+        /// it replaced, pushed once per window as the correlator did:
+        /// after every window each feature's median is bit-equal, and the
+        /// checkpoint bytes are byte-equal and restore to the same
+        /// profile. Values repeat within and across
         /// windows, include ±0 and arrive sanitised as `ingest_epoch`
         /// sanitises them (non-finite → 0).
         #[test]
@@ -755,7 +733,6 @@ mod tests {
                 profile.push(&window);
                 for (acc, &v) in oracle.iter_mut().zip(&window) {
                     acc.push(v);
-                    acc.settle();
                 }
                 let medians: Vec<u64> = profile.medians().map(f64::to_bits).collect();
                 let expected: Vec<u64> = oracle.iter().map(|a| a.median().to_bits()).collect();
