@@ -31,9 +31,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --locked --no-deps "${doc_packages[@]}"
 # 85 over its lifecycle (crates/fleet/tests/home_alloc.rs). Beside them,
 # a memory guard (crates/fleet/tests/stream_alloc.rs) bounds what a small
 # streamed fleet's calling thread (region consume and the global pass)
-# allocates and its live-bytes peak: 178,200 bytes and a 72,600-byte
-# peak with 15 s windows, 221,700 bytes and an 83,100-byte peak with
-# 5 s windows. A handoff-count guard checks
+# allocates and its live-bytes peak: 177,200 bytes and a 72,600-byte
+# peak with 15 s windows, 220,700 bytes and an 83,000-byte peak with
+# 5 s windows; the same file bounds the bytes a home's packed windows
+# keep allocated at 15 per window. A handoff-count guard checks
 # that one worker hands 70 homes to the region tier in messages of 32,
 # 32 and 6 (engine::tests::a_worker_hands_its_homes_over_in_messages_of_32).
 echo "== cargo build --release --workspace && cargo test --workspace -q"
@@ -55,8 +56,9 @@ cargo bench -q --locked -p xlf-bench --bench '*'
 # robust accumulator against the sorted-vector accumulator (after every
 # push, and after any split and merge), the stream
 # correlator's one-vector home profile against per-feature
-# accumulators, the stream pass's per-epoch batch fill against the
-# clone-and-regroup,
+# accumulators, the packed window log's round trip of every feature bit
+# pattern (and its snapshot bytes against the per-window layout), the
+# stream pass's per-epoch cursor fill against the clone-and-regroup,
 # and the one DPI inspection path's engines: the Aho–Corasick
 # automaton's first matches and the token index (on arbitrary tokens
 # and on tokenized payloads) against the naive per-rule scans, and the
@@ -78,7 +80,7 @@ cargo test --release -q --locked -p xlf-cloud --lib -- parse_reading_equals_deco
 cargo test --release -q --locked -p xlf-device --lib -- fixed_point_equals_float_formatting
 cargo test --release -q --locked -p xlf-attacks --lib -- one_pass_majorities_equal_the_scan
 cargo test --release -q --locked -p xlf-stream --lib -- runs_equal_the_sorted_vector_oracle \
-    window_profile_equals_per_feature_accumulators
+    window_profile_equals_per_feature_accumulators window_log_round_trips_every_bit_pattern
 cargo test --release -q --locked -p xlf-fleet --lib -- epoch_index_matches_the_regroup_oracle
 cargo test --release -q --locked -p xlf-core --test proptests -- bounded_bus_conserves_observations
 cargo test --release -q --locked -p xlf-stream --test checkpoint_robustness

@@ -728,19 +728,24 @@ impl FleetReport {
     }
 }
 
-/// Refills the stream pass's batch with epoch `epoch`'s windows: every
-/// window numbered `epoch`, cloned from the homes in `streams` order.
-/// The homes keep the only long-lived copy, and walking all their
-/// windows costs a few integer compares per window and epoch.
-fn fill_epoch(batch: &mut Vec<WindowSummary>, streams: &[&HomeStream], epoch: u64) {
+/// Refills the stream pass's batch with epoch `epoch`'s windows, in
+/// `streams` order. Each home's packed log is read through its cursor in
+/// `cursors` (see [`WindowLog::read_epoch`]), which only moves forward:
+/// over a run's ascending epochs every window is decoded once, and a
+/// window that waits for a later epoch has only its home and window
+/// numbers re-read.
+///
+/// [`WindowLog::read_epoch`]: xlf_stream::WindowLog::read_epoch
+fn fill_epoch(
+    batch: &mut Vec<WindowSummary>,
+    streams: &[&HomeStream],
+    cursors: &mut [usize],
+    epoch: u64,
+) {
     batch.clear();
-    batch.extend(
-        streams
-            .iter()
-            .flat_map(|s| &s.windows)
-            .filter(|w| w.window == epoch)
-            .cloned(),
-    );
+    for (stream, cursor) in streams.iter().zip(cursors) {
+        batch.extend(stream.windows.read_epoch(cursor, epoch));
+    }
 }
 
 /// Collects per-home outcomes and fuses them into fleet intelligence.
@@ -826,9 +831,7 @@ impl<'a> FleetAggregator<'a> {
         for (hs, outcome, stream) in items {
             let eligible = match outcome {
                 HomeOutcome::Ok { .. } => true,
-                HomeOutcome::Degraded { .. } => {
-                    stream.windows.iter().filter(|w| !w.partial).count() >= 1
-                }
+                HomeOutcome::Degraded { .. } => stream.windows.iter().any(|w| !w.partial),
                 _ => false,
             };
             if !eligible {
@@ -874,6 +877,9 @@ impl<'a> FleetAggregator<'a> {
             let homes: Vec<u64> = managed.iter().map(|hs| hs.id).collect();
             ConfigAuditor::new(audit, spec.master_seed, &homes)
         });
+        // The roster only sets up the control plane; the epoch loop
+        // holds the window cursors in its place.
+        drop(managed);
 
         let mut correlator = StreamCorrelator::new();
         correlator.note_shed(shed);
@@ -892,12 +898,14 @@ impl<'a> FleetAggregator<'a> {
             start_epoch = sr.next_epoch;
         }
 
-        // The homes keep the only copy of each window. One batch is
-        // refilled from them per epoch, because the implant perturbation
-        // needs owned summaries; a home streams at most one window per
-        // epoch, so one slot per home never grows. Epochs before the
-        // resume cursor are already inside the restored state.
+        // The homes keep the only copy of each window, packed. One batch
+        // is refilled from them per epoch, because the implant
+        // perturbation needs owned summaries; a home streams at most one
+        // window per epoch, so one slot per home never grows. Epochs
+        // before the resume cursor are already inside the restored
+        // state, and the cursors skip their windows.
         let mut batch: Vec<WindowSummary> = Vec::with_capacity(streams.len());
+        let mut cursors = vec![0usize; streams.len()];
         for epoch in start_epoch..stream_epochs {
             // The chaos kill fires before any of this epoch's work — the
             // newest durable generation is the one cut at an earlier
@@ -905,7 +913,7 @@ impl<'a> FleetAggregator<'a> {
             if ctx.kill == Some(KillPoint::Epoch(epoch)) {
                 return Err(FleetError::ChaosKilled(KillPoint::Epoch(epoch)));
             }
-            fill_epoch(&mut batch, &streams, epoch);
+            fill_epoch(&mut batch, &streams, &mut cursors, epoch);
             for engine in &mut engines {
                 engine.epoch_begin(epoch, correlator.flagged(), &mut bus);
             }
@@ -1407,7 +1415,7 @@ mod tests {
     fn regroup_oracle(streams: &[&HomeStream]) -> BTreeMap<u64, Vec<WindowSummary>> {
         let mut windows: Vec<WindowSummary> = Vec::new();
         for stream in streams {
-            windows.extend(stream.windows.iter().cloned());
+            windows.extend(stream.windows.iter());
         }
         let mut by_epoch: BTreeMap<u64, Vec<WindowSummary>> = BTreeMap::new();
         for w in windows {
@@ -1434,11 +1442,12 @@ mod tests {
     }
 
     proptest! {
-        /// The per-epoch batch fill gives every epoch the windows the
+        /// The cursor fill gives every epoch the windows the
         /// clone-and-regroup gave it, in the same order: with shed
         /// prefixes, degraded homes' partial fragments, windows numbered
-        /// past the last epoch, and the homes in any order. (The name is
-        /// the former pointer index's, which the fill replaced.)
+        /// past the last epoch, the homes in any order, and a resume
+        /// whose fresh cursors start at epoch `start`. (The name is the
+        /// former pointer index's, which the fill replaced.)
         #[test]
         fn epoch_index_matches_the_regroup_oracle(
             homes in proptest::collection::vec(
@@ -1446,6 +1455,7 @@ mod tests {
                 0..24,
             ),
             epochs in 1u64..14,
+            start in 0u64..14,
         ) {
             let mut homes: Vec<(u64, HomeStream)> = (0u64..)
                 .zip(homes)
@@ -1456,9 +1466,12 @@ mod tests {
             homes.sort_by_key(|&(order, _)| order);
             let streams: Vec<&HomeStream> = homes.iter().map(|(_, s)| s).collect();
             let mut oracle = regroup_oracle(&streams);
+            let start = start % epochs;
+            oracle.retain(|&w, _| w >= start);
             let mut batch = Vec::with_capacity(streams.len());
-            for epoch in 0..epochs {
-                fill_epoch(&mut batch, &streams, epoch);
+            let mut cursors = vec![0; streams.len()];
+            for epoch in start..epochs {
+                fill_epoch(&mut batch, &streams, &mut cursors, epoch);
                 prop_assert_eq!(&batch, &oracle.remove(&epoch).unwrap_or_default());
                 // One window per home at most: the pass's reservation
                 // holds every batch.

@@ -46,7 +46,7 @@ use xlf_attacks::scripted;
 use xlf_core::framework::{HomeKit, HomeProbe, HomeReport, HomeRunner, XlfHome};
 use xlf_simnet::observer::PacketRecord;
 use xlf_simnet::{Context, Duration, FaultPlan, Node, SimTime};
-use xlf_stream::{WindowBuffer, WindowSummary, STREAM_FEATURES};
+use xlf_stream::{WindowBuffer, WindowLog, WindowSummary, STREAM_FEATURES};
 
 /// A home that could not be built. Workers ship this to the aggregator
 /// instead of panicking, so one malformed home degrades the fleet report
@@ -221,11 +221,12 @@ fn observer_accuracy(mut records: Vec<PacketRecord>) -> f64 {
 
 /// The window summaries one home emitted through its bounded
 /// [`WindowBuffer`], plus the buffer's shed accounting. Empty in batch
-/// mode and for homes that never completed a window.
+/// mode and for homes that never completed a window, and an empty
+/// stream allocates nothing.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct HomeStream {
-    /// Surviving window summaries, oldest first.
-    pub windows: Vec<WindowSummary>,
+    /// Surviving window summaries, oldest first, packed.
+    pub windows: WindowLog,
     /// Windows shed oldest-first by the bounded buffer.
     pub shed: u64,
 }
@@ -639,9 +640,10 @@ pub fn run_fleet_resume(
     run_fleet_inner(spec, metrics, None)
 }
 
-/// Re-runs one home to a terminal outcome — the same supervised attempt
-/// loop a worker runs, inline. Used to rebuild a torn region shard.
-fn rerun_home(
+/// Runs one home to a terminal outcome — the same supervised attempt
+/// loop a worker runs, inline on the calling thread. The fleet uses it
+/// to rebuild a torn region shard.
+pub fn run_home(
     spec: &FleetSpec,
     hs: &HomeSpec,
     metrics: &FleetMetrics,
@@ -831,7 +833,7 @@ fn run_fleet_inner(
                 .stamped()
                 .filter(|hs| hs.region % region_slots == region)
             {
-                let (outcome, stream) = rerun_home(spec, &hs, metrics);
+                let (outcome, stream) = run_home(spec, &hs, metrics);
                 aggs[shard].consume(hs, outcome, stream);
             }
         }));

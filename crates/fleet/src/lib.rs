@@ -62,7 +62,7 @@ pub use aggregate::{
 };
 pub use chaos::{kill_points, run_killed_and_resumed, scratch_dir};
 pub use engine::{
-    build_home, run_fleet, run_fleet_chaos, run_fleet_resume, HomeBuildError, HomeStream,
+    build_home, run_fleet, run_fleet_chaos, run_fleet_resume, run_home, HomeBuildError, HomeStream,
 };
 pub use metrics::{
     Counter, FaultCounts, FleetMetrics, Gauge, Histogram, FLEET_METRICS_SCHEMA_VERSION,

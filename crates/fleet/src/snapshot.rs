@@ -41,9 +41,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use xlf_core::framework::HomeReport;
 use xlf_mgmt::{CampaignEngine, CommandBus, ConfigAuditor};
-use xlf_stream::{
-    CheckpointError, Reader, StreamCorrelator, WindowSummary, Writer, STREAM_FEATURES,
-};
+use xlf_stream::{CheckpointError, Reader, StreamCorrelator, WindowLog, Writer};
 
 /// Magic prefix of a run-level snapshot file.
 pub const RUN_SNAPSHOT_MAGIC: &[u8; 4] = b"XLFR";
@@ -101,6 +99,7 @@ impl From<CheckpointError> for SnapshotError {
         match e {
             CheckpointError::Truncated => SnapshotError::Truncated,
             CheckpointError::TrailingBytes => SnapshotError::TrailingBytes,
+            CheckpointError::WindowOrder => SnapshotError::Truncated,
         }
     }
 }
@@ -567,42 +566,18 @@ fn read_report(r: &mut Reader) -> Result<HomeReport, CheckpointError> {
     })
 }
 
+/// A home's stream in its snapshot layout: the shed count, then the
+/// windows at fixed width (see [`WindowLog::checkpoint_into`]).
 pub(crate) fn write_stream(w: &mut Writer, s: &HomeStream) {
     w.u64(s.shed);
-    w.usize(s.windows.len());
-    for win in &s.windows {
-        w.u64(win.home);
-        w.u64(win.window);
-        w.bool(win.partial);
-        for &f in &win.features {
-            w.f64(f);
-        }
-    }
+    s.windows.checkpoint_into(w);
 }
 
+/// Reads a stream written by [`write_stream`], repacking its windows.
+/// Windows out of order are [`CheckpointError::WindowOrder`].
 pub(crate) fn read_stream(r: &mut Reader) -> Result<HomeStream, CheckpointError> {
     let shed = r.u64()?;
-    let n = r.usize()?;
-    let mut windows = Vec::new();
-    for _ in 0..n {
-        let home = r.u64()?;
-        let window = r.u64()?;
-        let partial = r.bool()?;
-        let mut features = [0.0f64; STREAM_FEATURES];
-        for f in &mut features {
-            *f = r.f64()?;
-        }
-        windows.push(WindowSummary {
-            home,
-            window,
-            partial,
-            features,
-        });
-    }
-    // `n` is untrusted, so the vector grows as windows are read and is
-    // trimmed afterwards: a restored home holds its windows exactly, as a
-    // freshly run one does (see `WindowBuffer::into_parts`).
-    windows.shrink_to_fit();
+    let windows = WindowLog::restore_from(r)?;
     Ok(HomeStream { windows, shed })
 }
 
@@ -693,6 +668,7 @@ pub(crate) fn read_outcome(r: &mut Reader) -> Result<HomeOutcome, CheckpointErro
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use xlf_stream::{WindowSummary, STREAM_FEATURES};
 
     fn sample_report(seed: u64) -> HomeReport {
         HomeReport {
@@ -757,7 +733,7 @@ mod tests {
     #[test]
     fn a_stream_with_windows_roundtrips_bit_exactly() {
         let stream = HomeStream {
-            windows: vec![
+            windows: [
                 WindowSummary {
                     home: 3,
                     window: 0,
@@ -770,7 +746,9 @@ mod tests {
                     partial: true,
                     features: [-0.5; STREAM_FEATURES],
                 },
-            ],
+            ]
+            .into_iter()
+            .collect(),
             shed: 2,
         };
         let mut w = Writer::new();
@@ -779,6 +757,32 @@ mod tests {
         let mut r = Reader::new(&bytes);
         assert_eq!(read_stream(&mut r).expect("roundtrip"), stream);
         r.finish().expect("no trailing bytes");
+    }
+
+    /// A snapshot stream whose window numbers do not strictly ascend
+    /// (a stream pass cursor would read it out of order) fails to
+    /// restore with a structured error.
+    #[test]
+    fn a_stream_with_windows_out_of_order_is_a_structured_error() {
+        for order in [[0, 2, 1], [0, 1, 1]] {
+            let mut w = Writer::new();
+            w.u64(0);
+            w.usize(order.len());
+            for n in order {
+                w.u64(3);
+                w.u64(n);
+                w.bool(false);
+                for _ in 0..STREAM_FEATURES {
+                    w.f64(1.0);
+                }
+            }
+            let bytes = w.into_bytes();
+            assert_eq!(
+                read_stream(&mut Reader::new(&bytes)),
+                Err(CheckpointError::WindowOrder),
+                "windows {order:?}"
+            );
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! of its live bytes (its allocations minus its frees). Homes run on the
 //! worker threads; the calling thread collects their outcomes into the
 //! region tier and then runs the global pass, whose stream pass replays
-//! every retained window epoch by epoch.
+//! every retained window epoch by epoch. A second test bounds the bytes
+//! each home's retained windows keep allocated.
 //!
 //! The stream pass used to clone every window into one flat vector and
 //! then move each into a per-epoch map, while the homes still held their
@@ -27,6 +28,17 @@
 //! measured value plus 9%, so the figures before that change (181,728 /
 //! 74,496 and 232,368 / 84,112) fail every bound.
 //!
+//! The homes then packed their windows into varint logs, about 14 bytes
+//! a window instead of 104, and the pass reads each home's log through
+//! a byte-offset cursor. The calling thread holds one cursor per home in
+//! place of the control-plane roster, which it frees before the epoch
+//! loop: 162,648 bytes with a live peak of 66,616 on the 15 s fleet, and
+//! 202,536 with 76,232 on the 5 s fleet. The budgets are those plus 9%,
+//! rounded down to a hundred (the 15 s peak keeps its 72,600). The
+//! windows themselves are allocated on the worker threads, out of the
+//! counters' sight, so `a_home_keeps_its_windows_packed` bounds them
+//! per window.
+//!
 //! The fleets run one worker. The engine spawns at most the machine's
 //! available parallelism, and the order in which homes reach the region
 //! tier follows the worker count, so one worker keeps the counts the
@@ -39,7 +51,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use xlf_fleet::{run_fleet, FleetAttack, FleetMetrics, FleetSpec};
+use xlf_fleet::{run_fleet, run_home, FleetAttack, FleetMetrics, FleetSpec, HomeStream};
 
 thread_local! {
     // `const`-initialized `Cell`s have no destructor and never allocate,
@@ -62,6 +74,10 @@ fn count(grown: usize, delta: i64) {
 
 fn bytes() -> u64 {
     BYTES.with(Cell::get)
+}
+
+fn live() -> i64 {
+    LIVE.with(Cell::get)
 }
 
 /// Starts a new high-water mark at the current live total and returns
@@ -103,20 +119,24 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Per fleet: the correlation interval in seconds, the bytes the
 /// calling thread may allocate over the run, and the most its live bytes
 /// may rise above their level at the start of the run.
-const BUDGETS: [(u64, u64, i64); 2] = [(15, 178_200, 72_600), (5, 221_700, 83_100)];
+const BUDGETS: [(u64, u64, i64); 2] = [(15, 177_200, 72_600), (5, 220_700, 83_000)];
+
+/// The 24-home fleet both tests run: 28 windows of 15 s or 84 of 5 s
+/// per home over the 420 s horizon.
+fn fleet(interval: u64) -> FleetSpec {
+    FleetSpec::new(0x57AE_A401, 24)
+        .with_workers(1)
+        .with_attacks(vec![
+            (FleetAttack::None, 10),
+            (FleetAttack::BotnetRecruit, 1),
+        ])
+        .with_correlation_interval(interval)
+}
 
 #[test]
 fn the_streamed_global_pass_allocates_at_most_its_budget() {
     for (interval, max_bytes, max_peak) in BUDGETS {
-        // 24 homes streamed over the 420 s horizon: 28 windows of 15 s
-        // or 84 of 5 s per home, 104 B each.
-        let spec = FleetSpec::new(0x57AE_A401, 24)
-            .with_workers(1)
-            .with_attacks(vec![
-                (FleetAttack::None, 10),
-                (FleetAttack::BotnetRecruit, 1),
-            ])
-            .with_correlation_interval(interval);
+        let spec = fleet(interval);
         let metrics = FleetMetrics::new();
         let before = bytes();
         let live_before = reset_peak();
@@ -138,4 +158,46 @@ fn the_streamed_global_pass_allocates_at_most_its_budget() {
             "live peak {peak_used} bytes (bound {max_peak})"
         );
     }
+}
+
+/// The most bytes a home's packed windows may keep allocated, per
+/// window: 14.00 measured, plus 7%. A 104-byte `WindowSummary` per
+/// window fails it, and so does a log that keeps its vector's doubling
+/// slack (18.29).
+const MAX_RETAINED_PER_WINDOW: f64 = 15.0;
+
+/// Bounds what the homes' streams keep allocated until the stream pass
+/// reads them. Each home of the 15 s fleet runs on the calling thread
+/// through the workers' own attempt loop, and dropping its stream frees
+/// exactly the bytes its windows kept: their allocation's size, growth
+/// slack included.
+#[test]
+fn a_home_keeps_its_windows_packed() {
+    // Batch and fleet-wide homes carry empty streams: 32 bytes each
+    // before the windows were packed.
+    assert!(std::mem::size_of::<HomeStream>() <= 32);
+    let before = bytes();
+    let empty = HomeStream::default();
+    assert_eq!(bytes(), before, "an empty stream allocates nothing");
+    drop(empty);
+
+    let spec = fleet(15);
+    let metrics = FleetMetrics::new();
+    let streams: Vec<HomeStream> = (0..24)
+        .map(|id| run_home(&spec, &spec.stamp_one(id), &metrics).1)
+        .collect();
+    let windows: usize = streams.iter().map(|s| s.windows.len()).sum();
+    assert_eq!(windows, 24 * 28, "every home streamed");
+    let mut retained = 0;
+    for stream in streams {
+        let held = live();
+        drop(stream);
+        retained += held - live();
+    }
+    let per_window = retained as f64 / windows as f64;
+    println!("{windows} windows retain {retained} bytes, {per_window:.2} per window");
+    assert!(
+        per_window <= MAX_RETAINED_PER_WINDOW,
+        "{per_window:.2} bytes per window (bound {MAX_RETAINED_PER_WINDOW})"
+    );
 }

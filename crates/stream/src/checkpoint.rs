@@ -16,6 +16,9 @@ pub enum CheckpointError {
     Truncated,
     /// The encoded state ended before the buffer did.
     TrailingBytes,
+    /// A home's windows are not in strictly ascending window order (see
+    /// [`WindowLog::restore_from`](crate::WindowLog::restore_from)).
+    WindowOrder,
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -23,6 +26,7 @@ impl std::fmt::Display for CheckpointError {
         match self {
             CheckpointError::Truncated => write!(f, "checkpoint truncated"),
             CheckpointError::TrailingBytes => write!(f, "trailing bytes after checkpoint"),
+            CheckpointError::WindowOrder => write!(f, "windows out of order in checkpoint"),
         }
     }
 }

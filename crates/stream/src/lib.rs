@@ -7,10 +7,12 @@
 //! this crate closes that gap. Homes emit per-window
 //! [`WindowSummary`] feature deltas (behaviour / evidence / verdict
 //! movement over `N` simulated seconds) through a bounded,
-//! shed-accounted [`WindowBuffer`]; a [`StreamCorrelator`] folds them
-//! into online robust statistics (streaming median + MAD per feature,
-//! exactly mergeable across windows — [`RobustAccumulator`]) and re-runs
-//! the kNN + label-propagation community pass incrementally each epoch
+//! shed-accounted [`WindowBuffer`] and keep them, exactly packed, in a
+//! [`WindowLog`] until the fleet's stream pass reads them; a
+//! [`StreamCorrelator`] folds them into online robust statistics
+//! (streaming median + MAD per feature, exactly mergeable across
+//! windows — [`RobustAccumulator`]) and re-runs the kNN +
+//! label-propagation community pass incrementally each epoch
 //! (seeding propagation from the previous epoch's labels), so fleet
 //! alerts fire mid-run with epoch-stamped dedup instead of at the
 //! horizon.
@@ -40,4 +42,4 @@ pub use correlate::{
     SIGMA,
 };
 pub use stats::RobustAccumulator;
-pub use window::{WindowBuffer, WindowSummary, STREAM_FEATURES};
+pub use window::{WindowBuffer, WindowLog, WindowSummary, STREAM_FEATURES};
