@@ -26,9 +26,9 @@ done
 RUSTDOCFLAGS="-D warnings" cargo doc --locked --no-deps "${doc_packages[@]}"
 
 # The workspace tests include the two allocation budgets: a warm home's
-# telemetry at most 1.05 allocations per dispatched event
+# telemetry at most 0.89 allocations per dispatched event
 # (crates/core/tests/telemetry_alloc.rs) and a fleet-wide home at most
-# 85 over its lifecycle (crates/fleet/tests/home_alloc.rs). Beside them,
+# 79.8 over its lifecycle (crates/fleet/tests/home_alloc.rs). Beside them,
 # a memory guard (crates/fleet/tests/stream_alloc.rs) bounds what a small
 # streamed fleet's calling thread (region consume and the global pass)
 # allocates and its live-bytes peak: 177,200 bytes and a 72,600-byte
@@ -63,7 +63,11 @@ cargo bench -q --locked -p xlf-bench --bench '*'
 # automaton's first matches and the token index (on arbitrary tokens
 # and on tokenized payloads) against the naive per-rule scans, and the
 # evidence bus's conservation of observations (drained + pending + shed
-# == reported) at every capacity, zero included.
+# == reported) at every capacity, zero included, and the event bus's
+# tags against the CBC-MAC of the event bytes under a freshly derived
+# key (streamed over multi-byte fields at every block offset, and from
+# the per-bus cipher cache over repeated signings), which bind every
+# field and which a hardened bus requires of every event it accepts.
 # Beside them, the never-panic proptests: restoring the stream
 # correlator from corrupted or arbitrary checkpoint bytes (the
 # correlator's part of an XLFR run snapshot), and the protocol parsers and
@@ -77,6 +81,9 @@ cargo test --release -q --locked -p xlf-analytics --test proptests -- \
 cargo test --release -q --locked -p xlf-lwcrypto --test proptests -- \
     token_index_equals_naive_scan token_index_equals_naive_scan_via_tokenizer
 cargo test --release -q --locked -p xlf-cloud --lib -- parse_reading_equals_decode_then_trim
+cargo test --release -q --locked -p xlf-cloud --test proptests -- \
+    streamed_event_tags_equal_the_mac_of_the_event_bytes cached_event_tags_equal_reference_mac \
+    event_integrity_binds_fields hardened_bus_accepts_only_signed
 cargo test --release -q --locked -p xlf-device --lib -- fixed_point_equals_float_formatting
 cargo test --release -q --locked -p xlf-attacks --lib -- one_pass_majorities_equal_the_scan
 cargo test --release -q --locked -p xlf-stream --lib -- runs_equal_the_sorted_vector_oracle \

@@ -7,7 +7,7 @@
 
 use crate::api::{ApiCall, ApiGateway};
 use crate::capability::{DeviceHandler, DeviceHandlers};
-use crate::events::{CloudEvent, EventBus, EventKeys, EventPolicy, EventSource, Subscription};
+use crate::events::{CloudEvent, EventBus, EventPolicy, Subscription};
 use crate::oauth::TokenService;
 use crate::ota_server::OtaServer;
 use crate::smartapp::{authorize_actions, Action, ActionVerdict, PermissionModel, SmartApp};
@@ -34,19 +34,21 @@ impl AppSet {
         let mut set = AppSet::default();
         for app in apps {
             let subscriptions = Arc::make_mut(&mut set.subscriptions);
-            subscriptions.extend(subscriptions_of(&app));
+            subscriptions.extend(subscriptions_of(set.apps.len(), &app));
             Arc::make_mut(&mut set.apps).push(app);
         }
         set
     }
 }
 
-/// The bus subscriptions installing `app` makes.
-fn subscriptions_of(app: &SmartApp) -> impl Iterator<Item = Subscription> + '_ {
-    app.subscriptions().into_iter().map(|(device, attribute)| {
-        let sensitive = app.permissions.sensitive_grant(&device);
-        Subscription::new(&app.name, &device, &attribute, sensitive)
-    })
+/// The bus subscriptions installing `app` as app number `number` makes.
+fn subscriptions_of(number: usize, app: &SmartApp) -> impl Iterator<Item = Subscription> + '_ {
+    app.subscriptions()
+        .into_iter()
+        .map(move |(device, attribute)| {
+            let sensitive = app.permissions.sensitive_grant(&device);
+            Subscription::new(number, &app.name, &device, &attribute, sensitive)
+        })
 }
 
 /// The cloud's pure logic (testable without a network).
@@ -78,32 +80,28 @@ impl SmartCloud {
         permission_model: PermissionModel,
         hub_secret: &[u8],
     ) -> Self {
-        let keys = Arc::new(EventKeys::new(hub_secret, []));
-        Self::with_event_keys(event_policy, permission_model, keys)
+        let hub_secret = Arc::from(hub_secret);
+        Self::with_apps(
+            event_policy,
+            permission_model,
+            hub_secret,
+            &AppSet::default(),
+        )
     }
 
-    /// As [`SmartCloud::new`], with the event bus over shared event keys
-    /// (see [`EventBus::with_keys`]).
-    pub fn with_event_keys(
-        event_policy: EventPolicy,
-        permission_model: PermissionModel,
-        keys: Arc<EventKeys>,
-    ) -> Self {
-        Self::with_apps(event_policy, permission_model, keys, &AppSet::default())
-    }
-
-    /// As [`SmartCloud::with_event_keys`], with `apps` installed: the
-    /// cloud shares the set until it installs an app of its own.
+    /// As [`SmartCloud::new`], under a shared hub secret and with `apps`
+    /// installed: the cloud shares the set until it installs an app of
+    /// its own.
     pub fn with_apps(
         event_policy: EventPolicy,
         permission_model: PermissionModel,
-        keys: Arc<EventKeys>,
+        hub_secret: Arc<[u8]>,
         apps: &AppSet,
     ) -> Self {
         let subscriptions = Arc::clone(&apps.subscriptions);
         SmartCloud {
             handlers: DeviceHandlers::new(),
-            bus: EventBus::with_subscriptions(event_policy, keys, subscriptions),
+            bus: EventBus::with_subscriptions(event_policy, hub_secret, subscriptions),
             apps: Arc::clone(&apps.apps),
             permission_model,
             tokens: TokenService::new(),
@@ -120,7 +118,8 @@ impl SmartCloud {
 
     /// Installs an app: wires its subscriptions into the bus.
     pub fn install_app(&mut self, app: SmartApp) {
-        self.bus.extend_subscriptions(subscriptions_of(&app));
+        self.bus
+            .extend_subscriptions(subscriptions_of(self.apps.len(), &app));
         Arc::make_mut(&mut self.apps).push(app);
     }
 
@@ -133,7 +132,10 @@ impl SmartCloud {
     /// Ingests a device attribute report, runs the event/app pipeline, and
     /// returns the authorized commands to dispatch. The event keeps the
     /// device's shared name and the attribute as given; only the value
-    /// is copied.
+    /// is copied. A report over the trusted channel is signed only when
+    /// the bus requires integrity, the tag's one reader. Each app the
+    /// event reaches runs on it in subscription order, so in install
+    /// order.
     pub fn ingest(
         &mut self,
         at: SimTime,
@@ -154,30 +156,24 @@ impl SmartCloud {
             device,
             attribute,
             value: value.to_string(),
-            source: EventSource::Device,
             mac: None,
         };
-        if trusted_channel {
+        if trusted_channel && self.bus.policy.require_integrity {
             event = self.bus.sign(event);
         }
-        if self.bus.publish(event, capability).is_err() {
+        let Ok(delivery) = self.bus.publish(event, capability) else {
             return Vec::new();
-        }
+        };
 
         let mut commands = Vec::new();
-        for app in self.apps.iter() {
-            let inbox = self.bus.drain(&app.name);
-            for event in inbox {
-                let proposed = app.execute(&event);
-                for verdict in
-                    authorize_actions(self.permission_model, app, proposed, &self.handlers)
-                {
-                    match verdict {
-                        ActionVerdict::Allowed(action) => commands.push(action),
-                        ActionVerdict::DeniedScope(action)
-                        | ActionVerdict::DeniedUnknownCommand(action) => {
-                            self.denied_actions.push((app.name.clone(), action));
-                        }
+        for app in delivery.apps().filter_map(|number| self.apps.get(number)) {
+            let proposed = app.execute(delivery.event());
+            for verdict in authorize_actions(self.permission_model, app, proposed, &self.handlers) {
+                match verdict {
+                    ActionVerdict::Allowed(action) => commands.push(action),
+                    ActionVerdict::DeniedScope(action)
+                    | ActionVerdict::DeniedUnknownCommand(action) => {
+                        self.denied_actions.push((app.name.clone(), action));
                     }
                 }
             }
@@ -559,6 +555,51 @@ mod tests {
             let owned = parsed.as_ref().map(|(a, v)| (a.to_string(), v.to_string()));
             proptest::prop_assert_eq!(owned, owned_reading(&payload));
         }
+    }
+
+    #[test]
+    fn ingest_runs_the_apps_an_event_reaches_in_install_order() {
+        let mut cloud = SmartCloud::new(
+            EventPolicy::permissive(),
+            PermissionModel::Permissive,
+            b"hub secret",
+        );
+        cloud.register_device(DeviceHandler::new(
+            "thermo",
+            &[Capability::TemperatureMeasurement],
+        ));
+        cloud.register_device(DeviceHandler::new("front-door", &[Capability::Lock]));
+        cloud.register_device(DeviceHandler::new("lamp", &[Capability::Switch]));
+        let app = |name: &str, watched: &str, attribute: &str, (device, command): (&str, &str)| {
+            SmartApp::new(name, AppPermissions::new()).rule(
+                Trigger {
+                    device: watched.into(),
+                    attribute: attribute.into(),
+                    predicate: Predicate::Any,
+                },
+                Action {
+                    device: device.into(),
+                    command: command.into(),
+                },
+            )
+        };
+        // Names out of install order, and an app on another attribute
+        // between the two the event reaches.
+        cloud.install_app(app("zeta", "thermo", "temperature", ("lamp", "on")));
+        cloud.install_app(app("door", "front-door", "lock", ("front-door", "lock")));
+        cloud.install_app(app("alpha", "thermo", "temperature", ("lamp", "off")));
+        let actions = cloud.ingest(
+            SimTime::from_secs(1),
+            Rc::from("thermo"),
+            Cow::Borrowed("temperature"),
+            "70.00",
+            true,
+        );
+        let sent: Vec<(&str, &str)> = actions
+            .iter()
+            .map(|a| (a.device.as_str(), a.command.as_str()))
+            .collect();
+        assert_eq!(sent, [("lamp", "on"), ("lamp", "off")]);
     }
 
     #[test]

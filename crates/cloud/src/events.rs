@@ -11,20 +11,11 @@ use crate::capability::Capability;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::rc::Rc;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use xlf_lwcrypto::ciphers::Speck128;
 use xlf_lwcrypto::kdf::derive_key;
 use xlf_lwcrypto::mac::CbcMac;
 use xlf_simnet::SimTime;
-
-/// Where an event claims to come from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventSource {
-    /// Reported by the device itself (via the hub).
-    Device,
-    /// Generated by an app (e.g. simulated events for testing).
-    App,
-}
 
 /// One attribute-change event. It keeps what it stores only: the
 /// device's shared name, a static attribute name for the standard
@@ -39,8 +30,6 @@ pub struct CloudEvent {
     pub attribute: Cow<'static, str>,
     /// New value.
     pub value: String,
-    /// Claimed source.
-    pub source: EventSource,
     /// Integrity tag under the device's event key (one SPECK block), if
     /// the sender signed.
     pub mac: Option<[u8; 16]>,
@@ -55,7 +44,6 @@ impl CloudEvent {
             device: Rc::from(device),
             attribute: Cow::Owned(attribute.to_string()),
             value: value.to_string(),
-            source: EventSource::Device,
             mac: None,
         }
     }
@@ -133,8 +121,11 @@ pub enum EventRejection {
 /// A subscription: app → (device, attribute) pattern.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Subscription {
-    /// The app's name, shared by its inbox.
-    app: Arc<str>,
+    /// The app's number: its install position in a cloud (see
+    /// [`EventBus::subscribe`] for a bus used on its own).
+    app: usize,
+    /// The app's name.
+    name: Arc<str>,
     device: String,
     attribute: String,
     /// Whether the app holds a sensitive-data grant for this device.
@@ -142,9 +133,16 @@ pub(crate) struct Subscription {
 }
 
 impl Subscription {
-    pub(crate) fn new(app: &str, device: &str, attribute: &str, sensitive_grant: bool) -> Self {
+    pub(crate) fn new(
+        app: usize,
+        name: &str,
+        device: &str,
+        attribute: &str,
+        sensitive_grant: bool,
+    ) -> Self {
         Subscription {
-            app: Arc::from(app),
+            app,
+            name: Arc::from(name),
             device: device.to_string(),
             attribute: attribute.to_string(),
             sensitive_grant,
@@ -152,92 +150,90 @@ impl Subscription {
     }
 }
 
-/// A hub secret and the event ciphers of a known device list under it,
-/// shared read-only by every bus of that hub ([`EventBus::with_keys`]).
-/// A device's cipher is derived when the first bus needs it, once for
-/// all of them.
-#[derive(Debug)]
-pub struct EventKeys {
-    hub_secret: Vec<u8>,
-    ciphers: BTreeMap<String, OnceLock<Speck128>>,
-}
-
-impl EventKeys {
-    /// Keys for `devices` under `hub_secret`.
-    pub fn new<'a>(hub_secret: &[u8], devices: impl IntoIterator<Item = &'a str>) -> Self {
-        EventKeys {
-            hub_secret: hub_secret.to_vec(),
-            ciphers: devices
-                .into_iter()
-                .map(|device| (device.to_string(), OnceLock::new()))
-                .collect(),
-        }
-    }
-}
-
-/// The event cipher of `device`: SPECK under
-/// `derive_key(hub_secret, "event-key/{device}")`.
-fn event_cipher(hub_secret: &[u8], device: &str) -> Speck128 {
-    let key =
-        derive_key(hub_secret, &format!("event-key/{device}"), 16).expect("non-empty hub secret");
-    Speck128::new(&key).expect("16-byte key")
-}
-
 /// The cloud's event bus.
 #[derive(Debug)]
 pub struct EventBus {
-    policy: EventPolicy,
-    /// The hub secret and the shared ciphers of the known devices.
-    keys: Arc<EventKeys>,
-    /// Ciphers of devices outside `keys`, derived on first use.
+    pub(crate) policy: EventPolicy,
+    hub_secret: Arc<[u8]>,
+    /// Each device's event cipher, derived from the hub secret on first
+    /// use.
     event_ciphers: BTreeMap<String, Speck128>,
     /// Shared with every bus started from the same subscriptions until
     /// this one subscribes anew.
     subscriptions: Arc<Vec<Subscription>>,
-    /// Delivered events per app (drained by the app engine), keyed by
-    /// the subscription's shared app name.
-    inboxes: BTreeMap<Arc<str>, Vec<CloudEvent>>,
     /// Events published (accepted by policy) so far.
     pub published: u64,
     /// Events rejected by policy, for monitoring.
     pub rejected: Vec<(CloudEvent, EventRejection)>,
 }
 
+/// An event the bus accepted, and the subscriptions it reaches.
+#[derive(Debug)]
+pub struct Delivery<'b> {
+    event: CloudEvent,
+    subscriptions: &'b [Subscription],
+    /// Whether only subscriptions with a sensitive grant receive it.
+    grant_only: bool,
+}
+
+impl Delivery<'_> {
+    /// The accepted event.
+    pub fn event(&self) -> &CloudEvent {
+        &self.event
+    }
+
+    /// The numbers of the apps the event reaches, in subscription order.
+    pub fn apps(&self) -> impl Iterator<Item = usize> + '_ {
+        let event = &self.event;
+        self.subscriptions
+            .iter()
+            .filter(move |sub| {
+                *sub.device == *event.device
+                    && sub.attribute == event.attribute
+                    && (sub.sensitive_grant || !self.grant_only)
+            })
+            .map(|sub| sub.app)
+    }
+}
+
 impl EventBus {
     /// Creates a bus with the given policy and hub secret.
     pub fn new(policy: EventPolicy, hub_secret: &[u8]) -> Self {
-        Self::with_keys(policy, Arc::new(EventKeys::new(hub_secret, [])))
+        Self::with_subscriptions(policy, Arc::from(hub_secret), Arc::default())
     }
 
-    /// Creates a bus over shared event keys: the keys' devices sign and
-    /// verify under their shared ciphers, any other device under one
-    /// this bus derives from the keys' hub secret on first use.
-    pub fn with_keys(policy: EventPolicy, keys: Arc<EventKeys>) -> Self {
-        Self::with_subscriptions(policy, keys, Arc::default())
-    }
-
-    /// As [`EventBus::with_keys`], starting from `subscriptions`, shared
-    /// until this bus subscribes anew.
+    /// A bus under `hub_secret` starting from `subscriptions`, both
+    /// shared until this bus subscribes anew.
     pub(crate) fn with_subscriptions(
         policy: EventPolicy,
-        keys: Arc<EventKeys>,
+        hub_secret: Arc<[u8]>,
         subscriptions: Arc<Vec<Subscription>>,
     ) -> Self {
         EventBus {
             policy,
-            keys,
+            hub_secret,
             event_ciphers: BTreeMap::new(),
             subscriptions,
-            inboxes: BTreeMap::new(),
             published: 0,
             rejected: Vec::new(),
         }
     }
 
     /// Subscribes an app to (device, attribute) events. `sensitive_grant`
-    /// marks whether the installation granted sensitive access.
+    /// marks whether the installation granted sensitive access. The app
+    /// keeps the number of the first subscription under its name;
+    /// a new name takes the next number after every one in use.
     pub fn subscribe(&mut self, app: &str, device: &str, attribute: &str, sensitive_grant: bool) {
-        let subscription = Subscription::new(app, device, attribute, sensitive_grant);
+        let number = match self.subscriptions.iter().find(|sub| *sub.name == *app) {
+            Some(sub) => sub.app,
+            None => self
+                .subscriptions
+                .iter()
+                .map(|sub| sub.app + 1)
+                .max()
+                .unwrap_or(0),
+        };
+        let subscription = Subscription::new(number, app, device, attribute, sensitive_grant);
         self.extend_subscriptions([subscription]);
     }
 
@@ -254,56 +250,35 @@ impl EventBus {
         Arc::make_mut(&mut self.subscriptions).extend(subscriptions);
     }
 
-    /// Publishes an event, applying the policy; returns the number of app
-    /// inboxes it reached, or the rejection.
+    /// Publishes an event, applying the policy: the delivery of the
+    /// accepted event to its subscribers, or the rejection.
     pub fn publish(
         &mut self,
         event: CloudEvent,
         capability: Option<Capability>,
-    ) -> Result<usize, EventRejection> {
+    ) -> Result<Delivery<'_>, EventRejection> {
         if self.policy.require_integrity && !self.verify(&event) {
             self.rejected
                 .push((event, EventRejection::IntegrityFailure));
             return Err(EventRejection::IntegrityFailure);
         }
-        let sensitive = capability.map(|c| c.is_sensitive()).unwrap_or(false);
-        let mut delivered = 0usize;
-        for sub in self.subscriptions.iter() {
-            if *sub.device != *event.device || sub.attribute != event.attribute {
-                continue;
-            }
-            if self.policy.protect_sensitive && sensitive && !sub.sensitive_grant {
-                continue;
-            }
-            match self.inboxes.get_mut(&sub.app) {
-                Some(inbox) => inbox.push(event.clone()),
-                None => {
-                    self.inboxes
-                        .insert(Arc::clone(&sub.app), vec![event.clone()]);
-                }
-            }
-            delivered += 1;
-        }
         self.published += 1;
-        Ok(delivered)
+        let sensitive = capability.is_some_and(|c| c.is_sensitive());
+        Ok(Delivery {
+            event,
+            subscriptions: &self.subscriptions,
+            grant_only: self.policy.protect_sensitive && sensitive,
+        })
     }
 
-    /// Drains an app's inbox.
-    pub fn drain(&mut self, app: &str) -> Vec<CloudEvent> {
-        self.inboxes
-            .get_mut(app)
-            .map(std::mem::take)
-            .unwrap_or_default()
-    }
-
-    /// The event cipher of `device`: the shared one when the keys know
-    /// the device, otherwise derived once per bus and cached.
+    /// The event cipher of `device`: SPECK under
+    /// `derive_key(hub_secret, "event-key/{device}")`, derived once per
+    /// bus.
     fn event_cipher(&mut self, device: &str) -> &Speck128 {
-        if let Some(shared) = self.keys.ciphers.get(device) {
-            return shared.get_or_init(|| event_cipher(&self.keys.hub_secret, device));
-        }
         if !self.event_ciphers.contains_key(device) {
-            let cipher = event_cipher(&self.keys.hub_secret, device);
+            let key = derive_key(&self.hub_secret, &format!("event-key/{device}"), 16)
+                .expect("non-empty hub secret");
+            let cipher = Speck128::new(&key).expect("16-byte key");
             self.event_ciphers.insert(device.to_string(), cipher);
         }
         &self.event_ciphers[device]
@@ -337,18 +312,35 @@ mod tests {
         ))
     }
 
+    /// The numbers of the apps `event` reaches, or the rejection.
+    fn deliver(
+        bus: &mut EventBus,
+        event: CloudEvent,
+        capability: Capability,
+    ) -> Result<Vec<usize>, EventRejection> {
+        bus.publish(event, Some(capability))
+            .map(|delivery| delivery.apps().collect())
+    }
+
     #[test]
     fn subscribed_apps_receive_events() {
         let mut bus = EventBus::new(EventPolicy::permissive(), HUB);
         bus.subscribe("notifier", "front-door", "lock", false);
-        let n = bus
+        let delivery = bus
             .publish(signed_event("unlocked"), Some(Capability::Lock))
             .unwrap();
-        assert_eq!(n, 1);
-        let inbox = bus.drain("notifier");
-        assert_eq!(inbox.len(), 1);
-        assert_eq!(inbox[0].value, "unlocked");
-        assert!(bus.drain("notifier").is_empty());
+        assert_eq!(delivery.apps().collect::<Vec<_>>(), [0]);
+        assert_eq!(delivery.event().value, "unlocked");
+    }
+
+    #[test]
+    fn apps_are_numbered_by_name_in_first_subscribe_order() {
+        let mut bus = EventBus::new(EventPolicy::permissive(), HUB);
+        bus.subscribe("first", "front-door", "state", false);
+        bus.subscribe("second", "front-door", "lock", false);
+        bus.subscribe("first", "front-door", "lock", false);
+        let event = signed_event("unlocked");
+        assert_eq!(deliver(&mut bus, event, Capability::Lock), Ok(vec![1, 0]));
     }
 
     #[test]
@@ -357,7 +349,7 @@ mod tests {
         let mut bus = EventBus::new(EventPolicy::permissive(), HUB);
         bus.subscribe("auto-open", "front-door", "lock", false);
         let spoofed = CloudEvent::new(SimTime::ZERO, "front-door", "lock", "unlocked");
-        assert_eq!(bus.publish(spoofed, Some(Capability::Lock)), Ok(1));
+        assert_eq!(deliver(&mut bus, spoofed, Capability::Lock), Ok(vec![0]));
     }
 
     #[test]
@@ -366,15 +358,13 @@ mod tests {
         bus.subscribe("auto-open", "front-door", "lock", true);
         let spoofed = CloudEvent::new(SimTime::ZERO, "front-door", "lock", "unlocked");
         assert_eq!(
-            bus.publish(spoofed, Some(Capability::Lock)),
+            deliver(&mut bus, spoofed, Capability::Lock),
             Err(EventRejection::IntegrityFailure)
         );
         assert_eq!(bus.rejected.len(), 1);
         // Legitimate signed events still flow.
-        assert_eq!(
-            bus.publish(signed_event("locked"), Some(Capability::Lock)),
-            Ok(1)
-        );
+        let signed = signed_event("locked");
+        assert_eq!(deliver(&mut bus, signed, Capability::Lock), Ok(vec![0]));
     }
 
     #[test]
@@ -382,21 +372,16 @@ mod tests {
         let mut bus = EventBus::new(EventPolicy::hardened(), HUB);
         bus.subscribe("nosy-app", "front-door", "lock", false);
         bus.subscribe("trusted-app", "front-door", "lock", true);
-        let n = bus
-            .publish(signed_event("unlocked"), Some(Capability::Lock))
-            .unwrap();
-        assert_eq!(n, 1);
-        assert!(bus.drain("nosy-app").is_empty());
-        assert_eq!(bus.drain("trusted-app").len(), 1);
+        let signed = signed_event("unlocked");
+        assert_eq!(deliver(&mut bus, signed, Capability::Lock), Ok(vec![1]));
     }
 
     #[test]
     fn permissive_bus_leaks_sensitive_events_to_any_subscriber() {
         let mut bus = EventBus::new(EventPolicy::permissive(), HUB);
         bus.subscribe("nosy-app", "front-door", "lock", false);
-        bus.publish(signed_event("unlocked"), Some(Capability::Lock))
-            .unwrap();
-        assert_eq!(bus.drain("nosy-app").len(), 1);
+        let signed = signed_event("unlocked");
+        assert_eq!(deliver(&mut bus, signed, Capability::Lock), Ok(vec![0]));
     }
 
     #[test]
@@ -413,16 +398,22 @@ mod tests {
     }
 
     #[test]
-    fn shared_keys_sign_like_a_bus_that_derives_its_own() {
-        let keys = Arc::new(EventKeys::new(HUB, ["front-door"]));
-        let mut shared = EventBus::with_keys(EventPolicy::hardened(), keys);
-        let own = signed_event("locked");
-        let event = CloudEvent::new(SimTime::from_secs(1), "front-door", "lock", "locked");
-        assert_eq!(shared.sign(event), own);
-        // A device outside the keys still gets the hub-secret cipher.
-        let other = CloudEvent::new(SimTime::from_secs(2), "garage", "lock", "open");
-        let mut plain = EventBus::new(EventPolicy::hardened(), HUB);
-        assert_eq!(shared.sign(other.clone()), plain.sign(other));
+    fn a_cloud_signs_trusted_reports_only_when_its_bus_requires_integrity() {
+        use crate::cloud::SmartCloud;
+        use crate::smartapp::PermissionModel;
+        for (policy, ciphers) in [(EventPolicy::permissive(), 0), (EventPolicy::hardened(), 1)] {
+            let mut cloud = SmartCloud::new(policy, PermissionModel::Permissive, HUB);
+            let thermo = Rc::from("thermo");
+            cloud.ingest(
+                SimTime::ZERO,
+                thermo,
+                Cow::Borrowed("temperature"),
+                "70.00",
+                true,
+            );
+            assert_eq!(cloud.bus.published, 1, "{policy:?}");
+            assert_eq!(cloud.bus.event_ciphers.len(), ciphers, "{policy:?}");
+        }
     }
 
     #[test]

@@ -144,12 +144,21 @@ impl SmartApp {
         )
     }
 
-    /// All (device, attribute) pairs the app needs subscriptions for.
+    /// The (device, attribute) pairs the app needs subscriptions for,
+    /// each once, in the order of the first rule that watches it: the
+    /// cloud delivers an event to the app once, and the app runs every
+    /// rule on it.
     pub fn subscriptions(&self) -> Vec<(String, String)> {
-        self.rules
-            .iter()
-            .map(|(t, _)| (t.device.clone(), t.attribute.clone()))
-            .collect()
+        let mut pairs: Vec<(String, String)> = Vec::new();
+        for (t, _) in &self.rules {
+            if !pairs
+                .iter()
+                .any(|(d, a)| *d == t.device && *a == t.attribute)
+            {
+                pairs.push((t.device.clone(), t.attribute.clone()));
+            }
+        }
+        pairs
     }
 
     /// Executes the app against one event, producing the actions it wants
@@ -346,10 +355,27 @@ mod tests {
                     device: "lamp".into(),
                     command: "on".into(),
                 },
+            )
+            .rule(
+                Trigger {
+                    device: "thermostat".into(),
+                    attribute: "temperature".into(),
+                    predicate: Predicate::LessThan(60.0),
+                },
+                Action {
+                    device: "lamp".into(),
+                    command: "off".into(),
+                },
             );
-        let subs = app.subscriptions();
-        assert_eq!(subs.len(), 2);
-        assert!(subs.contains(&("front-door".to_string(), "lock".to_string())));
+        // One pair per watched attribute, in first-rule order.
+        let pair = |d: &str, a: &str| (d.to_string(), a.to_string());
+        assert_eq!(
+            app.subscriptions(),
+            [
+                pair("thermostat", "temperature"),
+                pair("front-door", "lock")
+            ]
+        );
     }
 
     #[test]

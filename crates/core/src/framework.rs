@@ -24,8 +24,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 use xlf_cloud::{
-    parse_reading, AppSet, Capability, CloudNode, DeviceHandler, EventKeys, EventPolicy, SmartApp,
-    SmartCloud,
+    parse_reading, AppSet, Capability, CloudNode, DeviceHandler, EventPolicy, SmartApp, SmartCloud,
 };
 use xlf_device::{DeviceConfig, DeviceKit, SensorKind, SimDevice, VulnSet};
 use xlf_lwcrypto::kdf::derive_key;
@@ -689,8 +688,8 @@ const GATEWAY_RAW: u32 = 1;
 /// depend on the home's seed: each device's [`DeviceKit`] (signed
 /// firmware slot, credentials, sealed store) and cloud capability
 /// table, the gateway's NAC allowlists and update-vetting policy, the
-/// cloud's installed apps ([`HomeKit::with_apps`]) and event ciphers,
-/// and the gateway's per-device DPI sessions. It is derived once, and
+/// cloud's hub secret and installed apps ([`HomeKit::with_apps`]), and
+/// the gateway's per-device DPI sessions. It is derived once, and
 /// every home built from the kit ([`XlfHome::from_kit`]) holds each
 /// piece by reference, copying one only on its own first write to it
 /// (a brute-forced login, an installed image, a new allowlist entry or
@@ -700,7 +699,7 @@ const GATEWAY_RAW: u32 = 1;
 #[derive(Debug)]
 pub struct HomeKit {
     devices: Vec<KitDevice>,
-    event_keys: Arc<EventKeys>,
+    hub_secret: Arc<[u8]>,
     allowlists: Arc<Allowlists>,
     vetting: Arc<VetPolicy>,
     apps: AppSet,
@@ -716,9 +715,9 @@ struct KitDevice {
 }
 
 impl HomeKit {
-    /// Derives the kit of `devices`, with no apps installed. Event
-    /// ciphers and DPI sessions are left for the first home that needs
-    /// each to derive, once per kit.
+    /// Derives the kit of `devices`, with no apps installed. DPI
+    /// sessions are left for the first home that needs each to bind,
+    /// once per kit.
     pub fn derive(devices: &[HomeDevice]) -> Self {
         let gateway = NodeId::from_raw(GATEWAY_RAW);
         let kits = DeviceKit::derive_all(devices.iter().map(|d| {
@@ -736,7 +735,6 @@ impl HomeKit {
                 dpi: OnceLock::new(),
             })
             .collect();
-        let event_keys = EventKeys::new(HUB_SECRET, devices.iter().map(|d| d.spec.name.as_str()));
         // Each device may reach the cloud and resolve its vendor hub.
         let mut nac = Nac::new();
         for d in &devices {
@@ -747,7 +745,7 @@ impl HomeKit {
         vetter.trust_vendor("acme", b"acme vendor secret");
         HomeKit {
             devices,
-            event_keys: Arc::new(event_keys),
+            hub_secret: Arc::from(HUB_SECRET),
             allowlists: Arc::clone(nac.allowlists()),
             vetting: Arc::clone(vetter.policy()),
             apps: AppSet::default(),
@@ -846,7 +844,7 @@ impl XlfHome {
         let mut cloud = SmartCloud::with_apps(
             EventPolicy::permissive(),
             xlf_cloud::smartapp::PermissionModel::Permissive,
-            Arc::clone(&kit.event_keys),
+            Arc::clone(&kit.hub_secret),
             &kit.apps,
         );
         for (d, sim) in kit.devices.iter().zip(&sims) {

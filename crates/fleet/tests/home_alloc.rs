@@ -15,9 +15,14 @@
 //! borrowing the constant OTA vendor name and secret and its DPI
 //! middleboxes the gateway's per-rule match buffer, a home made 93.6
 //! (build 29, step 62.6, finish 2). Typed packet bodies dropped each
-//! telemetry and event packet's metadata list: a home now makes 82.0
-//! (build 29, step 51, finish 2). The budget sits just above that, so one
-//! more copied key per device (five per home) fails it.
+//! telemetry and event packet's metadata list: a home made 82.0
+//! (build 29, step 51, finish 2). Handing each event to its apps by
+//! reference, instead of cloning it into a per-app inbox, dropped the
+//! step to 29 + 118 + 25 for the apartment, the house and the retrofit:
+//! a home now makes 76.0 (build 28, step 46.0, finish 2). The budget
+//! sits 5% above that, so one more copied key per device (five per home)
+//! fails it, and so does a cloud that signs every trusted report, since
+//! each home would derive its devices' event ciphers.
 //!
 //! A counting wrapper around the system allocator measures allocations.
 //! The counter is per thread, so the test harness's own bookkeeping on
@@ -69,7 +74,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Allocations allowed per home, build to finish, in the fleet-wide mix.
-const MAX_ALLOCS_PER_HOME: f64 = 85.0;
+const MAX_ALLOCS_PER_HOME: f64 = 79.8;
 
 /// The fleet-wide horizon.
 const HORIZON: Duration = Duration::from_secs(20);

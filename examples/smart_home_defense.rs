@@ -33,12 +33,10 @@ fn service_layer_demo() {
             bus.subscribe(&app.name, &device, &attribute, false);
         }
         let delivered = bus.publish(spoof.clone(), Some(Capability::TemperatureMeasurement));
-        let fired = delivered
-            .map(|_| {
-                bus.drain(&app.name)
-                    .iter()
-                    .flat_map(|e| app.execute(e))
-                    .count()
+        let fired: usize = delivered
+            .map(|delivery| {
+                let event = delivery.event();
+                delivery.apps().map(|_| app.execute(event).len()).sum()
             })
             .unwrap_or(0);
         println!("  {label}: window-open actions fired = {fired}");

@@ -79,9 +79,11 @@ fn overprivileged_app_contained_by_scoped_permissions() {
     use xlf::cloud::{Capability, DeviceHandler, EventPolicy, SmartCloud};
     use xlf::simnet::SimTime;
 
-    for (model, expect_unlock) in [
-        (PermissionModel::Permissive, true),
-        (PermissionModel::Scoped, false),
+    // (unlocks dispatched, unlocks denied) per model; the denial is
+    // recorded for the Core.
+    for (model, expected) in [
+        (PermissionModel::Permissive, (1, 0)),
+        (PermissionModel::Scoped, (0, 1)),
     ] {
         let mut cloud = SmartCloud::new(EventPolicy::permissive(), model, b"hub secret");
         cloud.register_device(DeviceHandler::new(
@@ -92,19 +94,19 @@ fn overprivileged_app_contained_by_scoped_permissions() {
         cloud.register_device(DeviceHandler::new("front-door", &[Capability::Lock]));
         cloud.install_app(malicious_unlock_app("hall-motion", "lamp", "front-door"));
 
-        // Motion stops — the hidden rule tries to unlock the door.
+        // Motion stops — the hidden rule tries to unlock the door. The
+        // app's two rules watch one attribute, so it must still see the
+        // event, and propose the unlock, exactly once.
         let device = std::rc::Rc::from("hall-motion");
         let actions = cloud.ingest(SimTime::from_secs(1), device, "motion".into(), "0", true);
-        let unlocked = actions
+        let is_unlock = |a: &xlf::cloud::Action| a.device == "front-door" && a.command == "unlock";
+        let unlocks = actions.iter().filter(|a| is_unlock(a)).count();
+        let denials = cloud
+            .denied_actions
             .iter()
-            .any(|a| a.device == "front-door" && a.command == "unlock");
-        assert_eq!(unlocked, expect_unlock, "model {model:?}");
-        if !expect_unlock {
-            assert!(
-                !cloud.denied_actions.is_empty(),
-                "the denial must be recorded for the Core"
-            );
-        }
+            .filter(|(_, a)| is_unlock(a))
+            .count();
+        assert_eq!((unlocks, denials), expected, "model {model:?}");
     }
 }
 

@@ -4,9 +4,14 @@
 //! attacker or the Core that changes either fails here; a deliberate
 //! behaviour change updates the constant and says why.
 
+use std::path::Path;
 use xlf::core::framework::XlfConfig;
+use xlf::device::firmware::Version;
 use xlf::fleet::spec::{FleetAttack, FleetSpec, HomeTemplate, RowPolicy};
-use xlf::fleet::{run_fleet, FleetMetrics};
+use xlf::fleet::{
+    run_fleet, run_fleet_chaos, scratch_dir, CampaignSpec, ConfigAuditSpec, FleetError,
+    FleetMetrics, KillPoint,
+};
 use xlf::simnet::Duration;
 use xlf_bench::scenarios::{run_scenario, AttackScenario};
 
@@ -70,6 +75,72 @@ fn wide_candidates_only_fleet_report_bytes_are_pinned() {
     assert_eq!(
         format!("{:016x}", fnv64(report.to_json().as_bytes())),
         "72435422ec9f8c2f"
+    );
+}
+
+/// Each file in `dir`, by name, with the fingerprint of its bytes.
+fn file_fingerprints(dir: &Path) -> Vec<(String, String)> {
+    let mut files: Vec<(String, String)> = std::fs::read_dir(dir)
+        .expect("the run wrote its snapshots")
+        .map(|entry| {
+            let path = entry.expect("a readable entry").path();
+            let bytes = std::fs::read(&path).expect("a readable snapshot");
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, format!("{:016x}", fnv64(&bytes)))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// The XLFR run snapshots of a small streamed fleet with a gated,
+/// tampered campaign and a config audit, so its stream generations carry
+/// the correlator, the campaign engine, the command bus and the auditor:
+/// the homes-phase generation, as a kill after the homes leaves it, and
+/// every generation file the full run leaves on disk (the last two).
+#[test]
+fn streamed_fleet_run_snapshot_bytes_are_pinned() {
+    let spec = |dir: &Path| {
+        FleetSpec::new(0x5EC0_4E27, 12)
+            .with_workers(2)
+            .with_regions(2)
+            .with_correlation_interval(60)
+            .with_attacks(vec![
+                (FleetAttack::None, 6),
+                (FleetAttack::BotnetRecruit, 1),
+            ])
+            .with_campaign(
+                CampaignSpec::new("cam-fw-2.0", "cam", Version(2, 0, 0), b"cam fw v2".to_vec())
+                    .with_schedule(2, 2)
+                    .with_waves(vec![25, 100])
+                    .with_tampered(),
+            )
+            .with_config_audit(ConfigAuditSpec::new(3).with_drift(25, 4))
+            .with_run_snapshot_every(1, dir)
+    };
+
+    let killed = scratch_dir("pinned-homes");
+    let kill = run_fleet_chaos(&spec(&killed), &FleetMetrics::new(), KillPoint::AfterHomes);
+    assert!(
+        matches!(kill, Err(FleetError::ChaosKilled(KillPoint::AfterHomes))),
+        "the kill after the homes fires"
+    );
+    let homes = file_fingerprints(&killed);
+    let _ = std::fs::remove_dir_all(&killed);
+
+    let full = scratch_dir("pinned-full");
+    run_fleet(&spec(&full), &FleetMetrics::new()).expect("fleet runs");
+    let generations = file_fingerprints(&full);
+    let _ = std::fs::remove_dir_all(&full);
+
+    let pin = |name: &str, fnv: &str| (name.to_string(), fnv.to_string());
+    assert_eq!(homes, [pin("xlfr-000000.snap", "46d21b02e5022d2d")]);
+    assert_eq!(
+        generations,
+        [
+            pin("xlfr-000006.snap", "ff344dd451e66347"),
+            pin("xlfr-000007.snap", "640f5bfba7bffa5b"),
+        ]
     );
 }
 
