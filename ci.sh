@@ -31,8 +31,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --locked --no-deps "${doc_packages[@]}"
 # 79.8 over its lifecycle (crates/fleet/tests/home_alloc.rs). Beside them,
 # a memory guard (crates/fleet/tests/stream_alloc.rs) bounds what a small
 # streamed fleet's calling thread (region consume and the global pass)
-# allocates and its live-bytes peak: 177,200 bytes and a 72,600-byte
-# peak with 15 s windows, 220,700 bytes and an 83,000-byte peak with
+# allocates and its live-bytes peak: 172,200 bytes and a 66,600-byte
+# peak with 15 s windows, 215,700 bytes and a 77,100-byte peak with
 # 5 s windows; the same file bounds the bytes a home's packed windows
 # keep allocated at 15 per window. A handoff-count guard checks
 # that one worker hands 70 homes to the region tier in messages of 32,
@@ -49,14 +49,19 @@ echo "== cargo bench -p xlf-bench --bench '*'"
 cargo bench -q --locked -p xlf-bench --bench '*'
 
 # The exactness oracles of the fast paths, at more cases than the
-# default: the kNN graph against the naive graph, the padding-skipping
+# default: the kNN graph against the naive graph, the community pass
+# over its CSR graph against seeded propagation and deviation scores
+# over the naive graph's per-node lists, the padding-skipping
 # telemetry parser against decode-then-trim, the fixed-point reading
 # format against the float formatter, the observer's one-pass burst
 # majorities against the scan of every record, the count-keyed
 # robust accumulator against the sorted-vector accumulator (after every
 # push, and after any split and merge), the stream
 # correlator's one-vector home profile against per-feature
-# accumulators, the packed window log's round trip of every feature bit
+# accumulators, the correlator's id-sorted home table against the same
+# epochs fed in sorted order (homes joining late, windows missing,
+# arrival shuffled, with and without a checkpoint restore), the packed
+# window log's round trip of every feature bit
 # pattern (and its snapshot bytes against the per-window layout), the
 # stream pass's per-epoch cursor fill against the clone-and-regroup,
 # and the one DPI inspection path's engines: the Aho–Corasick
@@ -70,14 +75,16 @@ cargo bench -q --locked -p xlf-bench --bench '*'
 # field and which a hardened bus requires of every event it accepts.
 # Beside them, the never-panic proptests: restoring the stream
 # correlator from corrupted or arbitrary checkpoint bytes (the
-# correlator's part of an XLFR run snapshot), and the protocol parsers and
+# correlator's part of an XLFR run snapshot; the same file's crafted
+# checkpoints, whose id tables do not strictly ascend, must fail to
+# restore), and the protocol parsers and
 # receivers (TLS open, the 802.15.4 receiver, the DNS resolver) on
 # arbitrary input.
 echo "== proptest oracles, release, PROPTEST_CASES=5000"
 export PROPTEST_CASES=5000
 cargo test --release -q --locked -p xlf-analytics --test proptests -- \
     blocked_similarity_bit_equals_naive duplicate_heavy_similarity_bit_equals_naive \
-    automaton_first_matches_equal_naive
+    automaton_first_matches_equal_naive csr_community_report_equals_naive_pipeline
 cargo test --release -q --locked -p xlf-lwcrypto --test proptests -- \
     token_index_equals_naive_scan token_index_equals_naive_scan_via_tokenizer
 cargo test --release -q --locked -p xlf-cloud --lib -- parse_reading_equals_decode_then_trim
@@ -90,6 +97,7 @@ cargo test --release -q --locked -p xlf-stream --lib -- runs_equal_the_sorted_ve
     window_profile_equals_per_feature_accumulators window_log_round_trips_every_bit_pattern
 cargo test --release -q --locked -p xlf-fleet --lib -- epoch_index_matches_the_regroup_oracle
 cargo test --release -q --locked -p xlf-core --test proptests -- bounded_bus_conserves_observations
+cargo test --release -q --locked -p xlf-stream --test proptests
 cargo test --release -q --locked -p xlf-stream --test checkpoint_robustness
 cargo test --release -q --locked -p xlf-protocols --test proptests -- parsers_are_panic_free
 unset PROPTEST_CASES

@@ -7,6 +7,16 @@
 //! Implementation: a kNN similarity graph over per-home behaviour
 //! features, label-propagation community detection, and a per-node
 //! deviation score (how unlike its own community a node behaves).
+//!
+//! The scratch pipeline ([`community_report_into`]) keeps the
+//! symmetrised graph as one [`KnnGraph`] in compressed sparse row form:
+//! an offsets vector and one edge array sized to the epoch's edge
+//! count, where per-node lists would cost an allocation per node and
+//! grow a hub's list by doubling. Propagation and scoring run over it;
+//! their list-taking entry points ([`label_propagation`],
+//! [`deviation_scores`]), which the one-shot and naive graphs
+//! ([`similarity_graph`], [`similarity_graph_naive`]) feed, convert the
+//! lists first, keeping each node's edge order.
 
 use crate::kernel::dot;
 
@@ -125,22 +135,113 @@ fn neighbour_order(a: &(usize, f64), b: &(usize, f64)) -> std::cmp::Ordering {
     b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
 }
 
-/// Shared symmetrize step: if `i` lists `j`, ensure `j` lists `i`.
+/// A symmetrised kNN graph in compressed sparse row form: node `i`'s
+/// `(neighbour, weight)` edges are `edges[offsets[i]..offsets[i + 1]]`,
+/// its own kNN list first (weight descending, index ascending), then the
+/// reverse edges symmetrising added, in ascending neighbour index. One
+/// offsets vector and one edge array hold the whole graph, however
+/// unevenly the degrees spread (a hub may have hundreds of reverse
+/// edges), so a reused graph costs two allocations, not one per node.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct KnnGraph {
+    /// `nodes + 1` entries once built; empty for a graph never built.
+    offsets: Vec<usize>,
+    edges: Vec<(usize, f64)>,
+}
+
+impl KnnGraph {
+    /// Number of nodes.
+    pub fn nodes(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    /// Node `i`'s `(neighbour, weight)` edges.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.nodes()`.
+    pub fn neighbours(&self, i: usize) -> &[(usize, f64)] {
+        &self.edges[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// The graph as one edge list per node, the shape
+    /// [`similarity_graph`] returns.
+    pub fn to_lists(&self) -> Vec<Vec<(usize, f64)>> {
+        (0..self.nodes())
+            .map(|i| self.neighbours(i).to_vec())
+            .collect()
+    }
+
+    /// The CSR form of per-node edge lists, edges in list order.
+    pub fn from_lists(lists: &[Vec<(usize, f64)>]) -> Self {
+        let mut offsets = Vec::with_capacity(lists.len() + 1);
+        offsets.push(0);
+        let mut edges = Vec::with_capacity(lists.iter().map(Vec::len).sum());
+        for list in lists {
+            edges.extend_from_slice(list);
+            offsets.push(edges.len());
+        }
+        KnnGraph { offsets, edges }
+    }
+}
+
+/// Shared symmetrize step: if `i` lists `j`, ensure `j` lists `i`. On
+/// entry `graph` holds each node's own kNN list, packed (`offsets` are
+/// the own lists' bounds); on return each node's reverse edges follow
+/// its own list, in ascending `i` — the order the per-node lists got
+/// them by appending while visiting `i = 0, 1, …` — so weights sum in
+/// the same order downstream.
 ///
-/// Only each node's own kNN list (its length recorded in `own` before
-/// any append) is scanned: a reverse edge appended to `adj[j]` while
-/// visiting `i` is never `i` itself at the time `j` is checked, so the
-/// prefix-only scan gives the same graph as scanning whole lists — and
-/// hub nodes with hundreds of reverse edges no longer cost a full scan
-/// per membership test.
-fn symmetrize(adj: &mut [Vec<(usize, f64)>], own: &mut Vec<usize>) {
+/// Only each node's own list (its length recorded in `own`) is scanned:
+/// a reverse edge added to `j` while visiting `i` is never `i` itself
+/// at the time `j` is checked, so the prefix-only scan gives the same
+/// graph as scanning whole lists — and hub nodes with hundreds of
+/// reverse edges no longer cost a full scan per membership test. One
+/// pass counts each node's reverse edges (in `fill`), the own lists move
+/// back to front to their final, wider slots, and a second pass writes
+/// the reverse edges behind them (`fill` now the write cursors), so the
+/// edge array grows once, to the exact edge count.
+fn symmetrize(graph: &mut KnnGraph, own: &mut Vec<usize>, fill: &mut Vec<usize>) {
+    let KnnGraph { offsets, edges } = graph;
+    let n = offsets.len() - 1;
     own.clear();
-    own.extend(adj.iter().map(Vec::len));
-    for i in 0..adj.len() {
-        for e in 0..own[i] {
-            let (j, w) = adj[i][e];
-            if !adj[j][..own[j]].iter().any(|&(t, _)| t == i) {
-                adj[j].push((i, w));
+    own.extend(offsets.windows(2).map(|w| w[1] - w[0]));
+    let lists = |i: usize, start: usize| start..start + own[i];
+    let missing = |edges: &[(usize, f64)], j: usize, start: usize, i: usize| {
+        !edges[lists(j, start)].iter().any(|&(t, _)| t == i)
+    };
+    fill.clear();
+    fill.resize(n, 0);
+    for i in 0..n {
+        for &(j, _) in &edges[offsets[i]..offsets[i + 1]] {
+            if missing(&edges[..], j, offsets[j], i) {
+                fill[j] += 1;
+            }
+        }
+    }
+    let total = edges.len() + fill.iter().sum::<usize>();
+    edges.reserve_exact(total - edges.len());
+    edges.resize(total, (0, 0.0));
+    // Node j's final slot starts at or after its packed one, and every
+    // later node has already moved past it, so no list is overwritten
+    // before it moves.
+    let mut end = total;
+    for j in (0..n).rev() {
+        let start = end - own[j] - fill[j];
+        edges.copy_within(lists(j, offsets[j]), start);
+        offsets[j + 1] = end;
+        end = start;
+    }
+    debug_assert_eq!(end, 0);
+    for (j, cursor) in fill.iter_mut().enumerate() {
+        *cursor = offsets[j] + own[j];
+    }
+    for i in 0..n {
+        for e in lists(i, offsets[i]) {
+            let (j, w) = edges[e];
+            if missing(&edges[..], j, offsets[j], i) {
+                edges[fill[j]] = (i, w);
+                fill[j] += 1;
             }
         }
     }
@@ -270,12 +371,12 @@ pub fn similarity_graph(features: &[Vec<f64>], k: usize, gamma: f64) -> Vec<Vec<
     let mut scratch = GraphScratch::new();
     scratch.matrix.fill_from_rows(features);
     similarity_graph_into(k, gamma, &mut scratch);
-    std::mem::take(&mut scratch.adj)
+    scratch.adj.to_lists()
 }
 
 /// The blocked SoA similarity sweep over the rows already loaded into
 /// `scratch.matrix` (used as is, not normalized), writing the graph into
-/// the scratch's adjacency lists ([`GraphScratch::adjacency`]) so
+/// the scratch's CSR graph ([`GraphScratch::adjacency`]) so
 /// epoch-by-epoch callers allocate nothing after warmup.
 ///
 /// Four structural wins over [`similarity_graph_naive`], with
@@ -326,15 +427,19 @@ pub fn similarity_graph_into(k: usize, gamma: f64, scratch: &mut GraphScratch) {
         cursors,
         sel,
         own,
+        fill,
         adj,
         ..
     } = scratch;
     let n = matrix.rows();
-    adj.truncate(n);
-    for edges in adj.iter_mut() {
-        edges.clear();
-    }
-    adj.resize_with(n, Vec::new);
+    // Each node's own list is written packed, behind the previous one;
+    // at most k edges each (all n − 1 others when n ≤ k + 1), so the
+    // edge array is reserved to that before it grows.
+    let KnnGraph { offsets, edges } = adj;
+    offsets.clear();
+    offsets.push(0);
+    edges.clear();
+    edges.reserve_exact(n * k.min(n.saturating_sub(1)));
     group_rows(matrix, slots, group, distinct);
     let u = distinct.rows();
     distance_table(distinct, u == n, dist);
@@ -350,13 +455,14 @@ pub fn similarity_graph_into(k: usize, gamma: f64, scratch: &mut GraphScratch) {
         // skipped by every consumer).
         let g = group[i];
         let row = &dist[g * u..(g + 1) * u];
-        let edges = &mut adj[i];
+        let own_start = edges.len();
         if n <= k + 1 {
             // Everyone is a neighbour.
             for j in (0..n).filter(|&j| j != i) {
                 edges.push((j, (-gamma * row[group[j]]).exp()));
             }
-            edges.sort_unstable_by(neighbour_order);
+            edges[own_start..].sort_unstable_by(neighbour_order);
+            offsets.push(edges.len());
             continue;
         }
         // `sel` receives the k + 1 smallest candidate distances, in
@@ -393,7 +499,7 @@ pub fn similarity_graph_into(k: usize, gamma: f64, scratch: &mut GraphScratch) {
                 edges.push((j, s));
             }
             if !fast {
-                edges.clear();
+                edges.truncate(own_start);
             }
         }
         if !fast {
@@ -421,7 +527,7 @@ pub fn similarity_graph_into(k: usize, gamma: f64, scratch: &mut GraphScratch) {
                 a_k,
                 s_star,
             };
-            let mut remaining = k - edges.len();
+            let mut remaining = k - (edges.len() - own_start);
             if grouped {
                 cursors.clear();
                 for (h, &d2) in row.iter().enumerate() {
@@ -446,9 +552,10 @@ pub fn similarity_graph_into(k: usize, gamma: f64, scratch: &mut GraphScratch) {
                 }
             }
         }
-        edges.sort_unstable_by(neighbour_order);
+        edges[own_start..].sort_unstable_by(neighbour_order);
+        offsets.push(edges.len());
     }
-    symmetrize(adj, own);
+    symmetrize(adj, own, fill);
 }
 
 /// Bounded (k+1)-smallest scan over a dense distance row: one compare
@@ -627,7 +734,10 @@ fn order_groups(dist: &[f64], u: usize, order: &mut Vec<usize>) {
 /// overhaul's `inspect_naive`). Kept for A/B benchmarking and for the
 /// bit-equality property tests — it shares [`dot`] and the
 /// `‖x‖² + ‖y‖² − 2x·y` arithmetic with the blocked path, so both
-/// produce bit-identical graphs.
+/// produce bit-identical graphs. It symmetrises its own lists the
+/// pre-overhaul way, scanning each whole list per membership test and
+/// appending reverse edges in place, independently of the CSR graph's
+/// two-pass fill.
 pub fn similarity_graph_naive(
     features: &[Vec<f64>],
     k: usize,
@@ -648,7 +758,14 @@ pub fn similarity_graph_naive(
         neighbours.truncate(k);
         adj[i] = neighbours;
     }
-    symmetrize(&mut adj, &mut Vec::new());
+    for i in 0..n {
+        for e in 0..adj[i].len() {
+            let (j, w) = adj[i][e];
+            if !adj[j].iter().any(|&(t, _)| t == i) {
+                adj[j].push((i, w));
+            }
+        }
+    }
     adj
 }
 
@@ -678,7 +795,7 @@ pub fn label_propagation_seeded(
     assert_eq!(seed.len(), adj.len(), "one seed label per node");
     let mut labels: Vec<usize> = seed.to_vec();
     propagate_in_place(
-        adj,
+        &KnnGraph::from_lists(adj),
         max_iters,
         &mut labels,
         &mut Vec::new(),
@@ -691,13 +808,13 @@ pub fn label_propagation_seeded(
 /// already hold one seed label per node). Same deterministic update rule
 /// as [`label_propagation`].
 fn propagate_in_place(
-    adj: &[Vec<(usize, f64)>],
+    adj: &KnnGraph,
     max_iters: usize,
     labels: &mut [usize],
     votes: &mut Vec<(usize, f64)>,
     dirty: &mut Vec<bool>,
 ) {
-    let n = adj.len();
+    let n = adj.nodes();
     // Worklist memoization: a node whose neighbourhood labels have not
     // changed since its last evaluation votes identically, so skipping
     // it is exact — each round visits the same changing nodes, in the
@@ -708,7 +825,8 @@ fn propagate_in_place(
     for _ in 0..max_iters {
         let mut changed = false;
         for i in 0..n {
-            if adj[i].is_empty() || !dirty[i] {
+            let edges = adj.neighbours(i);
+            if edges.is_empty() || !dirty[i] {
                 continue;
             }
             dirty[i] = false;
@@ -720,7 +838,7 @@ fn propagate_in_place(
             // (first touch included — `0.0 + w` mirrors
             // `or_insert(0.0) += w`).
             votes.clear();
-            for &(j, w) in &adj[i] {
+            for &(j, w) in edges {
                 let l = labels[j];
                 match votes.iter_mut().find(|&&mut (vl, _)| vl == l) {
                     Some(&mut (_, ref mut vw)) => *vw += w,
@@ -746,7 +864,7 @@ fn propagate_in_place(
                 labels[i] = best.0;
                 changed = true;
                 // The vote of every neighbour now has a changed input.
-                for &(j, _) in &adj[i] {
+                for &(j, _) in edges {
                     dirty[j] = true;
                 }
             }
@@ -762,16 +880,17 @@ fn propagate_in_place(
 /// "one deviant home" of E-M6 — score high.
 pub fn deviation_scores(adj: &[Vec<(usize, f64)>], labels: &[usize]) -> Vec<f64> {
     let mut scores = Vec::new();
-    deviation_scores_into(adj, labels, &mut scores);
+    deviation_scores_into(&KnnGraph::from_lists(adj), labels, &mut scores);
     scores
 }
 
 /// Fills `scores` with per-node deviation, reusing its allocation. Same
 /// arithmetic as [`deviation_scores`] (weights summed in adjacency
-/// order), but without collecting per-node weight vectors.
-pub fn deviation_scores_into(adj: &[Vec<(usize, f64)>], labels: &[usize], scores: &mut Vec<f64>) {
+/// order), over the CSR graph.
+pub fn deviation_scores_into(adj: &KnnGraph, labels: &[usize], scores: &mut Vec<f64>) {
     scores.clear();
-    for (i, edges) in adj.iter().enumerate() {
+    for i in 0..adj.nodes() {
+        let edges = adj.neighbours(i);
         let mut sum = 0.0f64;
         let mut count = 0usize;
         for &(j, w) in edges {
@@ -835,7 +954,7 @@ pub fn community_report(
 
 /// Reusable working set for the whole community pipeline: the SoA
 /// feature matrix, the row-grouping buffers, the distinct-row distance
-/// table and selection scratch, the adjacency lists, and the
+/// table and selection scratch, the CSR kNN graph, and the
 /// label/score outputs. A long-lived correlator keeps one of these
 /// across epochs so the steady-state pipeline allocates nothing.
 #[derive(Debug, Clone, Default)]
@@ -862,9 +981,12 @@ pub struct GraphScratch {
     sel: Vec<(f64, usize)>,
     /// Own kNN-list length per node, recorded before symmetrizing.
     own: Vec<usize>,
+    /// Reverse-edge count, then write cursor, per node while
+    /// symmetrizing.
+    fill: Vec<usize>,
     votes: Vec<(usize, f64)>,
     dirty: Vec<bool>,
-    adj: Vec<Vec<(usize, f64)>>,
+    adj: KnnGraph,
     labels: Vec<usize>,
     scores: Vec<f64>,
 }
@@ -876,7 +998,7 @@ impl GraphScratch {
     }
 
     /// The kNN graph from the last run: `(neighbour, weight)` per node.
-    pub fn adjacency(&self) -> &[Vec<(usize, f64)>] {
+    pub fn adjacency(&self) -> &KnnGraph {
         &self.adj
     }
 

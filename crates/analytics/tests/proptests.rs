@@ -6,7 +6,8 @@ use xlf_analytics::dfa::Dfa;
 use xlf_analytics::features::window_features;
 use xlf_analytics::fingerprint::{levenshtein, normalized_distance};
 use xlf_analytics::graph::{
-    deviation_scores, label_propagation, similarity_graph, similarity_graph_naive,
+    community_report_into, deviation_scores, label_propagation, label_propagation_seeded,
+    normalize_features, similarity_graph, similarity_graph_naive, GraphScratch,
 };
 use xlf_analytics::kernel::{center, Kernel};
 use xlf_analytics::timeseries::EwmaDetector;
@@ -184,6 +185,62 @@ proptest! {
             &similarity_graph(&features, k, gamma),
             &similarity_graph_naive(&features, k, gamma),
         )?;
+    }
+}
+
+proptest! {
+    /// The scratch pipeline over its CSR graph computes exactly what
+    /// the retained naive pieces compute over per-node lists: normalize,
+    /// `similarity_graph_naive`, `label_propagation_seeded` from the same
+    /// seed labels, `deviation_scores`, with labels equal and scores
+    /// bit-equal. Rows come from a pool of a few patterns, so most rows
+    /// have exact duplicates and the lowest-index members of a large
+    /// group collect reverse edges from the whole group (hub degree far
+    /// above k), which is where the CSR fill and the per-node appends
+    /// could disagree on order. The scratch first runs an unrelated
+    /// epoch, so stale buffers would show.
+    #[test]
+    fn csr_community_report_equals_naive_pipeline(
+        pool in prop::collection::vec(
+            prop::collection::vec(
+                prop::sample::select(vec![0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 300.0]),
+                4,
+            ),
+            1..5,
+        ),
+        dims in 1usize..5,
+        picks in prop::collection::vec(0usize..4, 1..90),
+        warmup in prop::collection::vec(0usize..4, 1..90),
+        k in 1usize..9,
+        gamma in prop::sample::select(vec![0.01, 0.5, 8.0, 1e6]),
+        seed_labels in prop::collection::vec(0usize..12, 90),
+    ) {
+        let rows = |picks: &[usize]| -> Vec<Vec<f64>> {
+            picks.iter().map(|&p| pool[p % pool.len()][..dims].to_vec()).collect()
+        };
+        let features = rows(&picks);
+        let n = features.len();
+        let seed = &seed_labels[..n];
+        const ITERS: usize = 100;
+
+        let mut scratch = GraphScratch::new();
+        scratch.matrix.fill_from_rows(&rows(&warmup));
+        community_report_into(k, gamma, ITERS, None, &mut scratch);
+        scratch.matrix.fill_from_rows(&features);
+        community_report_into(k, gamma, ITERS, Some(seed), &mut scratch);
+
+        let mut normalized = features.clone();
+        normalize_features(&mut normalized);
+        let adj = similarity_graph_naive(&normalized, k.min(n - 1).max(1), gamma);
+        let graph = scratch.adjacency();
+        prop_assert_eq!(graph.nodes(), n);
+        assert_graphs_bit_equal(&graph.to_lists(), &adj)?;
+        let labels = label_propagation_seeded(&adj, ITERS, seed);
+        prop_assert_eq!(scratch.labels(), &labels[..]);
+        let scores = deviation_scores(&adj, &labels);
+        for (i, (a, b)) in scratch.scores().iter().zip(&scores).enumerate() {
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "node {} score {} vs {}", i, a, b);
+        }
     }
 }
 

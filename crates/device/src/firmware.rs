@@ -285,24 +285,28 @@ pub struct FirmwareStore {
     /// one factory image.
     installed: Arc<FirmwareImage>,
     policy: UpdatePolicy,
-    vendor_secret: Vec<u8>,
+    /// Shared, never written: every store a campaign or kit builds for
+    /// one vendor points at one copy.
+    vendor_secret: Arc<[u8]>,
     /// History of applied versions (newest last).
     pub history: Vec<Version>,
 }
 
 impl FirmwareStore {
-    /// Initializes the store with a factory image.
+    /// Initializes the store with a factory image. Pass the secret as an
+    /// `Arc<[u8]>` clone to share one copy across stores; a `&[u8]` is
+    /// copied once.
     pub fn new(
         factory: impl Into<Arc<FirmwareImage>>,
         policy: UpdatePolicy,
-        vendor_secret: &[u8],
+        vendor_secret: impl Into<Arc<[u8]>>,
     ) -> Self {
         let factory = factory.into();
         let v = factory.version;
         FirmwareStore {
             installed: factory,
             policy,
-            vendor_secret: vendor_secret.to_vec(),
+            vendor_secret: vendor_secret.into(),
             history: vec![v],
         }
     }
@@ -317,8 +321,10 @@ impl FirmwareStore {
     /// # Errors
     ///
     /// Any [`FirmwareError`] per the policy checks; on error the installed
-    /// image is unchanged.
-    pub fn apply(&mut self, image: FirmwareImage) -> Result<(), FirmwareError> {
+    /// image is unchanged. Pass an `Arc<FirmwareImage>` clone to share one
+    /// image across stores.
+    pub fn apply(&mut self, image: impl Into<Arc<FirmwareImage>>) -> Result<(), FirmwareError> {
+        let image = image.into();
         if self.policy.require_signature && image.signature.is_none() {
             return Err(FirmwareError::Unsigned);
         }
@@ -330,7 +336,7 @@ impl FirmwareStore {
             });
         }
         self.history.push(image.version);
-        self.installed = Arc::new(image);
+        self.installed = image;
         Ok(())
     }
 
@@ -347,13 +353,17 @@ impl FirmwareStore {
     /// [`FirmwareError::Unsigned`], [`FirmwareError::BadSignature`] or
     /// [`FirmwareError::CorruptImage`] per the policy checks; on error
     /// the installed image is unchanged.
-    pub fn apply_rollback(&mut self, image: FirmwareImage) -> Result<(), FirmwareError> {
+    pub fn apply_rollback(
+        &mut self,
+        image: impl Into<Arc<FirmwareImage>>,
+    ) -> Result<(), FirmwareError> {
+        let image = image.into();
         if self.policy.require_signature && image.signature.is_none() {
             return Err(FirmwareError::Unsigned);
         }
         image.verify(&self.vendor_secret)?;
         self.history.push(image.version);
-        self.installed = Arc::new(image);
+        self.installed = image;
         Ok(())
     }
 

@@ -202,7 +202,7 @@ impl DeviceKit {
         } else {
             UpdatePolicy::strict()
         };
-        let firmware = FirmwareStore::new(factory, policy, &config.vendor_secret);
+        let firmware = FirmwareStore::new(factory, policy, config.vendor_secret.as_slice());
         DeviceKit {
             config: Arc::new(config),
             firmware: Arc::new(firmware),

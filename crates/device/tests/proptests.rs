@@ -75,7 +75,7 @@ proptest! {
         (version(), any::<bool>()), 1..16)) {
         let secret = b"vendor secret";
         let factory = FirmwareImage::signed(Version(1, 0, 0), "acme", b"v1".to_vec(), secret);
-        let mut store = FirmwareStore::new(factory, UpdatePolicy::strict(), secret);
+        let mut store = FirmwareStore::new(factory, UpdatePolicy::strict(), &secret[..]);
         let mut last = Version(1, 0, 0);
         for (v, sign) in updates {
             let image = if sign {

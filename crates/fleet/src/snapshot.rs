@@ -99,7 +99,7 @@ impl From<CheckpointError> for SnapshotError {
         match e {
             CheckpointError::Truncated => SnapshotError::Truncated,
             CheckpointError::TrailingBytes => SnapshotError::TrailingBytes,
-            CheckpointError::WindowOrder => SnapshotError::Truncated,
+            CheckpointError::WindowOrder | CheckpointError::KeyOrder => SnapshotError::Truncated,
         }
     }
 }

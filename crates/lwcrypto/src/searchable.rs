@@ -271,6 +271,9 @@ pub struct TokenIndex {
     heads: TokenMap<Vec<u32>>,
     /// Full token sequences, in the id order given to [`TokenIndex::build`].
     rules: Vec<Vec<Token>>,
+    /// Rules in `heads` (the non-empty ones): how many first matches a
+    /// scan can find before it stops early.
+    indexed: usize,
 }
 
 impl TokenIndex {
@@ -279,12 +282,18 @@ impl TokenIndex {
     /// never match, mirroring [`match_rule`].
     pub fn build(rules: Vec<Vec<Token>>) -> Self {
         let mut heads: TokenMap<Vec<u32>> = TokenMap::default();
+        let mut indexed = 0;
         for (id, rule) in rules.iter().enumerate() {
             if let Some(first) = rule.first() {
                 heads.entry(token_key(first)).or_default().push(id as u32);
+                indexed += 1;
             }
         }
-        TokenIndex { heads, rules }
+        TokenIndex {
+            heads,
+            rules,
+            indexed,
+        }
     }
 
     /// Number of indexed rules.
@@ -302,7 +311,7 @@ impl TokenIndex {
     pub fn find_first_per_rule_into(&self, traffic: &[Token], out: &mut Vec<Option<usize>>) {
         out.clear();
         out.resize(self.rules.len(), None);
-        let mut remaining = self.heads.values().map(Vec::len).sum::<usize>();
+        let mut remaining = self.indexed;
         if remaining == 0 {
             return;
         }

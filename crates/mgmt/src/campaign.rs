@@ -16,9 +16,17 @@
 //! an unsigned, implant-carrying image) therefore reaches at most the
 //! first wave's share of the fleet before containment — the Table II
 //! firmware-modulation attack met with detection *and* response.
+//!
+//! The engine keeps one slot per target in a vector sorted by home id
+//! (a lookup is a binary search, every pass walks it in id order, as
+//! its checkpoint is written). The slots' firmware stores share one
+//! factory image, one copy of the vendor secret and, per wave, the one
+//! release image the server built for it; a slot owns only its flags
+//! and its version history.
 
 use crate::command::{CommandBus, CommandKind, Disposition};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 use xlf_attacks::device::{FirmwareTamperer, IMPLANT_MARKER};
 use xlf_cloud::OtaServer;
 use xlf_device::firmware::{FirmwareImage, FirmwareStore, UpdatePolicy, Version};
@@ -155,6 +163,8 @@ pub struct TargetHome {
 /// campaign did to it.
 #[derive(Debug, Clone)]
 struct DeviceSlot {
+    /// Fleet-wide home id (the slot table's sort key).
+    home: u64,
     store: FirmwareStore,
     point: u64,
     /// The release was offered (a home is offered at most once; a
@@ -230,9 +240,10 @@ pub struct CampaignReport {
 #[derive(Debug, Clone)]
 pub struct CampaignEngine {
     spec: CampaignSpec,
-    factory: FirmwareImage,
+    factory: Arc<FirmwareImage>,
     server: OtaServer,
-    slots: BTreeMap<u64, DeviceSlot>,
+    /// One slot per target, in strictly ascending home id.
+    slots: Vec<DeviceSlot>,
     waves_run: Vec<WaveReport>,
     halted: Option<(usize, u64, f64)>,
     done: bool,
@@ -242,7 +253,7 @@ impl CampaignEngine {
     /// Builds the engine: a per-target firmware-store replica (factory
     /// image installed; policy from the target's vulnerability profile)
     /// and the vendor's OTA server with the release staged — compromised
-    /// when the spec says so.
+    /// when the spec says so. A home listed twice keeps its last entry.
     pub fn new(
         spec: CampaignSpec,
         master_seed: u64,
@@ -250,37 +261,44 @@ impl CampaignEngine {
         vendor: &'static str,
         vendor_secret: &'static [u8],
     ) -> Self {
-        let factory = FirmwareImage::signed(
+        let factory = Arc::new(FirmwareImage::signed(
             Version(1, 0, 0),
             vendor,
             b"factory firmware".to_vec(),
             vendor_secret,
-        );
+        ));
+        let secret: Arc<[u8]> = Arc::from(vendor_secret);
         let mut server = OtaServer::new(vendor, vendor_secret);
         server.publish(&spec.device, spec.version, spec.payload.clone());
         if spec.tampered {
             server.compromise(FirmwareTamperer::ota_implant());
         }
-        let slots = targets
+        // Reversed, then stably sorted: the first of each home's entries
+        // is its last target, the one the dedup keeps.
+        let mut slots: Vec<DeviceSlot> = targets
             .iter()
+            .rev()
             .map(|t| {
                 let policy = if t.promiscuous {
                     UpdatePolicy::promiscuous()
                 } else {
                     UpdatePolicy::strict()
                 };
-                let slot = DeviceSlot {
-                    store: FirmwareStore::new(factory.clone(), policy, vendor_secret),
+                DeviceSlot {
+                    home: t.home,
+                    store: FirmwareStore::new(Arc::clone(&factory), policy, Arc::clone(&secret)),
                     point: cohort_point(master_seed, t.home),
                     offered: false,
                     updated_epoch: None,
                     compromised: false,
                     rolled_back: false,
                     quarantined: false,
-                };
-                (t.home, slot)
+                }
             })
             .collect();
+        slots.sort_by_key(|s| s.home);
+        slots.dedup_by_key(|s| s.home);
+        slots.shrink_to_fit();
         CampaignEngine {
             spec,
             factory,
@@ -303,8 +321,11 @@ impl CampaignEngine {
     /// into the home's traffic windows.
     pub fn implant_active(&self, home: u64) -> bool {
         self.slots
-            .get(&home)
-            .is_some_and(|s| s.compromised && !s.rolled_back && !s.quarantined)
+            .binary_search_by_key(&home, |s| s.home)
+            .is_ok_and(|i| {
+                let s = &self.slots[i];
+                s.compromised && !s.rolled_back && !s.quarantined
+            })
     }
 
     /// Whether the gate has halted the rollout.
@@ -350,32 +371,31 @@ impl CampaignEngine {
 
     /// `|flagged ∩ updated| / |updated|`; `None` before any update.
     fn updated_deviation_rate(&self, flagged: &BTreeSet<u64>) -> Option<f64> {
-        let updated: Vec<u64> = self
-            .slots
-            .iter()
-            .filter(|(_, s)| s.updated_epoch.is_some())
-            .map(|(&h, _)| h)
-            .collect();
-        if updated.is_empty() {
-            return None;
-        }
-        let deviant = updated.iter().filter(|h| flagged.contains(h)).count();
-        Some(deviant as f64 / updated.len() as f64)
+        let updated = self.slots.iter().filter(|s| s.updated_epoch.is_some());
+        let (total, deviant) = updated.fold((0usize, 0usize), |(total, deviant), s| {
+            (total + 1, deviant + usize::from(flagged.contains(&s.home)))
+        });
+        (total > 0).then(|| deviant as f64 / total as f64)
     }
 
     fn launch_wave(&mut self, wave: usize, epoch: u64, bus: &mut CommandBus) {
         let share = self.spec.waves[wave] as u64;
         let (mut cohort, mut applied, mut rejected) = (0u64, 0u64, 0u64);
-        for (&home, slot) in self.slots.iter_mut() {
+        // The server builds the same image for every home of a wave, so
+        // it is built once and every slot that applies it shares it;
+        // each device still verifies it.
+        let image = self.server.image_for(&self.spec.device).map(Arc::new);
+        for slot in self.slots.iter_mut() {
+            let home = slot.home;
             if slot.point >= share || slot.offered {
                 continue;
             }
             slot.offered = true;
             cohort += 1;
-            let Some(image) = self.server.image_for(&self.spec.device) else {
+            let Some(image) = &image else {
                 continue;
             };
-            match slot.store.apply(image) {
+            match slot.store.apply(Arc::clone(image)) {
                 Ok(()) => {
                     applied += 1;
                     slot.updated_epoch = Some(epoch);
@@ -416,11 +436,12 @@ impl CampaignEngine {
     fn halt(&mut self, wave: usize, epoch: u64, rate: f64, bus: &mut CommandBus) {
         self.halted = Some((wave, epoch, rate));
         self.done = true;
-        for (&home, slot) in self.slots.iter_mut() {
+        for slot in self.slots.iter_mut() {
+            let home = slot.home;
             if slot.updated_epoch.is_none() {
                 continue;
             }
-            match slot.store.apply_rollback(self.factory.clone()) {
+            match slot.store.apply_rollback(Arc::clone(&self.factory)) {
                 Ok(()) => {
                     slot.rolled_back = true;
                     bus.record(
@@ -460,8 +481,8 @@ impl CampaignEngine {
     /// [`CampaignEngine::restore_state`] overlays this state.
     pub fn checkpoint_into(&self, w: &mut Writer) {
         w.usize(self.slots.len());
-        for (&home, slot) in &self.slots {
-            w.u64(home);
+        for slot in &self.slots {
+            w.u64(slot.home);
             w.bool(slot.offered);
             match slot.updated_epoch {
                 Some(e) => {
@@ -508,18 +529,18 @@ impl CampaignEngine {
     /// # Errors
     ///
     /// [`CheckpointError`] on any framing violation or malformed content
-    /// (unknown home id, malformed firmware image, invalid tag byte).
+    /// (malformed firmware image, invalid tag byte);
+    /// [`CheckpointError::KeyOrder`] unless the slots' home ids are
+    /// exactly this engine's targets, in ascending order.
     pub fn restore_state(&mut self, r: &mut Reader) -> Result<(), CheckpointError> {
         let n = r.usize()?;
         if n != self.slots.len() {
             return Err(CheckpointError::Truncated);
         }
-        for _ in 0..n {
-            let home = r.u64()?;
-            let slot = self
-                .slots
-                .get_mut(&home)
-                .ok_or(CheckpointError::Truncated)?;
+        for slot in &mut self.slots {
+            if r.u64()? != slot.home {
+                return Err(CheckpointError::KeyOrder);
+            }
             slot.offered = r.bool()?;
             slot.updated_epoch = match r.u8()? {
                 0 => None,
@@ -562,18 +583,15 @@ impl CampaignEngine {
 
     /// The campaign's final accounting.
     pub fn report(&self) -> CampaignReport {
-        let updated = self
-            .slots
-            .values()
-            .filter(|s| s.updated_epoch.is_some())
-            .count() as u64;
-        let compromised = self.slots.values().filter(|s| s.compromised).count() as u64;
-        let rolled_back = self.slots.values().filter(|s| s.rolled_back).count() as u64;
-        let quarantined = self.slots.values().filter(|s| s.quarantined).count() as u64;
+        let count = |f: fn(&DeviceSlot) -> bool| self.slots.iter().filter(|s| f(s)).count() as u64;
+        let updated = count(|s| s.updated_epoch.is_some());
+        let compromised = count(|s| s.compromised);
+        let rolled_back = count(|s| s.rolled_back);
+        let quarantined = count(|s| s.quarantined);
         let rejected = self.waves_run.iter().map(|w| w.rejected).sum();
         let implant_free = self
             .slots
-            .values()
+            .iter()
             .all(|s| !s.store.payload_contains(IMPLANT_MARKER));
         CampaignReport {
             name: self.spec.name.clone(),
@@ -827,6 +845,72 @@ mod tests {
         let mut w1 = Writer::new();
         first.checkpoint_into(&mut w1);
         assert_eq!(w1.into_bytes(), w2.into_bytes());
+    }
+
+    /// The checkpoint's slot ids must be the engine's targets in
+    /// ascending order: a swapped pair, a repeated id or an unknown one
+    /// is rejected, not looked up slot by slot.
+    #[test]
+    fn campaign_restore_rejects_slots_out_of_id_order() {
+        let homes = [1001u64, 1002, 1003];
+        let targets: Vec<TargetHome> = homes
+            .iter()
+            .map(|&home| TargetHome {
+                home,
+                promiscuous: true,
+            })
+            .collect();
+        let mk = || CampaignEngine::new(spec(), 7, &targets, VENDOR, SECRET);
+        let mut w = Writer::new();
+        mk().checkpoint_into(&mut w);
+        let bytes = w.into_bytes();
+        let at: Vec<usize> = homes
+            .iter()
+            .map(|h| {
+                let le = h.to_le_bytes();
+                let found: Vec<usize> = (0..bytes.len() - 7)
+                    .filter(|&i| bytes[i..i + 8] == le)
+                    .collect();
+                assert_eq!(found.len(), 1, "home {h} written once");
+                found[0]
+            })
+            .collect();
+        let with_ids = |ids: [u64; 3]| {
+            let mut crafted = bytes.clone();
+            for (&pos, id) in at.iter().zip(ids) {
+                crafted[pos..pos + 8].copy_from_slice(&id.to_le_bytes());
+            }
+            crafted
+        };
+        let restore = |bytes: &[u8]| {
+            let mut engine = mk();
+            let mut r = Reader::new(bytes);
+            engine.restore_state(&mut r).and_then(|()| r.finish())
+        };
+        assert_eq!(restore(&with_ids(homes)), Ok(()));
+        for ids in [[1002, 1001, 1003], [1001, 1001, 1003], [1001, 1002, 9999]] {
+            assert_eq!(
+                restore(&with_ids(ids)),
+                Err(CheckpointError::KeyOrder),
+                "ids {ids:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn targets_are_kept_in_id_order_and_a_repeat_keeps_its_last_entry() {
+        let targets = [(5, false), (2, false), (5, true)]
+            .map(|(home, promiscuous)| TargetHome { home, promiscuous });
+        let engine = CampaignEngine::new(spec(), 7, &targets, VENDOR, SECRET);
+        let homes: Vec<u64> = engine.slots.iter().map(|s| s.home).collect();
+        assert_eq!(homes, vec![2, 5]);
+        let mut tampered = CampaignEngine::new(spec().with_tampered(), 7, &targets, VENDOR, SECRET);
+        drive(&mut tampered, 12, &BTreeSet::new());
+        assert!(
+            tampered.implant_active(5),
+            "home 5 runs its last, promiscuous entry"
+        );
+        assert!(!tampered.implant_active(2));
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! resets the observed fingerprint to the golden one.
 
 use crate::command::{CommandBus, CommandKind, Disposition};
-use std::collections::BTreeMap;
 use xlf_simnet::splitmix64;
 use xlf_stream::{CheckpointError, Reader, Writer};
 
@@ -73,12 +72,20 @@ pub struct ConfigAuditReport {
     pub remediated: u64,
 }
 
+/// One managed home's config fingerprints.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct HomeConfig {
+    home: u64,
+    golden: u64,
+    observed: u64,
+}
+
 /// Runs the periodic config-hash audit over the managed homes.
 #[derive(Debug, Clone)]
 pub struct ConfigAuditor {
     spec: ConfigAuditSpec,
-    /// home → (golden hash, observed hash).
-    configs: BTreeMap<u64, (u64, u64)>,
+    /// One entry per managed home, in strictly ascending home id.
+    configs: Vec<HomeConfig>,
     /// Homes stamped into the drift cohort (may not have drifted yet).
     drift_cohort: u64,
     audits: u64,
@@ -91,22 +98,32 @@ impl ConfigAuditor {
     /// cohort is stamped with the same layout-invariant hashing as
     /// campaign waves, under its own salt.
     pub fn new(spec: ConfigAuditSpec, master_seed: u64, homes: &[u64]) -> Self {
-        let mut configs = BTreeMap::new();
+        let mut configs = Vec::with_capacity(homes.len());
         let mut drift_cohort = 0u64;
         for &home in homes {
             let golden = golden_config_hash(master_seed, home);
             let h0 = splitmix64(master_seed ^ splitmix64(home));
             let h1 = splitmix64(h0);
             let point = splitmix64(h1 ^ DRIFT_SALT) % 100;
-            if point < spec.drift_pct as u64 {
+            // A drifting home remembers the value its observed hash
+            // flips to at drift_epoch.
+            let observed = if point < spec.drift_pct as u64 {
                 drift_cohort += 1;
-                // Mark for mutation at drift_epoch by remembering the
-                // drifted value the observed hash will flip to.
-                configs.insert(home, (golden, golden ^ splitmix64(golden)));
+                golden ^ splitmix64(golden)
             } else {
-                configs.insert(home, (golden, golden));
-            }
+                golden
+            };
+            configs.push(HomeConfig {
+                home,
+                golden,
+                observed,
+            });
         }
+        // A home listed twice has one entry (both are the same pure
+        // function of the home id).
+        configs.sort_unstable_by_key(|c| c.home);
+        configs.dedup();
+        configs.shrink_to_fit();
         ConfigAuditor {
             spec,
             configs,
@@ -129,15 +146,15 @@ impl ConfigAuditor {
         if epoch < self.spec.drift_epoch {
             return;
         }
-        for (&home, (golden, observed)) in self.configs.iter_mut() {
-            if observed == golden {
+        for config in self.configs.iter_mut() {
+            if config.observed == config.golden {
                 continue;
             }
             self.detected += 1;
-            *observed = *golden;
+            config.observed = config.golden;
             self.remediated += 1;
             bus.record(
-                home,
+                config.home,
                 "config",
                 epoch,
                 CommandKind::ConfigRemediate,
@@ -156,9 +173,9 @@ impl ConfigAuditor {
         w.u64(self.detected);
         w.u64(self.remediated);
         w.usize(self.configs.len());
-        for (&home, &(_, observed)) in &self.configs {
-            w.u64(home);
-            w.u64(observed);
+        for config in &self.configs {
+            w.u64(config.home);
+            w.u64(config.observed);
         }
     }
 
@@ -167,8 +184,9 @@ impl ConfigAuditor {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError`] on any framing violation or on a home id not
-    /// managed by this auditor.
+    /// [`CheckpointError`] on any framing violation;
+    /// [`CheckpointError::KeyOrder`] unless the home ids are exactly
+    /// this auditor's managed homes, in ascending order.
     pub fn restore_state(&mut self, r: &mut Reader) -> Result<(), CheckpointError> {
         self.audits = r.u64()?;
         self.detected = r.u64()?;
@@ -177,14 +195,11 @@ impl ConfigAuditor {
         if n != self.configs.len() {
             return Err(CheckpointError::Truncated);
         }
-        for _ in 0..n {
-            let home = r.u64()?;
-            let observed = r.u64()?;
-            let entry = self
-                .configs
-                .get_mut(&home)
-                .ok_or(CheckpointError::Truncated)?;
-            entry.1 = observed;
+        for config in &mut self.configs {
+            if r.u64()? != config.home {
+                return Err(CheckpointError::KeyOrder);
+            }
+            config.observed = r.u64()?;
         }
         Ok(())
     }
@@ -279,6 +294,41 @@ mod tests {
         }
         assert_eq!(resumed.report(), golden.report());
         assert_eq!(bus_resumed, bus_golden);
+    }
+
+    /// The checkpoint's home ids must be the auditor's homes in
+    /// ascending order; a swapped pair, a repeated id or an unknown one
+    /// is rejected. Each home's record is its id and observed hash, after
+    /// the three tallies and the count.
+    #[test]
+    fn restore_rejects_homes_out_of_id_order() {
+        use xlf_stream::{Reader, Writer};
+        let homes = [4u64, 7, 9];
+        let mk = || ConfigAuditor::new(ConfigAuditSpec::new(3), 11, &homes);
+        let mut w = Writer::new();
+        mk().checkpoint_into(&mut w);
+        let bytes = w.into_bytes();
+        let with_ids = |ids: [u64; 3]| {
+            let mut crafted = bytes.clone();
+            for (i, id) in ids.into_iter().enumerate() {
+                let at = 32 + 16 * i;
+                crafted[at..at + 8].copy_from_slice(&id.to_le_bytes());
+            }
+            crafted
+        };
+        let restore = |bytes: &[u8]| {
+            let mut auditor = mk();
+            let mut r = Reader::new(bytes);
+            auditor.restore_state(&mut r).and_then(|()| r.finish())
+        };
+        assert_eq!(restore(&with_ids(homes)), Ok(()));
+        for ids in [[7, 4, 9], [4, 4, 9], [4, 7, 8]] {
+            assert_eq!(
+                restore(&with_ids(ids)),
+                Err(CheckpointError::KeyOrder),
+                "ids {ids:?}"
+            );
+        }
     }
 
     #[test]

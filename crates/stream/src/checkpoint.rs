@@ -19,6 +19,10 @@ pub enum CheckpointError {
     /// A home's windows are not in strictly ascending window order (see
     /// [`WindowLog::restore_from`](crate::WindowLog::restore_from)).
     WindowOrder,
+    /// An id-keyed table's ids do not strictly ascend, or a table keyed
+    /// by another's ids names different ones (see
+    /// [`StreamCorrelator::restore_from`](crate::StreamCorrelator::restore_from)).
+    KeyOrder,
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -27,6 +31,7 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::Truncated => write!(f, "checkpoint truncated"),
             CheckpointError::TrailingBytes => write!(f, "trailing bytes after checkpoint"),
             CheckpointError::WindowOrder => write!(f, "windows out of order in checkpoint"),
+            CheckpointError::KeyOrder => write!(f, "table ids out of order in checkpoint"),
         }
     }
 }

@@ -1,6 +1,15 @@
 //! The epoch-by-epoch stream correlator: folds window summaries into
 //! online robust statistics, re-runs the community pass incrementally,
 //! and fires epoch-stamped, deduplicated fleet detections mid-run.
+//!
+//! Per-home state lives in one vector sorted by home id, each entry
+//! carrying its community label: an epoch's summaries, sorted by
+//! `(home, window)`, fold in with a forward cursor, the graph matrix is
+//! written in table order, and the checkpoint writes the home and label
+//! tables in that same ascending order, so its bytes are those a map
+//! keyed by home id wrote. Homes that join late are merged in once per
+//! epoch. A restore takes the tables as written and rejects, rather
+//! than re-sorts, ids that do not strictly ascend.
 
 use crate::checkpoint::{CheckpointError, Reader, Writer};
 use crate::stats::{RobustAccumulator, WindowProfile};
@@ -58,9 +67,15 @@ pub struct StreamOutcome {
     pub windows_shed: u64,
 }
 
-/// Per-home streaming state.
+/// Per-home streaming state: one entry of the correlator's id-sorted
+/// home table.
 #[derive(Debug, Clone, PartialEq)]
 struct HomeState {
+    /// Fleet-wide home id (the table's sort key).
+    id: u64,
+    /// Community label, carried across epochs (the incremental seed for
+    /// label propagation).
+    label: u64,
     /// Whether any summary was marked partial.
     partial: bool,
     /// Cumulative sum per feature (== the home's batch counters up to
@@ -71,8 +86,10 @@ struct HomeState {
 }
 
 impl HomeState {
-    fn new() -> Self {
+    fn new(id: u64, label: u64) -> Self {
         HomeState {
+            id,
+            label,
             partial: false,
             cumulative: [0.0; STREAM_FEATURES],
             profile: WindowProfile::default(),
@@ -91,8 +108,8 @@ impl HomeState {
     }
 }
 
-/// Reusable per-epoch working buffers: the fold order and id/seed
-/// staging vectors and the whole graph-pipeline scratch, whose matrix
+/// Reusable per-epoch working buffers: the fold order and seed staging
+/// vectors and the whole graph-pipeline scratch, whose matrix
 /// the homes' features are written into. Transient working state only —
 /// excluded from equality and from checkpoints, so checkpoint bytes are
 /// identical to the pre-scratch format.
@@ -100,7 +117,6 @@ impl HomeState {
 struct CorrelatorScratch {
     /// Indices into the epoch's summaries, in `(home, window)` order.
     order: Vec<usize>,
-    ids: Vec<u64>,
     seed: Vec<usize>,
     graph: GraphScratch,
     finite: Vec<f64>,
@@ -119,10 +135,9 @@ pub struct StreamCorrelator {
     next_label: u64,
     windows_ingested: u64,
     windows_shed: u64,
-    homes: BTreeMap<u64, HomeState>,
-    /// Community label per home, carried across epochs (the incremental
-    /// seed for label propagation).
-    labels: BTreeMap<u64, u64>,
+    /// Every home seen so far, in strictly ascending id order, each
+    /// carrying its label.
+    homes: Vec<HomeState>,
     /// Homes already flagged (dedup set).
     flagged: BTreeSet<u64>,
     /// First-detection epoch per flagged home.
@@ -141,7 +156,6 @@ impl PartialEq for StreamCorrelator {
             && self.windows_ingested == other.windows_ingested
             && self.windows_shed == other.windows_shed
             && self.homes == other.homes
-            && self.labels == other.labels
             && self.flagged == other.flagged
             && self.first_detection == other.first_detection
             && self.epochs == other.epochs
@@ -187,7 +201,6 @@ impl StreamCorrelator {
     pub fn ingest_epoch(&mut self, summaries: &[WindowSummary]) -> EpochRecord {
         let CorrelatorScratch {
             order,
-            ids,
             seed,
             graph,
             finite,
@@ -196,9 +209,16 @@ impl StreamCorrelator {
         order.clear();
         order.extend(0..summaries.len());
         order.sort_by_key(|&i| (summaries[i].home, summaries[i].window));
+        join_new_homes(
+            &mut self.homes,
+            &mut self.next_label,
+            order.iter().map(|&i| summaries[i].home),
+        );
+        let mut at = 0;
         for &i in order.iter() {
             let s = &summaries[i];
-            let state = self.homes.entry(s.home).or_insert_with(HomeState::new);
+            at += self.homes[at..].partition_point(|h| h.id < s.home);
+            let state = &mut self.homes[at];
             state.partial |= s.partial;
             let window = s
                 .features
@@ -213,27 +233,18 @@ impl StreamCorrelator {
         // Incremental community pass over every home seen so far, run
         // entirely in the reusable scratch buffers: after the first
         // epoch at a given fleet size this allocates nothing.
-        ids.clear();
-        ids.extend(self.homes.keys().copied());
-        graph.matrix.refill(ids.len(), 2 * STREAM_FEATURES, |out| {
-            for state in self.homes.values() {
-                state.graph_features_into(out);
-            }
-        });
-        seed.clear();
-        for id in ids.iter() {
-            seed.push(match self.labels.get(id) {
-                Some(&l) => l as usize,
-                None => {
-                    let fresh = self.next_label;
-                    self.next_label += 1;
-                    fresh as usize
+        graph
+            .matrix
+            .refill(self.homes.len(), 2 * STREAM_FEATURES, |out| {
+                for state in &self.homes {
+                    state.graph_features_into(out);
                 }
             });
-        }
+        seed.clear();
+        seed.extend(self.homes.iter().map(|h| h.label as usize));
         community_report_into(GRAPH_K, GRAPH_GAMMA, GRAPH_ITERS, Some(seed), graph);
-        for (id, &label) in ids.iter().zip(graph.labels()) {
-            self.labels.insert(*id, label as u64);
+        for (state, &label) in self.homes.iter_mut().zip(graph.labels()) {
+            state.label = label as u64;
         }
 
         // Adaptive robust threshold over this epoch's deviation scores —
@@ -246,16 +257,15 @@ impl StreamCorrelator {
         // Epoch-stamped detection with dedup: a home fires at most one
         // alert across the whole run; repeats are counted, not re-raised.
         let (mut alerts, mut deduped) = (0u64, 0u64);
-        for (i, &id) in ids.iter().enumerate() {
-            let score = graph.scores()[i];
+        for (state, &score) in self.homes.iter().zip(graph.scores()) {
             let deviant = score.is_finite() && score >= threshold;
-            let critical = self.homes[&id].cumulative[CRITICAL_DELTA] > 0.0;
+            let critical = state.cumulative[CRITICAL_DELTA] > 0.0;
             if !(deviant || critical) {
                 continue;
             }
-            if self.flagged.insert(id) {
+            if self.flagged.insert(state.id) {
                 alerts += 1;
-                self.first_detection.insert(id, self.epoch);
+                self.first_detection.insert(state.id, self.epoch);
             } else {
                 deduped += 1;
             }
@@ -263,7 +273,7 @@ impl StreamCorrelator {
 
         let record = EpochRecord {
             epoch: self.epoch,
-            homes: ids.len() as u64,
+            homes: self.homes.len() as u64,
             alerts,
             deduped,
         };
@@ -281,8 +291,8 @@ impl StreamCorrelator {
             partial_homes: self
                 .homes
                 .iter()
-                .filter(|(_, s)| s.partial)
-                .map(|(&id, _)| id)
+                .filter(|s| s.partial)
+                .map(|s| s.id)
                 .collect(),
             windows_ingested: self.windows_ingested,
             windows_shed: self.windows_shed,
@@ -293,24 +303,27 @@ impl StreamCorrelator {
     /// bytes, always: the checkpoint of a resumed run byte-equals the
     /// checkpoint of an uninterrupted one. The caller's framing (the
     /// fleet's run snapshot) carries the magic, version and checksum.
+    ///
+    /// The home table is written as two id-keyed tables, in ascending
+    /// id: each home's statistics, then each home's label.
     pub fn checkpoint_into(&self, w: &mut Writer) {
         w.u64(self.epoch);
         w.u64(self.next_label);
         w.u64(self.windows_ingested);
         w.u64(self.windows_shed);
         w.usize(self.homes.len());
-        for (id, state) in &self.homes {
-            w.u64(*id);
+        for state in &self.homes {
+            w.u64(state.id);
             w.bool(state.partial);
             for v in state.cumulative {
                 w.f64(v);
             }
             state.profile.checkpoint_into(w);
         }
-        w.usize(self.labels.len());
-        for (id, label) in &self.labels {
-            w.u64(*id);
-            w.u64(*label);
+        w.usize(self.homes.len());
+        for state in &self.homes {
+            w.u64(state.id);
+            w.u64(state.label);
         }
         w.usize(self.flagged.len());
         for id in &self.flagged {
@@ -333,45 +346,72 @@ impl StreamCorrelator {
     /// Reads a correlator written by [`StreamCorrelator::checkpoint_into`]
     /// from `r`. Continuing a restored correlator produces byte-identical
     /// state and outcome to never having checkpointed.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::KeyOrder`] when the home, flagged or
+    /// first-detection ids do not strictly ascend, or the label table's
+    /// ids are not exactly the home ids in order: a checkpoint never
+    /// holds such tables, and re-sorting or deduplicating them would
+    /// restore a state no run reached. Other malformed bytes fail as
+    /// their [`Reader`] read does.
     pub fn restore_from(r: &mut Reader) -> Result<StreamCorrelator, CheckpointError> {
         let epoch = r.u64()?;
         let next_label = r.u64()?;
         let windows_ingested = r.u64()?;
         let windows_shed = r.u64()?;
         let n_homes = r.usize()?;
-        let mut homes = BTreeMap::new();
+        let mut homes: Vec<HomeState> = Vec::new();
         for _ in 0..n_homes {
             let id = r.u64()?;
+            if homes.last().is_some_and(|h| h.id >= id) {
+                return Err(CheckpointError::KeyOrder);
+            }
             let partial = r.bool()?;
             let mut cumulative = [0.0; STREAM_FEATURES];
             for v in cumulative.iter_mut() {
                 *v = r.f64()?;
             }
             let profile = WindowProfile::restore_from(r)?;
-            homes.insert(
+            homes.push(HomeState {
                 id,
-                HomeState {
-                    partial,
-                    cumulative,
-                    profile,
-                },
-            );
+                label: 0,
+                partial,
+                cumulative,
+                profile,
+            });
         }
-        let n_labels = r.usize()?;
-        let mut labels = BTreeMap::new();
-        for _ in 0..n_labels {
-            let id = r.u64()?;
-            labels.insert(id, r.u64()?);
+        // The untrusted count is not used to reserve; the table is
+        // trimmed to its size instead, as a live one is.
+        homes.shrink_to_fit();
+        if r.usize()? != homes.len() {
+            return Err(CheckpointError::KeyOrder);
+        }
+        for state in &mut homes {
+            if r.u64()? != state.id {
+                return Err(CheckpointError::KeyOrder);
+            }
+            state.label = r.u64()?;
         }
         let n_flagged = r.usize()?;
         let mut flagged = BTreeSet::new();
         for _ in 0..n_flagged {
-            flagged.insert(r.u64()?);
+            let id = r.u64()?;
+            if flagged.last().is_some_and(|&last| last >= id) {
+                return Err(CheckpointError::KeyOrder);
+            }
+            flagged.insert(id);
         }
         let n_first = r.usize()?;
         let mut first_detection = BTreeMap::new();
         for _ in 0..n_first {
             let id = r.u64()?;
+            if first_detection
+                .last_key_value()
+                .is_some_and(|(&last, _)| last >= id)
+            {
+                return Err(CheckpointError::KeyOrder);
+            }
             first_detection.insert(id, r.u64()?);
         }
         let n_epochs = r.usize()?;
@@ -390,13 +430,47 @@ impl StreamCorrelator {
             windows_ingested,
             windows_shed,
             homes,
-            labels,
             flagged,
             first_detection,
             epochs,
             scratch: CorrelatorScratch::default(),
         })
     }
+}
+
+/// Adds the homes of `ids` (ascending, repeats allowed) that `homes`
+/// (strictly ascending) lacks, each with the next fresh label in id
+/// order: the seed a home's first label propagation starts from. When
+/// any are new, the table is rebuilt once by a merge, exactly sized, so
+/// neither a late joiner shifts the table nor its capacity doubles.
+fn join_new_homes(
+    homes: &mut Vec<HomeState>,
+    next_label: &mut u64,
+    ids: impl Iterator<Item = u64> + Clone,
+) {
+    fn distinct(ids: impl Iterator<Item = u64>) -> impl Iterator<Item = u64> {
+        let mut last = None;
+        ids.filter(move |&id| last.replace(id) != Some(id))
+    }
+    let fresh = distinct(ids.clone())
+        .filter(|&id| homes.binary_search_by_key(&id, |h| h.id).is_err())
+        .count();
+    if fresh == 0 {
+        return;
+    }
+    let mut merged = Vec::with_capacity(homes.len() + fresh);
+    let mut old = std::mem::take(homes).into_iter().peekable();
+    for id in distinct(ids) {
+        while let Some(state) = old.next_if(|h| h.id < id) {
+            merged.push(state);
+        }
+        if old.peek().is_none_or(|h| h.id != id) {
+            merged.push(HomeState::new(id, *next_label));
+            *next_label += 1;
+        }
+    }
+    merged.extend(old);
+    *homes = merged;
 }
 
 #[cfg(test)]

@@ -5,7 +5,8 @@
 
 use proptest::prelude::*;
 use xlf_stream::{
-    CheckpointError, Reader, StreamCorrelator, WindowSummary, Writer, STREAM_FEATURES,
+    CheckpointError, Reader, RobustAccumulator, StreamCorrelator, WindowSummary, Writer,
+    STREAM_FEATURES,
 };
 
 fn checkpoint(correlator: &StreamCorrelator) -> Vec<u8> {
@@ -66,6 +67,95 @@ fn trailing_bytes_are_rejected() {
     let mut bytes = populated_checkpoint();
     bytes.push(0);
     assert_eq!(restore(&bytes).err(), Some(CheckpointError::TrailingBytes));
+}
+
+/// A hand-written checkpoint at epoch 1 whose id-keyed tables hold the
+/// ids given: each home has an empty profile, the label table names
+/// `labels` (labels 0, 1, …), and each first detection is epoch 0.
+fn crafted(homes: &[u64], labels: &[u64], flagged: &[u64], first: &[u64]) -> Vec<u8> {
+    let mut w = Writer::new();
+    // Epoch, next label, windows ingested, windows shed.
+    for counter in [1, homes.len() as u64, 0, 0] {
+        w.u64(counter);
+    }
+    w.usize(homes.len());
+    for &id in homes {
+        w.u64(id);
+        w.bool(false);
+        for _ in 0..STREAM_FEATURES {
+            w.f64(0.0);
+        }
+        for _ in 0..STREAM_FEATURES {
+            RobustAccumulator::new().checkpoint_into(&mut w);
+        }
+    }
+    w.usize(labels.len());
+    for (label, &id) in labels.iter().enumerate() {
+        w.u64(id);
+        w.u64(label as u64);
+    }
+    w.usize(flagged.len());
+    for &id in flagged {
+        w.u64(id);
+    }
+    w.usize(first.len());
+    for &id in first {
+        w.u64(id);
+        w.u64(0);
+    }
+    w.usize(0);
+    w.into_bytes()
+}
+
+#[test]
+fn crafted_tables_in_id_order_restore_to_the_same_bytes() {
+    let bytes = crafted(&[3, 5, 9], &[3, 5, 9], &[5, 9], &[5, 9]);
+    let restored = restore(&bytes).expect("a well-ordered checkpoint restores");
+    assert_eq!(checkpoint(&restored), bytes);
+}
+
+/// A map keyed by home id would re-sort or merge these tables and
+/// restore a correlator no run reached; the id-sorted table rejects
+/// them.
+#[test]
+fn home_ids_that_do_not_strictly_ascend_are_rejected() {
+    for homes in [[5, 3, 9], [3, 3, 9], [3, 9, 5]] {
+        let bytes = crafted(&homes, &homes, &[], &[]);
+        assert_eq!(
+            restore(&bytes).err(),
+            Some(CheckpointError::KeyOrder),
+            "homes {homes:?}"
+        );
+    }
+}
+
+#[test]
+fn label_ids_other_than_the_home_ids_are_rejected() {
+    let homes = [3, 5, 9];
+    for labels in [
+        &[3, 5][..],
+        &[3, 5, 9, 11],
+        &[3, 9, 5],
+        &[3, 5, 7],
+        &[3, 3, 9],
+        &[],
+    ] {
+        let bytes = crafted(&homes, labels, &[], &[]);
+        assert_eq!(
+            restore(&bytes).err(),
+            Some(CheckpointError::KeyOrder),
+            "labels {labels:?}"
+        );
+    }
+}
+
+#[test]
+fn flagged_and_first_detection_ids_must_strictly_ascend() {
+    let homes = [3, 5, 9];
+    let bad = crafted(&homes, &homes, &[9, 5], &[]);
+    assert_eq!(restore(&bad).err(), Some(CheckpointError::KeyOrder));
+    let bad = crafted(&homes, &homes, &[], &[5, 5]);
+    assert_eq!(restore(&bad).err(), Some(CheckpointError::KeyOrder));
 }
 
 proptest! {
