@@ -10,7 +10,7 @@
 
 use crate::mirai::CNC_SIGNATURES;
 use xlf_device::firmware::{FirmwareImage, Version};
-use xlf_simnet::{Body, Bytes, Context, Duration, Medium, Network, Node, NodeId, Packet};
+use xlf_simnet::{Body, Context, Duration, Medium, Network, Node, NodeId, Packet, Payload};
 
 /// When every scripted attack fires (s of simulated time): 60 s after
 /// the experiment homes' learning window closes (`LEARNING_END_S` in
@@ -139,7 +139,7 @@ impl Node for ScriptedAttacker {
 }
 
 /// Sends `body` carrying `payload` to `dst`, `after_s` seconds from now.
-fn send(ctx: &mut Context<'_>, dst: NodeId, body: Body, payload: impl Into<Bytes>, after_s: u64) {
+fn send(ctx: &mut Context<'_>, dst: NodeId, body: Body, payload: impl Into<Payload>, after_s: u64) {
     let packet = Packet::new(ctx.id(), dst, body, payload);
     ctx.send_after(dst, packet, Duration::from_secs(after_s));
 }

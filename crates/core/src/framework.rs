@@ -1121,18 +1121,6 @@ impl HomeRunner {
     /// Summarizes the run so far without consuming the runner (no final
     /// evaluation sweep; call [`XlfCore::evaluate`] yourself if needed).
     pub fn report(&self, now: SimTime) -> HomeReport {
-        let core = self.home.core.borrow();
-        let mut by_layer = [0usize; 3];
-        for e in core.store.all() {
-            let idx = match e.layer {
-                crate::evidence::Layer::Device => 0,
-                crate::evidence::Layer::Network => 1,
-                crate::evidence::Layer::Service => 2,
-            };
-            by_layer[idx] += 1;
-        }
-        drop(core);
-
         // Fused verdict per device; the most suspicious one is the
         // home's headline. Iteration is in BTreeMap (name) order, ties
         // keep the first name — deterministic.
@@ -1147,6 +1135,9 @@ impl HomeRunner {
         }
         let top_device = top.unwrap_or_default().to_string();
 
+        // Read after the verdicts: scoring drains pending evidence into
+        // the store first.
+        let probe = self.probe();
         let gateway = self.home.gateway_ref();
         let quarantined: Vec<String> = self
             .home
@@ -1162,17 +1153,17 @@ impl HomeRunner {
         let core = self.home.core.borrow();
         HomeReport {
             seed: self.home.net.seed(),
-            evidence_total: core.store.len(),
+            evidence_total: probe.evidence_total,
             evidence_dropped: core.bus.dropped(),
             evidence_shed: core.bus.shed(),
-            evidence_by_layer: by_layer,
-            warning_alerts: core.alerts.at_least(Severity::Warning).len(),
-            critical_alerts: core.alerts.at_least(Severity::Critical).len(),
+            evidence_by_layer: probe.evidence_by_layer,
+            warning_alerts: probe.warning_alerts,
+            critical_alerts: probe.critical_alerts,
             quarantined,
             top_device,
             top_score,
-            forwarded: gateway.forwarded,
-            dropped_packets: gateway.dropped,
+            forwarded: probe.forwarded,
+            dropped_packets: probe.dropped_packets,
             features,
         }
     }

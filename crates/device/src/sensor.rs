@@ -3,7 +3,7 @@
 //! so experiments that learn behaviour profiles are exactly repeatable.
 
 use std::fmt::{self, Write};
-use xlf_simnet::{Bytes, SimTime};
+use xlf_simnet::{Payload, SimTime};
 
 /// The sensing modality of a device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -95,7 +95,7 @@ impl Sensor {
     /// cut) to exactly `size` bytes, the telemetry size of the device's
     /// state. The text is formatted on the stack and then written
     /// straight into the one buffer the payload keeps.
-    pub fn encode_reading(&self, at: SimTime, size: usize) -> Bytes {
+    pub fn encode_reading(&self, at: SimTime, size: usize) -> Payload {
         let mut text = ReadingText {
             bytes: [0; READING_TEXT_MAX],
             len: 0,
@@ -214,7 +214,7 @@ mod tests {
         assert!(text.starts_with("Power="));
         let value = text.trim_end().strip_prefix("Power=").unwrap();
         assert_eq!(value, format!("{:.2}", s.read(SimTime::from_secs(10))));
-        assert_eq!(s.encode_reading(SimTime::from_secs(10), 4), b"Powe"[..]);
+        assert_eq!(&s.encode_reading(SimTime::from_secs(10), 4)[..], b"Powe");
     }
 
     fn fixed2(value: f64) -> String {

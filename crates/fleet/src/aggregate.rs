@@ -38,8 +38,8 @@ use xlf_mgmt::{
 use xlf_onboard::DENY_CAUSES;
 use xlf_simnet::SimTime;
 use xlf_stream::{
-    EpochRecord, RobustAccumulator, StreamCorrelator, WindowSummary, GRAPH_GAMMA, GRAPH_ITERS,
-    GRAPH_K, MIN_DEVIATION, SIGMA,
+    feature, EpochRecord, RobustAccumulator, StreamCorrelator, WindowSummary, GRAPH_GAMMA,
+    GRAPH_ITERS, GRAPH_K, MIN_DEVIATION, SIGMA,
 };
 
 /// Vendor the control plane's campaigns sign as. Matches the vendor the
@@ -49,13 +49,6 @@ const CAMPAIGN_VENDOR: &str = "acme";
 /// The campaign vendor's signing secret (shared with the devices'
 /// verification keys, as the single-vendor fleet model assumes).
 const CAMPAIGN_VENDOR_SECRET: &[u8] = b"acme vendor secret";
-
-/// `WindowSummary` feature indices the active implant perturbs (must
-/// match the `probe_delta` order in `engine.rs` /
-/// [`xlf_stream::STREAM_FEATURES`]).
-const FEAT_CRITICALS: usize = 5;
-const FEAT_WIRE_BYTES: usize = 8;
-const FEAT_PACKETS: usize = 9;
 
 /// Version of the [`FleetReport::to_json`] schema. Bump on any
 /// field add/remove/rename/reorder; goldens under `crates/fleet/tests/`
@@ -925,9 +918,9 @@ impl<'a> FleetAggregator<'a> {
                     if engines.iter().any(|e| e.implant_active(w.home)) {
                         // A live implant beacons: critical alerts from
                         // the home's own layers plus a C&C traffic bump.
-                        w.features[FEAT_CRITICALS] += 2.0;
-                        w.features[FEAT_WIRE_BYTES] += 90_000.0;
-                        w.features[FEAT_PACKETS] += 900.0;
+                        w.features[feature::CRITICALS] += 2.0;
+                        w.features[feature::WIRE_BYTES] += 90_000.0;
+                        w.features[feature::PACKETS] += 900.0;
                     }
                 }
             }

@@ -46,7 +46,7 @@ use xlf_attacks::scripted;
 use xlf_core::framework::{HomeKit, HomeProbe, HomeReport, HomeRunner, XlfHome};
 use xlf_simnet::observer::PacketRecord;
 use xlf_simnet::{Context, Duration, FaultPlan, Node, SimTime};
-use xlf_stream::{WindowBuffer, WindowLog, WindowSummary, STREAM_FEATURES};
+use xlf_stream::{feature, WindowBuffer, WindowLog, WindowSummary, STREAM_FEATURES};
 
 /// A home that could not be built. Workers ship this to the aggregator
 /// instead of panicking, so one malformed home degrades the fleet report
@@ -241,21 +241,23 @@ struct AttemptSummary {
     stream: HomeStream,
 }
 
-/// The per-window feature delta between two cumulative probes (see
-/// [`xlf_stream::STREAM_FEATURES`] for the dimension order).
+/// The per-window feature delta between two cumulative probes.
 fn probe_delta(prev: &HomeProbe, now: &HomeProbe) -> [f64; STREAM_FEATURES] {
-    [
-        now.evidence_total.saturating_sub(prev.evidence_total) as f64,
-        now.evidence_by_layer[0].saturating_sub(prev.evidence_by_layer[0]) as f64,
-        now.evidence_by_layer[1].saturating_sub(prev.evidence_by_layer[1]) as f64,
-        now.evidence_by_layer[2].saturating_sub(prev.evidence_by_layer[2]) as f64,
-        now.warning_alerts.saturating_sub(prev.warning_alerts) as f64,
-        now.critical_alerts.saturating_sub(prev.critical_alerts) as f64,
-        now.forwarded.saturating_sub(prev.forwarded) as f64,
-        now.dropped_packets.saturating_sub(prev.dropped_packets) as f64,
-        now.wire_bytes.saturating_sub(prev.wire_bytes) as f64,
-        now.packets.saturating_sub(prev.packets) as f64,
-    ]
+    let count = |now: usize, prev: usize| now.saturating_sub(prev) as f64;
+    let total = |now: u64, prev: u64| now.saturating_sub(prev) as f64;
+    let (layers, prev_layers) = (now.evidence_by_layer, prev.evidence_by_layer);
+    let mut d = [0.0; STREAM_FEATURES];
+    d[feature::EVIDENCE] = count(now.evidence_total, prev.evidence_total);
+    d[feature::DEVICE_EVIDENCE] = count(layers[0], prev_layers[0]);
+    d[feature::NETWORK_EVIDENCE] = count(layers[1], prev_layers[1]);
+    d[feature::SERVICE_EVIDENCE] = count(layers[2], prev_layers[2]);
+    d[feature::WARNINGS] = count(now.warning_alerts, prev.warning_alerts);
+    d[feature::CRITICALS] = count(now.critical_alerts, prev.critical_alerts);
+    d[feature::FORWARDED] = total(now.forwarded, prev.forwarded);
+    d[feature::DROPPED] = total(now.dropped_packets, prev.dropped_packets);
+    d[feature::WIRE_BYTES] = total(now.wire_bytes, prev.wire_bytes);
+    d[feature::PACKETS] = total(now.packets, prev.packets);
+    d
 }
 
 /// One stop on a home's run schedule: run to `at_us`, then drain
@@ -558,11 +560,13 @@ fn worker_loop(
 /// Runs the whole fleet: stamps the homes, shards them across
 /// `spec.workers` threads under per-home supervision, aggregates the
 /// outcomes into the fleet report. `metrics` is updated live from every
-/// worker. Returns an error only when the *engine* lost work (worker
-/// thread panic outside the supervisor, accounting violation) or a
-/// configured run snapshot could not be written — per-home failures are
-/// rows in the report, not errors.
+/// worker. Returns an error only when [`FleetSpec::check`] refuses the
+/// spec, the *engine* lost work (worker thread panic outside the
+/// supervisor, accounting violation) or a configured run snapshot could
+/// not be written — per-home failures are rows in the report, not
+/// errors.
 pub fn run_fleet(spec: &FleetSpec, metrics: &FleetMetrics) -> Result<FleetReport, FleetError> {
+    spec.check().map_err(FleetError::Spec)?;
     run_fleet_inner(spec, metrics, None)
 }
 
@@ -577,6 +581,7 @@ pub fn run_fleet_chaos(
     metrics: &FleetMetrics,
     kill: KillPoint,
 ) -> Result<FleetReport, FleetError> {
+    spec.check().map_err(FleetError::Spec)?;
     run_fleet_inner(spec, metrics, Some(kill))
 }
 
@@ -592,6 +597,7 @@ pub fn run_fleet_resume(
     spec: &FleetSpec,
     metrics: &FleetMetrics,
 ) -> Result<FleetReport, FleetError> {
+    spec.check().map_err(FleetError::Spec)?;
     let Some(policy) = spec.run_snapshot.as_ref() else {
         return Err(FleetError::Snapshot(SnapshotError::Io(
             "resume requires a run-snapshot policy on the spec".to_string(),

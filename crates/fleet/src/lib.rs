@@ -74,7 +74,8 @@ pub use snapshot::{
     RUN_SNAPSHOT_VERSION,
 };
 pub use spec::{
-    FleetAttack, FleetFault, FleetSpec, HomeSpec, HomeTemplate, RowPolicy, FLEET_FAULT_KINDS,
+    FleetAttack, FleetFault, FleetSpec, HomeSpec, HomeTemplate, RowPolicy, SpecError,
+    FLEET_FAULT_KINDS,
 };
 pub use supervise::{FleetError, HomeOutcome, HomeRunError, ShardError};
 pub use xlf_mgmt::{

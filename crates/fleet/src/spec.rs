@@ -350,7 +350,8 @@ pub struct FleetSpec {
     /// pass (one [`xlf_mgmt::CampaignEngine`] each). Campaigns consume
     /// the correlator's flagged set as their between-wave health gate,
     /// so they require streamed correlation
-    /// ([`FleetSpec::with_campaign`] asserts it). Empty = no campaigns
+    /// ([`FleetSpec::with_campaign`] asserts it, [`FleetSpec::check`]
+    /// refuses a spec without it). Empty = no campaigns
     /// and a `null` `campaigns` report section.
     pub campaigns: Vec<CampaignSpec>,
     /// Periodic config-drift audit the control plane runs during the
@@ -571,6 +572,34 @@ impl FleetSpec {
         self
     }
 
+    /// Checks what the public fields can set but no fleet can run; the
+    /// run entry points ([`crate::run_fleet`], [`crate::run_fleet_chaos`],
+    /// [`crate::run_fleet_resume`]) refuse such a spec before stamping a
+    /// home. Zero `region_slots`, `workers` and `regions` are not errors:
+    /// each runs as one.
+    pub fn check(&self) -> Result<(), SpecError> {
+        let streamed = self.correlation_interval.is_some();
+        if !self.templates.iter().any(|t| t.share > 0) {
+            Err(SpecError::EmptyMix("templates"))
+        } else if !self.attacks.iter().any(|&(_, share)| share > 0) {
+            Err(SpecError::EmptyMix("attacks"))
+        } else if !self.faults.iter().any(|&(_, share)| share > 0) {
+            Err(SpecError::EmptyMix("faults"))
+        } else if self.correlation_interval == Some(0) {
+            Err(SpecError::ZeroInterval)
+        } else if self.run_snapshot.as_ref().is_some_and(|p| p.every == 0) {
+            Err(SpecError::ZeroSnapshotCadence)
+        } else if !streamed && !self.campaigns.is_empty() {
+            Err(SpecError::NeedsStreaming("campaigns"))
+        } else if !streamed && self.config_audit.is_some() {
+            Err(SpecError::NeedsStreaming("config_audit"))
+        } else if streamed && self.row_policy == RowPolicy::CandidatesOnly {
+            Err(SpecError::CandidatesOnlyStreamed)
+        } else {
+            Ok(())
+        }
+    }
+
     /// Number of correlation windows (== stream epochs) a full-horizon
     /// home emits: one per whole `correlation_interval`, plus a final
     /// shorter window when the horizon is not a multiple. 0 in batch
@@ -688,6 +717,43 @@ impl FleetSpec {
         }
     }
 }
+
+/// Why [`FleetSpec::check`] refused a spec.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpecError {
+    /// The named mix (`templates`, `attacks` or `faults`) is empty or
+    /// has no positive share, so no home could be stamped from it.
+    EmptyMix(&'static str),
+    /// `correlation_interval` is `Some(0)`.
+    ZeroInterval,
+    /// `run_snapshot` cuts every 0 epochs.
+    ZeroSnapshotCadence,
+    /// The named control-plane field (`campaigns` or `config_audit`)
+    /// runs in the stream pass, but the spec has no
+    /// `correlation_interval`.
+    NeedsStreaming(&'static str),
+    /// Candidates-only rows keep too little for the stream pass, which
+    /// replays every home's windows.
+    CandidatesOnlyStreamed,
+}
+
+impl std::fmt::Display for SpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SpecError::EmptyMix(mix) => write!(f, "the {mix} mix has no positive share"),
+            SpecError::ZeroInterval => f.write_str("the correlation interval is zero"),
+            SpecError::ZeroSnapshotCadence => f.write_str("the run-snapshot cadence is zero"),
+            SpecError::NeedsStreaming(field) => {
+                write!(f, "{field} is set without a correlation interval")
+            }
+            SpecError::CandidatesOnlyStreamed => {
+                f.write_str("candidates-only rows cannot be streamed")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SpecError {}
 
 /// Stamps homes of one spec on demand; see [`FleetSpec::stamp_one`].
 #[derive(Debug, Clone, Copy)]

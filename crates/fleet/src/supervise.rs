@@ -5,6 +5,7 @@
 
 use crate::engine::HomeBuildError;
 use crate::snapshot::{KillPoint, SnapshotError};
+use crate::spec::SpecError;
 use std::fmt;
 use xlf_core::framework::HomeReport;
 
@@ -86,6 +87,9 @@ impl HomeOutcome {
 /// (those become report rows): these mean the *engine itself* lost work.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FleetError {
+    /// The spec describes no runnable fleet (see
+    /// [`crate::FleetSpec::check`]); refused before any home ran.
+    Spec(SpecError),
     /// A worker thread itself panicked outside the per-home supervisor
     /// (the supervisor catches home panics, so this is engine-level).
     WorkerPanic(String),
@@ -113,6 +117,7 @@ pub enum FleetError {
 impl fmt::Display for FleetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            FleetError::Spec(e) => write!(f, "invalid fleet spec: {e}"),
             FleetError::WorkerPanic(msg) => write!(f, "fleet worker thread panicked: {msg}"),
             FleetError::Accounting {
                 expected,

@@ -53,17 +53,17 @@ pub mod nat;
 mod node;
 pub mod observer;
 mod packet;
+mod payload;
 pub mod queue;
 mod time;
 
-/// The payload buffer type of [`Packet::payload`].
-pub use bytes::Bytes;
 pub use engine::{Context, Event, Network, NetworkStats};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use link::LinkConfig;
 pub use medium::Medium;
 pub use node::{AsAny, Node, NodeId};
 pub use packet::{Body, FlowKey, Packet, Protocol};
+pub use payload::Payload;
 pub use time::{Duration, SimTime};
 
 /// SplitMix64: a stateless 64-bit mixer. The fleet's home stamping, the

@@ -1,7 +1,7 @@
 //! Packets and flows: the unit of traffic every XLF mechanism observes.
 
 use crate::node::NodeId;
-use bytes::Bytes;
+use crate::payload::Payload;
 use std::borrow::Cow;
 use std::fmt;
 use std::rc::Rc;
@@ -74,7 +74,7 @@ pub struct Packet {
     /// Protocol tag (defaults to [`Protocol::App`]).
     pub protocol: Protocol,
     /// Application payload.
-    pub payload: Bytes,
+    pub payload: Payload,
     /// Bytes on the wire as seen by observers; defaults to
     /// `payload.len() + 40` (IP+transport overhead) and may be raised by
     /// padding (traffic shaping) but never below the payload.
@@ -253,7 +253,12 @@ pub const HEADER_OVERHEAD: usize = 40;
 impl Packet {
     /// Creates a packet with default protocol/overhead. `body` is a
     /// [`Body`], or a `&'static str` for a [`Body::Bare`] kind.
-    pub fn new(src: NodeId, dst: NodeId, body: impl Into<Body>, payload: impl Into<Bytes>) -> Self {
+    pub fn new(
+        src: NodeId,
+        dst: NodeId,
+        body: impl Into<Body>,
+        payload: impl Into<Payload>,
+    ) -> Self {
         let payload = payload.into();
         let wire_size = payload.len() + HEADER_OVERHEAD;
         Packet {

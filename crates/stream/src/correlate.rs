@@ -13,14 +13,10 @@
 
 use crate::checkpoint::{CheckpointError, Reader, Writer};
 use crate::stats::{RobustAccumulator, WindowProfile};
-use crate::window::{WindowSummary, STREAM_FEATURES};
+use crate::window::{feature, WindowSummary, STREAM_FEATURES};
 use std::collections::{BTreeMap, BTreeSet};
 use xlf_analytics::graph::{community_report_into, GraphScratch};
 use xlf_analytics::robust::MAD_SIGMA;
-
-/// Feature index of the per-window critical-alert delta (see
-/// [`crate::window::STREAM_FEATURES`]).
-const CRITICAL_DELTA: usize = 5;
 
 /// kNN graph degree of the community pass.
 pub const GRAPH_K: usize = 8;
@@ -259,7 +255,7 @@ impl StreamCorrelator {
         let (mut alerts, mut deduped) = (0u64, 0u64);
         for (state, &score) in self.homes.iter().zip(graph.scores()) {
             let deviant = score.is_finite() && score >= threshold;
-            let critical = state.cumulative[CRITICAL_DELTA] > 0.0;
+            let critical = state.cumulative[feature::CRITICALS] > 0.0;
             if !(deviant || critical) {
                 continue;
             }
@@ -502,14 +498,14 @@ mod tests {
         for home in 0..6u64 {
             for w in 0..n_epochs {
                 let mut features = [0.0; STREAM_FEATURES];
-                features[0] = 4.0 + home as f64 * 0.01; // evidence
-                features[6] = 50.0 + home as f64 * 0.1; // forwarded
-                features[8] = 5_000.0; // wire bytes
-                features[9] = 60.0; // packets
+                features[feature::EVIDENCE] = 4.0 + home as f64 * 0.01;
+                features[feature::FORWARDED] = 50.0 + home as f64 * 0.1;
+                features[feature::WIRE_BYTES] = 5_000.0;
+                features[feature::PACKETS] = 60.0;
                 if home == deviant && w >= attack_from {
-                    features[CRITICAL_DELTA] = 2.0;
-                    features[8] = 90_000.0;
-                    features[9] = 900.0;
+                    features[feature::CRITICALS] = 2.0;
+                    features[feature::WIRE_BYTES] = 90_000.0;
+                    features[feature::PACKETS] = 900.0;
                 }
                 windows.push(WindowSummary {
                     home,

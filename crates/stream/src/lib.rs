@@ -42,4 +42,4 @@ pub use correlate::{
     SIGMA,
 };
 pub use stats::RobustAccumulator;
-pub use window::{WindowBuffer, WindowLog, WindowSummary, STREAM_FEATURES};
+pub use window::{feature, WindowBuffer, WindowLog, WindowSummary, STREAM_FEATURES};

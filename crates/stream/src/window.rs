@@ -6,22 +6,35 @@ use crate::checkpoint::{CheckpointError, Reader, Writer};
 use std::collections::VecDeque;
 use std::fmt;
 
-/// Dimensions of a [`WindowSummary::features`] vector. Order (all deltas
-/// are over one window, computed from side-effect-free home snapshots):
-///
-/// | idx | meaning                                   |
-/// |-----|-------------------------------------------|
-/// | 0   | evidence records fused                    |
-/// | 1   | device-layer evidence records             |
-/// | 2   | network-layer evidence records            |
-/// | 3   | service-layer evidence records            |
-/// | 4   | warning-severity alerts raised            |
-/// | 5   | critical-severity alerts raised           |
-/// | 6   | packets forwarded by the gateway          |
-/// | 7   | packets dropped by the gateway            |
-/// | 8   | wire bytes observed on the home's links   |
-/// | 9   | packets observed on the home's links      |
-pub const STREAM_FEATURES: usize = 10;
+/// The index of each [`WindowSummary::features`] dimension. Every
+/// feature is a delta over one window, computed from side-effect-free
+/// home snapshots.
+pub mod feature {
+    /// Evidence records fused.
+    pub const EVIDENCE: usize = 0;
+    /// Device-layer evidence records.
+    pub const DEVICE_EVIDENCE: usize = 1;
+    /// Network-layer evidence records.
+    pub const NETWORK_EVIDENCE: usize = 2;
+    /// Service-layer evidence records.
+    pub const SERVICE_EVIDENCE: usize = 3;
+    /// Warning-severity alerts raised.
+    pub const WARNINGS: usize = 4;
+    /// Critical-severity alerts raised.
+    pub const CRITICALS: usize = 5;
+    /// Packets forwarded by the gateway.
+    pub const FORWARDED: usize = 6;
+    /// Packets dropped by the gateway.
+    pub const DROPPED: usize = 7;
+    /// Wire bytes observed on the home's links.
+    pub const WIRE_BYTES: usize = 8;
+    /// Packets observed on the home's links.
+    pub const PACKETS: usize = 9;
+}
+
+/// Dimensions of a [`WindowSummary::features`] vector, indexed by the
+/// constants of [`feature`].
+pub const STREAM_FEATURES: usize = feature::PACKETS + 1;
 
 /// One home's behaviour/evidence/verdict movement over one correlation
 /// window (`window * interval` .. `(window + 1) * interval` simulated
