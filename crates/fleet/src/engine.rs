@@ -1293,4 +1293,18 @@ mod tests {
         assert_eq!(sizes, [32, 32, 6], "full messages, then one partial");
         assert_eq!(in_flight.load(Ordering::Relaxed), 3, "none received yet");
     }
+
+    #[test]
+    fn a_worker_panic_outside_the_home_supervisor_is_a_structured_error() {
+        // `run_fleet` refuses an empty attack mix, but the run past the
+        // spec check must still report a worker that panics before any
+        // home is supervised (here, stamping divides by a zero share
+        // total) instead of unwinding.
+        let mut spec = FleetSpec::new(0xFA17_0002, 4).with_workers(2);
+        spec.attacks.clear();
+        match super::run_fleet_inner(&spec, &FleetMetrics::new(), None).err() {
+            Some(FleetError::WorkerPanic(msg)) => assert!(msg.contains("remainder"), "{msg}"),
+            other => panic!("expected a worker panic, got {other:?}"),
+        }
+    }
 }
