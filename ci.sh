@@ -41,6 +41,14 @@ echo "== cargo build --release --workspace && cargo test --workspace -q"
 cargo build --release --workspace --locked
 cargo test --workspace --locked -q
 
+# The print-only binaries that read the attack vocabulary (the catalog
+# and the scenarios) run to completion: a panic in one fails here. Only
+# the exit status is checked; no printed value is gated.
+for bin in figure3 table2 figure4; do
+    echo "== $bin"
+    ./target/release/"$bin" >/dev/null
+done
+
 # The five micro-benches (ciphers, dpi, auth, shaping, crosslayer) run,
 # not only compile: each prints one timing line per closure. `--bench '*'`
 # selects the bench targets only; without it the library's and every

@@ -1,6 +1,7 @@
 //! The attack catalog: Figure 3's OWASP surface-area mapping and Table
 //! II's vulnerability/attack/impact rows, tied to the executable attack
-//! implementations in this crate.
+//! implementations, and [`HomeAttack`], the attack one experiment home
+//! runs, keyed to its catalog row.
 
 use std::fmt;
 
@@ -60,6 +61,19 @@ pub enum AttackKind {
     EventSpoofing,
     /// §IV-C2: over-privileged SmartApp abuse.
     OverprivilegedApp,
+    /// Onboarding: a joining device presents a captured token, expired
+    /// or already spent, to the gateway's resource server. Filed under
+    /// [`SurfaceArea::DeviceNetworkServices`]: Figure 3 has no onboarding
+    /// area, and the join is a CoAP exchange with a network service the
+    /// gateway exposes to every device, OWASP's home for replay and
+    /// missing message integrity.
+    TokenReplay,
+    /// Onboarding: the join token is minted by an authorization server
+    /// that does not hold the fleet secret. Filed under
+    /// [`SurfaceArea::DeviceNetworkServices`] for the same reason as
+    /// [`AttackKind::TokenReplay`]: the forged token is presented to the
+    /// gateway's join service.
+    RogueAs,
 }
 
 /// Catalog entry: where the attack lives and what it does.
@@ -207,7 +221,7 @@ pub fn attack_catalog() -> Vec<AttackSpec> {
             surface: CloudApis,
             xlf_layer: "service (application verification)",
             table2_row: None,
-            implemented_by: "xlf_attacks::spoof::EventSpoofer",
+            implemented_by: "xlf_attacks::scripted::ScriptedAttacker",
         },
         AttackSpec {
             kind: OverprivilegedApp,
@@ -216,7 +230,158 @@ pub fn attack_catalog() -> Vec<AttackSpec> {
             table2_row: None,
             implemented_by: "xlf_attacks::overprivilege",
         },
+        AttackSpec {
+            kind: TokenReplay,
+            surface: DeviceNetworkServices,
+            xlf_layer: "network (secure onboarding)",
+            table2_row: None,
+            implemented_by: "xlf_onboard::join_device (JoinAttack::TokenReplay)",
+        },
+        AttackSpec {
+            kind: RogueAs,
+            surface: DeviceNetworkServices,
+            xlf_layer: "network (secure onboarding)",
+            table2_row: None,
+            implemented_by: "xlf_onboard::join_device (JoinAttack::RogueAs)",
+        },
     ]
+}
+
+/// Where and when a [`HomeAttack`] acts on its home.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum AttackPhase {
+    /// A scripted arm that sends its traffic into the home through the
+    /// gateway.
+    Wire,
+    /// A scripted arm that sends its traffic at the home's cloud.
+    Cloud,
+    /// A passive observer: a tap records the home's wire metadata, and
+    /// the home's traffic is untouched.
+    Observer,
+    /// Acts on the device's join, before the home's simulation steps.
+    Onboarding,
+}
+
+/// The attack one experiment home runs: the fleet stamps one per home
+/// (as `xlf_fleet::FleetAttack`), the single-home scenarios run one
+/// each, and [`crate::scripted::ScriptedAttacker`] plays the
+/// [`AttackPhase::Wire`] and [`AttackPhase::Cloud`] arms.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum HomeAttack {
+    /// Benign home.
+    None,
+    /// Mirai-style recruitment of the weak camera: a login with its
+    /// static default password carrying the C&C bootstrap string, then a
+    /// flood order. Catalogued as Table II's static-password takeover:
+    /// the arm scans nothing, and the flood it orders hits a passive sink.
+    BotnetRecruit,
+    /// Oversized commands exploiting the wall pad's buffer overflow.
+    BufferOverflow,
+    /// Unsigned malicious OTA images pushed at the camera.
+    FirmwareTamper,
+    /// Window-open commands captured during learning, replayed with no
+    /// witnessed trigger (app verification denies each one).
+    Replay,
+    /// Off-path DNS poisoning: spoofed `dns-response` packets for the
+    /// vendor hub name with guessed txids (the hardened resolver rejects
+    /// each one, raising `DnsBlocked` evidence).
+    DnsPoison,
+    /// Spoofed high-temperature events fired at the cloud (§IV-C2/C3),
+    /// to trigger the window automation.
+    SpoofedEvents,
+    /// Passive traffic analysis: an observer tap records the home's wire
+    /// metadata and a [`crate::observer::TrafficAnalyst`] is scored on it
+    /// after the run. Produces no in-home evidence: the stealth baseline
+    /// for the fleet tier.
+    TrafficObserver,
+    /// The joining device presents a captured token (expired or spent).
+    /// Always denied and flagged; the home's simulation is untouched.
+    TokenReplay,
+    /// The join token is minted by a rogue authorization server. The seal
+    /// check fails; the home's simulation is untouched.
+    RogueAs,
+}
+
+/// A [`HomeAttack`]'s catalog row, target device and phase.
+type Facts = (AttackKind, Option<&'static str>, AttackPhase);
+
+impl HomeAttack {
+    /// Every attack, benign first.
+    pub const ALL: [HomeAttack; 10] = [
+        HomeAttack::None,
+        HomeAttack::BotnetRecruit,
+        HomeAttack::BufferOverflow,
+        HomeAttack::FirmwareTamper,
+        HomeAttack::Replay,
+        HomeAttack::DnsPoison,
+        HomeAttack::SpoofedEvents,
+        HomeAttack::TrafficObserver,
+        HomeAttack::TokenReplay,
+        HomeAttack::RogueAs,
+    ];
+
+    /// The one table: report name, then the row, target and phase of
+    /// every attack but the benign home.
+    fn facts(self) -> (&'static str, Option<Facts>) {
+        use AttackKind as K;
+        use AttackPhase::*;
+        match self {
+            HomeAttack::None => ("none", None),
+            HomeAttack::BotnetRecruit => (
+                "botnet-recruit",
+                Some((K::DefaultCredentialTakeover, Some("cam"), Wire)),
+            ),
+            HomeAttack::BufferOverflow => (
+                "buffer-overflow",
+                Some((K::BufferOverflow, Some("wallpad"), Wire)),
+            ),
+            HomeAttack::FirmwareTamper => (
+                "firmware-tamper",
+                Some((K::FirmwareTamper, Some("cam"), Wire)),
+            ),
+            HomeAttack::Replay => ("replay", Some((K::Replay, Some("window"), Wire))),
+            HomeAttack::DnsPoison => ("dns-poison", Some((K::DnsPoisoning, Some("cam"), Wire))),
+            HomeAttack::SpoofedEvents => (
+                "spoofed-events",
+                Some((K::EventSpoofing, Some("window"), Cloud)),
+            ),
+            HomeAttack::TrafficObserver => (
+                "traffic-observer",
+                Some((K::TrafficAnalysis, None, Observer)),
+            ),
+            HomeAttack::TokenReplay => ("token-replay", Some((K::TokenReplay, None, Onboarding))),
+            HomeAttack::RogueAs => ("rogue-as", Some((K::RogueAs, None, Onboarding))),
+        }
+    }
+
+    /// Stable short name (used in reports and JSON).
+    pub fn name(self) -> &'static str {
+        self.facts().0
+    }
+
+    /// The attack's catalog row (`None` for the benign home).
+    pub fn kind(self) -> Option<AttackKind> {
+        self.facts().1.map(|(kind, _, _)| kind)
+    }
+
+    /// The device the attack targets, the ground truth for scoring
+    /// detection (`None` when it targets no device of the home).
+    pub fn target(self) -> Option<&'static str> {
+        self.facts().1.and_then(|(_, target, _)| target)
+    }
+
+    /// Where and when the attack acts (`None` for the benign home).
+    pub fn phase(self) -> Option<AttackPhase> {
+        self.facts().1.map(|(_, _, phase)| phase)
+    }
+
+    /// Whether the attack injects traffic the home's own Core can
+    /// detect: a passive observer cannot be flagged from inside, and an
+    /// onboarding attack is stopped at the join and never reaches the
+    /// home's network.
+    pub fn is_active(self) -> bool {
+        matches!(self.phase(), Some(AttackPhase::Wire | AttackPhase::Cloud))
+    }
 }
 
 #[cfg(test)]
@@ -275,8 +440,61 @@ mod tests {
     #[test]
     fn every_attack_names_an_implementation_and_layer() {
         for spec in attack_catalog() {
-            assert!(spec.implemented_by.starts_with("xlf_attacks::"));
+            // The onboarding attacks are played by the join itself.
+            let module = ["xlf_attacks::", "xlf_onboard::"];
+            assert!(module.iter().any(|m| spec.implemented_by.starts_with(m)));
             assert!(!spec.xlf_layer.is_empty());
+        }
+    }
+
+    #[test]
+    fn every_home_attack_is_its_own_catalog_row() {
+        let catalog = attack_catalog();
+        let mut kinds: Vec<_> = HomeAttack::ALL.iter().filter_map(|a| a.kind()).collect();
+        assert_eq!(
+            kinds.len(),
+            HomeAttack::ALL.len() - 1,
+            "only None has no row"
+        );
+        assert!(kinds.iter().all(|k| catalog.iter().any(|s| s.kind == *k)));
+        kinds.sort();
+        kinds.dedup();
+        assert_eq!(
+            kinds.len(),
+            HomeAttack::ALL.len() - 1,
+            "two attacks share a row"
+        );
+    }
+
+    /// The catalog rows no home can run: this crate's standalone attack
+    /// nodes and models, run by `table2` and by tests of their own.
+    /// A new row must be given a [`HomeAttack`] or be listed here.
+    #[test]
+    fn rows_without_a_home_attack_are_listed() {
+        use AttackKind::*;
+        let unrunnable: Vec<_> = attack_catalog()
+            .into_iter()
+            .map(|s| s.kind)
+            .filter(|&k| !HomeAttack::ALL.iter().any(|a| a.kind() == Some(k)))
+            .collect();
+        assert_eq!(
+            unrunnable,
+            [
+                Rickroll,
+                UpnpSniffing,
+                MaliciousMailBot,
+                OpenWifiPivot,
+                BotnetScan,
+                Ddos,
+                OverprivilegedApp,
+            ]
+        );
+    }
+
+    #[test]
+    fn exactly_the_scripted_arms_name_a_target() {
+        for attack in HomeAttack::ALL {
+            assert_eq!(attack.target().is_some(), attack.is_active(), "{attack:?}");
         }
     }
 }

@@ -4,7 +4,8 @@
 //! mechanisms have something real to stop.
 //!
 //! * [`catalog`] — the attack catalog with OWASP surface areas (Figure 3)
-//!   and Table II row metadata.
+//!   and Table II row metadata, and [`HomeAttack`], the one name of the
+//!   attack an experiment home runs, keyed to its catalog row.
 //! * [`device`] — device-layer attack nodes: credential stuffing, buffer
 //!   overflow, firmware tampering, deauth/rickroll, UPnP sniffing.
 //! * [`mirai`] — the §IV-B3 botnet pipeline: scan → compromise → C&C →
@@ -16,10 +17,10 @@
 //! * [`dnspoison`] — off-path and on-path DNS cache poisoning.
 //! * [`observer`] — the passive traffic analyst of §IV-B1 (Apthorpe/
 //!   HoMonit): infers device state from packet metadata only.
-//! * [`spoof`] — service-layer event spoofing (§IV-C2).
 //! * [`overprivilege`] — the malicious over-privileged SmartApp (§IV-C2).
 //! * [`scripted`] — the scripted WAN attacker and victim sink every
-//!   fleet and scenario home is attacked with.
+//!   fleet and scenario home is attacked with, service-layer event
+//!   spoofing (§IV-C2) included.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +34,6 @@ pub mod observer;
 pub mod overprivilege;
 pub mod replay;
 pub mod scripted;
-pub mod spoof;
 
-pub use catalog::{attack_catalog, AttackKind, AttackSpec, SurfaceArea};
+pub use catalog::{attack_catalog, AttackKind, AttackPhase, AttackSpec, HomeAttack, SurfaceArea};
 pub use observer::TrafficAnalyst;

@@ -3,8 +3,9 @@
 //! choice contributes to the end-to-end outcome (detection score,
 //! quarantine, flood containment, evidence mix).
 
+use xlf_attacks::HomeAttack;
 use xlf_bench::print_table;
-use xlf_bench::scenarios::{run_scenario, AttackScenario, SCENARIO_END_S};
+use xlf_bench::scenarios::{run_scenario, SCENARIO_END_S};
 use xlf_core::framework::XlfConfig;
 use xlf_simnet::SimTime;
 
@@ -52,7 +53,7 @@ fn main() {
 
     let mut rows = Vec::new();
     for (name, make) in &variants {
-        let home = run_scenario(1, make(), AttackScenario::BotnetRecruitFlood);
+        let home = run_scenario(1, make(), HomeAttack::BotnetRecruit);
         let score = home
             .core
             .borrow_mut()

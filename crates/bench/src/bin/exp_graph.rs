@@ -12,12 +12,13 @@
 //! pipeline `exp_fleet` drives at 1000-home scale.
 
 use xlf_analytics::graph::community_report;
+use xlf_attacks::HomeAttack;
 use xlf_bench::print_table;
-use xlf_bench::scenarios::{run_scenario, AttackScenario};
+use xlf_bench::scenarios::run_scenario;
 use xlf_core::framework::{HomeRunner, XlfConfig};
 
 /// Behaviour features of one home from its traffic trace.
-fn home_features(seed: u64, scenario: AttackScenario, profile: &str) -> Vec<f64> {
+fn home_features(seed: u64, scenario: HomeAttack, profile: &str) -> Vec<f64> {
     // Re-run the standard scenario home with a tap; profiles differ by
     // seed class (apartments share seeds 1..=8, houses 101..=104 — the
     // deterministic sensors make same-profile homes behave alike).
@@ -35,7 +36,7 @@ fn home_features(seed: u64, scenario: AttackScenario, profile: &str) -> Vec<f64>
     // The deviant home runs the attack scenario first, then we observe
     // its (compromised) behaviour window; healthy homes are observed
     // directly.
-    let mut runner = if scenario != AttackScenario::None {
+    let mut runner = if scenario != HomeAttack::None {
         run_scenario(seed, XlfConfig::off(), scenario).into_runner()
     } else {
         HomeRunner::build(seed, config, &home_devices)
@@ -49,9 +50,9 @@ fn main() {
     let mut names = Vec::new();
     for seed in 1..=8u64 {
         let scenario = if seed == 3 {
-            AttackScenario::BotnetRecruitFlood // the deviant home
+            HomeAttack::BotnetRecruit // the deviant home
         } else {
-            AttackScenario::None
+            HomeAttack::None
         };
         features.push(home_features(seed, scenario, "apartment"));
         names.push(format!(
@@ -60,7 +61,7 @@ fn main() {
         ));
     }
     for seed in 101..=104u64 {
-        features.push(home_features(seed, AttackScenario::None, "house"));
+        features.push(home_features(seed, HomeAttack::None, "house"));
         names.push(format!("house-{}", seed - 100));
     }
 

@@ -9,7 +9,7 @@
 //! A device counts as "flagged" when its fused score reaches the warning
 //! threshold. Ground truth is whether the attacker targeted that device.
 
-use xlf_bench::scenarios::{run_scenario, AttackScenario, SCENARIO_END_S};
+use xlf_bench::scenarios::{run_scenario, SCENARIOS, SCENARIO_END_S};
 use xlf_bench::{prf, print_table};
 use xlf_core::correlation::{CorrelationConfig, CorrelationEngine};
 use xlf_core::evidence::Layer;
@@ -29,7 +29,7 @@ fn main() {
 
     // Collect evidence stores (+ ground truth) from every scenario run.
     let mut runs = Vec::new();
-    for &scenario in AttackScenario::all() {
+    for scenario in SCENARIOS {
         for &seed in &SEEDS {
             let home = run_scenario(seed, XlfConfig::full(), scenario);
             let devices: Vec<String> = home.devices.keys().map(|d| d.to_string()).collect();
@@ -96,7 +96,7 @@ fn main() {
     // MKL row: held-out seeds only (skip each scenario's first run).
     {
         let mut outcomes = Vec::new();
-        for &scenario in AttackScenario::all() {
+        for scenario in SCENARIOS {
             for (home, s, devices) in runs.iter().filter(|(_, s, _)| *s == scenario).skip(1) {
                 let core = home.core.borrow();
                 for device in devices {
@@ -125,7 +125,7 @@ fn main() {
 
     // Per-scenario breakdown: which monitors catch which attack class.
     let mut detail_rows = Vec::new();
-    for &scenario in AttackScenario::all() {
+    for scenario in SCENARIOS {
         let Some(target) = scenario.target() else {
             continue;
         };
@@ -165,8 +165,7 @@ fn main() {
 
     println!(
         "\nScenarios: {:?} × seeds {:?}; threshold = {THRESHOLD}.",
-        AttackScenario::all(),
-        SEEDS
+        SCENARIOS, SEEDS
     );
     println!(
         "Expected shape (paper's Figure 4 claim): the cross-layer row\n\

@@ -28,9 +28,7 @@ use crate::aggregate::{FleetAggregator, FleetReport};
 use crate::metrics::FleetMetrics;
 use crate::region::RegionAggregator;
 use crate::snapshot::{KillPoint, ResumePhase, RunCtx, SnapshotError, SnapshotIdentity};
-use crate::spec::{
-    FleetAttack, FleetFault, FleetSpec, HomeSpec, HomeTemplate, Stamper, LEARNING_END_S,
-};
+use crate::spec::{FleetFault, FleetSpec, HomeSpec, HomeTemplate, Stamper, LEARNING_END_S};
 use crate::supervise::{panic_message, FleetError, HomeOutcome, HomeRunError, ShardError};
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -42,7 +40,7 @@ use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::time::Instant;
 use xlf_attacks::observer::TrafficAnalyst;
-use xlf_attacks::scripted;
+use xlf_attacks::{scripted, AttackPhase};
 use xlf_core::framework::{HomeKit, HomeProbe, HomeReport, HomeRunner, XlfHome};
 use xlf_simnet::observer::PacketRecord;
 use xlf_simnet::{Context, Duration, FaultPlan, Node, SimTime};
@@ -173,14 +171,12 @@ fn build_home_with(
     config.evidence_capacity = spec.evidence_capacity;
     let mut home = XlfHome::from_kit(hs.seed, config, &kit_of(template));
 
-    if let Some(attack) = hs.attack.scripted() {
-        scripted::install(&mut home.net, home.gateway, home.cloud, attack);
-    }
+    scripted::install(&mut home.net, home.gateway, home.cloud, hs.attack);
 
     // A passive observer adds no nodes and no traffic — the home's
     // simulation is byte-identical to a benign one. The analyst is
     // scored on the tap records after the run.
-    let observer = if hs.attack == FleetAttack::TrafficObserver {
+    let observer = if hs.attack.phase() == Some(AttackPhase::Observer) {
         let (tap, records) = xlf_simnet::observer::RecordingTap::new();
         home.net.add_tap(Box::new(tap));
         Some(records)
@@ -873,7 +869,7 @@ fn run_fleet_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::HomeTemplate;
+    use crate::spec::{FleetAttack, HomeTemplate};
     use xlf_core::alerts::Severity;
 
     fn home_spec(seed: u64, attack: FleetAttack) -> HomeSpec {
@@ -943,6 +939,11 @@ mod tests {
         let spec = FleetSpec::new(5, 1);
         let hs = home_spec(4, FleetAttack::DnsPoison);
         let report = run_one_home(&spec, &hs, &FleetMetrics::new()).expect("home builds");
+        // The spoofs name the host the home resolves.
+        assert_eq!(
+            scripted::POISONED_NAME,
+            xlf_core::framework::VENDOR_DNS_NAME
+        );
         // Off-path spoofs all miss the txid; each rejection is DnsBlocked
         // evidence at the network layer.
         assert!(report.critical_alerts > 0, "report: {report:?}");
@@ -1186,17 +1187,6 @@ mod tests {
         (report, records, evidence, observer)
     }
 
-    const ALL_ATTACKS: [FleetAttack; 8] = [
-        FleetAttack::None,
-        FleetAttack::BotnetRecruit,
-        FleetAttack::FirmwareTamper,
-        FleetAttack::Replay,
-        FleetAttack::DnsPoison,
-        FleetAttack::TrafficObserver,
-        FleetAttack::TokenReplay,
-        FleetAttack::RogueAs,
-    ];
-
     fn three_template_spec() -> FleetSpec {
         FleetSpec::new(3, 0)
             .with_horizon(Duration::from_secs(300))
@@ -1214,7 +1204,7 @@ mod tests {
         let spec = three_template_spec();
         let fresh_kit = |t: &HomeTemplate| Arc::new(t.kit());
         for template in 0..spec.templates.len() {
-            for (i, attack) in ALL_ATTACKS.into_iter().enumerate() {
+            for (i, attack) in FleetAttack::ALL.into_iter().enumerate() {
                 let hs = HomeSpec {
                     id: i as u64,
                     seed: 40 + i as u64,
@@ -1240,6 +1230,9 @@ mod tests {
                 assert_eq!(shared, own, "template {template}, {attack:?}");
                 assert!(!shared.1.is_empty(), "the home ran");
                 let sibling = trace(&spec, sibling);
+                if attack.is_active() {
+                    assert_ne!(shared, sibling, "{attack:?} left no trace");
+                }
                 let alone = trace(
                     &spec,
                     build_home_with(&spec, &benign, fresh_kit).expect("builds"),

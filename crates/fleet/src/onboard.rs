@@ -17,6 +17,7 @@
 use crate::spec::{FleetAttack, HomeSpec};
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
+use xlf_attacks::AttackPhase;
 use xlf_onboard::{
     candidate_infos, join_with_choice, select_cipher, DenyCause, JoinAttack, JoinResult,
     OnboardingSpec, DENY_CAUSES,
@@ -150,7 +151,7 @@ impl OnboardSection {
                 acc.admitted += 1;
                 acc.latency_us_sum += r.latency.as_micros();
                 acc.energy_mj_sum += r.energy_mj;
-                if matches!(hs.attack, FleetAttack::TokenReplay | FleetAttack::RogueAs) {
+                if hs.attack.phase() == Some(AttackPhase::Onboarding) {
                     section.rogue_admissions += 1;
                 }
             } else {
@@ -225,7 +226,7 @@ mod tests {
         ]);
         let attacked = homes
             .iter()
-            .filter(|h| matches!(h.attack, FleetAttack::TokenReplay | FleetAttack::RogueAs))
+            .filter(|h| h.attack.phase() == Some(AttackPhase::Onboarding))
             .count() as u64;
         assert!(attacked > 0, "attack mix must stamp some rogue joins");
         let s = OnboardSection::compute(&ob, &homes);
@@ -252,14 +253,10 @@ mod tests {
 
     #[test]
     fn in_simulation_attacks_do_not_touch_the_join_phase() {
-        for attack in [
-            FleetAttack::None,
-            FleetAttack::BotnetRecruit,
-            FleetAttack::FirmwareTamper,
-            FleetAttack::Replay,
-            FleetAttack::DnsPoison,
-            FleetAttack::TrafficObserver,
-        ] {
+        for attack in FleetAttack::ALL
+            .into_iter()
+            .filter(|a| a.phase() != Some(AttackPhase::Onboarding))
+        {
             assert_eq!(join_attack_for(attack), JoinAttack::None, "{attack:?}");
         }
         assert_eq!(

@@ -7,86 +7,16 @@
 use crate::snapshot::RunSnapshotPolicy;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
-use xlf_attacks::scripted::ScriptedAttack;
 use xlf_cloud::smartapp::SmartApp;
-use xlf_core::framework::{HomeDevice, HomeKit, XlfConfig, VENDOR_DNS_NAME};
+use xlf_core::framework::{HomeDevice, HomeKit, XlfConfig};
 use xlf_device::{SensorKind, VulnSet, Vulnerability};
 use xlf_mgmt::{CampaignSpec, ConfigAuditSpec};
 use xlf_onboard::OnboardingSpec;
 use xlf_simnet::{splitmix64, Duration};
 
-/// The attack injected into one home of the fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FleetAttack {
-    /// Benign home.
-    None,
-    /// Mirai-style recruitment of the weak camera (C&C bootstrap string
-    /// in a default-credential login), followed by a flood order.
-    BotnetRecruit,
-    /// Unsigned malicious OTA pushed at the camera through the gateway.
-    FirmwareTamper,
-    /// Captured automation command replayed at the window actuator after
-    /// learning ends (no witnessed trigger → app verification denies).
-    Replay,
-    /// Off-path DNS poisoning: spoofed `dns-response` packets for the
-    /// vendor hub name with guessed txids (the hardened resolver rejects
-    /// each one, raising `DnsBlocked` evidence).
-    DnsPoison,
-    /// Passive traffic analysis: an observer tap records the home's
-    /// wire metadata and a [`xlf_attacks::observer::TrafficAnalyst`]
-    /// is scored on it post-run. Produces no in-home evidence — the
-    /// stealth baseline for the fleet tier.
-    TrafficObserver,
-    /// Onboarding-phase attack: the joining device presents a captured
-    /// token — expired or already spent — to the gateway's resource
-    /// server. Always denied ([`xlf_onboard::DenyCause::Expired`] /
-    /// `Replayed`) and flagged; the home's simulation is untouched.
-    TokenReplay,
-    /// Onboarding-phase attack: the join token is minted by an
-    /// authorization server that does not hold the fleet secret. The
-    /// seal check fails fleet-wide ([`xlf_onboard::DenyCause::BadSeal`]);
-    /// the home's simulation is untouched.
-    RogueAs,
-}
-
-impl FleetAttack {
-    /// Stable short name (used in reports and JSON).
-    pub fn name(&self) -> &'static str {
-        match self {
-            FleetAttack::None => "none",
-            FleetAttack::BotnetRecruit => "botnet-recruit",
-            FleetAttack::FirmwareTamper => "firmware-tamper",
-            FleetAttack::Replay => "replay",
-            FleetAttack::DnsPoison => "dns-poison",
-            FleetAttack::TrafficObserver => "traffic-observer",
-            FleetAttack::TokenReplay => "token-replay",
-            FleetAttack::RogueAs => "rogue-as",
-        }
-    }
-
-    /// Whether the attack actively injects traffic the home's own Core
-    /// can detect (passive observation cannot be flagged from inside;
-    /// onboarding attacks are stopped at the join phase and never reach
-    /// the home's network).
-    pub fn is_active(&self) -> bool {
-        self.scripted().is_some()
-    }
-
-    /// The scripted WAN attack that injects this attack's traffic, if it
-    /// injects any.
-    pub fn scripted(&self) -> Option<ScriptedAttack> {
-        match self {
-            FleetAttack::BotnetRecruit => Some(ScriptedAttack::BotnetRecruit),
-            FleetAttack::FirmwareTamper => Some(ScriptedAttack::FirmwareTamper),
-            FleetAttack::Replay => Some(ScriptedAttack::Replay),
-            FleetAttack::DnsPoison => Some(ScriptedAttack::DnsPoison(VENDOR_DNS_NAME)),
-            FleetAttack::None
-            | FleetAttack::TrafficObserver
-            | FleetAttack::TokenReplay
-            | FleetAttack::RogueAs => None,
-        }
-    }
-}
+/// The attack injected into one home of the fleet: the catalog-keyed
+/// [`xlf_attacks::HomeAttack`], under the fleet's name.
+pub use xlf_attacks::HomeAttack as FleetAttack;
 
 /// The infrastructure fault a home runs under (scheduled into its
 /// simulation as a [`xlf_simnet::FaultPlan`] by the fleet engine).

@@ -13,7 +13,7 @@ use xlf::fleet::{
     FleetMetrics, KillPoint,
 };
 use xlf::simnet::Duration;
-use xlf_bench::scenarios::{run_scenario, AttackScenario};
+use xlf_bench::scenarios::{run_scenario, SCENARIOS};
 
 fn fnv64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -147,10 +147,18 @@ fn streamed_fleet_run_snapshot_bytes_are_pinned() {
 #[test]
 fn scenario_alerts_and_evidence_are_pinned() {
     let mut trace = String::new();
-    for &scenario in AttackScenario::all() {
-        let home = run_scenario(1, XlfConfig::full(), scenario);
+    // The section labels the scenarios printed when the pin was taken.
+    let labels = [
+        "None",
+        "BotnetRecruitFlood",
+        "BufferOverflow",
+        "FirmwareTamper",
+        "SpoofedEvents",
+    ];
+    for (attack, label) in SCENARIOS.into_iter().zip(labels) {
+        let home = run_scenario(1, XlfConfig::full(), attack);
         let core = home.core.borrow();
-        trace.push_str(&format!("{scenario:?}\n"));
+        trace.push_str(&format!("{label}\n"));
         for a in core.alerts.alerts() {
             trace.push_str(&format!(
                 "alert {} {} {:?} {:016x} {}\n",
